@@ -3,7 +3,7 @@
 //! bounds the turnaround of the fig8/fig9 sweeps.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hsumma_core::simdrive::{sim_hsumma_sync, sim_summa_sync};
+use hsumma_core::simdrive::{simulate, Schedule, SimEngine};
 use hsumma_matrix::GridShape;
 use hsumma_netsim::{Platform, SimBcast};
 
@@ -21,7 +21,14 @@ fn bench_sim(c: &mut Criterion) {
             BenchmarkId::new("summa_flat", grid.size()),
             &side,
             |bench, _| {
-                bench.iter(|| sim_summa_sync(&platform, grid, n, b, SimBcast::Flat));
+                bench.iter(|| {
+                    simulate(
+                        &Schedule::summa(grid, n, b, SimBcast::Flat),
+                        &platform,
+                        SimEngine::Threads,
+                        true,
+                    )
+                });
             },
         );
         let groups = GridShape::new(side / 4, side / 4);
@@ -30,15 +37,11 @@ fn bench_sim(c: &mut Criterion) {
             &side,
             |bench, _| {
                 bench.iter(|| {
-                    sim_hsumma_sync(
+                    simulate(
+                        &Schedule::hsumma(grid, groups, n, b, b, SimBcast::Flat, SimBcast::Flat),
                         &platform,
-                        grid,
-                        groups,
-                        n,
-                        b,
-                        b,
-                        SimBcast::Flat,
-                        SimBcast::Flat,
+                        SimEngine::Threads,
+                        true,
                     )
                 });
             },

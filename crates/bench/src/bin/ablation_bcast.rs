@@ -8,7 +8,7 @@
 //! and which pairing is best at these panel sizes.
 
 use hsumma_bench::{grid_for, render_table, secs};
-use hsumma_core::simdrive::{sim_hsumma_sync, sim_summa_sync};
+use hsumma_core::simdrive::{simulate, Schedule, SimEngine};
 use hsumma_core::HierGrid;
 use hsumma_netsim::{Platform, SimBcast};
 
@@ -32,10 +32,11 @@ fn main() {
         grid.rows, grid.cols, groups.rows, groups.cols
     );
 
+    let sim = |sched| simulate(&sched, &platform, SimEngine::Threads, true);
     println!("SUMMA per broadcast algorithm:");
     let mut rows = Vec::new();
     for (name, algo) in ALGOS {
-        let r = sim_summa_sync(&platform, grid, n, b, algo);
+        let r = sim(Schedule::summa(grid, n, b, algo));
         rows.push(vec![name.to_string(), secs(r.comm_time)]);
     }
     println!("{}", render_table(&["bcast", "SUMMA comm (s)"], &rows));
@@ -45,7 +46,7 @@ fn main() {
     for (outer_name, outer) in ALGOS {
         let mut row = vec![outer_name.to_string()];
         for (_, inner) in ALGOS {
-            let r = sim_hsumma_sync(&platform, grid, groups, n, b, b, outer, inner);
+            let r = sim(Schedule::hsumma(grid, groups, n, b, b, outer, inner));
             row.push(secs(r.comm_time));
         }
         rows.push(row);

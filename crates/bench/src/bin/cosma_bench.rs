@@ -34,7 +34,7 @@
 //! ```
 
 use hsumma_bench::{model_params, render_table, secs};
-use hsumma_core::{sim_cosma_engine, sim_hsumma_engine, CosmaConfig, HierGrid, SimEngine};
+use hsumma_core::{simulate, CosmaConfig, HierGrid, MatMulDims, Schedule, SimEngine};
 use hsumma_matrix::GridShape;
 use hsumma_model::{
     advise_gemm, best_brick, cosma_footprint_elems, cosma_volume, AlgoChoice, BcastModel,
@@ -87,7 +87,8 @@ fn measure(
         b: d.b,
         c: d.c,
     };
-    let report = sim_cosma_engine(engine, platform, p, m, n, k, &cfg);
+    let dims = MatMulDims { m, l: k, n };
+    let report = simulate(&Schedule::Cosma { p, dims, cfg }, platform, engine, false);
     let model_bytes = cosma_volume(shape, m as f64, n as f64, k as f64);
     let rel_err = (report.bytes as f64 - model_bytes).abs() / model_bytes.max(1.0);
 
@@ -120,18 +121,9 @@ fn measure(
                 let g = advice.hsumma.0.round().max(1.0) as usize;
                 let groups = HierGrid::factor_groups(grid, g).unwrap_or(GridShape::new(1, 1));
                 let outer = (b * 2).min(n / q);
-                sim_hsumma_engine(
-                    engine,
-                    platform,
-                    grid,
-                    groups,
-                    n,
-                    outer,
-                    b,
-                    SimBcast::Binomial,
-                    SimBcast::Binomial,
-                )
-                .total_time
+                let bc = SimBcast::Binomial;
+                let sched = Schedule::hsumma(grid, groups, n, outer, b, bc, bc);
+                simulate(&sched, platform, engine, false).total_time
             },
         );
     let agree = hsumma_s.map(|h| {

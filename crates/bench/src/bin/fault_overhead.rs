@@ -13,7 +13,7 @@
 //! cargo run --release -p hsumma-bench --bin fault_overhead [-- --smoke]
 //! ```
 
-use hsumma_core::{run_planned, summa, PlannedAlgo, SummaConfig};
+use hsumma_core::{run_planned_gemm, summa, PlannedAlgo, SummaConfig};
 use hsumma_matrix::{seeded_uniform, BlockDist, GemmKernel, GridShape};
 use hsumma_runtime::{collectives, BcastAlgorithm, FaultPlan, JobOptions, Runtime};
 use hsumma_serve::{Planner, PlannerConfig};
@@ -89,7 +89,8 @@ fn planned_leg(
     let (at, bt) = tiles;
     let plan = *plan;
     Runtime::try_run_opts(grid.size(), &Tracer::disabled(), opts, move |comm| {
-        run_planned(comm, grid, n, &at[comm.rank()], &bt[comm.rank()], &plan).unwrap()
+        let (a, b) = (&at[comm.rank()], &bt[comm.rank()]);
+        run_planned_gemm(comm, grid, n, n, n, a, b, &plan).unwrap()
     })
     .expect("clean planned GEMM");
 }
@@ -109,7 +110,7 @@ fn main() {
     // What the model-driven planner would run for this shape, and which
     // GEMM path (pipelined nonblocking collectives vs blocking) that is.
     let plan = Planner::new(grid, PlannerConfig::default())
-        .plan_square(n)
+        .plan_gemm(n, n, n)
         .plan;
     let gemm_path = plan.gemm_path();
 

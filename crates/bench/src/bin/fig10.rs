@@ -32,9 +32,9 @@
 //! ```
 
 use hsumma_bench::{render_table, secs, write_bench_section};
-use hsumma_core::simdrive::{record_cosma, record_summa, replay_on};
-use hsumma_core::tuning::sweep_groups_engine;
-use hsumma_core::{CosmaConfig, SimEngine};
+use hsumma_core::simdrive::{replay_on, simulate, Schedule, SimEngine};
+use hsumma_core::tuning;
+use hsumma_core::{CosmaConfig, MatMulDims};
 use hsumma_matrix::GridShape;
 use hsumma_model::predict::{best_point, power_of_two_gs, sweep_groups};
 use hsumma_model::{cosma_volume, BcastModel, BrickShape, ModelParams};
@@ -71,7 +71,8 @@ fn replay_cosma(platform: &Platform, label: &'static str, p: usize, n: usize) ->
         b: d.b,
         c: d.c,
     };
-    let prog = record_cosma(p, n, n, n, &cfg);
+    let dims = MatMulDims::square(n);
+    let prog = Schedule::Cosma { p, dims, cfg }.record(false);
     let ops = prog.total_ops();
     let mut net = SimNet::new(p, platform.net);
     let report = replay_on(&mut net, platform.gamma, &prog);
@@ -156,7 +157,7 @@ fn analytic_sweep() {
 fn write_chrome_trace() {
     let platform = Platform::bluegene_p();
     let (grid, n, b) = (GridShape::new(16, 16), 512, 32);
-    let prog = record_summa(grid, n, b, SimBcast::Binomial, false);
+    let prog = Schedule::summa(grid, n, b, SimBcast::Binomial).record(false);
     let mut net = SimNet::new(grid.size(), platform.net);
     net.enable_trace();
     let _ = replay_on(&mut net, platform.gamma, &prog);
@@ -251,17 +252,14 @@ fn main() {
         ];
         let mut out = Vec::new();
         for (name, grid, n, b, bcast, gs) in sweeps {
-            let sweep = sweep_groups_engine(
-                SimEngine::Replay,
-                &platform,
-                grid,
-                n,
-                b,
-                b,
-                bcast,
-                bcast,
-                &gs,
-            );
+            let sweep = tuning::sweep_groups(grid, &gs, |groups| {
+                simulate(
+                    &Schedule::hsumma(grid, groups, n, b, b, bcast, bcast),
+                    &platform,
+                    SimEngine::Replay,
+                    false,
+                )
+            });
             println!(
                 "== HSUMMA replay G-sweep, p = {}, n = {n}, b = {b}, {name} ==\n",
                 grid.size()

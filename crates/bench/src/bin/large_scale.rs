@@ -19,13 +19,10 @@
 //! [`Communicator`]: hsumma_core::Communicator
 
 use hsumma_bench::{render_table, secs};
-use hsumma_core::simdrive::{
-    record_twodotfive, replay_on, sim_lu, sim_overlap, sim_summa, sim_summa_sync, sim_twodotfive,
-};
-use hsumma_core::{sim_hsumma_engine, sim_summa_engine, SimEngine, SummaConfig, TwoDotFiveConfig};
+use hsumma_core::lu::sim_block_lu;
+use hsumma_core::{simulate, Schedule, SimEngine, SummaConfig, TwoDotFiveConfig};
 use hsumma_matrix::{GemmKernel, GridShape};
-use hsumma_netsim::{Platform, SimBcast, SimNet, SimReport};
-use hsumma_runtime::BcastAlgorithm;
+use hsumma_netsim::{Platform, SimBcast, SimReport};
 
 const P: usize = 4096;
 const N: usize = 8192;
@@ -49,45 +46,42 @@ fn main() {
 
     let mut rows = Vec::new();
 
+    let threads = |sched, step_sync| simulate(&sched, &platform, SimEngine::Threads, step_sync);
+    let bc = SimBcast::Binomial;
+
     // Baselines: free-running and per-step-synchronized SUMMA.
-    let summa = sim_summa(&platform, grid, N, B, SimBcast::Binomial);
+    let summa = threads(Schedule::summa(grid, N, B, bc), false);
     rows.push(row("summa", "64x64, free-run", &summa));
-    let summa_sync = sim_summa_sync(&platform, grid, N, B, SimBcast::Binomial);
+    let summa_sync = threads(Schedule::summa(grid, N, B, bc), true);
     rows.push(row("summa", "64x64, step-sync", &summa_sync));
 
-    // Overlapped SUMMA: one-step lookahead hides panel transfers.
-    let over = sim_overlap(&platform, grid, N, B, BcastAlgorithm::Binomial);
-    rows.push(row("overlap", "64x64, lookahead 1", &over));
+    // Pipelined SUMMA: the two-slot panel buffer hides panel transfers.
+    let over = threads(Schedule::summa(grid, N, B, bc).pipelined(), false);
+    rows.push(row("overlap", "64x64, pipelined", &over));
 
     // 2.5D with c = 1 (degenerate, SUMMA-shaped) and c = 4 replicas.
-    let c1 = TwoDotFiveConfig {
-        q: 64,
-        c: 1,
-        summa: SummaConfig {
-            block: B,
-            bcast: BcastAlgorithm::Binomial,
-            kernel: GemmKernel::Blocked,
+    let twodotfive = |n, q, c| Schedule::TwoDotFive {
+        n,
+        cfg: TwoDotFiveConfig {
+            q,
+            c,
+            summa: SummaConfig {
+                block: B,
+                bcast: bc,
+                kernel: GemmKernel::Blocked,
+            },
         },
     };
-    let r1 = sim_twodotfive(&platform, N, &c1);
+    let r1 = threads(twodotfive(N, 64, 1), false);
     rows.push(row("2.5d", "q=64, c=1", &r1));
-    let c4 = TwoDotFiveConfig {
-        q: 32,
-        c: 4,
-        summa: SummaConfig {
-            block: B,
-            bcast: BcastAlgorithm::Binomial,
-            kernel: GemmKernel::Blocked,
-        },
-    };
-    let r4 = sim_twodotfive(&platform, N, &c4);
+    let r4 = threads(twodotfive(N, 32, 4), false);
     rows.push(row("2.5d", "q=32, c=4", &r4));
 
     // Block LU under serialized (root-injection-bound) panel broadcasts,
     // the regime the measured profiles exhibit: one-level vs 8x8 groups.
-    let lu_flat = sim_lu(&platform, grid, N, B, SimBcast::Flat, None, true);
+    let lu_flat = sim_block_lu(&platform, grid, N, B, SimBcast::Flat, None, true);
     rows.push(row("lu", "64x64, one level", &lu_flat));
-    let lu_hier = sim_lu(
+    let lu_hier = sim_block_lu(
         &platform,
         grid,
         N,
@@ -115,40 +109,13 @@ fn main() {
     let (rn, rb) = (16384, 64);
     println!("\n== same schedules, p = {rp} (replay engine) ==\n");
     let mut rrows = Vec::new();
-    let rsumma = sim_summa_engine(
-        SimEngine::Replay,
-        &platform,
-        rgrid,
-        rn,
-        rb,
-        SimBcast::Binomial,
-    );
+    let replay = |sched| simulate(&sched, &platform, SimEngine::Replay, false);
+    let rsumma = replay(Schedule::summa(rgrid, rn, rb, bc));
     rrows.push(row("summa", "256x256, free-run", &rsumma));
-    let rhsumma = sim_hsumma_engine(
-        SimEngine::Replay,
-        &platform,
-        rgrid,
-        GridShape::new(16, 16),
-        rn,
-        rb,
-        rb,
-        SimBcast::Binomial,
-        SimBcast::Binomial,
-    );
+    let rgroups = GridShape::new(16, 16);
+    let rhsumma = replay(Schedule::hsumma(rgrid, rgroups, rn, rb, rb, bc, bc));
     rrows.push(row("hsumma", "G=256 (sqrt p)", &rhsumma));
-    let rc4 = TwoDotFiveConfig {
-        q: 128,
-        c: 4,
-        summa: SummaConfig {
-            block: B,
-            bcast: BcastAlgorithm::Binomial,
-            kernel: GemmKernel::Blocked,
-        },
-    };
-    let r25 = {
-        let mut net = SimNet::new(rc4.q * rc4.q * rc4.c, platform.net);
-        replay_on(&mut net, platform.gamma, &record_twodotfive(rn, &rc4))
-    };
+    let r25 = replay(twodotfive(rn, 128, 4));
     rrows.push(row("2.5d", "q=128, c=4", &r25));
     println!(
         "{}",

@@ -51,5 +51,5 @@ fn main() {
         println!();
     }
     println!("note: per-level broadcasts here run every step (b = B at all levels);");
-    println!("two levels with this shape reproduce sim_hsumma exactly (unit-tested).");
+    println!("two levels with this shape reproduce simulated HSUMMA exactly (unit-tested).");
 }

@@ -9,7 +9,7 @@
 
 use hsumma_bench::{grid_for, render_table, Machine, Profile};
 use hsumma_core::grid::HierGrid;
-use hsumma_core::simdrive::{sim_hsumma_on, sim_summa_on};
+use hsumma_core::simdrive::{simulate_on, Schedule, SimEngine};
 use hsumma_core::tuning::power_of_two_gs;
 use hsumma_netsim::{NoiseModel, SimNet};
 
@@ -25,34 +25,21 @@ fn main() {
 
     let mut rows = Vec::new();
     for amplitude in [0.0f64, 0.2, 0.5, 1.0] {
-        let summa = {
+        // One jittered, step-synchronized run on a fresh network.
+        let run = |sched: Schedule| {
             let mut net = SimNet::new(grid.size(), platform.net);
             if amplitude > 0.0 {
                 net.set_noise(NoiseModel::new(1, amplitude));
             }
-            sim_summa_on(&mut net, platform.gamma, grid, n, b, bcast, true)
+            simulate_on(&sched, &mut net, platform.gamma, SimEngine::Threads, true)
         };
+        let summa = run(Schedule::summa(grid, n, b, bcast));
         let mut best: Option<(usize, f64)> = None;
         for g in power_of_two_gs(p) {
             let Some(groups) = HierGrid::factor_groups(grid, g) else {
                 continue;
             };
-            let mut net = SimNet::new(grid.size(), platform.net);
-            if amplitude > 0.0 {
-                net.set_noise(NoiseModel::new(1, amplitude));
-            }
-            let r = sim_hsumma_on(
-                &mut net,
-                platform.gamma,
-                grid,
-                groups,
-                n,
-                b,
-                b,
-                bcast,
-                bcast,
-                true,
-            );
+            let r = run(Schedule::hsumma(grid, groups, n, b, b, bcast, bcast));
             if best.is_none_or(|(_, t)| r.comm_time < t) {
                 best = Some((g, r.comm_time));
             }

@@ -1,5 +1,7 @@
 //! `overlap_pipeline` — prices the double-buffered pivot pipeline
-//! against the one-step-lookahead overlap baseline it replaced.
+//! against the blocking schedule over flat broadcasts: the same per-rank
+//! `(src, dst, bytes)` multiset (pinned by `tests/overlap_parity.rs`),
+//! so only *when* ranks block differs between the two legs.
 //!
 //! Two measurements per algorithm (SUMMA and HSUMMA):
 //!
@@ -12,7 +14,7 @@
 //! * **sim** — the same generic schedules on the network simulator's
 //!   virtual clocks, where every rank genuinely runs in parallel and
 //!   blocking time is priced exactly. This is the structural win the
-//!   rewrite is about: waits deferred behind compute cost nothing
+//!   pipeline is about: waits deferred behind compute cost nothing
 //!   unless the transfer is genuinely late. Measured on two profiles:
 //!   BlueGene/P-effective (bandwidth-dominated — small wins) and
 //!   Grid5000-effective (the paper's own fitted latency-heavy profile,
@@ -27,13 +29,12 @@
 //! ```
 
 use hsumma_core::{
-    hsumma_overlap, hsumma_overlap_lookahead, summa_overlap, summa_overlap_lookahead, Communicator,
-    HsummaConfig, PhantomMat, SummaConfig,
+    run_planned_gemm, simulate, HsummaConfig, MatMulDims, PlannedAlgo, Schedule, SimEngine,
+    SummaConfig,
 };
 use hsumma_matrix::{seeded_uniform, BlockDist, GemmKernel, GridShape, Matrix};
-use hsumma_netsim::spmd::SimWorld;
-use hsumma_netsim::{Platform, SimNet};
-use hsumma_runtime::{CommError, Runtime};
+use hsumma_netsim::Platform;
+use hsumma_runtime::{BcastAlgorithm, Runtime};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -51,86 +52,28 @@ fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
     times[reps / 2]
 }
 
-/// One algorithm under test, generic over the substrate so the same
-/// closure drives rank threads and the simulator.
-type Algo<C> = fn(
-    &C,
-    GridShape,
-    usize,
-    &<C as Communicator>::Mat,
-    &<C as Communicator>::Mat,
-    &HsummaConfig,
-) -> Result<<C as Communicator>::Mat, CommError>;
-
-fn hsumma_pipelined<C: Communicator>(
-    comm: &C,
-    grid: GridShape,
-    n: usize,
-    a: &C::Mat,
-    b: &C::Mat,
-    cfg: &HsummaConfig,
-) -> Result<C::Mat, CommError> {
-    hsumma_overlap(comm, grid, n, a, b, cfg)
-}
-
-fn hsumma_baseline<C: Communicator>(
-    comm: &C,
-    grid: GridShape,
-    n: usize,
-    a: &C::Mat,
-    b: &C::Mat,
-    cfg: &HsummaConfig,
-) -> Result<C::Mat, CommError> {
-    hsumma_overlap_lookahead(comm, grid, n, a, b, cfg)
-}
-
-/// Threaded wall-clock of one HSUMMA variant over pre-scattered tiles.
+/// Threaded wall-clock of one plan over pre-scattered tiles.
 fn threaded_secs(
     reps: usize,
     grid: GridShape,
     n: usize,
     tiles: &(Vec<Matrix>, Vec<Matrix>),
-    cfg: &HsummaConfig,
-    algo: Algo<hsumma_runtime::Comm>,
+    plan: PlannedAlgo,
 ) -> f64 {
     let (at, bt) = tiles;
     median_secs(reps, || {
         Runtime::run(grid.size(), |comm| {
-            algo(
-                comm,
-                grid,
-                n,
-                &at[comm.rank()].clone(),
-                &bt[comm.rank()].clone(),
-                cfg,
-            )
-            .unwrap()
+            let (a, b) = (at[comm.rank()].clone(), bt[comm.rank()].clone());
+            run_planned_gemm(comm, grid, n, n, n, &a, &b, &plan).unwrap()
         });
     })
 }
 
-/// Virtual makespan of one HSUMMA variant on the simulator.
-fn sim_secs(
-    platform: &Platform,
-    grid: GridShape,
-    n: usize,
-    cfg: &HsummaConfig,
-    pipelined: bool,
-) -> f64 {
-    let net = SimNet::new(grid.size(), platform.net);
-    let tile = PhantomMat {
-        rows: n / grid.rows,
-        cols: n / grid.cols,
-    };
-    let cfg = *cfg;
-    let (net, _) = SimWorld::run(net, platform.gamma, false, move |comm| {
-        if pipelined {
-            hsumma_overlap(comm, grid, n, &tile, &tile, &cfg).unwrap()
-        } else {
-            hsumma_overlap_lookahead(comm, grid, n, &tile, &tile, &cfg).unwrap()
-        }
-    });
-    net.elapsed()
+/// Virtual makespan of one plan on the simulator.
+fn sim_secs(platform: &Platform, grid: GridShape, n: usize, plan: PlannedAlgo) -> f64 {
+    let dims = MatMulDims::square(n);
+    let sched = Schedule::Gemm { grid, dims, plan };
+    simulate(&sched, platform, SimEngine::Threads, false).total_time
 }
 
 fn main() {
@@ -147,16 +90,21 @@ fn main() {
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
 
+    // Flat broadcasts on the blocking legs: the pipeline's nonblocking
+    // fan-out is flat by construction (and ignores these fields).
+    let flat = BcastAlgorithm::Flat;
     let cfg = HsummaConfig {
         outer_block: bb,
         inner_block: bs,
+        outer_bcast: flat,
+        inner_bcast: flat,
         kernel: GemmKernel::Packed,
         ..HsummaConfig::uniform(groups, bb)
     };
     let scfg = SummaConfig {
         block: bs,
+        bcast: flat,
         kernel: GemmKernel::Packed,
-        ..SummaConfig::default()
     };
 
     let dist = BlockDist::new(grid, n, n);
@@ -165,44 +113,20 @@ fn main() {
         dist.scatter(&seeded_uniform(n, n, 12)),
     );
 
-    // Threaded runtime: pipelined vs lookahead, HSUMMA then SUMMA.
-    let th_pipe = threaded_secs(reps, grid, n, &tiles, &cfg, hsumma_pipelined);
-    let th_look = threaded_secs(reps, grid, n, &tiles, &cfg, hsumma_baseline);
-    let (at, bt) = &tiles;
-    let th_s_pipe = median_secs(reps, || {
-        Runtime::run(grid.size(), |comm| {
-            summa_overlap(
-                comm,
-                grid,
-                n,
-                &at[comm.rank()].clone(),
-                &bt[comm.rank()].clone(),
-                &scfg,
-            )
-            .unwrap()
-        });
-    });
-    let th_s_look = median_secs(reps, || {
-        Runtime::run(grid.size(), |comm| {
-            summa_overlap_lookahead(
-                comm,
-                grid,
-                n,
-                &at[comm.rank()].clone(),
-                &bt[comm.rank()].clone(),
-                &scfg,
-            )
-            .unwrap()
-        });
-    });
+    // Threaded runtime: pipelined vs blocking, HSUMMA then SUMMA.
+    let threaded = |plan| threaded_secs(reps, grid, n, &tiles, plan);
+    let th_pipe = threaded(PlannedAlgo::HsummaPipelined(cfg));
+    let th_block = threaded(PlannedAlgo::Hsumma(cfg));
+    let th_s_pipe = threaded(PlannedAlgo::SummaPipelined(scfg));
+    let th_s_block = threaded(PlannedAlgo::Summa(scfg));
 
     // Simulator: the same schedules on virtual clocks, two platforms.
     let bg = Platform::bluegene_p_effective();
-    let sim_bg_pipe = sim_secs(&bg, grid, n, &cfg, true);
-    let sim_bg_look = sim_secs(&bg, grid, n, &cfg, false);
+    let sim_bg_pipe = sim_secs(&bg, grid, n, PlannedAlgo::HsummaPipelined(cfg));
+    let sim_bg_block = sim_secs(&bg, grid, n, PlannedAlgo::Hsumma(cfg));
     let g5k = Platform::grid5000_effective();
-    let sim_g5k_pipe = sim_secs(&g5k, grid, n, &cfg, true);
-    let sim_g5k_look = sim_secs(&g5k, grid, n, &cfg, false);
+    let sim_g5k_pipe = sim_secs(&g5k, grid, n, PlannedAlgo::HsummaPipelined(cfg));
+    let sim_g5k_block = sim_secs(&g5k, grid, n, PlannedAlgo::Hsumma(cfg));
     // Boundary-heavy variant (b = B): every inner slice is an outer
     // boundary, so the adaptive cross-boundary handoff carries the whole
     // schedule — the pipeline's best case.
@@ -210,18 +134,18 @@ fn main() {
         inner_block: bb,
         ..cfg
     };
-    let sim_bh_pipe = sim_secs(&g5k, grid, n, &bcfg, true);
-    let sim_bh_look = sim_secs(&g5k, grid, n, &bcfg, false);
+    let sim_bh_pipe = sim_secs(&g5k, grid, n, PlannedAlgo::HsummaPipelined(bcfg));
+    let sim_bh_block = sim_secs(&g5k, grid, n, PlannedAlgo::Hsumma(bcfg));
 
-    let th_speedup = th_look / th_pipe;
-    let th_s_speedup = th_s_look / th_s_pipe;
-    let sim_bg_speedup = sim_bg_look / sim_bg_pipe;
-    let sim_g5k_speedup = sim_g5k_look / sim_g5k_pipe;
-    let sim_bh_speedup = sim_bh_look / sim_bh_pipe;
+    let th_speedup = th_block / th_pipe;
+    let th_s_speedup = th_s_block / th_s_pipe;
+    let sim_bg_speedup = sim_bg_block / sim_bg_pipe;
+    let sim_g5k_speedup = sim_g5k_block / sim_g5k_pipe;
+    let sim_bh_speedup = sim_bh_block / sim_bh_pipe;
     let meets = sim_g5k_speedup >= 1.10;
 
     println!(
-        "double-buffered pipeline vs one-step lookahead \
+        "double-buffered pipeline vs blocking schedule over flat broadcasts \
          (p={}, n={n}, G={}x{}, B={bb}, b={bs}, median of {reps} reps, {host_cpus} host cpus):",
         grid.size(),
         groups.rows,
@@ -229,25 +153,25 @@ fn main() {
     );
     println!(
         "  threaded hsumma: {:.4} ms -> {:.4} ms  ({th_speedup:.3}x)",
-        th_look * 1e3,
+        th_block * 1e3,
         th_pipe * 1e3
     );
     println!(
         "  threaded summa:  {:.4} ms -> {:.4} ms  ({th_s_speedup:.3}x)",
-        th_s_look * 1e3,
+        th_s_block * 1e3,
         th_s_pipe * 1e3
     );
     println!(
         "  simulated hsumma (bluegene-effective): {:.6} s -> {:.6} s  ({sim_bg_speedup:.3}x)",
-        sim_bg_look, sim_bg_pipe
+        sim_bg_block, sim_bg_pipe
     );
     println!(
         "  simulated hsumma (grid5000-effective): {:.6} s -> {:.6} s  ({sim_g5k_speedup:.3}x)",
-        sim_g5k_look, sim_g5k_pipe
+        sim_g5k_block, sim_g5k_pipe
     );
     println!(
         "  simulated hsumma (grid5000-effective, b=B={bb}): {:.6} s -> {:.6} s  ({sim_bh_speedup:.3}x)",
-        sim_bh_look, sim_bh_pipe
+        sim_bh_block, sim_bh_pipe
     );
     println!(
         "  simulated grid5000-effective speedup {sim_g5k_speedup:.3}x — target >= 1.10x: {}",
@@ -260,15 +184,15 @@ fn main() {
         "  \"smoke\": {smoke},\n  \"reps\": {reps},\n  \"host_cpus\": {host_cpus},\n  \
          \"p\": {},\n  \"n\": {n},\n  \"groups\": \"{}x{}\",\n  \
          \"outer_block\": {bb},\n  \"inner_block\": {bs},\n  \
-         \"hsumma_lookahead_s\": {th_look:.6},\n  \"hsumma_pipelined_s\": {th_pipe:.6},\n  \
+         \"hsumma_blocking_flat_s\": {th_block:.6},\n  \"hsumma_pipelined_s\": {th_pipe:.6},\n  \
          \"hsumma_speedup\": {th_speedup:.4},\n  \
-         \"summa_lookahead_s\": {th_s_look:.6},\n  \"summa_pipelined_s\": {th_s_pipe:.6},\n  \
+         \"summa_blocking_flat_s\": {th_s_block:.6},\n  \"summa_pipelined_s\": {th_s_pipe:.6},\n  \
          \"summa_speedup\": {th_s_speedup:.4},\n  \
-         \"sim_bluegene_lookahead_s\": {sim_bg_look:.6},\n  \"sim_bluegene_pipelined_s\": {sim_bg_pipe:.6},\n  \
+         \"sim_bluegene_blocking_flat_s\": {sim_bg_block:.6},\n  \"sim_bluegene_pipelined_s\": {sim_bg_pipe:.6},\n  \
          \"sim_bluegene_speedup\": {sim_bg_speedup:.4},\n  \
-         \"sim_grid5000_lookahead_s\": {sim_g5k_look:.6},\n  \"sim_grid5000_pipelined_s\": {sim_g5k_pipe:.6},\n  \
+         \"sim_grid5000_blocking_flat_s\": {sim_g5k_block:.6},\n  \"sim_grid5000_pipelined_s\": {sim_g5k_pipe:.6},\n  \
          \"sim_grid5000_speedup\": {sim_g5k_speedup:.4},\n  \
-         \"sim_grid5000_boundary_lookahead_s\": {sim_bh_look:.6},\n  \"sim_grid5000_boundary_pipelined_s\": {sim_bh_pipe:.6},\n  \
+         \"sim_grid5000_boundary_blocking_flat_s\": {sim_bh_block:.6},\n  \"sim_grid5000_boundary_pipelined_s\": {sim_bh_pipe:.6},\n  \
          \"sim_grid5000_boundary_speedup\": {sim_bh_speedup:.4},\n  \
          \"meets_1_10x_target\": {meets}\n}}\n",
         grid.size(),

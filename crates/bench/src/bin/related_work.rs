@@ -8,8 +8,8 @@
 //! comparison of the executable baselines at BG/P parameters.
 
 use hsumma_bench::{render_table, Profile};
-use hsumma_core::simdrive::{sim_cannon, sim_fox, sim_summa_sync};
-use hsumma_core::tuning::{best_by_comm, power_of_two_gs, sweep_groups_with};
+use hsumma_core::simdrive::{simulate, Schedule, SimEngine};
+use hsumma_core::tuning::{best_by_comm, power_of_two_gs, sweep_groups};
 use hsumma_matrix::GridShape;
 use hsumma_model::related::{
     cannon_cost, threed_cost, threed_memory_blowup, twodotfive_cost, twodotfive_memory_blowup,
@@ -87,20 +87,16 @@ fn main() {
         platform.name,
         q * q
     );
-    let cannon_r = sim_cannon(&platform, q, n_sim, true);
-    let fox_r = sim_fox(&platform, q, n_sim, SimBcast::Flat, true);
-    let summa_r = sim_summa_sync(&platform, grid, n_sim, b_sim, SimBcast::Flat);
-    let sweep = sweep_groups_with(
-        &platform,
-        grid,
-        n_sim,
-        b_sim,
-        b_sim,
-        SimBcast::Flat,
-        SimBcast::Flat,
-        &power_of_two_gs(q * q),
-        true,
-    );
+    let sim = |sched| simulate(&sched, &platform, SimEngine::Threads, true);
+    let bcast = SimBcast::Flat;
+    let cannon_r = sim(Schedule::cannon(q, n_sim));
+    let fox_r = sim(Schedule::Fox { q, n: n_sim, bcast });
+    let summa_r = sim(Schedule::summa(grid, n_sim, b_sim, bcast));
+    let sweep = sweep_groups(grid, &power_of_two_gs(q * q), |groups| {
+        sim(Schedule::hsumma(
+            grid, groups, n_sim, b_sim, b_sim, bcast, bcast,
+        ))
+    });
     let hsumma_r = best_by_comm(&sweep);
 
     let rows = vec![

@@ -16,7 +16,7 @@
 //! (per-job thread spawn/join) from scheduler interference.
 
 use hsumma_bench::{render_table, secs};
-use hsumma_core::{run_planned, testutil::distributed_product};
+use hsumma_core::{run_planned_gemm, testutil::distributed_product};
 use hsumma_matrix::{seeded_uniform, GridShape, Matrix};
 use hsumma_serve::{GemmServer, JobSpec, PlanHint, Planner, PlannerConfig, ServerConfig};
 use std::fmt::Write as _;
@@ -74,7 +74,7 @@ fn main() {
     // Both legs run the plan the service's planner would pick, computed
     // once up front so neither leg times planning differently.
     let plan = Planner::new(w.grid, PlannerConfig::default())
-        .plan_square(w.n)
+        .plan_gemm(w.n, w.n, w.n)
         .plan;
     println!(
         "plan under test: {} (gemm path: {})\n",
@@ -121,7 +121,7 @@ fn main() {
         // (same plan, same deterministic schedule).
         let check =
             distributed_product(w.grid, w.n, &operands[0].0, &operands[0].1, |comm, a, b| {
-                run_planned(comm, w.grid, w.n, &a, &b, &plan).unwrap()
+                run_planned_gemm(comm, w.grid, w.n, w.n, w.n, &a, &b, &plan).unwrap()
             });
         assert_eq!(
             *outputs[0].c.dense(),
@@ -136,7 +136,7 @@ fn main() {
         let pass_start = Instant::now();
         for (a, b) in batch {
             let c = distributed_product(w.grid, w.n, &a, &b, |comm, at, bt| {
-                run_planned(comm, w.grid, w.n, &at, &bt, &plan).unwrap()
+                run_planned_gemm(comm, w.grid, w.n, w.n, w.n, &at, &bt, &plan).unwrap()
             });
             std::hint::black_box(c);
         }

@@ -23,11 +23,10 @@
 use hsumma_bench::grid_for;
 use hsumma_core::grid::HierGrid;
 use hsumma_core::lu::{block_lu, sim_block_lu_on, LuConfig};
-use hsumma_core::simdrive::{sim_cannon_on, sim_fox_on, sim_hsumma_on, sim_summa_on};
+use hsumma_core::simdrive::{simulate_on, Schedule, SimEngine};
 use hsumma_core::{
-    cannon, cosma, fox, hier_bcast, hsumma, hsumma_overlap, summa, summa_cyclic, summa_overlap,
-    summa_rect, tsqr, twodotfive, CosmaConfig, HsummaConfig, MatMulDims, PhantomMat, SummaConfig,
-    TwoDotFiveConfig,
+    cosma, fox, hier_bcast, run_planned_gemm, summa_cyclic, tsqr, twodotfive, CosmaConfig,
+    HsummaConfig, MatMulDims, PhantomMat, PlannedAlgo, SummaConfig, TwoDotFiveConfig,
 };
 use hsumma_matrix::factor::seeded_diag_dominant;
 use hsumma_matrix::sparse::{seeded_sparse, CsrMatrix};
@@ -248,38 +247,17 @@ fn run_real(cfg: &Config) -> Result<Trace, String> {
     let dist = BlockDist::new(grid, n, n);
     let at = dist.scatter(&a);
     let bt = dist.scatter(&b);
+    if let Some((dims, plan)) = planned_gemm(cfg) {
+        let MatMulDims { m, l, n } = dims;
+        let at = BlockDist::new(grid, m, l).scatter(&seeded_uniform(m, l, 100));
+        let bt = BlockDist::new(grid, l, n).scatter(&seeded_uniform(l, n, 200));
+        Runtime::run_traced(grid.size(), &tracer, |comm| {
+            let (at, bt) = (at[comm.rank()].clone(), bt[comm.rank()].clone());
+            run_planned_gemm(comm, grid, m, n, l, &at, &bt, &plan).unwrap()
+        });
+        return Ok(tracer.collect());
+    }
     match cfg.algo.as_str() {
-        "summa" => {
-            let scfg = SummaConfig {
-                block: cfg.inner_b,
-                bcast: BcastAlgorithm::Binomial,
-                kernel: GemmKernel::Packed,
-            };
-            Runtime::run_traced(grid.size(), &tracer, |comm| {
-                let (at, bt) = (at[comm.rank()].clone(), bt[comm.rank()].clone());
-                summa(comm, grid, n, &at, &bt, &scfg).unwrap()
-            });
-        }
-        "hsumma" => {
-            let hcfg = HsummaConfig {
-                groups: cfg.groups,
-                outer_block: cfg.outer_b,
-                inner_block: cfg.inner_b,
-                outer_bcast: BcastAlgorithm::Binomial,
-                inner_bcast: BcastAlgorithm::Binomial,
-                kernel: GemmKernel::Packed,
-            };
-            Runtime::run_traced(grid.size(), &tracer, |comm| {
-                let (at, bt) = (at[comm.rank()].clone(), bt[comm.rank()].clone());
-                hsumma(comm, grid, n, &at, &bt, &hcfg).unwrap()
-            });
-        }
-        "cannon" => {
-            Runtime::run_traced(grid.size(), &tracer, |comm| {
-                let (at, bt) = (at[comm.rank()].clone(), bt[comm.rank()].clone());
-                cannon(comm, grid, n, &at, &bt, GemmKernel::Packed).unwrap()
-            });
-        }
         "fox" => {
             Runtime::run_traced(grid.size(), &tracer, |comm| {
                 let (at, bt) = (at[comm.rank()].clone(), bt[comm.rank()].clone());
@@ -299,11 +277,7 @@ fn run_real(cfg: &Config) -> Result<Trace, String> {
             });
         }
         "cyclic" => {
-            let scfg = SummaConfig {
-                block: cfg.inner_b,
-                bcast: BcastAlgorithm::Binomial,
-                kernel: GemmKernel::Packed,
-            };
+            let scfg = summa_cfg(cfg);
             let cdist = BlockCyclicDist::new(grid, n, n, cfg.inner_b);
             let at = cdist.scatter(&a);
             let bt = cdist.scatter(&b);
@@ -312,57 +286,8 @@ fn run_real(cfg: &Config) -> Result<Trace, String> {
                 summa_cyclic(comm, grid, n, &at, &bt, &scfg).unwrap()
             });
         }
-        "overlap" => {
-            let scfg = SummaConfig {
-                block: cfg.inner_b,
-                bcast: BcastAlgorithm::Binomial,
-                kernel: GemmKernel::Packed,
-            };
-            Runtime::run_traced(grid.size(), &tracer, |comm| {
-                let (at, bt) = (at[comm.rank()].clone(), bt[comm.rank()].clone());
-                summa_overlap(comm, grid, n, &at, &bt, &scfg).unwrap()
-            });
-        }
-        "hsumma-overlap" => {
-            let hcfg = HsummaConfig {
-                groups: cfg.groups,
-                outer_block: cfg.outer_b,
-                inner_block: cfg.inner_b,
-                outer_bcast: BcastAlgorithm::Binomial,
-                inner_bcast: BcastAlgorithm::Binomial,
-                kernel: GemmKernel::Packed,
-            };
-            Runtime::run_traced(grid.size(), &tracer, |comm| {
-                let (at, bt) = (at[comm.rank()].clone(), bt[comm.rank()].clone());
-                hsumma_overlap(comm, grid, n, &at, &bt, &hcfg).unwrap()
-            });
-        }
-        "rect" => {
-            let dims = rect_dims(n);
-            let scfg = SummaConfig {
-                block: cfg.inner_b,
-                bcast: BcastAlgorithm::Binomial,
-                kernel: GemmKernel::Packed,
-            };
-            let ra = seeded_uniform(dims.m, dims.l, 100);
-            let rb = seeded_uniform(dims.l, dims.n, 200);
-            let at = BlockDist::new(grid, dims.m, dims.l).scatter(&ra);
-            let bt = BlockDist::new(grid, dims.l, dims.n).scatter(&rb);
-            Runtime::run_traced(grid.size(), &tracer, |comm| {
-                let (at, bt) = (at[comm.rank()].clone(), bt[comm.rank()].clone());
-                summa_rect(comm, grid, dims, &at, &bt, &scfg).unwrap()
-            });
-        }
         "twodotfive" => {
-            let tcfg = TwoDotFiveConfig {
-                q: grid.rows,
-                c: cfg.g,
-                summa: SummaConfig {
-                    block: cfg.inner_b,
-                    bcast: BcastAlgorithm::Binomial,
-                    kernel: GemmKernel::Packed,
-                },
-            };
+            let tcfg = twodotfive_cfg(cfg);
             let ts = n / grid.rows;
             Runtime::run_traced(cfg.ranks, &tracer, |comm| {
                 // Only layer 0 holds real tiles; other layers pass zeros.
@@ -433,6 +358,37 @@ fn run_real(cfg: &Config) -> Result<Trace, String> {
     Ok(tracer.collect())
 }
 
+/// Binomial-tree SUMMA at the `--b` panel width (also the per-layer
+/// configuration of 2.5D and the dealing block of `cyclic`).
+fn summa_cfg(cfg: &Config) -> SummaConfig {
+    SummaConfig {
+        block: cfg.inner_b,
+        bcast: BcastAlgorithm::Binomial,
+        kernel: GemmKernel::Packed,
+    }
+}
+
+/// Binomial-tree HSUMMA at `(--G, --B, --b)`.
+fn hsumma_cfg(cfg: &Config) -> HsummaConfig {
+    HsummaConfig {
+        groups: cfg.groups,
+        outer_block: cfg.outer_b,
+        inner_block: cfg.inner_b,
+        outer_bcast: BcastAlgorithm::Binomial,
+        inner_bcast: BcastAlgorithm::Binomial,
+        kernel: GemmKernel::Packed,
+    }
+}
+
+/// 2.5D over `c = --G` layers of the `q × q` grid.
+fn twodotfive_cfg(cfg: &Config) -> TwoDotFiveConfig {
+    TwoDotFiveConfig {
+        q: cfg.grid.rows,
+        c: cfg.g,
+        summa: summa_cfg(cfg),
+    }
+}
+
 /// The brick schedule both substrates trace for `--algo cosma`: a
 /// searched `(a, b, c)` decomposition of the square `n³` cube, with the
 /// replication pipelined over `--b`-wide `k`-slices.
@@ -462,9 +418,25 @@ fn sparse_operands(cfg: &Config) -> (CsrMatrix, CsrMatrix) {
     )
 }
 
-/// The rectangular shape `rect` traces: `C (n x n) = A (n x 2n) · B (2n x n)`.
-fn rect_dims(n: usize) -> MatMulDims {
-    MatMulDims { m: n, l: 2 * n, n }
+/// The grid GEMMs as the plan both substrates run: `run_planned_gemm` on
+/// rank threads, `Schedule::Gemm` on the simulator. `rect` traces
+/// `C (n x n) = A (n x 2n) · B (2n x n)`.
+fn planned_gemm(cfg: &Config) -> Option<(MatMulDims, PlannedAlgo)> {
+    let n = cfg.n;
+    let square = MatMulDims::square(n);
+    let kernel = GemmKernel::Packed;
+    Some(match cfg.algo.as_str() {
+        "summa" => (square, PlannedAlgo::Summa(summa_cfg(cfg))),
+        "overlap" => (square, PlannedAlgo::SummaPipelined(summa_cfg(cfg))),
+        "hsumma" => (square, PlannedAlgo::Hsumma(hsumma_cfg(cfg))),
+        "hsumma-overlap" => (square, PlannedAlgo::HsummaPipelined(hsumma_cfg(cfg))),
+        "cannon" => (square, PlannedAlgo::Cannon { kernel }),
+        "rect" => (
+            MatMulDims { m: n, l: 2 * n, n },
+            PlannedAlgo::Summa(summa_cfg(cfg)),
+        ),
+        _ => return None,
+    })
 }
 
 fn check_hierbcast_levels(cfg: &Config) -> Result<(), String> {
@@ -485,38 +457,39 @@ fn run_sim(cfg: &Config) -> Result<Trace, String> {
     let mut net = SimNet::new(cfg.ranks, cfg.platform.net);
     net.attach_tracer(&tracer);
     let gamma = cfg.platform.gamma;
+    // Every dense multiply is a `Schedule` value: the same generic
+    // function the real run takes, over simulated clocks with phantom
+    // payloads.
+    let gemm = planned_gemm(cfg).map(|(dims, plan)| Schedule::Gemm { grid, dims, plan });
+    let sched = gemm.or_else(|| match cfg.algo.as_str() {
+        "fox" => Some(Schedule::Fox {
+            q: grid.rows,
+            n,
+            bcast: SimBcast::Binomial,
+        }),
+        "cyclic" => Some(Schedule::Cyclic {
+            grid,
+            n,
+            cfg: summa_cfg(cfg),
+        }),
+        "twodotfive" => Some(Schedule::TwoDotFive {
+            n,
+            cfg: twodotfive_cfg(cfg),
+        }),
+        "cosma" => Some(Schedule::Cosma {
+            p: cfg.ranks,
+            dims: MatMulDims::square(n),
+            cfg: cosma_cfg(cfg),
+        }),
+        _ => None,
+    });
+    if let Some(sched) = sched {
+        simulate_on(&sched, &mut net, gamma, SimEngine::Threads, false);
+        return Ok(tracer.collect());
+    }
+    // The rest have no `Schedule` variant: their generic functions run
+    // over `SimWorld` directly.
     match cfg.algo.as_str() {
-        "summa" => {
-            sim_summa_on(
-                &mut net,
-                gamma,
-                grid,
-                n,
-                cfg.inner_b,
-                SimBcast::Binomial,
-                false,
-            );
-        }
-        "hsumma" => {
-            sim_hsumma_on(
-                &mut net,
-                gamma,
-                grid,
-                cfg.groups,
-                n,
-                cfg.outer_b,
-                cfg.inner_b,
-                SimBcast::Binomial,
-                SimBcast::Binomial,
-                false,
-            );
-        }
-        "cannon" => {
-            sim_cannon_on(&mut net, gamma, grid.rows, n, false);
-        }
-        "fox" => {
-            sim_fox_on(&mut net, gamma, grid.rows, n, SimBcast::Binomial, false);
-        }
         "lu" => {
             sim_block_lu_on(
                 &mut net,
@@ -528,95 +501,6 @@ fn run_sim(cfg: &Config) -> Result<Trace, String> {
                 Some(cfg.groups),
                 false,
             );
-        }
-        // The remaining algorithms have no bespoke replay driver: the
-        // *generic* schedule itself runs over simulated clocks with
-        // phantom payloads — the same code path the real run takes.
-        "cyclic" => {
-            let scfg = SummaConfig {
-                block: cfg.inner_b,
-                bcast: BcastAlgorithm::Binomial,
-                kernel: GemmKernel::Packed,
-            };
-            let (th, tw) = BlockCyclicDist::new(grid, n, n, cfg.inner_b).tile_shape();
-            SimWorld::run(net, gamma, false, move |comm| {
-                let t = PhantomMat { rows: th, cols: tw };
-                summa_cyclic(comm, grid, n, &t, &t, &scfg).unwrap();
-            });
-        }
-        "overlap" => {
-            let scfg = SummaConfig {
-                block: cfg.inner_b,
-                bcast: BcastAlgorithm::Binomial,
-                kernel: GemmKernel::Packed,
-            };
-            let (th, tw) = (n / grid.rows, n / grid.cols);
-            SimWorld::run(net, gamma, false, move |comm| {
-                let a = PhantomMat { rows: th, cols: tw };
-                let b = PhantomMat { rows: th, cols: tw };
-                summa_overlap(comm, grid, n, &a, &b, &scfg).unwrap();
-            });
-        }
-        "hsumma-overlap" => {
-            let hcfg = HsummaConfig {
-                groups: cfg.groups,
-                outer_block: cfg.outer_b,
-                inner_block: cfg.inner_b,
-                outer_bcast: BcastAlgorithm::Binomial,
-                inner_bcast: BcastAlgorithm::Binomial,
-                kernel: GemmKernel::Packed,
-            };
-            let (th, tw) = (n / grid.rows, n / grid.cols);
-            SimWorld::run(net, gamma, false, move |comm| {
-                let t = PhantomMat { rows: th, cols: tw };
-                hsumma_overlap(comm, grid, n, &t, &t, &hcfg).unwrap();
-            });
-        }
-        "rect" => {
-            let dims = rect_dims(n);
-            let scfg = SummaConfig {
-                block: cfg.inner_b,
-                bcast: BcastAlgorithm::Binomial,
-                kernel: GemmKernel::Packed,
-            };
-            SimWorld::run(net, gamma, false, move |comm| {
-                let a = PhantomMat {
-                    rows: dims.m / grid.rows,
-                    cols: dims.l / grid.cols,
-                };
-                let b = PhantomMat {
-                    rows: dims.l / grid.rows,
-                    cols: dims.n / grid.cols,
-                };
-                summa_rect(comm, grid, dims, &a, &b, &scfg).unwrap();
-            });
-        }
-        "twodotfive" => {
-            let tcfg = TwoDotFiveConfig {
-                q: grid.rows,
-                c: cfg.g,
-                summa: SummaConfig {
-                    block: cfg.inner_b,
-                    bcast: BcastAlgorithm::Binomial,
-                    kernel: GemmKernel::Packed,
-                },
-            };
-            let ts = n / grid.rows;
-            SimWorld::run(net, gamma, false, move |comm| {
-                let t = PhantomMat { rows: ts, cols: ts };
-                twodotfive(comm, n, &t, &t, &tcfg).unwrap();
-            });
-        }
-        "cosma" => {
-            let ccfg = cosma_cfg(cfg);
-            let d = ccfg.decomp;
-            let pm = PhantomMat { rows: n, cols: n };
-            let at = d.a_distribution(n, n, cfg.ranks).scatter(&pm);
-            let bt = d.b_distribution(n, n, cfg.ranks).scatter(&pm);
-            SimWorld::run(net, gamma, false, move |comm| {
-                let r = comm.rank();
-                cosma(comm, n, n, n, &at[r], &bt[r], &ccfg).unwrap();
-            });
         }
         "tsqr" => {
             let b = cfg.inner_b;

@@ -5,6 +5,7 @@
 
 use hsumma_bench::{grid_for, model_params, render_table, Profile};
 use hsumma_core::tuning::{best_by_comm, power_of_two_gs, sweep_groups};
+use hsumma_core::{simulate, Schedule, SimEngine};
 use hsumma_model::{classify_regime, dtheta_dg_vdg};
 use hsumma_netsim::Platform;
 
@@ -68,16 +69,14 @@ fn main() {
     for (name, platform, n, p, b) in &cases[..2] {
         let grid = grid_for(*p);
         let bcast = Profile::Ideal.bcast();
-        let sweep = sweep_groups(
-            platform,
-            grid,
-            *n,
-            *b,
-            *b,
-            bcast,
-            bcast,
-            &power_of_two_gs(*p),
-        );
+        let sweep = sweep_groups(grid, &power_of_two_gs(*p), |groups| {
+            simulate(
+                &Schedule::hsumma(grid, groups, *n, *b, *b, bcast, bcast),
+                platform,
+                SimEngine::Threads,
+                false,
+            )
+        });
         let best = best_by_comm(&sweep);
         rows.push(vec![
             name.to_string(),

@@ -6,6 +6,8 @@
 //! rendering so the binaries' stdout can be diffed against
 //! `EXPERIMENTS.md`.
 
+use hsumma_core::tuning::{power_of_two_gs, sweep_groups};
+use hsumma_core::{simulate, Schedule, SimEngine};
 use hsumma_matrix::GridShape;
 use hsumma_model::ModelParams;
 use hsumma_netsim::{Platform, SimBcast};
@@ -86,18 +88,11 @@ pub fn run_sweep(profile: Profile, machine: Machine, n: usize, p: usize, b: usiz
     let platform = profile.platform(machine);
     let grid = grid_for(p);
     let bcast = profile.bcast();
-    let summa = hsumma_core::simdrive::sim_summa_sync(&platform, grid, n, b, bcast);
-    let points = hsumma_core::tuning::sweep_groups_with(
-        &platform,
-        grid,
-        n,
-        b,
-        b,
-        bcast,
-        bcast,
-        &hsumma_core::tuning::power_of_two_gs(p),
-        true,
-    );
+    let sim = |sched| simulate(&sched, &platform, SimEngine::Threads, true);
+    let summa = sim(Schedule::summa(grid, n, b, bcast));
+    let points = sweep_groups(grid, &power_of_two_gs(p), |groups| {
+        sim(Schedule::hsumma(grid, groups, n, b, b, bcast, bcast))
+    });
     FigureSweep { summa, points }
 }
 

@@ -39,7 +39,6 @@ use crate::comm::{Communicator, MatLike};
 use crate::distribution::BrickDecomp;
 use crate::grid::color3;
 use crate::partition::chunk_range;
-use crate::summa::bcast_matrix;
 use hsumma_matrix::GemmKernel;
 use hsumma_runtime::{BcastAlgorithm, CommError};
 
@@ -169,14 +168,14 @@ pub fn cosma<C: Communicator>(
             } else {
                 C::Mat::zeros(mi, kw)
             };
-            bcast_matrix(&j_comm, cfg.bcast, 0, &mut a_panel)?;
+            j_comm.bcast_mat(cfg.bcast, 0, &mut a_panel)?;
 
             let mut b_panel = if i == 0 {
                 b.block(s0, 0, kw, nj)
             } else {
                 C::Mat::zeros(kw, nj)
             };
-            bcast_matrix(&i_comm, cfg.bcast, 0, &mut b_panel)?;
+            i_comm.bcast_mat(cfg.bcast, 0, &mut b_panel)?;
 
             let pairs = mi * nj * kw;
             comm.compute(pairs as f64, 2 * pairs as u64, || {

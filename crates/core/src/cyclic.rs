@@ -6,30 +6,29 @@
 //!
 //! With dealing blocks of edge `b` (the SUMMA panel width), pivot panel
 //! `k` is owned by grid column `k mod t` (for `A`) and grid row
-//! `k mod s` (for `B`) — the ScaLAPACK convention. Two consequences:
+//! `k mod s` (for `B`) — the ScaLAPACK convention, which is the pivot
+//! engine's cyclic layout. Two consequences:
 //!
 //! * the broadcast *roots rotate every step* instead of every `n/(t·b)`
 //!   steps, which spreads the root's serialized sends over all ranks and
-//!   lets consecutive steps overlap (quantified by
-//!   [`sim_summa_cyclic`] against `simdrive::sim_summa` without per-step
+//!   lets consecutive steps overlap (quantified by simulating
+//!   `Schedule::Cyclic` against `Schedule::summa` without per-step
 //!   synchronization);
 //! * correctness is unchanged: each rank's local rows/columns of the
 //!   pivot panels line up with its local `C` tile rows/columns under the
 //!   same cyclic dealing.
 
-use crate::comm::{Communicator, MatLike, PhantomMat};
-use crate::partition::tile_shape;
-use hsumma_matrix::{BlockCyclicDist, GridShape};
-use hsumma_netsim::spmd::SimWorld;
-use hsumma_netsim::{Platform, SimBcast, SimNet, SimReport};
+use crate::comm::Communicator;
+use crate::partition::MatMulDims;
+use crate::pivot::{self, Layout, Spec};
+use crate::summa::SummaConfig;
+use hsumma_matrix::GridShape;
 use hsumma_runtime::CommError;
-
-use crate::summa::{bcast_matrix, SummaConfig};
 
 /// Runs SUMMA on operands distributed block-cyclically with dealing
 /// block equal to `cfg.block`. SPMD over `comm`; tiles must come from a
-/// [`BlockCyclicDist`] with the same grid, extents and block size.
-/// Returns the local (cyclic) tile of `C`.
+/// [`hsumma_matrix::BlockCyclicDist`] with the same grid, extents and
+/// block size. Returns the local (cyclic) tile of `C`.
 ///
 /// # Panics
 /// Panics if grid, tile shapes or block size are inconsistent (the
@@ -43,98 +42,38 @@ pub fn summa_cyclic<C: Communicator>(
     b: &C::Mat,
     cfg: &SummaConfig,
 ) -> Result<C::Mat, CommError> {
-    let bs = cfg.block;
-    assert!(bs > 0, "block size must be positive");
-    // Validates divisibility; we only need it for the shape algebra.
-    let dist = BlockCyclicDist::new(grid, n, n, bs);
-    let (th, tw) = dist.tile_shape();
-    assert_eq!(comm.size(), grid.size(), "communicator must span the grid");
-    assert_eq!((a.rows(), a.cols()), (th, tw), "A tile has wrong shape");
-    assert_eq!((b.rows(), b.cols()), (th, tw), "B tile has wrong shape");
-
-    let (gi, gj) = grid.coords(comm.rank());
-    let row_comm = comm.split(gi as u64, gj as i64)?;
-    let col_comm = comm.split((grid.rows + gj) as u64, gi as i64)?;
-
-    let mut c = C::Mat::zeros(th, tw);
-    let step_pairs = th * tw * bs;
-    for k in 0..n / bs {
-        // Pivot column panel k of A lives in grid column k mod t, local
-        // block column k div t.
-        let owner_col = k % grid.cols;
-        let mut a_panel = if gj == owner_col {
-            a.block(0, (k / grid.cols) * bs, th, bs)
-        } else {
-            C::Mat::zeros(th, bs)
-        };
-        bcast_matrix(&row_comm, cfg.bcast, owner_col, &mut a_panel)?;
-
-        let owner_row = k % grid.rows;
-        let mut b_panel = if gi == owner_row {
-            b.block((k / grid.rows) * bs, 0, bs, tw)
-        } else {
-            C::Mat::zeros(bs, tw)
-        };
-        bcast_matrix(&col_comm, cfg.bcast, owner_row, &mut b_panel)?;
-
-        comm.compute(step_pairs as f64, 0, || {
-            C::Mat::gemm(cfg.kernel, &a_panel, &b_panel, &mut c)
-        });
-        comm.maybe_step_sync()?;
-    }
-    Ok(c)
-}
-
-/// Timed replay of the block-cyclic SUMMA schedule (rotating roots):
-/// [`summa_cyclic`] itself, run over simulated clocks with phantom
-/// payloads. Compare with `simdrive::sim_summa` (block distribution,
-/// sticky roots) under `step_sync = false` to quantify the overlap
-/// benefit §VI anticipates.
-pub fn sim_summa_cyclic(
-    platform: &Platform,
-    grid: GridShape,
-    n: usize,
-    b: usize,
-    bcast: SimBcast,
-    step_sync: bool,
-) -> SimReport {
-    assert!(b > 0, "block size must be positive");
-    assert_eq!(
-        (n / b) % grid.rows,
-        0,
-        "block grid must divide processor grid rows"
-    );
-    assert_eq!(
-        (n / b) % grid.cols,
-        0,
-        "block grid must divide processor grid cols"
-    );
-    let (th, tw) = tile_shape(grid, n);
-
-    let cfg = SummaConfig {
-        block: b,
-        bcast,
-        ..Default::default()
-    };
-    let (net, _) = SimWorld::run(
-        SimNet::new(grid.size(), platform.net),
-        platform.gamma,
-        step_sync,
-        move |comm| {
-            let tile = PhantomMat { rows: th, cols: tw };
-            summa_cyclic(comm, grid, n, &tile, &tile, &cfg).unwrap()
-        },
-    );
-    net.report()
+    let spec = Spec::summa(grid, MatMulDims::square(n), cfg, Layout::Cyclic);
+    pivot::blocking(comm, &spec, a, b, |_| true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simdrive::sim_summa;
+    use crate::simdrive::{simulate, Schedule, SimEngine};
     use crate::testutil::reference_product;
-    use hsumma_matrix::seeded_uniform;
+    use hsumma_matrix::{seeded_uniform, BlockCyclicDist};
+    use hsumma_netsim::{Platform, SimBcast, SimReport};
     use hsumma_runtime::Runtime;
+
+    /// Simulated (block, cyclic) SUMMA reports for one configuration.
+    fn block_and_cyclic(
+        plat: &Platform,
+        (n, b): (usize, usize),
+        bcast: SimBcast,
+        step_sync: bool,
+    ) -> (SimReport, SimReport) {
+        let grid = GridShape::new(4, 4);
+        let cfg = SummaConfig {
+            block: b,
+            bcast,
+            ..Default::default()
+        };
+        let sim = |sched| simulate(&sched, plat, SimEngine::Threads, step_sync);
+        (
+            sim(Schedule::summa(grid, n, b, bcast)),
+            sim(Schedule::Cyclic { grid, n, cfg }),
+        )
+    }
 
     fn run_cyclic_case(grid: GridShape, n: usize, block: usize) {
         let a = seeded_uniform(n, n, 900);
@@ -225,11 +164,8 @@ mod tests {
 
     #[test]
     fn rotating_roots_move_same_data() {
-        let plat = Platform::grid5000();
-        let grid = GridShape::new(4, 4);
-        let (n, b) = (64usize, 8usize);
-        let block = sim_summa(&plat, grid, n, b, SimBcast::Flat);
-        let cyclic = sim_summa_cyclic(&plat, grid, n, b, SimBcast::Flat, false);
+        let (block, cyclic) =
+            block_and_cyclic(&Platform::grid5000(), (64, 8), SimBcast::Flat, false);
         assert_eq!(block.msgs, cyclic.msgs);
         assert_eq!(block.bytes, cyclic.bytes);
     }
@@ -246,10 +182,7 @@ mod tests {
             net: hsumma_netsim::Hockney::new(1e-3, 1e-9),
             gamma: 0.0,
         };
-        let grid = GridShape::new(4, 4);
-        let (n, b) = (256usize, 8usize);
-        let block = sim_summa(&plat, grid, n, b, SimBcast::Flat);
-        let cyclic = sim_summa_cyclic(&plat, grid, n, b, SimBcast::Flat, false);
+        let (block, cyclic) = block_and_cyclic(&plat, (256, 8), SimBcast::Flat, false);
         assert!(
             cyclic.total_time < block.total_time,
             "cyclic {} should beat block {} when roots serialize",
@@ -262,11 +195,8 @@ mod tests {
     fn with_step_sync_cyclic_equals_block_cost() {
         // Under blocking-collective semantics each step costs the same
         // regardless of which column owns the pivot.
-        let plat = Platform::grid5000();
-        let grid = GridShape::new(4, 4);
-        let (n, b) = (64usize, 8usize);
-        let block = crate::simdrive::sim_summa_sync(&plat, grid, n, b, SimBcast::Binomial);
-        let cyclic = sim_summa_cyclic(&plat, grid, n, b, SimBcast::Binomial, true);
+        let (block, cyclic) =
+            block_and_cyclic(&Platform::grid5000(), (64, 8), SimBcast::Binomial, true);
         let rel = (block.total_time - cyclic.total_time).abs() / block.total_time;
         assert!(
             rel < 1e-9,

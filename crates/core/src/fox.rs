@@ -68,7 +68,7 @@ pub fn fox_with<C: Communicator>(
             } else {
                 C::Mat::zeros(ts, ts)
             };
-            crate::summa::bcast_matrix(&row_comm, bcast, root, &mut a_bc)?;
+            row_comm.bcast_mat(bcast, root, &mut a_bc)?;
 
             comm.compute(step_pairs as f64, 2 * step_pairs as u64, || {
                 C::Mat::gemm(kernel, &a_bc, &b_cur, &mut c)

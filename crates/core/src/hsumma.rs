@@ -15,10 +15,9 @@
 //! (verified by tests), so HSUMMA can never lose to it — the paper's
 //! "worst case" claim.
 
-use crate::comm::{Communicator, MatLike};
-use crate::grid::{color3, HierGrid};
-use crate::partition::{pivot_offset, pivot_owner};
-use crate::summa::{bcast_matrix, check_tiles};
+use crate::comm::Communicator;
+use crate::partition::MatMulDims;
+use crate::pivot::{self, Spec};
 use hsumma_matrix::{GemmKernel, GridShape};
 use hsumma_runtime::{BcastAlgorithm, CommError};
 
@@ -52,12 +51,23 @@ impl HsummaConfig {
             kernel: GemmKernel::Packed,
         }
     }
+
+    /// Checks this configuration against `grid` and a square `n × n`
+    /// problem: `Err` carries the message [`hsumma`] would panic with.
+    /// For callers that hold outside input and want to refuse it before
+    /// any rank starts.
+    pub fn validate(&self, grid: GridShape, n: usize) -> Result<(), String> {
+        Spec::hsumma(grid, MatMulDims::square(n), self)
+            .validate()
+            .map(|_| ())
+    }
 }
 
 /// Runs HSUMMA on the calling rank. SPMD over `comm`; operands are
 /// block-checkerboard distributed over `grid` exactly as in [`crate::summa::summa`]
 /// (HSUMMA "does not change the distribution of the matrices", §VI).
-/// Returns the local tile of `C`.
+/// Returns the local tile of `C`. The loop is the pivot engine's
+/// blocking loop with a hierarchy.
 ///
 /// # Panics
 /// Panics on inconsistent configuration: `groups` must divide `grid`,
@@ -71,86 +81,14 @@ pub fn hsumma<C: Communicator>(
     b: &C::Mat,
     cfg: &HsummaConfig,
 ) -> Result<C::Mat, CommError> {
-    let (th, tw) = check_tiles(grid, n, a, b, comm.size());
-    let hg = HierGrid::new(grid, cfg.groups);
-    let inner = hg.inner();
-    let (bb, bs) = (cfg.outer_block, cfg.inner_block);
-    assert!(bs > 0 && bb > 0, "block sizes must be positive");
-    assert_eq!(bb % bs, 0, "inner block must divide outer block");
-    assert_eq!(tw % bb, 0, "outer block must divide the tile width");
-    assert_eq!(th % bb, 0, "outer block must divide the tile height");
-
-    let (gi, gj) = grid.coords(comm.rank());
-    let (x, y) = hg.group_of(gi, gj);
-    let (i, j) = hg.inner_of(gi, gj);
-
-    // Algorithm 1's four communicators.
-    let group_row = comm.split(color3(x, i, j), y as i64)?; // P(x,·)(i,j)
-    let group_col = comm.split(color3(y, i, j), x as i64)?; // P(·,y)(i,j)
-    let row = comm.split(color3(x, y, i), j as i64)?; //       P(x,y)(i,·)
-    let col = comm.split(color3(x, y, j), i as i64)?; //       P(x,y)(·,j)
-
-    let mut c = C::Mat::zeros(th, tw);
-    // All four panel buffers are allocated once and refilled in place each
-    // step: outer-panel holders copy from their tile, inner-broadcast
-    // non-roots have theirs overwritten by the broadcast.
-    let mut outer_a = C::Mat::zeros(th, bb);
-    let mut outer_b = C::Mat::zeros(bb, tw);
-    let mut a_in = C::Mat::zeros(th, bs);
-    let mut b_in = C::Mat::zeros(bs, tw);
-    let outer_steps = n / bb;
-    let inner_steps = bb / bs;
-    let inner_pairs = th * tw * bs;
-    for kg in 0..outer_steps {
-        comm.trace_step(kg, bb, bs, || -> Result<(), CommError> {
-            // ---- inter-group broadcast of A's outer panel ----------------
-            let gcol = pivot_owner(kg, bb, tw); // grid column owning the panel
-            let (yk, jk) = (gcol / inner.cols, gcol % inner.cols);
-            let holds_a = j == jk; // this rank takes part in the outer A phase
-            if holds_a {
-                if gj == gcol {
-                    a.block_into(0, pivot_offset(kg, bb, tw), &mut outer_a);
-                }
-                bcast_matrix(&group_row, cfg.outer_bcast, yk, &mut outer_a)?;
-            }
-
-            // ---- inter-group broadcast of B's outer panel ----------------
-            let grow = pivot_owner(kg, bb, th); // grid row owning the panel
-            let (xk, ik) = (grow / inner.rows, grow % inner.rows);
-            let holds_b = i == ik;
-            if holds_b {
-                if gi == grow {
-                    b.block_into(pivot_offset(kg, bb, th), 0, &mut outer_b);
-                }
-                bcast_matrix(&group_col, cfg.outer_bcast, xk, &mut outer_b)?;
-            }
-
-            // ---- intra-group SUMMA steps over the outer panel ------------
-            for ki in 0..inner_steps {
-                if holds_a {
-                    outer_a.block_into(0, ki * bs, &mut a_in);
-                }
-                bcast_matrix(&row, cfg.inner_bcast, jk, &mut a_in)?;
-
-                if holds_b {
-                    outer_b.block_into(ki * bs, 0, &mut b_in);
-                }
-                bcast_matrix(&col, cfg.inner_bcast, ik, &mut b_in)?;
-
-                comm.compute(inner_pairs as f64, 2 * inner_pairs as u64, || {
-                    C::Mat::gemm(cfg.kernel, &a_in, &b_in, &mut c)
-                });
-                comm.maybe_step_sync()?;
-            }
-            Ok(())
-        })?;
-    }
-    Ok(c)
+    let spec = Spec::hsumma(grid, MatMulDims::square(n), cfg);
+    pivot::blocking(comm, &spec, a, b, |_| true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::HierGrid;
     use crate::summa::{summa, SummaConfig};
     use crate::testutil::{distributed_product, reference_product};
     use hsumma_matrix::seeded_uniform;
@@ -242,8 +180,11 @@ mod tests {
 
     #[test]
     fn hsumma_g1_sends_same_message_count_as_summa() {
-        // With G=1 and b=B the communication schedule must be exactly
-        // SUMMA's: compare total messages sent.
+        // With G=1 and b=B the schedule must be exactly SUMMA's: the same
+        // per-rank payload multiset, plus the two splits that build the
+        // singleton inter-group communicators, and nothing else.
+        use hsumma_runtime::Runtime;
+        use hsumma_trace::Tracer;
         let grid = GridShape::new(2, 2);
         let n = 8;
         let a = seeded_uniform(n, n, 1);
@@ -252,39 +193,38 @@ mod tests {
         let at = dist.scatter(&a);
         let bt = dist.scatter(&b);
 
-        let count = |hier: bool| -> u64 {
-            let stats = hsumma_runtime::Runtime::run(grid.size(), |comm| {
-                let a_tile = at[comm.rank()].clone();
-                let b_tile = bt[comm.rank()].clone();
-                // Build all communicators first, then measure only the
-                // multiply itself.
+        // (total messages sent, per-rank payload multisets) of one run.
+        let measure = |hier: bool| {
+            let tracer = Tracer::new(grid.size());
+            let sent = Runtime::run_traced(grid.size(), &tracer, |comm| {
+                let (a_tile, b_tile) = (at[comm.rank()].clone(), bt[comm.rank()].clone());
                 comm.reset_stats();
-                let before = comm.stats().msgs_sent;
                 if hier {
                     let cfg = HsummaConfig::uniform(GridShape::new(1, 1), 2);
-                    let _ = hsumma(comm, grid, n, &a_tile, &b_tile, &cfg).unwrap();
+                    hsumma(comm, grid, n, &a_tile, &b_tile, &cfg).unwrap();
                 } else {
                     let cfg = SummaConfig {
                         block: 2,
                         ..Default::default()
                     };
-                    let _ = summa(comm, grid, n, &a_tile, &b_tile, &cfg).unwrap();
+                    summa(comm, grid, n, &a_tile, &b_tile, &cfg).unwrap();
                 }
-                comm.stats().msgs_sent - before
+                comm.stats().msgs_sent
             });
-            stats.iter().sum()
+            (
+                sent.iter().sum::<u64>(),
+                tracer.collect().per_rank_send_multisets(),
+            )
         };
-        // Both runs include their split traffic; splits are 4 for HSUMMA
-        // vs 2 for SUMMA, but the two extra communicators are singletons
-        // and split cost is deterministic. Compare multiply-phase traffic
-        // by subtracting the split-only baseline measured separately.
-        let summa_msgs = count(false);
-        let hsumma_msgs = count(true);
-        // HSUMMA's two extra splits cost a fixed number of messages; the
-        // broadcast traffic itself must be identical. Split of p ranks
-        // costs (p-1) gathers + binomial bcast messages; with p=4 that is
-        // 3 + 3 = 6 per split, and group comms are singletons afterwards.
-        assert_eq!(hsumma_msgs, summa_msgs + 2 * 6);
+        let (summa_msgs, summa_sets) = measure(false);
+        let (hsumma_msgs, hsumma_sets) = measure(true);
+        assert_eq!(hsumma_sets, summa_sets, "payload multisets must agree");
+        // Whatever is not payload is split traffic: SUMMA splits the
+        // world twice, HSUMMA four times, each split costing the same.
+        let payload = summa_sets.iter().map(Vec::len).sum::<usize>() as u64;
+        let summa_splits = summa_msgs - payload;
+        assert!(summa_splits > 0, "splits are real traffic on this runtime");
+        assert_eq!(hsumma_msgs - payload, 2 * summa_splits);
     }
 
     #[test]

@@ -8,24 +8,30 @@
 //! Platforms"* (ICPP 2013).
 //!
 //! * [`grid`] — the two-level group hierarchy over a 2-D processor grid;
-//! * [`mod@summa`] — SUMMA (van de Geijn & Watts), the paper's baseline;
+//! * `pivot` (private) — the pivot engine: one set-up function and two
+//!   loops (blocking, two-slot pipelined) over general `(M, L, N)`
+//!   extents that every entry point below instantiates;
+//! * [`mod@summa`] — SUMMA (van de Geijn & Watts), the paper's baseline:
+//!   the engine without a hierarchy;
+//! * [`mod@hsumma`] — HSUMMA per Algorithm 1, the paper's contribution:
+//!   the engine with one;
 //! * [`cyclic`] — SUMMA over a block-cyclic distribution (future work of
-//!   §VI), with the overlap benefit quantified in simulation;
-//! * [`mod@hsumma`] — HSUMMA per Algorithm 1, the paper's contribution;
+//!   §VI): the engine with rotating pivot owners;
+//! * [`overlap`] — pipelined SUMMA/HSUMMA hiding panel transfers behind
+//!   the local multiply (§VI's overlap remark): the engine's second loop;
+//! * [`mod@twodotfive`] — the 2.5D algorithm of §I, executable, for the
+//!   memory-vs-communication trade-off comparison: the engine on a
+//!   subset of pivot steps per layer;
 //! * [`mod@cannon`], [`mod@fox`] — the historical square-grid baselines of §I;
-//! * [`simdrive`] — schedule replay on `hsumma-netsim` clocks (Figs. 5–9);
+//! * [`simdrive`] — every schedule as a [`Schedule`] value, simulated on
+//!   `hsumma-netsim` clocks (Figs. 5–9);
 //! * [`tuning`] — optimal group count selection by sampling (§VI);
 //! * [`multilevel`] — ≥ 2 hierarchy levels (the paper's future work);
 //! * [`plan`] — executable algorithm plans ([`PlannedAlgo`]) and the
-//!   generic dispatcher [`run_planned`], used by the serving layer;
-//! * [`overlap`] — one-step-lookahead SUMMA hiding panel transfers
-//!   behind the local multiply (§VI's overlap remark);
-//! * [`mod@twodotfive`] — the 2.5D algorithm of §I, executable, for the
-//!   memory-vs-communication trade-off comparison;
+//!   generic dispatcher [`run_planned_gemm`], used by the serving layer;
 //! * [`lu`] — distributed block LU with optional hierarchical panel
 //!   broadcasts, and [`mod@tsqr`] — communication-avoiding tall-skinny QR
 //!   (the §VI plan to carry the approach to LU/QR);
-//! * [`rect`] — the general `(M, L, N)` rectangular forms of Algorithm 1;
 //! * [`distribution`] — grid-free ownership descriptors ([`Distribution`],
 //!   [`BrickDecomp`]) with exact-cover validation, host-side
 //!   scatter/gather, and SPMD [`redistribute`];
@@ -46,8 +52,8 @@ pub mod lu;
 pub mod multilevel;
 pub mod overlap;
 pub mod partition;
+mod pivot;
 pub mod plan;
-pub mod rect;
 pub mod simdrive;
 pub mod summa;
 pub mod testutil;
@@ -65,57 +71,16 @@ pub use grid::HierGrid;
 pub use hsumma::{hsumma, HsummaConfig};
 pub use lu::{block_lu, LuConfig};
 pub use multilevel::hier_bcast;
-pub use overlap::{
-    hsumma_overlap, hsumma_overlap_lookahead, summa_overlap, summa_overlap_lookahead,
-};
+pub use overlap::{hsumma_overlap, summa_overlap};
 pub use partition::{
-    ceil_div, chunk_range, pivot_offset, pivot_owner, tile_shape, tile_shape_rect,
+    ceil_div, chunk_range, pivot_offset, pivot_owner, tile_shape, tile_shape_rect, MatMulDims,
 };
-pub use plan::{run_planned, run_planned_gemm, PlannedAlgo};
-pub use rect::{hsumma_rect, summa_rect, MatMulDims};
+pub use plan::{run_planned_gemm, PlannedAlgo};
 pub use simdrive::{
-    record_cosma, record_hsumma, record_summa, replay_on, sim_cosma, sim_cosma_engine, sim_hsumma,
-    sim_hsumma_engine, sim_summa, sim_summa_engine, SimEngine,
+    record_cosma, record_hsumma, replay_on, sim_hsumma_engine, sim_summa_engine, simulate,
+    simulate_on, Schedule, SimEngine,
 };
 pub use summa::{summa, SummaConfig};
 pub use tsqr::tsqr;
 pub use tuning::tuned_hsumma;
 pub use twodotfive::{twodotfive, TwoDotFiveConfig};
-
-/// Converts a runtime broadcast-algorithm selector into the simulator's,
-/// so executable and simulated configurations stay interchangeable.
-pub fn to_sim_bcast(algo: hsumma_runtime::BcastAlgorithm) -> hsumma_netsim::SimBcast {
-    use hsumma_netsim::SimBcast;
-    use hsumma_runtime::BcastAlgorithm as B;
-    match algo {
-        B::Flat => SimBcast::Flat,
-        B::Binomial => SimBcast::Binomial,
-        B::Binary => SimBcast::Binary,
-        B::Ring => SimBcast::Ring,
-        B::Pipelined { segments } => SimBcast::Pipelined { segments },
-        B::ScatterAllgather => SimBcast::ScatterAllgather,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use hsumma_netsim::SimBcast;
-    use hsumma_runtime::BcastAlgorithm;
-
-    #[test]
-    fn bcast_conversion_covers_all_variants() {
-        assert_eq!(to_sim_bcast(BcastAlgorithm::Flat), SimBcast::Flat);
-        assert_eq!(to_sim_bcast(BcastAlgorithm::Binomial), SimBcast::Binomial);
-        assert_eq!(to_sim_bcast(BcastAlgorithm::Binary), SimBcast::Binary);
-        assert_eq!(to_sim_bcast(BcastAlgorithm::Ring), SimBcast::Ring);
-        assert_eq!(
-            to_sim_bcast(BcastAlgorithm::Pipelined { segments: 7 }),
-            SimBcast::Pipelined { segments: 7 }
-        );
-        assert_eq!(
-            to_sim_bcast(BcastAlgorithm::ScatterAllgather),
-            SimBcast::ScatterAllgather
-        );
-    }
-}

@@ -29,7 +29,6 @@
 use crate::comm::{Communicator, MatLike, PhantomMat};
 use crate::grid::HierGrid;
 use crate::partition::{pivot_offset, pivot_owner, tile_shape};
-use crate::summa::bcast_matrix;
 use hsumma_matrix::{GemmKernel, GridShape};
 use hsumma_netsim::spmd::SimWorld;
 use hsumma_netsim::{Hockney, Platform, SimBcast, SimNet, SimReport};
@@ -120,29 +119,29 @@ pub fn block_lu<C: Communicator>(
     // row from grid column `cj`.
     let bcast_l = |panel: &mut C::Mat, cj: usize| -> Result<(), CommError> {
         match &hier {
-            None => bcast_matrix(&row_comm, cfg.bcast, cj, panel),
+            None => row_comm.bcast_mat(cfg.bcast, cj, panel),
             Some((hg, group_row, _, inner_row, _)) => {
                 let inner = hg.inner();
                 let (yk, jk) = (cj / inner.cols, cj % inner.cols);
                 let my_j = gj % inner.cols;
                 if my_j == jk {
-                    bcast_matrix(group_row, cfg.bcast, yk, panel)?;
+                    group_row.bcast_mat(cfg.bcast, yk, panel)?;
                 }
-                bcast_matrix(inner_row, cfg.bcast, jk, panel)
+                inner_row.bcast_mat(cfg.bcast, jk, panel)
             }
         }
     };
     let bcast_u = |panel: &mut C::Mat, ri: usize| -> Result<(), CommError> {
         match &hier {
-            None => bcast_matrix(&col_comm, cfg.bcast, ri, panel),
+            None => col_comm.bcast_mat(cfg.bcast, ri, panel),
             Some((hg, _, group_col, _, inner_col)) => {
                 let inner = hg.inner();
                 let (xk, ik) = (ri / inner.rows, ri % inner.rows);
                 let my_i = gi % inner.rows;
                 if my_i == ik {
-                    bcast_matrix(group_col, cfg.bcast, xk, panel)?;
+                    group_col.bcast_mat(cfg.bcast, xk, panel)?;
                 }
-                bcast_matrix(inner_col, cfg.bcast, ik, panel)
+                inner_col.bcast_mat(cfg.bcast, ik, panel)
             }
         }
     };
@@ -164,11 +163,11 @@ pub fn block_lu<C: Communicator>(
             };
             // Down the pivot column (for the L slabs' trsm)...
             if gj == cj {
-                bcast_matrix(&col_comm, cfg.bcast, ri, &mut diag)?;
+                col_comm.bcast_mat(cfg.bcast, ri, &mut diag)?;
             }
             // ...and across the pivot row (for the U slabs' trsm).
             if gi == ri {
-                bcast_matrix(&row_comm, cfg.bcast, cj, &mut diag)?;
+                row_comm.bcast_mat(cfg.bcast, cj, &mut diag)?;
             }
 
             // --- 2. panel solves ----------------------------------------------

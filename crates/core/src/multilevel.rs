@@ -12,7 +12,7 @@
 //! schedule generically over any [`Communicator`] — real ranks moving
 //! real panels or simulated clocks moving phantom ones — and
 //! [`sim_summa_hier`] runs the resulting multi-level algorithm on the
-//! simulator. Two levels reproduce `sim_hsumma` exactly (verified by
+//! simulator. Two levels reproduce simulated HSUMMA exactly (verified by
 //! tests), so this is a strict generalization.
 
 use crate::comm::{Communicator, PhantomMat};
@@ -88,7 +88,7 @@ pub fn sim_summa_hier(
 }
 
 /// [`sim_summa_hier`] with selectable per-step synchronization
-/// (blocking-collective semantics; see `simdrive::sim_summa_sync`).
+/// (blocking-collective semantics; see [`crate::simdrive::simulate`]).
 pub fn sim_summa_hier_with(
     platform: &Platform,
     grid: GridShape,
@@ -141,7 +141,7 @@ pub fn sim_summa_hier_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simdrive::{sim_hsumma, sim_summa};
+    use crate::simdrive::{simulate, Schedule, SimEngine};
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
@@ -166,7 +166,8 @@ mod tests {
     fn one_level_equals_plain_summa() {
         let plat = Platform::grid5000();
         let grid = GridShape::new(8, 8);
-        let flat = sim_summa(&plat, grid, 128, 16, SimBcast::Binomial);
+        let sched = Schedule::summa(grid, 128, 16, SimBcast::Binomial);
+        let flat = simulate(&sched, &plat, SimEngine::Threads, false);
         let hier = sim_summa_hier(&plat, grid, 128, 16, SimBcast::Binomial, &[8]);
         assert!(close(flat.total_time, hier.total_time));
         assert_eq!(flat.msgs, hier.msgs);
@@ -178,16 +179,9 @@ mod tests {
         let plat = Platform::bluegene_p();
         let grid = GridShape::new(8, 8);
         let two = sim_summa_hier(&plat, grid, 128, 16, SimBcast::Binomial, &[2, 4]);
-        let hs = sim_hsumma(
-            &plat,
-            grid,
-            GridShape::new(2, 2),
-            128,
-            16,
-            16,
-            SimBcast::Binomial,
-            SimBcast::Binomial,
-        );
+        let (groups, bc) = (GridShape::new(2, 2), SimBcast::Binomial);
+        let sched = Schedule::hsumma(grid, groups, 128, 16, 16, bc, bc);
+        let hs = simulate(&sched, &plat, SimEngine::Threads, false);
         assert!(
             close(two.total_time, hs.total_time),
             "hier {two:?} vs hsumma {hs:?}"

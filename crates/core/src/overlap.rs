@@ -3,10 +3,10 @@
 //!
 //! §VI: "until now we got all these improvements without overlapping the
 //! communications on the virtual hierarchies", i.e. further gains are
-//! available by hiding panel transfers behind the local multiply. This
-//! module realizes that remark as a *double-buffered pivot pipeline*
-//! built on the nonblocking collective handles of
-//! [`crate::comm::Communicator::ibcast_shared`]:
+//! available by hiding panel transfers behind the local multiply. The
+//! pivot engine's pipelined loop realizes that remark as a
+//! *double-buffered pivot pipeline* built on the nonblocking collective
+//! handles of [`crate::comm::Communicator::ibcast_shared`]:
 //!
 //! * [`summa_overlap`] keeps a two-slot panel buffer per operand. While
 //!   the kernel consumes the panels in slot `k mod 2`, the broadcasts
@@ -22,40 +22,21 @@
 //!
 //! The broadcasts are flat pushes (relays would have to block inside the
 //! "nonblocking" start, putting the transfer right back on the critical
-//! path), and the wire traffic — every (src, dst, tag, bytes) — is
-//! identical to the retained one-step-lookahead baselines
-//! ([`summa_overlap_lookahead`], [`hsumma_overlap_lookahead`]); only
-//! *when* each rank blocks changes. The `overlap_pipeline` bench bin
-//! measures the two against each other, and `trace_run --algo overlap`
-//! shows the broadcast edges leaving the critical path once the compute
-//! term dominates.
-//!
-//! In the simulator, overlap corresponds to the free-running
-//! (non-`sync`) execution semantics; `sim_overlap_benefit` quantifies
-//! the gap against blocking-collective SUMMA.
+//! path), so the wire traffic — every (src, dst, bytes) — is that of the
+//! blocking schedule under `BcastAlgorithm::Flat`; only *when* each rank
+//! blocks changes. The `overlap_pipeline` bench bin measures the two
+//! against each other, and `trace_run --algo overlap` shows the
+//! broadcast edges leaving the critical path once the compute term
+//! dominates.
 
-use crate::comm::{Communicator, MatLike, PanelBcast};
-use crate::partition::{pivot_offset, pivot_owner};
-use crate::summa::check_tiles;
+use crate::comm::Communicator;
+use crate::hsumma::HsummaConfig;
+use crate::partition::MatMulDims;
+use crate::pivot::{self, Layout, Spec};
 use hsumma_matrix::GridShape;
-use hsumma_netsim::{Platform, SimBcast};
 use hsumma_runtime::CommError;
 
 pub use crate::summa::SummaConfig;
-
-/// A step's pair of in-flight broadcasts: the A-panel and B-panel
-/// handles filling one pipeline slot.
-type BcastPair<C> = (
-    PanelBcast<<C as Communicator>::Shared>,
-    PanelBcast<<C as Communicator>::Shared>,
-);
-
-/// A landed outer step's shared panels (`None` on ranks outside the
-/// pivot inner row/column, which receive slices instead).
-type LandedPair<C> = (
-    Option<<C as Communicator>::Shared>,
-    Option<<C as Communicator>::Shared>,
-);
 
 /// SUMMA with a double-buffered pivot pipeline. Same distribution,
 /// operands and result (bit for bit) as [`crate::summa::summa`]; the
@@ -66,7 +47,8 @@ type LandedPair<C> = (
 /// shared handles (an `Arc` refcount bump per destination on the real
 /// runtime, a byte charge on the simulator), and completion is deferred
 /// to the moment the kernel needs the panel, so transfers that landed
-/// during the previous step's multiply are free.
+/// during the previous step's multiply are free. Never polls, so the
+/// schedule is timing-independent and records.
 ///
 /// # Panics
 /// Panics on the same inconsistencies as `summa`.
@@ -78,174 +60,19 @@ pub fn summa_overlap<C: Communicator>(
     b: &C::Mat,
     cfg: &SummaConfig,
 ) -> Result<C::Mat, CommError> {
-    let (th, tw) = check_tiles(grid, n, a, b, comm.size());
-    let bs = cfg.block;
-    assert!(bs > 0, "block size must be positive");
-    assert_eq!(tw % bs, 0, "block must divide the tile width");
-    assert_eq!(th % bs, 0, "block must divide the tile height");
-
-    let (gi, gj) = grid.coords(comm.rank());
-    let row_comm = comm.split(gi as u64, gj as i64)?;
-    let col_comm = comm.split((grid.rows + gj) as u64, gi as i64)?;
-
-    let owner_col = |k: usize| pivot_owner(k, bs, tw);
-    let owner_row = |k: usize| pivot_owner(k, bs, th);
-
-    // Starts step k's broadcasts: the pivot owners materialize the panel
-    // once and fan it out nonblocking; everyone else gets a pending
-    // handle for the slot.
-    let start = |k: usize| -> Result<BcastPair<C>, CommError> {
-        let ac = owner_col(k);
-        let a_h = row_comm.ibcast_shared(
-            ac,
-            2 * k as u64,
-            th,
-            bs,
-            (gj == ac).then(|| C::share(a.block(0, pivot_offset(k, bs, tw), th, bs))),
-        )?;
-        let br = owner_row(k);
-        let b_h = col_comm.ibcast_shared(
-            br,
-            2 * k as u64 + 1,
-            bs,
-            tw,
-            (gi == br).then(|| C::share(b.block(pivot_offset(k, bs, th), 0, bs, tw))),
-        )?;
-        Ok((a_h, b_h))
-    };
-
-    let steps = n / bs;
-    let mut c = C::Mat::zeros(th, tw);
-    let step_pairs = th * tw * bs;
-    // Two-slot pipeline: slot k mod 2 holds step k's in-flight
-    // broadcasts; while the kernel consumes that slot, step k+1's
-    // broadcasts fill the other.
-    let mut slots: [Option<BcastPair<C>>; 2] = [None, None];
-    if steps > 0 {
-        slots[0] = Some(start(0)?);
-    }
-    for k in 0..steps {
-        if k + 1 < steps {
-            slots[(k + 1) % 2] = Some(start(k + 1)?);
-        }
-        let (a_h, b_h) = slots[k % 2].take().expect("slot k was started");
-        let a_panel = row_comm.ibcast_wait(a_h)?;
-        let b_panel = col_comm.ibcast_wait(b_h)?;
-        comm.compute(step_pairs as f64, 2 * step_pairs as u64, || {
-            C::Mat::gemm(
-                cfg.kernel,
-                C::shared_ref(&a_panel),
-                C::shared_ref(&b_panel),
-                &mut c,
-            )
-        });
-    }
-    Ok(c)
-}
-
-/// The pre-pipeline overlap baseline: SUMMA with one-step lookahead and
-/// *blocking* receives (flat push distribution). Kept verbatim so the
-/// `overlap_pipeline` bench can measure the pipelined rewrite against
-/// the exact schedule it replaced; produces bit-identical results to
-/// [`summa_overlap`] and [`crate::summa::summa`].
-///
-/// # Panics
-/// Panics on the same inconsistencies as `summa`.
-pub fn summa_overlap_lookahead<C: Communicator>(
-    comm: &C,
-    grid: GridShape,
-    n: usize,
-    a: &C::Mat,
-    b: &C::Mat,
-    cfg: &SummaConfig,
-) -> Result<C::Mat, CommError> {
-    let (th, tw) = check_tiles(grid, n, a, b, comm.size());
-    let bs = cfg.block;
-    assert!(bs > 0, "block size must be positive");
-    assert_eq!(tw % bs, 0, "block must divide the tile width");
-    assert_eq!(th % bs, 0, "block must divide the tile height");
-
-    let (gi, gj) = grid.coords(comm.rank());
-    let row_comm = comm.split(gi as u64, gj as i64)?;
-    let col_comm = comm.split((grid.rows + gj) as u64, gi as i64)?;
-
-    let owner_col = |k: usize| pivot_owner(k, bs, tw);
-    let owner_row = |k: usize| pivot_owner(k, bs, th);
-
-    // Pushes step k's panels to all peers; owners only. The panel is
-    // materialized once and shared — each destination gets a shared
-    // handle, not its own deep copy.
-    let push = |k: usize| -> Result<(), CommError> {
-        if gj == owner_col(k) {
-            let panel = C::share(a.block(0, pivot_offset(k, bs, tw), th, bs));
-            for dst in 0..row_comm.size() {
-                if dst != row_comm.rank() {
-                    row_comm.send_shared(dst, 2 * k as u64, &panel)?;
-                }
-            }
-        }
-        if gi == owner_row(k) {
-            let panel = C::share(b.block(pivot_offset(k, bs, th), 0, bs, tw));
-            for dst in 0..col_comm.size() {
-                if dst != col_comm.rank() {
-                    col_comm.send_shared(dst, 2 * k as u64 + 1, &panel)?;
-                }
-            }
-        }
-        Ok(())
-    };
-
-    let steps = n / bs;
-    let mut c = C::Mat::zeros(th, tw);
-    // Owners refill this scratch in place each step instead of allocating
-    // a fresh panel; non-owners borrow the received shared panel.
-    let mut a_scratch = C::Mat::zeros(th, bs);
-    let mut b_scratch = C::Mat::zeros(bs, tw);
-    let step_pairs = th * tw * bs;
-    if steps > 0 {
-        push(0)?;
-    }
-    for k in 0..steps {
-        // Lookahead: inject step k+1's panels before computing step k.
-        if k + 1 < steps {
-            push(k + 1)?;
-        }
-        let a_recv: C::Shared;
-        let a_panel: &C::Mat = if gj == owner_col(k) {
-            a.block_into(0, pivot_offset(k, bs, tw), &mut a_scratch);
-            &a_scratch
-        } else {
-            a_recv = row_comm.recv_shared(owner_col(k), 2 * k as u64, th, bs)?;
-            C::shared_ref(&a_recv)
-        };
-        let b_recv: C::Shared;
-        let b_panel: &C::Mat = if gi == owner_row(k) {
-            b.block_into(pivot_offset(k, bs, th), 0, &mut b_scratch);
-            &b_scratch
-        } else {
-            b_recv = col_comm.recv_shared(owner_row(k), 2 * k as u64 + 1, bs, tw)?;
-            C::shared_ref(&b_recv)
-        };
-        comm.compute(step_pairs as f64, 2 * step_pairs as u64, || {
-            C::Mat::gemm(cfg.kernel, a_panel, b_panel, &mut c)
-        });
-    }
-    Ok(c)
+    let spec = Spec::summa(grid, MatMulDims::square(n), cfg, Layout::Block);
+    pivot::pipelined(comm, &spec, a, b)
 }
 
 /// HSUMMA with the double-buffered pivot pipeline *on the virtual
 /// hierarchies* (§VI verbatim): two-slot buffers at both broadcast
-/// levels. Outer (inter-group) panels for step `kg+1` stream while step
-/// `kg`'s inner slices are consumed; inner (intra-group) slices run one
-/// slice ahead, and the inner pipeline crosses outer-step boundaries —
-/// during the last slice of `kg`, outer step `kg+1` is landed and its
-/// first slice started, so the multiply loop never waits on a transfer
-/// that could have been overlapped.
+/// levels, with an adaptive `ibcast_test` hand-off at outer-step
+/// boundaries — which makes the op sequence depend on timing, so this
+/// schedule runs on rank threads (real or simulated) but does not record.
 ///
 /// Same operands, distribution and result (bit for bit) as
 /// [`crate::hsumma::hsumma`]; the `outer_bcast`/`inner_bcast` fields are
-/// ignored (flat nonblocking pushes replace them — relays would have to
-/// block, defeating the pipeline).
+/// ignored (flat nonblocking pushes replace them).
 ///
 /// # Panics
 /// Panics on the same configuration inconsistencies as `hsumma`.
@@ -255,401 +82,22 @@ pub fn hsumma_overlap<C: Communicator>(
     n: usize,
     a: &C::Mat,
     b: &C::Mat,
-    cfg: &crate::hsumma::HsummaConfig,
+    cfg: &HsummaConfig,
 ) -> Result<C::Mat, CommError> {
-    let (th, tw) = check_tiles(grid, n, a, b, comm.size());
-    let hg = crate::grid::HierGrid::new(grid, cfg.groups);
-    let inner = hg.inner();
-    let (bb, bs) = (cfg.outer_block, cfg.inner_block);
-    assert!(bs > 0 && bb > 0, "block sizes must be positive");
-    assert_eq!(bb % bs, 0, "inner block must divide outer block");
-    assert_eq!(tw % bb, 0, "outer block must divide the tile width");
-    assert_eq!(th % bb, 0, "outer block must divide the tile height");
-
-    let (gi, gj) = grid.coords(comm.rank());
-    let (x, y) = hg.group_of(gi, gj);
-    let (i, j) = hg.inner_of(gi, gj);
-    let color3 = crate::grid::color3;
-    let group_row = comm.split(color3(x, i, j), y as i64)?;
-    let group_col = comm.split(color3(y, i, j), x as i64)?;
-    let row = comm.split(color3(x, y, i), j as i64)?;
-    let col = comm.split(color3(x, y, j), i as i64)?;
-
-    let outer_steps = n / bb;
-    let inner_steps = bb / bs;
-    let a_owner = |kg: usize| {
-        let gcol = pivot_owner(kg, bb, tw);
-        (gcol, gcol / inner.cols, gcol % inner.cols) // (grid col, yk, jk)
-    };
-    let b_owner = |kg: usize| {
-        let grow = pivot_owner(kg, bb, th);
-        (grow, grow / inner.rows, grow % inner.rows) // (grid row, xk, ik)
-    };
-
-    // Starts outer step kg's inter-group broadcasts. Only the pivot
-    // inner column (A) / inner row (B) participates: the handle is
-    // `None` elsewhere, and those ranks get the panel re-broadcast in
-    // inner slices instead.
-    type OuterPair<C> = (
-        Option<PanelBcast<<C as Communicator>::Shared>>,
-        Option<PanelBcast<<C as Communicator>::Shared>>,
-    );
-    let start_outer = |kg: usize| -> Result<OuterPair<C>, CommError> {
-        let (gcol, yk, jk) = a_owner(kg);
-        let a_h = if j == jk {
-            Some(group_row.ibcast_shared(
-                yk,
-                2 * kg as u64,
-                th,
-                bb,
-                (gj == gcol).then(|| C::share(a.block(0, pivot_offset(kg, bb, tw), th, bb))),
-            )?)
-        } else {
-            None
-        };
-        let (grow, xk, ik) = b_owner(kg);
-        let b_h = if i == ik {
-            Some(group_col.ibcast_shared(
-                xk,
-                2 * kg as u64 + 1,
-                bb,
-                tw,
-                (gi == grow).then(|| C::share(b.block(pivot_offset(kg, bb, th), 0, bb, tw))),
-            )?)
-        } else {
-            None
-        };
-        Ok((a_h, b_h))
-    };
-
-    let inner_tag = |kg: usize, ki: usize, is_b: bool| {
-        (2 * (kg * inner_steps + ki) + usize::from(is_b)) as u64 + (1 << 32)
-    };
-
-    // Starts the intra-group broadcasts of slice ki of outer step kg:
-    // the holder of the outer panel (the inner pivot row/column, which
-    // is exactly the inner root) slices it and fans the slice out.
-    let start_inner = |kg: usize,
-                       ki: usize,
-                       outer_a: Option<&C::Shared>,
-                       outer_b: Option<&C::Shared>|
-     -> Result<BcastPair<C>, CommError> {
-        let (_, _, jk) = a_owner(kg);
-        let a_h = row.ibcast_shared(
-            jk,
-            inner_tag(kg, ki, false),
-            th,
-            bs,
-            outer_a.map(|p| C::share(C::shared_ref(p).block(0, ki * bs, th, bs))),
-        )?;
-        let (_, _, ik) = b_owner(kg);
-        let b_h = col.ibcast_shared(
-            ik,
-            inner_tag(kg, ki, true),
-            bs,
-            tw,
-            outer_b.map(|p| C::share(C::shared_ref(p).block(ki * bs, 0, bs, tw))),
-        )?;
-        Ok((a_h, b_h))
-    };
-
-    let mut c = C::Mat::zeros(th, tw);
-    let inner_pairs = th * tw * bs;
-    if outer_steps == 0 {
-        return Ok(c);
-    }
-
-    // Two-slot buffers at both hierarchy levels. `outer_p[s]` holds the
-    // *landed* outer panels of the outer step occupying slot s (shared
-    // handles, so consecutive pivot ownership reuses the storage safely
-    // — a fresh panel always lands in the *other* slot while this one is
-    // still being sliced). `inner_h[idx % 2]` holds the in-flight slice
-    // broadcasts for global slice index idx = kg·inner_steps + ki.
-    let mut outer_h: [Option<OuterPair<C>>; 2] = [None, None];
-    let mut outer_p: [LandedPair<C>; 2] = [(None, None), (None, None)];
-    let mut inner_h: [Option<BcastPair<C>>; 2] = [None, None];
-
-    // Prime the pipeline. Ordering rule (it is THE rule of this
-    // schedule): a root posts its fan-out *before* it blocks on anything
-    // — sender time is a serial resource, so a send issued after a wait
-    // arrives a whole wait later at every destination. Hence outer step
-    // 1 is started before outer step 0 is landed.
-    outer_h[0] = Some(start_outer(0)?);
-    if outer_steps > 1 {
-        outer_h[1] = Some(start_outer(1)?);
-    }
-    let (a_h, b_h) = outer_h[0].take().expect("outer 0 started");
-    outer_p[0] = (
-        a_h.map(|h| group_row.ibcast_wait(h)).transpose()?,
-        b_h.map(|h| group_col.ibcast_wait(h)).transpose()?,
-    );
-    inner_h[0] = Some(start_inner(
-        0,
-        0,
-        outer_p[0].0.as_ref(),
-        outer_p[0].1.as_ref(),
-    )?);
-
-    for kg in 0..outer_steps {
-        for ki in 0..inner_steps {
-            let idx = kg * inner_steps + ki;
-            let boundary = ki + 1 == inner_steps && kg + 1 < outer_steps;
-            // Keep the inner pipeline one slice ahead. At the outer
-            // boundary (last slice of kg) this means landing outer step
-            // kg+1 and starting *its* first slice — the cross-boundary
-            // overlap the one-step-lookahead baseline lacked.
-            if ki + 1 < inner_steps {
-                let (oa, ob) = &outer_p[kg % 2];
-                inner_h[(idx + 1) % 2] = Some(start_inner(kg, ki + 1, oa.as_ref(), ob.as_ref())?);
-            } else if boundary {
-                // Slot kg%2 is free (its handles were consumed when kg
-                // landed); refill it with outer kg+2's fan-out NOW, before
-                // any wait below can delay the sends.
-                if kg + 2 < outer_steps {
-                    outer_h[kg % 2] = Some(start_outer(kg + 2)?);
-                }
-                // Adaptive handoff: *poll* outer kg+1 (free — no clock
-                // advance, no park). Only if both panels already landed
-                // does the first slice of kg+1 start here, streaming
-                // during the gemm below. A still-in-flight outer panel
-                // must NOT be waited for in front of the multiply — that
-                // would put the inter-group transfer right back on the
-                // critical path — so it lands after the gemm instead,
-                // when the wait is hidden behind the compute just done.
-                let pair = outer_h[(kg + 1) % 2].as_mut().expect("outer kg+1 started");
-                let a_done = match pair.0.as_mut() {
-                    Some(h) => group_row.ibcast_test(h)?,
-                    None => true,
-                };
-                let b_done = match pair.1.as_mut() {
-                    Some(h) => group_col.ibcast_test(h)?,
-                    None => true,
-                };
-                if a_done && b_done {
-                    let (a_h, b_h) = outer_h[(kg + 1) % 2].take().expect("outer kg+1 started");
-                    outer_p[(kg + 1) % 2] = (
-                        a_h.map(|h| group_row.ibcast_wait(h)).transpose()?,
-                        b_h.map(|h| group_col.ibcast_wait(h)).transpose()?,
-                    );
-                    let (oa, ob) = &outer_p[(kg + 1) % 2];
-                    inner_h[(idx + 1) % 2] =
-                        Some(start_inner(kg + 1, 0, oa.as_ref(), ob.as_ref())?);
-                }
-            }
-            let (a_h, b_h) = inner_h[idx % 2].take().expect("inner slice started");
-            let a_in = row.ibcast_wait(a_h)?;
-            let b_in = col.ibcast_wait(b_h)?;
-            comm.compute(inner_pairs as f64, 2 * inner_pairs as u64, || {
-                C::Mat::gemm(
-                    cfg.kernel,
-                    C::shared_ref(&a_in),
-                    C::shared_ref(&b_in),
-                    &mut c,
-                )
-            });
-            if boundary && inner_h[(idx + 1) % 2].is_none() {
-                // Outer kg+1 was still in flight before the gemm: land
-                // it now, with the multiply's worth of transfer time
-                // already credited, and start its first slice.
-                let (a_h, b_h) = outer_h[(kg + 1) % 2].take().expect("outer kg+1 started");
-                outer_p[(kg + 1) % 2] = (
-                    a_h.map(|h| group_row.ibcast_wait(h)).transpose()?,
-                    b_h.map(|h| group_col.ibcast_wait(h)).transpose()?,
-                );
-                let (oa, ob) = &outer_p[(kg + 1) % 2];
-                inner_h[(idx + 1) % 2] = Some(start_inner(kg + 1, 0, oa.as_ref(), ob.as_ref())?);
-            }
-        }
-    }
-    Ok(c)
-}
-
-/// The pre-pipeline HSUMMA overlap baseline: outer panels prefetched one
-/// outer step ahead, a whole outer panel's worth of inner slices pushed
-/// in a burst once the outer panel lands, blocking receives throughout.
-/// Kept verbatim as the `overlap_pipeline` bench baseline; produces
-/// bit-identical results to [`hsumma_overlap`] and
-/// [`crate::hsumma::hsumma`], and moves the identical wire traffic.
-///
-/// # Panics
-/// Panics on the same configuration inconsistencies as `hsumma`.
-pub fn hsumma_overlap_lookahead<C: Communicator>(
-    comm: &C,
-    grid: GridShape,
-    n: usize,
-    a: &C::Mat,
-    b: &C::Mat,
-    cfg: &crate::hsumma::HsummaConfig,
-) -> Result<C::Mat, CommError> {
-    let (th, tw) = check_tiles(grid, n, a, b, comm.size());
-    let hg = crate::grid::HierGrid::new(grid, cfg.groups);
-    let inner = hg.inner();
-    let (bb, bs) = (cfg.outer_block, cfg.inner_block);
-    assert!(bs > 0 && bb > 0, "block sizes must be positive");
-    assert_eq!(bb % bs, 0, "inner block must divide outer block");
-    assert_eq!(tw % bb, 0, "outer block must divide the tile width");
-    assert_eq!(th % bb, 0, "outer block must divide the tile height");
-
-    let (gi, gj) = grid.coords(comm.rank());
-    let (x, y) = hg.group_of(gi, gj);
-    let (i, j) = hg.inner_of(gi, gj);
-    let color3 = crate::grid::color3;
-    let group_row = comm.split(color3(x, i, j), y as i64)?;
-    let group_col = comm.split(color3(y, i, j), x as i64)?;
-    let row = comm.split(color3(x, y, i), j as i64)?;
-    let col = comm.split(color3(x, y, j), i as i64)?;
-
-    let outer_steps = n / bb;
-    let inner_steps = bb / bs;
-    let a_owner = |kg: usize| {
-        let gcol = pivot_owner(kg, bb, tw);
-        (gcol, gcol / inner.cols, gcol % inner.cols) // (grid col, yk, jk)
-    };
-    let b_owner = |kg: usize| {
-        let grow = pivot_owner(kg, bb, th);
-        (grow, grow / inner.rows, grow % inner.rows) // (grid row, xk, ik)
-    };
-
-    // Prefetch push of outer step kg across groups (owners only). One
-    // materialized panel per push, shared across destinations.
-    let push_outer = |kg: usize| -> Result<(), CommError> {
-        let (gcol, _, jk) = a_owner(kg);
-        if gj == gcol && j == jk {
-            let panel = C::share(a.block(0, pivot_offset(kg, bb, tw), th, bb));
-            for dst in 0..group_row.size() {
-                if dst != group_row.rank() {
-                    group_row.send_shared(dst, 2 * kg as u64, &panel)?;
-                }
-            }
-        }
-        let (grow, _, ik) = b_owner(kg);
-        if gi == grow && i == ik {
-            let panel = C::share(b.block(pivot_offset(kg, bb, th), 0, bb, tw));
-            for dst in 0..group_col.size() {
-                if dst != group_col.rank() {
-                    group_col.send_shared(dst, 2 * kg as u64 + 1, &panel)?;
-                }
-            }
-        }
-        Ok(())
-    };
-
-    let mut c = C::Mat::zeros(th, tw);
-    // Reusable scratch: outer panels for ranks that own them locally,
-    // inner panels for every holder of an outer panel.
-    let mut outer_a_scratch = C::Mat::zeros(th, bb);
-    let mut outer_b_scratch = C::Mat::zeros(bb, tw);
-    let mut a_in_scratch = C::Mat::zeros(th, bs);
-    let mut b_in_scratch = C::Mat::zeros(bs, tw);
-    let inner_pairs = th * tw * bs;
-    if outer_steps > 0 {
-        push_outer(0)?;
-    }
-    for kg in 0..outer_steps {
-        if kg + 1 < outer_steps {
-            push_outer(kg + 1)?;
-        }
-
-        // Land the outer panels on the inner pivot row/column.
-        let (gcol, yk, jk) = a_owner(kg);
-        let outer_a_recv: C::Shared;
-        let outer_a: Option<&C::Mat> = if j == jk {
-            Some(if gj == gcol {
-                a.block_into(0, pivot_offset(kg, bb, tw), &mut outer_a_scratch);
-                &outer_a_scratch
-            } else {
-                outer_a_recv = group_row.recv_shared(yk, 2 * kg as u64, th, bb)?;
-                C::shared_ref(&outer_a_recv)
-            })
-        } else {
-            None
-        };
-        let (grow, xk, ik) = b_owner(kg);
-        let outer_b_recv: C::Shared;
-        let outer_b: Option<&C::Mat> = if i == ik {
-            Some(if gi == grow {
-                b.block_into(pivot_offset(kg, bb, th), 0, &mut outer_b_scratch);
-                &outer_b_scratch
-            } else {
-                outer_b_recv = group_col.recv_shared(xk, 2 * kg as u64 + 1, bb, tw)?;
-                C::shared_ref(&outer_b_recv)
-            })
-        } else {
-            None
-        };
-
-        // Push every inner panel of this outer step at once, then drain.
-        let inner_tag = |ki: usize, is_b: bool| {
-            (2 * (kg * inner_steps + ki) + usize::from(is_b)) as u64 + (1 << 32)
-        };
-        if let Some(panel) = outer_a {
-            for ki in 0..inner_steps {
-                let slice = C::share(panel.block(0, ki * bs, th, bs));
-                for dst in 0..row.size() {
-                    if dst != row.rank() {
-                        row.send_shared(dst, inner_tag(ki, false), &slice)?;
-                    }
-                }
-            }
-        }
-        if let Some(panel) = outer_b {
-            for ki in 0..inner_steps {
-                let slice = C::share(panel.block(ki * bs, 0, bs, tw));
-                for dst in 0..col.size() {
-                    if dst != col.rank() {
-                        col.send_shared(dst, inner_tag(ki, true), &slice)?;
-                    }
-                }
-            }
-        }
-        for ki in 0..inner_steps {
-            let a_in_recv: C::Shared;
-            let a_in: &C::Mat = match outer_a {
-                Some(panel) => {
-                    panel.block_into(0, ki * bs, &mut a_in_scratch);
-                    &a_in_scratch
-                }
-                None => {
-                    a_in_recv = row.recv_shared(jk, inner_tag(ki, false), th, bs)?;
-                    C::shared_ref(&a_in_recv)
-                }
-            };
-            let b_in_recv: C::Shared;
-            let b_in: &C::Mat = match outer_b {
-                Some(panel) => {
-                    panel.block_into(ki * bs, 0, &mut b_in_scratch);
-                    &b_in_scratch
-                }
-                None => {
-                    b_in_recv = col.recv_shared(ik, inner_tag(ki, true), bs, tw)?;
-                    C::shared_ref(&b_in_recv)
-                }
-            };
-            comm.compute(inner_pairs as f64, 2 * inner_pairs as u64, || {
-                C::Mat::gemm(cfg.kernel, a_in, b_in, &mut c)
-            });
-        }
-    }
-    Ok(c)
-}
-
-/// Quantifies the overlap benefit in the simulator: free-running
-/// (overlapped) vs blocking-collective SUMMA under the same flat push
-/// schedule. Returns `(overlapped_total, blocking_total)` seconds.
-pub fn sim_overlap_benefit(platform: &Platform, grid: GridShape, n: usize, b: usize) -> (f64, f64) {
-    let free = crate::simdrive::sim_summa(platform, grid, n, b, SimBcast::Flat);
-    let sync = crate::simdrive::sim_summa_sync(platform, grid, n, b, SimBcast::Flat);
-    (free.total_time, sync.total_time)
+    let spec = Spec::hsumma(grid, MatMulDims::square(n), cfg);
+    pivot::pipelined(comm, &spec, a, b)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::grid::HierGrid;
-    use crate::hsumma::{hsumma, HsummaConfig};
+    use crate::hsumma::hsumma;
+    use crate::simdrive::{simulate, Schedule, SimEngine};
     use crate::summa::summa;
     use crate::testutil::{distributed_product, reference_product};
     use hsumma_matrix::{seeded_uniform, GemmKernel};
+    use hsumma_netsim::{Platform, SimBcast};
     use proptest::prelude::*;
 
     fn cfg(block: usize) -> SummaConfig {
@@ -697,43 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_equals_lookahead_exactly() {
-        // The rewrite changed *when* ranks block, not what they compute:
-        // pipelined and lookahead must agree bit for bit, on SUMMA and
-        // on HSUMMA.
-        let grid = GridShape::new(2, 2);
-        let n = 16;
-        let a = seeded_uniform(n, n, 73);
-        let b = seeded_uniform(n, n, 74);
-        let c = cfg(4);
-        let pipelined = distributed_product(grid, n, &a, &b, |comm, at, bt| {
-            summa_overlap(comm, grid, n, &at, &bt, &c).unwrap()
-        });
-        let lookahead = distributed_product(grid, n, &a, &b, |comm, at, bt| {
-            summa_overlap_lookahead(comm, grid, n, &at, &bt, &c).unwrap()
-        });
-        assert_eq!(pipelined, lookahead);
-
-        let grid = GridShape::new(4, 4);
-        let n = 32;
-        let a = seeded_uniform(n, n, 75);
-        let b = seeded_uniform(n, n, 76);
-        let hcfg = HsummaConfig {
-            outer_block: 8,
-            inner_block: 2,
-            kernel: GemmKernel::Blocked,
-            ..HsummaConfig::uniform(GridShape::new(2, 2), 8)
-        };
-        let pipelined = distributed_product(grid, n, &a, &b, |comm, at, bt| {
-            hsumma_overlap(comm, grid, n, &at, &bt, &hcfg).unwrap()
-        });
-        let lookahead = distributed_product(grid, n, &a, &b, |comm, at, bt| {
-            hsumma_overlap_lookahead(comm, grid, n, &at, &bt, &hcfg).unwrap()
-        });
-        assert_eq!(pipelined, lookahead);
-    }
-
-    #[test]
     fn hsumma_overlap_matches_serial_across_groupings() {
         let grid = GridShape::new(4, 4);
         let n = 16;
@@ -771,38 +182,6 @@ mod tests {
             hsumma_overlap(comm, grid, n, &at, &bt, &hcfg).unwrap()
         });
         assert_eq!(plain, overlapped, "same local op order => bitwise equal");
-    }
-
-    #[test]
-    fn consecutive_pivot_owner_reuses_slots_safely() {
-        // The buffer-reuse hazard: outer_block < tile width means the
-        // same group column owns the pivot panel two outer steps in a
-        // row (kg·bb/tw identical for consecutive kg), so both outer
-        // slots hold panels from the *same* owner simultaneously. The
-        // two-slot protocol must keep them apart.
-        let grid = GridShape::new(4, 4);
-        let n = 32; // tiles 8×8, bb = 4 => outer owner repeats: 0,0,1,1,...
-        let a = seeded_uniform(n, n, 85);
-        let b = seeded_uniform(n, n, 86);
-        let hcfg = HsummaConfig {
-            outer_block: 4,
-            inner_block: 2,
-            kernel: GemmKernel::Blocked,
-            ..HsummaConfig::uniform(GridShape::new(2, 2), 4)
-        };
-        let owner = |kg: usize| (kg * hcfg.outer_block) / 8;
-        assert_eq!(
-            owner(0),
-            owner(1),
-            "precondition: steps 0 and 1 share a pivot owner"
-        );
-        let plain = distributed_product(grid, n, &a, &b, |comm, at, bt| {
-            hsumma(comm, grid, n, &at, &bt, &hcfg).unwrap()
-        });
-        let pipelined = distributed_product(grid, n, &a, &b, |comm, at, bt| {
-            hsumma_overlap(comm, grid, n, &at, &bt, &hcfg).unwrap()
-        });
-        assert_eq!(plain, pipelined);
     }
 
     fn gcd(a: usize, b: usize) -> usize {
@@ -882,7 +261,9 @@ mod tests {
         // ranks' compute once the per-step barrier is dropped.
         let platform = Platform::bluegene_p_effective();
         let grid = GridShape::new(8, 8);
-        let (free, sync) = sim_overlap_benefit(&platform, grid, 512, 32);
+        let sched = Schedule::summa(grid, 512, 32, SimBcast::Flat);
+        let free = simulate(&sched, &platform, SimEngine::Threads, false).total_time;
+        let sync = simulate(&sched, &platform, SimEngine::Threads, true).total_time;
         assert!(free < sync, "overlapped {free} should beat blocking {sync}");
     }
 }

@@ -4,10 +4,9 @@
 //! geometry: a `rows × cols` operand over an `s × t` grid yields
 //! `(rows/s) × (cols/t)` local tiles (square `n × n` being the common
 //! case), and pivot step `k` with panel width `bs` lives on the grid
-//! row/column owning global index `k·bs`. That arithmetic used to be
-//! re-derived inline in every algorithm file (summa, hsumma, overlap,
-//! lu, 2.5D, cyclic, …) — and again by the sparse panel schedules — so
-//! it lives here exactly once.
+//! row/column owning global index `k·bs`. That arithmetic lives here
+//! exactly once: the pivot engine, LU and the sparse panel schedules all
+//! walk the tiles through [`pivot_owner`]/[`pivot_offset`].
 //!
 //! The 1-D "deal `len` elements over `p` parts" helper used by the
 //! segmented collectives is [`chunk_range`], re-exported from the
@@ -20,6 +19,26 @@
 use hsumma_matrix::GridShape;
 
 pub use hsumma_runtime::collectives::chunk_range;
+
+/// Global operand dimensions of `C(M×N) = A(M×L) · B(L×N)` — Algorithm 1
+/// of the paper is stated for general `(M, L, N)`; the pivot traversal
+/// runs along the shared `L` dimension.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MatMulDims {
+    /// Rows of `A` and `C`.
+    pub m: usize,
+    /// The shared (contraction) dimension: columns of `A`, rows of `B`.
+    pub l: usize,
+    /// Columns of `B` and `C`.
+    pub n: usize,
+}
+
+impl MatMulDims {
+    /// Square `n × n × n` dimensions.
+    pub fn square(n: usize) -> Self {
+        MatMulDims { m: n, l: n, n }
+    }
+}
 
 /// `⌈a / b⌉` for positive `b`.
 ///

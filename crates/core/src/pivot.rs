@@ -1,0 +1,771 @@
+//! The pivot engine: the one loop every member of the SUMMA family runs.
+//!
+//! SUMMA, HSUMMA, their rectangular forms, block-cyclic SUMMA, the
+//! per-layer partial products of 2.5D and the double-buffered pipelines
+//! all walk the shared dimension `L` in pivot panels, broadcast each
+//! panel of `A` along grid rows and of `B` along grid columns, and
+//! accumulate `C += A_panel · B_panel`. They differ in four decisions,
+//! which a [`Spec`] names once:
+//!
+//! * **hierarchy** — `groups: None` is SUMMA: one broadcast level over
+//!   the row/column communicators. `Some(I × J)` is HSUMMA (§III): each
+//!   outer panel of width `B` first crosses the groups, then is
+//!   re-broadcast inside them in slices of width `b ≤ B`. The paper's
+//!   theorem that HSUMMA *is* SUMMA at `G = 1` and `G = p` is the
+//!   statement that skipping the outer phase changes nothing but the
+//!   two extra communicator splits;
+//! * **extents** — general `(M, L, N)` ([`MatMulDims`]), as Algorithm 1
+//!   is stated;
+//! * **layout** — which grid row/column owns pivot step `k`
+//!   ([`Layout`]);
+//! * **when ranks block** — [`blocking`] completes each broadcast
+//!   before the multiply; [`pipelined`] keeps a two-slot buffer per
+//!   level and defers every wait to the moment the kernel needs the
+//!   panel. Both accumulate in the same order, so their products are
+//!   bit-identical.
+
+use crate::comm::{Communicator, MatLike, PanelBcast};
+use crate::grid::{color3, HierGrid};
+use crate::hsumma::HsummaConfig;
+use crate::partition::{pivot_offset, pivot_owner, MatMulDims};
+use crate::summa::SummaConfig;
+use hsumma_matrix::{GemmKernel, GridShape};
+use hsumma_runtime::{BcastAlgorithm, CommError};
+
+/// How operand tiles map to the global matrices, i.e. who owns pivot
+/// step `k`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Layout {
+    /// Block-checkerboard: the owner is the tile containing global index
+    /// `k·B`, so it changes every `extent / B` steps.
+    Block,
+    /// Block-cyclic with dealing block `B` (the ScaLAPACK convention):
+    /// panel `k` lives on grid line `k mod parts`, local block
+    /// `k div parts` — the broadcast roots rotate every step.
+    Cyclic,
+}
+
+/// Everything that distinguishes one SUMMA-family schedule from another.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Spec {
+    pub grid: GridShape,
+    pub dims: MatMulDims,
+    /// `None`: one broadcast level (SUMMA). `Some(I × J)`: two (HSUMMA).
+    pub groups: Option<GridShape>,
+    /// Outer panel width `B` (equal to `inner_block` without a hierarchy).
+    pub outer_block: usize,
+    /// Inner panel width `b`, the width of every local multiply.
+    pub inner_block: usize,
+    pub outer_bcast: BcastAlgorithm,
+    pub inner_bcast: BcastAlgorithm,
+    pub kernel: GemmKernel,
+    pub layout: Layout,
+}
+
+/// Local tile shapes `(rows, cols)` of `A` and of `B`; `C`'s tile takes
+/// `A`'s rows and `B`'s columns.
+pub(crate) type Tiles = ((usize, usize), (usize, usize));
+
+impl Spec {
+    /// SUMMA: no hierarchy, one block size, one broadcast algorithm.
+    pub fn summa(grid: GridShape, dims: MatMulDims, cfg: &SummaConfig, layout: Layout) -> Self {
+        Spec {
+            grid,
+            dims,
+            groups: None,
+            outer_block: cfg.block,
+            inner_block: cfg.block,
+            outer_bcast: cfg.bcast,
+            inner_bcast: cfg.bcast,
+            kernel: cfg.kernel,
+            layout,
+        }
+    }
+
+    /// HSUMMA over the block-checkerboard layout. `groups = 1×1` still
+    /// takes the two-level path: its two singleton-group splits are real
+    /// messages on the threaded runtime.
+    pub fn hsumma(grid: GridShape, dims: MatMulDims, cfg: &HsummaConfig) -> Self {
+        Spec {
+            grid,
+            dims,
+            groups: Some(cfg.groups),
+            outer_block: cfg.outer_block,
+            inner_block: cfg.inner_block,
+            outer_bcast: cfg.outer_bcast,
+            inner_bcast: cfg.inner_bcast,
+            kernel: cfg.kernel,
+            layout: Layout::Block,
+        }
+    }
+
+    /// Checks the configuration against the grid and extents and returns
+    /// the local tile shapes. The engine panics with the returned
+    /// message; callers holding outside input (the CLI) call this first.
+    pub fn validate(&self) -> Result<Tiles, String> {
+        let MatMulDims { m, l, n } = self.dims;
+        let (s, t) = (self.grid.rows, self.grid.cols);
+        let (bb, bs) = (self.outer_block, self.inner_block);
+        if bb == 0 || bs == 0 {
+            return Err("block sizes must be positive".into());
+        }
+        // A cyclic layout deals whole blocks, so blocks (not elements)
+        // must spread evenly over the grid.
+        let (unit, per) = match self.layout {
+            Layout::Block => (1, ""),
+            Layout::Cyclic => (bb, " in whole blocks"),
+        };
+        for (name, extent, parts, line) in [
+            ("M", m, s, "rows"),
+            ("L", l, t, "cols"),
+            ("L", l, s, "rows"),
+            ("N", n, t, "cols"),
+        ] {
+            if extent % (unit * parts) != 0 {
+                return Err(format!("{name} must be divisible by grid {line}{per}"));
+            }
+        }
+        if let Some(g) = self.groups {
+            if s % g.rows != 0 || t % g.cols != 0 {
+                return Err(format!(
+                    "groups {}x{} must divide the {s}x{t} grid",
+                    g.rows, g.cols
+                ));
+            }
+        }
+        if bb % bs != 0 {
+            return Err("inner block must divide outer block".into());
+        }
+        let (aw, bh) = (l / t, l / s);
+        let which = if self.groups.is_some() {
+            "outer block"
+        } else {
+            "block"
+        };
+        if !aw.is_multiple_of(bb) {
+            return Err(format!(
+                "{which} must divide A's tile width (L/t = {aw}), got {bb}"
+            ));
+        }
+        if !bh.is_multiple_of(bb) {
+            return Err(format!(
+                "{which} must divide B's tile height (L/s = {bh}), got {bb}"
+            ));
+        }
+        Ok(((m / s, aw), (bh, n / t)))
+    }
+}
+
+/// One rank's view of a validated [`Spec`]: tile shapes, coordinates and
+/// the communicators of Algorithm 1.
+struct Geometry<C> {
+    a_tile: (usize, usize),
+    b_tile: (usize, usize),
+    /// Grid coordinates of this rank.
+    gi: usize,
+    gj: usize,
+    /// Coordinates inside its group (the grid's without a hierarchy).
+    i: usize,
+    j: usize,
+    /// The grid inside one group (the whole grid without a hierarchy).
+    inner: GridShape,
+    /// `P(x,·)(i,j)` and `P(·,y)(i,j)`: the inter-group communicators.
+    outer: Option<(C, C)>,
+    /// `P(x,y)(i,·)`: A's (inner) broadcasts run here.
+    row: C,
+    /// `P(x,y)(·,j)`: B's (inner) broadcasts run here.
+    col: C,
+}
+
+/// Where one outer pivot panel lives along a grid dimension.
+struct PivotAt {
+    /// Grid row/column owning the panel.
+    owner: usize,
+    /// Offset of the panel within the owner's tile.
+    offset: usize,
+    /// The owner's group index: root of the inter-group broadcast.
+    group: usize,
+    /// The owner's index inside its group: root of the inner broadcasts,
+    /// and the inner line that takes part in the outer phase.
+    inner: usize,
+}
+
+impl<C: Communicator> Geometry<C> {
+    /// Validates `spec` against the communicator and the tiles, then
+    /// builds the 2 (SUMMA) or 4 (HSUMMA) communicators.
+    ///
+    /// # Panics
+    /// Panics with [`Spec::validate`]'s message, or if the communicator
+    /// or a tile does not match the spec.
+    fn new(comm: &C, spec: &Spec, a: &C::Mat, b: &C::Mat) -> Result<Self, CommError> {
+        let (a_tile, b_tile) = spec.validate().unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(
+            comm.size(),
+            spec.grid.size(),
+            "communicator must span the whole grid"
+        );
+        assert_eq!((a.rows(), a.cols()), a_tile, "A tile has wrong shape");
+        assert_eq!((b.rows(), b.cols()), b_tile, "B tile has wrong shape");
+
+        let hg = HierGrid::new(spec.grid, spec.groups.unwrap_or(GridShape::new(1, 1)));
+        let (gi, gj) = spec.grid.coords(comm.rank());
+        let (x, y) = hg.group_of(gi, gj);
+        let (i, j) = hg.inner_of(gi, gj);
+        let outer = match spec.groups {
+            Some(_) => Some((
+                comm.split(color3(x, i, j), y as i64)?,
+                comm.split(color3(y, i, j), x as i64)?,
+            )),
+            None => None,
+        };
+        Ok(Geometry {
+            a_tile,
+            b_tile,
+            gi,
+            gj,
+            i,
+            j,
+            inner: hg.inner(),
+            outer,
+            row: comm.split(color3(x, y, i), j as i64)?,
+            col: comm.split(color3(x, y, j), i as i64)?,
+        })
+    }
+
+    /// Outer step `kg`'s panel of `A`, located along the grid columns.
+    fn a_at(&self, spec: &Spec, kg: usize) -> PivotAt {
+        locate(spec, kg, self.a_tile.1, spec.grid.cols, self.inner.cols)
+    }
+
+    /// Outer step `kg`'s panel of `B`, located along the grid rows.
+    fn b_at(&self, spec: &Spec, kg: usize) -> PivotAt {
+        locate(spec, kg, self.b_tile.0, spec.grid.rows, self.inner.rows)
+    }
+}
+
+fn locate(spec: &Spec, kg: usize, extent: usize, parts: usize, inner_parts: usize) -> PivotAt {
+    let bb = spec.outer_block;
+    let (owner, offset) = match spec.layout {
+        Layout::Block => (pivot_owner(kg, bb, extent), pivot_offset(kg, bb, extent)),
+        Layout::Cyclic => (kg % parts, kg / parts * bb),
+    };
+    PivotAt {
+        owner,
+        offset,
+        group: owner / inner_parts,
+        inner: owner % inner_parts,
+    }
+}
+
+/// The blocking pivot loop over the outer steps selected by `take`
+/// (2.5D gives each layer a subset; everyone else takes all). SPMD over
+/// `comm`; returns the local tile of `C`.
+///
+/// Panel scratch is allocated once and refilled in place each step:
+/// holders copy from their tile (or their landed outer panel), everyone
+/// else has it overwritten by the broadcast.
+///
+/// # Panics
+/// As [`Geometry::new`].
+pub(crate) fn blocking<C: Communicator>(
+    comm: &C,
+    spec: &Spec,
+    a: &C::Mat,
+    b: &C::Mat,
+    take: impl Fn(usize) -> bool,
+) -> Result<C::Mat, CommError> {
+    let g = Geometry::new(comm, spec, a, b)?;
+    let ((ah, _), (_, bw)) = (g.a_tile, g.b_tile);
+    let (bb, bs) = (spec.outer_block, spec.inner_block);
+
+    let mut c = C::Mat::zeros(ah, bw);
+    let mut outer_bufs = g
+        .outer
+        .as_ref()
+        .map(|_| (C::Mat::zeros(ah, bb), C::Mat::zeros(bb, bw)));
+    let mut a_in = C::Mat::zeros(ah, bs);
+    let mut b_in = C::Mat::zeros(bs, bw);
+    let inner_steps = bb / bs;
+    let pairs = ah * bw * bs;
+    for kg in (0..spec.dims.l / bb).filter(|&kg| take(kg)) {
+        comm.trace_step(kg, bb, bs, || -> Result<(), CommError> {
+            let at = g.a_at(spec, kg);
+            let bt = g.b_at(spec, kg);
+            // Only the pivot inner column (A) / inner row (B) holds the
+            // outer panel and roots the inner broadcasts.
+            let (holds_a, holds_b) = (g.j == at.inner, g.i == bt.inner);
+
+            // ---- inter-group broadcasts of the outer panels --------------
+            if let (Some((group_row, group_col)), Some((outer_a, outer_b))) =
+                (&g.outer, &mut outer_bufs)
+            {
+                if holds_a {
+                    if g.gj == at.owner {
+                        a.block_into(0, at.offset, outer_a);
+                    }
+                    group_row.bcast_mat(spec.outer_bcast, at.group, outer_a)?;
+                }
+                if holds_b {
+                    if g.gi == bt.owner {
+                        b.block_into(bt.offset, 0, outer_b);
+                    }
+                    group_col.bcast_mat(spec.outer_bcast, bt.group, outer_b)?;
+                }
+            }
+            // Slices come out of the landed outer panels, or straight out
+            // of the tiles when there is no outer phase.
+            let (a_src, a_base, b_src, b_base) = match &outer_bufs {
+                Some((outer_a, outer_b)) => (outer_a, 0, outer_b, 0),
+                None => (a, at.offset, b, bt.offset),
+            };
+
+            // ---- (intra-group) SUMMA steps over the outer panel ----------
+            for ki in 0..inner_steps {
+                if holds_a {
+                    a_src.block_into(0, a_base + ki * bs, &mut a_in);
+                }
+                g.row.bcast_mat(spec.inner_bcast, at.inner, &mut a_in)?;
+                if holds_b {
+                    b_src.block_into(b_base + ki * bs, 0, &mut b_in);
+                }
+                g.col.bcast_mat(spec.inner_bcast, bt.inner, &mut b_in)?;
+
+                comm.compute(pairs as f64, 2 * pairs as u64, || {
+                    C::Mat::gemm(spec.kernel, &a_in, &b_in, &mut c)
+                });
+                if g.outer.is_some() {
+                    comm.maybe_step_sync()?;
+                }
+            }
+            Ok(())
+        })?;
+        // SUMMA aligns clocks after its step span closes, HSUMMA after
+        // every inner step inside it; recorded programs pin both orders.
+        if g.outer.is_none() {
+            comm.maybe_step_sync()?;
+        }
+    }
+    Ok(c)
+}
+
+/// A slice's pair of in-flight broadcasts (A panel, B panel) filling one
+/// pipeline slot.
+type BcastPair<C> = (
+    PanelBcast<<C as Communicator>::Shared>,
+    PanelBcast<<C as Communicator>::Shared>,
+);
+
+/// An outer step's in-flight inter-group broadcasts; `None` on ranks
+/// outside the pivot inner column/row, which receive slices instead.
+type OuterPair<C> = (
+    Option<PanelBcast<<C as Communicator>::Shared>>,
+    Option<PanelBcast<<C as Communicator>::Shared>>,
+);
+
+/// A landed outer step's shared panels.
+type LandedPair<C> = (
+    Option<<C as Communicator>::Shared>,
+    Option<<C as Communicator>::Shared>,
+);
+
+/// The two-slot pipelined pivot loop (§VI's "overlapping the
+/// communications on the virtual hierarchies"). Same operands, layout
+/// and result — bit for bit — as [`blocking`]; the spec's broadcast
+/// algorithms are ignored, because every broadcast is a flat nonblocking
+/// push ([`Communicator::ibcast_shared`]): a relay would have to block
+/// inside the "nonblocking" start.
+///
+/// Inner slices run one slice ahead; outer (inter-group) panels one
+/// outer step ahead, and the inner pipeline crosses outer-step
+/// boundaries: during the last slice of step `kg`, outer step `kg+1` is
+/// landed and its first slice started, so the multiply never waits on a
+/// transfer that could have been overlapped. Without a hierarchy there is
+/// no outer phase: every slice is cut from the local tile, nothing is
+/// ever polled, and the schedule is timing-independent (recordable).
+///
+/// # Panics
+/// As [`Geometry::new`].
+pub(crate) fn pipelined<C: Communicator>(
+    comm: &C,
+    spec: &Spec,
+    a: &C::Mat,
+    b: &C::Mat,
+) -> Result<C::Mat, CommError> {
+    let g = Geometry::new(comm, spec, a, b)?;
+    let ((ah, _), (_, bw)) = (g.a_tile, g.b_tile);
+    let (bb, bs) = (spec.outer_block, spec.inner_block);
+    let outer_steps = spec.dims.l / bb;
+    let inner_steps = bb / bs;
+
+    // Starts outer step kg's inter-group broadcasts on the pivot inner
+    // column (A) / inner row (B).
+    let start_outer = |kg: usize| -> Result<OuterPair<C>, CommError> {
+        let Some((group_row, group_col)) = &g.outer else {
+            return Ok((None, None));
+        };
+        let at = g.a_at(spec, kg);
+        let a_h = if g.j == at.inner {
+            let panel = (g.gj == at.owner).then(|| C::share(a.block(0, at.offset, ah, bb)));
+            Some(group_row.ibcast_shared(at.group, 2 * kg as u64, ah, bb, panel)?)
+        } else {
+            None
+        };
+        let bt = g.b_at(spec, kg);
+        let b_h = if g.i == bt.inner {
+            let panel = (g.gi == bt.owner).then(|| C::share(b.block(bt.offset, 0, bb, bw)));
+            Some(group_col.ibcast_shared(bt.group, 2 * kg as u64 + 1, bb, bw, panel)?)
+        } else {
+            None
+        };
+        Ok((a_h, b_h))
+    };
+
+    // Polls a started outer step: free — no clock advance, no park.
+    let has_landed = |pair: &mut OuterPair<C>| -> Result<bool, CommError> {
+        let Some((group_row, group_col)) = &g.outer else {
+            return Ok(true);
+        };
+        let a_done = match pair.0.as_mut() {
+            Some(h) => group_row.ibcast_test(h)?,
+            None => true,
+        };
+        let b_done = match pair.1.as_mut() {
+            Some(h) => group_col.ibcast_test(h)?,
+            None => true,
+        };
+        Ok(a_done && b_done)
+    };
+
+    // Completes a started outer step, blocking until its panels arrive.
+    let land = |(a_h, b_h): OuterPair<C>| -> Result<LandedPair<C>, CommError> {
+        let Some((group_row, group_col)) = &g.outer else {
+            return Ok((None, None));
+        };
+        Ok((
+            a_h.map(|h| group_row.ibcast_wait(h)).transpose()?,
+            b_h.map(|h| group_col.ibcast_wait(h)).transpose()?,
+        ))
+    };
+
+    // Starts the broadcasts of slice ki of outer step kg: the holder of
+    // the outer panel (exactly the inner root) slices it and fans the
+    // slice out. Inner tags sit 2³² above the outer steps' `2k`, `2k+1`.
+    let start_inner = |kg: usize,
+                       ki: usize,
+                       (outer_a, outer_b): &LandedPair<C>|
+     -> Result<BcastPair<C>, CommError> {
+        let two_level = g.outer.is_some();
+        let tag = 2 * (kg * inner_steps + ki) as u64 + if two_level { 1 << 32 } else { 0 };
+        let at = g.a_at(spec, kg);
+        let a_slice = if two_level {
+            outer_a
+                .as_ref()
+                .map(|p| C::shared_ref(p).block(0, ki * bs, ah, bs))
+        } else {
+            (g.gj == at.owner).then(|| a.block(0, at.offset + ki * bs, ah, bs))
+        };
+        let a_h = g
+            .row
+            .ibcast_shared(at.inner, tag, ah, bs, a_slice.map(C::share))?;
+        let bt = g.b_at(spec, kg);
+        let b_slice = if two_level {
+            outer_b
+                .as_ref()
+                .map(|p| C::shared_ref(p).block(ki * bs, 0, bs, bw))
+        } else {
+            (g.gi == bt.owner).then(|| b.block(bt.offset + ki * bs, 0, bs, bw))
+        };
+        let b_h = g
+            .col
+            .ibcast_shared(bt.inner, tag + 1, bs, bw, b_slice.map(C::share))?;
+        Ok((a_h, b_h))
+    };
+
+    let mut c = C::Mat::zeros(ah, bw);
+    let pairs = ah * bw * bs;
+    if outer_steps == 0 {
+        return Ok(c);
+    }
+
+    // Two-slot buffers at both levels. `outer_p[s]` holds the *landed*
+    // panels of the outer step occupying slot s (shared handles, so
+    // consecutive pivot ownership reuses the storage safely: a fresh
+    // panel always lands in the *other* slot while this one is still
+    // being sliced). `inner_h[idx % 2]` holds the in-flight broadcasts of
+    // global slice index idx = kg·inner_steps + ki.
+    let mut outer_h: [Option<OuterPair<C>>; 2] = [None, None];
+    let mut outer_p: [LandedPair<C>; 2] = [(None, None), (None, None)];
+    let mut inner_h: [Option<BcastPair<C>>; 2] = [None, None];
+
+    // Prime the pipeline. Ordering rule (it is THE rule of this
+    // schedule): a root posts its fan-out *before* it blocks on anything
+    // — sender time is a serial resource, so a send issued after a wait
+    // arrives a whole wait later at every destination. Hence outer step
+    // 1 is started before outer step 0 is landed.
+    outer_h[0] = Some(start_outer(0)?);
+    if outer_steps > 1 {
+        outer_h[1] = Some(start_outer(1)?);
+    }
+    outer_p[0] = land(outer_h[0].take().expect("outer 0 started"))?;
+    inner_h[0] = Some(start_inner(0, 0, &outer_p[0])?);
+
+    for kg in 0..outer_steps {
+        let next = (kg + 1) % 2;
+        for ki in 0..inner_steps {
+            let idx = kg * inner_steps + ki;
+            let boundary = ki + 1 == inner_steps && kg + 1 < outer_steps;
+            // Keep the inner pipeline one slice ahead.
+            if ki + 1 < inner_steps {
+                inner_h[(idx + 1) % 2] = Some(start_inner(kg, ki + 1, &outer_p[kg % 2])?);
+            } else if boundary {
+                // Slot kg%2 is free (its handles were consumed when kg
+                // landed); refill it with outer kg+2's fan-out NOW, before
+                // any wait below can delay the sends.
+                if kg + 2 < outer_steps {
+                    outer_h[kg % 2] = Some(start_outer(kg + 2)?);
+                }
+                // Adaptive handoff: only if outer kg+1 has already landed
+                // does its first slice start here, streaming during the
+                // gemm below. A still-in-flight outer panel must NOT be
+                // waited for in front of the multiply — that would put
+                // the inter-group transfer right back on the critical
+                // path — so it lands after the gemm instead, when the
+                // wait is hidden behind the compute just done.
+                if has_landed(outer_h[next].as_mut().expect("outer kg+1 started"))? {
+                    outer_p[next] = land(outer_h[next].take().expect("outer kg+1 started"))?;
+                    inner_h[(idx + 1) % 2] = Some(start_inner(kg + 1, 0, &outer_p[next])?);
+                }
+            }
+            let (a_h, b_h) = inner_h[idx % 2].take().expect("inner slice started");
+            let a_in = g.row.ibcast_wait(a_h)?;
+            let b_in = g.col.ibcast_wait(b_h)?;
+            comm.compute(pairs as f64, 2 * pairs as u64, || {
+                C::Mat::gemm(
+                    spec.kernel,
+                    C::shared_ref(&a_in),
+                    C::shared_ref(&b_in),
+                    &mut c,
+                )
+            });
+            if boundary && inner_h[(idx + 1) % 2].is_none() {
+                // Outer kg+1 was still in flight before the gemm: land it
+                // now, with the multiply's worth of transfer time already
+                // credited, and start its first slice.
+                outer_p[next] = land(outer_h[next].take().expect("outer kg+1 started"))?;
+                inner_h[(idx + 1) % 2] = Some(start_inner(kg + 1, 0, &outer_p[next])?);
+            }
+        }
+    }
+    Ok(c)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testutil::{distributed_product, reference_product};
+    use hsumma_matrix::{seeded_uniform, BlockDist, Matrix};
+    use hsumma_runtime::{Comm, Runtime};
+    use proptest::prelude::*;
+
+    /// The blocking loop over every pivot step.
+    fn run(comm: &Comm, spec: Spec, a: &Matrix, b: &Matrix) -> Matrix {
+        blocking(comm, &spec, a, b, |_| true).unwrap()
+    }
+
+    /// Scatter rectangular operands, run `algo`, gather C, compare.
+    fn run_rect(
+        grid: GridShape,
+        dims: MatMulDims,
+        algo: impl Fn(&Comm, Matrix, Matrix) -> Matrix + Send + Sync,
+    ) {
+        let a = seeded_uniform(dims.m, dims.l, 70);
+        let b = seeded_uniform(dims.l, dims.n, 71);
+        let want = reference_product(&a, &b);
+        let a_dist = BlockDist::new(grid, dims.m, dims.l);
+        let b_dist = BlockDist::new(grid, dims.l, dims.n);
+        let c_dist = BlockDist::new(grid, dims.m, dims.n);
+        let at = a_dist.scatter(&a);
+        let bt = b_dist.scatter(&b);
+        let ct = Runtime::run(grid.size(), |comm| {
+            algo(comm, at[comm.rank()].clone(), bt[comm.rank()].clone())
+        });
+        let got = c_dist.gather(&ct);
+        assert!(
+            got.approx_eq(&want, 1e-9),
+            "grid {grid:?} dims {dims:?}: err {}",
+            got.max_abs_diff(&want)
+        );
+    }
+
+    #[test]
+    fn rect_summa_tall_times_wide() {
+        let grid = GridShape::new(2, 2);
+        let dims = MatMulDims { m: 12, l: 8, n: 16 };
+        let cfg = SummaConfig {
+            block: 2,
+            kernel: GemmKernel::Blocked,
+            ..Default::default()
+        };
+        run_rect(grid, dims, move |comm, a, b| {
+            run(comm, Spec::summa(grid, dims, &cfg, Layout::Block), &a, &b)
+        });
+    }
+
+    #[test]
+    fn rect_summa_wide_times_tall() {
+        let grid = GridShape::new(2, 4);
+        let dims = MatMulDims { m: 4, l: 16, n: 8 };
+        let cfg = SummaConfig {
+            block: 2,
+            kernel: GemmKernel::Blocked,
+            ..Default::default()
+        };
+        run_rect(grid, dims, move |comm, a, b| {
+            run(comm, Spec::summa(grid, dims, &cfg, Layout::Block), &a, &b)
+        });
+    }
+
+    #[test]
+    fn rect_summa_square_case_matches_square_entry_point() {
+        use crate::summa::summa;
+        let grid = GridShape::new(2, 2);
+        let n = 16;
+        let dims = MatMulDims::square(n);
+        let a = seeded_uniform(n, n, 5);
+        let b = seeded_uniform(n, n, 6);
+        let dist = BlockDist::new(grid, n, n);
+        let at = dist.scatter(&a);
+        let bt = dist.scatter(&b);
+        let cfg = SummaConfig {
+            block: 4,
+            kernel: GemmKernel::Blocked,
+            ..Default::default()
+        };
+        let by_rect = Runtime::run(grid.size(), |comm| {
+            run(
+                comm,
+                Spec::summa(grid, dims, &cfg, Layout::Block),
+                &at[comm.rank()].clone(),
+                &bt[comm.rank()].clone(),
+            )
+        });
+        let by_square = Runtime::run(grid.size(), |comm| {
+            summa(
+                comm,
+                grid,
+                n,
+                &at[comm.rank()].clone(),
+                &bt[comm.rank()].clone(),
+                &cfg,
+            )
+            .unwrap()
+        });
+        assert_eq!(by_rect, by_square, "square case must be identical");
+    }
+
+    #[test]
+    fn rect_hsumma_matches_serial() {
+        let grid = GridShape::new(4, 4);
+        let dims = MatMulDims { m: 8, l: 16, n: 24 };
+        let cfg = HsummaConfig {
+            kernel: GemmKernel::Blocked,
+            ..HsummaConfig::uniform(GridShape::new(2, 2), 2)
+        };
+        run_rect(grid, dims, move |comm, a, b| {
+            run(comm, Spec::hsumma(grid, dims, &cfg), &a, &b)
+        });
+    }
+
+    #[test]
+    fn rect_hsumma_distinct_blocks_and_groups() {
+        let grid = GridShape::new(2, 4);
+        let dims = MatMulDims { m: 8, l: 32, n: 16 };
+        let cfg = HsummaConfig {
+            outer_block: 4,
+            inner_block: 2,
+            kernel: GemmKernel::Blocked,
+            ..HsummaConfig::uniform(GridShape::new(2, 2), 4)
+        };
+        run_rect(grid, dims, move |comm, a, b| {
+            run(comm, Spec::hsumma(grid, dims, &cfg), &a, &b)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "L must be divisible by grid rows")]
+    fn rect_rejects_inconsistent_shared_dimension() {
+        // Call the algorithm directly (the scatter helper would reject the
+        // distribution first); tile shapes are plausible but L % s != 0.
+        let grid = GridShape::new(4, 2);
+        let dims = MatMulDims { m: 8, l: 6, n: 8 };
+        let cfg = SummaConfig {
+            block: 1,
+            ..Default::default()
+        };
+        let _ = Runtime::run(grid.size(), |comm| {
+            let a = Matrix::zeros(2, 3);
+            let b = Matrix::zeros(1, 4);
+            run(comm, Spec::summa(grid, dims, &cfg, Layout::Block), &a, &b)
+        });
+    }
+
+    #[test]
+    fn consecutive_pivot_owner_reuses_slots_safely() {
+        // The buffer-reuse hazard: outer_block < tile width means the
+        // same group column owns the pivot panel two outer steps in a
+        // row (kg·bb/tw identical for consecutive kg), so both outer
+        // slots hold panels from the *same* owner simultaneously. The
+        // two-slot protocol must keep them apart.
+        let grid = GridShape::new(4, 4);
+        let (n, dims) = (32, MatMulDims::square(32)); // tiles 8×8, bb = 4 => outer owner repeats: 0,0,1,1,...
+        let a = seeded_uniform(n, n, 85);
+        let b = seeded_uniform(n, n, 86);
+        let hcfg = HsummaConfig {
+            outer_block: 4,
+            inner_block: 2,
+            kernel: GemmKernel::Blocked,
+            ..HsummaConfig::uniform(GridShape::new(2, 2), 4)
+        };
+        let owner = |kg: usize| (kg * hcfg.outer_block) / 8;
+        assert_eq!(
+            owner(0),
+            owner(1),
+            "precondition: steps 0 and 1 share a pivot owner"
+        );
+        let plain = distributed_product(grid, n, &a, &b, |comm, at, bt| {
+            run(comm, Spec::hsumma(grid, dims, &hcfg), &at, &bt)
+        });
+        let pipelined = distributed_product(grid, n, &a, &b, |comm, at, bt| {
+            pipelined(comm, &Spec::hsumma(grid, dims, &hcfg), &at, &bt).unwrap()
+        });
+        assert_eq!(plain, pipelined);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10))]
+
+        #[test]
+        fn rect_summa_random_dims(
+            s in 1usize..3, t in 1usize..4,
+            mf in 1usize..3, lf in 1usize..3, nf in 1usize..3,
+            seed in 0u64..200,
+        ) {
+            let grid = GridShape::new(s, t);
+            let lcm = s * t; // l must divide by both s and t
+            let dims = MatMulDims { m: s * mf * 2, l: lcm * lf * 2, n: t * nf * 2 };
+            let a = seeded_uniform(dims.m, dims.l, seed);
+            let b = seeded_uniform(dims.l, dims.n, seed.wrapping_add(1));
+            let want = reference_product(&a, &b);
+            let a_dist = BlockDist::new(grid, dims.m, dims.l);
+            let b_dist = BlockDist::new(grid, dims.l, dims.n);
+            let c_dist = BlockDist::new(grid, dims.m, dims.n);
+            let at = a_dist.scatter(&a);
+            let bt = b_dist.scatter(&b);
+            let cfg = SummaConfig { block: 1, kernel: GemmKernel::Blocked, ..Default::default() };
+            let ct = Runtime::run(grid.size(), |comm| {
+                run(comm, Spec::summa(grid, dims, &cfg, Layout::Block), &at[comm.rank()].clone(), &bt[comm.rank()].clone())
+            });
+            prop_assert!(c_dist.gather(&ct).approx_eq(&want, 1e-9));
+        }
+    }
+}

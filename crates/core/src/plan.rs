@@ -2,8 +2,8 @@
 //! *how*, plus the dispatcher that runs it.
 //!
 //! The serving layer's planner (and any caller that wants to defer the
-//! algorithm decision) produces a [`PlannedAlgo`]; [`run_planned`] maps
-//! it onto the algorithm implementations. Because the dispatcher is
+//! algorithm decision) produces a [`PlannedAlgo`]; [`run_planned_gemm`]
+//! maps it onto the algorithm implementations. Because the dispatcher is
 //! generic over [`Communicator`], the same plan value executes real
 //! matrices on the threaded runtime *and* replays on the simulator — so
 //! a plan can be priced on `SimComm` before being committed to a pool.
@@ -12,10 +12,10 @@ use crate::cannon::cannon;
 use crate::comm::{Communicator, MatLike};
 use crate::cosma::{cosma, CosmaConfig};
 use crate::distribution::{redistribute, Distribution};
-use crate::hsumma::{hsumma, HsummaConfig};
-use crate::overlap::{hsumma_overlap, summa_overlap};
-use crate::rect::{hsumma_rect, summa_rect, MatMulDims};
-use crate::summa::{summa, SummaConfig};
+use crate::hsumma::HsummaConfig;
+use crate::partition::MatMulDims;
+use crate::pivot::{self, Layout, Spec};
+use crate::summa::SummaConfig;
 use hsumma_matrix::{GemmKernel, GridShape};
 use hsumma_runtime::CommError;
 
@@ -23,21 +23,18 @@ use hsumma_runtime::CommError;
 /// multiply (square `m = n = k` being the common case).
 #[derive(Clone, Copy, Debug)]
 pub enum PlannedAlgo {
-    /// SUMMA with the given panel width / broadcast / kernel. Square
-    /// operands run the classic schedule; rectangular extents dispatch
-    /// to [`crate::rect::summa_rect`].
+    /// SUMMA with the given panel width / broadcast / kernel, over any
+    /// grid-divisible `(m, k, n)`.
     Summa(SummaConfig),
     /// SUMMA over the double-buffered pivot pipeline
     /// ([`crate::overlap::summa_overlap`]); `cfg.bcast` is ignored —
-    /// nonblocking flat pushes replace the collective. Square only.
+    /// nonblocking flat pushes replace the collective.
     SummaPipelined(SummaConfig),
-    /// HSUMMA with a concrete `(I × J, B, b)` grouping; rectangular
-    /// extents dispatch to [`crate::rect::hsumma_rect`].
+    /// HSUMMA with a concrete `(I × J, B, b)` grouping.
     Hsumma(HsummaConfig),
     /// HSUMMA over the two-level pivot pipeline
     /// ([`crate::overlap::hsumma_overlap`]); the `*_bcast` fields are
     /// ignored — nonblocking flat pushes replace the collectives.
-    /// Square only.
     HsummaPipelined(HsummaConfig),
     /// Cannon's algorithm (square grids and operands only).
     Cannon {
@@ -89,26 +86,6 @@ impl PlannedAlgo {
     }
 }
 
-/// Runs the planned algorithm on the calling rank. SPMD: every rank of
-/// `comm` must call this with the same plan and its local
-/// block-checkerboard tiles; returns the local tile of `C`.
-///
-/// Square-operand shim for [`run_planned_gemm`].
-///
-/// # Panics
-/// Panics if the plan is inconsistent with `grid`/`n` (block-divisibility
-/// and grouping preconditions of the underlying algorithms).
-pub fn run_planned<C: Communicator>(
-    comm: &C,
-    grid: GridShape,
-    n: usize,
-    a: &C::Mat,
-    b: &C::Mat,
-    plan: &PlannedAlgo,
-) -> Result<C::Mat, CommError> {
-    run_planned_gemm(comm, grid, n, n, n, a, b, plan)
-}
-
 /// Runs the planned algorithm for `C(m×n) = A(m×k) · B(k×n)` on the
 /// calling rank. SPMD: every rank of `comm` must call this with the
 /// same plan and its local tiles under the checkerboard layout of
@@ -120,9 +97,9 @@ pub fn run_planned<C: Communicator>(
 ///
 /// # Panics
 /// Panics if the plan is inconsistent with `grid`/`(m, n, k)`: the
-/// pipelined and Cannon plans require square operands, the grid
-/// algorithms require grid divisibility; only [`PlannedAlgo::Cosma`]
-/// accepts arbitrary extents.
+/// Cannon plan requires square operands, the grid algorithms require
+/// grid divisibility (and block divisibility of the shared-dimension
+/// tile extents); only [`PlannedAlgo::Cosma`] accepts arbitrary extents.
 #[allow(clippy::too_many_arguments)]
 pub fn run_planned_gemm<C: Communicator>(
     comm: &C,
@@ -134,23 +111,23 @@ pub fn run_planned_gemm<C: Communicator>(
     b: &C::Mat,
     plan: &PlannedAlgo,
 ) -> Result<C::Mat, CommError> {
-    let square = m == n && k == n;
     let dims = MatMulDims { m, l: k, n };
     match plan {
-        PlannedAlgo::Summa(cfg) if square => summa(comm, grid, n, a, b, cfg),
-        PlannedAlgo::Summa(cfg) => summa_rect(comm, grid, dims, a, b, cfg),
-        PlannedAlgo::SummaPipelined(cfg) => {
-            assert!(square, "the pipelined SUMMA plan is square-only");
-            summa_overlap(comm, grid, n, a, b, cfg)
+        PlannedAlgo::Summa(cfg) => {
+            let spec = Spec::summa(grid, dims, cfg, Layout::Block);
+            pivot::blocking(comm, &spec, a, b, |_| true)
         }
-        PlannedAlgo::Hsumma(cfg) if square => hsumma(comm, grid, n, a, b, cfg),
-        PlannedAlgo::Hsumma(cfg) => hsumma_rect(comm, grid, dims, a, b, cfg),
+        PlannedAlgo::SummaPipelined(cfg) => {
+            pivot::pipelined(comm, &Spec::summa(grid, dims, cfg, Layout::Block), a, b)
+        }
+        PlannedAlgo::Hsumma(cfg) => {
+            pivot::blocking(comm, &Spec::hsumma(grid, dims, cfg), a, b, |_| true)
+        }
         PlannedAlgo::HsummaPipelined(cfg) => {
-            assert!(square, "the pipelined HSUMMA plan is square-only");
-            hsumma_overlap(comm, grid, n, a, b, cfg)
+            pivot::pipelined(comm, &Spec::hsumma(grid, dims, cfg), a, b)
         }
         PlannedAlgo::Cannon { kernel } => {
-            assert!(square, "the Cannon plan is square-only");
+            assert!(m == n && k == n, "the Cannon plan is square-only");
             cannon(comm, grid, n, a, b, *kernel)
         }
         PlannedAlgo::Cosma(cfg) => {
@@ -190,7 +167,7 @@ mod tests {
         let b = seeded_uniform(n, n, 22);
         let want = reference_product(&a, &b);
         let got = distributed_product(grid, n, &a, &b, |comm, at, bt| {
-            run_planned(comm, grid, n, &at, &bt, &plan).unwrap()
+            run_planned_gemm(comm, grid, n, n, n, &at, &bt, &plan).unwrap()
         });
         assert!(
             got.approx_eq(&want, 1e-9),

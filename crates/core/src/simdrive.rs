@@ -1,25 +1,29 @@
 //! Timing replay of the communication schedules on the discrete-event
-//! simulator — thin wrappers over the *same* generic algorithms that run
-//! on the threaded runtime.
+//! simulator: one [`Schedule`] value per algorithm, executed by
+//! [`simulate`] / [`simulate_on`] under a [`SimEngine`].
 //!
 //! The executable algorithms ([`mod@crate::summa`], [`mod@crate::hsumma`], …)
 //! are generic over [`crate::comm::Communicator`]. On the threaded
 //! substrate they move real matrix data between threads; that caps
-//! experiments at laptop scale. Run over [`hsumma_netsim::spmd::SimComm`]
-//! instead, the *identical* schedule code moves phantom payloads
-//! ([`PhantomMat`]: sizes only), charges `γ·pairs` analytically and
-//! advances per-rank virtual clocks. Each `sim_*` function here just
-//! instantiates the generic algorithm on that substrate. This is what
-//! runs at `p = 2048 … 16384` and regenerates the paper's BlueGene/P
-//! results (Figs. 8–9) and Grid5000 results (Figs. 5–7).
+//! experiments at laptop scale. Run over a phantom-payload substrate
+//! instead, the *identical* schedule code moves sizes only
+//! ([`PhantomMat`]), charges `γ·pairs` analytically and advances per-rank
+//! virtual clocks. [`Schedule::run`] is that instantiation — the only
+//! place that maps a schedule value onto an algorithm — and it is generic
+//! over the substrate, so the thread-per-rank engine
+//! ([`hsumma_netsim::SimComm`]) and the recording pass
+//! ([`hsumma_netsim::RecordComm`]) share it. This is what runs at
+//! `p = 2048 … 16384` and regenerates the paper's BlueGene/P results
+//! (Figs. 8–9) and Grid5000 results (Figs. 5–7).
 
-use crate::cannon::cannon;
 use crate::comm::{Communicator, MatLike, PhantomMat};
 use crate::cosma::{cosma, CosmaConfig};
+use crate::cyclic::summa_cyclic;
 use crate::fox::fox_with;
-use crate::hsumma::{hsumma, HsummaConfig};
-use crate::overlap::summa_overlap;
-use crate::summa::{summa, SummaConfig};
+use crate::hsumma::HsummaConfig;
+use crate::partition::{chunk_range, MatMulDims};
+use crate::plan::{run_planned_gemm, PlannedAlgo};
+use crate::summa::SummaConfig;
 use crate::twodotfive::{twodotfive, TwoDotFiveConfig};
 use hsumma_matrix::{GemmKernel, GridShape};
 use hsumma_netsim::spmd::SimWorld;
@@ -29,243 +33,315 @@ use hsumma_netsim::{
 };
 use hsumma_runtime::CommError;
 
-pub use crate::lu::sim_block_lu as sim_lu;
-pub use crate::lu::sim_block_lu_on as sim_lu_on;
-
-/// Takes ownership of the caller's network for the duration of an SPMD
-/// run (the `_on` entry points mutate a caller-provided [`SimNet`], e.g.
-/// one with a tracer or torus topology attached).
-fn run_on<F>(net: &mut SimNet, gamma: f64, step_sync: bool, f: F) -> SimReport
-where
-    F: Fn(&hsumma_netsim::spmd::SimComm) + Sync,
-{
-    let owned = std::mem::replace(net, SimNet::new(1, Hockney::new(0.0, 0.0)));
-    let (done, _) = SimWorld::run(owned, gamma, step_sync, f);
-    *net = done;
-    net.report()
+/// One simulated schedule: which algorithm, on how many ranks, over what
+/// problem. The variants hold the same configuration types the
+/// executable algorithms take.
+#[derive(Clone, Copy, Debug)]
+pub enum Schedule {
+    /// A planned grid multiply `C(m×n) = A(m×l)·B(l×n)` over
+    /// block-checkerboard tiles — [`run_planned_gemm`]: SUMMA, HSUMMA,
+    /// their pipelined forms, Cannon, or COSMA behind its
+    /// checkerboard↔brick redistribution.
+    Gemm {
+        /// The `s × t` processor grid.
+        grid: GridShape,
+        /// Global operand extents.
+        dims: MatMulDims,
+        /// Algorithm and configuration.
+        plan: PlannedAlgo,
+    },
+    /// SUMMA over a block-cyclic layout with dealing block `cfg.block`
+    /// ([`summa_cyclic`]): the broadcast roots rotate every step.
+    Cyclic {
+        /// The `s × t` processor grid.
+        grid: GridShape,
+        /// Square problem size.
+        n: usize,
+        /// Panel width and broadcast.
+        cfg: SummaConfig,
+    },
+    /// Fox's algorithm on a `q × q` grid: per round, a diagonal-offset
+    /// broadcast of `A` along rows plus a `B` roll-up.
+    Fox {
+        /// Grid side.
+        q: usize,
+        /// Square problem size.
+        n: usize,
+        /// Row-broadcast algorithm.
+        bcast: SimBcast,
+    },
+    /// The 2.5D algorithm over `q²·c` ranks ([`twodotfive`]): replicate
+    /// down the depth communicators, per-layer partial SUMMA, reduce back
+    /// onto layer 0. Its pivot loops run on layer communicators, so it
+    /// cannot be step-synchronized (the alignment is world-wide).
+    TwoDotFive {
+        /// Square problem size.
+        n: usize,
+        /// Arrangement and per-layer SUMMA configuration.
+        cfg: TwoDotFiveConfig,
+    },
+    /// COSMA over `p` ranks with bricks in their native
+    /// [`crate::distribution::BrickDecomp`] layouts — no redistribution,
+    /// matching how the serving layer would stage operands for a pure
+    /// cosma job. Ranks beyond the decomposition idle, taking part only
+    /// in the split rendezvous.
+    Cosma {
+        /// World size (may exceed the decomposition's rank count).
+        p: usize,
+        /// Global operand extents.
+        dims: MatMulDims,
+        /// Decomposition and pipelining.
+        cfg: CosmaConfig,
+    },
 }
 
-// ---------------------------------------------------------------------------
-// Per-rank programs: the SPMD bodies, written once against `Communicator`
-// so the thread-per-rank engine and the recording pass share them.
-// ---------------------------------------------------------------------------
+impl Schedule {
+    /// Square SUMMA with panel width `block`.
+    pub fn summa(grid: GridShape, n: usize, block: usize, bcast: SimBcast) -> Self {
+        let cfg = SummaConfig {
+            block,
+            bcast,
+            ..Default::default()
+        };
+        Schedule::Gemm {
+            grid,
+            dims: MatMulDims::square(n),
+            plan: PlannedAlgo::Summa(cfg),
+        }
+    }
 
-/// The SPMD body of a simulated SUMMA rank: phantom `n × n` operands on
-/// `grid`, panel width `b`. Runs on any phantom-payload substrate —
-/// [`hsumma_netsim::SimComm`] (threads) or [`hsumma_netsim::RecordComm`]
-/// (schedule recording).
-pub fn summa_program<C>(
-    comm: &C,
-    grid: GridShape,
-    n: usize,
-    b: usize,
-    bcast: SimBcast,
-) -> Result<(), CommError>
-where
-    C: Communicator<Mat = PhantomMat>,
-{
-    let (th, tw) = crate::partition::tile_shape(grid, n);
-    let cfg = SummaConfig {
-        block: b,
-        bcast,
-        ..Default::default()
-    };
-    let tile = PhantomMat { rows: th, cols: tw };
-    summa(comm, grid, n, &tile, &tile, &cfg)?;
-    Ok(())
-}
+    /// Square HSUMMA: `groups = I × J`, outer block `B`, inner block `b`.
+    pub fn hsumma(
+        grid: GridShape,
+        groups: GridShape,
+        n: usize,
+        outer_block: usize,
+        inner_block: usize,
+        outer_bcast: SimBcast,
+        inner_bcast: SimBcast,
+    ) -> Self {
+        let cfg = HsummaConfig {
+            groups,
+            outer_block,
+            inner_block,
+            outer_bcast,
+            inner_bcast,
+            kernel: GemmKernel::default(),
+        };
+        Schedule::Gemm {
+            grid,
+            dims: MatMulDims::square(n),
+            plan: PlannedAlgo::Hsumma(cfg),
+        }
+    }
 
-/// The SPMD body of a simulated HSUMMA rank (see [`sim_hsumma`]).
-#[allow(clippy::too_many_arguments)]
-pub fn hsumma_program<C>(
-    comm: &C,
-    grid: GridShape,
-    groups: GridShape,
-    n: usize,
-    outer_b: usize,
-    inner_b: usize,
-    outer_bcast: SimBcast,
-    inner_bcast: SimBcast,
-) -> Result<(), CommError>
-where
-    C: Communicator<Mat = PhantomMat>,
-{
-    let (th, tw) = crate::partition::tile_shape(grid, n);
-    let cfg = HsummaConfig {
-        groups,
-        outer_block: outer_b,
-        inner_block: inner_b,
-        outer_bcast,
-        inner_bcast,
-        kernel: GemmKernel::default(),
-    };
-    let tile = PhantomMat { rows: th, cols: tw };
-    hsumma(comm, grid, n, &tile, &tile, &cfg)?;
-    Ok(())
-}
-
-/// The SPMD body of a simulated Cannon rank (see [`sim_cannon`]).
-pub fn cannon_program<C>(comm: &C, q: usize, n: usize) -> Result<(), CommError>
-where
-    C: Communicator<Mat = PhantomMat>,
-{
-    let ts = n / q;
-    let tile = PhantomMat { rows: ts, cols: ts };
-    cannon(
-        comm,
-        GridShape::new(q, q),
-        n,
-        &tile,
-        &tile,
-        GemmKernel::default(),
-    )?;
-    Ok(())
-}
-
-/// The SPMD body of a simulated Fox rank (see [`sim_fox`]).
-pub fn fox_program<C>(comm: &C, q: usize, n: usize, bcast: SimBcast) -> Result<(), CommError>
-where
-    C: Communicator<Mat = PhantomMat>,
-{
-    let ts = n / q;
-    let tile = PhantomMat { rows: ts, cols: ts };
-    fox_with(
-        comm,
-        GridShape::new(q, q),
-        n,
-        &tile,
-        &tile,
-        GemmKernel::default(),
-        bcast,
-    )?;
-    Ok(())
-}
-
-/// The SPMD body of a simulated overlapped-SUMMA rank (see
-/// [`sim_overlap`]). Recordable: the two-slot pipeline starts and waits
-/// broadcasts through the default (timing-independent) `ibcast` path.
-pub fn overlap_program<C>(
-    comm: &C,
-    grid: GridShape,
-    n: usize,
-    b: usize,
-    bcast: SimBcast,
-) -> Result<(), CommError>
-where
-    C: Communicator<Mat = PhantomMat>,
-{
-    let (th, tw) = crate::partition::tile_shape(grid, n);
-    let cfg = SummaConfig {
-        block: b,
-        bcast,
-        ..Default::default()
-    };
-    let tile = PhantomMat { rows: th, cols: tw };
-    summa_overlap(comm, grid, n, &tile, &tile, &cfg)?;
-    Ok(())
-}
-
-/// The SPMD body of a simulated 2.5D rank (see [`sim_twodotfive`]).
-pub fn twodotfive_program<C>(comm: &C, n: usize, cfg: &TwoDotFiveConfig) -> Result<(), CommError>
-where
-    C: Communicator<Mat = PhantomMat>,
-{
-    let ts = n / cfg.q;
-    let tile = PhantomMat { rows: ts, cols: ts };
-    twodotfive(comm, n, &tile, &tile, cfg)?;
-    Ok(())
-}
-
-/// The SPMD body of a simulated COSMA rank (see [`sim_cosma`]): operands
-/// in their native brick layouts, idle ranks (beyond the decomposition)
-/// participating only in the split rendezvous.
-pub fn cosma_program<C>(
-    comm: &C,
-    m: usize,
-    n: usize,
-    k: usize,
-    cfg: &CosmaConfig,
-) -> Result<(), CommError>
-where
-    C: Communicator<Mat = PhantomMat>,
-{
-    let d = cfg.decomp;
-    let me = comm.rank();
-    let (a, b) = if me < d.ranks() {
-        let (i, j, l) = d.coords(me);
-        let (m0, m1) = d.m_range(i, m);
-        let (n0, n1) = d.n_range(j, n);
-        let (k0, k1) = d.k_range(l, k);
-        (
-            if j == 0 {
-                PhantomMat::zeros(m1 - m0, k1 - k0)
-            } else {
-                PhantomMat::zeros(0, 0)
+    /// Cannon's algorithm on a square `q × q` grid.
+    pub fn cannon(q: usize, n: usize) -> Self {
+        Schedule::Gemm {
+            grid: GridShape::new(q, q),
+            dims: MatMulDims::square(n),
+            plan: PlannedAlgo::Cannon {
+                kernel: GemmKernel::default(),
             },
-            if i == 0 {
-                PhantomMat::zeros(k1 - k0, n1 - n0)
-            } else {
-                PhantomMat::zeros(0, 0)
-            },
-        )
-    } else {
-        (PhantomMat::zeros(0, 0), PhantomMat::zeros(0, 0))
-    };
-    cosma(comm, m, n, k, &a, &b, cfg)?;
-    Ok(())
-}
+        }
+    }
 
-// ---------------------------------------------------------------------------
-// Engine selection: thread-per-rank SPMD vs. record + event-loop replay.
-// ---------------------------------------------------------------------------
+    /// The double-buffered form of a SUMMA or HSUMMA schedule.
+    ///
+    /// # Panics
+    /// Panics for the schedules that have no pipelined form.
+    pub fn pipelined(self) -> Self {
+        let Schedule::Gemm { grid, dims, plan } = self else {
+            panic!("only SUMMA and HSUMMA have a pipelined form, not {self:?}");
+        };
+        let plan = match plan {
+            PlannedAlgo::Summa(cfg) => PlannedAlgo::SummaPipelined(cfg),
+            PlannedAlgo::Hsumma(cfg) => PlannedAlgo::HsummaPipelined(cfg),
+            other => panic!("{} has no pipelined form", other.describe()),
+        };
+        Schedule::Gemm { grid, dims, plan }
+    }
+
+    /// Number of (virtual) ranks the schedule spans.
+    pub fn ranks(&self) -> usize {
+        match self {
+            Schedule::Gemm { grid, .. } | Schedule::Cyclic { grid, .. } => grid.size(),
+            Schedule::Fox { q, .. } => q * q,
+            Schedule::TwoDotFive { cfg, .. } => cfg.q * cfg.q * cfg.c,
+            Schedule::Cosma { p, .. } => *p,
+        }
+    }
+
+    /// The SPMD body of one rank: phantom operands of the right local
+    /// shapes through the generic algorithm. Runs on any phantom-payload
+    /// substrate.
+    ///
+    /// # Panics
+    /// Panics where the algorithm would: on a configuration inconsistent
+    /// with the grid and extents.
+    pub fn run<C>(&self, comm: &C) -> Result<(), CommError>
+    where
+        C: Communicator<Mat = PhantomMat>,
+    {
+        let square = |rows: usize, parts: usize| PhantomMat::zeros(rows / parts, rows / parts);
+        match self {
+            Schedule::Gemm { grid, dims, plan } => {
+                // `Distribution::grid2d`'s dealing, which is the uniform
+                // tile whenever the grid divides the extent.
+                let (gi, gj) = grid.coords(comm.rank());
+                let tile = |rows: usize, cols: usize| {
+                    let (r0, r1) = chunk_range(rows, grid.rows, gi);
+                    let (c0, c1) = chunk_range(cols, grid.cols, gj);
+                    PhantomMat::zeros(r1 - r0, c1 - c0)
+                };
+                let (a, b) = (tile(dims.m, dims.l), tile(dims.l, dims.n));
+                run_planned_gemm(comm, *grid, dims.m, dims.n, dims.l, &a, &b, plan)?;
+            }
+            Schedule::Cyclic { grid, n, cfg } => {
+                let tile = PhantomMat::zeros(n / grid.rows, n / grid.cols);
+                summa_cyclic(comm, *grid, *n, &tile, &tile, cfg)?;
+            }
+            Schedule::Fox { q, n, bcast } => {
+                let (grid, tile) = (GridShape::new(*q, *q), square(*n, *q));
+                fox_with(comm, grid, *n, &tile, &tile, GemmKernel::default(), *bcast)?;
+            }
+            Schedule::TwoDotFive { n, cfg } => {
+                let tile = square(*n, cfg.q);
+                twodotfive(comm, *n, &tile, &tile, cfg)?;
+            }
+            Schedule::Cosma { dims, cfg, .. } => {
+                let (d, me) = (cfg.decomp, comm.rank());
+                let MatMulDims { m, l: k, n } = *dims;
+                // Only the first brick of each fiber holds an operand.
+                let (mut a, mut b) = (PhantomMat::zeros(0, 0), PhantomMat::zeros(0, 0));
+                if me < d.ranks() {
+                    let (i, j, l) = d.coords(me);
+                    let (m0, m1) = d.m_range(i, m);
+                    let (n0, n1) = d.n_range(j, n);
+                    let (k0, k1) = d.k_range(l, k);
+                    if j == 0 {
+                        a = PhantomMat::zeros(m1 - m0, k1 - k0);
+                    }
+                    if i == 0 {
+                        b = PhantomMat::zeros(k1 - k0, n1 - n0);
+                    }
+                }
+                cosma(comm, m, n, k, &a, &b, cfg)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Records the schedule as a replayable, platform-independent
+    /// program. `step_sync` as in [`simulate`].
+    ///
+    /// # Panics
+    /// Panics for pipelined HSUMMA, the one schedule that is not data:
+    /// its `ibcast_test` hand-off makes the op sequence depend on when
+    /// messages land.
+    pub fn record(&self, step_sync: bool) -> RecordedProgram {
+        assert!(
+            !matches!(
+                self,
+                Schedule::Gemm {
+                    plan: PlannedAlgo::HsummaPipelined(_),
+                    ..
+                }
+            ),
+            "pipelined HSUMMA polls ibcast_test, so its op sequence depends on when messages \
+             land: a recording would bake in one interleaving and silently stop being the \
+             algorithm. Simulate it with SimEngine::Threads"
+        );
+        record(self.ranks(), step_sync, |comm| self.run(comm))
+    }
+}
 
 /// Which execution engine prices a simulated schedule.
 ///
 /// Both produce bit-identical [`SimReport`]s and per-rank trace multisets
-/// for every dense schedule (pinned by `tests/replay_parity.rs`); they
-/// differ only in scale. Threads cap out where the OS does (p ≈ 8192
-/// under the default `vm.max_map_count` — each rank is a stack and two
-/// mappings); replay holds O(p) cursors and reaches p = 2²⁰.
+/// for every recordable schedule (pinned by `tests/replay_parity.rs`);
+/// they differ only in scale. Threads cap out where the OS does
+/// (p ≈ 8192 under the default `vm.max_map_count` — each rank is a stack
+/// and two mappings); replay holds O(p) cursors and reaches p = 2²⁰.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimEngine {
     /// One OS thread per simulated rank, parking on virtual-clock
-    /// mailboxes. Required for timing-adaptive schedules
-    /// (`hsumma_overlap`'s `ibcast_test` polling).
+    /// mailboxes. Required for the timing-adaptive schedule (pipelined
+    /// HSUMMA's `ibcast_test` polling).
     Threads,
-    /// Record each rank's op program sequentially, then execute all
-    /// programs on a single-threaded event loop ([`EventLoopSim`]).
+    /// Record each rank's op program sequentially
+    /// ([`Schedule::record`]), then execute all programs on a
+    /// single-threaded event loop ([`EventLoopSim`]).
     Replay,
+}
+
+/// Simulates `sched` on a fresh network with `platform`'s parameters and
+/// returns the aggregate timing report.
+///
+/// `step_sync` selects *blocking-collective* semantics for the blocking
+/// grid schedules (SUMMA, HSUMMA, cyclic SUMMA, Cannon, Fox): after every
+/// step all clocks align, as they effectively do when every rank sits
+/// inside a blocking `MPI_Bcast` chain each step. Use it when comparing
+/// against measured MPI timings; unsynchronized runs model a perfectly
+/// pipelined (non-blocking) schedule. The pipelines and COSMA never call
+/// the hook.
+///
+/// # Panics
+/// As [`Schedule::run`] and (under [`SimEngine::Replay`])
+/// [`Schedule::record`]; also if 2.5D is asked to step-synchronize.
+pub fn simulate(
+    sched: &Schedule,
+    platform: &Platform,
+    engine: SimEngine,
+    step_sync: bool,
+) -> SimReport {
+    let mut net = SimNet::new(sched.ranks(), platform.net);
+    simulate_on(sched, &mut net, platform.gamma, engine, step_sync)
+}
+
+/// [`simulate`] on a caller-provided network — one with a tracer, torus
+/// topology or noise model attached. `gamma` is seconds per multiply-add
+/// pair.
+pub fn simulate_on(
+    sched: &Schedule,
+    net: &mut SimNet,
+    gamma: f64,
+    engine: SimEngine,
+    step_sync: bool,
+) -> SimReport {
+    assert_eq!(
+        net.size(),
+        sched.ranks(),
+        "network must span the schedule's ranks"
+    );
+    match engine {
+        SimEngine::Threads => {
+            let (done, _) = SimWorld::run(take(net), gamma, step_sync, |comm| {
+                sched.run(comm).expect("a clean simulated run cannot fail")
+            });
+            *net = done;
+            net.report()
+        }
+        SimEngine::Replay => replay_on(net, gamma, &sched.record(step_sync)),
+    }
+}
+
+/// Moves the caller's network out for an engine that consumes it; the
+/// caller gets the finished one back.
+fn take(net: &mut SimNet) -> SimNet {
+    std::mem::replace(net, SimNet::new(1, Hockney::new(0.0, 0.0)))
 }
 
 /// Replays a recorded program on a caller-provided network (one with a
 /// tracer, topology or noise model attached), asserting a clean run.
 pub fn replay_on(net: &mut SimNet, gamma: f64, prog: &RecordedProgram) -> SimReport {
-    let owned = std::mem::replace(net, SimNet::new(1, Hockney::new(0.0, 0.0)));
-    let out = EventLoopSim::new(owned, gamma).run(prog, &SimRunOptions::unbounded());
+    let out = EventLoopSim::new(take(net), gamma).run(prog, &SimRunOptions::unbounded());
     let (done, report) = out.expect_clean();
     *net = done;
     report
 }
 
-/// Records the SUMMA schedule of [`sim_summa`] as a replayable program.
-pub fn record_summa(
-    grid: GridShape,
-    n: usize,
-    b: usize,
-    bcast: SimBcast,
-    step_sync: bool,
-) -> RecordedProgram {
-    let (th, tw) = crate::partition::tile_shape(grid, n);
-    assert!(
-        b > 0 && tw % b == 0 && th % b == 0,
-        "block must divide tile extents"
-    );
-    record(grid.size(), step_sync, |comm| {
-        summa_program(comm, grid, n, b, bcast)
-    })
-}
-
-/// Records the HSUMMA schedule of [`sim_hsumma`] as a replayable program.
+/// Pinned by `benchmark/`; remove when it moves to [`Schedule::record`].
 #[allow(clippy::too_many_arguments)]
 pub fn record_hsumma(
     grid: GridShape,
@@ -277,59 +353,16 @@ pub fn record_hsumma(
     inner_bcast: SimBcast,
     step_sync: bool,
 ) -> RecordedProgram {
-    record(grid.size(), step_sync, |comm| {
-        hsumma_program(
-            comm,
-            grid,
-            groups,
-            n,
-            outer_b,
-            inner_b,
-            outer_bcast,
-            inner_bcast,
-        )
-    })
+    Schedule::hsumma(grid, groups, n, outer_b, inner_b, outer_bcast, inner_bcast).record(step_sync)
 }
 
-/// Records the Cannon schedule of [`sim_cannon`] as a replayable program.
-pub fn record_cannon(q: usize, n: usize, step_sync: bool) -> RecordedProgram {
-    assert!(
-        q > 0 && n.is_multiple_of(q),
-        "n must be divisible by the grid side"
-    );
-    record(q * q, step_sync, |comm| cannon_program(comm, q, n))
-}
-
-/// Records the Fox schedule of [`sim_fox`] as a replayable program.
-pub fn record_fox(q: usize, n: usize, bcast: SimBcast, step_sync: bool) -> RecordedProgram {
-    assert!(
-        q > 0 && n.is_multiple_of(q),
-        "n must be divisible by the grid side"
-    );
-    record(q * q, step_sync, |comm| fox_program(comm, q, n, bcast))
-}
-
-/// Records the overlapped-SUMMA schedule of [`sim_overlap`].
-pub fn record_overlap(grid: GridShape, n: usize, b: usize, bcast: SimBcast) -> RecordedProgram {
-    record(grid.size(), false, |comm| {
-        overlap_program(comm, grid, n, b, bcast)
-    })
-}
-
-/// Records the 2.5D schedule of [`sim_twodotfive`].
-pub fn record_twodotfive(n: usize, cfg: &TwoDotFiveConfig) -> RecordedProgram {
-    let (q, c) = (cfg.q, cfg.c);
-    assert!(q > 0 && c > 0, "arrangement extents must be positive");
-    assert_eq!(n % q, 0, "n must be divisible by the layer grid side");
-    record(q * q * c, false, |comm| twodotfive_program(comm, n, cfg))
-}
-
-/// Records the COSMA schedule of [`sim_cosma`] over `p` ranks.
+/// Pinned by `benchmark/`; remove when it moves to [`Schedule::record`].
 pub fn record_cosma(p: usize, m: usize, n: usize, k: usize, cfg: &CosmaConfig) -> RecordedProgram {
-    record(p, false, |comm| cosma_program(comm, m, n, k, cfg))
+    let dims = MatMulDims { m, l: k, n };
+    Schedule::Cosma { p, dims, cfg: *cfg }.record(false)
 }
 
-/// [`sim_summa`] under the selected engine.
+/// Pinned by `benchmark/`; remove when it moves to [`simulate`].
 pub fn sim_summa_engine(
     engine: SimEngine,
     platform: &Platform,
@@ -338,20 +371,10 @@ pub fn sim_summa_engine(
     b: usize,
     bcast: SimBcast,
 ) -> SimReport {
-    match engine {
-        SimEngine::Threads => sim_summa(platform, grid, n, b, bcast),
-        SimEngine::Replay => {
-            let mut net = SimNet::new(grid.size(), platform.net);
-            replay_on(
-                &mut net,
-                platform.gamma,
-                &record_summa(grid, n, b, bcast, false),
-            )
-        }
-    }
+    simulate(&Schedule::summa(grid, n, b, bcast), platform, engine, false)
 }
 
-/// [`sim_hsumma`] under the selected engine.
+/// Pinned by `benchmark/`; remove when it moves to [`simulate`].
 #[allow(clippy::too_many_arguments)]
 pub fn sim_hsumma_engine(
     engine: SimEngine,
@@ -364,339 +387,8 @@ pub fn sim_hsumma_engine(
     outer_bcast: SimBcast,
     inner_bcast: SimBcast,
 ) -> SimReport {
-    match engine {
-        SimEngine::Threads => sim_hsumma(
-            platform,
-            grid,
-            groups,
-            n,
-            outer_b,
-            inner_b,
-            outer_bcast,
-            inner_bcast,
-        ),
-        SimEngine::Replay => {
-            let mut net = SimNet::new(grid.size(), platform.net);
-            let prog = record_hsumma(
-                grid,
-                groups,
-                n,
-                outer_b,
-                inner_b,
-                outer_bcast,
-                inner_bcast,
-                false,
-            );
-            replay_on(&mut net, platform.gamma, &prog)
-        }
-    }
-}
-
-/// [`sim_cosma`] under the selected engine. The replay path is what
-/// reaches the paper-scale p = 2²⁰ validation points.
-pub fn sim_cosma_engine(
-    engine: SimEngine,
-    platform: &Platform,
-    p: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-    cfg: &CosmaConfig,
-) -> SimReport {
-    match engine {
-        SimEngine::Threads => sim_cosma(platform, p, m, n, k, cfg),
-        SimEngine::Replay => {
-            let mut net = SimNet::new(p, platform.net);
-            replay_on(&mut net, platform.gamma, &record_cosma(p, m, n, k, cfg))
-        }
-    }
-}
-
-/// Simulated SUMMA: `n × n` operands on `grid`, panel width `b`,
-/// broadcast algorithm `bcast`. Returns the aggregate timing report.
-pub fn sim_summa(
-    platform: &Platform,
-    grid: GridShape,
-    n: usize,
-    b: usize,
-    bcast: SimBcast,
-) -> SimReport {
-    let mut net = SimNet::new(grid.size(), platform.net);
-    sim_summa_on(&mut net, platform.gamma, grid, n, b, bcast, false)
-}
-
-/// Like [`sim_summa`], but with *blocking-collective* (per-step
-/// synchronized) semantics: after every SUMMA step all clocks align, as
-/// they effectively do when every rank sits inside a blocking
-/// `MPI_Bcast` chain each step. Use this when comparing against measured
-/// MPI timings; the unsynchronized variant models a perfectly pipelined
-/// (non-blocking) schedule.
-pub fn sim_summa_sync(
-    platform: &Platform,
-    grid: GridShape,
-    n: usize,
-    b: usize,
-    bcast: SimBcast,
-) -> SimReport {
-    let mut net = SimNet::new(grid.size(), platform.net);
-    sim_summa_on(&mut net, platform.gamma, grid, n, b, bcast, true)
-}
-
-/// Simulated SUMMA on a caller-provided network (e.g. with a torus
-/// topology). `gamma` is seconds per multiply-add pair.
-pub fn sim_summa_on(
-    net: &mut SimNet,
-    gamma: f64,
-    grid: GridShape,
-    n: usize,
-    b: usize,
-    bcast: SimBcast,
-    step_sync: bool,
-) -> SimReport {
-    assert_eq!(net.size(), grid.size(), "network must span the grid");
-    let (th, tw) = crate::partition::tile_shape(grid, n);
-    assert!(
-        b > 0 && tw % b == 0 && th % b == 0,
-        "block must divide tile extents"
-    );
-    run_on(net, gamma, step_sync, move |comm| {
-        summa_program(comm, grid, n, b, bcast).unwrap();
-    })
-}
-
-/// Simulated HSUMMA: `groups = I × J`, outer block `B`, inner block `b`.
-#[allow(clippy::too_many_arguments)]
-pub fn sim_hsumma(
-    platform: &Platform,
-    grid: GridShape,
-    groups: GridShape,
-    n: usize,
-    outer_b: usize,
-    inner_b: usize,
-    outer_bcast: SimBcast,
-    inner_bcast: SimBcast,
-) -> SimReport {
-    let mut net = SimNet::new(grid.size(), platform.net);
-    sim_hsumma_on(
-        &mut net,
-        platform.gamma,
-        grid,
-        groups,
-        n,
-        outer_b,
-        inner_b,
-        outer_bcast,
-        inner_bcast,
-        false,
-    )
-}
-
-/// Like [`sim_hsumma`], with per-step synchronized (blocking-collective)
-/// semantics — see [`sim_summa_sync`].
-#[allow(clippy::too_many_arguments)]
-pub fn sim_hsumma_sync(
-    platform: &Platform,
-    grid: GridShape,
-    groups: GridShape,
-    n: usize,
-    outer_b: usize,
-    inner_b: usize,
-    outer_bcast: SimBcast,
-    inner_bcast: SimBcast,
-) -> SimReport {
-    let mut net = SimNet::new(grid.size(), platform.net);
-    sim_hsumma_on(
-        &mut net,
-        platform.gamma,
-        grid,
-        groups,
-        n,
-        outer_b,
-        inner_b,
-        outer_bcast,
-        inner_bcast,
-        true,
-    )
-}
-
-/// Simulated HSUMMA on a caller-provided network.
-#[allow(clippy::too_many_arguments)]
-pub fn sim_hsumma_on(
-    net: &mut SimNet,
-    gamma: f64,
-    grid: GridShape,
-    groups: GridShape,
-    n: usize,
-    outer_b: usize,
-    inner_b: usize,
-    outer_bcast: SimBcast,
-    inner_bcast: SimBcast,
-    step_sync: bool,
-) -> SimReport {
-    assert_eq!(net.size(), grid.size(), "network must span the grid");
-    run_on(net, gamma, step_sync, move |comm| {
-        hsumma_program(
-            comm,
-            grid,
-            groups,
-            n,
-            outer_b,
-            inner_b,
-            outer_bcast,
-            inner_bcast,
-        )
-        .unwrap();
-    })
-}
-
-/// Simulated Cannon's algorithm on a square `q × q` grid: alignment
-/// shifts, then `q` rounds of multiply + neighbour shifts. Used as a
-/// baseline in the related-work comparison.
-pub fn sim_cannon(platform: &Platform, q: usize, n: usize, step_sync: bool) -> SimReport {
-    let mut net = SimNet::new(q * q, platform.net);
-    sim_cannon_on(&mut net, platform.gamma, q, n, step_sync)
-}
-
-/// Simulated Cannon's algorithm on a caller-provided network (so a
-/// tracer can be attached beforehand).
-pub fn sim_cannon_on(
-    net: &mut SimNet,
-    gamma: f64,
-    q: usize,
-    n: usize,
-    step_sync: bool,
-) -> SimReport {
-    assert!(
-        q > 0 && n.is_multiple_of(q),
-        "n must be divisible by the grid side"
-    );
-    assert_eq!(net.size(), q * q, "network must span the grid");
-    run_on(net, gamma, step_sync, move |comm| {
-        cannon_program(comm, q, n).unwrap();
-    })
-}
-
-/// Simulated Fox's algorithm on a square `q × q` grid: per round, a
-/// diagonal-offset broadcast of `A` along rows plus a `B` roll-up.
-pub fn sim_fox(
-    platform: &Platform,
-    q: usize,
-    n: usize,
-    bcast: SimBcast,
-    step_sync: bool,
-) -> SimReport {
-    let mut net = SimNet::new(q * q, platform.net);
-    sim_fox_on(&mut net, platform.gamma, q, n, bcast, step_sync)
-}
-
-/// Simulated Fox's algorithm on a caller-provided network (so a tracer
-/// can be attached beforehand).
-pub fn sim_fox_on(
-    net: &mut SimNet,
-    gamma: f64,
-    q: usize,
-    n: usize,
-    bcast: SimBcast,
-    step_sync: bool,
-) -> SimReport {
-    assert!(
-        q > 0 && n.is_multiple_of(q),
-        "n must be divisible by the grid side"
-    );
-    assert_eq!(net.size(), q * q, "network must span the grid");
-    run_on(net, gamma, step_sync, move |comm| {
-        fox_program(comm, q, n, bcast).unwrap();
-    })
-}
-
-/// Simulated overlapped SUMMA ([`summa_overlap`]): the double-buffered
-/// schedule where each step's panels are pushed during the previous
-/// step's multiply. Inherently unsynchronized — a per-step barrier would
-/// defeat the overlap being measured.
-pub fn sim_overlap(
-    platform: &Platform,
-    grid: GridShape,
-    n: usize,
-    b: usize,
-    bcast: SimBcast,
-) -> SimReport {
-    let mut net = SimNet::new(grid.size(), platform.net);
-    sim_overlap_on(&mut net, platform.gamma, grid, n, b, bcast)
-}
-
-/// Simulated overlapped SUMMA on a caller-provided network (so a tracer
-/// can be attached beforehand).
-pub fn sim_overlap_on(
-    net: &mut SimNet,
-    gamma: f64,
-    grid: GridShape,
-    n: usize,
-    b: usize,
-    bcast: SimBcast,
-) -> SimReport {
-    assert_eq!(net.size(), grid.size(), "network must span the grid");
-    run_on(net, gamma, false, move |comm| {
-        overlap_program(comm, grid, n, b, bcast).unwrap();
-    })
-}
-
-/// Simulated 2.5D multiplication ([`crate::twodotfive::twodotfive`]) over `q²·c` virtual
-/// ranks: replicate down the depth communicators, per-layer partial
-/// SUMMA, reduce back onto layer 0.
-pub fn sim_twodotfive(platform: &Platform, n: usize, cfg: &TwoDotFiveConfig) -> SimReport {
-    let mut net = SimNet::new(cfg.q * cfg.q * cfg.c, platform.net);
-    sim_twodotfive_on(&mut net, platform.gamma, n, cfg)
-}
-
-/// Simulated 2.5D multiplication on a caller-provided network (so a
-/// tracer can be attached beforehand).
-pub fn sim_twodotfive_on(
-    net: &mut SimNet,
-    gamma: f64,
-    n: usize,
-    cfg: &TwoDotFiveConfig,
-) -> SimReport {
-    let (q, c) = (cfg.q, cfg.c);
-    assert!(q > 0 && c > 0, "arrangement extents must be positive");
-    assert_eq!(n % q, 0, "n must be divisible by the layer grid side");
-    assert_eq!(net.size(), q * q * c, "network must span the arrangement");
-    let cfg = *cfg;
-    run_on(net, gamma, false, move |comm| {
-        twodotfive_program(comm, n, &cfg).unwrap();
-    })
-}
-
-/// Simulated COSMA: `C(m×n) = A(m×k) · B(k×n)` over `p` virtual ranks
-/// with the configured brick decomposition ([`crate::cosma::cosma`]).
-/// Bricks live in their native [`crate::distribution::BrickDecomp`]
-/// layouts — no redistribution, matching how the serving layer would
-/// stage operands for a pure cosma job.
-pub fn sim_cosma(
-    platform: &Platform,
-    p: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-    cfg: &CosmaConfig,
-) -> SimReport {
-    let mut net = SimNet::new(p, platform.net);
-    sim_cosma_on(&mut net, platform.gamma, m, n, k, cfg)
-}
-
-/// Simulated COSMA on a caller-provided network (e.g. with a tracer
-/// attached). The rank count is the network's.
-pub fn sim_cosma_on(
-    net: &mut SimNet,
-    gamma: f64,
-    m: usize,
-    n: usize,
-    k: usize,
-    cfg: &CosmaConfig,
-) -> SimReport {
-    let cfg = *cfg;
-    run_on(net, gamma, false, move |comm| {
-        cosma_program(comm, m, n, k, &cfg).unwrap();
-    })
+    let sched = Schedule::hsumma(grid, groups, n, outer_b, inner_b, outer_bcast, inner_bcast);
+    simulate(&sched, platform, engine, false)
 }
 
 #[cfg(test)]
@@ -708,20 +400,24 @@ mod tests {
         (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
     }
 
+    /// Free-running simulation on rank threads.
+    fn sim(sched: Schedule, plat: &Platform) -> SimReport {
+        simulate(&sched, plat, SimEngine::Threads, false)
+    }
+
+    /// HSUMMA at `b = B` under one broadcast algorithm.
+    fn hsumma(grid: GridShape, groups: GridShape, n: usize, b: usize, bc: SimBcast) -> Schedule {
+        Schedule::hsumma(grid, groups, n, b, b, bc, bc)
+    }
+
     #[test]
     fn hsumma_with_one_group_equals_summa() {
         let plat = Platform::grid5000();
         let grid = GridShape::new(8, 8);
-        let s = sim_summa(&plat, grid, 256, 16, SimBcast::Binomial);
-        let h = sim_hsumma(
+        let s = sim(Schedule::summa(grid, 256, 16, SimBcast::Binomial), &plat);
+        let h = sim(
+            hsumma(grid, GridShape::new(1, 1), 256, 16, SimBcast::Binomial),
             &plat,
-            grid,
-            GridShape::new(1, 1),
-            256,
-            16,
-            16,
-            SimBcast::Binomial,
-            SimBcast::Binomial,
         );
         assert!(close(s.total_time, h.total_time), "{s:?} vs {h:?}");
         assert!(close(s.comm_time, h.comm_time));
@@ -733,16 +429,10 @@ mod tests {
     fn hsumma_with_p_groups_equals_summa() {
         let plat = Platform::grid5000();
         let grid = GridShape::new(8, 8);
-        let s = sim_summa(&plat, grid, 256, 16, SimBcast::Binomial);
-        let h = sim_hsumma(
+        let s = sim(Schedule::summa(grid, 256, 16, SimBcast::Binomial), &plat);
+        let h = sim(
+            hsumma(grid, GridShape::new(8, 8), 256, 16, SimBcast::Binomial),
             &plat,
-            grid,
-            GridShape::new(8, 8),
-            256,
-            16,
-            16,
-            SimBcast::Binomial,
-            SimBcast::Binomial,
         );
         assert!(close(s.total_time, h.total_time), "{s:?} vs {h:?}");
         assert!(close(s.comm_time, h.comm_time));
@@ -755,18 +445,9 @@ mod tests {
         // §III: "The amount of data sent is the same as in SUMMA."
         let plat = Platform::bluegene_p();
         let grid = GridShape::new(8, 8);
-        let s = sim_summa(&plat, grid, 128, 16, SimBcast::Binomial);
+        let s = sim(Schedule::summa(grid, 128, 16, SimBcast::Binomial), &plat);
         for (_, groups) in HierGrid::valid_group_counts(grid) {
-            let h = sim_hsumma(
-                &plat,
-                grid,
-                groups,
-                128,
-                16,
-                16,
-                SimBcast::Binomial,
-                SimBcast::Binomial,
-            );
+            let h = sim(hsumma(grid, groups, 128, 16, SimBcast::Binomial), &plat);
             // Every rank receives each panel exactly once under a tree
             // broadcast, so total bytes moved must match SUMMA's.
             assert_eq!(h.bytes, s.bytes, "groups {groups:?}");
@@ -782,16 +463,19 @@ mod tests {
             gamma: 0.0,
         };
         let grid = GridShape::new(16, 16);
-        let s = sim_summa(&plat, grid, 256, 16, SimBcast::ScatterAllgather);
-        let h = sim_hsumma(
+        let s = sim(
+            Schedule::summa(grid, 256, 16, SimBcast::ScatterAllgather),
             &plat,
-            grid,
-            GridShape::new(4, 4),
-            256,
-            16,
-            16,
-            SimBcast::ScatterAllgather,
-            SimBcast::ScatterAllgather,
+        );
+        let h = sim(
+            hsumma(
+                grid,
+                GridShape::new(4, 4),
+                256,
+                16,
+                SimBcast::ScatterAllgather,
+            ),
+            &plat,
         );
         assert!(
             h.comm_time < s.comm_time,
@@ -805,16 +489,7 @@ mod tests {
         let grid = GridShape::new(4, 4);
         let mut comps = Vec::new();
         for (_, groups) in HierGrid::valid_group_counts(grid) {
-            let h = sim_hsumma(
-                &plat,
-                grid,
-                groups,
-                64,
-                8,
-                8,
-                SimBcast::Binomial,
-                SimBcast::Binomial,
-            );
+            let h = sim(hsumma(grid, groups, 64, 8, SimBcast::Binomial), &plat);
             comps.push(h.comp_time);
         }
         for w in comps.windows(2) {
@@ -838,7 +513,7 @@ mod tests {
         };
         let grid = GridShape::new(4, 4);
         let (n, b) = (64usize, 16usize);
-        let r = sim_summa(&plat, grid, n, b, SimBcast::Binomial);
+        let r = sim(Schedule::summa(grid, n, b, SimBcast::Binomial), &plat);
         let m = (n / 4 * b) as f64 * 8.0;
         let steps = (n / b) as f64;
         let per_bcast = 2.0 * (1e-3 + m * 1e-9); // log2(4) = 2 rounds
@@ -856,7 +531,7 @@ mod tests {
         // then q rounds of 2 shifts per rank.
         let plat = Platform::grid5000();
         let q = 4;
-        let r = sim_cannon(&plat, q, 64, false);
+        let r = sim(Schedule::cannon(q, 64), &plat);
         let align = 2 * (q * (q - 1)) as u64;
         let rounds = (q * q * q * 2) as u64;
         assert_eq!(r.msgs, align + rounds);
@@ -865,7 +540,7 @@ mod tests {
     #[test]
     fn cannon_sim_single_rank_is_compute_only() {
         let plat = Platform::bluegene_p();
-        let r = sim_cannon(&plat, 1, 32, false);
+        let r = sim(Schedule::cannon(1, 32), &plat);
         assert_eq!(r.msgs, 0);
         let want = plat.gamma * (32u64 * 32 * 32) as f64;
         assert!(close(r.comp_time, want));
@@ -875,7 +550,14 @@ mod tests {
     fn fox_sim_counts_broadcast_and_roll_messages() {
         let plat = Platform::grid5000();
         let q = 4;
-        let r = sim_fox(&plat, q, 64, SimBcast::Binomial, false);
+        let r = sim(
+            Schedule::Fox {
+                q,
+                n: 64,
+                bcast: SimBcast::Binomial,
+            },
+            &plat,
+        );
         // Per round: q row-bcasts of (q-1) messages each + q*q roll sends.
         let per_round = (q * (q - 1) + q * q) as u64;
         assert_eq!(r.msgs, q as u64 * per_round);
@@ -890,8 +572,11 @@ mod tests {
         let plat = Platform::bluegene_p();
         let q = 4;
         let n = 64;
-        let cannon = sim_cannon(&plat, q, n, false);
-        let summa = sim_summa(&plat, GridShape::new(q, q), n, 8, SimBcast::Binomial);
+        let cannon = sim(Schedule::cannon(q, n), &plat);
+        let summa = sim(
+            Schedule::summa(GridShape::new(q, q), n, 8, SimBcast::Binomial),
+            &plat,
+        );
         assert!(
             cannon.msgs < summa.msgs,
             "{} vs {}",
@@ -914,7 +599,7 @@ mod tests {
         let plat = Platform::grid5000();
         for (s, t, n, b) in [(4usize, 4usize, 64usize, 8usize), (2, 8, 64, 4)] {
             let grid = GridShape::new(s, t);
-            let r = sim_summa(&plat, grid, n, b, SimBcast::Binomial);
+            let r = sim(Schedule::summa(grid, n, b, SimBcast::Binomial), &plat);
             let want = (n / b) * (s * (t - 1) + t * (s - 1));
             assert_eq!(r.msgs, want as u64, "{s}x{t}");
         }
@@ -928,16 +613,7 @@ mod tests {
         let (s, t, i, j, n, b) = (4usize, 8usize, 2usize, 4usize, 64usize, 8usize);
         let grid = GridShape::new(s, t);
         let groups = GridShape::new(i, j);
-        let r = sim_hsumma(
-            &plat,
-            grid,
-            groups,
-            n,
-            b,
-            b,
-            SimBcast::Binomial,
-            SimBcast::Binomial,
-        );
+        let r = sim(hsumma(grid, groups, n, b, SimBcast::Binomial), &plat);
         let per_outer = s * (j - 1) + t * (i - 1);
         let per_inner = s * j * (t / j - 1) + t * i * (s / i - 1);
         let want = (n / b) * (per_outer + per_inner);
@@ -948,17 +624,11 @@ mod tests {
     fn rectangular_grids_simulate() {
         let plat = Platform::grid5000();
         let grid = GridShape::new(4, 8);
-        let s = sim_summa(&plat, grid, 64, 8, SimBcast::Binomial);
+        let s = sim(Schedule::summa(grid, 64, 8, SimBcast::Binomial), &plat);
         assert!(s.total_time > 0.0);
-        let h = sim_hsumma(
+        let h = sim(
+            hsumma(grid, GridShape::new(2, 4), 64, 8, SimBcast::Binomial),
             &plat,
-            grid,
-            GridShape::new(2, 4),
-            64,
-            8,
-            8,
-            SimBcast::Binomial,
-            SimBcast::Binomial,
         );
         assert!(h.total_time > 0.0);
         assert_eq!(h.bytes, s.bytes);
@@ -970,8 +640,12 @@ mod tests {
         // blocking one on the same platform and configuration.
         let plat = Platform::grid5000();
         let grid = GridShape::new(4, 4);
-        let over = sim_overlap(&plat, grid, 64, 8, SimBcast::Flat);
-        let sync = sim_summa_sync(&plat, grid, 64, 8, SimBcast::Flat);
+        let over = sim(
+            Schedule::summa(grid, 64, 8, SimBcast::Flat).pipelined(),
+            &plat,
+        );
+        let flat = Schedule::summa(grid, 64, 8, SimBcast::Flat);
+        let sync = simulate(&flat, &plat, SimEngine::Threads, true);
         assert!(
             over.total_time <= sync.total_time,
             "overlap {} vs sync {}",
@@ -979,7 +653,7 @@ mod tests {
             sync.total_time
         );
         // Same panels travel either way.
-        let plain = sim_summa(&plat, grid, 64, 8, SimBcast::Flat);
+        let plain = sim(flat, &plat);
         assert_eq!(over.bytes, plain.bytes);
     }
 
@@ -996,8 +670,11 @@ mod tests {
                 ..Default::default()
             },
         };
-        let td = sim_twodotfive(&plat, 64, &cfg);
-        let s = sim_summa(&plat, GridShape::new(4, 4), 64, 8, SimBcast::Binomial);
+        let td = sim(Schedule::TwoDotFive { n: 64, cfg }, &plat);
+        let s = sim(
+            Schedule::summa(GridShape::new(4, 4), 64, 8, SimBcast::Binomial),
+            &plat,
+        );
         assert_eq!(td.msgs, s.msgs);
         assert_eq!(td.bytes, s.bytes);
     }
@@ -1020,8 +697,8 @@ mod tests {
                 ..Default::default()
             },
         };
-        let flat = sim_twodotfive(&plat, 64, &mk(1));
-        let deep = sim_twodotfive(&plat, 64, &mk(4));
+        let flat = sim(Schedule::TwoDotFive { n: 64, cfg: mk(1) }, &plat);
+        let deep = sim(Schedule::TwoDotFive { n: 64, cfg: mk(4) }, &plat);
         assert!(
             deep.total_time < flat.total_time,
             "c=4 {} should beat c=1 {} when latency dominates",

@@ -4,10 +4,12 @@
 //! `C = A·B` on an `s × t` grid: at step `k`, the owners of pivot column
 //! panel `k` of `A` broadcast it along their grid rows, the owners of
 //! pivot row panel `k` of `B` broadcast it along their grid columns, and
-//! every processor accumulates `C_tile += A_panel · B_panel`.
+//! every processor accumulates `C_tile += A_panel · B_panel`. The loop
+//! itself is the pivot engine's blocking loop with no hierarchy.
 
-use crate::comm::{Communicator, MatLike};
-use crate::partition::{pivot_offset, pivot_owner, tile_shape};
+use crate::comm::Communicator;
+use crate::partition::MatMulDims;
+use crate::pivot::{self, Layout, Spec};
 use hsumma_matrix::{GemmKernel, GridShape};
 use hsumma_runtime::{BcastAlgorithm, CommError};
 
@@ -32,43 +34,12 @@ impl Default for SummaConfig {
     }
 }
 
-/// Broadcasts `mat` (whose shape every member already knows) from `root`
-/// over `comm` in place; non-roots pass a correctly shaped scratch matrix.
-pub(crate) fn bcast_matrix<C: Communicator>(
-    comm: &C,
-    algo: BcastAlgorithm,
-    root: usize,
-    mat: &mut C::Mat,
-) -> Result<(), CommError> {
-    comm.bcast_mat(algo, root, mat)
-}
-
-/// Validates the distributed-operand invariants shared by SUMMA and
-/// HSUMMA and returns `(tile_rows, tile_cols)`.
-pub(crate) fn check_tiles<M: MatLike>(
-    grid: GridShape,
-    n: usize,
-    a: &M,
-    b: &M,
-    comm_size: usize,
-) -> (usize, usize) {
-    assert_eq!(
-        comm_size,
-        grid.size(),
-        "communicator must span the whole grid"
-    );
-    let (th, tw) = tile_shape(grid, n);
-    assert_eq!((a.rows(), a.cols()), (th, tw), "A tile has wrong shape");
-    assert_eq!((b.rows(), b.cols()), (th, tw), "B tile has wrong shape");
-    (th, tw)
-}
-
 /// Runs SUMMA on the calling rank. SPMD: every rank of `comm` must call
 /// this with its local tiles of `A` and `B` (block-checkerboard
 /// distribution over `grid`). This entry point is the square `n × n`
-/// special case — [`crate::rect::summa_rect`] takes general `(M, L, N)`
-/// extents, and the planner layer reaches non-grid-divisible shapes via
-/// the [`crate::cosma()`] brick schedule. Returns the local tile of `C`.
+/// special case — [`crate::run_planned_gemm`] takes general `(M, L, N)`
+/// extents, and reaches non-grid-divisible shapes via the
+/// [`crate::cosma()`] brick schedule. Returns the local tile of `C`.
 ///
 /// Generic over the [`Communicator`] substrate: with the runtime's `Comm`
 /// it multiplies real matrices; with the simulator's `SimComm` the same
@@ -85,51 +56,8 @@ pub fn summa<C: Communicator>(
     b: &C::Mat,
     cfg: &SummaConfig,
 ) -> Result<C::Mat, CommError> {
-    let (th, tw) = check_tiles(grid, n, a, b, comm.size());
-    let bs = cfg.block;
-    assert!(bs > 0, "block size must be positive");
-    assert_eq!(tw % bs, 0, "block must divide the tile width");
-    assert_eq!(th % bs, 0, "block must divide the tile height");
-
-    let (gi, gj) = grid.coords(comm.rank());
-    // Row communicator: same grid row, ordered by column (local rank = gj).
-    let row_comm = comm.split(gi as u64, gj as i64)?;
-    // Column communicator: same grid column, ordered by row.
-    let col_comm = comm.split((grid.rows + gj) as u64, gi as i64)?;
-
-    let mut c = C::Mat::zeros(th, tw);
-    // Panel scratch is allocated once and reused across all steps: pivot
-    // owners refill it from their tile, everyone else has it overwritten
-    // by the broadcast.
-    let mut a_panel = C::Mat::zeros(th, bs);
-    let mut b_panel = C::Mat::zeros(bs, tw);
-    let steps = n / bs;
-    let step_pairs = th * tw * bs;
-    for k in 0..steps {
-        comm.trace_step(k, bs, bs, || -> Result<(), CommError> {
-            // --- pivot column panel of A, broadcast along the grid row ---
-            let owner_col = pivot_owner(k, bs, tw);
-            if gj == owner_col {
-                a.block_into(0, pivot_offset(k, bs, tw), &mut a_panel);
-            }
-            bcast_matrix(&row_comm, cfg.bcast, owner_col, &mut a_panel)?;
-
-            // --- pivot row panel of B, broadcast along the grid column ---
-            let owner_row = pivot_owner(k, bs, th);
-            if gi == owner_row {
-                b.block_into(pivot_offset(k, bs, th), 0, &mut b_panel);
-            }
-            bcast_matrix(&col_comm, cfg.bcast, owner_row, &mut b_panel)?;
-
-            // --- local update: C += A_panel · B_panel ---------------------
-            comm.compute(step_pairs as f64, 2 * step_pairs as u64, || {
-                C::Mat::gemm(cfg.kernel, &a_panel, &b_panel, &mut c)
-            });
-            Ok(())
-        })?;
-        comm.maybe_step_sync()?;
-    }
-    Ok(c)
+    let spec = Spec::summa(grid, MatMulDims::square(n), cfg, Layout::Block);
+    pivot::blocking(comm, &spec, a, b, |_| true)
 }
 
 #[cfg(test)]

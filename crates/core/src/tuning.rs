@@ -7,9 +7,12 @@
 //! subset, e.g. powers of two as in Fig. 8) and return the best.
 
 use crate::grid::HierGrid;
-use crate::simdrive::{sim_hsumma, sim_hsumma_engine, sim_hsumma_sync, SimEngine};
-use hsumma_matrix::GridShape;
-use hsumma_netsim::{Platform, SimBcast, SimReport};
+use crate::hsumma::HsummaConfig;
+use crate::partition::MatMulDims;
+use crate::pivot::{self, Spec};
+use hsumma_matrix::{GridShape, Matrix};
+use hsumma_netsim::SimReport;
+use hsumma_runtime::{collectives, Comm, CommError};
 
 /// One evaluated grouping.
 #[derive(Clone, Copy, Debug)]
@@ -22,127 +25,22 @@ pub struct GroupPoint {
     pub report: SimReport,
 }
 
-/// Simulates HSUMMA for every group count in `gs` (skipping counts with
-/// no valid factorization on `grid`).
-#[allow(clippy::too_many_arguments)]
+/// Prices every group count in `gs` that factors on `grid` (the others
+/// are skipped) with `price`, typically a [`crate::simulate`] call on
+/// [`crate::Schedule::hsumma`] — under [`crate::SimEngine::Replay`] a
+/// G sweep at p = 2¹⁶ is a planner call, not an overnight job.
 pub fn sweep_groups(
-    platform: &Platform,
     grid: GridShape,
-    n: usize,
-    outer_b: usize,
-    inner_b: usize,
-    outer_bcast: SimBcast,
-    inner_bcast: SimBcast,
     gs: &[usize],
-) -> Vec<GroupPoint> {
-    sweep_groups_with(
-        platform,
-        grid,
-        n,
-        outer_b,
-        inner_b,
-        outer_bcast,
-        inner_bcast,
-        gs,
-        false,
-    )
-}
-
-/// [`sweep_groups`] with selectable per-step synchronization (see
-/// `simdrive::sim_summa_sync` for when blocking semantics are the right
-/// comparison).
-#[allow(clippy::too_many_arguments)]
-pub fn sweep_groups_with(
-    platform: &Platform,
-    grid: GridShape,
-    n: usize,
-    outer_b: usize,
-    inner_b: usize,
-    outer_bcast: SimBcast,
-    inner_bcast: SimBcast,
-    gs: &[usize],
-    step_sync: bool,
+    mut price: impl FnMut(GridShape) -> SimReport,
 ) -> Vec<GroupPoint> {
     gs.iter()
         .filter_map(|&g| {
             let groups = HierGrid::factor_groups(grid, g)?;
-            let report = if step_sync {
-                sim_hsumma_sync(
-                    platform,
-                    grid,
-                    groups,
-                    n,
-                    outer_b,
-                    inner_b,
-                    outer_bcast,
-                    inner_bcast,
-                )
-            } else {
-                sim_hsumma(
-                    platform,
-                    grid,
-                    groups,
-                    n,
-                    outer_b,
-                    inner_b,
-                    outer_bcast,
-                    inner_bcast,
-                )
-            };
+            let report = price(groups);
             Some(GroupPoint { g, groups, report })
         })
         .collect()
-}
-
-/// [`sweep_groups`] under a selected execution engine. With
-/// [`SimEngine::Replay`] the sweep prices each grouping on the
-/// threadless event loop — the same bit-identical reports, but usable at
-/// grids far past the thread-per-rank cap (a G sweep at p = 2¹⁶ is a
-/// planner call, not an overnight job).
-#[allow(clippy::too_many_arguments)]
-pub fn sweep_groups_engine(
-    engine: SimEngine,
-    platform: &Platform,
-    grid: GridShape,
-    n: usize,
-    outer_b: usize,
-    inner_b: usize,
-    outer_bcast: SimBcast,
-    inner_bcast: SimBcast,
-    gs: &[usize],
-) -> Vec<GroupPoint> {
-    gs.iter()
-        .filter_map(|&g| {
-            let groups = HierGrid::factor_groups(grid, g)?;
-            let report = sim_hsumma_engine(
-                engine,
-                platform,
-                grid,
-                groups,
-                n,
-                outer_b,
-                inner_b,
-                outer_bcast,
-                inner_bcast,
-            );
-            Some(GroupPoint { g, groups, report })
-        })
-        .collect()
-}
-
-/// Sweeps all valid group counts on `grid`.
-pub fn sweep_all_groups(
-    platform: &Platform,
-    grid: GridShape,
-    n: usize,
-    block: usize,
-    bcast: SimBcast,
-) -> Vec<GroupPoint> {
-    let gs: Vec<usize> = HierGrid::valid_group_counts(grid)
-        .iter()
-        .map(|c| c.0)
-        .collect();
-    sweep_groups(platform, grid, n, block, block, bcast, bcast, &gs)
 }
 
 /// Power-of-two group counts `1, 2, 4, …, p` — the x-axis of Fig. 8.
@@ -173,52 +71,48 @@ pub fn best_by_comm(sweep: &[GroupPoint]) -> GroupPoint {
         .expect("sweep must not be empty")
 }
 
+/// Outer steps of the real schedule each candidate grouping is sampled
+/// on — §VI's "few iterations of HSUMMA".
+const SAMPLE_STEPS: usize = 2;
+
 /// Auto-tuned HSUMMA — §VI made executable: "the optimal number of
 /// groups ... can be easily automated and incorporated into the
 /// implementation by using few iterations of HSUMMA."
 ///
-/// For each candidate grouping, all ranks run `sample_steps` outer steps
-/// of the real algorithm against scratch data, agree (via an all-reduce
-/// of the slowest rank's communication time) on its measured cost, then
-/// run the full multiply with the winner. Returns the local `C` tile and
-/// the grouping chosen.
+/// For each candidate grouping, all ranks run the first two
+/// outer steps of the real algorithm (the same communicators and panel
+/// sizes as the full run), agree (via an all-reduce of the slowest rank's
+/// communication time) on its measured cost, then run the full multiply
+/// with the winner. Returns the local `C` tile and the grouping chosen.
 ///
 /// SPMD: every rank must call this with the same configuration.
-#[allow(clippy::too_many_arguments)]
 pub fn tuned_hsumma(
-    comm: &hsumma_runtime::Comm,
+    comm: &Comm,
     grid: GridShape,
     n: usize,
-    a: &hsumma_matrix::Matrix,
-    b: &hsumma_matrix::Matrix,
+    a: &Matrix,
+    b: &Matrix,
     block: usize,
     candidates: &[usize],
-    sample_steps: usize,
-) -> Result<(hsumma_matrix::Matrix, GridShape), hsumma_runtime::CommError> {
-    use crate::hsumma::HsummaConfig;
-    use hsumma_runtime::collectives;
-
-    assert!(sample_steps >= 1, "need at least one sample step");
+) -> Result<(Matrix, GridShape), CommError> {
     assert!(
         !candidates.is_empty(),
         "need at least one candidate grouping"
     );
-
-    // Sample each candidate on a truncated problem: the first
-    // `sample_steps` outer panels (a narrower multiply with the same
-    // communicator structure and panel sizes).
-    let sample_n = (sample_steps * block).min(n);
+    let spec = |groups| {
+        Spec::hsumma(
+            grid,
+            MatMulDims::square(n),
+            &HsummaConfig::uniform(groups, block),
+        )
+    };
     let mut best: Option<(f64, GridShape)> = None;
     for &g in candidates {
         let Some(groups) = HierGrid::factor_groups(grid, g) else {
             continue;
         };
-        let cfg = HsummaConfig::uniform(groups, block);
-        // Measure the schedule prefix (see hsumma_sample): the leading
-        // sample_n-sized subproblem exercises the same communicator
-        // structure and panel sizes as the full run.
         let before = comm.stats().comm_seconds;
-        let _ = hsumma_sample(comm, grid, n, sample_n, a, b, &cfg)?;
+        pivot::blocking(comm, &spec(groups), a, b, |kg| kg < SAMPLE_STEPS)?;
         let elapsed = comm.stats().comm_seconds - before;
         // Algorithm choice must be identical on every rank: agree on the
         // slowest rank's time.
@@ -228,47 +122,35 @@ pub fn tuned_hsumma(
         }
     }
     let (_, groups) = best.expect("at least one candidate must factor the grid");
-    let cfg = HsummaConfig::uniform(groups, block);
-    Ok((crate::hsumma::hsumma(comm, grid, n, a, b, &cfg)?, groups))
-}
-
-/// Runs only the first `sample_n / B` outer steps of HSUMMA (same
-/// schedule prefix as the full run) and discards the partial result.
-fn hsumma_sample(
-    comm: &hsumma_runtime::Comm,
-    grid: GridShape,
-    n: usize,
-    sample_n: usize,
-    a: &hsumma_matrix::Matrix,
-    b: &hsumma_matrix::Matrix,
-    cfg: &crate::hsumma::HsummaConfig,
-) -> Result<hsumma_matrix::Matrix, hsumma_runtime::CommError> {
-    // The full algorithm on the full operands, but with the step loop
-    // truncated: emulate by running on a copy whose trailing pivot
-    // panels are unused. Simplest faithful prefix: run the full HSUMMA
-    // over a problem of size `sample_n` embedded in the same grid when it
-    // divides evenly; otherwise fall back to one full run (still a valid
-    // measurement, just not cheaper).
-    if sample_n < n && sample_n.is_multiple_of(grid.rows) && sample_n.is_multiple_of(grid.cols) {
-        let (sh, sw) = crate::partition::tile_shape(grid, sample_n);
-        if sh >= cfg.outer_block
-            && sw >= cfg.outer_block
-            && sh % cfg.outer_block == 0
-            && sw % cfg.outer_block == 0
-        {
-            let a_small = a.block(0, 0, sh, sw);
-            let b_small = b.block(0, 0, sh, sw);
-            return crate::hsumma::hsumma(comm, grid, sample_n, &a_small, &b_small, cfg);
-        }
-    }
-    crate::hsumma::hsumma(comm, grid, n, a, b, cfg)
+    let c = pivot::blocking(comm, &spec(groups), a, b, |_| true)?;
+    Ok((c, groups))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simdrive::{simulate, Schedule, SimEngine};
     use crate::testutil::{distributed_product, reference_product};
     use hsumma_matrix::seeded_uniform;
+    use hsumma_netsim::{Platform, SimBcast};
+
+    /// Sweeps all valid group counts on `grid`.
+    fn sweep_all_groups(
+        platform: &Platform,
+        grid: GridShape,
+        n: usize,
+        block: usize,
+        bcast: SimBcast,
+    ) -> Vec<GroupPoint> {
+        let gs: Vec<usize> = HierGrid::valid_group_counts(grid)
+            .iter()
+            .map(|c| c.0)
+            .collect();
+        sweep_groups(grid, &gs, |groups| {
+            let sched = Schedule::hsumma(grid, groups, n, block, block, bcast, bcast);
+            simulate(&sched, platform, SimEngine::Threads, false)
+        })
+    }
 
     #[test]
     fn tuned_hsumma_returns_correct_product_and_valid_grouping() {
@@ -278,7 +160,7 @@ mod tests {
         let b = seeded_uniform(n, n, 2);
         let want = reference_product(&a, &b);
         let got = distributed_product(grid, n, &a, &b, |comm, at, bt| {
-            let (c, groups) = tuned_hsumma(comm, grid, n, &at, &bt, 4, &[1, 4, 16], 2).unwrap();
+            let (c, groups) = tuned_hsumma(comm, grid, n, &at, &bt, 4, &[1, 4, 16]).unwrap();
             // Every rank must have agreed on the same grouping; encode it
             // into the tile for a cheap cross-rank consistency check.
             assert!(grid.rows.is_multiple_of(groups.rows) && grid.cols.is_multiple_of(groups.cols));
@@ -301,7 +183,7 @@ mod tests {
             let dist = hsumma_matrix::BlockDist::new(grid, n, n);
             let at = dist.scatter(&a)[comm.rank()].clone();
             let bt = dist.scatter(&b)[comm.rank()].clone();
-            let (_, g) = tuned_hsumma(comm, grid, n, &at, &bt, 2, &[1, 2, 4], 2).unwrap();
+            let (_, g) = tuned_hsumma(comm, grid, n, &at, &bt, 2, &[1, 2, 4]).unwrap();
             (g.rows, g.cols)
         });
         assert!(
@@ -321,16 +203,11 @@ mod tests {
         let plat = Platform::grid5000();
         let grid = GridShape::new(4, 4);
         // G = 3 has no factorization on a 4x4 grid and must be skipped.
-        let pts = sweep_groups(
-            &plat,
-            grid,
-            32,
-            8,
-            8,
-            SimBcast::Binomial,
-            SimBcast::Binomial,
-            &[1, 3, 4],
-        );
+        let pts = sweep_groups(grid, &[1, 3, 4], |groups| {
+            let bc = SimBcast::Binomial;
+            let sched = Schedule::hsumma(grid, groups, 32, 8, 8, bc, bc);
+            simulate(&sched, &plat, SimEngine::Threads, false)
+        });
         let gs: Vec<usize> = pts.iter().map(|p| p.g).collect();
         assert_eq!(gs, vec![1, 4]);
     }
@@ -351,27 +228,19 @@ mod tests {
         let plat = Platform::bluegene_p();
         let grid = GridShape::new(8, 8);
         let gs = power_of_two_gs(grid.size());
-        let threaded = sweep_groups(
-            &plat,
-            grid,
-            64,
-            8,
-            8,
-            SimBcast::Binomial,
-            SimBcast::Binomial,
-            &gs,
-        );
-        let replayed = sweep_groups_engine(
-            SimEngine::Replay,
-            &plat,
-            grid,
-            64,
-            8,
-            8,
-            SimBcast::Binomial,
-            SimBcast::Binomial,
-            &gs,
-        );
+        let sweep = |engine| {
+            sweep_groups(grid, &gs, |groups| {
+                let bc = SimBcast::Binomial;
+                simulate(
+                    &Schedule::hsumma(grid, groups, 64, 8, 8, bc, bc),
+                    &plat,
+                    engine,
+                    false,
+                )
+            })
+        };
+        let threaded = sweep(SimEngine::Threads);
+        let replayed = sweep(SimEngine::Replay);
         assert_eq!(threaded.len(), replayed.len());
         for (t, r) in threaded.iter().zip(&replayed) {
             assert_eq!((t.g, t.groups), (r.g, r.groups));

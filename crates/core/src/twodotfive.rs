@@ -17,10 +17,11 @@
 //! the `c`× memory blowup; `hsumma-model::related` quantifies that
 //! trade-off analytically, and this module lets the claim be exercised
 //! with real data movement — or replayed on simulated clocks at
-//! BlueGene/P scale via `simdrive::sim_twodotfive`.
+//! BlueGene/P scale as `simdrive::Schedule::TwoDotFive`.
 
 use crate::comm::{Communicator, MatLike};
-use crate::partition::{pivot_offset, pivot_owner, tile_shape};
+use crate::partition::MatMulDims;
+use crate::pivot::{self, Layout, Spec};
 use crate::summa::SummaConfig;
 use hsumma_matrix::GridShape;
 use hsumma_runtime::{BcastAlgorithm, CommError};
@@ -98,61 +99,20 @@ pub fn twodotfive<C: Communicator>(
     depth_comm.bcast_mat(BcastAlgorithm::Binomial, 0, &mut b_rep)?;
 
     // --- 2. partial SUMMA: this layer takes steps k ≡ layer (mod c) ----
-    let grid = GridShape::new(q, q);
-    let partial = summa_steps(&layer_comm, grid, n, &a_rep, &b_rep, &cfg.summa, |k| {
-        k % c == layer
-    })?;
+    // The loop runs on the layer communicator, where the simulator's
+    // world-wide step alignment cannot apply: 2.5D is never simulated
+    // step-synchronized.
+    let spec = Spec::summa(
+        GridShape::new(q, q),
+        MatMulDims::square(n),
+        &cfg.summa,
+        Layout::Block,
+    );
+    let mut partial = pivot::blocking(&layer_comm, &spec, &a_rep, &b_rep, |k| k % c == layer)?;
 
     // --- 3. reduce the partials onto layer 0 ----------------------------
-    let mut partial = partial;
     depth_comm.reduce_sum_mat(0, &mut partial)?;
     Ok((layer == 0).then_some(partial))
-}
-
-/// SUMMA restricted to the pivot steps selected by `take`; shared by
-/// [`twodotfive()`] (per-layer partial products) and plain SUMMA semantics
-/// when `take` is always true.
-fn summa_steps<C: Communicator>(
-    comm: &C,
-    grid: GridShape,
-    n: usize,
-    a: &C::Mat,
-    b: &C::Mat,
-    cfg: &SummaConfig,
-    take: impl Fn(usize) -> bool,
-) -> Result<C::Mat, CommError> {
-    use crate::summa::bcast_matrix;
-
-    let (th, tw) = tile_shape(grid, n);
-    let (gi, gj) = grid.coords(comm.rank());
-    let row_comm = comm.split(gi as u64, gj as i64)?;
-    let col_comm = comm.split((grid.rows + gj) as u64, gi as i64)?;
-    let bs = cfg.block;
-
-    let mut c = C::Mat::zeros(th, tw);
-    let step_pairs = th * tw * bs;
-    for k in (0..n / bs).filter(|&k| take(k)) {
-        let owner_col = pivot_owner(k, bs, tw);
-        let mut a_panel = if gj == owner_col {
-            a.block(0, pivot_offset(k, bs, tw), th, bs)
-        } else {
-            C::Mat::zeros(th, bs)
-        };
-        bcast_matrix(&row_comm, cfg.bcast, owner_col, &mut a_panel)?;
-
-        let owner_row = pivot_owner(k, bs, th);
-        let mut b_panel = if gi == owner_row {
-            b.block(pivot_offset(k, bs, th), 0, bs, tw)
-        } else {
-            C::Mat::zeros(bs, tw)
-        };
-        bcast_matrix(&col_comm, cfg.bcast, owner_row, &mut b_panel)?;
-
-        comm.compute(step_pairs as f64, 0, || {
-            C::Mat::gemm(cfg.kernel, &a_panel, &b_panel, &mut c)
-        });
-    }
-    Ok(c)
 }
 
 #[cfg(test)]

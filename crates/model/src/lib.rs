@@ -50,9 +50,7 @@ pub use cosma::{
 pub use cost::{
     hsumma_cost, hsumma_gemm_cost, summa_cost, summa_gemm_cost, CostBreakdown, ModelParams,
 };
-pub use plan::{
-    advise_gemm, advise_ranks, advise_square, AlgoChoice, PlanAdvice, RankAdvice, ScalePoint,
-};
+pub use plan::{advise_gemm, advise_ranks, AlgoChoice, PlanAdvice, RankAdvice, ScalePoint};
 pub use predict::{sweep_groups, SweepPoint};
 pub use regime::{classify_regime, dtheta_dg_vdg, Regime};
 pub use sparse::{

@@ -12,8 +12,7 @@
 //! only), and the COSMA-style brick schedule at its best power-of-two
 //! `(a, b, c)` decomposition, and return the predicted winner with the
 //! full scoreboard so callers can log *why* the choice fell where it
-//! did. [`advise_square`] is the historical square entry point, now a
-//! thin `advise_gemm(n, n, n, …)` shim.
+//! did.
 //!
 //! COSMA's candidate is priced *including* the one-time cost of
 //! redistributing checkerboard-distributed operands into brick layouts
@@ -294,21 +293,20 @@ pub(crate) fn rank_advice_from_curve(curve: Vec<ScalePoint>, tolerance: f64) -> 
     }
 }
 
-/// Square-shape shim over [`advise_gemm`]: the historical entry point
-/// for `n × n` multiplies, kept so existing callers read naturally.
-pub fn advise_square(
-    params: &ModelParams,
-    bcast: BcastModel,
-    n: f64,
-    p: f64,
-    b: f64,
-) -> PlanAdvice {
-    advise_gemm(params, bcast, n, n, n, p, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`advise_gemm`] for a square `n × n × n` multiply.
+    fn square_advice(
+        params: &ModelParams,
+        bcast: BcastModel,
+        n: f64,
+        p: f64,
+        b: f64,
+    ) -> PlanAdvice {
+        advise_gemm(params, bcast, n, n, n, p, b)
+    }
 
     #[test]
     fn exascale_regime_prefers_hierarchical_grouping() {
@@ -319,7 +317,7 @@ mod tests {
         // 2-D grid here even after the redistribution toll.
         let params = ModelParams::exascale();
         let p = (1u64 << 20) as f64;
-        let advice = advise_square(
+        let advice = square_advice(
             &params,
             BcastModel::VanDeGeijn,
             (1u64 << 22) as f64,
@@ -347,7 +345,7 @@ mod tests {
             beta: 1e-12,
             gamma: 0.0,
         };
-        let advice = advise_square(&params, BcastModel::Binomial, 256.0, 16.0, 16.0);
+        let advice = square_advice(&params, BcastModel::Binomial, 256.0, 16.0, 16.0);
         assert_eq!(advice.choice, AlgoChoice::Cannon);
         let cannon = advice.cannon.expect("square grid");
         assert!(cannon.comm() < advice.summa.comm());
@@ -356,7 +354,7 @@ mod tests {
     #[test]
     fn non_square_p_never_advises_cannon() {
         let params = ModelParams::grid5000();
-        let advice = advise_square(&params, BcastModel::Binomial, 1024.0, 8.0, 32.0);
+        let advice = square_advice(&params, BcastModel::Binomial, 1024.0, 8.0, 32.0);
         assert!(advice.cannon.is_none());
         assert_ne!(advice.choice, AlgoChoice::Cannon);
     }
@@ -365,7 +363,7 @@ mod tests {
     fn advice_always_at_least_ties_summa() {
         // G = 1 is in every sweep, so the winner can never lose to SUMMA.
         for (n, p, b) in [(1024.0, 64.0, 32.0), (8192.0, 128.0, 64.0)] {
-            let advice = advise_square(&ModelParams::grid5000(), BcastModel::Binomial, n, p, b);
+            let advice = square_advice(&ModelParams::grid5000(), BcastModel::Binomial, n, p, b);
             assert!(advice.predicted.comm() <= advice.summa.comm() + 1e-15);
         }
     }
@@ -373,7 +371,7 @@ mod tests {
     #[test]
     fn scoreboard_is_consistent_with_choice() {
         let params = ModelParams::bluegene_p();
-        let advice = advise_square(&params, BcastModel::VanDeGeijn, 65536.0, 16384.0, 256.0);
+        let advice = square_advice(&params, BcastModel::VanDeGeijn, 65536.0, 16384.0, 256.0);
         // The 2-D winner is the min over the *eligible* candidates:
         // Cannon only competes when its own cost is latency-bound.
         let best_2d = [
@@ -405,7 +403,7 @@ mod tests {
     #[test]
     fn overlap_term_is_the_pipelined_cost_of_the_winner() {
         let params = ModelParams::bluegene_p();
-        let advice = advise_square(&params, BcastModel::VanDeGeijn, 65536.0, 16384.0, 256.0);
+        let advice = square_advice(&params, BcastModel::VanDeGeijn, 65536.0, 16384.0, 256.0);
         assert_eq!(advice.predicted_pipelined, advice.predicted.pipelined());
         assert!(advice.predicted_pipelined <= advice.predicted.total());
         let f = advice.overlap_win_fraction();
@@ -415,7 +413,7 @@ mod tests {
     #[test]
     fn cannon_candidate_uses_related_work_model() {
         let params = ModelParams::grid5000();
-        let advice = advise_square(&params, BcastModel::Binomial, 1024.0, 16.0, 32.0);
+        let advice = square_advice(&params, BcastModel::Binomial, 1024.0, 16.0, 32.0);
         let expected = cannon_cost(&params, 1024.0, 16.0);
         let got = advice.cannon.expect("square grid");
         assert_eq!(got.comm(), expected.comm());

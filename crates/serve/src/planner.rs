@@ -28,9 +28,11 @@
 //! schedule ([`hsumma_core::cosma()`]) can serve them, so planning is one
 //! decomposition search per job.
 
-use hsumma_core::tuning::{best_by_comm, power_of_two_gs, sweep_groups_engine};
-use hsumma_core::SimEngine;
-use hsumma_core::{BrickDecomp, CosmaConfig, HierGrid, HsummaConfig, PlannedAlgo, SummaConfig};
+use hsumma_core::tuning::{best_by_comm, power_of_two_gs, sweep_groups};
+use hsumma_core::{
+    simulate, BrickDecomp, CosmaConfig, HierGrid, HsummaConfig, PlannedAlgo, Schedule, SimEngine,
+    SummaConfig,
+};
 use hsumma_matrix::sparse::CsrMatrix;
 use hsumma_matrix::{GemmKernel, GridShape};
 use hsumma_model::{
@@ -235,12 +237,6 @@ impl Planner {
     /// Cache/sweep counters so far.
     pub fn stats(&self) -> PlannerStats {
         self.stats
-    }
-
-    /// Plans a square `n × n` multiply: [`Planner::plan_gemm`] with
-    /// `m = k = n`, the historical entry point.
-    pub fn plan_square(&mut self, n: usize) -> Planned {
-        self.plan_gemm(n, n, n)
     }
 
     /// Plans a general `C(m×n) = A(m×k)·B(k×n)` multiply, consulting the
@@ -470,7 +466,8 @@ impl Planner {
             a,
             b,
         );
-        let dense = matches!(advice.choice, SparseChoice::DenseGemm).then(|| self.plan_square(n));
+        let dense =
+            matches!(advice.choice, SparseChoice::DenseGemm).then(|| self.plan_gemm(n, n, n));
         SparsePlanned {
             advice,
             block,
@@ -492,17 +489,12 @@ impl Planner {
     /// pools far past the thread-per-rank scale cap.
     fn refine_g(&mut self, n: usize, block: usize) -> usize {
         let gs = power_of_two_gs(self.grid.size());
-        let sweep = sweep_groups_engine(
-            SimEngine::Replay,
-            &self.config.platform,
-            self.grid,
-            n,
-            block,
-            block,
-            SimBcast::Binomial,
-            SimBcast::Binomial,
-            &gs,
-        );
+        let (grid, platform) = (self.grid, &self.config.platform);
+        let sweep = sweep_groups(grid, &gs, |groups| {
+            let bc = SimBcast::Binomial;
+            let sched = Schedule::hsumma(grid, groups, n, block, block, bc, bc);
+            simulate(&sched, platform, SimEngine::Replay, false)
+        });
         self.stats.sims_run += sweep.len() as u64;
         best_by_comm(&sweep).g
     }
@@ -580,12 +572,12 @@ mod tests {
     #[test]
     fn second_same_shape_plan_is_a_cache_hit_with_no_new_sims() {
         let mut planner = Planner::new(GridShape::new(4, 4), PlannerConfig::default());
-        let first = planner.plan_square(256);
+        let first = planner.plan_gemm(256, 256, 256);
         assert!(!first.cached);
         let after_first = planner.stats();
         assert_eq!(after_first.misses, 1);
 
-        let second = planner.plan_square(256);
+        let second = planner.plan_gemm(256, 256, 256);
         assert!(second.cached);
         let after_second = planner.stats();
         assert_eq!(after_second.hits, 1);
@@ -597,8 +589,8 @@ mod tests {
     #[test]
     fn different_shape_classes_plan_independently() {
         let mut planner = Planner::new(GridShape::new(2, 2), PlannerConfig::default());
-        planner.plan_square(64);
-        planner.plan_square(512);
+        planner.plan_gemm(64, 64, 64);
+        planner.plan_gemm(512, 512, 512);
         assert_eq!(planner.stats().misses, 2);
         assert_eq!(planner.stats().hits, 0);
     }
@@ -613,7 +605,7 @@ mod tests {
             (GridShape::new(2, 4), 32),
         ] {
             let mut planner = Planner::new(grid, PlannerConfig::default());
-            let planned = planner.plan_square(n);
+            let planned = planner.plan_gemm(n, n, n);
             let (th, tw) = (n / grid.rows, n / grid.cols);
             match planned.plan {
                 PlannedAlgo::Summa(cfg) | PlannedAlgo::SummaPipelined(cfg) => {
@@ -683,7 +675,7 @@ mod tests {
                 ..PlannerConfig::default()
             };
             let mut planner = Planner::new(GridShape::new(2, 4), config);
-            assert_eq!(planner.plan_square(256).plan.gemm_path(), want);
+            assert_eq!(planner.plan_gemm(256, 256, 256).plan.gemm_path(), want);
         }
     }
 
@@ -703,15 +695,17 @@ mod tests {
                 gamma: config.platform.gamma,
             };
             let block = preferred_block(n / grid.rows, n / grid.cols);
-            let advice = hsumma_model::advise_square(
+            let advice = hsumma_model::advise_gemm(
                 &params,
                 config.bcast,
+                n as f64,
+                n as f64,
                 n as f64,
                 grid.size() as f64,
                 block as f64,
             );
             let mut planner = Planner::new(grid, config.clone());
-            let plan = planner.plan_square(n).plan;
+            let plan = planner.plan_gemm(n, n, n).plan;
             if matches!(plan, PlannedAlgo::Cosma(_) | PlannedAlgo::Cannon { .. }) {
                 assert_eq!(plan.gemm_path(), "blocking");
                 continue;
@@ -789,7 +783,7 @@ mod tests {
             ..PlannerConfig::default()
         };
         let mut planner = Planner::new(GridShape::new(4, 4), config);
-        planner.plan_square(256);
+        planner.plan_gemm(256, 256, 256);
         assert_eq!(planner.stats().sims_run, 0);
     }
 }

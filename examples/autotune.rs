@@ -3,8 +3,8 @@
 //! can be easily automated and incorporated into the implementation by
 //! using few iterations of HSUMMA."
 //!
-//! `tuned_hsumma` samples each candidate grouping on a short prefix of
-//! the computation, lets the ranks agree on the slowest-rank cost, and
+//! `tuned_hsumma` samples each candidate grouping on the first two outer
+//! steps of the computation, lets the ranks agree on the slowest-rank cost, and
 //! runs the full multiply with the winner — all inside one SPMD call.
 //!
 //! ```sh
@@ -48,7 +48,6 @@ fn main() {
             &bt[comm.rank()].clone(),
             block,
             &candidates,
-            2,
         )
         .unwrap();
         (c, (groups.rows, groups.cols))

@@ -4,7 +4,8 @@
 //!    style cyclically dealt tiles and its rotating pivot owners overlap
 //!    consecutive steps better (quantified in simulation);
 //! 2. **communication/computation overlap** — `summa_overlap` and
-//!    `hsumma_overlap` prefetch panels one step ahead;
+//!    `hsumma_overlap` stream each panel into a two-slot buffer while the
+//!    previous one is being multiplied;
 //! 3. **more than two hierarchy levels** — `sim_summa_hier` sweeps the
 //!    hierarchy depth.
 //!
@@ -12,10 +13,10 @@
 //! cargo run --release --example future_work
 //! ```
 
-use hsumma_repro::core::cyclic::{sim_summa_cyclic, summa_cyclic};
+use hsumma_repro::core::cyclic::summa_cyclic;
 use hsumma_repro::core::multilevel::sim_summa_hier_with;
 use hsumma_repro::core::overlap::{hsumma_overlap, summa_overlap};
-use hsumma_repro::core::simdrive::{sim_summa, sim_summa_sync};
+use hsumma_repro::core::simdrive::{simulate, Schedule, SimEngine};
 use hsumma_repro::core::testutil::{distributed_product, reference_product};
 use hsumma_repro::core::{HsummaConfig, SummaConfig};
 use hsumma_repro::matrix::{seeded_uniform, BlockCyclicDist, GemmKernel, GridShape};
@@ -55,8 +56,18 @@ fn main() {
     // ...and its overlap benefit at scale, in simulation.
     let platform = Platform::bluegene_p_effective();
     let sim_grid = GridShape::new(16, 16);
-    let blocked = sim_summa(&platform, sim_grid, 2048, 64, SimBcast::Flat);
-    let cyclic = sim_summa_cyclic(&platform, sim_grid, 2048, 64, SimBcast::Flat, false);
+    let blocked_sched = Schedule::summa(sim_grid, 2048, 64, SimBcast::Flat);
+    let cyclic_sched = Schedule::Cyclic {
+        grid: sim_grid,
+        n: 2048,
+        cfg: SummaConfig {
+            block: 64,
+            bcast: SimBcast::Flat,
+            ..Default::default()
+        },
+    };
+    let blocked = simulate(&blocked_sched, &platform, SimEngine::Threads, false);
+    let cyclic = simulate(&cyclic_sched, &platform, SimEngine::Threads, false);
     println!(
         "   rotating pivot owners (256 simulated cores): {:.3} s -> {:.3} s makespan ({:.1}% better)",
         blocked.total_time,
@@ -69,7 +80,7 @@ fn main() {
         summa_overlap(comm, grid, n, &a_t, &b_t, &scfg).unwrap()
     });
     println!(
-        "2. lookahead SUMMA             max err {:.2e}",
+        "2. pipelined SUMMA             max err {:.2e}",
         by_overlap.max_abs_diff(&want)
     );
     let hcfg = HsummaConfig {
@@ -80,16 +91,16 @@ fn main() {
         hsumma_overlap(comm, grid, n, &a_t, &b_t, &hcfg).unwrap()
     });
     println!(
-        "   lookahead HSUMMA            max err {:.2e}",
+        "   pipelined HSUMMA            max err {:.2e}",
         by_hoverlap.max_abs_diff(&want)
     );
-    let free = sim_summa(&platform, sim_grid, 2048, 64, SimBcast::Flat);
-    let sync = sim_summa_sync(&platform, sim_grid, 2048, 64, SimBcast::Flat);
+    // The same flat-push schedule free-running (above) vs step-synchronized.
+    let sync = simulate(&blocked_sched, &platform, SimEngine::Threads, true);
     println!(
         "   simulated overlap benefit: {:.3} s blocking -> {:.3} s overlapped ({:.1}% hidden)",
         sync.total_time,
-        free.total_time,
-        100.0 * (1.0 - free.total_time / sync.total_time)
+        blocked.total_time,
+        100.0 * (1.0 - blocked.total_time / sync.total_time)
     );
 
     // --- 3. deeper hierarchies -------------------------------------------

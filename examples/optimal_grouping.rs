@@ -10,8 +10,8 @@
 //! cargo run --release --example optimal_grouping
 //! ```
 
-use hsumma_repro::core::simdrive::sim_summa_sync;
-use hsumma_repro::core::tuning::{best_by_comm, power_of_two_gs, sweep_groups_with};
+use hsumma_repro::core::simdrive::{simulate, Schedule, SimEngine};
+use hsumma_repro::core::tuning::{best_by_comm, power_of_two_gs, sweep_groups};
 use hsumma_repro::matrix::GridShape;
 use hsumma_repro::netsim::{Platform, SimBcast};
 
@@ -27,23 +27,17 @@ fn main() {
         grid.size()
     );
 
-    let summa = sim_summa_sync(&platform, grid, n, b, bcast);
+    // Blocking-collective semantics, as measured MPI runs behave.
+    let sim = |sched| simulate(&sched, &platform, SimEngine::Threads, true);
+    let summa = sim(Schedule::summa(grid, n, b, bcast));
     println!(
         "SUMMA baseline: total {:.3} s, comm {:.3} s\n",
         summa.total_time, summa.comm_time
     );
 
-    let sweep = sweep_groups_with(
-        &platform,
-        grid,
-        n,
-        b,
-        b,
-        bcast,
-        bcast,
-        &power_of_two_gs(grid.size()),
-        true,
-    );
+    let sweep = sweep_groups(grid, &power_of_two_gs(grid.size()), |groups| {
+        sim(Schedule::hsumma(grid, groups, n, b, b, bcast, bcast))
+    });
     println!(
         "{:>6}  {:>7}  {:>12}  {:>12}",
         "G", "I x J", "total (s)", "comm (s)"

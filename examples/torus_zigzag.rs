@@ -19,7 +19,7 @@
 //! ```
 
 use hsumma_repro::core::grid::HierGrid;
-use hsumma_repro::core::simdrive::sim_hsumma_on;
+use hsumma_repro::core::simdrive::{simulate_on, Schedule, SimEngine};
 use hsumma_repro::matrix::GridShape;
 use hsumma_repro::netsim::topology::Topology;
 use hsumma_repro::netsim::{Platform, SimBcast, SimNet, Torus3D};
@@ -80,16 +80,11 @@ fn main() {
             continue;
         };
         let run = |net: &mut SimNet| {
-            sim_hsumma_on(
+            simulate_on(
+                &Schedule::hsumma(grid, groups, n, b, b, bcast, bcast),
                 net,
                 platform.gamma,
-                grid,
-                groups,
-                n,
-                b,
-                b,
-                bcast,
-                bcast,
+                SimEngine::Threads,
                 true,
             )
         };

@@ -12,10 +12,9 @@
 //! `predict` evaluates the paper's analytic model for arbitrary machine
 //! parameters; `bcast` compares the broadcast algorithms' simulated cost.
 
-use hsumma_repro::core::simdrive::sim_summa_sync;
 use hsumma_repro::core::testutil::reference_product;
-use hsumma_repro::core::tuning::{best_by_comm, power_of_two_gs, sweep_groups_with};
-use hsumma_repro::core::{hsumma, HsummaConfig};
+use hsumma_repro::core::tuning::{best_by_comm, power_of_two_gs, sweep_groups};
+use hsumma_repro::core::{hsumma, simulate, simulate_on, HsummaConfig, Schedule, SimEngine};
 use hsumma_repro::matrix::{seeded_uniform, BlockDist, GridShape};
 use hsumma_repro::model::predict::{best_point, sweep_groups as model_sweep};
 use hsumma_repro::model::{classify_regime, BcastModel, ModelParams, Regime};
@@ -115,6 +114,9 @@ fn cmd_run(opts: &HashMap<String, String>) -> Result<(), String> {
     let block: usize = get(opts, "block", 32)?;
 
     let cfg = HsummaConfig::uniform(groups, block);
+    // Refuse a bad shape here: past this point it is a panic on every
+    // rank thread.
+    cfg.validate(grid, n)?;
     let a = seeded_uniform(n, n, 1);
     let b = seeded_uniform(n, n, 2);
     let dist = BlockDist::new(grid, n, n);
@@ -192,22 +194,17 @@ fn cmd_sweep(opts: &HashMap<String, String>) -> Result<(), String> {
         s,
         p / s
     );
-    let summa = sim_summa_sync(&platform, grid, n, block, bcast);
+    let sim = |sched| simulate(&sched, &platform, SimEngine::Threads, true);
+    let summa = sim(Schedule::summa(grid, n, block, bcast));
     println!(
         "SUMMA: total {:.4} s, comm {:.4} s",
         summa.total_time, summa.comm_time
     );
-    let sweep = sweep_groups_with(
-        &platform,
-        grid,
-        n,
-        block,
-        block,
-        bcast,
-        bcast,
-        &power_of_two_gs(p),
-        true,
-    );
+    let sweep = sweep_groups(grid, &power_of_two_gs(p), |groups| {
+        sim(Schedule::hsumma(
+            grid, groups, n, block, block, bcast, bcast,
+        ))
+    });
     println!(
         "{:>7} {:>9} {:>12} {:>12}",
         "G", "IxJ", "total (s)", "comm (s)"
@@ -318,7 +315,6 @@ fn cmd_bcast(opts: &HashMap<String, String>) -> Result<(), String> {
 
 fn cmd_trace(opts: &HashMap<String, String>) -> Result<(), String> {
     use hsumma_repro::core::grid::HierGrid;
-    use hsumma_repro::core::simdrive::sim_hsumma_on;
 
     let p: usize = get(opts, "p", 16)?;
     let n: usize = get(opts, "n", 256)?;
@@ -336,18 +332,9 @@ fn cmd_trace(opts: &HashMap<String, String>) -> Result<(), String> {
     let platform = Platform::bluegene_p_effective();
     let mut net = SimNet::new(p, platform.net);
     net.enable_trace();
-    let report = sim_hsumma_on(
-        &mut net,
-        platform.gamma,
-        grid,
-        groups,
-        n,
-        block,
-        block,
-        SimBcast::Flat,
-        SimBcast::Flat,
-        true,
-    );
+    let flat = SimBcast::Flat;
+    let sched = Schedule::hsumma(grid, groups, n, block, block, flat, flat);
+    let report = simulate_on(&sched, &mut net, platform.gamma, SimEngine::Threads, true);
     let json = net.trace_to_chrome_json().expect("tracing was enabled");
     std::fs::write(&out, &json).map_err(|e| format!("writing {out}: {e}"))?;
     println!(
@@ -407,6 +394,29 @@ mod tests {
         opts.insert("groups".to_string(), "2x2".to_string());
         opts.insert("block".to_string(), "2".to_string());
         cmd_run(&opts).expect("small run verifies");
+    }
+
+    #[test]
+    fn run_command_refuses_a_bad_shape_before_spawning_ranks() {
+        // Each of these used to panic on every rank thread (exit 101).
+        for (n, grid, groups, block, want) in [
+            ("64", "2x2", "2x2", "5", "outer block must divide"),
+            ("64", "2x2", "3x1", "8", "must divide the 2x2 grid"),
+            ("30", "4x4", "2x2", "2", "must be divisible by grid"),
+            ("64", "2x2", "2x2", "0", "must be positive"),
+        ] {
+            let opts: HashMap<String, String> = [
+                ("n", n),
+                ("grid", grid),
+                ("groups", groups),
+                ("block", block),
+            ]
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+            let err = cmd_run(&opts).expect_err("bad shape must be refused");
+            assert!(err.contains(want), "{opts:?}: got `{err}`");
+        }
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!    reduce-scatter fragments).
 
 use hsumma_repro::core::{
-    cosma, run_planned_gemm, sim_cosma, BrickDecomp, CosmaConfig, Distribution, MatLike,
-    PhantomMat, PlannedAlgo,
+    cosma, run_planned_gemm, simulate, BrickDecomp, CosmaConfig, Distribution, MatLike, MatMulDims,
+    PhantomMat, PlannedAlgo, Schedule, SimEngine,
 };
 use hsumma_repro::matrix::{seeded_uniform, GridShape, Matrix};
 use hsumma_repro::model::{cosma_volume, BrickShape};
@@ -139,7 +139,9 @@ fn sim_wire_bytes_match_the_analytic_volume_exactly_when_divisible() {
         decomp: d,
         ..CosmaConfig::for_problem(p, m, n, k)
     };
-    let report = sim_cosma(&Platform::grid5000(), p, m, n, k, &cfg);
+    let dims = MatMulDims { m, l: k, n };
+    let sched = Schedule::Cosma { p, dims, cfg };
+    let report = simulate(&sched, &Platform::grid5000(), SimEngine::Threads, false);
     let predicted = cosma_volume(
         BrickShape {
             a: d.a,
@@ -166,7 +168,9 @@ fn sim_wire_bytes_track_the_analytic_volume_on_awkward_shapes() {
     for (p, m, n, k) in [(13usize, 37usize, 29usize, 41usize), (12, 33, 45, 27)] {
         let cfg = CosmaConfig::for_problem(p, m, n, k);
         let d = cfg.decomp;
-        let report = sim_cosma(&Platform::grid5000(), p, m, n, k, &cfg);
+        let dims = MatMulDims { m, l: k, n };
+        let sched = Schedule::Cosma { p, dims, cfg };
+        let report = simulate(&sched, &Platform::grid5000(), SimEngine::Threads, false);
         let predicted = cosma_volume(
             BrickShape {
                 a: d.a,

@@ -3,12 +3,17 @@
 //! paper's structural guarantees.
 
 use hsumma_repro::core::grid::HierGrid;
-use hsumma_repro::core::simdrive::{sim_hsumma_sync, sim_summa_sync};
+use hsumma_repro::core::simdrive::{simulate, Schedule, SimEngine};
 use hsumma_repro::core::testutil::{distributed_product, reference_product};
 use hsumma_repro::core::{hsumma, HsummaConfig};
 use hsumma_repro::matrix::{seeded_uniform, GemmKernel, GridShape};
-use hsumma_repro::netsim::{Hockney, Platform, SimBcast};
+use hsumma_repro::netsim::{Hockney, Platform, SimBcast, SimReport};
 use proptest::prelude::*;
+
+/// Simulates under blocking-collective (step-synchronized) semantics.
+fn sync(sched: Schedule, platform: &Platform) -> SimReport {
+    simulate(&sched, platform, SimEngine::Threads, true)
+}
 
 const BCASTS: [SimBcast; 4] = [
     SimBcast::Flat,
@@ -44,11 +49,11 @@ proptest! {
         let bcast = BCASTS[bcast_ix];
         let n = side * 8;
         let b = 4;
-        let summa = sim_summa_sync(&platform, grid, n, b, bcast);
+        let summa = sync(Schedule::summa(grid, n, b, bcast), &platform);
         let best = HierGrid::valid_group_counts(grid)
             .iter()
             .map(|&(_, groups)| {
-                sim_hsumma_sync(&platform, grid, groups, n, b, b, bcast, bcast).comm_time
+                sync(Schedule::hsumma(grid, groups, n, b, b, bcast, bcast), &platform).comm_time
             })
             .fold(f64::INFINITY, f64::min);
         prop_assert!(
@@ -72,8 +77,8 @@ proptest! {
         let (_, groups) = counts[g_seed % counts.len()];
         let platform = Platform::bluegene_p();
         let bcast = BCASTS[bcast_ix];
-        let a = sim_hsumma_sync(&platform, grid, groups, side * 8, 4, 4, bcast, bcast);
-        let b = sim_hsumma_sync(&platform, grid, groups, side * 8, 4, 4, bcast, bcast);
+        let a = sync(Schedule::hsumma(grid, groups, side * 8, 4, 4, bcast, bcast), &platform);
+        let b = sync(Schedule::hsumma(grid, groups, side * 8, 4, 4, bcast, bcast), &platform);
         prop_assert_eq!(a, b);
     }
 
@@ -92,8 +97,8 @@ proptest! {
         let platform = Platform::grid5000();
         let bcast = BCASTS[bcast_ix];
         let n = side * 8;
-        let summa = sim_summa_sync(&platform, grid, n, 4, bcast);
-        let h = sim_hsumma_sync(&platform, grid, groups, n, 4, 4, bcast, bcast);
+        let summa = sync(Schedule::summa(grid, n, 4, bcast), &platform);
+        let h = sync(Schedule::hsumma(grid, groups, n, 4, 4, bcast, bcast), &platform);
         prop_assert!((h.comp_time - summa.comp_time).abs() < 1e-12 * summa.comp_time.max(1e-30));
         prop_assert_eq!(h.bytes, summa.bytes);
     }

@@ -5,11 +5,18 @@
 //! records the full-scale numbers from the bench binaries.
 
 use hsumma_repro::core::grid::HierGrid;
-use hsumma_repro::core::simdrive::{sim_hsumma_sync, sim_summa_sync};
-use hsumma_repro::core::tuning::{best_by_comm, power_of_two_gs, sweep_groups_with};
+use hsumma_repro::core::simdrive::{simulate, Schedule, SimEngine};
+use hsumma_repro::core::tuning::{best_by_comm, power_of_two_gs, sweep_groups};
 use hsumma_repro::matrix::GridShape;
 use hsumma_repro::model::{classify_regime, Regime};
-use hsumma_repro::netsim::{Platform, SimBcast};
+use hsumma_repro::netsim::{Platform, SimBcast, SimReport};
+
+/// Simulates under blocking-collective (step-synchronized) semantics,
+/// which is what the paper's measurements — and so its claims — are
+/// stated under.
+fn sync(sched: Schedule, platform: &Platform) -> SimReport {
+    simulate(&sched, platform, SimEngine::Threads, true)
+}
 
 /// §III: "It is clear that SUMMA is a special case of HSUMMA when the
 /// number of groups equals to one or to the total number of processors."
@@ -23,9 +30,12 @@ fn claim_summa_is_special_case_at_endpoints() {
         SimBcast::Binomial,
         SimBcast::ScatterAllgather,
     ] {
-        let s = sim_summa_sync(&platform, grid, n, b, bcast);
+        let s = sync(Schedule::summa(grid, n, b, bcast), &platform);
         for groups in [GridShape::new(1, 1), GridShape::new(8, 8)] {
-            let h = sim_hsumma_sync(&platform, grid, groups, n, b, b, bcast, bcast);
+            let h = sync(
+                Schedule::hsumma(grid, groups, n, b, b, bcast, bcast),
+                &platform,
+            );
             let rel = (h.comm_time - s.comm_time).abs() / s.comm_time;
             assert!(
                 rel < 1e-9,
@@ -54,12 +64,17 @@ fn claim_hsumma_never_loses() {
         ] {
             let grid = GridShape::new(8, 8);
             let (n, b) = (256usize, 32usize);
-            let s = sim_summa_sync(&platform, grid, n, b, bcast);
+            let s = sync(Schedule::summa(grid, n, b, bcast), &platform);
             let gs: Vec<usize> = HierGrid::valid_group_counts(grid)
                 .iter()
                 .map(|c| c.0)
                 .collect();
-            let sweep = sweep_groups_with(&platform, grid, n, b, b, bcast, bcast, &gs, true);
+            let sweep = sweep_groups(grid, &gs, |groups| {
+                sync(
+                    Schedule::hsumma(grid, groups, n, b, b, bcast, bcast),
+                    &platform,
+                )
+            });
             let best = best_by_comm(&sweep);
             assert!(
                 best.report.comm_time <= s.comm_time * (1.0 + 1e-9),
@@ -83,18 +98,13 @@ fn claim_gain_grows_with_processor_count() {
     let mut gains = Vec::new();
     for side in [8usize, 16] {
         let grid = GridShape::new(side, side);
-        let s = sim_summa_sync(&platform, grid, n, b, bcast);
-        let sweep = sweep_groups_with(
-            &platform,
-            grid,
-            n,
-            b,
-            b,
-            bcast,
-            bcast,
-            &power_of_two_gs(grid.size()),
-            true,
-        );
+        let s = sync(Schedule::summa(grid, n, b, bcast), &platform);
+        let sweep = sweep_groups(grid, &power_of_two_gs(grid.size()), |groups| {
+            sync(
+                Schedule::hsumma(grid, groups, n, b, b, bcast, bcast),
+                &platform,
+            )
+        });
         let best = best_by_comm(&sweep);
         gains.push(s.comm_time / best.report.comm_time);
     }
@@ -133,17 +143,12 @@ fn claim_u_shape_with_interior_minimum_on_bluegene() {
     let platform = Platform::bluegene_p_effective();
     let grid = GridShape::new(16, 16);
     let (n, b) = (1024usize, 32usize);
-    let sweep = sweep_groups_with(
-        &platform,
-        grid,
-        n,
-        b,
-        b,
-        SimBcast::Flat,
-        SimBcast::Flat,
-        &power_of_two_gs(grid.size()),
-        true,
-    );
+    let sweep = sweep_groups(grid, &power_of_two_gs(grid.size()), |groups| {
+        sync(
+            Schedule::hsumma(grid, groups, n, b, b, SimBcast::Flat, SimBcast::Flat),
+            &platform,
+        )
+    });
     let best = best_by_comm(&sweep);
     let first = sweep.first().expect("sweep non-empty");
     let last = sweep.last().expect("sweep non-empty");

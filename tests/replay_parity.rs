@@ -13,12 +13,11 @@
 //! threadless engine and attributing the numbers to the same simulator
 //! the rest of the test suite pins.
 
-use hsumma_repro::core::simdrive::{self as sd, cosma_program, replay_on, SimEngine};
-use hsumma_repro::core::{BrickDecomp, CosmaConfig, SummaConfig, TwoDotFiveConfig};
+use hsumma_repro::core::simdrive::{replay_on, simulate, simulate_on, Schedule, SimEngine};
+use hsumma_repro::core::{BrickDecomp, CosmaConfig, MatMulDims, SummaConfig, TwoDotFiveConfig};
 use hsumma_repro::matrix::GridShape;
 use hsumma_repro::netsim::{
-    EventLoopSim, NoiseModel, Platform, RecordedProgram, SimBcast, SimNet, SimReport,
-    SimRunOptions, SimWorld,
+    EventLoopSim, NoiseModel, Platform, SimBcast, SimNet, SimReport, SimRunOptions, SimWorld,
 };
 use hsumma_repro::trace::{
     CommError, CommErrorKind, FaultPlan, TagClass, Tracer, COLLECTIVE_TAG_FLOOR,
@@ -57,57 +56,35 @@ fn traced(
     (bits(&report), trace.per_rank_send_multisets())
 }
 
-/// Asserts the threaded run and the replay of `prog` agree bit-for-bit
-/// on the report and exactly on every rank's send multiset.
-fn assert_engine_parity(
-    label: &str,
-    p: usize,
-    prog: &RecordedProgram,
-    threaded: impl FnOnce(&mut SimNet) -> SimReport,
-) {
+/// Asserts the threaded run and the record-and-replay run of `sched`
+/// agree bit-for-bit on the report and exactly on every rank's send
+/// multiset.
+fn assert_engine_parity(label: &str, sched: &Schedule, step_sync: bool) {
     let gamma = platform().gamma;
-    let (t_report, t_sets) = traced(p, threaded);
-    let (r_report, r_sets) = traced(p, |net| replay_on(net, gamma, prog));
+    let run = |engine| {
+        traced(sched.ranks(), |net| {
+            simulate_on(sched, net, gamma, engine, step_sync)
+        })
+    };
+    let (t_report, t_sets) = run(SimEngine::Threads);
+    let (r_report, r_sets) = run(SimEngine::Replay);
     assert_eq!(t_report, r_report, "{label}: reports diverged");
     assert_eq!(t_sets, r_sets, "{label}: per-rank send multisets diverged");
 }
 
 #[test]
 fn summa_replay_is_bit_identical() {
-    let grid = GridShape::new(8, 8);
-    let (n, b) = (128, 16);
+    let sched = Schedule::summa(GridShape::new(8, 8), 128, 16, SimBcast::Binomial);
     for step_sync in [false, true] {
-        let prog = sd::record_summa(grid, n, b, SimBcast::Binomial, step_sync);
-        assert_engine_parity("summa", grid.size(), &prog, |net| {
-            sd::sim_summa_on(
-                net,
-                platform().gamma,
-                grid,
-                n,
-                b,
-                SimBcast::Binomial,
-                step_sync,
-            )
-        });
+        assert_engine_parity("summa", &sched, step_sync);
     }
 }
 
 #[test]
 fn summa_replay_matches_at_p_256() {
     let grid = GridShape::new(16, 16);
-    let (n, b) = (256, 16);
-    let prog = sd::record_summa(grid, n, b, SimBcast::ScatterAllgather, false);
-    assert_engine_parity("summa-256", grid.size(), &prog, |net| {
-        sd::sim_summa_on(
-            net,
-            platform().gamma,
-            grid,
-            n,
-            b,
-            SimBcast::ScatterAllgather,
-            false,
-        )
-    });
+    let sched = Schedule::summa(grid, 256, 16, SimBcast::ScatterAllgather);
+    assert_engine_parity("summa-256", &sched, false);
 }
 
 #[test]
@@ -119,40 +96,20 @@ fn hsumma_replay_is_bit_identical() {
         (SimBcast::Binomial, SimBcast::Binomial),
         (SimBcast::Pipelined { segments: 3 }, SimBcast::Ring),
     ] {
-        let prog = sd::record_hsumma(grid, groups, n, ob, ib, obc, ibc, false);
-        assert_engine_parity("hsumma", grid.size(), &prog, |net| {
-            sd::sim_hsumma_on(
-                net,
-                platform().gamma,
-                grid,
-                groups,
-                n,
-                ob,
-                ib,
-                obc,
-                ibc,
-                false,
-            )
-        });
+        let sched = Schedule::hsumma(grid, groups, n, ob, ib, obc, ibc);
+        assert_engine_parity("hsumma", &sched, false);
     }
 }
 
 #[test]
 fn cannon_replay_is_bit_identical() {
-    let (q, n) = (8, 64);
-    let prog = sd::record_cannon(q, n, false);
-    assert_engine_parity("cannon", q * q, &prog, |net| {
-        sd::sim_cannon_on(net, platform().gamma, q, n, false)
-    });
+    assert_engine_parity("cannon", &Schedule::cannon(8, 64), false);
 }
 
 #[test]
 fn fox_replay_is_bit_identical() {
-    let (q, n) = (8, 64);
-    let prog = sd::record_fox(q, n, SimBcast::Binomial, false);
-    assert_engine_parity("fox", q * q, &prog, |net| {
-        sd::sim_fox_on(net, platform().gamma, q, n, SimBcast::Binomial, false)
-    });
+    let bcast = SimBcast::Binomial;
+    assert_engine_parity("fox", &Schedule::Fox { q: 8, n: 64, bcast }, false);
 }
 
 #[test]
@@ -161,12 +118,8 @@ fn overlap_replay_is_bit_identical() {
     // through the default (timing-independent) ibcast path, so it
     // records; its message schedule includes in-flight collective-band
     // traffic none of the blocking schedules exercise.
-    let grid = GridShape::new(4, 4);
-    let (n, b) = (64, 8);
-    let prog = sd::record_overlap(grid, n, b, SimBcast::Flat);
-    assert_engine_parity("overlap", grid.size(), &prog, |net| {
-        sd::sim_overlap_on(net, platform().gamma, grid, n, b, SimBcast::Flat)
-    });
+    let sched = Schedule::summa(GridShape::new(4, 4), 64, 8, SimBcast::Flat).pipelined();
+    assert_engine_parity("overlap", &sched, false);
 }
 
 #[test]
@@ -179,21 +132,21 @@ fn twodotfive_replay_is_bit_identical() {
             ..Default::default()
         },
     };
-    let n = 64;
-    let prog = sd::record_twodotfive(n, &cfg);
-    assert_engine_parity("2.5d", cfg.q * cfg.q * cfg.c, &prog, |net| {
-        sd::sim_twodotfive_on(net, platform().gamma, n, &cfg)
-    });
+    assert_engine_parity("2.5d", &Schedule::TwoDotFive { n: 64, cfg }, false);
+}
+
+/// The searched brick schedule for `C(m×n) = A(m×k)·B(k×n)` on `p` ranks.
+fn cosma_for(p: usize, m: usize, n: usize, k: usize) -> Schedule {
+    Schedule::Cosma {
+        p,
+        dims: MatMulDims { m, l: k, n },
+        cfg: CosmaConfig::for_problem(p, m, n, k),
+    }
 }
 
 #[test]
 fn cosma_replay_is_bit_identical() {
-    let (p, m, n, k) = (64, 256, 256, 256);
-    let cfg = CosmaConfig::for_problem(p, m, n, k);
-    let prog = sd::record_cosma(p, m, n, k, &cfg);
-    assert_engine_parity("cosma", p, &prog, |net| {
-        sd::sim_cosma_on(net, platform().gamma, m, n, k, &cfg)
-    });
+    assert_engine_parity("cosma", &cosma_for(64, 256, 256, 256), false);
 }
 
 #[test]
@@ -201,12 +154,7 @@ fn cosma_replay_matches_on_awkward_shapes_with_idle_ranks() {
     // A prime rank count over non-dividing extents: the decomposition
     // uses fewer ranks than the world, so the recording must capture the
     // idle ranks' singleton splits for the rendezvous to line up.
-    let (p, m, n, k) = (13, 96, 80, 72);
-    let cfg = CosmaConfig::for_problem(p, m, n, k);
-    let prog = sd::record_cosma(p, m, n, k, &cfg);
-    assert_engine_parity("cosma-13", p, &prog, |net| {
-        sd::sim_cosma_on(net, platform().gamma, m, n, k, &cfg)
-    });
+    assert_engine_parity("cosma-13", &cosma_for(13, 96, 80, 72), false);
 }
 
 #[test]
@@ -214,25 +162,23 @@ fn replay_parity_holds_under_noise() {
     // Noise draws are keyed by (sender, per-sender sequence), both of
     // which the recording preserves — jittered runs must still match to
     // the bit.
-    let grid = GridShape::new(4, 4);
-    let (n, b) = (64, 8);
+    let sched = Schedule::summa(GridShape::new(4, 4), 64, 8, SimBcast::Binomial);
     let gamma = platform().gamma;
-    let mut tnet = SimNet::new(grid.size(), platform().net);
+    let mut tnet = SimNet::new(sched.ranks(), platform().net);
     tnet.set_noise(NoiseModel::new(7, 0.25));
-    let threaded = sd::sim_summa_on(&mut tnet, gamma, grid, n, b, SimBcast::Binomial, false);
-    let mut rnet = SimNet::new(grid.size(), platform().net);
+    let threaded = simulate_on(&sched, &mut tnet, gamma, SimEngine::Threads, false);
+    let mut rnet = SimNet::new(sched.ranks(), platform().net);
     rnet.set_noise(NoiseModel::new(7, 0.25));
-    let prog = sd::record_summa(grid, n, b, SimBcast::Binomial, false);
-    let replayed = replay_on(&mut rnet, gamma, &prog);
+    let replayed = replay_on(&mut rnet, gamma, &sched.record(false));
     assert_eq!(bits(&threaded), bits(&replayed));
 }
 
 #[test]
 fn engine_selector_agrees_with_direct_calls() {
-    let grid = GridShape::new(4, 4);
+    let sched = Schedule::summa(GridShape::new(4, 4), 64, 8, SimBcast::Binomial);
     let plat = platform();
-    let t = sd::sim_summa_engine(SimEngine::Threads, &plat, grid, 64, 8, SimBcast::Binomial);
-    let r = sd::sim_summa_engine(SimEngine::Replay, &plat, grid, 64, 8, SimBcast::Binomial);
+    let t = simulate(&sched, &plat, SimEngine::Threads, false);
+    let r = simulate(&sched, &plat, SimEngine::Replay, false);
     assert_eq!(bits(&t), bits(&r));
 }
 
@@ -246,10 +192,14 @@ fn engine_selector_agrees_with_direct_calls() {
 /// traffic is the reduce-scatter ring plus the gather, so the dropped
 /// collective fragment lands on a ring edge — the same scenario
 /// `fault_parity.rs` pins between real threads and the simulator.
-fn fiber_cfg() -> CosmaConfig {
-    CosmaConfig {
-        decomp: BrickDecomp::new(1, 1, 4),
-        ..CosmaConfig::for_problem(4, 8, 8, 8)
+fn fiber() -> Schedule {
+    Schedule::Cosma {
+        p: 4,
+        dims: MatMulDims::square(8),
+        cfg: CosmaConfig {
+            decomp: BrickDecomp::new(1, 1, 4),
+            ..CosmaConfig::for_problem(4, 8, 8, 8)
+        },
     }
 }
 
@@ -261,14 +211,14 @@ fn fault_opts(plan: &Arc<FaultPlan>) -> SimRunOptions {
 
 #[test]
 fn dropped_collective_fragment_names_the_same_edge_on_both_engines() {
-    let cfg = fiber_cfg();
+    let sched = fiber();
     let plan = Arc::new(FaultPlan::new().drop_nth(Some(1), Some(2), TagClass::Collective, 0));
     let plat = Platform::bluegene_p_effective();
 
     // Thread-per-rank engine.
     let net = SimNet::new(4, plat.net);
     let out = SimWorld::run_with(net, plat.gamma, false, &fault_opts(&plan), |comm| {
-        cosma_program(comm, 8, 8, 8, &cfg)
+        sched.run(comm)
     });
     let threaded_kinds: Vec<Option<CommErrorKind>> = out
         .results
@@ -277,7 +227,7 @@ fn dropped_collective_fragment_names_the_same_edge_on_both_engines() {
         .collect();
 
     // Record clean, replay under the same options.
-    let prog = sd::record_cosma(4, 8, 8, 8, &cfg);
+    let prog = sched.record(false);
     let rnet = SimNet::new(4, plat.net);
     let rout = EventLoopSim::new(rnet, plat.gamma).run(&prog, &fault_opts(&plan));
     let replay_kinds: Vec<Option<CommErrorKind>> = rout
@@ -331,15 +281,15 @@ fn dropped_collective_fragment_names_the_same_edge_on_both_engines() {
 
 #[test]
 fn killed_rank_parity_between_engines() {
-    let cfg = fiber_cfg();
+    let sched = fiber();
     let plan = Arc::new(FaultPlan::new().kill_rank(1, 0));
     let plat = Platform::bluegene_p_effective();
 
     let net = SimNet::new(4, plat.net);
     let out = SimWorld::run_with(net, plat.gamma, false, &fault_opts(&plan), |comm| {
-        cosma_program(comm, 8, 8, 8, &cfg)
+        sched.run(comm)
     });
-    let prog = sd::record_cosma(4, 8, 8, 8, &cfg);
+    let prog = sched.record(false);
     let rout =
         EventLoopSim::new(SimNet::new(4, plat.net), plat.gamma).run(&prog, &fault_opts(&plan));
 

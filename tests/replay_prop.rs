@@ -6,11 +6,11 @@
 //! The deterministic golden cases live in `replay_parity.rs`; this file
 //! walks the configuration space around them.
 
-use hsumma_repro::core::simdrive::{self as sd, cosma_program, replay_on};
-use hsumma_repro::core::{BrickDecomp, CosmaConfig, HierGrid};
+use hsumma_repro::core::simdrive::{simulate_on, Schedule, SimEngine};
+use hsumma_repro::core::{BrickDecomp, CosmaConfig, HierGrid, MatMulDims};
 use hsumma_repro::matrix::GridShape;
 use hsumma_repro::netsim::{
-    EventLoopSim, Platform, RecordedProgram, SimBcast, SimNet, SimReport, SimRunOptions, SimWorld,
+    EventLoopSim, Platform, SimBcast, SimNet, SimReport, SimRunOptions, SimWorld,
 };
 use hsumma_repro::trace::{CommError, CommErrorKind, FaultPlan, TagClass, Tracer};
 use proptest::prelude::*;
@@ -51,15 +51,15 @@ fn traced(p: usize, f: impl FnOnce(&mut SimNet) -> SimReport) -> (ReportBits, Se
 }
 
 /// The engine-parity oracle shared by every case below.
-fn check(
-    label: &str,
-    p: usize,
-    prog: &RecordedProgram,
-    threaded: impl FnOnce(&mut SimNet) -> SimReport,
-) {
+fn check(label: &str, sched: &Schedule) {
     let gamma = platform().gamma;
-    let (t_report, t_sets) = traced(p, threaded);
-    let (r_report, r_sets) = traced(p, |net| replay_on(net, gamma, prog));
+    let run = |engine| {
+        traced(sched.ranks(), |net| {
+            simulate_on(sched, net, gamma, engine, false)
+        })
+    };
+    let (t_report, t_sets) = run(SimEngine::Threads);
+    let (r_report, r_sets) = run(SimEngine::Replay);
     assert_eq!(t_report, r_report, "{label}: reports diverged");
     assert_eq!(t_sets, r_sets, "{label}: multisets diverged");
 }
@@ -93,36 +93,17 @@ proptest! {
         let n = q * 8 * n_mult;
         let b = 4;
         let bcast = BCASTS[bcast_ix];
-        let gamma = platform().gamma;
         match algo_ix {
-            0 => {
-                let prog = sd::record_summa(grid, n, b, bcast, false);
-                check("summa", grid.size(), &prog, |net| {
-                    sd::sim_summa_on(net, gamma, grid, n, b, bcast, false)
-                });
-            }
+            0 => check("summa", &Schedule::summa(grid, n, b, bcast)),
             1 => {
                 // Clamp the random G to one the grid can factor.
                 let g = (1usize << g_pow).min(grid.size());
                 let groups = HierGrid::factor_groups(grid, g)
                     .unwrap_or_else(|| GridShape::new(1, 1));
-                let prog = sd::record_hsumma(grid, groups, n, b, b, bcast, bcast, false);
-                check("hsumma", grid.size(), &prog, |net| {
-                    sd::sim_hsumma_on(net, gamma, grid, groups, n, b, b, bcast, bcast, false)
-                });
+                check("hsumma", &Schedule::hsumma(grid, groups, n, b, b, bcast, bcast));
             }
-            2 => {
-                let prog = sd::record_cannon(q, n, false);
-                check("cannon", q * q, &prog, |net| {
-                    sd::sim_cannon_on(net, gamma, q, n, false)
-                });
-            }
-            _ => {
-                let prog = sd::record_fox(q, n, bcast, false);
-                check("fox", q * q, &prog, |net| {
-                    sd::sim_fox_on(net, gamma, q, n, bcast, false)
-                });
-            }
+            2 => check("cannon", &Schedule::cannon(q, n)),
+            _ => check("fox", &Schedule::Fox { q, n, bcast }),
         }
     }
 
@@ -135,9 +116,13 @@ proptest! {
         nth in 0u64..3,
     ) {
         let p = 4;
-        let cfg = CosmaConfig {
-            decomp: BrickDecomp::new(1, 1, p),
-            ..CosmaConfig::for_problem(p, 8, 8, 8)
+        let sched = Schedule::Cosma {
+            p,
+            dims: MatMulDims::square(8),
+            cfg: CosmaConfig {
+                decomp: BrickDecomp::new(1, 1, p),
+                ..CosmaConfig::for_problem(p, 8, 8, 8)
+            },
         };
         let dst = (victim + 1) % p;
         let plan = Arc::new(
@@ -149,9 +134,9 @@ proptest! {
         let plat = Platform::bluegene_p_effective();
 
         let out = SimWorld::run_with(SimNet::new(p, plat.net), plat.gamma, false, &opts, |comm| {
-            cosma_program(comm, 8, 8, 8, &cfg)
+            sched.run(comm)
         });
-        let prog = sd::record_cosma(p, 8, 8, 8, &cfg);
+        let prog = sched.record(false);
         let rout = EventLoopSim::new(SimNet::new(p, plat.net), plat.gamma).run(&prog, &opts);
 
         let t_sigs: Vec<_> = out

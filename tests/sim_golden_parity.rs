@@ -12,7 +12,8 @@
 //! schedule broadcasts over, keeping byte-chunked and element-chunked
 //! segmentation identical.
 
-use hsumma_core::simdrive::{sim_cannon, sim_fox, sim_hsumma, sim_summa};
+use hsumma_core::simdrive::{simulate, Schedule, SimEngine};
+use hsumma_core::{SummaConfig, TwoDotFiveConfig};
 use hsumma_matrix::GridShape;
 use hsumma_netsim::{Platform, SimBcast, SimReport};
 
@@ -132,7 +133,99 @@ const GOLDENS: &[Golden] = &[
         960,
         7864320,
     ),
+    // Captured from the per-variant loops the pivot engine replaced.
+    (
+        "summa-pipelined-g5k",
+        0x3f7e60427ee35c65,
+        0x3f7df24eff7bfd71,
+        0x3f1b7cdfd9d7bdbc,
+        1792,
+        7340032,
+    ),
+    (
+        "summa-pipelined-bgp",
+        0x3f3b82299fe86681,
+        0x3f2b877365f90f44,
+        0x3f2b7cdfd9d7bdbc,
+        1792,
+        7340032,
+    ),
+    (
+        "hsumma-pipelined-g5k",
+        0x3f72080946a23c30,
+        0x3f719a15c73add3a,
+        0x3f1b7cdfd9d7bdbc,
+        1664,
+        7340032,
+    ),
+    (
+        "hsumma-pipelined-bgp",
+        0x3f355ddb089700cf,
+        0x3f1e7dac6eac87c3,
+        0x3f2b7cdfd9d7bdbc,
+        1664,
+        7340032,
+    ),
+    (
+        "twodotfive-g5k",
+        0x3f6337893bfaee4c,
+        0x3f625ba23d2c305f,
+        0x3f1b7cdfd9d7bdbb,
+        528,
+        7864320,
+    ),
+    (
+        "twodotfive-bgp",
+        0x3f34c0eda0a0d7a1,
+        0x3f1c09f6ced3e316,
+        0x3f2b7cdfd9d7bdbb,
+        528,
+        7864320,
+    ),
 ];
+
+const GRID: GridShape = GridShape { rows: 8, cols: 8 };
+
+fn summa(bcast: SimBcast) -> Schedule {
+    Schedule::summa(GRID, 256, 16, bcast)
+}
+
+fn hsumma(groups: GridShape, outer_block: usize) -> Schedule {
+    let bc = SimBcast::Binomial;
+    Schedule::hsumma(GRID, groups, 256, outer_block, 16, bc, bc)
+}
+
+fn schedule(algo: &str) -> Schedule {
+    let bcast = SimBcast::Binomial;
+    match algo {
+        "summa-binomial" => summa(SimBcast::Binomial),
+        "summa-sag" => summa(SimBcast::ScatterAllgather),
+        "summa-ring" => summa(SimBcast::Ring),
+        "summa-pipe4" => summa(SimBcast::Pipelined { segments: 4 }),
+        "hsumma-binomial" => hsumma(GridShape::new(2, 2), 32),
+        "cannon" => Schedule::cannon(8, 256),
+        "fox" => Schedule::Fox {
+            q: 8,
+            n: 256,
+            bcast,
+        },
+        "summa-pipelined" => summa(SimBcast::Flat).pipelined(),
+        "hsumma-pipelined" => hsumma(GridShape::new(2, 2), 32).pipelined(),
+        "twodotfive" => Schedule::TwoDotFive {
+            n: 256,
+            cfg: TwoDotFiveConfig {
+                q: 4,
+                c: 4,
+                summa: SummaConfig {
+                    block: 16,
+                    bcast,
+                    ..Default::default()
+                },
+            },
+        },
+        other => panic!("unknown algorithm tag {other}"),
+    }
+}
 
 fn run(label: &str) -> SimReport {
     let (algo, plat) = label.rsplit_once('-').unwrap();
@@ -141,26 +234,7 @@ fn run(label: &str) -> SimReport {
         "bgp" => Platform::bluegene_p(),
         other => panic!("unknown platform tag {other}"),
     };
-    let grid = GridShape::new(8, 8);
-    match algo {
-        "summa-binomial" => sim_summa(&plat, grid, 256, 16, SimBcast::Binomial),
-        "summa-sag" => sim_summa(&plat, grid, 256, 16, SimBcast::ScatterAllgather),
-        "summa-ring" => sim_summa(&plat, grid, 256, 16, SimBcast::Ring),
-        "summa-pipe4" => sim_summa(&plat, grid, 256, 16, SimBcast::Pipelined { segments: 4 }),
-        "hsumma-binomial" => sim_hsumma(
-            &plat,
-            grid,
-            GridShape::new(2, 2),
-            256,
-            32,
-            16,
-            SimBcast::Binomial,
-            SimBcast::Binomial,
-        ),
-        "cannon" => sim_cannon(&plat, 8, 256, false),
-        "fox" => sim_fox(&plat, 8, 256, SimBcast::Binomial, false),
-        other => panic!("unknown algorithm tag {other}"),
-    }
+    simulate(&schedule(algo), &plat, SimEngine::Threads, false)
 }
 
 #[test]
@@ -190,5 +264,52 @@ fn simulated_reports_match_pre_refactor_goldens_bit_for_bit() {
         );
         assert_eq!(r.msgs, msgs, "{label}: message count drifted");
         assert_eq!(r.bytes, bytes, "{label}: byte volume drifted");
+    }
+}
+
+#[test]
+fn recorded_programs_keep_their_op_counts() {
+    // Op-for-op the programs the per-variant loops recorded: a span, a
+    // compute or a sync hook gained or lost anywhere shows up here.
+    for (algo, ops) in [
+        ("summa-binomial", 6784),
+        ("hsumma-binomial", 5632),
+        ("summa-pipelined", 4736),
+    ] {
+        assert_eq!(schedule(algo).record(false).total_ops(), ops, "{algo}");
+    }
+}
+
+#[test]
+fn hsumma_is_summa_at_both_endpoints_to_the_bit() {
+    // §III–IV's theorem as one assertion: G = 1 and G = p are SUMMA, and
+    // (with rotating roots costing nothing on a tree broadcast) so is the
+    // cyclic layout — on both platforms, under both engines.
+    let bits = |r: SimReport| {
+        let times = [r.total_time, r.comm_time, r.comp_time].map(f64::to_bits);
+        (times, r.msgs, r.bytes)
+    };
+    let cfg = SummaConfig {
+        block: 16,
+        ..Default::default()
+    };
+    let family = [
+        summa(SimBcast::Binomial),
+        hsumma(GridShape::new(1, 1), 16),
+        hsumma(GRID, 16),
+        Schedule::Cyclic {
+            grid: GRID,
+            n: 256,
+            cfg,
+        },
+    ];
+    for plat in [Platform::grid5000(), Platform::bluegene_p()] {
+        let want = bits(simulate(&family[0], &plat, SimEngine::Threads, false));
+        for engine in [SimEngine::Threads, SimEngine::Replay] {
+            for sched in &family {
+                let got = bits(simulate(sched, &plat, engine, false));
+                assert_eq!(got, want, "{sched:?} on {} under {engine:?}", plat.name);
+            }
+        }
     }
 }

@@ -8,13 +8,29 @@
 //! strongest evidence that the simulated BlueGene/P figures are replaying
 //! the same schedule the real implementation executes.
 
-use hsumma_repro::core::simdrive::{sim_hsumma, sim_hsumma_on, sim_summa, sim_summa_on};
+use hsumma_repro::core::simdrive::{simulate, simulate_on, Schedule, SimEngine};
 use hsumma_repro::core::{hsumma, summa, HsummaConfig, SummaConfig};
 use hsumma_repro::matrix::{seeded_uniform, BlockDist, GemmKernel, GridShape};
 use hsumma_repro::model::{hsumma_cost, summa_cost, BcastModel, ModelParams};
-use hsumma_repro::netsim::{Platform, SimBcast, SimNet};
+use hsumma_repro::netsim::{Platform, SimBcast, SimNet, SimReport};
 use hsumma_repro::runtime::{BcastAlgorithm, Comm, Runtime};
 use hsumma_repro::trace::{Trace, Tracer};
+
+/// Free-running simulation on rank threads.
+fn free_run(sched: Schedule, platform: &Platform) -> SimReport {
+    simulate(&sched, platform, SimEngine::Threads, false)
+}
+
+/// HSUMMA at `b = B` under one broadcast algorithm.
+fn hsumma_uniform(
+    grid: GridShape,
+    groups: GridShape,
+    n: usize,
+    b: usize,
+    bcast: SimBcast,
+) -> Schedule {
+    Schedule::hsumma(grid, groups, n, b, b, bcast, bcast)
+}
 
 /// Counts messages the executable algorithm sends during the multiply
 /// phase (excluding the fixed communicator-split protocol).
@@ -107,7 +123,13 @@ fn real_and_sim_summa_emit_identical_payload_multisets() {
     let tracer = Tracer::new(grid.size());
     let mut net = SimNet::new(grid.size(), Platform::grid5000().net);
     net.attach_tracer(&tracer);
-    sim_summa_on(&mut net, 0.0, grid, n, b, SimBcast::Binomial, false);
+    simulate_on(
+        &Schedule::summa(grid, n, b, SimBcast::Binomial),
+        &mut net,
+        0.0,
+        SimEngine::Threads,
+        false,
+    );
     let sim = tracer.collect();
 
     assert_eq!(
@@ -149,16 +171,19 @@ fn real_and_sim_hsumma_emit_identical_payload_multisets() {
     let tracer = Tracer::new(grid.size());
     let mut net = SimNet::new(grid.size(), Platform::grid5000().net);
     net.attach_tracer(&tracer);
-    sim_hsumma_on(
+    simulate_on(
+        &Schedule::hsumma(
+            grid,
+            groups,
+            n,
+            bb,
+            bs,
+            SimBcast::Binomial,
+            SimBcast::Binomial,
+        ),
         &mut net,
         0.0,
-        grid,
-        groups,
-        n,
-        bb,
-        bs,
-        SimBcast::Binomial,
-        SimBcast::Binomial,
+        SimEngine::Threads,
         false,
     );
     let sim = tracer.collect();
@@ -181,8 +206,8 @@ fn real_and_sim_hsumma_emit_identical_payload_multisets() {
 // ---------------------------------------------------------------------
 
 use hsumma_repro::core::{
-    block_lu, cannon, fox, hier_bcast, summa_cyclic, summa_overlap, summa_rect, tsqr, twodotfive,
-    LuConfig, MatMulDims, PhantomMat, TwoDotFiveConfig,
+    block_lu, cannon, fox, hier_bcast, run_planned_gemm, summa_cyclic, summa_overlap, tsqr,
+    twodotfive, LuConfig, MatMulDims, PhantomMat, PlannedAlgo, TwoDotFiveConfig,
 };
 use hsumma_repro::matrix::{factor::seeded_diag_dominant, BlockCyclicDist, Matrix};
 
@@ -276,11 +301,12 @@ fn real_and_sim_rect_summa_emit_identical_payload_multisets() {
     // 4×8, B tiles 8×4 on a 2×2 grid.
     let grid = GridShape::new(2, 2);
     let dims = MatMulDims { m: 8, l: 16, n: 8 };
-    let cfg = SummaConfig {
+    let plan = PlannedAlgo::Summa(SummaConfig {
         block: 2,
         bcast: BcastAlgorithm::Binomial,
         kernel: GemmKernel::Blocked,
-    };
+    });
+    let MatMulDims { m, l, n } = dims;
     let (ah, aw) = (dims.m / grid.rows, dims.l / grid.cols);
     let (bh, bw) = (dims.l / grid.rows, dims.n / grid.cols);
     let ats: Vec<Matrix> = (0..grid.size())
@@ -290,12 +316,13 @@ fn real_and_sim_rect_summa_emit_identical_payload_multisets() {
         .map(|r| seeded_uniform(bh, bw, 600 + r as u64))
         .collect();
     let real = real_trace(grid, |comm| {
-        let _ = summa_rect(comm, grid, dims, &ats[comm.rank()], &bts[comm.rank()], &cfg);
+        let (a, b) = (&ats[comm.rank()], &bts[comm.rank()]);
+        let _ = run_planned_gemm(comm, grid, m, n, l, a, b, &plan);
     });
     let sim = sim_trace(grid.size(), |comm| {
         let a = PhantomMat { rows: ah, cols: aw };
         let b = PhantomMat { rows: bh, cols: bw };
-        let _ = summa_rect(comm, grid, dims, &a, &b, &cfg);
+        let _ = run_planned_gemm(comm, grid, m, n, l, &a, &b, &plan);
     });
     assert_same_sends(&real, &sim, "rectangular summa");
 }
@@ -426,7 +453,12 @@ fn real_summa_message_count_matches_simulated_schedule() {
         2 * split_cost(grid.size()),
     );
 
-    let sim = sim_summa(&Platform::grid5000(), grid, n, b, SimBcast::Binomial);
+    let sim = simulate(
+        &Schedule::summa(grid, n, b, SimBcast::Binomial),
+        &Platform::grid5000(),
+        SimEngine::Threads,
+        false,
+    );
     assert_eq!(
         real, sim.msgs,
         "real schedule must match simulated schedule"
@@ -465,15 +497,11 @@ fn real_hsumma_message_count_matches_simulated_schedule() {
         4 * split_cost(grid.size()), // HSUMMA builds four communicators
     );
 
-    let sim = sim_hsumma(
+    let sim = simulate(
+        &hsumma_uniform(grid, groups, n, b, SimBcast::Binomial),
         &Platform::grid5000(),
-        grid,
-        groups,
-        n,
-        b,
-        b,
-        SimBcast::Binomial,
-        SimBcast::Binomial,
+        SimEngine::Threads,
+        false,
     );
     assert_eq!(
         real, sim.msgs,
@@ -494,7 +522,7 @@ fn simulated_summa_matches_analytic_model_binomial_square_grid() {
     };
     for (side, n, b) in [(4usize, 64usize, 8usize), (8, 128, 16)] {
         let grid = GridShape::new(side, side);
-        let sim = sim_summa(&platform, grid, n, b, SimBcast::Binomial);
+        let sim = free_run(Schedule::summa(grid, n, b, SimBcast::Binomial), &platform);
         let model = summa_cost(
             &params,
             BcastModel::Binomial,
@@ -530,15 +558,9 @@ fn simulated_hsumma_matches_analytic_model_binomial() {
     let grid = GridShape::new(8, 8);
     let groups = GridShape::new(2, 2);
     let (n, b) = (128usize, 16usize);
-    let sim = sim_hsumma(
+    let sim = free_run(
+        hsumma_uniform(grid, groups, n, b, SimBcast::Binomial),
         &platform,
-        grid,
-        groups,
-        n,
-        b,
-        b,
-        SimBcast::Binomial,
-        SimBcast::Binomial,
     );
     let model = hsumma_cost(
         &params,
@@ -571,7 +593,10 @@ fn simulated_vdg_tracks_model_within_tolerance() {
     };
     let grid = GridShape::new(8, 8);
     let (n, b) = (256usize, 32usize);
-    let mut sim = sim_summa(&platform, grid, n, b, SimBcast::ScatterAllgather);
+    let mut sim = free_run(
+        Schedule::summa(grid, n, b, SimBcast::ScatterAllgather),
+        &platform,
+    );
     sim.comp_time = 0.0;
     let model = summa_cost(&params, BcastModel::VanDeGeijn, n as f64, 64.0, b as f64);
     let rel = (sim.total_time - model.comm()).abs() / model.comm();
@@ -595,17 +620,16 @@ fn model_and_simulator_agree_on_who_wins() {
     let (n, b) = (1024usize, 64usize);
     let p = grid.size();
 
-    let sim_summa_r = sim_summa(&platform, grid, n, b, SimBcast::ScatterAllgather);
-    let sweep = sweep_groups(
+    let sim_summa_r = free_run(
+        Schedule::summa(grid, n, b, SimBcast::ScatterAllgather),
         &platform,
-        grid,
-        n,
-        b,
-        b,
-        SimBcast::ScatterAllgather,
-        SimBcast::ScatterAllgather,
-        &power_of_two_gs(p),
     );
+    let sweep = sweep_groups(grid, &power_of_two_gs(p), |groups| {
+        free_run(
+            hsumma_uniform(grid, groups, n, b, SimBcast::ScatterAllgather),
+            &platform,
+        )
+    });
     let sim_best = best_by_comm(&sweep);
     let sim_hsumma_wins = sim_best.report.comm_time < sim_summa_r.comm_time * 0.999;
 

@@ -2,12 +2,17 @@
 //! substrates: zero overhead when disabled, exact critical paths on
 //! known schedules, and well-formed Chrome-trace exports.
 
-use hsumma_repro::core::simdrive::sim_hsumma_on;
-use hsumma_repro::core::{hsumma, summa, HsummaConfig, SummaConfig};
-use hsumma_repro::matrix::{seeded_uniform, BlockDist, GemmKernel, GridShape};
+use hsumma_repro::core::simdrive::{simulate_on, Schedule, SimEngine};
+use hsumma_repro::core::{
+    hsumma, run_planned_gemm, summa, summa_cyclic, twodotfive, HsummaConfig, MatMulDims,
+    PlannedAlgo, SummaConfig, TwoDotFiveConfig,
+};
+use hsumma_repro::matrix::{
+    seeded_uniform, BlockCyclicDist, BlockDist, GemmKernel, GridShape, Matrix,
+};
 use hsumma_repro::netsim::{Hockney, Platform, SimBcast, SimNet};
 use hsumma_repro::runtime::{BcastAlgorithm, Runtime};
-use hsumma_repro::trace::{validate_json, EventKind, Tracer};
+use hsumma_repro::trace::{validate_json, EventKind, Trace, Tracer};
 
 fn summa_cfg(b: usize) -> SummaConfig {
     SummaConfig {
@@ -139,18 +144,9 @@ fn chrome_exports_from_both_substrates_validate() {
     let sim_tracer = Tracer::new(grid.size());
     let mut net = SimNet::new(grid.size(), Platform::grid5000().net);
     net.attach_tracer(&sim_tracer);
-    sim_hsumma_on(
-        &mut net,
-        0.0,
-        grid,
-        GridShape::new(2, 2),
-        n,
-        4,
-        4,
-        SimBcast::Binomial,
-        SimBcast::Binomial,
-        false,
-    );
+    let bc = SimBcast::Binomial;
+    let sched = Schedule::hsumma(grid, GridShape::new(2, 2), n, 4, 4, bc, bc);
+    simulate_on(&sched, &mut net, 0.0, SimEngine::Threads, false);
     let sim = sim_tracer.collect();
     let sim_json = sim.to_chrome_json();
     validate_json(&sim_json).expect("sim export must be valid JSON");
@@ -167,18 +163,10 @@ fn step_breakdown_covers_the_whole_schedule() {
     let tracer = Tracer::new(grid.size());
     let mut net = SimNet::new(grid.size(), Platform::grid5000().net);
     net.attach_tracer(&tracer);
-    sim_hsumma_on(
-        &mut net,
-        Platform::grid5000().gamma,
-        grid,
-        groups,
-        n,
-        bb,
-        bs,
-        SimBcast::Binomial,
-        SimBcast::Binomial,
-        false,
-    );
+    let bc = SimBcast::Binomial;
+    let sched = Schedule::hsumma(grid, groups, n, bb, bs, bc, bc);
+    let gamma = Platform::grid5000().gamma;
+    simulate_on(&sched, &mut net, gamma, SimEngine::Threads, false);
     let trace = tracer.collect();
     let rows = trace.step_breakdown();
     assert_eq!(rows.len(), n / bb, "one row per outer pivot step");
@@ -249,5 +237,108 @@ fn real_run_collective_spans_contain_their_messages() {
                 );
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Every pivot loop is the engine's, so every member of the family is
+// visible to the tracer: one pivot-step span per step a rank takes, and
+// compute spans that carry their flops. A private copy of the loop that
+// drops either (as rectangular, cyclic and 2.5D once did) fails here.
+// ---------------------------------------------------------------------
+
+/// The three schedules with, for each, the pivot steps every rank takes
+/// and the flops of the whole multiply: 12×8×16 through
+/// `PlannedAlgo::Summa` on 2×2, cyclic SUMMA at n = 8 on 2×2, and 2.5D at
+/// n = 8 on q = 2, c = 2 (each layer takes every other step) — all b = 2.
+fn family() -> [(Schedule, usize, usize); 3] {
+    let (grid, n, cfg) = (GridShape::new(2, 2), 8, summa_cfg(2));
+    let dims = MatMulDims { m: 12, l: 8, n: 16 };
+    let plan = PlannedAlgo::Summa(cfg);
+    let layered = TwoDotFiveConfig {
+        q: 2,
+        c: 2,
+        summa: cfg,
+    };
+    [
+        (Schedule::Gemm { grid, dims, plan }, 8 / 2, 2 * 12 * 16 * 8),
+        (Schedule::Cyclic { grid, n, cfg }, n / 2, 2 * n * n * n),
+        (
+            Schedule::TwoDotFive { n, cfg: layered },
+            n / 2 / 2,
+            2 * n * n * n,
+        ),
+    ]
+}
+
+/// Asserts `steps` pivot-step spans on every rank and `flops` in total
+/// over all compute spans.
+fn assert_steps_and_flops(sched: &Schedule, trace: &Trace, steps: usize, flops: usize) {
+    for rank in 0..sched.ranks() {
+        let got = trace
+            .events_of(rank)
+            .filter(|e| matches!(e.kind, EventKind::PivotStep { .. }))
+            .count();
+        assert_eq!(got, steps, "{sched:?}: pivot-step spans on rank {rank}");
+    }
+    let got: u64 = trace
+        .events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Compute { flops } => Some(flops),
+            _ => None,
+        })
+        .sum();
+    assert_eq!(got as usize, flops, "{sched:?}: total compute-span flops");
+}
+
+#[test]
+fn rect_cyclic_and_twodotfive_steps_are_traced_on_the_threaded_runtime() {
+    for (sched, steps, flops) in family() {
+        let tracer = Tracer::new(sched.ranks());
+        let run = |f: &(dyn Fn(&hsumma_repro::runtime::Comm) + Sync)| {
+            Runtime::run_traced(sched.ranks(), &tracer, |comm| f(comm));
+        };
+        match sched {
+            Schedule::Gemm { grid, dims, plan } => {
+                let MatMulDims { m, l, n } = dims;
+                let at = BlockDist::new(grid, m, l).scatter(&seeded_uniform(m, l, 1));
+                let bt = BlockDist::new(grid, l, n).scatter(&seeded_uniform(l, n, 2));
+                run(&|comm| {
+                    let (a, b) = (&at[comm.rank()], &bt[comm.rank()]);
+                    run_planned_gemm(comm, grid, m, n, l, a, b, &plan).unwrap();
+                });
+            }
+            Schedule::Cyclic { grid, n, cfg } => {
+                let dist = BlockCyclicDist::new(grid, n, n, cfg.block);
+                let at = dist.scatter(&seeded_uniform(n, n, 3));
+                let bt = dist.scatter(&seeded_uniform(n, n, 4));
+                run(&|comm| {
+                    let (a, b) = (&at[comm.rank()], &bt[comm.rank()]);
+                    summa_cyclic(comm, grid, n, a, b, &cfg).unwrap();
+                });
+            }
+            Schedule::TwoDotFive { n, cfg } => {
+                // Layers beyond the first pass zeros; only shapes matter.
+                let tile = Matrix::zeros(n / cfg.q, n / cfg.q);
+                run(&|comm| {
+                    twodotfive(comm, n, &tile, &tile, &cfg).unwrap();
+                });
+            }
+            other => unreachable!("{other:?} is not in the family"),
+        }
+        assert_steps_and_flops(&sched, &tracer.collect(), steps, flops);
+    }
+}
+
+#[test]
+fn rect_cyclic_and_twodotfive_steps_are_traced_on_the_simulator() {
+    for (sched, steps, flops) in family() {
+        let tracer = Tracer::new(sched.ranks());
+        let plat = Platform::grid5000();
+        let mut net = SimNet::new(sched.ranks(), plat.net);
+        net.attach_tracer(&tracer);
+        simulate_on(&sched, &mut net, plat.gamma, SimEngine::Threads, false);
+        assert_steps_and_flops(&sched, &tracer.collect(), steps, flops);
     }
 }
