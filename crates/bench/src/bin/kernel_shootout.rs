@@ -1,33 +1,61 @@
-//! Local-GEMM kernel shootout: Naive vs Blocked vs Parallel vs Packed.
+//! Local-GEMM kernel shootout: Naive vs Blocked vs Parallel vs Packed,
+//! with `Packed` placed against the core's arithmetic peak.
 //!
-//! Times every [`GemmKernel`] on square `C += A·B` problems at
-//! `n ∈ {128, 256, 512, 1024}` and reports GFLOP/s (2·n³ flops per
-//! multiply). Results go to stdout as a table and to `BENCH_gemm.json`
-//! in the current directory as a machine-readable record; the JSON also
-//! carries the headline ratio the repo tracks — Packed over Blocked at
-//! `n = 512`, which must stay ≥ 3× (see `DESIGN.md`, "Local kernel
-//! hierarchy").
+//! Times every [`GemmKernel`] on `C += A·B` at the square sizes
+//! `n ∈ {128, 256, 512, 1024}` and at the two rank-local shapes the
+//! repository benchmark probes (512×128×512, the update of `gemm-compute`,
+//! and 64×8×64, that of `gemm-comm`), and reports GFLOP/s (2·m·k·n flops
+//! per multiply). The roofline column is `Packed` over a peak timed in
+//! the same run: independent multiply-add chains in registers, no memory
+//! traffic, at the widest vector this build targets (see [`peak_gflops`]),
+//! times the CPUs the kernels may fan out to. Pinned to one CPU
+//! (`taskset -c 1`, as the repository benchmark pins itself) that is the
+//! core's own roofline, and that is how `BENCH_gemm.json` is recorded.
+//! Results go to stdout as a table and to `BENCH_gemm.json` in the current
+//! directory, with the host context a reader needs to compare two files
+//! (CPUs, target features, git revision); the JSON also carries the
+//! headline ratio the repo tracks — Packed over Blocked at `n = 512`,
+//! which must stay ≥ 3× (see `DESIGN.md`, "Local kernel hierarchy").
 //!
-//! Timing discipline: one untimed warm-up per (kernel, size), then the
-//! minimum of `REPS` timed runs — minimum, not mean, because on a shared
-//! box the noise is one-sided (interruptions only ever slow a run down).
-//! `Naive` is skipped above `n = 512` to keep the shootout quick; `null`
+//! Timing discipline: one untimed warm-up per (kernel, shape), then the
+//! minimum of at least `REPS` timed runs, and as many as fit in
+//! [`CELL_SECS`] — minimum, not mean, because on a shared box the noise is
+//! one-sided (interruptions only ever slow a run down), and a quarter of
+//! a second because its spells outlast five runs of a small shape.
+//! A timed run repeats the multiply until it has done [`RUN_FLOPS`], so
+//! the 1.6 µs small shape is not timed one clock read at a time. `Naive`
+//! is skipped above 512³ flop pairs to keep the shootout quick; `null`
 //! marks the skip in the JSON.
 
 use hsumma_bench::render_table;
 use hsumma_matrix::{gemm, seeded_uniform, GemmKernel, Matrix};
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::time::Instant;
 
-/// Timed repetitions per (kernel, size); best-of is reported.
+/// Fewest timed repetitions per (kernel, shape); best-of is reported.
 const REPS: usize = 5;
 
-/// Problem edge lengths exercised by the shootout.
-const SIZES: [usize; 4] = [128, 256, 512, 1024];
+/// Time a cell keeps taking repetitions for, once it has `REPS`.
+const CELL_SECS: f64 = 0.25;
 
-/// Past this edge length the naive kernel is skipped (it would dominate
-/// the shootout's wall time without adding information).
-const NAIVE_CUTOFF: usize = 512;
+/// Least arithmetic in one timed run; smaller shapes repeat to reach it.
+const RUN_FLOPS: f64 = 4e7;
+
+/// `(m, k, n)` exercised by the shootout: the squares, then the two
+/// rank-local shapes of the repository benchmark.
+const SHAPES: [(usize, usize, usize); 6] = [
+    (128, 128, 128),
+    (256, 256, 256),
+    (512, 512, 512),
+    (1024, 1024, 1024),
+    (512, 128, 512),
+    (64, 8, 64),
+];
+
+/// Past this many flop pairs the naive kernel is skipped (it would
+/// dominate the shootout's wall time without adding information).
+const NAIVE_CUTOFF: usize = 512 * 512 * 512;
 
 const KERNELS: [(&str, GemmKernel); 4] = [
     ("naive", GemmKernel::Naive),
@@ -36,46 +64,140 @@ const KERNELS: [(&str, GemmKernel); 4] = [
     ("packed", GemmKernel::Packed),
 ];
 
-/// Best-of-`REPS` seconds for one `n×n·n×n` accumulate with `kernel`.
-fn time_kernel(kernel: GemmKernel, n: usize) -> f64 {
-    let a = seeded_uniform(n, n, 1);
-    let b = seeded_uniform(n, n, 2);
-    let mut warm = Matrix::zeros(n, n);
-    gemm(kernel, &a, &b, &mut warm);
+/// Shortest of at least `REPS` timings of `run`, taken for `CELL_SECS`.
+fn best_secs(mut run: impl FnMut()) -> f64 {
     let mut best = f64::INFINITY;
-    for _ in 0..REPS {
-        let mut c = Matrix::zeros(n, n);
+    let cell = Instant::now();
+    let mut runs = 0;
+    while runs < REPS || cell.elapsed().as_secs_f64() < CELL_SECS {
         let t0 = Instant::now();
-        gemm(kernel, &a, &b, &mut c);
+        run();
         best = best.min(t0.elapsed().as_secs_f64());
+        runs += 1;
     }
     best
 }
 
-fn gflops(n: usize, secs: f64) -> f64 {
-    2.0 * (n as f64).powi(3) / secs / 1e9
+/// Best GFLOP/s of the `m×k · k×n` accumulate with `kernel`.
+fn kernel_gflops(kernel: GemmKernel, (m, k, n): (usize, usize, usize)) -> f64 {
+    let a = seeded_uniform(m, k, 1);
+    let b = seeded_uniform(k, n, 2);
+    let mut c = Matrix::zeros(m, n);
+    gemm(kernel, &a, &b, &mut c);
+    let flops = 2.0 * (m * k * n) as f64;
+    let calls = (RUN_FLOPS / flops).ceil() as usize;
+    let best = best_secs(|| {
+        for _ in 0..calls {
+            gemm(kernel, black_box(&a), black_box(&b), black_box(&mut c));
+        }
+    });
+    flops * calls as f64 / best / 1e9
+}
+
+/// Multiply-add steps per chain in one timed run of the peak loop.
+const PEAK_STEPS: usize = 2_000_000;
+
+/// Best GFLOP/s of sixteen independent 512-bit FMA chains: the
+/// instruction the AVX-512 microkernel issues, with nothing to load.
+#[cfg(target_feature = "avx512f")]
+fn peak_gflops() -> f64 {
+    use std::arch::x86_64::{_mm512_fmadd_pd, _mm512_reduce_add_pd, _mm512_set1_pd};
+    let best = best_secs(|| {
+        // SAFETY: register-only intrinsics; `avx512f` is enabled for the
+        // whole compilation (this function only exists under that `cfg`).
+        let sum = unsafe {
+            let x = _mm512_set1_pd(black_box(1.0 - 1e-9));
+            let y = _mm512_set1_pd(black_box(1e-9));
+            let mut acc = [_mm512_set1_pd(1.0); 16];
+            for _ in 0..PEAK_STEPS {
+                for a in &mut acc {
+                    *a = _mm512_fmadd_pd(*a, x, y);
+                }
+            }
+            acc.iter().map(|&a| _mm512_reduce_add_pd(a)).sum::<f64>()
+        };
+        black_box(sum);
+    });
+    (PEAK_STEPS * 16 * 8 * 2) as f64 / best / 1e9
+}
+
+/// Best GFLOP/s of eight independent 8-lane multiply-then-add chains,
+/// which LLVM vectorizes as it does the portable microkernel: separate
+/// multiplies and adds at the target's preferred width.
+#[cfg(not(target_feature = "avx512f"))]
+fn peak_gflops() -> f64 {
+    let best = best_secs(|| {
+        let (x, y) = (black_box(1.0 - 1e-9), black_box(1e-9));
+        let mut acc = [[1.0f64; 8]; 8];
+        for _ in 0..PEAK_STEPS {
+            for chain in &mut acc {
+                for a in chain {
+                    *a = *a * x + y;
+                }
+            }
+        }
+        black_box(acc);
+    });
+    (PEAK_STEPS * 8 * 8 * 2) as f64 / best / 1e9
+}
+
+/// The vector features this build was compiled for, widest first.
+fn target_features() -> Vec<&'static str> {
+    [
+        ("avx512f", cfg!(target_feature = "avx512f")),
+        ("avx2", cfg!(target_feature = "avx2")),
+        ("fma", cfg!(target_feature = "fma")),
+        ("sse2", cfg!(target_feature = "sse2")),
+    ]
+    .into_iter()
+    .filter_map(|(name, on)| on.then_some(name))
+    .collect()
+}
+
+/// `git describe --always --dirty` of the working directory, or `unknown`.
+fn git_revision() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
 }
 
 fn main() {
-    println!("Local GEMM kernel shootout (best of {REPS} runs per cell)\n");
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let features = target_features();
+    println!(
+        "Local GEMM kernel shootout (best of >= {REPS} runs per cell, {host_cpus} host cpus, \
+         target features: {})\n",
+        features.join(" ")
+    );
+    let core_peak = peak_gflops();
+    let peak = core_peak * host_cpus as f64;
+    println!(
+        "arithmetic peak timed now: {core_peak:.1} GFLOP/s per core, {peak:.1} on {host_cpus} cpus\n"
+    );
 
-    // results[size_index][kernel_index] = Some(gflop/s)
+    // results[shape_index][kernel_index] = Some(gflop/s)
     let mut results: Vec<Vec<Option<f64>>> = Vec::new();
     let mut rows = Vec::new();
-    for &n in &SIZES {
-        let mut row = vec![format!("{n}")];
+    for &(m, k, n) in &SHAPES {
+        let mut row = vec![format!("{m}x{k}x{n}")];
         let mut cells = Vec::new();
         for &(name, kernel) in &KERNELS {
-            if kernel == GemmKernel::Naive && n > NAIVE_CUTOFF {
+            if kernel == GemmKernel::Naive && m * k * n > NAIVE_CUTOFF {
                 row.push("-".to_string());
                 cells.push(None);
                 continue;
             }
-            let rate = gflops(n, time_kernel(kernel, n));
+            let rate = kernel_gflops(kernel, (m, k, n));
             row.push(format!("{rate:.2}"));
             cells.push(Some(rate));
-            eprintln!("  measured n={n} {name}: {rate:.2} GFLOP/s");
+            eprintln!("  measured {m}x{k}x{n} {name}: {rate:.2} GFLOP/s");
         }
+        let packed = cells[3].expect("packed always runs");
+        row.push(format!("{:.2}", packed / peak));
         rows.push(row);
         results.push(cells);
     }
@@ -84,32 +206,41 @@ fn main() {
         "{}",
         render_table(
             &[
-                "n",
+                "m x k x n",
                 "naive GF/s",
                 "blocked GF/s",
                 "parallel GF/s",
-                "packed GF/s"
+                "packed GF/s",
+                "packed / peak"
             ],
             &rows
         )
     );
 
-    let i512 = SIZES
+    let i512 = SHAPES
         .iter()
-        .position(|&n| n == 512)
+        .position(|&s| s == (512, 512, 512))
         .expect("512 is a shootout size");
     let blocked_512 = results[i512][1].expect("blocked runs at 512");
     let packed_512 = results[i512][3].expect("packed runs at 512");
     let speedup = packed_512 / blocked_512;
     println!("packed vs blocked at n=512: {speedup:.2}x (target: >= 3x)");
 
-    let mut json = String::from("{\n  \"flops_per_cell\": \"2*n^3\",\n  \"reps\": ");
+    let mut json = String::from("{\n  \"flops_per_cell\": \"2*m*k*n\",\n");
     let _ = write!(
         json,
-        "{REPS},\n  \"unit\": \"GFLOP/s\",\n  \"results\": [\n"
+        "  \"reps\": {REPS},\n  \"unit\": \"GFLOP/s\",\n  \"host_cpus\": {host_cpus},\n  \
+         \"target_features\": [{}],\n  \"git\": \"{}\",\n  \"peak_gflops_per_core\": {core_peak:.3},\n  \
+         \"results\": [\n",
+        features
+            .iter()
+            .map(|f| format!("\"{f}\""))
+            .collect::<Vec<_>>()
+            .join(", "),
+        git_revision()
     );
-    for (si, &n) in SIZES.iter().enumerate() {
-        let _ = write!(json, "    {{\"n\": {n}");
+    for (si, &(m, k, n)) in SHAPES.iter().enumerate() {
+        let _ = write!(json, "    {{\"m\": {m}, \"k\": {k}, \"n\": {n}");
         for (ki, &(name, _)) in KERNELS.iter().enumerate() {
             match results[si][ki] {
                 Some(rate) => {
@@ -120,7 +251,9 @@ fn main() {
                 }
             }
         }
-        json.push_str(if si + 1 < SIZES.len() { "},\n" } else { "}\n" });
+        let packed = results[si][3].expect("packed always runs");
+        let _ = write!(json, ", \"packed_over_peak\": {:.3}", packed / peak);
+        json.push_str(if si + 1 < SHAPES.len() { "},\n" } else { "}\n" });
     }
     let _ = write!(
         json,

@@ -18,7 +18,9 @@
 //! in registers while marching down the shared `KC` dimension. Packing
 //! scratch lives in thread-local buffers, so a long-lived rank thread that
 //! calls `gemm` once per SUMMA pivot step allocates on the first step only.
-//! Cache-block sizes are runtime-selected (see [`PackedParams`]).
+//! The microkernel is chosen at compile time: explicit AVX-512 FMA
+//! intrinsics where the build targets `avx512f`, an autovectorized loop
+//! everywhere else.
 //!
 //! All kernels *accumulate* (`C += A·B`), which is the operation SUMMA's
 //! inner step needs (`c_ij = c_ij + a_ik · b_kj`).
@@ -26,7 +28,6 @@
 use crate::dense::Matrix;
 use rayon::prelude::*;
 use std::cell::RefCell;
-use std::sync::OnceLock;
 
 /// Tile edge used by the `Blocked`/`Parallel` kernels. 64 `f64`s = 512
 /// bytes per row segment, so a 64×64 tile (32 KiB) of each operand fits
@@ -34,18 +35,28 @@ use std::sync::OnceLock;
 const TILE: usize = 64;
 
 /// Microkernel register-block height: rows of `C` updated per microkernel
-/// call. With [`NR`]` = 16`, the 4×16 accumulator block is 8 AVX-512 (or
-/// 16 AVX2) vectors — eight independent FMA chains, enough to hide FMA
-/// latency — while each k-step issues only 4 scalar `A` broadcasts per
-/// two `B` vector loads. Wider/taller blocks (8×16, 4×24, 6×16) were
-/// measured slower here: LLVM spills the accumulator array once it
-/// cannot keep every row in architectural registers.
-pub const MR: usize = 4;
+/// call. 8 where the build targets AVX-512 (8×16 doubles are 16 of the 32
+/// `zmm` registers; 12 and 14 rows measured no faster), 4 for the
+/// autovectorized body (`update_tile` says what each compiles to).
+pub const MR: usize = if cfg!(target_feature = "avx512f") {
+    8
+} else {
+    4
+};
 
-/// Microkernel register-block width: columns of `C` updated per call.
-/// Sixteen doubles = two AVX-512 or four AVX2 vectors, the widest unit
-/// LLVM autovectorizes the inner loop to without spilling.
+/// Microkernel register-block width: columns of `C` updated per call,
+/// two 512-bit or four 256-bit vectors of doubles.
 pub const NR: usize = 16;
+
+/// Rows of `C` per macro-block. The packed `MC×KC` block of `A` (128 KiB)
+/// and the `KC×NC` block of `B` (1 MiB) share the 2 MiB L2; DESIGN.md
+/// ("Local kernel hierarchy") records the sweep that picked all three.
+pub const MC: usize = 64;
+/// Depth of one packed slice of the shared dimension: a `KC×NR` micro-panel
+/// of `B` (32 KiB) stays in L1 while the `A` micro-panels stream past it.
+pub const KC: usize = 256;
+/// Columns of `C` per macro-block (the packed `KC×NC` block of `B`).
+pub const NC: usize = 512;
 
 /// Which local multiply implementation to use.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -60,60 +71,6 @@ pub enum GemmKernel {
     /// microkernel — the fastest kernel and the workspace default.
     #[default]
     Packed,
-}
-
-/// Cache-blocking parameters of the packed kernel: `C` is computed in
-/// `MC×NC` macro-tiles accumulated over `KC`-deep slices.
-///
-/// Defaults target a generic ~32 KiB L1d / ~1 MiB L2 core:
-/// an `MC×KC` packed `A` block (64·256 doubles = 128 KiB) stays L2-resident
-/// while one `KC×NR` packed `B` micro-panel (32 KiB) streams through L1;
-/// the values were picked by a sweep on the development machine
-/// (`KC ∈ [128, 512]`, `MC ∈ [64, 256]` — flat within ~10%, peak at
-/// `64/256`). Retune via the environment without recompiling:
-/// `HSUMMA_GEMM_MC`, `HSUMMA_GEMM_KC`, `HSUMMA_GEMM_NC` (values are
-/// rounded up to the nearest micro-panel multiple).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PackedParams {
-    /// Rows of `C` per macro-block (`A` block height); L2 budget.
-    pub mc: usize,
-    /// Shared dimension per slice (packed panel depth); L1/L2 budget.
-    pub kc: usize,
-    /// Columns of `C` per macro-block (`B` block width); L3 budget.
-    pub nc: usize,
-}
-
-impl Default for PackedParams {
-    fn default() -> Self {
-        PackedParams {
-            mc: 64,
-            kc: 256,
-            nc: 4096,
-        }
-    }
-}
-
-impl PackedParams {
-    /// The process-wide parameters: defaults overridden by the
-    /// `HSUMMA_GEMM_{MC,KC,NC}` environment variables, resolved once.
-    pub fn get() -> &'static PackedParams {
-        static PARAMS: OnceLock<PackedParams> = OnceLock::new();
-        PARAMS.get_or_init(|| {
-            let read = |name: &str, default: usize| -> usize {
-                std::env::var(name)
-                    .ok()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&v| v > 0)
-                    .unwrap_or(default)
-            };
-            let d = PackedParams::default();
-            PackedParams {
-                mc: read("HSUMMA_GEMM_MC", d.mc).next_multiple_of(MR),
-                kc: read("HSUMMA_GEMM_KC", d.kc),
-                nc: read("HSUMMA_GEMM_NC", d.nc).next_multiple_of(NR),
-            }
-        })
-    }
 }
 
 /// `c += a · b` using the selected kernel.
@@ -237,54 +194,78 @@ thread_local! {
     static PACK_SCRATCH: RefCell<(Vec<f64>, Vec<f64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
+/// The first `len` elements of `buf`, grown if needed. Stale contents are
+/// left in place: the packers overwrite every element they hand out.
+fn scratch(buf: &mut Vec<f64>, len: usize) -> &mut [f64] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
+}
+
 /// Packs the `mc×kc` block of `a` at `(ic, pc)` into column-major
 /// micro-panels of [`MR`] rows: panel `p` holds rows `ic+p·MR ..` laid out
 /// `kc` columns deep with stride `MR`, zero-padded to a full `MR` rows so
-/// the microkernel never branches on the row edge.
-fn pack_a(a: &Matrix, ic: usize, pc: usize, mc: usize, kc: usize, buf: &mut Vec<f64>) {
-    let panels = mc.div_ceil(MR);
-    buf.clear();
-    buf.resize(panels * MR * kc, 0.0);
+/// the microkernel never branches on the row edge. Output is written
+/// front to back, one `MR`-group (one cache line at `MR = 8`) at a time.
+fn pack_a<'s>(
+    a: &Matrix,
+    ic: usize,
+    pc: usize,
+    mc: usize,
+    kc: usize,
+    buf: &'s mut Vec<f64>,
+) -> &'s [f64] {
+    let out = scratch(buf, mc.div_ceil(MR) * MR * kc);
     let lda = a.cols();
     let src = a.as_slice();
-    for p in 0..panels {
-        let i0 = p * MR;
-        let rows = MR.min(mc - i0);
-        let panel = &mut buf[p * MR * kc..(p + 1) * MR * kc];
-        for i in 0..rows {
-            let row = &src[(ic + i0 + i) * lda + pc..][..kc];
-            for (l, &v) in row.iter().enumerate() {
-                panel[l * MR + i] = v;
+    for (p, panel) in out.chunks_exact_mut(MR * kc).enumerate() {
+        let i0 = ic + p * MR;
+        let rows = MR.min(ic + mc - i0);
+        // Row `i` of the panel's source; rows past the ragged edge alias
+        // the last real one and are masked to zero below.
+        let row: [&[f64]; MR] =
+            std::array::from_fn(|i| &src[(i0 + i.min(rows - 1)) * lda + pc..][..kc]);
+        for (l, group) in panel.chunks_exact_mut(MR).enumerate() {
+            for i in 0..MR {
+                group[i] = if i < rows { row[i][l] } else { 0.0 };
             }
         }
     }
+    out
 }
 
 /// Packs the `kc×nc` block of `b` at `(pc, jc)` into row-major
 /// micro-panels of [`NR`] columns: panel `q` holds columns `jc+q·NR ..`
 /// laid out `kc` rows deep with stride `NR`, zero-padded to full `NR`
 /// columns.
-fn pack_b(b: &Matrix, pc: usize, jc: usize, kc: usize, nc: usize, buf: &mut Vec<f64>) {
-    let panels = nc.div_ceil(NR);
-    buf.clear();
-    buf.resize(panels * NR * kc, 0.0);
+fn pack_b<'s>(
+    b: &Matrix,
+    pc: usize,
+    jc: usize,
+    kc: usize,
+    nc: usize,
+    buf: &'s mut Vec<f64>,
+) -> &'s [f64] {
+    let out = scratch(buf, nc.div_ceil(NR) * NR * kc);
     let ldb = b.cols();
     let src = b.as_slice();
-    for q in 0..panels {
+    for (q, panel) in out.chunks_exact_mut(NR * kc).enumerate() {
         let j0 = q * NR;
         let cols = NR.min(nc - j0);
-        let panel = &mut buf[q * NR * kc..(q + 1) * NR * kc];
-        for l in 0..kc {
+        for (l, group) in panel.chunks_exact_mut(NR).enumerate() {
             let row = &src[(pc + l) * ldb + jc + j0..][..cols];
-            panel[l * NR..l * NR + cols].copy_from_slice(row);
+            group[..cols].copy_from_slice(row);
+            group[cols..].fill(0.0);
         }
     }
+    out
 }
 
-/// The register-blocked microkernel: returns the `MR×NR` product block of
-/// one packed `A` micro-panel against one packed `B` micro-panel, `kc`
-/// deep. The accumulator array lives in vector registers; the `j` loop is
-/// the autovectorized dimension.
+/// The portable register-blocked microkernel: returns the `MR×NR` product
+/// block of one packed `A` micro-panel against one packed `B` micro-panel,
+/// `kc` deep. The `j` loop is the autovectorized dimension.
+#[cfg(not(target_feature = "avx512f"))]
 #[inline(always)]
 fn microkernel(kc: usize, a_panel: &[f64], b_panel: &[f64]) -> [[f64; NR]; MR] {
     let mut acc = [[0.0f64; NR]; MR];
@@ -304,11 +285,109 @@ fn microkernel(kc: usize, a_panel: &[f64], b_panel: &[f64]) -> [[f64; NR]; MR] {
     acc
 }
 
+/// `c_tile[i·ldc + j] += alpha · Σ_l a_panel[l·MR + i] · b_panel[l·NR + j]`
+/// for `i < mr_eff`, `j < nr_eff`: one packed `A` micro-panel against one
+/// packed `B` micro-panel, `kc` deep, `l` ascending. `c_tile` starts at
+/// the tile's top-left element; rows and columns past the ragged edge are
+/// computed (the panels are zero-padded) and dropped at write-back.
+///
+/// Portable body: the 4×16 [`microkernel`] above, which LLVM vectorizes
+/// as separate `vmulpd`/`vaddpd` at the target's preferred vector width
+/// (256-bit `ymm` even on this AVX-512 host) and never as FMA: Rust does
+/// not contract `acc += a * b`.
+#[cfg(not(target_feature = "avx512f"))]
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn update_tile(
+    kc: usize,
+    a_panel: &[f64],
+    b_panel: &[f64],
+    alpha: f64,
+    c_tile: &mut [f64],
+    ldc: usize,
+    mr_eff: usize,
+    nr_eff: usize,
+) {
+    let acc = microkernel(kc, a_panel, b_panel);
+    for (i, acc_row) in acc.iter().enumerate().take(mr_eff) {
+        let c_row = &mut c_tile[i * ldc..][..nr_eff];
+        for (cv, &av) in c_row.iter_mut().zip(acc_row) {
+            *cv += alpha * av;
+        }
+    }
+}
+
+/// The AVX-512 body of `update_tile`, same contract as the portable one.
+/// In the release build the 8×16 tile is sixteen `zmm` accumulators and a
+/// `k` step is two 512-bit `vmovupd` loads of `B`, eight `vbroadcastsd` of
+/// `A` from memory and sixteen `vfmadd231pd` (unrolled twice, no spills).
+/// `C` is read, updated with one more FMA per vector and written back
+/// under a lane mask, so full and ragged tiles run the same instructions:
+/// every entry sees the same operations in the same order wherever it
+/// sits, and nothing depends on the operands' addresses.
+#[cfg(target_feature = "avx512f")]
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn update_tile(
+    kc: usize,
+    a_panel: &[f64],
+    b_panel: &[f64],
+    alpha: f64,
+    c_tile: &mut [f64],
+    ldc: usize,
+    mr_eff: usize,
+    nr_eff: usize,
+) {
+    use std::arch::x86_64::{
+        _mm512_fmadd_pd, _mm512_loadu_pd, _mm512_mask_loadu_pd, _mm512_mask_storeu_pd,
+        _mm512_set1_pd, _mm512_setzero_pd,
+    };
+    // These stay on in release: they are what bounds every pointer below.
+    assert!(a_panel.len() >= kc * MR && b_panel.len() >= kc * NR);
+    assert!((1..=MR).contains(&mr_eff) && (1..=NR).contains(&nr_eff));
+    assert!((mr_eff - 1) * ldc + nr_eff <= c_tile.len());
+    // Lane masks of the two vectors of a `C` row: columns `< nr_eff`.
+    let lanes = (1u32 << nr_eff) - 1;
+    let mask = [lanes as u8, (lanes >> 8) as u8];
+    // SAFETY: `ap` and `bp` advance `MR` and `NR` elements per step for
+    // `kc` steps and each step reads `ap[..MR]`, `bp[..NR]`, all below
+    // `kc·MR` and `kc·NR`, which the first assert bounds by the slice
+    // lengths. A masked load or store touches only the lanes its mask
+    // enables: row `i < mr_eff`, column `j < nr_eff`, i.e. offset
+    // `i·ldc + j ≤ (mr_eff−1)·ldc + nr_eff − 1`, which the third assert
+    // bounds by `c_tile.len()`. `avx512f` is enabled for the whole
+    // compilation (this function only exists under that `cfg`).
+    unsafe {
+        let mut acc = [[_mm512_setzero_pd(); 2]; MR];
+        let mut ap = a_panel.as_ptr();
+        let mut bp = b_panel.as_ptr();
+        for _ in 0..kc {
+            let b0 = _mm512_loadu_pd(bp);
+            let b1 = _mm512_loadu_pd(bp.add(8));
+            for (i, row) in acc.iter_mut().enumerate() {
+                let ai = _mm512_set1_pd(*ap.add(i));
+                row[0] = _mm512_fmadd_pd(ai, b0, row[0]);
+                row[1] = _mm512_fmadd_pd(ai, b1, row[1]);
+            }
+            ap = ap.add(MR);
+            bp = bp.add(NR);
+        }
+        let alpha = _mm512_set1_pd(alpha);
+        let cp = c_tile.as_mut_ptr();
+        for (i, row) in acc.iter().enumerate().take(mr_eff) {
+            for (h, &sum) in row.iter().enumerate() {
+                let at = cp.add(i * ldc + 8 * h);
+                let old = _mm512_mask_loadu_pd(_mm512_setzero_pd(), mask[h], at);
+                _mm512_mask_storeu_pd(at, mask[h], _mm512_fmadd_pd(alpha, sum, old));
+            }
+        }
+    }
+}
+
 /// Applies one packed `A` block against one packed `B` block, updating the
 /// `mc×nc` region of `C` that starts at column `jc` inside `c_rows`
 /// (`c_rows` is the row-major stripe of `C` holding the block's rows;
-/// `ldc` is the full row stride). Handles ragged edges by clipping the
-/// microkernel's accumulator at write-back.
+/// `ldc` is the full row stride).
 #[allow(clippy::too_many_arguments)]
 fn packed_block_update(
     alpha: f64,
@@ -321,19 +400,12 @@ fn packed_block_update(
     nc: usize,
     kc: usize,
 ) {
-    for (q, jr) in (0..nc).step_by(NR).enumerate() {
-        let b_panel = &b_pack[q * NR * kc..(q + 1) * NR * kc];
+    for (b_panel, jr) in b_pack.chunks_exact(NR * kc).zip((0..nc).step_by(NR)) {
         let nr_eff = NR.min(nc - jr);
-        for (p, ir) in (0..mc).step_by(MR).enumerate() {
-            let a_panel = &a_pack[p * MR * kc..(p + 1) * MR * kc];
+        for (a_panel, ir) in a_pack.chunks_exact(MR * kc).zip((0..mc).step_by(MR)) {
             let mr_eff = MR.min(mc - ir);
-            let acc = microkernel(kc, a_panel, b_panel);
-            for (i, acc_row) in acc.iter().enumerate().take(mr_eff) {
-                let c_row = &mut c_rows[(ir + i) * ldc + jc + jr..][..nr_eff];
-                for (cv, &av) in c_row.iter_mut().zip(acc_row) {
-                    *cv += alpha * av;
-                }
-            }
+            let c_tile = &mut c_rows[ir * ldc + jc + jr..];
+            update_tile(kc, a_panel, b_panel, alpha, c_tile, ldc, mr_eff, nr_eff);
         }
     }
 }
@@ -344,34 +416,33 @@ fn gemm_packed(alpha: f64, a: &Matrix, b: &Matrix, c: &mut Matrix) {
     if m == 0 || k == 0 || n == 0 {
         return;
     }
-    let params = *PackedParams::get();
     let threads = rayon::current_num_threads();
     // Fan out over MC row blocks only when more than one exists and the
     // arithmetic amortizes the scoped-thread dispatch.
-    if threads > 1 && m > params.mc && flop_pairs(m, k, n) >= 4 * (TILE * TILE * TILE) as u64 {
-        gemm_packed_parallel(alpha, a, b, c, &params, threads);
+    if threads > 1 && m > MC && flop_pairs(m, k, n) >= 4 * (TILE * TILE * TILE) as u64 {
+        gemm_packed_parallel(alpha, a, b, c, threads);
     } else {
-        gemm_packed_st(alpha, a, b, c, &params);
+        gemm_packed_st(alpha, a, b, c);
     }
 }
 
 /// Single-threaded packed driver; packing scratch comes from the calling
 /// thread's reusable buffers.
-fn gemm_packed_st(alpha: f64, a: &Matrix, b: &Matrix, c: &mut Matrix, params: &PackedParams) {
+fn gemm_packed_st(alpha: f64, a: &Matrix, b: &Matrix, c: &mut Matrix) {
     let (m, k) = a.shape();
     let n = b.cols();
     PACK_SCRATCH.with(|scratch| {
         let (a_buf, b_buf) = &mut *scratch.borrow_mut();
-        for jc in (0..n).step_by(params.nc) {
-            let nc = params.nc.min(n - jc);
-            for pc in (0..k).step_by(params.kc) {
-                let kc = params.kc.min(k - pc);
-                pack_b(b, pc, jc, kc, nc, b_buf);
-                for ic in (0..m).step_by(params.mc) {
-                    let mc = params.mc.min(m - ic);
-                    pack_a(a, ic, pc, mc, kc, a_buf);
+        for jc in (0..n).step_by(NC) {
+            let nc = NC.min(n - jc);
+            for pc in (0..k).step_by(KC) {
+                let kc = KC.min(k - pc);
+                let b_pack = pack_b(b, pc, jc, kc, nc, b_buf);
+                for ic in (0..m).step_by(MC) {
+                    let mc = MC.min(m - ic);
+                    let a_pack = pack_a(a, ic, pc, mc, kc, a_buf);
                     let c_rows = &mut c.as_mut_slice()[ic * n..(ic + mc) * n];
-                    packed_block_update(alpha, a_buf, b_buf, c_rows, n, jc, mc, nc, kc);
+                    packed_block_update(alpha, a_pack, b_pack, c_rows, n, jc, mc, nc, kc);
                 }
             }
         }
@@ -381,43 +452,34 @@ fn gemm_packed_st(alpha: f64, a: &Matrix, b: &Matrix, c: &mut Matrix, params: &P
 /// Parallel packed driver: `B` blocks are packed once by the caller and
 /// shared read-only; `MC` row blocks of `C` are dealt round-robin to
 /// scoped worker threads, each with its own persistent `A`-packing buffer.
-fn gemm_packed_parallel(
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    c: &mut Matrix,
-    params: &PackedParams,
-    threads: usize,
-) {
+fn gemm_packed_parallel(alpha: f64, a: &Matrix, b: &Matrix, c: &mut Matrix, threads: usize) {
     let (m, k) = a.shape();
     let n = b.cols();
-    let blocks = m.div_ceil(params.mc);
-    let workers = threads.min(blocks);
+    let workers = threads.min(m.div_ceil(MC));
     // One A-pack scratch per worker, allocated once per call (workers are
     // scoped threads, so the caller's thread-locals are not theirs).
     let mut a_bufs: Vec<Vec<f64>> = (0..workers).map(|_| Vec::new()).collect();
     PACK_SCRATCH.with(|scratch| {
         let (_, b_buf) = &mut *scratch.borrow_mut();
-        for jc in (0..n).step_by(params.nc) {
-            let nc = params.nc.min(n - jc);
-            for pc in (0..k).step_by(params.kc) {
-                let kc = params.kc.min(k - pc);
-                pack_b(b, pc, jc, kc, nc, b_buf);
-                let b_pack: &[f64] = b_buf;
+        for jc in (0..n).step_by(NC) {
+            let nc = NC.min(n - jc);
+            for pc in (0..k).step_by(KC) {
+                let kc = KC.min(k - pc);
+                let b_pack = pack_b(b, pc, jc, kc, nc, b_buf);
                 let mut assignments: Vec<Vec<(usize, &mut [f64])>> =
                     (0..workers).map(|_| Vec::new()).collect();
-                for (idx, c_rows) in c.as_mut_slice().chunks_mut(params.mc * n).enumerate() {
+                for (idx, c_rows) in c.as_mut_slice().chunks_mut(MC * n).enumerate() {
                     assignments[idx % workers].push((idx, c_rows));
                 }
                 std::thread::scope(|s| {
                     for (queue, a_buf) in assignments.into_iter().zip(a_bufs.iter_mut()) {
                         s.spawn(move || {
                             for (idx, c_rows) in queue {
-                                let ic = idx * params.mc;
-                                let mc = params.mc.min(m - ic);
-                                pack_a(a, ic, pc, mc, kc, a_buf);
+                                let ic = idx * MC;
+                                let mc = MC.min(m - ic);
+                                let a_pack = pack_a(a, ic, pc, mc, kc, a_buf);
                                 packed_block_update(
-                                    alpha, a_buf, b_pack, c_rows, n, jc, mc, nc, kc,
+                                    alpha, a_pack, b_pack, c_rows, n, jc, mc, nc, kc,
                                 );
                             }
                         });
@@ -518,9 +580,8 @@ mod tests {
     fn packed_crosses_cache_block_boundaries() {
         // Exceed KC and MC so the pc/ic loops run more than once, with
         // ragged edges on every dimension.
-        let params = *PackedParams::get();
-        let m = params.mc + MR + 1;
-        let k = params.kc + 3;
+        let m = MC + MR + 1;
+        let k = KC + 3;
         let n = 2 * NR + 5;
         let a = seeded_uniform(m, k, 11);
         let b = seeded_uniform(k, n, 12);
@@ -554,10 +615,76 @@ mod tests {
 
     #[test]
     fn packed_params_env_is_sane() {
-        let p = PackedParams::get();
-        assert!(p.mc >= MR && p.mc.is_multiple_of(MR));
-        assert!(p.nc >= NR && p.nc.is_multiple_of(NR));
-        assert!(p.kc >= 1);
+        const { assert!(MC >= MR && MC.is_multiple_of(MR)) };
+        const { assert!(NC >= NR && NC.is_multiple_of(NR)) };
+        const { assert!(KC >= 1) };
+    }
+
+    #[test]
+    fn update_tile_matches_a_scalar_loop_over_the_same_panels() {
+        // Whichever body this build compiled, against the textbook loop on
+        // the same packed operands; `C` starts at zero inside the tile so
+        // the only rounding is the dot product's, and holds a sentinel
+        // everywhere else so a write past the ragged edge shows.
+        const SENTINEL: f64 = -7.5;
+        let ldc = NR + 3;
+        for kc in [0usize, 1, 7, 8, 128, 257] {
+            let a_panel = seeded_uniform(kc + 1, MR, 21);
+            let b_panel = seeded_uniform(kc + 1, NR, 22);
+            let (ap, bp) = (
+                &a_panel.as_slice()[..kc * MR],
+                &b_panel.as_slice()[..kc * NR],
+            );
+            for (mr_eff, nr_eff) in [(MR, NR), (MR - 1, NR - 3), (1, 1), (MR, 9), (2, 8)] {
+                let inside = |i: usize, j: usize| i < mr_eff && j < nr_eff;
+                let mut c =
+                    Matrix::from_fn(MR, ldc, |i, j| if inside(i, j) { 0.0 } else { SENTINEL });
+                update_tile(kc, ap, bp, 1.0, c.as_mut_slice(), ldc, mr_eff, nr_eff);
+                for i in 0..MR {
+                    for j in 0..ldc {
+                        if !inside(i, j) {
+                            assert_eq!(c.get(i, j), SENTINEL, "kc {kc}: wrote ({i}, {j})");
+                            continue;
+                        }
+                        let (mut want, mut mag) = (0.0, 0.0);
+                        for l in 0..kc {
+                            want += ap[l * MR + i] * bp[l * NR + j];
+                            mag += (ap[l * MR + i] * bp[l * NR + j]).abs();
+                        }
+                        let err = (c.get(i, j) - want).abs();
+                        let bound = kc as f64 * f64::EPSILON * mag;
+                        assert!(err <= bound, "kc {kc} ({i}, {j}): {err:e} > {bound:e}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_results_do_not_depend_on_where_an_entry_sits() {
+        // What every schedule-vs-schedule `to_bits` suite assumes: a dot
+        // product comes out the same whichever lane, micro-panel, edge
+        // tile or cache block computes it. `A·[B B]` repeats each one
+        // `n` columns apart and `[A; A]·B` `m` rows apart, with `m` and
+        // `n` multiples of neither `MR` nor `NR`.
+        for (m, k, n) in [(13, 50, 21), (MC + 5, KC + 5, 21)] {
+            let a = seeded_uniform(m, k, 31);
+            let b = seeded_uniform(k, n, 32);
+            let bb = Matrix::from_fn(k, 2 * n, |l, j| b.get(l, j % n));
+            let aa = Matrix::from_fn(2 * m, k, |i, l| a.get(i % m, l));
+            let mut wide = Matrix::zeros(m, 2 * n);
+            gemm_scaled(GemmKernel::Packed, -1.0, &a, &bb, &mut wide);
+            let mut tall = Matrix::zeros(2 * m, n);
+            gemm_scaled(GemmKernel::Packed, -1.0, &aa, &b, &mut tall);
+            for i in 0..m {
+                for j in 0..n {
+                    let bits = wide.get(i, j).to_bits();
+                    assert_eq!(bits, wide.get(i, j + n).to_bits(), "({i}, {j}) left/right");
+                    assert_eq!(bits, tall.get(i, j).to_bits(), "({i}, {j}) wide/tall");
+                    assert_eq!(bits, tall.get(i + m, j).to_bits(), "({i}, {j}) top/bottom");
+                }
+            }
+        }
     }
 
     proptest! {
@@ -631,6 +758,41 @@ mod tests {
             gemm_scaled(GemmKernel::Packed, 1.0, &a, &b, &mut c);
             gemm_scaled(GemmKernel::Packed, -1.0, &a, &b, &mut c);
             prop_assert!(c.approx_eq(&start, 1e-10));
+        }
+
+        #[test]
+        fn packed_meets_its_forward_error_bound(
+            m in 1usize..24, k in 1usize..KC + 4, n in 1usize..24,
+            negate in 0usize..2, seed in 0u64..500
+        ) {
+            // The stated bound: |C − Ĉ| ≤ (k + 2)·u·(|A|·|B|) entry by
+            // entry, Ĉ a compensated (dot2: two-sum of the sums, `mul_add`
+            // residual of the products) evaluation. `k` rounding errors
+            // in the dot product, one where a second `KC` slice is added
+            // into `C`, one in the reference itself.
+            let u = f64::EPSILON / 2.0;
+            let alpha = if negate == 1 { -1.0 } else { 1.0 };
+            let a = seeded_uniform(m, k, seed);
+            let b = seeded_uniform(k, n, seed.wrapping_add(1));
+            let mut c = Matrix::zeros(m, n);
+            gemm_scaled(GemmKernel::Packed, alpha, &a, &b, &mut c);
+            for i in 0..m {
+                for j in 0..n {
+                    let (mut sum, mut comp, mut mag) = (0.0f64, 0.0f64, 0.0f64);
+                    for l in 0..k {
+                        let (x, y) = (a.get(i, l), b.get(l, j));
+                        let p = x * y;
+                        let t = sum + p;
+                        let z = t - sum;
+                        comp += x.mul_add(y, -p) + ((sum - (t - z)) + (p - z));
+                        sum = t;
+                        mag += p.abs();
+                    }
+                    let err = (c.get(i, j) - alpha * (sum + comp)).abs();
+                    let bound = (k + 2) as f64 * u * mag;
+                    prop_assert!(err <= bound, "({}, {}): {:e} > {:e}", i, j, err, bound);
+                }
+            }
         }
 
         #[test]

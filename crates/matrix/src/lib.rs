@@ -34,7 +34,7 @@ pub mod view;
 
 pub use dense::Matrix;
 pub use distribute::{BlockCyclicDist, BlockDist, BlockRange, GridShape};
-pub use gemm::{gemm, gemm_scaled, GemmKernel, PackedParams};
+pub use gemm::{gemm, gemm_scaled, GemmKernel};
 pub use generate::{deterministic, random_uniform, seeded_uniform};
 pub use sparse::{
     csr_nnz_from_wire, csr_wire_bytes, sddmm, seeded_sparse, spgemm, spgemm_pairs, CsrMatrix,

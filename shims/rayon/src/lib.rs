@@ -7,14 +7,21 @@
 //! near-uniform chunk costs the kernels produce. No global pool, no
 //! dependencies.
 
+use std::sync::OnceLock;
 use std::thread;
 
 /// Number of worker threads parallel operations fan out to (rayon's
-/// `current_num_threads`): the machine's available parallelism.
+/// `current_num_threads`): the machine's available parallelism, asked of
+/// the OS on the first call only — as rayon's global pool is sized once —
+/// because the query is a `sched_getaffinity` plus cgroup file reads and
+/// the GEMM kernels call this on every multiply.
 pub fn current_num_threads() -> usize {
-    thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Parallel iterator over mutable, non-overlapping slice chunks.
@@ -148,5 +155,21 @@ mod tests {
     #[test]
     fn current_num_threads_is_positive() {
         assert!(super::current_num_threads() >= 1);
+    }
+
+    #[test]
+    fn current_num_threads_is_one_value_on_every_call_and_thread() {
+        let here = super::current_num_threads();
+        assert_eq!(super::current_num_threads(), here);
+        let there: Vec<usize> = std::thread::scope(|s| {
+            let spawned: Vec<_> = (0..4)
+                .map(|_| s.spawn(super::current_num_threads))
+                .collect();
+            spawned
+                .into_iter()
+                .map(|h| h.join().expect("worker panicked"))
+                .collect()
+        });
+        assert_eq!(there, [here; 4]);
     }
 }
