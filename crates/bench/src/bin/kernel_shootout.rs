@@ -5,12 +5,14 @@
 //! `n ∈ {128, 256, 512, 1024}` and at the two rank-local shapes the
 //! repository benchmark probes (512×128×512, the update of `gemm-compute`,
 //! and 64×8×64, that of `gemm-comm`), and reports GFLOP/s (2·m·k·n flops
-//! per multiply). The roofline column is `Packed` over a peak timed in
-//! the same run: independent multiply-add chains in registers, no memory
-//! traffic, at the widest vector this build targets (see [`peak_gflops`]),
-//! times the CPUs the kernels may fan out to. Pinned to one CPU
-//! (`taskset -c 1`, as the repository benchmark pins itself) that is the
-//! core's own roofline, and that is how `BENCH_gemm.json` is recorded.
+//! per multiply). The roofline column is `Packed` over ONE core's peak,
+//! timed in the same run: independent multiply-add chains in registers, no
+//! memory traffic, at the widest vector this build targets (see
+//! [`peak_gflops`]). Pin the run to one CPU (`taskset -c 1`, as the
+//! repository benchmark pins itself) to read it as a roofline, which is
+//! how `BENCH_gemm.json` is recorded: unpinned on several CPUs the large
+//! shapes fan out over `MC` row blocks and can pass 1, while the small
+//! ones stay on the calling thread either way.
 //! Results go to stdout as a table and to `BENCH_gemm.json` in the current
 //! directory, with the host context a reader needs to compare two files
 //! (CPUs, target features, git revision); the JSON also carries the
@@ -173,11 +175,8 @@ fn main() {
          target features: {})\n",
         features.join(" ")
     );
-    let core_peak = peak_gflops();
-    let peak = core_peak * host_cpus as f64;
-    println!(
-        "arithmetic peak timed now: {core_peak:.1} GFLOP/s per core, {peak:.1} on {host_cpus} cpus\n"
-    );
+    let peak = peak_gflops();
+    println!("arithmetic peak of one core, timed now: {peak:.1} GFLOP/s\n");
 
     // results[shape_index][kernel_index] = Some(gflop/s)
     let mut results: Vec<Vec<Option<f64>>> = Vec::new();
@@ -211,7 +210,7 @@ fn main() {
                 "blocked GF/s",
                 "parallel GF/s",
                 "packed GF/s",
-                "packed / peak"
+                "packed / core peak"
             ],
             &rows
         )
@@ -230,7 +229,7 @@ fn main() {
     let _ = write!(
         json,
         "  \"reps\": {REPS},\n  \"unit\": \"GFLOP/s\",\n  \"host_cpus\": {host_cpus},\n  \
-         \"target_features\": [{}],\n  \"git\": \"{}\",\n  \"peak_gflops_per_core\": {core_peak:.3},\n  \
+         \"target_features\": [{}],\n  \"git\": \"{}\",\n  \"peak_gflops_per_core\": {peak:.3},\n  \
          \"results\": [\n",
         features
             .iter()

@@ -48,15 +48,17 @@ pub const MR: usize = if cfg!(target_feature = "avx512f") {
 /// two 512-bit or four 256-bit vectors of doubles.
 pub const NR: usize = 16;
 
-/// Rows of `C` per macro-block. The packed `MC×KC` block of `A` (128 KiB)
-/// and the `KC×NC` block of `B` (1 MiB) share the 2 MiB L2; DESIGN.md
-/// ("Local kernel hierarchy") records the sweep that picked all three.
+/// Rows of `C` per macro-block: the packed `MC×KC` block of `A` (128 KiB)
+/// stays in the 2 MiB L2 while `B` micro-panels stream past it. DESIGN.md
+/// ("Local kernel hierarchy") records the sweep behind all three sizes.
 pub const MC: usize = 64;
 /// Depth of one packed slice of the shared dimension: a `KC×NR` micro-panel
 /// of `B` (32 KiB) stays in L1 while the `A` micro-panels stream past it.
 pub const KC: usize = 256;
-/// Columns of `C` per macro-block (the packed `KC×NC` block of `B`).
-pub const NC: usize = 512;
+/// Columns of `C` per macro-block (the packed `KC×NC` block of `B`, up to
+/// 8 MiB): wider than any operand the workloads multiply, so `A` is packed
+/// once per `KC` slice.
+pub const NC: usize = 4096;
 
 /// Which local multiply implementation to use.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -322,8 +324,8 @@ fn update_tile(
 /// `k` step is two 512-bit `vmovupd` loads of `B`, eight `vbroadcastsd` of
 /// `A` from memory and sixteen `vfmadd231pd` (unrolled twice, no spills).
 /// `C` is read, updated with one more FMA per vector and written back
-/// under a lane mask, so full and ragged tiles run the same instructions:
-/// every entry sees the same operations in the same order wherever it
+/// under a lane mask (a vector with no column inside the tile is skipped),
+/// so every entry sees the same operations in the same order wherever it
 /// sits, and nothing depends on the operands' addresses.
 #[cfg(target_feature = "avx512f")]
 #[inline(always)]
@@ -346,17 +348,21 @@ fn update_tile(
     assert!(a_panel.len() >= kc * MR && b_panel.len() >= kc * NR);
     assert!((1..=MR).contains(&mr_eff) && (1..=NR).contains(&nr_eff));
     assert!((mr_eff - 1) * ldc + nr_eff <= c_tile.len());
-    // Lane masks of the two vectors of a `C` row: columns `< nr_eff`.
+    // Lane masks of the two vectors of a `C` row (columns `< nr_eff`), and
+    // how many of the two hold a column at all.
     let lanes = (1u32 << nr_eff) - 1;
     let mask = [lanes as u8, (lanes >> 8) as u8];
+    let vectors = nr_eff.div_ceil(8);
     // SAFETY: `ap` and `bp` advance `MR` and `NR` elements per step for
     // `kc` steps and each step reads `ap[..MR]`, `bp[..NR]`, all below
     // `kc·MR` and `kc·NR`, which the first assert bounds by the slice
-    // lengths. A masked load or store touches only the lanes its mask
-    // enables: row `i < mr_eff`, column `j < nr_eff`, i.e. offset
-    // `i·ldc + j ≤ (mr_eff−1)·ldc + nr_eff − 1`, which the third assert
-    // bounds by `c_tile.len()`. `avx512f` is enabled for the whole
-    // compilation (this function only exists under that `cfg`).
+    // lengths (after the last step they point at most one past the end).
+    // In `C`, `at` is formed only for `i < mr_eff` and `8·h < nr_eff`, so
+    // it points at offset `i·ldc + 8·h ≤ (mr_eff−1)·ldc + nr_eff − 1`, and
+    // the masked load and store touch only the lanes their mask enables,
+    // columns `j < nr_eff` of that row, offsets with the same bound, which
+    // the third assert puts below `c_tile.len()`. `avx512f` is enabled for
+    // the whole compilation (this function only exists under that `cfg`).
     unsafe {
         let mut acc = [[_mm512_setzero_pd(); 2]; MR];
         let mut ap = a_panel.as_ptr();
@@ -375,7 +381,7 @@ fn update_tile(
         let alpha = _mm512_set1_pd(alpha);
         let cp = c_tile.as_mut_ptr();
         for (i, row) in acc.iter().enumerate().take(mr_eff) {
-            for (h, &sum) in row.iter().enumerate() {
+            for (h, &sum) in row.iter().enumerate().take(vectors) {
                 let at = cp.add(i * ldc + 8 * h);
                 let old = _mm512_mask_loadu_pd(_mm512_setzero_pd(), mask[h], at);
                 _mm512_mask_storeu_pd(at, mask[h], _mm512_fmadd_pd(alpha, sum, old));
@@ -625,7 +631,9 @@ mod tests {
         // Whichever body this build compiled, against the textbook loop on
         // the same packed operands; `C` starts at zero inside the tile so
         // the only rounding is the dot product's, and holds a sentinel
-        // everywhere else so a write past the ragged edge shows.
+        // everywhere else so a write past the ragged edge shows. The slice
+        // handed in ends with the tile's last entry, the shortest the
+        // asserts admit and what the last tile of a matrix gets.
         const SENTINEL: f64 = -7.5;
         let ldc = NR + 3;
         for kc in [0usize, 1, 7, 8, 128, 257] {
@@ -639,7 +647,8 @@ mod tests {
                 let inside = |i: usize, j: usize| i < mr_eff && j < nr_eff;
                 let mut c =
                     Matrix::from_fn(MR, ldc, |i, j| if inside(i, j) { 0.0 } else { SENTINEL });
-                update_tile(kc, ap, bp, 1.0, c.as_mut_slice(), ldc, mr_eff, nr_eff);
+                let c_tile = &mut c.as_mut_slice()[..(mr_eff - 1) * ldc + nr_eff];
+                update_tile(kc, ap, bp, 1.0, c_tile, ldc, mr_eff, nr_eff);
                 for i in 0..MR {
                     for j in 0..ldc {
                         if !inside(i, j) {

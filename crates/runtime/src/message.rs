@@ -258,6 +258,16 @@ impl Mailbox {
         }
     }
 
+    /// The dead peer named by a poison marker that [`Mailbox::begin_epoch`]
+    /// found already in the channel: a rank that died before this one
+    /// entered the job. Poison read later never parks (see `admit`).
+    fn parked_poison(&self) -> Option<usize> {
+        self.unexpected
+            .iter()
+            .find(|e| e.ctx == POISON_CTX)
+            .map(|e| e.src)
+    }
+
     /// Classifies an envelope against the current epoch.
     fn admit(&self, env: &Envelope) -> Admit {
         if env.epoch != self.epoch {
@@ -306,6 +316,9 @@ impl Mailbox {
             {
                 let env = self.unexpected.remove(pos).expect("position just found");
                 return Ok(Self::downcast(env));
+            }
+            if let Some(src) = self.parked_poison() {
+                return Err(RecvFault::PeerDead { src });
             }
             // Otherwise wait until the deadline or until the earliest
             // parked-but-delayed match becomes due, whichever is sooner.
@@ -367,6 +380,9 @@ impl Mailbox {
         {
             let env = self.unexpected.remove(pos).expect("position just found");
             return Ok(Some(Self::downcast(env)));
+        }
+        if let Some(src) = self.parked_poison() {
+            return Err(RecvFault::PeerDead { src });
         }
         // Drain whatever has already arrived without blocking.
         while let Ok(env) = self.rx.try_recv() {
@@ -512,6 +528,24 @@ mod tests {
         tx.deliver(envelope(POISON_CTX, 3, 0, 5, ()));
         let got = mb.recv::<u32>(0, 0, 7, &ctl());
         assert_eq!(got.unwrap_err(), RecvFault::PeerDead { src: 3 });
+    }
+
+    #[test]
+    fn poison_that_arrives_before_the_epoch_begins_still_ends_the_wait() {
+        // A pool rank that panics at once poisons its peers before a
+        // slower one has entered the job: `begin_epoch` then finds the
+        // poison already in the channel. A bounded wait, so that losing
+        // it reads as a timeout here and not as a hung suite.
+        let (tx, mut mb) = Mailbox::new();
+        tx.deliver(envelope(POISON_CTX, 2, 0, 5, ()));
+        mb.begin_epoch(5);
+        let ctl = JobCtl::with_timeout(Some(Duration::from_millis(200)));
+        let got = mb.recv::<u32>(0, 2, 1, &ctl);
+        assert_eq!(got.unwrap_err(), RecvFault::PeerDead { src: 2 });
+        assert_eq!(
+            mb.try_recv::<u32>(0, 2, 1).unwrap_err(),
+            RecvFault::PeerDead { src: 2 }
+        );
     }
 
     #[test]
