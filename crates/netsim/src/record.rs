@@ -42,14 +42,49 @@
 use hsumma_trace::{CommEdge, CommError};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
+
+/// A `HashMap` with [`IdHasher`]: for the simulator's own bookkeeping
+/// keys (channel, communicator and rendezvous ids), which come from the
+/// schedule and never from outside the program, so SipHash's resistance
+/// to crafted collisions buys nothing and costs a hash per operation.
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// Multiplicative word hasher (the FxHash step): one rotate, xor and
+/// multiply per integer field.
+#[derive(Default)]
+pub(crate) struct IdHasher(u64);
+
+impl IdHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// One recorded operation of one rank's program. Peers are **world**
 /// ranks (communicator-local ranks are resolved at record time), and
 /// point-to-point endpoints are addressed through a channel id that
 /// interns the `(communicator, tag)` pair — a `u32` per side keeps the
-/// op compact (~24 bytes), which is what bounds recording memory at
-/// `total ops · 24 B`.
+/// op at 24 bytes (pinned below). Programs are stored exact-size, so a
+/// recording holds `total ops · 24 B` of ops plus one `Vec` per rank.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Op {
     /// Send `bytes` to world rank `dst` on channel `chan`.
@@ -73,12 +108,15 @@ pub enum Op {
     StepPop,
 }
 
+const _: () = assert!(std::mem::size_of::<Op>() == 24);
+
 /// The output of [`record`]: one flat op program per world rank, plus the
 /// interning tables the ops index into. Platform-independent — the same
 /// recording replays under any Hockney parameters, topology, noise seed,
 /// deadline or fault plan.
 pub struct RecordedProgram {
-    /// `programs[r]` is world rank `r`'s complete op sequence.
+    /// `programs[r]` is world rank `r`'s complete op sequence, with no
+    /// spare capacity.
     pub(crate) programs: Vec<Vec<Op>>,
     /// Channel id → `(communicator id, wire tag)`. The original tag is
     /// retained so fault-plan rules (which match on tag class) apply at
@@ -95,8 +133,11 @@ impl RecordedProgram {
         self.programs.len()
     }
 
-    /// Total recorded operations across all ranks — the recording's
-    /// memory footprint is this times ~24 bytes.
+    /// Total recorded operations across all ranks. The programs hold
+    /// exactly this many 24-byte ops (no spare capacity); the benchmark's
+    /// traced `sim-replay` pass, whose `netsim.rss_bytes_per_op` also
+    /// counts allocator headers and the replay's own state, reads 25 B
+    /// per op.
     pub fn total_ops(&self) -> usize {
         self.programs.iter().map(Vec::len).sum()
     }
@@ -110,25 +151,26 @@ impl RecordedProgram {
 
 /// One in-progress split rendezvous: `(color, key)` deposits by parent
 /// rank, and (once every member has deposited and a pass boundary
-/// resolved it) the child communicator id per color.
+/// resolved it) each parent rank's `(child communicator, rank in it)`.
 struct SplitRec {
     deposits: Vec<Option<(u64, i64)>>,
-    resolved: Option<HashMap<u64, u32>>,
+    resolved: Option<Vec<(u32, usize)>>,
 }
 
 /// Shared recording state, threaded through every [`RecordComm`] handle
 /// of the rank currently being recorded.
 struct RecordState {
     step_sync: bool,
-    /// The current rank's op buffer (reset per pass).
+    /// The current rank's op buffer: cleared, not freed, between ranks
+    /// and passes; a completed rank's program is copied out exact-size.
     ops: Vec<Op>,
     /// Raised when the current rank aborted at an unresolved split; the
     /// driver distinguishes this expected abort from a real error.
     stalled: bool,
     chans: Vec<(u32, u64)>,
-    chan_ids: HashMap<(u32, u64), u32>,
+    chan_ids: IdMap<(u32, u64), u32>,
     comms: Vec<Arc<Vec<usize>>>,
-    splits: HashMap<(u32, u64), SplitRec>,
+    splits: IdMap<(u32, u64), SplitRec>,
 }
 
 impl RecordState {
@@ -136,7 +178,10 @@ impl RecordState {
         if let Some(&id) = self.chan_ids.get(&(comm, tag)) {
             return id;
         }
-        let id = u32::try_from(self.chans.len()).expect("too many channels");
+        let id = u32::try_from(self.chans.len())
+            .ok()
+            .filter(|&id| id != u32::MAX)
+            .expect("too many channels");
         self.chans.push((comm, tag));
         self.chan_ids.insert((comm, tag), id);
         id
@@ -159,39 +204,40 @@ impl RecordState {
         ready.sort_unstable();
         for &(parent, epoch) in &ready {
             let parent_members = Arc::clone(&self.comms[parent as usize]);
-            let table: Vec<(u64, i64)> = self.splits[&(parent, epoch)]
+            let split = self
+                .splits
+                .get_mut(&(parent, epoch))
+                .expect("rendezvous vanished");
+            // One sort orders colors, and members by (key, parent rank)
+            // within each color.
+            let mut order: Vec<(u64, i64, usize)> = split
                 .deposits
                 .iter()
-                .map(|d| d.unwrap())
+                .enumerate()
+                .map(|(parent_rank, d)| {
+                    let (color, key) = d.expect("every member deposited");
+                    (color, key, parent_rank)
+                })
                 .collect();
-            let mut colors: Vec<u64> = table.iter().map(|&(c, _)| c).collect();
-            colors.sort_unstable();
-            colors.dedup();
-            let mut children = HashMap::new();
-            for &c in &colors {
-                let mut members: Vec<(i64, usize)> = table
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &(mc, _))| mc == c)
-                    .map(|(parent_rank, &(_, k))| (k, parent_rank))
-                    .collect();
-                members.sort_unstable();
-                let world: Vec<usize> = members
-                    .into_iter()
-                    .map(|(_, parent_rank)| parent_members[parent_rank])
-                    .collect();
+            order.sort_unstable();
+            let mut placed = vec![(0, 0); order.len()];
+            for group in order.chunk_by(|a, b| a.0 == b.0) {
                 let id = u32::try_from(self.comms.len()).expect("too many communicators");
+                let mut world = Vec::with_capacity(group.len());
+                for (child_rank, &(_, _, parent_rank)) in group.iter().enumerate() {
+                    placed[parent_rank] = (id, child_rank);
+                    world.push(parent_members[parent_rank]);
+                }
                 self.comms.push(Arc::new(world));
-                children.insert(c, id);
             }
-            self.splits
-                .get_mut(&(parent, epoch))
-                .expect("rendezvous vanished")
-                .resolved = Some(children);
+            split.resolved = Some(placed);
         }
         ready.len()
     }
 }
+
+/// Entries in each [`RecordComm`]'s channel cache.
+const CHAN_CACHE: usize = 4;
 
 /// One rank's recording handle: the third `Communicator` substrate.
 /// Every operation appends to the shared op buffer and returns
@@ -206,9 +252,73 @@ pub struct RecordComm<'r> {
     epoch: Cell<u64>,
     /// Per-communicator barrier counter.
     barrier_seq: Cell<u64>,
+    /// Recently used `(tag, channel id)` pairs on this communicator,
+    /// replaced round-robin. A schedule uses a handful of tags per
+    /// communicator (one per collective phase), so nearly every send and
+    /// receive is interned here without hashing.
+    chan_cache: [Cell<(u64, u32)>; CHAN_CACHE],
+    chan_victim: Cell<usize>,
 }
 
 impl<'r> RecordComm<'r> {
+    fn new(
+        st: &'r RefCell<RecordState>,
+        comm: u32,
+        members: Arc<Vec<usize>>,
+        my_rank: usize,
+    ) -> Self {
+        RecordComm {
+            st,
+            comm,
+            members,
+            my_rank,
+            epoch: Cell::new(0),
+            barrier_seq: Cell::new(0),
+            // Channel id `u32::MAX` marks an empty entry (ids are dense
+            // from 0, and `RecordState::chan` never hands that one out).
+            chan_cache: std::array::from_fn(|_| Cell::new((0, u32::MAX))),
+            chan_victim: Cell::new(0),
+        }
+    }
+
+    /// Appends the op `make(chan)` for `tag` on this communicator,
+    /// interning the channel through the cache.
+    fn push_p2p(&self, tag: u64, make: impl FnOnce(u32) -> Op) {
+        let cached = self
+            .chan_cache
+            .iter()
+            .map(Cell::get)
+            .find(|&(t, c)| t == tag && c != u32::MAX);
+        let mut st = self.st.borrow_mut();
+        let chan = match cached {
+            Some((_, c)) => c,
+            None => {
+                // A schedule with one tag per step (cosma's ring,
+                // `base + t`) interns those tags in step order, so the
+                // channel after the last one cached here usually belongs
+                // to the next tag. Checking that neighbour skips a probe
+                // into the interning map, which holds one entry per
+                // (communicator, tag) — about 2p at scale, far outside
+                // any cache.
+                let v = self.chan_victim.get();
+                let (last_tag, last) = self.chan_cache[(v + CHAN_CACHE - 1) % CHAN_CACHE].get();
+                let next = last.wrapping_add(1);
+                let c = if last != u32::MAX
+                    && tag == last_tag.wrapping_add(1)
+                    && st.chans.get(next as usize) == Some(&(self.comm, tag))
+                {
+                    next
+                } else {
+                    st.chan(self.comm, tag)
+                };
+                self.chan_cache[v].set((tag, c));
+                self.chan_victim.set((v + 1) % CHAN_CACHE);
+                c
+            }
+        };
+        st.ops.push(make(chan));
+    }
+
     /// Rank within this communicator.
     pub fn rank(&self) -> usize {
         self.my_rank
@@ -225,14 +335,8 @@ impl<'r> RecordComm<'r> {
 
     /// Records a send of `bytes` to `dst` (communicator rank).
     pub fn send_bytes(&self, dst: usize, tag: u64, bytes: u64) -> Result<(), CommError> {
-        let dst_w = self.members[dst] as u32;
-        let mut st = self.st.borrow_mut();
-        let chan = st.chan(self.comm, tag);
-        st.ops.push(Op::Send {
-            chan,
-            dst: dst_w,
-            bytes,
-        });
+        let dst = self.members[dst] as u32;
+        self.push_p2p(tag, |chan| Op::Send { chan, dst, bytes });
         Ok(())
     }
 
@@ -254,14 +358,8 @@ impl<'r> RecordComm<'r> {
     }
 
     fn record_recv(&self, src: usize, tag: u64, bytes: u64) {
-        let src_w = self.members[src] as u32;
-        let mut st = self.st.borrow_mut();
-        let chan = st.chan(self.comm, tag);
-        st.ops.push(Op::Recv {
-            chan,
-            src: src_w,
-            bytes,
-        });
+        let src = self.members[src] as u32;
+        self.push_p2p(tag, |chan| Op::Recv { chan, src, bytes });
     }
 
     /// Records a compute charge of `pairs` multiply-add pairs (stamped
@@ -334,7 +432,7 @@ impl<'r> RecordComm<'r> {
                  the schedule is not deterministic and cannot be recorded"
             ),
         }
-        let Some(children) = entry.resolved.as_ref() else {
+        let Some(placed) = entry.resolved.as_ref() else {
             st.stalled = true;
             // Sentinel abort: the driver re-runs this rank once the
             // rendezvous resolves. `Cancelled` (not `Timeout`) so a
@@ -351,25 +449,14 @@ impl<'r> RecordComm<'r> {
                 op: "split",
             });
         };
-        let child = children[&color];
+        let (child, my_rank) = placed[self.my_rank];
         st.ops.push(Op::Split {
             comm: self.comm,
             seq: epoch as u32,
         });
         let members = Arc::clone(&st.comms[child as usize]);
         drop(st);
-        let my_rank = members
-            .iter()
-            .position(|&w| w == me_w)
-            .expect("caller must be a member of its own color group");
-        Ok(RecordComm {
-            st: self.st,
-            comm: child,
-            members,
-            my_rank,
-            epoch: Cell::new(0),
-            barrier_seq: Cell::new(0),
-        })
+        Ok(RecordComm::new(self.st, child, members, my_rank))
     }
 }
 
@@ -403,9 +490,9 @@ where
         ops: Vec::new(),
         stalled: false,
         chans: Vec::new(),
-        chan_ids: HashMap::new(),
+        chan_ids: IdMap::default(),
         comms: vec![Arc::clone(&world)],
-        splits: HashMap::new(),
+        splits: IdMap::default(),
     });
     let mut programs: Vec<Option<Vec<Op>>> = (0..p).map(|_| None).collect();
     loop {
@@ -416,20 +503,14 @@ where
             }
             {
                 let mut s = st.borrow_mut();
-                s.ops = Vec::new();
+                s.ops.clear();
                 s.stalled = false;
             }
-            let comm = RecordComm {
-                st: &st,
-                comm: 0,
-                members: Arc::clone(&world),
-                my_rank: rank,
-                epoch: Cell::new(0),
-                barrier_seq: Cell::new(0),
-            };
+            let comm = RecordComm::new(&st, 0, Arc::clone(&world), rank);
             match f(&comm) {
+                // `to_vec` allocates exactly `len`: no spare capacity.
                 Ok(()) => {
-                    *slot = Some(std::mem::take(&mut st.borrow_mut().ops));
+                    *slot = Some(st.borrow().ops.to_vec());
                     completed_this_pass += 1;
                 }
                 Err(e) => {
@@ -552,6 +633,76 @@ mod tests {
                 Op::Barrier { comm: 0, seq: 0 }
             ]
         );
+    }
+
+    #[test]
+    fn programs_hold_no_spare_capacity() {
+        // Uneven program lengths, and a split that makes every rank
+        // abort and re-run (re-filling the shared buffer) in a later pass.
+        let prog = record(5, false, |comm| {
+            let sub = comm.split(0, comm.rank() as i64)?;
+            for i in 0..(37 * comm.rank() + 3) {
+                sub.compute(i as f64, 0);
+            }
+            Ok(())
+        });
+        for (r, p) in prog.programs.iter().enumerate() {
+            assert_eq!(p.len(), 37 * r + 4, "rank {r}: the split plus the computes");
+            assert!(matches!(p[0], Op::Split { .. }));
+            assert_eq!(p.capacity(), p.len(), "rank {r} holds spare capacity");
+        }
+    }
+
+    #[test]
+    fn channel_cache_agrees_with_the_interning_table() {
+        // More tags than cache entries, revisited out of order and
+        // alternating between two communicators (so a consecutive tag's
+        // neighbouring channel belongs to the other one), then a run of
+        // consecutive tags on one communicator that rank 0 interns in
+        // order and rank 1 finds next to each other: every op must name
+        // the (comm, tag) it was sent on.
+        let tags = [5u64, 9, 1, 7, 3, 5, 11, 9, 1, 13, 5, 7, 20, 21, 22, 21];
+        let prog = record(2, false, |comm| {
+            let sub = comm.split(0, 0)?;
+            let p2p = |c: &RecordComm, tag: u64| {
+                if c.rank() == 0 {
+                    c.send_bytes(1, tag, tag)
+                } else {
+                    c.recv_bytes_expect(0, tag, tag)
+                }
+            };
+            for &tag in &tags {
+                p2p(comm, tag)?;
+                p2p(&sub, tag)?;
+            }
+            for tag in 40..44 {
+                p2p(&sub, tag)?;
+            }
+            Ok(())
+        });
+        assert_eq!(
+            prog.chans.len(),
+            2 * 10 + 4,
+            "10 distinct tags on each, then 4 on one"
+        );
+        let want: Vec<(u32, u64, u64)> = tags
+            .iter()
+            .flat_map(|&t| [(0, t, t), (1, t, t)])
+            .chain((40..44).map(|t| (1, t, t)))
+            .collect();
+        for (r, p) in prog.programs.iter().enumerate() {
+            let named: Vec<(u32, u64, u64)> = p
+                .iter()
+                .filter_map(|op| match *op {
+                    Op::Send { chan, bytes, .. } | Op::Recv { chan, bytes, .. } => {
+                        let (comm, tag) = prog.chans[chan as usize];
+                        Some((comm, tag, bytes))
+                    }
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(named, want, "rank {r}");
+        }
     }
 
     #[test]

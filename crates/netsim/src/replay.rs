@@ -1,27 +1,43 @@
-//! Threadless event-loop execution of recorded op programs.
+//! Threadless execution of recorded op programs.
 //!
 //! [`EventLoopSim`] runs the p programs of a [`RecordedProgram`] over a
-//! [`SimNet`] with a single host thread: a binary heap of rank cursors
-//! ordered by virtual clock (conservative PDES — O(log p) per
-//! scheduling decision), per-rank program counters, and FIFO mailboxes
-//! keyed `(channel, src, dst)`. Memory is O(p) cursor state plus the
-//! in-flight mail — no stacks, which is what lets p = 2²⁰ replays run
-//! under the default `vm.max_map_count`.
+//! [`SimNet`] with a single host thread. Each rank is a 32-byte cursor —
+//! the rest of its program and what, if anything, it waits on. Runnable
+//! ranks sit on a worklist (a stack: O(1) push and pop, no clock
+//! compares), and a popped rank runs until it blocks, fails or finishes.
+//! In-flight mail is one arrival-ordered list per destination, threaded
+//! through a slab whose nodes are reused, so a message costs neither a
+//! hash nor an allocation. Memory is O(p) cursor state plus the in-flight
+//! mail — no stacks, which is what lets p = 2²⁰ replays run under the
+//! default `vm.max_map_count`.
+//!
+//! **Why the visiting order is unobservable.** Every receive names
+//! exactly one `(channel, src)` and takes that key's oldest message, so
+//! the ranks form a Kahn process network: deterministic sequential
+//! programs connected by FIFO channels with blocking reads. Such a
+//! network computes the same history on every channel whatever order its
+//! processes take turns in. Concretely: every [`SimNet`] operation moves
+//! only the acting rank's clock, so a rank's float timeline is a function
+//! of its own program and of the messages it matched; which message a
+//! receive matches is fixed by per-`(channel, src, dst)` FIFO order (the
+//! non-overtaking rule the SPMD mailboxes implement), and when it arrives
+//! is fixed by the sender's timeline. Noise draws are keyed by
+//! `(sender, per-sender sequence)`. A barrier releases at the maximum of
+//! its members' clocks, each frozen while the member waits. Deadline and
+//! fault decisions read only the acting rank's clock and its own fault
+//! cursor. So each rank's history — and with it the state in which the
+//! run quiesces, where a deadline turns every remaining wait into a
+//! timeout — is the same whichever runnable rank goes first. The report's
+//! `msgs`/`bytes` are order-free integer sums and its times are per-rank
+//! maxima. One scheduler therefore serves clean runs, deadlines and fault
+//! plans alike.
 //!
 //! **Parity contract.** Replay is bit-identical to the thread-per-rank
-//! [`crate::spmd::SimWorld`] run of the same schedule: same
-//! [`crate::SimReport`] (to the bit), same per-rank `(src, dst, bytes)`
-//! trace multisets, same errors under deadlines and fault plans. The
-//! argument: every [`SimNet`] operation moves only the acting rank's
-//! clock, so each rank's float timeline is a function of its own op
-//! order (fixed by the program) and of which messages it matched (fixed
-//! by per-`(channel, src, dst)` FIFO order — the same non-overtaking
-//! rule the SPMD mailboxes implement). Noise draws are keyed by
-//! `(sender, per-sender sequence)`, both preserved here. The aggregate
-//! `msgs`/`bytes` are order-free integer sums and the report's times are
-//! per-rank maxima, so heap pop order is unobservable. Every
-//! deadline/fault decision point below cites the `spmd.rs` behaviour it
-//! mirrors.
+//! [`crate::spmd::SimWorld`] run of the same schedule — the same Kahn
+//! network under the OS scheduler's order: same [`crate::SimReport`] (to
+//! the bit), same per-rank `(src, dst, bytes)` trace multisets, same
+//! errors under deadlines and fault plans. Every deadline/fault decision
+//! point below cites the `spmd.rs` behaviour it mirrors.
 //!
 //! One deliberate divergence, observably identical: a
 //! `FaultAction::Duplicate` ghost message is not enqueued (the SPMD
@@ -29,11 +45,10 @@
 //! never counts it — pure leftover mail, and the leftover assert is
 //! relaxed under faults on both engines).
 
-use crate::record::{Op, RecordedProgram};
-use crate::sim::SimNet;
+use crate::record::{IdMap, Op, RecordedProgram};
+use crate::sim::{PendingMsg, SimNet};
 use crate::spmd::SimRunOptions;
 use hsumma_trace::{CommEdge, CommError, FaultDecision, FaultState};
-use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 
 const DEADLOCK_MSG: &str = "replayed program deadlocked: every live rank is blocked on a message \
@@ -68,39 +83,143 @@ impl ReplayOutcome {
     }
 }
 
-/// What a blocked rank is waiting on — enough to synthesize the same
-/// `CommError::Timeout` the SPMD world produces when it quiesces.
-#[derive(Clone, Copy)]
-enum Blocked {
-    /// Waiting for mail on `(chan, src)`.
+/// Where a rank's cursor stands. The blocked variants carry enough to
+/// synthesize the same `CommError::Timeout` the SPMD world produces when
+/// it quiesces.
+#[derive(Clone, Copy, PartialEq)]
+enum State {
+    /// On the worklist or running: nothing holds the rank back.
+    Ready,
+    /// Waiting for mail from world rank `src` on channel `chan`.
     Recv { chan: u32, src: u32 },
     /// Waiting at a barrier on communicator `comm`.
     Barrier { comm: u32 },
     /// Waiting at a split rendezvous on communicator `comm`.
     Split { comm: u32 },
+    /// Completed its program, or failed.
+    Done,
 }
 
-/// Heap key: total-ordered f64 clock (no NaNs arise — clocks are sums of
-/// non-negative finite times), min-first via `Reverse` at the call site.
-#[derive(PartialEq)]
-struct ClockKey(f64);
-impl Eq for ClockKey {}
-impl PartialOrd for ClockKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// One rank's replay state, packed so that activating a rank touches a
+/// single cache line and leads straight to its next op.
+#[repr(align(32))]
+struct Cursor<'p> {
+    /// The ops the rank has yet to execute.
+    rest: &'p [Op],
+    state: State,
 }
-impl Ord for ClockKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
+
+const _: () = assert!(std::mem::size_of::<Cursor>() == 32);
+
+/// "No letter" index in the mail lists.
+const NIL: u32 = u32::MAX;
+
+/// One in-flight message, linked to the next one for the same
+/// destination (or, once taken, to the next free slab node).
+struct Letter {
+    msg: PendingMsg,
+    chan: u32,
+    next: u32,
+}
+
+/// In-flight mail: per destination, a singly linked list of letters in
+/// arrival order, threaded through one slab whose freed nodes are
+/// reused. A receive takes the first letter on its `(chan, src)`, so each
+/// key is FIFO — the non-overtaking rule — and it scans only its own
+/// destination's mail, which run-until-block scheduling keeps to a few
+/// letters. No hashing, and no allocation once the slab has grown to the
+/// peak in-flight count.
+struct Mail {
+    /// `(head, tail)` letter per destination, `NIL` when empty.
+    lists: Vec<(u32, u32)>,
+    slab: Vec<Letter>,
+    /// First free slab node, chained through `Letter::next`.
+    free: u32,
+    in_flight: usize,
+}
+
+/// Where [`Mail::find`] found a letter: `(predecessor, index)`.
+type Found = (u32, u32);
+
+impl Mail {
+    fn new(p: usize) -> Self {
+        Mail {
+            lists: vec![(NIL, NIL); p],
+            slab: Vec::new(),
+            free: NIL,
+            in_flight: 0,
+        }
+    }
+
+    /// Appends `msg` to `dst`'s list.
+    fn post(&mut self, dst: usize, chan: u32, msg: PendingMsg) {
+        let letter = Letter {
+            msg,
+            chan,
+            next: NIL,
+        };
+        let i = if self.free == NIL {
+            let i = u32::try_from(self.slab.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("too many messages in flight");
+            self.slab.push(letter);
+            i
+        } else {
+            let i = self.free;
+            self.free = self.slab[i as usize].next;
+            self.slab[i as usize] = letter;
+            i
+        };
+        let (head, tail) = &mut self.lists[dst];
+        if *tail == NIL {
+            *head = i;
+        } else {
+            self.slab[*tail as usize].next = i;
+        }
+        *tail = i;
+        self.in_flight += 1;
+    }
+
+    /// The oldest letter for `dst` on `(chan, src)`.
+    fn find(&self, dst: usize, chan: u32, src: usize) -> Option<Found> {
+        let (mut prev, mut i) = (NIL, self.lists[dst].0);
+        while i != NIL {
+            let l = &self.slab[i as usize];
+            if l.chan == chan && l.msg.src() == src {
+                return Some((prev, i));
+            }
+            prev = i;
+            i = l.next;
+        }
+        None
+    }
+
+    fn arrival(&self, (_, i): Found) -> f64 {
+        self.slab[i as usize].msg.arrival()
+    }
+
+    /// Unlinks a found letter from `dst`'s list and returns its message.
+    fn take(&mut self, dst: usize, (prev, i): Found) -> PendingMsg {
+        let next = self.slab[i as usize].next;
+        let (head, tail) = &mut self.lists[dst];
+        if prev == NIL {
+            *head = next;
+        } else {
+            self.slab[prev as usize].next = next;
+        }
+        if *tail == i {
+            *tail = prev;
+        }
+        self.slab[i as usize].next = self.free;
+        self.free = i;
+        self.in_flight -= 1;
+        self.slab[i as usize].msg
     }
 }
 
-/// Rendezvous bookkeeping for one `(comm, seq, kind)` barrier or split.
-struct Rendezvous {
-    arrived: usize,
-    waiters: Vec<usize>,
-}
+/// An open pivot-step span: `(k, outer, inner, t0)`.
+type OpenStep = (u32, u32, u32, f64);
 
 struct Replay<'p> {
     prog: &'p RecordedProgram,
@@ -108,18 +227,18 @@ struct Replay<'p> {
     gamma: f64,
     deadline: Option<f64>,
     faults: Option<Vec<FaultState>>,
-    pc: Vec<usize>,
-    blocked: Vec<Option<Blocked>>,
-    finished: Vec<bool>,
+    cursors: Vec<Cursor<'p>>,
+    /// The ranks in state `Ready`, in no meaningful order (module docs).
+    worklist: Vec<u32>,
     live: usize,
     errors: Vec<Option<CommError>>,
-    /// Open pivot-step spans per rank: `(k, outer, inner, t0)`.
-    steps: Vec<Vec<(u32, u32, u32, f64)>>,
-    mail: HashMap<(u32, u32, u32), VecDeque<crate::sim::PendingMsg>>,
-    /// `(comm, seq, kind)` → rendezvous state; kind 0 = barrier, 1 = split.
-    rendezvous: HashMap<(u32, u32, u8), Rendezvous>,
-    heap: BinaryHeap<std::cmp::Reverse<(ClockKey, usize)>>,
-    queued: Vec<bool>,
+    /// Open pivot-step spans per rank — kept only when a tracer is
+    /// attached, the spans' one consumer.
+    steps: Option<Vec<Vec<OpenStep>>>,
+    mail: Mail,
+    /// `(comm, seq, kind)` → ranks waiting at that rendezvous; kind 0 =
+    /// barrier, 1 = split.
+    rendezvous: IdMap<(u32, u32, u8), Vec<usize>>,
 }
 
 /// The threadless replay engine: prices a [`RecordedProgram`] on a
@@ -163,30 +282,34 @@ impl EventLoopSim {
                 .map(|r| FaultState::new(Arc::clone(plan), r))
                 .collect()
         });
+        let ranks = u32::try_from(p).expect("rank ids are u32 in recorded ops");
+        let steps = self.net.is_tracing().then(|| vec![Vec::new(); p]);
+        let cursors = prog
+            .programs
+            .iter()
+            .map(|program| Cursor {
+                rest: program,
+                state: State::Ready,
+            })
+            .collect();
         let mut rp = Replay {
             prog,
             net: self.net,
             gamma: self.gamma,
             deadline: opts.deadline,
             faults,
-            pc: vec![0; p],
-            blocked: vec![None; p],
-            finished: vec![false; p],
+            cursors,
+            worklist: (0..ranks).rev().collect(),
             live: p,
             errors: (0..p).map(|_| None).collect(),
-            steps: vec![Vec::new(); p],
-            mail: HashMap::new(),
-            rendezvous: HashMap::new(),
-            heap: BinaryHeap::with_capacity(p),
-            queued: vec![false; p],
+            steps,
+            mail: Mail::new(p),
+            rendezvous: IdMap::default(),
         };
-        for r in 0..p {
-            rp.push_runnable(r);
-        }
         rp.drive();
         if !relaxed {
             assert!(
-                rp.mail.values().all(VecDeque::is_empty),
+                rp.mail.in_flight == 0,
                 "replayed program left undelivered messages behind"
             );
         }
@@ -204,49 +327,35 @@ impl EventLoopSim {
 }
 
 impl<'p> Replay<'p> {
-    fn push_runnable(&mut self, r: usize) {
-        if !self.queued[r] && !self.finished[r] {
-            self.queued[r] = true;
-            self.heap
-                .push(std::cmp::Reverse((ClockKey(self.net.now(r)), r)));
-        }
-    }
-
     fn drive(&mut self) {
-        loop {
-            while let Some(std::cmp::Reverse((_, r))) = self.heap.pop() {
-                self.queued[r] = false;
-                if !self.finished[r] && self.blocked[r].is_none() {
-                    self.run_rank(r);
+        while let Some(r) = self.worklist.pop() {
+            self.run_rank(r as usize);
+        }
+        if self.live == 0 {
+            return;
+        }
+        // Quiescence: no rank is runnable and some are still live —
+        // every live rank is blocked on something that can never
+        // resolve. Mirrors SimWorld::check_quiescence: with a deadline
+        // every blocked wait becomes a Timeout *at* the deadline (failing
+        // a rank wakes nobody, so one sweep settles the run); without
+        // one, the deadlock diagnosis panics.
+        let Some(d) = self.deadline else {
+            panic!("{DEADLOCK_MSG}");
+        };
+        for r in 0..self.cursors.len() {
+            let err = match self.cursors[r].state {
+                State::Done => continue,
+                State::Recv { chan, src } => {
+                    let (ctx, tag) = self.prog.chans[chan as usize];
+                    timeout(r, src as usize, ctx, tag, "recv")
                 }
-            }
-            if self.live == 0 {
-                return;
-            }
-            // Quiescence: no rank is runnable and some are still live —
-            // every live rank is blocked on something that can never
-            // resolve. Mirrors SimWorld::check_quiescence: with a
-            // deadline every blocked wait becomes a Timeout *at* the
-            // deadline; without one, the deadlock diagnosis panics.
-            let Some(d) = self.deadline else {
-                panic!("{DEADLOCK_MSG}");
+                State::Barrier { comm } => timeout(r, r, comm, 0, "barrier"),
+                State::Split { comm } => timeout(r, r, comm, 0, "split"),
+                State::Ready => unreachable!("a quiescent replay has no runnable rank"),
             };
-            for r in 0..self.prog.ranks() {
-                if self.finished[r] {
-                    continue;
-                }
-                let b = self.blocked[r].take().expect("live rank must be blocked");
-                self.net.wait_until(r, d);
-                let err = match b {
-                    Blocked::Recv { chan, src } => {
-                        let (ctx, tag) = self.prog.chans[chan as usize];
-                        timeout(r, src as usize, ctx, tag, "recv")
-                    }
-                    Blocked::Barrier { comm } => timeout(r, r, comm, 0, "barrier"),
-                    Blocked::Split { comm } => timeout(r, r, comm, 0, "split"),
-                };
-                self.fail(r, err);
-            }
+            self.net.wait_until(r, d);
+            self.cursors[r].state = self.fail(r, err);
         }
     }
 
@@ -254,47 +363,59 @@ impl<'p> Replay<'p> {
     /// (innermost first, spans ending at the rank's current clock —
     /// exactly what nested `trace_step`s record when their closure
     /// returns an `Err` the caller then `?`-propagates), and halt the
-    /// rest of its program.
-    fn fail(&mut self, r: usize, err: CommError) {
-        while let Some((k, outer, inner, t0)) = self.steps[r].pop() {
-            self.net.record_step(
-                r,
-                k as usize,
-                outer as usize,
-                inner as usize,
-                t0,
-                self.net.now(r),
-            );
+    /// rest of its program. Returns the rank's final state.
+    fn fail(&mut self, r: usize, err: CommError) -> State {
+        if let Some(steps) = &mut self.steps {
+            while let Some((k, outer, inner, t0)) = steps[r].pop() {
+                self.net.record_step(
+                    r,
+                    k as usize,
+                    outer as usize,
+                    inner as usize,
+                    t0,
+                    self.net.now(r),
+                );
+            }
         }
         self.errors[r] = Some(err);
-        self.finish(r);
+        self.live -= 1;
+        State::Done
     }
 
-    fn finish(&mut self, r: usize) {
-        if !self.finished[r] {
-            self.finished[r] = true;
-            self.live -= 1;
-        }
+    /// Puts blocked rank `w` back on the worklist.
+    fn wake(&mut self, w: usize) {
+        self.cursors[w].state = State::Ready;
+        self.worklist.push(w as u32);
     }
 
     /// Runs rank `r`'s program until it blocks, fails or completes.
     fn run_rank(&mut self, r: usize) {
-        let program = &self.prog.programs[r];
-        while let Some(&op) = program.get(self.pc[r]) {
+        let prog = self.prog;
+        let me = r as u32;
+        let program = self.cursors[r].rest;
+        let mut pc = 0;
+        let state = loop {
+            let Some(&op) = program.get(pc) else {
+                debug_assert!(
+                    self.steps.as_ref().is_none_or(|s| s[r].is_empty()),
+                    "unbalanced pivot-step spans"
+                );
+                self.live -= 1;
+                break State::Done;
+            };
             match op {
                 Op::Send { chan, dst, bytes } => {
-                    let (ctx, tag) = self.prog.chans[chan as usize];
                     // spmd send_bytes: the deadline check precedes the
                     // fault cursor, which precedes the clock work.
                     if let Some(d) = self.deadline {
                         if self.net.now(r) >= d {
-                            self.fail(r, timeout(r, dst as usize, ctx, tag, "send"));
-                            return;
+                            let (ctx, tag) = prog.chans[chan as usize];
+                            break self.fail(r, timeout(r, dst as usize, ctx, tag, "send"));
                         }
                     }
                     let mut delay = None;
                     if let Some(faults) = self.faults.as_mut() {
-                        match faults[r].on_send(dst as usize, tag) {
+                        match faults[r].on_send(dst as usize, prog.chans[chan as usize].1) {
                             FaultDecision::Deliver => {}
                             FaultDecision::Drop => {
                                 // The sender does the work (clock, noise
@@ -302,7 +423,7 @@ impl<'p> Replay<'p> {
                                 // from the ledger and from every mailbox.
                                 let msg = self.net.isend(r, dst as usize, bytes);
                                 self.net.uncount_send(msg.payload_bytes());
-                                self.pc[r] += 1;
+                                pc += 1;
                                 continue;
                             }
                             FaultDecision::DeliverDelayed(s) => delay = Some(s),
@@ -311,14 +432,8 @@ impl<'p> Replay<'p> {
                                 // see module docs.
                             }
                             FaultDecision::Kill => {
-                                self.fail(
-                                    r,
-                                    CommError::Shutdown {
-                                        rank: r,
-                                        detail: "killed by fault plan at send".to_string(),
-                                    },
-                                );
-                                return;
+                                let detail = "killed by fault plan at send".to_string();
+                                break self.fail(r, CommError::Shutdown { rank: r, detail });
                             }
                         }
                     }
@@ -326,64 +441,47 @@ impl<'p> Replay<'p> {
                     if let Some(s) = delay {
                         msg.delay(s);
                     }
-                    self.mail
-                        .entry((chan, r as u32, dst))
-                        .or_default()
-                        .push_back(msg);
-                    self.pc[r] += 1;
+                    let dst = dst as usize;
+                    self.mail.post(dst, chan, msg);
+                    pc += 1;
                     // Wake the receiver iff it is blocked on exactly
                     // this (chan, src) — the SPMD world's targeted wake.
-                    let dst = dst as usize;
-                    if let Some(Blocked::Recv { chan: bc, src: bs }) = self.blocked[dst] {
-                        if bc == chan && bs as usize == r {
-                            self.blocked[dst] = None;
-                            self.push_runnable(dst);
-                        }
+                    if self.cursors[dst].state == (State::Recv { chan, src: me }) {
+                        self.wake(dst);
                     }
                 }
                 Op::Recv { chan, src, bytes } => {
-                    let (ctx, tag) = self.prog.chans[chan as usize];
                     // spmd recv_bytes: own-clock deadline check first
                     // (no wait charged) …
                     if let Some(d) = self.deadline {
                         if self.net.now(r) >= d {
-                            self.fail(r, timeout(r, src as usize, ctx, tag, "recv"));
-                            return;
+                            let (ctx, tag) = prog.chans[chan as usize];
+                            break self.fail(r, timeout(r, src as usize, ctx, tag, "recv"));
                         }
                     }
-                    let key = (chan, src, r as u32);
-                    let head = self.mail.get(&key).and_then(|q| q.front().copied());
-                    let Some(msg) = head else {
-                        self.blocked[r] = Some(Blocked::Recv { chan, src });
-                        return;
+                    let Some(found) = self.mail.find(r, chan, src as usize) else {
+                        break State::Recv { chan, src };
                     };
                     // … then the arrival-past-deadline check, which
                     // *does* advance the clock to the deadline.
                     if let Some(d) = self.deadline {
-                        if msg.arrival() > d {
+                        if self.mail.arrival(found) > d {
                             self.net.wait_until(r, d);
-                            self.fail(r, timeout(r, src as usize, ctx, tag, "recv"));
-                            return;
+                            let (ctx, tag) = prog.chans[chan as usize];
+                            break self.fail(r, timeout(r, src as usize, ctx, tag, "recv"));
                         }
                     }
-                    let q = self.mail.get_mut(&key).expect("head mail vanished");
-                    let msg = q.pop_front().expect("head mail vanished");
-                    if q.is_empty() {
-                        // Keep the mailbox map O(in-flight), not
-                        // O(every channel ever used) — at p = 2²⁰ the
-                        // drained queues dominate memory otherwise.
-                        self.mail.remove(&key);
-                    }
+                    let msg = self.mail.take(r, found);
                     if bytes != u64::MAX {
                         assert_eq!(msg.payload_bytes(), bytes, "phantom payload size mismatch");
                     }
                     self.net.deliver(r, msg);
-                    self.pc[r] += 1;
+                    pc += 1;
                 }
                 Op::Compute { pairs, flops } => {
                     // spmd compute: no deadline check.
                     self.net.compute_flops(r, self.gamma * pairs, flops);
-                    self.pc[r] += 1;
+                    pc += 1;
                 }
                 Op::Barrier { comm, seq } => {
                     // spmd barrier: entry deadline check before the
@@ -391,13 +489,12 @@ impl<'p> Replay<'p> {
                     // unconditionally.
                     if let Some(d) = self.deadline {
                         if self.net.now(r) >= d {
-                            self.fail(r, timeout(r, r, comm, 0, "barrier"));
-                            return;
+                            break self.fail(r, timeout(r, r, comm, 0, "barrier"));
                         }
                     }
-                    self.pc[r] += 1;
+                    pc += 1;
                     if !self.arrive(r, comm, seq, 0) {
-                        return;
+                        break State::Barrier { comm };
                     }
                 }
                 Op::Split { comm, seq } => {
@@ -405,58 +502,52 @@ impl<'p> Replay<'p> {
                     // check, no clock effect. It must still hold ranks
                     // back so fault/deadline quiescence sees the same
                     // blocked set as the threaded world.
-                    self.pc[r] += 1;
+                    pc += 1;
                     if !self.arrive(r, comm, seq, 1) {
-                        return;
+                        break State::Split { comm };
                     }
                 }
                 Op::StepPush { k, outer, inner } => {
-                    self.steps[r].push((k, outer, inner, self.net.now(r)));
-                    self.pc[r] += 1;
+                    if let Some(steps) = &mut self.steps {
+                        steps[r].push((k, outer, inner, self.net.now(r)));
+                    }
+                    pc += 1;
                 }
                 Op::StepPop => {
-                    let (k, outer, inner, t0) =
-                        self.steps[r].pop().expect("unbalanced pivot-step spans");
-                    self.net.record_step(
-                        r,
-                        k as usize,
-                        outer as usize,
-                        inner as usize,
-                        t0,
-                        self.net.now(r),
-                    );
-                    self.pc[r] += 1;
+                    if let Some(steps) = &mut self.steps {
+                        let (k, outer, inner, t0) =
+                            steps[r].pop().expect("unbalanced pivot-step spans");
+                        self.net.record_step(
+                            r,
+                            k as usize,
+                            outer as usize,
+                            inner as usize,
+                            t0,
+                            self.net.now(r),
+                        );
+                    }
+                    pc += 1;
                 }
             }
-        }
-        debug_assert!(self.steps[r].is_empty(), "unbalanced pivot-step spans");
-        self.finish(r);
+        };
+        self.cursors[r] = Cursor {
+            rest: &program[pc..],
+            state,
+        };
     }
 
     /// Deposits `r`'s arrival at rendezvous `(comm, seq, kind)`. Returns
     /// `true` if the rank may continue (it completed the rendezvous),
-    /// `false` if it blocked waiting for the remaining members (its pc
-    /// has already advanced past the op; a wake simply resumes it).
+    /// `false` if it must wait for the remaining members (its pc has
+    /// already advanced past the op; a wake simply resumes it).
     fn arrive(&mut self, r: usize, comm: u32, seq: u32, kind: u8) -> bool {
         let group = self.prog.comms[comm as usize].len();
-        let rv = self
-            .rendezvous
-            .entry((comm, seq, kind))
-            .or_insert(Rendezvous {
-                arrived: 0,
-                waiters: Vec::new(),
-            });
-        rv.arrived += 1;
-        if rv.arrived < group {
-            rv.waiters.push(r);
-            self.blocked[r] = Some(if kind == 0 {
-                Blocked::Barrier { comm }
-            } else {
-                Blocked::Split { comm }
-            });
+        let waiters = self.rendezvous.entry((comm, seq, kind)).or_default();
+        if waiters.len() + 1 < group {
+            waiters.push(r);
             return false;
         }
-        let rv = self
+        let waiters = self
             .rendezvous
             .remove(&(comm, seq, kind))
             .expect("rendezvous vanished");
@@ -464,9 +555,8 @@ impl<'p> Replay<'p> {
             let members = Arc::clone(&self.prog.comms[comm as usize]);
             self.net.barrier_group(&members);
         }
-        for w in rv.waiters {
-            self.blocked[w] = None;
-            self.push_runnable(w);
+        for w in waiters {
+            self.wake(w);
         }
         true
     }
@@ -491,6 +581,7 @@ mod tests {
     use crate::model::Hockney;
     use crate::record::record;
     use crate::spmd::SimWorld;
+    use crate::SimReport;
     use hsumma_trace::{FaultPlan, TagClass};
 
     fn net(p: usize) -> SimNet {
@@ -705,6 +796,118 @@ mod tests {
         let out = EventLoopSim::new(rnet, 0.0).run(&prog, &SimRunOptions::unbounded());
         let (_, report) = out.expect_clean();
         assert_eq!(report, threaded.report());
+    }
+
+    /// Rank 3 wakes rank 2 (clock ≈ 0.5 s) and then rank 0 (clock 4 s):
+    /// the worklist runs rank 0 first, where clock order would run rank 2
+    /// first. A 3 s deadline then cuts the run in the middle — rank 0
+    /// fails on its own clock, ranks 1 and 3 time out at quiescence, and
+    /// rank 2 completes. The threaded engine must agree on all of it.
+    #[test]
+    fn worklist_order_is_unobservable_under_a_mid_run_deadline() {
+        let gamma = 1e-6;
+        let opts = SimRunOptions::unbounded().with_deadline(3.0);
+        let threaded = SimWorld::run_with(net(4), gamma, false, &opts, |comm| match comm.rank() {
+            0 => {
+                comm.compute(4e6, 0);
+                comm.recv_bytes(3, 2)?;
+                comm.send_bytes(1, 1, 8)
+            }
+            1 => {
+                comm.recv_bytes(0, 1)?;
+                comm.recv_bytes(2, 4)?;
+                comm.send_bytes(3, 5, 8)
+            }
+            2 => {
+                comm.recv_bytes(3, 3)?;
+                comm.send_bytes(1, 4, 8)
+            }
+            _ => {
+                comm.compute(5e5, 0);
+                comm.send_bytes(2, 3, 8)?;
+                comm.send_bytes(0, 2, 8)?;
+                comm.recv_bytes(1, 5).map(drop)
+            }
+        });
+        let prog = record(4, false, |comm| match comm.rank() {
+            0 => {
+                comm.compute(4e6, 0);
+                comm.recv_bytes_unchecked(3, 2)?;
+                comm.send_bytes(1, 1, 8)
+            }
+            1 => {
+                comm.recv_bytes_unchecked(0, 1)?;
+                comm.recv_bytes_unchecked(2, 4)?;
+                comm.send_bytes(3, 5, 8)
+            }
+            2 => {
+                comm.recv_bytes_unchecked(3, 3)?;
+                comm.send_bytes(1, 4, 8)
+            }
+            _ => {
+                comm.compute(5e5, 0);
+                comm.send_bytes(2, 3, 8)?;
+                comm.send_bytes(0, 2, 8)?;
+                comm.recv_bytes_unchecked(1, 5).map(drop)
+            }
+        });
+        let out = EventLoopSim::new(net(4), gamma).run(&prog, &opts);
+        let edge = |e: &CommError| match e {
+            CommError::Timeout { edge, op } => (edge.rank, edge.peer, edge.tag, *op),
+            other => panic!("expected a timeout, got {other:?}"),
+        };
+        let replayed: Vec<_> = out.errors.iter().map(|e| e.as_ref().map(edge)).collect();
+        let t_errors: Vec<_> = threaded
+            .results
+            .iter()
+            .map(|r| r.as_ref().err().map(edge))
+            .collect();
+        assert_eq!(replayed, t_errors);
+        assert_eq!(
+            replayed,
+            vec![
+                Some((0, 3, 2, "recv")),
+                Some((1, 0, 1, "recv")),
+                None,
+                Some((3, 1, 5, "recv")),
+            ]
+        );
+        assert_eq!(out.net.report(), threaded.net.report());
+        assert_eq!(out.net.now(0), 4.0, "rank 0 failed on its own clock");
+        assert_eq!(out.net.now(1), 3.0, "rank 1 timed out at the deadline");
+    }
+
+    #[test]
+    fn degenerate_programs_finish_with_a_zero_report() {
+        let zero = SimReport::default();
+        let run = |prog: &RecordedProgram, opts: &SimRunOptions| {
+            let out = EventLoopSim::new(net(prog.ranks()), 1e-6).run(prog, opts);
+            assert!(out.errors.iter().all(Option::is_none));
+            assert_eq!(out.faults_injected, 0);
+            out.net.report()
+        };
+        let deadline = SimRunOptions::unbounded().with_deadline(0.0);
+        // p = 1, an empty program.
+        let single = record(1, false, |_| Ok(()));
+        assert_eq!(single.total_ops(), 0);
+        assert_eq!(run(&single, &SimRunOptions::unbounded()), zero);
+        assert_eq!(run(&single, &deadline), zero);
+        // Every program empty.
+        let empty = record(4, false, |_| Ok(()));
+        assert_eq!(empty.total_ops(), 0);
+        assert_eq!(run(&empty, &SimRunOptions::unbounded()), zero);
+        assert_eq!(run(&empty, &deadline), zero);
+        // One rank with an empty program beside two that exchange.
+        let idle = record(3, false, |comm| match comm.rank() {
+            0 => comm.send_bytes(1, 1, 8),
+            1 => comm.recv_bytes_expect(0, 1, 8),
+            _ => Ok(()),
+        });
+        assert!(idle.programs[2].is_empty());
+        let out = EventLoopSim::new(net(3), 1e-6).run(&idle, &SimRunOptions::unbounded());
+        assert_eq!(out.net.now(2), 0.0);
+        assert_eq!(out.net.comm_of(2), 0.0);
+        assert_eq!(out.expect_clean().1.msgs, 1);
     }
 
     #[test]

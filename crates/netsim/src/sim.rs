@@ -25,6 +25,12 @@ pub struct PendingMsg {
 }
 
 impl PendingMsg {
+    /// Sending world rank (crate-internal: the replay mailboxes match
+    /// receives on it).
+    pub(crate) fn src(&self) -> usize {
+        self.src
+    }
+
     /// Payload size of the in-flight message (crate-internal: the SPMD
     /// mailboxes report it to phantom receivers).
     pub(crate) fn payload_bytes(&self) -> u64 {
@@ -59,13 +65,20 @@ pub struct SimReport {
     pub bytes: u64,
 }
 
+/// One rank's clock and time accounts, kept together so that an
+/// operation on the rank touches one cache line.
+#[derive(Clone, Copy, Default)]
+struct RankTime {
+    clock: f64,
+    comm: f64,
+    comp: f64,
+    /// Messages sent so far (keys the noise stream).
+    sent: u64,
+}
+
 /// The simulated network: per-rank clocks plus accounting.
 pub struct SimNet {
-    clocks: Vec<f64>,
-    comm: Vec<f64>,
-    comp: Vec<f64>,
-    /// Per-rank count of messages sent so far (keys the noise stream).
-    send_seq: Vec<u64>,
+    ranks: Vec<RankTime>,
     msgs: u64,
     bytes: u64,
     net: Hockney,
@@ -130,10 +143,7 @@ impl SimNet {
         assert!(p > 0, "need at least one rank");
         assert_eq!(topo.size(), p, "topology size must match rank count");
         SimNet {
-            clocks: vec![0.0; p],
-            comm: vec![0.0; p],
-            comp: vec![0.0; p],
-            send_seq: vec![0; p],
+            ranks: vec![RankTime::default(); p],
             msgs: 0,
             bytes: 0,
             net,
@@ -178,6 +188,12 @@ impl SimNet {
         self.tracer = Some((tracer.clone(), sinks));
     }
 
+    /// Whether a tracer is attached (crate-internal: replay skips the
+    /// pivot-step span bookkeeping when nothing would record it).
+    pub(crate) fn is_tracing(&self) -> bool {
+        self.tracer.is_some()
+    }
+
     /// The recorded trace so far, if tracing is enabled.
     pub fn trace(&self) -> Option<Trace> {
         self.tracer.as_ref().map(|(t, _)| t.collect())
@@ -202,12 +218,12 @@ impl SimNet {
 
     /// Number of ranks.
     pub fn size(&self) -> usize {
-        self.clocks.len()
+        self.ranks.len()
     }
 
     /// Current virtual time of `rank`.
     pub fn now(&self, rank: usize) -> f64 {
-        self.clocks[rank]
+        self.ranks[rank].clock
     }
 
     /// Starts a transfer of `bytes` from `src` to `dst`: the sender is
@@ -215,13 +231,14 @@ impl SimNet {
     /// topology latency of the route.
     pub fn isend(&mut self, src: usize, dst: usize, bytes: u64) -> PendingMsg {
         let mut busy = self.net.time(bytes);
+        let me = &mut self.ranks[src];
         if let Some(noise) = &self.noise {
-            busy *= noise.factor_for(src, self.send_seq[src]);
+            busy *= noise.factor_for(src, me.sent);
         }
-        self.send_seq[src] += 1;
-        let departure = self.clocks[src];
-        self.clocks[src] += busy;
-        self.comm[src] += busy;
+        me.sent += 1;
+        let departure = me.clock;
+        me.clock += busy;
+        me.comm += busy;
         self.msgs += 1;
         self.bytes += bytes;
         let arrival = departure + busy + self.topo.extra_latency(src, dst);
@@ -246,11 +263,13 @@ impl SimNet {
     /// Blocks `dst` until `msg` has arrived; waiting time is accounted as
     /// communication.
     pub fn deliver(&mut self, dst: usize, msg: PendingMsg) {
-        let wait_from = self.clocks[dst];
-        if msg.arrival > self.clocks[dst] {
-            self.comm[dst] += msg.arrival - self.clocks[dst];
-            self.clocks[dst] = msg.arrival;
+        let me = &mut self.ranks[dst];
+        let wait_from = me.clock;
+        if msg.arrival > me.clock {
+            me.comm += msg.arrival - me.clock;
+            me.clock = msg.arrival;
         }
+        let now = me.clock;
         self.record(
             dst,
             EventKind::Recv {
@@ -260,7 +279,7 @@ impl SimNet {
                 bytes: msg.bytes,
             },
             wait_from,
-            self.clocks[dst],
+            now,
         );
     }
 
@@ -280,9 +299,10 @@ impl SimNet {
     /// count the time was derived from.
     pub fn compute_flops(&mut self, rank: usize, seconds: f64, flops: u64) {
         assert!(seconds >= 0.0, "computation time must be non-negative");
-        let t0 = self.clocks[rank];
-        self.clocks[rank] += seconds;
-        self.comp[rank] += seconds;
+        let me = &mut self.ranks[rank];
+        let t0 = me.clock;
+        me.clock += seconds;
+        me.comp += seconds;
         self.record(rank, EventKind::Compute { flops }, t0, t0 + seconds);
     }
 
@@ -296,9 +316,9 @@ impl SimNet {
     /// wait is accounted as communication, like an `MPI_Barrier` would be.
     pub fn barrier_all(&mut self) {
         let t = self.elapsed();
-        for r in 0..self.clocks.len() {
-            self.comm[r] += t - self.clocks[r];
-            self.clocks[r] = t;
+        for me in &mut self.ranks {
+            me.comm += t - me.clock;
+            me.clock = t;
         }
     }
 
@@ -307,11 +327,12 @@ impl SimNet {
     pub fn barrier_group(&mut self, ranks: &[usize]) {
         let t = ranks
             .iter()
-            .map(|&r| self.clocks[r])
+            .map(|&r| self.ranks[r].clock)
             .fold(0.0_f64, f64::max);
         for &r in ranks {
-            self.comm[r] += t - self.clocks[r];
-            self.clocks[r] = t;
+            let me = &mut self.ranks[r];
+            me.comm += t - me.clock;
+            me.clock = t;
         }
     }
 
@@ -328,23 +349,24 @@ impl SimNet {
     /// the wait as communication — used when a blocked rank gives up at
     /// the virtual deadline.
     pub(crate) fn wait_until(&mut self, rank: usize, t: f64) {
-        if t > self.clocks[rank] {
-            self.comm[rank] += t - self.clocks[rank];
-            self.clocks[rank] = t;
+        let me = &mut self.ranks[rank];
+        if t > me.clock {
+            me.comm += t - me.clock;
+            me.clock = t;
         }
     }
 
     /// Virtual makespan so far.
     pub fn elapsed(&self) -> f64 {
-        self.clocks.iter().copied().fold(0.0, f64::max)
+        self.ranks.iter().map(|me| me.clock).fold(0.0, f64::max)
     }
 
     /// Snapshot of the aggregate accounting.
     pub fn report(&self) -> SimReport {
         SimReport {
             total_time: self.elapsed(),
-            comm_time: self.comm.iter().copied().fold(0.0, f64::max),
-            comp_time: self.comp.iter().copied().fold(0.0, f64::max),
+            comm_time: self.ranks.iter().map(|me| me.comm).fold(0.0, f64::max),
+            comp_time: self.ranks.iter().map(|me| me.comp).fold(0.0, f64::max),
             msgs: self.msgs,
             bytes: self.bytes,
         }
@@ -352,12 +374,12 @@ impl SimNet {
 
     /// Per-rank communication time (test/diagnostic hook).
     pub fn comm_of(&self, rank: usize) -> f64 {
-        self.comm[rank]
+        self.ranks[rank].comm
     }
 
     /// Per-rank computation time (test/diagnostic hook).
     pub fn comp_of(&self, rank: usize) -> f64 {
-        self.comp[rank]
+        self.ranks[rank].comp
     }
 }
 

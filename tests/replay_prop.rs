@@ -1,12 +1,14 @@
 //! Property-based engine parity: for *random* (algorithm, p, n, G,
 //! broadcast) configurations, the recorded op-program replay must
 //! reproduce the thread-per-rank run exactly — bit-identical reports and
-//! identical per-rank `(src, dst, bytes)` send multisets — and a random
-//! dropped collective fragment must stall the same edge on both engines.
-//! The deterministic golden cases live in `replay_parity.rs`; this file
-//! walks the configuration space around them.
+//! identical per-rank `(src, dst, bytes)` send multisets — a random
+//! dropped collective fragment must stall the same edge on both engines,
+//! and a random deadline combined with a random fault of any kind must
+//! fail the same ranks the same way on both. The deterministic golden
+//! cases live in `replay_parity.rs`; this file walks the configuration
+//! space around them.
 
-use hsumma_repro::core::simdrive::{simulate_on, Schedule, SimEngine};
+use hsumma_repro::core::simdrive::{simulate, simulate_on, Schedule, SimEngine};
 use hsumma_repro::core::{BrickDecomp, CosmaConfig, HierGrid, MatMulDims};
 use hsumma_repro::matrix::GridShape;
 use hsumma_repro::netsim::{
@@ -132,6 +134,81 @@ proptest! {
             .with_deadline(1.0)
             .with_faults(Arc::clone(&plan));
         let plat = Platform::bluegene_p_effective();
+
+        let out = SimWorld::run_with(SimNet::new(p, plat.net), plat.gamma, false, &opts, |comm| {
+            sched.run(comm)
+        });
+        let prog = sched.record(false);
+        let rout = EventLoopSim::new(SimNet::new(p, plat.net), plat.gamma).run(&prog, &opts);
+
+        let t_sigs: Vec<_> = out
+            .results
+            .iter()
+            .map(|r| r.as_ref().err().map(sig))
+            .collect();
+        let r_sigs: Vec<_> = rout.errors.iter().map(|e| e.as_ref().map(sig)).collect();
+        prop_assert_eq!(&t_sigs, &r_sigs, "error signatures diverged");
+        prop_assert_eq!(out.faults_injected, rout.faults_injected);
+        prop_assert_eq!(bits(&out.net.report()), bits(&rout.net.report()));
+    }
+}
+
+/// A one-rule plan of each kind the fault language has, aimed at the
+/// `nth` send of world rank `rank` (to any peer, on any tag).
+fn one_fault(kind: usize, rank: usize, nth: u64, delay: f64) -> FaultPlan {
+    match kind {
+        0 => FaultPlan::new().drop_nth(Some(rank), None, TagClass::Any, nth),
+        1 => FaultPlan::new().delay_nth(Some(rank), None, TagClass::Any, nth, delay),
+        2 => FaultPlan::new().duplicate_nth(Some(rank), None, TagClass::Any, nth),
+        _ => FaultPlan::new().kill_rank(rank, nth),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A random deadline (5 %–150 % of the clean makespan) × a random
+    /// drop, delay, duplicate or kill on a random small schedule: both
+    /// engines must give every rank the same error signature, inject the
+    /// same number of faults and report the same numbers to the bit.
+    /// This is the replay scheduler's own path — quiescence is where a
+    /// deadline turns the remaining waits into timeouts, and a deadline
+    /// that cuts mid-run makes ranks fail at different virtual times.
+    #[test]
+    fn random_deadline_and_fault_agree_on_both_engines(
+        algo_ix in 0usize..4,
+        side_pow in 1u32..3,
+        bcast_ix in 0usize..4,
+        kind in 0usize..4,
+        victim_frac in 0.0f64..1.0,
+        nth in 0u64..6,
+        cut in 0.05f64..1.5,
+    ) {
+        let q = 1usize << side_pow;
+        let grid = GridShape::new(q, q);
+        let n = q * 8;
+        let bcast = BCASTS[bcast_ix];
+        let sched = match algo_ix {
+            0 => Schedule::summa(grid, n, 4, bcast),
+            1 => {
+                let groups = HierGrid::factor_groups(grid, q).unwrap_or_else(|| GridShape::new(1, 1));
+                Schedule::hsumma(grid, groups, n, 4, 4, bcast, bcast)
+            }
+            2 => Schedule::cannon(q, n),
+            _ => Schedule::Cosma {
+                p: q * q,
+                dims: MatMulDims::square(n),
+                cfg: CosmaConfig::for_problem(q * q, n, n, n),
+            },
+        };
+        let p = sched.ranks();
+        let plat = Platform::bluegene_p_effective();
+        let makespan = simulate(&sched, &plat, SimEngine::Replay, false).total_time;
+        let victim = ((victim_frac * p as f64) as usize).min(p - 1);
+        let plan = Arc::new(one_fault(kind, victim, nth, 0.5 * makespan));
+        let opts = SimRunOptions::unbounded()
+            .with_deadline(cut * makespan)
+            .with_faults(plan);
 
         let out = SimWorld::run_with(SimNet::new(p, plat.net), plat.gamma, false, &opts, |comm| {
             sched.run(comm)
