@@ -1,14 +1,9 @@
-//! Figure 10: SUMMA and HSUMMA at `p = 2²⁰` — the paper's exascale
-//! prediction, now backed by an *executed* schedule, not just the
-//! closed form.
+//! Figure 10's territory, executed: schedules at up to `p = 2²⁰` recorded
+//! and replayed, where the paper (and `figures fig10`) could only price
+//! the closed form.
 //!
-//! Three layers, reported together:
+//! Two layers, reported together:
 //!
-//! * **analytic sweep** — the paper's own theoretical figure:
-//!   `p = 2²⁰, n = 2²², b = 256`, exascale roadmap parameters (500 ns
-//!   latency, 100 GB/s links, 1 EFLOP/s aggregate), van de Geijn
-//!   broadcast. Paper shape: SUMMA constant; HSUMMA U-shaped with its
-//!   minimum at interior `G`, several times below SUMMA.
 //! * **HSUMMA replay G-sweeps** — executed on the record-and-replay
 //!   engine (bit-identical to the threaded simulator, but threadless:
 //!   these rank counts would exhaust `vm.max_map_count` thread-per-rank).
@@ -21,23 +16,22 @@
 //!   [`cosma_volume`]'s closed form (exact on dividing shapes, < 2%
 //!   on awkward ones).
 //!
-//! Results go to stdout and the `"scale"` section of `BENCH_scale.json`;
-//! a small traced replay also writes `replay_trace.json` (Chrome
-//! `about:tracing` format). `--smoke` runs the `p = 2¹⁶` ladder rung
-//! only, under a wall-clock budget — the CI guard proving the replay
-//! engine stays a laptop-budget tool at six-figure rank counts.
+//! Results go to stdout and `BENCH_scale.json`; a small traced replay
+//! also writes `replay_trace.json` (Chrome `about:tracing` format).
+//! `--smoke` runs the `p = 2¹⁶` ladder rung only, under a wall-clock
+//! budget — the CI guard proving the replay engine stays a laptop-budget
+//! tool at six-figure rank counts.
 //!
 //! ```sh
-//! cargo run --release -p hsumma-bench --bin fig10 [-- --smoke]
+//! cargo run --release -p hsumma-bench --bin replay_scale [-- --smoke]
 //! ```
 
-use hsumma_bench::{render_table, secs, write_bench_section};
+use hsumma_bench::{render_table, secs};
 use hsumma_core::simdrive::{replay_on, simulate, Schedule, SimEngine};
 use hsumma_core::tuning;
 use hsumma_core::{CosmaConfig, MatMulDims};
 use hsumma_matrix::GridShape;
-use hsumma_model::predict::{best_point, power_of_two_gs, sweep_groups};
-use hsumma_model::{cosma_volume, BcastModel, BrickShape, ModelParams};
+use hsumma_model::{cosma_volume, BrickShape};
 use hsumma_netsim::{Platform, SimBcast, SimNet};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -95,64 +89,6 @@ fn replay_cosma(platform: &Platform, label: &'static str, p: usize, n: usize) ->
     }
 }
 
-/// The paper's analytic exascale sweep (the original Figure 10).
-fn analytic_sweep() {
-    let params = ModelParams::exascale();
-    let p = (1u64 << 20) as f64;
-    let n = (1u64 << 22) as f64;
-    let b = 256.0;
-
-    let sweep = sweep_groups(
-        &params,
-        BcastModel::VanDeGeijn,
-        n,
-        p,
-        b,
-        &power_of_two_gs(p),
-    );
-
-    println!("Figure 10 — exascale prediction (analytic model)");
-    println!("p = 2^20, n = 2^22, b = B = {b}, van de Geijn broadcast");
-    println!("alpha = 500 ns, beta = 1e-11 s/B (100 GB/s), 1 EFLOP/s aggregate\n");
-
-    let rows: Vec<Vec<String>> = sweep
-        .iter()
-        .map(|pt| {
-            vec![
-                format!("2^{}", pt.g.log2() as u32),
-                secs(pt.hsumma.comm()),
-                secs(pt.hsumma.total()),
-                secs(pt.summa.comm()),
-                secs(pt.summa.total()),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "G",
-                "HSUMMA comm (s)",
-                "HSUMMA total (s)",
-                "SUMMA comm (s)",
-                "SUMMA total (s)"
-            ],
-            &rows
-        )
-    );
-
-    let best = best_point(&sweep);
-    println!(
-        "predicted optimum: G = {} (√p = {}), comm {} s vs SUMMA {} s ({:.2}x less)",
-        best.g,
-        p.sqrt(),
-        secs(best.hsumma.comm()),
-        secs(best.summa.comm()),
-        best.summa.comm() / best.hsumma.comm()
-    );
-    println!("paper shape: U-curve over G with interior minimum; endpoints equal SUMMA.\n");
-}
-
 /// A small traced SUMMA replay whose step spans go to Chrome's
 /// `about:tracing` format — the artifact CI uploads as proof the replay
 /// engine feeds the same tracer hooks as the threaded one.
@@ -173,10 +109,6 @@ fn write_chrome_trace() {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    if !smoke {
-        analytic_sweep();
-    }
-
     let platform = Platform::bluegene_p();
 
     // The replay ladder. Every rung is one recording pass plus one
@@ -375,10 +307,10 @@ fn main() {
     let _ = write!(
         json,
         ",\n  \"smoke_budget_s\": {SMOKE_BUDGET_SECS},\n  \
-         \"smoke_within_budget\": {within_budget}\n}}"
+         \"smoke_within_budget\": {within_budget}\n}}\n"
     );
-    write_bench_section("BENCH_scale.json", "scale", &json).expect("write BENCH_scale.json");
-    println!("wrote BENCH_scale.json (\"scale\" section)");
+    std::fs::write("BENCH_scale.json", &json).expect("write BENCH_scale.json");
+    println!("wrote BENCH_scale.json");
 
     if smoke && !within_budget {
         eprintln!(

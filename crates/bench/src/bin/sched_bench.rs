@@ -22,11 +22,10 @@
 //! admission: a job with an absurd deadline must be rejected at submit
 //! with the predicted-vs-deadline margin.
 //!
-//! Results go to stdout and into the `"sched"` section of
-//! `BENCH_serve.json` (the `"throughput"` section belongs to
-//! `serve_throughput`). `--smoke` shrinks the pool and trace for CI.
+//! Results go to stdout and `BENCH_serve.json`. `--smoke` shrinks the
+//! pool and trace for CI.
 
-use hsumma_bench::{render_table, write_bench_section};
+use hsumma_bench::render_table;
 use hsumma_matrix::{seeded_uniform, GridShape, Matrix};
 use hsumma_serve::{Admission, GemmServer, JobSpec, SchedPolicy, ServerConfig, SubmitError};
 use std::fmt::Write as _;
@@ -350,10 +349,10 @@ fn main() {
          \"infeasible_demo_deadline_s\": {:.6},\n  \
          \"infeasible_rejected_at_submit\": true,\n  \
          \"edf_p99_better\": {p99_better},\n  \"edf_jobs_per_s_better\": {rate_better},\n  \
-         \"edf_misses_le_fifo\": {misses_le}\n}}",
+         \"edf_misses_le_fifo\": {misses_le}\n}}\n",
         inf_predicted.as_secs_f64(),
         inf_deadline.as_secs_f64()
     );
-    write_bench_section("BENCH_serve.json", "sched", &json).expect("write BENCH_serve.json");
-    println!("wrote BENCH_serve.json (sched section)");
+    std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
+    println!("wrote BENCH_serve.json");
 }

@@ -1,10 +1,14 @@
-//! Shared harness for the experiment-regeneration binaries.
+//! Shared harness for the experiment binaries.
 //!
-//! Every table and figure of the paper has a binary in `src/bin/` (see
-//! `DESIGN.md` for the index); this library holds what they share:
-//! platform profiles, grid factorization, and plain-text table/series
-//! rendering so the binaries' stdout can be diffed against
-//! `EXPERIMENTS.md`.
+//! Every table and figure of the paper is one function in [`figures`],
+//! printed by `cargo run --release -p hsumma-bench --bin figures -- <name>`
+//! and, where it takes seconds, held byte-for-byte against
+//! `results/<name>.txt` by `tests/figures.rs` (see `DESIGN.md` for the
+//! index). The rest of this library is what the tables and the other
+//! binaries share: platform profiles, grid factorization, and plain-text
+//! table rendering.
+
+pub mod figures;
 
 use hsumma_core::tuning::{power_of_two_gs, sweep_groups};
 use hsumma_core::{simulate, Schedule, SimEngine};
@@ -151,96 +155,6 @@ pub fn secs(t: f64) -> String {
     format!("{t:.4}")
 }
 
-/// Rewrites one named top-level section of a JSON artifact file,
-/// preserving every other section verbatim.
-///
-/// `BENCH_serve.json` is shared by two binaries (`serve_throughput`
-/// writes `"throughput"`, `sched_bench` writes `"sched"`), each of which
-/// must be re-runnable without clobbering the other's results. `body`
-/// must be a complete JSON value (normally a `{...}` object). Files
-/// whose top level is not an object of sections — e.g. the flat
-/// single-object artifacts older revisions wrote — are replaced
-/// wholesale, upgrading them to the sectioned layout.
-pub fn write_bench_section(path: &str, section: &str, body: &str) -> std::io::Result<()> {
-    let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let mut sections: Vec<(String, String)> = parse_sections(&existing).unwrap_or_default();
-    match sections.iter_mut().find(|(name, _)| name == section) {
-        Some((_, value)) => *value = body.to_string(),
-        None => sections.push((section.to_string(), body.to_string())),
-    }
-    let mut out = String::from("{\n");
-    for (i, (name, value)) in sections.iter().enumerate() {
-        let sep = if i + 1 < sections.len() { "," } else { "" };
-        out.push_str(&format!("\"{name}\": {value}{sep}\n"));
-    }
-    out.push_str("}\n");
-    std::fs::write(path, out)
-}
-
-/// Splits `{"a": <value>, "b": <value>}` into its top-level
-/// `(name, value)` pairs, values verbatim. Returns `None` when the text
-/// is not a two-level section object (then the caller starts fresh).
-fn parse_sections(text: &str) -> Option<Vec<(String, String)>> {
-    let inner = text.trim().strip_prefix('{')?.strip_suffix('}')?;
-    let mut sections = Vec::new();
-    let mut rest = inner.trim();
-    while !rest.is_empty() {
-        rest = rest.strip_prefix('"')?;
-        let name_end = rest.find('"')?;
-        let name = &rest[..name_end];
-        rest = rest[name_end + 1..].trim_start().strip_prefix(':')?;
-        rest = rest.trim_start();
-        // The value runs to the top-level comma: track nesting and
-        // strings so embedded commas/braces don't end it early.
-        let (mut depth, mut in_str, mut escape) = (0i32, false, false);
-        let mut end = rest.len();
-        for (i, c) in rest.char_indices() {
-            if in_str {
-                match c {
-                    _ if escape => escape = false,
-                    '\\' => escape = true,
-                    '"' => in_str = false,
-                    _ => {}
-                }
-                continue;
-            }
-            match c {
-                '"' => in_str = true,
-                '{' | '[' => depth += 1,
-                '}' | ']' => depth -= 1,
-                ',' if depth == 0 => {
-                    end = i;
-                    break;
-                }
-                _ => {}
-            }
-        }
-        if depth > 0 || in_str {
-            return None;
-        }
-        sections.push((name.to_string(), rest[..end].trim().to_string()));
-        rest = rest[end..]
-            .trim_start()
-            .trim_start_matches(',')
-            .trim_start();
-    }
-    // A flat artifact ({"p": 16, ...}) parses as scalar "sections";
-    // treat anything with a non-object, non-array value as not sectioned.
-    if sections
-        .iter()
-        .all(|(_, v)| v.starts_with('{') || v.starts_with('['))
-    {
-        Some(sections)
-    } else {
-        None
-    }
-}
-
-/// Formats a ratio like `2.08x`.
-pub fn ratio(r: f64) -> String {
-    format!("{r:.2}x")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,30 +174,6 @@ mod tests {
         assert!(g.rows <= g.cols);
         assert_eq!(grid_for(1), GridShape::new(1, 1));
         assert_eq!(grid_for(7), GridShape::new(1, 7));
-    }
-
-    #[test]
-    fn bench_sections_update_without_clobbering_each_other() {
-        let path = std::env::temp_dir().join(format!("bench_sections_{}.json", std::process::id()));
-        let path = path.to_str().unwrap();
-        let _ = std::fs::remove_file(path);
-        // Fresh file: the first writer creates the sectioned layout.
-        write_bench_section(path, "throughput", "{\n  \"jobs_per_s\": 100.0\n}").unwrap();
-        // A second section lands beside it.
-        write_bench_section(path, "sched", "{\n  \"p99_ms\": [1, 2]\n}").unwrap();
-        let text = std::fs::read_to_string(path).unwrap();
-        assert!(text.contains("\"throughput\"") && text.contains("\"sched\""));
-        // Rewriting one section preserves the other verbatim.
-        write_bench_section(path, "throughput", "{\n  \"jobs_per_s\": 250.0\n}").unwrap();
-        let text = std::fs::read_to_string(path).unwrap();
-        assert!(text.contains("250.0") && !text.contains("100.0"));
-        assert!(text.contains("\"p99_ms\": [1, 2]"));
-        // A legacy flat artifact is upgraded wholesale, not merged.
-        std::fs::write(path, "{\n  \"p\": 16,\n  \"plan\": \"cannon\"\n}").unwrap();
-        write_bench_section(path, "sched", "{\"misses\": 0}").unwrap();
-        let text = std::fs::read_to_string(path).unwrap();
-        assert!(text.contains("\"sched\"") && !text.contains("cannon"));
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
