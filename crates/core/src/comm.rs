@@ -341,8 +341,6 @@ pub trait Communicator: Sized {
         cols: usize,
     ) -> Result<Self::Mat, CommError>;
 
-    /// Wraps a matrix for shared (clone-free) distribution.
-    fn share(mat: Self::Mat) -> Self::Shared;
     /// Views the matrix behind a shared handle.
     fn shared_ref(shared: &Self::Shared) -> &Self::Mat;
     /// Sends a shared handle to `dst` (payload counted once, not copied).
@@ -424,13 +422,53 @@ pub trait Communicator: Sized {
         }
     }
 
-    /// Broadcasts `mat` from `root` in place with the selected algorithm.
+    /// Cuts the `rows × cols` block at `(r0, c0)` of `src` into a fresh
+    /// shared panel: the one copy a broadcast root makes. The real
+    /// substrate counts it as a payload materialization in the rank's
+    /// `CommStats`; the phantom substrates only check bounds.
+    fn cut(&self, src: &Self::Mat, r0: usize, c0: usize, rows: usize, cols: usize) -> Self::Shared;
+
+    /// Broadcasts a shared `rows × cols` panel from `root` with the
+    /// selected algorithm and returns it on every rank. The root passes
+    /// `Some(panel)`, everyone else `None`. On the real substrate the
+    /// tree algorithms move the root's `Arc` hop by hop, so every rank
+    /// returns the root's allocation and no rank copies; the segmenting
+    /// algorithms move slices of one buffer and hand each receiver a
+    /// fresh one. The simulated substrates walk the same trees, message
+    /// for message, with phantom payloads.
+    ///
+    /// # Panics
+    /// Panics if `root` is out of range or the root passes `None`.
+    fn bcast_shared(
+        &self,
+        algo: BcastAlgorithm,
+        root: usize,
+        rows: usize,
+        cols: usize,
+        panel: Option<Self::Shared>,
+    ) -> Result<Self::Shared, CommError>;
+
+    /// Broadcasts `mat` from `root` in place with the selected algorithm:
+    /// [`Communicator::bcast_shared`] around one cut at the root and one
+    /// copy-out at each receiver.
     fn bcast_mat(
         &self,
         algo: BcastAlgorithm,
         root: usize,
         mat: &mut Self::Mat,
-    ) -> Result<(), CommError>;
+    ) -> Result<(), CommError> {
+        assert!(root < self.size(), "root out of range");
+        if self.size() == 1 {
+            return Ok(());
+        }
+        let (rows, cols) = (mat.rows(), mat.cols());
+        let panel = (self.rank() == root).then(|| self.cut(mat, 0, 0, rows, cols));
+        let got = self.bcast_shared(algo, root, rows, cols, panel)?;
+        if self.rank() != root {
+            mat.set_block(0, 0, Self::shared_ref(&got));
+        }
+        Ok(())
+    }
     /// Element-wise sum reduction to `root` (binomial tree). Non-root
     /// buffers are left in an unspecified partial state.
     fn reduce_sum_mat(&self, root: usize, mat: &mut Self::Mat) -> Result<(), CommError>;
@@ -497,9 +535,6 @@ impl Communicator for Comm {
         Ok(mat)
     }
 
-    fn share(mat: Matrix) -> Arc<Matrix> {
-        Arc::new(mat)
-    }
     fn shared_ref(shared: &Arc<Matrix>) -> &Matrix {
         shared
     }
@@ -535,13 +570,40 @@ impl Communicator for Comm {
         }
     }
 
-    fn bcast_mat(
+    fn cut(&self, src: &Matrix, r0: usize, c0: usize, rows: usize, cols: usize) -> Arc<Matrix> {
+        self.count_payload_clone(mat_bytes(rows, cols));
+        Arc::new(src.block(r0, c0, rows, cols))
+    }
+    fn bcast_shared(
         &self,
         algo: BcastAlgorithm,
         root: usize,
-        mat: &mut Matrix,
-    ) -> Result<(), CommError> {
-        collectives::bcast_f64(self, algo, root, mat.as_mut_slice())
+        rows: usize,
+        cols: usize,
+        panel: Option<Arc<Matrix>>,
+    ) -> Result<Arc<Matrix>, CommError> {
+        assert!(root < self.size(), "root out of range");
+        assert!(
+            panel.is_some() || self.rank() != root,
+            "root must supply the value"
+        );
+        if self.size() == 1 {
+            return Ok(panel.expect("root supplied the value"));
+        }
+        if !algo.needs_segmentation() {
+            return collectives::bcast_payload(self, algo, root, panel);
+        }
+        // Segments are slices of one mutable buffer: the root's panel,
+        // copied only if another rank still holds it.
+        let mut mat = match panel {
+            Some(p) => Arc::try_unwrap(p).unwrap_or_else(|p| {
+                self.count_payload_clone(mat_bytes(rows, cols));
+                Matrix::clone(&p)
+            }),
+            None => Matrix::zeros(rows, cols),
+        };
+        collectives::bcast_f64(self, algo, root, mat.as_mut_slice())?;
+        Ok(Arc::new(mat))
     }
     fn reduce_sum_mat(&self, root: usize, mat: &mut Matrix) -> Result<(), CommError> {
         collectives::reduce_sum_f64(self, root, mat.as_mut_slice())
@@ -651,9 +713,6 @@ impl<'w> Communicator for SimComm<'w> {
         Ok(PhantomMat { rows, cols })
     }
 
-    fn share(mat: PhantomMat) -> PhantomMat {
-        mat
-    }
     fn shared_ref(shared: &PhantomMat) -> &PhantomMat {
         shared
     }
@@ -691,14 +750,18 @@ impl<'w> Communicator for SimComm<'w> {
         }
     }
 
-    fn bcast_mat(
+    fn cut(&self, src: &PhantomMat, r0: usize, c0: usize, rows: usize, cols: usize) -> PhantomMat {
+        src.block(r0, c0, rows, cols)
+    }
+    fn bcast_shared(
         &self,
         algo: BcastAlgorithm,
         root: usize,
-        mat: &mut PhantomMat,
-    ) -> Result<(), CommError> {
-        assert!(root < self.size(), "root out of range");
-        sim_bcast(self, algo, root, mat.elems())
+        rows: usize,
+        cols: usize,
+        panel: Option<PhantomMat>,
+    ) -> Result<PhantomMat, CommError> {
+        phantom_bcast(self, algo, root, rows, cols, panel)
     }
     fn reduce_sum_mat(&self, root: usize, mat: &mut PhantomMat) -> Result<(), CommError> {
         assert!(root < self.size(), "root out of range");
@@ -755,9 +818,6 @@ impl<'r> Communicator for RecordComm<'r> {
         Ok(PhantomMat { rows, cols })
     }
 
-    fn share(mat: PhantomMat) -> PhantomMat {
-        mat
-    }
     fn shared_ref(shared: &PhantomMat) -> &PhantomMat {
         shared
     }
@@ -788,14 +848,18 @@ impl<'r> Communicator for RecordComm<'r> {
         )
     }
 
-    fn bcast_mat(
+    fn cut(&self, src: &PhantomMat, r0: usize, c0: usize, rows: usize, cols: usize) -> PhantomMat {
+        src.block(r0, c0, rows, cols)
+    }
+    fn bcast_shared(
         &self,
         algo: BcastAlgorithm,
         root: usize,
-        mat: &mut PhantomMat,
-    ) -> Result<(), CommError> {
-        assert!(root < self.size(), "root out of range");
-        sim_bcast(self, algo, root, mat.elems())
+        rows: usize,
+        cols: usize,
+        panel: Option<PhantomMat>,
+    ) -> Result<PhantomMat, CommError> {
+        phantom_bcast(self, algo, root, rows, cols, panel)
     }
     fn reduce_sum_mat(&self, root: usize, mat: &mut PhantomMat) -> Result<(), CommError> {
         assert!(root < self.size(), "root out of range");
@@ -815,6 +879,25 @@ impl<'r> Communicator for RecordComm<'r> {
     fn trace_step<R>(&self, k: usize, outer: usize, inner: usize, f: impl FnOnce() -> R) -> R {
         RecordComm::trace_step(self, k, outer, inner, f)
     }
+}
+
+/// [`Communicator::bcast_shared`] on a phantom substrate: the root's
+/// panel (or its shape, everywhere else) after [`sim_bcast`]'s schedule.
+fn phantom_bcast<C: ByteComm>(
+    comm: &C,
+    algo: BcastAlgorithm,
+    root: usize,
+    rows: usize,
+    cols: usize,
+    panel: Option<PhantomMat>,
+) -> Result<PhantomMat, CommError> {
+    assert!(root < comm.size(), "root out of range");
+    assert!(
+        panel.is_some() || comm.rank() != root,
+        "root must supply the value"
+    );
+    sim_bcast(comm, algo, root, rows * cols)?;
+    Ok(PhantomMat { rows, cols })
 }
 
 /// Phantom-payload broadcast of `elems` `f64`s: the same per-rank message

@@ -24,8 +24,9 @@
 //! "nonblocking" start, putting the transfer right back on the critical
 //! path), so the wire traffic — every (src, dst, bytes) — is that of the
 //! blocking schedule under `BcastAlgorithm::Flat`; only *when* each rank
-//! blocks changes. The `overlap_pipeline` bench bin measures the two
-//! against each other, and `trace_run --algo overlap` shows the
+//! blocks changes. The benchmark's `core.pipelined_over_blocking` row
+//! times the two against each other, `figures overlap` prices them on
+//! the simulator, and `trace_run --algo overlap` shows the
 //! broadcast edges leaving the critical path once the compute term
 //! dominates.
 

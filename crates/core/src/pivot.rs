@@ -178,6 +178,7 @@ struct Geometry<C> {
 }
 
 /// Where one outer pivot panel lives along a grid dimension.
+#[derive(Clone, Copy)]
 struct PivotAt {
     /// Grid row/column owning the panel.
     owner: usize,
@@ -241,6 +242,84 @@ impl<C: Communicator> Geometry<C> {
     fn b_at(&self, spec: &Spec, kg: usize) -> PivotAt {
         locate(spec, kg, self.b_tile.0, spec.grid.rows, self.inner.rows)
     }
+
+    /// Locates outer step `kg` and runs its inter-group broadcasts: the
+    /// owner cuts its panel once, and the pivot inner column (`A`) /
+    /// inner row (`B`) of every group receives that allocation.
+    fn outer_step(
+        &self,
+        spec: &Spec,
+        kg: usize,
+        a: &C::Mat,
+        b: &C::Mat,
+    ) -> Result<Step<C::Shared>, CommError> {
+        let (at, bt) = (self.a_at(spec, kg), self.b_at(spec, kg));
+        let (ah, bw, bb) = (self.a_tile.0, self.b_tile.1, spec.outer_block);
+        let mut step = Step {
+            at,
+            bt,
+            outer_a: None,
+            outer_b: None,
+        };
+        if let Some((group_row, group_col)) = &self.outer {
+            if self.j == at.inner {
+                let panel = (self.gj == at.owner).then(|| group_row.cut(a, 0, at.offset, ah, bb));
+                let got = group_row.bcast_shared(spec.outer_bcast, at.group, ah, bb, panel)?;
+                step.outer_a = Some(got);
+            }
+            if self.i == bt.inner {
+                let panel = (self.gi == bt.owner).then(|| group_col.cut(b, bt.offset, 0, bb, bw));
+                let got = group_col.bcast_shared(spec.outer_bcast, bt.group, bb, bw, panel)?;
+                step.outer_b = Some(got);
+            }
+        }
+        Ok(step)
+    }
+
+    /// Broadcasts slice `ki` of `step` along the inner row (`A`) and
+    /// column (`B`). Each inner root forwards its outer panel whole when
+    /// `B == b`, and otherwise cuts the slice from it — or, without a
+    /// hierarchy, from its own tile.
+    fn slices(
+        &self,
+        spec: &Spec,
+        step: &Step<C::Shared>,
+        ki: usize,
+        a: &C::Mat,
+        b: &C::Mat,
+    ) -> Result<(C::Shared, C::Shared), CommError> {
+        let (ah, bw, bs) = (self.a_tile.0, self.b_tile.1, spec.inner_block);
+        let whole = spec.outer_block == bs;
+        let (at, bt) = (step.at, step.bt);
+        let a_panel = (self.j == at.inner).then(|| match &step.outer_a {
+            Some(p) if whole => p.clone(),
+            Some(p) => self.row.cut(C::shared_ref(p), 0, ki * bs, ah, bs),
+            None => self.row.cut(a, 0, at.offset + ki * bs, ah, bs),
+        });
+        let a_in = self
+            .row
+            .bcast_shared(spec.inner_bcast, at.inner, ah, bs, a_panel)?;
+        let b_panel = (self.i == bt.inner).then(|| match &step.outer_b {
+            Some(p) if whole => p.clone(),
+            Some(p) => self.col.cut(C::shared_ref(p), ki * bs, 0, bs, bw),
+            None => self.col.cut(b, bt.offset + ki * bs, 0, bs, bw),
+        });
+        let b_in = self
+            .col
+            .bcast_shared(spec.inner_bcast, bt.inner, bs, bw, b_panel)?;
+        Ok((a_in, b_in))
+    }
+}
+
+/// One outer pivot step as a rank sees it: where the step's panels
+/// live, and the outer panels the rank holds after the inter-group
+/// broadcasts (on the pivot inner column for `A` and inner row for `B`;
+/// `None` elsewhere, and always without a hierarchy).
+struct Step<S> {
+    at: PivotAt,
+    bt: PivotAt,
+    outer_a: Option<S>,
+    outer_b: Option<S>,
 }
 
 fn locate(spec: &Spec, kg: usize, extent: usize, parts: usize, inner_parts: usize) -> PivotAt {
@@ -261,9 +340,11 @@ fn locate(spec: &Spec, kg: usize, extent: usize, parts: usize, inner_parts: usiz
 /// (2.5D gives each layer a subset; everyone else takes all). SPMD over
 /// `comm`; returns the local tile of `C`.
 ///
-/// Panel scratch is allocated once and refilled in place each step:
-/// holders copy from their tile (or their landed outer panel), everyone
-/// else has it overwritten by the broadcast.
+/// Every panel moves once: its owner cuts it into a fresh shared matrix
+/// and the broadcasts hand that allocation on, so on the threaded
+/// runtime every rank multiplies straight from the owner's copy. With
+/// `B == b` the inner roots forward the outer panel they received
+/// without a second cut.
 ///
 /// # Panics
 /// As [`Geometry::new`].
@@ -279,59 +360,19 @@ pub(crate) fn blocking<C: Communicator>(
     let (bb, bs) = (spec.outer_block, spec.inner_block);
 
     let mut c = C::Mat::zeros(ah, bw);
-    let mut outer_bufs = g
-        .outer
-        .as_ref()
-        .map(|_| (C::Mat::zeros(ah, bb), C::Mat::zeros(bb, bw)));
-    let mut a_in = C::Mat::zeros(ah, bs);
-    let mut b_in = C::Mat::zeros(bs, bw);
-    let inner_steps = bb / bs;
     let pairs = ah * bw * bs;
     for kg in (0..spec.dims.l / bb).filter(|&kg| take(kg)) {
         comm.trace_step(kg, bb, bs, || -> Result<(), CommError> {
-            let at = g.a_at(spec, kg);
-            let bt = g.b_at(spec, kg);
-            // Only the pivot inner column (A) / inner row (B) holds the
-            // outer panel and roots the inner broadcasts.
-            let (holds_a, holds_b) = (g.j == at.inner, g.i == bt.inner);
-
-            // ---- inter-group broadcasts of the outer panels --------------
-            if let (Some((group_row, group_col)), Some((outer_a, outer_b))) =
-                (&g.outer, &mut outer_bufs)
-            {
-                if holds_a {
-                    if g.gj == at.owner {
-                        a.block_into(0, at.offset, outer_a);
-                    }
-                    group_row.bcast_mat(spec.outer_bcast, at.group, outer_a)?;
-                }
-                if holds_b {
-                    if g.gi == bt.owner {
-                        b.block_into(bt.offset, 0, outer_b);
-                    }
-                    group_col.bcast_mat(spec.outer_bcast, bt.group, outer_b)?;
-                }
-            }
-            // Slices come out of the landed outer panels, or straight out
-            // of the tiles when there is no outer phase.
-            let (a_src, a_base, b_src, b_base) = match &outer_bufs {
-                Some((outer_a, outer_b)) => (outer_a, 0, outer_b, 0),
-                None => (a, at.offset, b, bt.offset),
-            };
-
-            // ---- (intra-group) SUMMA steps over the outer panel ----------
-            for ki in 0..inner_steps {
-                if holds_a {
-                    a_src.block_into(0, a_base + ki * bs, &mut a_in);
-                }
-                g.row.bcast_mat(spec.inner_bcast, at.inner, &mut a_in)?;
-                if holds_b {
-                    b_src.block_into(b_base + ki * bs, 0, &mut b_in);
-                }
-                g.col.bcast_mat(spec.inner_bcast, bt.inner, &mut b_in)?;
-
+            let step = g.outer_step(spec, kg, a, b)?;
+            for ki in 0..bb / bs {
+                let (a_in, b_in) = g.slices(spec, &step, ki, a, b)?;
                 comm.compute(pairs as f64, 2 * pairs as u64, || {
-                    C::Mat::gemm(spec.kernel, &a_in, &b_in, &mut c)
+                    C::Mat::gemm(
+                        spec.kernel,
+                        C::shared_ref(&a_in),
+                        C::shared_ref(&b_in),
+                        &mut c,
+                    )
                 });
                 if g.outer.is_some() {
                     comm.maybe_step_sync()?;
@@ -405,14 +446,14 @@ pub(crate) fn pipelined<C: Communicator>(
         };
         let at = g.a_at(spec, kg);
         let a_h = if g.j == at.inner {
-            let panel = (g.gj == at.owner).then(|| C::share(a.block(0, at.offset, ah, bb)));
+            let panel = (g.gj == at.owner).then(|| group_row.cut(a, 0, at.offset, ah, bb));
             Some(group_row.ibcast_shared(at.group, 2 * kg as u64, ah, bb, panel)?)
         } else {
             None
         };
         let bt = g.b_at(spec, kg);
         let b_h = if g.i == bt.inner {
-            let panel = (g.gi == bt.owner).then(|| C::share(b.block(bt.offset, 0, bb, bw)));
+            let panel = (g.gi == bt.owner).then(|| group_col.cut(b, bt.offset, 0, bb, bw));
             Some(group_col.ibcast_shared(bt.group, 2 * kg as u64 + 1, bb, bw, panel)?)
         } else {
             None
@@ -460,24 +501,20 @@ pub(crate) fn pipelined<C: Communicator>(
         let a_slice = if two_level {
             outer_a
                 .as_ref()
-                .map(|p| C::shared_ref(p).block(0, ki * bs, ah, bs))
+                .map(|p| g.row.cut(C::shared_ref(p), 0, ki * bs, ah, bs))
         } else {
-            (g.gj == at.owner).then(|| a.block(0, at.offset + ki * bs, ah, bs))
+            (g.gj == at.owner).then(|| g.row.cut(a, 0, at.offset + ki * bs, ah, bs))
         };
-        let a_h = g
-            .row
-            .ibcast_shared(at.inner, tag, ah, bs, a_slice.map(C::share))?;
+        let a_h = g.row.ibcast_shared(at.inner, tag, ah, bs, a_slice)?;
         let bt = g.b_at(spec, kg);
         let b_slice = if two_level {
             outer_b
                 .as_ref()
-                .map(|p| C::shared_ref(p).block(ki * bs, 0, bs, bw))
+                .map(|p| g.col.cut(C::shared_ref(p), ki * bs, 0, bs, bw))
         } else {
-            (g.gi == bt.owner).then(|| b.block(bt.offset + ki * bs, 0, bs, bw))
+            (g.gi == bt.owner).then(|| g.col.cut(b, bt.offset + ki * bs, 0, bs, bw))
         };
-        let b_h = g
-            .col
-            .ibcast_shared(bt.inner, tag + 1, bs, bw, b_slice.map(C::share))?;
+        let b_h = g.col.ibcast_shared(bt.inner, tag + 1, bs, bw, b_slice)?;
         Ok((a_h, b_h))
     };
 
@@ -566,6 +603,7 @@ mod tests {
     use hsumma_matrix::{seeded_uniform, BlockDist, Matrix};
     use hsumma_runtime::{Comm, Runtime};
     use proptest::prelude::*;
+    use std::sync::Arc;
 
     /// The blocking loop over every pivot step.
     fn run(comm: &Comm, spec: Spec, a: &Matrix, b: &Matrix) -> Matrix {
@@ -739,6 +777,132 @@ mod tests {
             pipelined(comm, &Spec::hsumma(grid, dims, &hcfg), &at, &bt).unwrap()
         });
         assert_eq!(plain, pipelined);
+    }
+
+    /// The gemm-comm benchmark shape: p = 16 (4×4), G = 2×2, n = 256,
+    /// b = 8, binomial broadcasts; `bb` is the outer block `B`.
+    fn gemm_comm_spec(bb: usize) -> Spec {
+        let cfg = HsummaConfig {
+            outer_block: bb,
+            ..HsummaConfig::uniform(GridShape::new(2, 2), 8)
+        };
+        Spec::hsumma(GridShape::new(4, 4), MatMulDims::square(256), &cfg)
+    }
+
+    /// Each rank's C tile and its payload copies over one blocking run.
+    fn cut_ledger(spec: Spec) -> Vec<(Matrix, u64, u64)> {
+        let n = spec.dims.l;
+        let dist = BlockDist::new(spec.grid, n, n);
+        let at = dist.scatter(&seeded_uniform(n, n, 31));
+        let bt = dist.scatter(&seeded_uniform(n, n, 32));
+        Runtime::run(spec.grid.size(), |comm| {
+            comm.reset_stats();
+            let c = run(comm, spec, &at[comm.rank()], &bt[comm.rank()]);
+            let s = comm.stats();
+            (c, s.payload_clones, s.payload_clone_bytes)
+        })
+    }
+
+    #[test]
+    fn every_panel_is_cut_once_at_the_gemm_comm_shape() {
+        // B == b: only the 4 owners of each outer panel copy it (64×8
+        // doubles, 4 KiB); the inner roots forward what they received.
+        // 32 steps × (4 A + 4 B) owners = 256 cuts.
+        let whole = cut_ledger(gemm_comm_spec(8));
+        let clones: u64 = whole.iter().map(|r| r.1).sum();
+        let bytes: u64 = whole.iter().map(|r| r.2).sum();
+        assert_eq!((clones, bytes), (256, 1_048_576));
+
+        // B = 2b: the same owners cut 64×16 outer panels, and each of the
+        // 8 inner roots per operand cuts its two slices out of the outer
+        // panel it received.
+        let steps = 256 / 16;
+        let outer = steps * 2 * 4 * (64 * 16 * 8);
+        let inner = steps * 2 * 8 * 2 * (64 * 8 * 8);
+        let halves = cut_ledger(gemm_comm_spec(16));
+        let bytes: u64 = halves.iter().map(|r| r.2).sum();
+        assert_eq!(bytes, (outer + inner) as u64);
+
+        // Same slices multiplied in the same order: bit-identical C.
+        for (rank, (w, h)) in whole.iter().zip(&halves).enumerate() {
+            assert_eq!(w.0, h.0, "rank {rank}");
+        }
+    }
+
+    /// Outer step 0 at the gemm-comm shape: per rank, its grid
+    /// coordinates, the outer panels it holds and the panels it
+    /// multiplies in each slice. The handles are returned, not their
+    /// addresses, so every allocation is still alive when compared.
+    #[allow(clippy::type_complexity)]
+    fn step_zero_panels(
+        bb: usize,
+    ) -> Vec<(
+        (usize, usize),
+        Option<Arc<Matrix>>,
+        Vec<(Arc<Matrix>, Arc<Matrix>)>,
+    )> {
+        let spec = gemm_comm_spec(bb);
+        let n = spec.dims.l;
+        let dist = BlockDist::new(spec.grid, n, n);
+        let at = dist.scatter(&seeded_uniform(n, n, 33));
+        let bt = dist.scatter(&seeded_uniform(n, n, 34));
+        Runtime::run(spec.grid.size(), |comm| {
+            let (a, b) = (&at[comm.rank()], &bt[comm.rank()]);
+            let g = Geometry::new(&*comm, &spec, a, b).unwrap();
+            let step = g.outer_step(&spec, 0, a, b).unwrap();
+            let slices = (0..bb / 8)
+                .map(|ki| g.slices(&spec, &step, ki, a, b).unwrap())
+                .collect();
+            ((g.gi, g.gj), step.outer_a, slices)
+        })
+    }
+
+    #[test]
+    fn receivers_multiply_from_the_roots_allocation() {
+        // B == b: the A panel of step 0 is cut once per grid row, by its
+        // owner, and every rank of that row multiplies from that very
+        // allocation — across the group boundary and through the inner
+        // roots, which forward the outer panel they received.
+        let ranks = step_zero_panels(8);
+        for (coords, outer_a, slices) in &ranks {
+            let row_root = &ranks.iter().find(|r| r.0 == (coords.0, 0)).unwrap().2[0].0;
+            assert!(Arc::ptr_eq(&slices[0].0, row_root), "A at {coords:?}");
+            let col_root = &ranks.iter().find(|r| r.0 == (0, coords.1)).unwrap().2[0].1;
+            assert!(Arc::ptr_eq(&slices[0].1, col_root), "B at {coords:?}");
+            if let Some(outer_a) = outer_a {
+                assert!(
+                    Arc::ptr_eq(outer_a, &slices[0].0),
+                    "forwarded at {coords:?}"
+                );
+            }
+        }
+
+        // B = 2b: the outer panel is still the owner's allocation on both
+        // inner roots of the row, each of which cuts its own slices; the
+        // ranks of one group's row multiply from their inner root's cut.
+        let ranks = step_zero_panels(16);
+        for (coords, outer_a, slices) in &ranks {
+            // Group columns are 2 wide; the inner root is its first column.
+            let root_col = coords.1 / 2 * 2;
+            let root = ranks.iter().find(|r| r.0 == (coords.0, root_col)).unwrap();
+            let owner_outer = ranks
+                .iter()
+                .find(|r| r.0 == (coords.0, 0))
+                .unwrap()
+                .1
+                .as_ref()
+                .unwrap();
+            assert!(Arc::ptr_eq(root.1.as_ref().unwrap(), owner_outer));
+            assert_eq!(slices.len(), 2);
+            for (ki, (mine, roots)) in slices.iter().zip(&root.2).enumerate() {
+                assert!(Arc::ptr_eq(&mine.0, &roots.0), "{coords:?} {ki}");
+                assert!(!Arc::ptr_eq(&mine.0, owner_outer), "slices are cut");
+            }
+            assert_eq!(outer_a.is_some(), coords.1 == root_col);
+        }
+        // The two groups of a row multiply from different cuts.
+        let a_of = |c: (usize, usize)| &ranks.iter().find(|r| r.0 == c).unwrap().2[0].0;
+        assert!(!Arc::ptr_eq(a_of((0, 0)), a_of((0, 2))));
     }
 
     proptest! {

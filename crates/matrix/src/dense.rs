@@ -186,6 +186,12 @@ impl Matrix {
             r0 + src.rows <= self.rows && c0 + src.cols <= self.cols,
             "block out of bounds"
         );
+        if src.cols == self.cols {
+            // Whole rows: one contiguous copy.
+            let dst = r0 * self.cols;
+            self.data[dst..dst + src.data.len()].copy_from_slice(&src.data);
+            return;
+        }
         for i in 0..src.rows {
             let dst = (r0 + i) * self.cols + c0;
             self.data[dst..dst + src.cols].copy_from_slice(src.row(i));

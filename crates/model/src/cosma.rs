@@ -22,7 +22,7 @@
 //!   the operand broadcasts, plus `(c−1)·mn` for the reduce-scatter and
 //!   `(c−1)/c·mn` for the gather when `c > 1`. The simulator's measured
 //!   byte counter must match this to within chunking round-off — the
-//!   model-vs-sim acceptance check of `cosma_bench`.
+//!   model-vs-sim acceptance check of the `figures cosma` table.
 //! * [`best_brick`] — grid search over `(a, b, c)` and the power-of-two
 //!   step counts, minimizing the critical-path total under an optional
 //!   per-rank memory budget (elements). The budget bends the shape

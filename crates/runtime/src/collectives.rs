@@ -25,9 +25,9 @@
 //! unwinds out of the schedule with the stalled edge named instead of
 //! hanging the world.
 
-use crate::comm::{Comm, INTERNAL_TAG_BASE};
+use crate::comm::{Comm, PayloadSize, INTERNAL_TAG_BASE};
 use crate::message::Tag;
-use hsumma_trace::CommError;
+use hsumma_trace::{CommError, WirePayload};
 use std::any::Any;
 use std::sync::Arc;
 
@@ -66,7 +66,9 @@ pub fn barrier(comm: &Comm) -> Result<(), CommError> {
 /// Broadcasts `value` from `root` using a whole-message algorithm.
 ///
 /// `value` is read at the root only (other ranks may pass `None`); every
-/// rank returns the broadcast value.
+/// rank returns the broadcast value. Wire bytes are probed from the
+/// buffer types the collectives ship (see [`bcast_payload`] for payloads
+/// that report their own size).
 ///
 /// # Panics
 /// Panics if the root passes `None`, or if `algo` requires segmentation
@@ -77,6 +79,32 @@ pub fn bcast<T: Any + Send + Clone>(
     root: usize,
     value: Option<T>,
 ) -> Result<T, CommError> {
+    bcast_with(comm, algo, root, value, PayloadSize::Probe)
+}
+
+/// [`bcast`] for a payload that reports its own wire size: the same
+/// trees and tags, with bytes taken from the payload's [`WirePayload`]
+/// hook. An `Arc`-shared payload moves by reference-count bump at every
+/// hop, so every rank returns the root's allocation.
+///
+/// # Panics
+/// As [`bcast`].
+pub fn bcast_payload<T: Any + Send + Clone + WirePayload>(
+    comm: &Comm,
+    algo: BcastAlgorithm,
+    root: usize,
+    value: Option<T>,
+) -> Result<T, CommError> {
+    bcast_with(comm, algo, root, value, PayloadSize::Hook(T::payload_bytes))
+}
+
+fn bcast_with<T: Any + Send + Clone>(
+    comm: &Comm,
+    algo: BcastAlgorithm,
+    root: usize,
+    value: Option<T>,
+    size: PayloadSize<T>,
+) -> Result<T, CommError> {
     assert!(root < comm.size(), "root out of range");
     assert!(
         !algo.needs_segmentation(),
@@ -84,74 +112,67 @@ pub fn bcast<T: Any + Send + Clone>(
     );
     let is_root = comm.rank() == root;
     assert!(value.is_some() || !is_root, "root must supply the value");
-    comm.trace_collective("bcast", algo.name(), root, || match algo {
-        BcastAlgorithm::Flat => bcast_flat(comm, root, value),
-        BcastAlgorithm::Binomial => {
-            // The internal binomial bcast wants a concrete value on every
-            // rank; give non-roots a placeholder they'll overwrite. `Option`
-            // keeps this allocation-free.
-            let v = comm.binomial_bcast_internal(root, TAG_BCAST, value)?;
-            Ok(v.expect("binomial bcast delivered no value"))
-        }
-        BcastAlgorithm::Binary => bcast_binary(comm, root, value),
-        BcastAlgorithm::Ring => bcast_ring(comm, root, value),
-        BcastAlgorithm::Pipelined { .. } | BcastAlgorithm::ScatterAllgather => unreachable!(),
+    comm.trace_collective("bcast", algo.name(), root, || {
+        bcast_tree(comm, algo, root, TAG_BCAST, value, size)
     })
 }
 
-fn bcast_flat<T: Any + Send + Clone>(
+/// One rank's part in a whole-message broadcast on `tag`: receive from
+/// its parent in `algo`'s tree (in virtual ranks, the root is 0), then
+/// send to its children. The binomial tree is the simulator's: in round
+/// `mask = 1, 2, 4, …` every virtual rank `v < mask` sends to
+/// `v + mask`, so each rank receives from itself with the highest set
+/// bit cleared. Keeping both substrates on the *same* trees is what lets
+/// traces of real and simulated runs be compared message for message.
+pub(crate) fn bcast_tree<T: Any + Send + Clone>(
     comm: &Comm,
+    algo: BcastAlgorithm,
     root: usize,
+    tag: Tag,
     value: Option<T>,
+    size: PayloadSize<T>,
 ) -> Result<T, CommError> {
-    if comm.rank() == root {
-        let v = value.expect("root must supply the value");
-        for dst in 0..comm.size() {
-            if dst != root {
-                comm.send_internal(dst, TAG_BCAST, v.clone())?;
+    let p = comm.size();
+    let vrank = (comm.rank() + p - root) % p;
+    let local = |v: usize| (v + root) % p;
+    let value = if vrank == 0 {
+        value.expect("root must supply the value")
+    } else {
+        let parent = match algo {
+            BcastAlgorithm::Flat => 0,
+            BcastAlgorithm::Binomial => vrank - (1 << vrank.ilog2()),
+            BcastAlgorithm::Binary => (vrank - 1) / 2,
+            BcastAlgorithm::Ring => vrank - 1,
+            BcastAlgorithm::Pipelined { .. } | BcastAlgorithm::ScatterAllgather => unreachable!(),
+        };
+        comm.recv_impl(local(parent), tag, size)?
+    };
+    let send = |dst: usize| comm.send_impl(dst, tag, value.clone(), size);
+    match algo {
+        // The flat root sends in local-rank order, not virtual order.
+        BcastAlgorithm::Flat if vrank == 0 => {
+            for dst in (0..p).filter(|&d| d != root) {
+                send(dst)?;
             }
         }
-        Ok(v)
-    } else {
-        comm.recv_internal(root, TAG_BCAST)
-    }
-}
-
-fn bcast_binary<T: Any + Send + Clone>(
-    comm: &Comm,
-    root: usize,
-    value: Option<T>,
-) -> Result<T, CommError> {
-    let p = comm.size();
-    let vrank = (comm.rank() + p - root) % p;
-    let value = if vrank == 0 {
-        value.expect("root must supply the value")
-    } else {
-        let parent_v = (vrank - 1) / 2;
-        comm.recv_internal((parent_v + root) % p, TAG_BCAST)?
-    };
-    for child_v in [2 * vrank + 1, 2 * vrank + 2] {
-        if child_v < p {
-            comm.send_internal((child_v + root) % p, TAG_BCAST, value.clone())?;
+        BcastAlgorithm::Binomial => {
+            let mut mask = 1usize;
+            while mask < p {
+                if mask > vrank && vrank + mask < p {
+                    send(local(vrank + mask))?;
+                }
+                mask <<= 1;
+            }
         }
-    }
-    Ok(value)
-}
-
-fn bcast_ring<T: Any + Send + Clone>(
-    comm: &Comm,
-    root: usize,
-    value: Option<T>,
-) -> Result<T, CommError> {
-    let p = comm.size();
-    let vrank = (comm.rank() + p - root) % p;
-    let value = if vrank == 0 {
-        value.expect("root must supply the value")
-    } else {
-        comm.recv_internal((vrank - 1 + root) % p, TAG_BCAST)?
-    };
-    if vrank + 1 < p {
-        comm.send_internal((vrank + 1 + root) % p, TAG_BCAST, value.clone())?;
+        BcastAlgorithm::Binary => {
+            for child in [2 * vrank + 1, 2 * vrank + 2] {
+                if child < p {
+                    send(local(child))?;
+                }
+            }
+        }
+        BcastAlgorithm::Ring if vrank + 1 < p => send(local(vrank + 1))?,
+        _ => {}
     }
     Ok(value)
 }
@@ -359,8 +380,15 @@ fn gather_inner<T: Any + Send>(
 /// Gather to rank 0 followed by a binomial broadcast of the table.
 pub fn allgather<T: Any + Send + Clone>(comm: &Comm, value: T) -> Result<Vec<T>, CommError> {
     comm.trace_collective("allgather", "gather_bcast", 0, || {
-        let gathered = gather_inner(comm, 0, value)?;
-        let v = comm.binomial_bcast_internal(0, TAG_ALLGATHER, gathered)?;
+        let gathered = gather_inner(comm, 0, value)?.map(Some);
+        let v = bcast_tree(
+            comm,
+            BcastAlgorithm::Binomial,
+            0,
+            TAG_ALLGATHER,
+            gathered,
+            PayloadSize::Probe,
+        )?;
         Ok(v.expect("allgather bcast delivered no value"))
     })
 }
@@ -403,8 +431,15 @@ pub fn allreduce<T: Any + Send + Clone>(
     combine: impl FnMut(T, T) -> T,
 ) -> Result<T, CommError> {
     comm.trace_collective("allreduce", "reduce_bcast", 0, || {
-        let reduced = reduce(comm, 0, value, combine)?;
-        let v = comm.binomial_bcast_internal(0, TAG_REDUCE, reduced)?;
+        let reduced = reduce(comm, 0, value, combine)?.map(Some);
+        let v = bcast_tree(
+            comm,
+            BcastAlgorithm::Binomial,
+            0,
+            TAG_REDUCE,
+            reduced,
+            PayloadSize::Probe,
+        )?;
         Ok(v.expect("allreduce bcast delivered no value"))
     })
 }

@@ -10,6 +10,11 @@
 //!   [`Comm`] spanning all ranks (the "world" communicator);
 //! * [`Comm::send`] / [`Comm::recv`] are typed, tagged, buffered
 //!   point-to-point operations with MPI-style `(source, tag)` matching;
+//! * each rank owns one [`message::Mailbox`]: a queue behind one mutex
+//!   that senders append to and its owner matches under the same lock,
+//!   oldest match first. A receiver about to park posts the key it waits
+//!   for, and only a matching message, a dying peer's poison marker or a
+//!   cancellation wakes it;
 //! * [`Comm::split`] partitions a communicator by `(color, key)` exactly
 //!   like `MPI_Comm_split` — HSUMMA's four communicators (row, column,
 //!   group-row, group-column; Algorithm 1 of the paper) are built this way;

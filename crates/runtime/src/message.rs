@@ -1,23 +1,30 @@
 //! Message envelopes and per-rank mailboxes.
 //!
-//! Every rank owns one [`Mailbox`]: an unbounded MPMC channel on which all
-//! other ranks deposit [`Envelope`]s. Reception uses MPI-style matching on
-//! `(context, source, tag)`; messages that arrive before a matching `recv`
-//! is posted are parked in an *unexpected-message queue* and picked up
-//! later, preserving per-(sender, context, tag) FIFO order.
+//! Every rank owns one [`Mailbox`]: a queue of [`Envelope`]s behind one
+//! mutex, and a condition variable its owner parks on. Senders append to
+//! the queue; the owner matches MPI-style on `(context, source, tag)`
+//! under the same lock, always taking the oldest match, so per-(sender,
+//! context, tag) FIFO order holds. A message that arrives before its
+//! receive is posted simply waits in the queue — there is one queue, and
+//! every scan reads all of it, poison markers included.
+//!
+//! A receiver about to park *posts* the key it waits for. A sender wakes
+//! it only when the envelope it appends matches that key or is a poison
+//! marker of the current job; any other envelope is queued without a
+//! wake-up. Cancellation wakes a parked receiver through
+//! [`MailboxSender::deliver_cancel`].
 //!
 //! Every blocking wait is bounded: [`Mailbox::recv`] takes a [`JobCtl`]
 //! carrying the job's optional deadline and a shared cancellation flag,
 //! and returns a [`RecvFault`] instead of hanging when the deadline
 //! passes, the job is cancelled, or a peer dies. There is no polling loop
-//! on the clean path — waits park in `recv`/`recv_timeout` and are woken
-//! either by a real message or by a [`CANCEL_CTX`] control envelope.
+//! on the clean path, and the clock is read only when the job has a
+//! deadline or a delay-faulted message is pending.
 
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::any::Any;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Identifies a communicator instance. Operations on different
@@ -28,11 +35,6 @@ pub type Context = u64;
 /// Reserved context delivered by a dying rank to all peers so that anyone
 /// blocked waiting on it fails fast instead of deadlocking.
 pub const POISON_CTX: Context = u64::MAX;
-
-/// Reserved context delivered by the pool watchdog (or any holder of the
-/// sending side) purely to wake ranks parked in a blocking wait after the
-/// job's cancellation flag has been raised. Carries no payload meaning.
-pub const CANCEL_CTX: Context = u64::MAX - 1;
 
 /// User-level message tag.
 pub type Tag = u64;
@@ -58,14 +60,13 @@ pub struct Envelope {
 }
 
 impl Envelope {
-    fn matches(&self, ctx: Context, src: usize, tag: Tag) -> bool {
+    fn matches(&self, (ctx, src, tag): Key) -> bool {
         self.ctx == ctx && self.src == src && self.tag == tag
     }
-
-    fn due(&self, now: Instant) -> bool {
-        self.not_before.is_none_or(|t| now >= t)
-    }
 }
+
+/// What a receive matches on: `(context, world source, tag)`.
+type Key = (Context, usize, Tag);
 
 /// Why a bounded mailbox wait gave up. The communicator layer wraps this
 /// into a `CommError` that names the full `(rank, peer, ctx, tag, epoch)`
@@ -81,7 +82,7 @@ pub enum RecvFault {
         /// World rank of the dead peer.
         src: usize,
     },
-    /// All senders disconnected — every peer thread is gone.
+    /// Every sender is gone — no message can arrive any more.
     Closed,
 }
 
@@ -149,9 +150,8 @@ impl JobCtl {
 }
 
 /// Raises a job's cancellation flag. Waking ranks that are parked in a
-/// blocking wait additionally requires delivering a [`CANCEL_CTX`]
-/// envelope to their mailboxes (see [`MailboxSender::deliver_cancel`]);
-/// the pool watchdog does both.
+/// blocking wait additionally requires poking their mailboxes (see
+/// [`MailboxSender::deliver_cancel`]); the pool watchdog does both.
 #[derive(Clone)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
@@ -169,124 +169,227 @@ impl CancelToken {
     }
 }
 
+/// The lock-protected half of a mailbox.
+struct Queue {
+    /// Delivered envelopes not yet received, in arrival order.
+    envelopes: VecDeque<Envelope>,
+    /// The job epoch the owner accepts. Envelopes from other epochs are
+    /// stragglers from another pooled job (poison included): they never
+    /// match, never wake the owner, and are dropped when a scan meets them.
+    epoch: u64,
+    /// The key the owner is parked on, while it is parked.
+    posted: Option<Key>,
+}
+
+/// What one scan of the queue found for a key.
+enum Scan {
+    /// The oldest due match, removed from the queue.
+    Found(Envelope),
+    /// No due match, but a current-epoch poison marker from this rank.
+    Dead(usize),
+    /// Nothing yet; the earliest release instant of a delayed match.
+    Pending(Option<Instant>),
+}
+
+/// The current instant, read at most once per scan and only if needed.
+#[derive(Default)]
+struct Clock(Option<Instant>);
+
+impl Clock {
+    fn now(&mut self) -> Instant {
+        *self.0.get_or_insert_with(Instant::now)
+    }
+}
+
+impl Queue {
+    /// Finds the oldest due envelope matching `key`, dropping stale-epoch
+    /// envelopes on the way.
+    fn scan(&mut self, key: Key, clock: &mut Clock) -> Scan {
+        let mut dead = None;
+        let mut next_due: Option<Instant> = None;
+        let mut i = 0;
+        while i < self.envelopes.len() {
+            let env = &self.envelopes[i];
+            if env.epoch != self.epoch {
+                self.envelopes.remove(i);
+                continue;
+            }
+            if env.ctx == POISON_CTX {
+                dead = dead.or(Some(env.src));
+            } else if env.matches(key) {
+                match env.not_before {
+                    Some(t) if clock.now() < t => {
+                        next_due = Some(next_due.map_or(t, |n| n.min(t)));
+                    }
+                    _ => return Scan::Found(self.envelopes.remove(i).expect("index in range")),
+                }
+            }
+            i += 1;
+        }
+        match dead {
+            Some(src) => Scan::Dead(src),
+            None => Scan::Pending(next_due),
+        }
+    }
+
+    /// Whether appending `env` must wake the parked owner: it matches the
+    /// posted key or reports a dead peer, in the owner's epoch. Clears the
+    /// posted key, so one wake-up answers one park.
+    fn wakes_for(&mut self, env: &Envelope) -> bool {
+        let wake = env.epoch == self.epoch
+            && self
+                .posted
+                .is_some_and(|key| env.ctx == POISON_CTX || env.matches(key));
+        if wake {
+            self.posted = None;
+        }
+        wake
+    }
+}
+
+/// What a mailbox's owner and its senders share.
+struct Shared {
+    queue: Mutex<Queue>,
+    /// The owner parks here; senders notify it after releasing the lock.
+    ready: Condvar,
+    /// Live [`MailboxSender`]s. At zero no message can arrive any more,
+    /// and a wait reports [`RecvFault::Closed`].
+    senders: AtomicUsize,
+    /// Notifications sent to the owner (test hook).
+    #[cfg(test)]
+    wakes: AtomicUsize,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        // Nothing panics while holding the lock (payloads are downcast
+        // after it is released), so a poisoned lock guards a whole queue.
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wake(&self) {
+        #[cfg(test)]
+        self.wakes.fetch_add(1, Ordering::Relaxed);
+        self.ready.notify_one();
+    }
+}
+
 /// Sending half of a rank's mailbox; cloneable, one per peer.
-#[derive(Clone)]
 pub struct MailboxSender {
-    tx: Sender<Envelope>,
+    shared: Arc<Shared>,
+}
+
+impl Clone for MailboxSender {
+    fn clone(&self) -> Self {
+        self.shared.senders.fetch_add(1, Ordering::Relaxed);
+        MailboxSender {
+            shared: Arc::clone(&self.shared),
+        }
+    }
+}
+
+impl Drop for MailboxSender {
+    fn drop(&mut self) {
+        if self.shared.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
+            // The last sender: an owner that read a nonzero count under
+            // the lock is parked by the time the lock is free again.
+            drop(self.shared.lock());
+            self.shared.ready.notify_one();
+        }
+    }
 }
 
 impl MailboxSender {
-    /// Deposits an envelope. Never blocks (the channel is unbounded, like
-    /// an eager-protocol MPI send).
+    /// Deposits an envelope. Never blocks beyond the queue lock (the
+    /// queue is unbounded, like an eager-protocol MPI send). The lock is
+    /// held for the append and one key comparison; the wake-up, if any,
+    /// is sent after it is released.
     pub fn deliver(&self, env: Envelope) {
-        // The receiver only disappears if its thread panicked; the panic is
-        // propagated by the runtime, so a failed delivery here is moot.
-        let _ = self.tx.send(env);
+        let wake = {
+            let mut q = self.shared.lock();
+            let wake = q.wakes_for(&env);
+            q.envelopes.push_back(env);
+            wake
+        };
+        if wake {
+            self.shared.wake();
+        }
     }
 
-    /// Wakes a rank parked in a blocking wait at `epoch` so it notices a
-    /// raised cancellation flag. Pure control traffic: never matched.
+    /// Wakes the owner if it is parked in a blocking wait at `epoch`, so
+    /// it notices a raised cancellation flag. Queues nothing.
     pub fn deliver_cancel(&self, epoch: u64) {
-        self.deliver(Envelope {
-            ctx: CANCEL_CTX,
-            src: usize::MAX,
-            tag: 0,
-            epoch,
-            not_before: None,
-            payload: Box::new(()),
-        });
+        let wake = {
+            let mut q = self.shared.lock();
+            q.epoch == epoch && q.posted.take().is_some()
+        };
+        if wake {
+            self.shared.wake();
+        }
     }
-}
 
-/// What [`Mailbox::admit`] decided about an incoming envelope.
-enum Admit {
-    /// Wrong epoch — straggler from another job, drop silently.
-    Stale,
-    /// Current-epoch poison: the named world rank died.
-    Poison(usize),
-    /// Current-epoch cancel wake-up.
-    Cancel,
-    /// Normal message of the current epoch.
-    Live,
+    /// Whether the owner is parked on a posted receive (test hook).
+    #[cfg(test)]
+    fn owner_parked(&self) -> bool {
+        self.shared.lock().posted.is_some()
+    }
+
+    /// Wake-ups sent to the owner so far (test hook).
+    #[cfg(test)]
+    fn wakes(&self) -> usize {
+        self.shared.wakes.load(Ordering::Relaxed)
+    }
 }
 
 /// Receiving half: owned by exactly one rank thread.
 pub struct Mailbox {
-    rx: Receiver<Envelope>,
-    /// Messages received but not yet matched by a `recv`.
-    unexpected: VecDeque<Envelope>,
-    /// The job epoch this mailbox currently accepts. Envelopes from other
-    /// epochs are dropped on sight: they are stragglers from a previous
-    /// pooled job (including its poison markers) and must neither match
-    /// nor kill the current one.
-    epoch: u64,
+    shared: Arc<Shared>,
 }
 
 impl Mailbox {
     /// Creates a connected (sender, receiver) mailbox pair at epoch 0.
     pub fn new() -> (MailboxSender, Mailbox) {
-        let (tx, rx) = unbounded();
-        (
-            MailboxSender { tx },
-            Mailbox {
-                rx,
-                unexpected: VecDeque::new(),
+        let shared = Arc::new(Shared {
+            queue: Mutex::new(Queue {
+                envelopes: VecDeque::new(),
                 epoch: 0,
+                posted: None,
+            }),
+            ready: Condvar::new(),
+            senders: AtomicUsize::new(1),
+            #[cfg(test)]
+            wakes: AtomicUsize::new(0),
+        });
+        (
+            MailboxSender {
+                shared: Arc::clone(&shared),
             },
+            Mailbox { shared },
         )
     }
 
     /// The job epoch the mailbox currently accepts.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.shared.lock().epoch
     }
 
     /// Advances the mailbox to a new job epoch, purging everything left
-    /// over from earlier epochs (parked unexpected messages and anything
-    /// already sitting in the channel — poison, cancel wake-ups and
-    /// fault-duplicated messages included). Messages of the *new* epoch —
-    /// sent by pool workers that entered the job first — are kept, in
-    /// arrival order.
+    /// over from earlier epochs (payloads, poison and fault-duplicated
+    /// messages alike). Messages of the *new* epoch — sent by pool
+    /// workers that entered the job first — are kept, in arrival order.
     pub fn begin_epoch(&mut self, epoch: u64) {
-        self.epoch = epoch;
-        self.unexpected
-            .retain(|e| e.epoch == epoch && e.ctx != CANCEL_CTX);
-        while let Ok(env) = self.rx.try_recv() {
-            if env.epoch == epoch && env.ctx != CANCEL_CTX {
-                self.unexpected.push_back(env);
-            }
-        }
-    }
-
-    /// The dead peer named by a poison marker that [`Mailbox::begin_epoch`]
-    /// found already in the channel: a rank that died before this one
-    /// entered the job. Poison read later never parks (see `admit`).
-    fn parked_poison(&self) -> Option<usize> {
-        self.unexpected
-            .iter()
-            .find(|e| e.ctx == POISON_CTX)
-            .map(|e| e.src)
-    }
-
-    /// Classifies an envelope against the current epoch.
-    fn admit(&self, env: &Envelope) -> Admit {
-        if env.epoch != self.epoch {
-            return Admit::Stale;
-        }
-        if env.ctx == POISON_CTX {
-            return Admit::Poison(env.src);
-        }
-        if env.ctx == CANCEL_CTX {
-            return Admit::Cancel;
-        }
-        Admit::Live
+        let mut q = self.shared.lock();
+        q.epoch = epoch;
+        q.envelopes.retain(|e| e.epoch == epoch);
     }
 
     /// Blocks until a message matching `(ctx, src, tag)` is available and
     /// returns its payload, downcast to `T` — or a [`RecvFault`] when the
     /// wait is cut short by `ctl`'s deadline, `ctl`'s cancellation flag,
-    /// or a peer's death. The wait parks in the channel (no spinning);
-    /// delay-faulted messages are held until their release instant.
+    /// or a peer's death. A match that is already queued wins over a
+    /// queued poison marker. The wait parks on the mailbox's condition
+    /// variable (no spinning); delay-faulted messages are held until
+    /// their release instant.
     ///
     /// # Panics
     /// Panics only if the matching message's payload is not a `T` (a type
@@ -298,68 +401,50 @@ impl Mailbox {
         tag: Tag,
         ctl: &JobCtl,
     ) -> Result<T, RecvFault> {
+        let key = (ctx, src, tag);
+        let mut q = self.shared.lock();
         loop {
             if ctl.is_cancelled() {
                 return Err(RecvFault::Cancelled);
             }
-            let now = Instant::now();
-            if let Some(d) = ctl.deadline() {
-                if now >= d {
-                    return Err(RecvFault::Timeout);
+            let mut clock = Clock::default();
+            if ctl.deadline().is_some_and(|d| clock.now() >= d) {
+                return Err(RecvFault::Timeout);
+            }
+            let next_due = match q.scan(key, &mut clock) {
+                Scan::Found(env) => {
+                    drop(q);
+                    return Ok(Self::downcast(env));
                 }
+                Scan::Dead(src) => return Err(RecvFault::PeerDead { src }),
+                Scan::Pending(next_due) => next_due,
+            };
+            if self.shared.senders.load(Ordering::Acquire) == 0 {
+                return Err(RecvFault::Closed);
             }
-            // A due match may already be parked.
-            if let Some(pos) = self
-                .unexpected
-                .iter()
-                .position(|e| e.matches(ctx, src, tag) && e.due(now))
-            {
-                let env = self.unexpected.remove(pos).expect("position just found");
-                return Ok(Self::downcast(env));
-            }
-            if let Some(src) = self.parked_poison() {
-                return Err(RecvFault::PeerDead { src });
-            }
-            // Otherwise wait until the deadline or until the earliest
-            // parked-but-delayed match becomes due, whichever is sooner.
-            let next_due = self
-                .unexpected
-                .iter()
-                .filter(|e| e.matches(ctx, src, tag))
-                .filter_map(|e| e.not_before)
-                .min();
+            // Park until a sender hands over a match, or until the
+            // deadline or the earliest delayed match's release instant.
             let bound = match (ctl.deadline(), next_due) {
                 (Some(d), Some(n)) => Some(d.min(n)),
-                (Some(d), None) => Some(d),
-                (None, Some(n)) => Some(n),
-                (None, None) => None,
+                (d, n) => d.or(n),
             };
-            let env = match bound {
-                None => match self.rx.recv() {
-                    Ok(env) => env,
-                    Err(_) => return Err(RecvFault::Closed),
-                },
+            q.posted = Some(key);
+            q = match bound {
+                None => self
+                    .shared
+                    .ready
+                    .wait(q)
+                    .unwrap_or_else(PoisonError::into_inner),
                 Some(until) => {
-                    match self.rx.recv_timeout(until.saturating_duration_since(now)) {
-                        Ok(env) => env,
-                        // Either the deadline or a delayed message's
-                        // release instant elapsed; loop re-evaluates.
-                        Err(RecvTimeoutError::Timeout) => continue,
-                        Err(RecvTimeoutError::Disconnected) => return Err(RecvFault::Closed),
-                    }
+                    let left = until.saturating_duration_since(clock.now());
+                    self.shared
+                        .ready
+                        .wait_timeout(q, left)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
                 }
             };
-            match self.admit(&env) {
-                Admit::Stale => continue,
-                Admit::Poison(src) => return Err(RecvFault::PeerDead { src }),
-                Admit::Cancel => continue, // loop re-checks the flag
-                Admit::Live => {
-                    if env.matches(ctx, src, tag) && env.due(Instant::now()) {
-                        return Ok(Self::downcast(env));
-                    }
-                    self.unexpected.push_back(env);
-                }
-            }
+            q.posted = None;
         }
     }
 
@@ -372,37 +457,20 @@ impl Mailbox {
         src: usize,
         tag: Tag,
     ) -> Result<Option<T>, RecvFault> {
-        let now = Instant::now();
-        if let Some(pos) = self
-            .unexpected
-            .iter()
-            .position(|e| e.matches(ctx, src, tag) && e.due(now))
-        {
-            let env = self.unexpected.remove(pos).expect("position just found");
-            return Ok(Some(Self::downcast(env)));
-        }
-        if let Some(src) = self.parked_poison() {
-            return Err(RecvFault::PeerDead { src });
-        }
-        // Drain whatever has already arrived without blocking.
-        while let Ok(env) = self.rx.try_recv() {
-            match self.admit(&env) {
-                Admit::Stale | Admit::Cancel => continue,
-                Admit::Poison(src) => return Err(RecvFault::PeerDead { src }),
-                Admit::Live => {
-                    if env.matches(ctx, src, tag) && env.due(Instant::now()) {
-                        return Ok(Some(Self::downcast(env)));
-                    }
-                    self.unexpected.push_back(env);
-                }
+        let mut q = self.shared.lock();
+        match q.scan((ctx, src, tag), &mut Clock::default()) {
+            Scan::Found(env) => {
+                drop(q);
+                Ok(Some(Self::downcast(env)))
             }
+            Scan::Dead(src) => Err(RecvFault::PeerDead { src }),
+            Scan::Pending(_) => Ok(None),
         }
-        Ok(None)
     }
 
-    /// Number of messages parked in the unexpected queue (test hook).
+    /// Number of delivered messages not yet received (test hook).
     pub fn unexpected_len(&self) -> usize {
-        self.unexpected.len()
+        self.shared.lock().envelopes.len()
     }
 
     fn downcast<T: Any + Send>(env: Envelope) -> T {
@@ -612,5 +680,158 @@ mod tests {
         let (tx, mut mb) = Mailbox::new();
         tx.deliver(envelope(0, 0, 0, 0, 1u8));
         let _: String = mb.recv(0, 0, 0, &ctl()).unwrap();
+    }
+}
+
+#[cfg(test)]
+mod posted_receive_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::HashMap;
+    use std::thread;
+
+    fn envelope(ctx: Context, src: usize, tag: Tag, epoch: u64, v: impl Any + Send) -> Envelope {
+        Envelope {
+            ctx,
+            src,
+            tag,
+            epoch,
+            not_before: None,
+            payload: Box::new(v),
+        }
+    }
+
+    /// Bounds every wait below, so a lost wake-up fails the test as a
+    /// `Timeout` instead of hanging the suite.
+    fn bounded() -> JobCtl {
+        JobCtl::with_timeout(Some(Duration::from_secs(20)))
+    }
+
+    #[test]
+    fn only_the_posted_match_wakes_a_parked_receiver() {
+        const N: u32 = 50;
+        let (tx, mut mb) = Mailbox::new();
+        let receiver = thread::spawn(move || {
+            let v: u32 = mb.recv(1, 0, 7, &bounded()).unwrap();
+            (v, mb)
+        });
+        while !tx.owner_parked() {
+            thread::yield_now();
+        }
+        // Wrong tag, wrong source, wrong context, wrong epoch: queued
+        // silently, the receiver sleeps on.
+        for i in 0..N {
+            let (ctx, src, tag, epoch) = match i % 4 {
+                0 => (1, 0, 8, 0),
+                1 => (1, 3, 7, 0),
+                2 => (2, 0, 7, 0),
+                _ => (1, 0, 7, 9),
+            };
+            tx.deliver(envelope(ctx, src, tag, epoch, i));
+        }
+        assert!(
+            tx.owner_parked(),
+            "a non-matching delivery woke the receiver"
+        );
+        assert_eq!(tx.wakes(), 0);
+        tx.deliver(envelope(1, 0, 7, 0, 99u32));
+        let (v, mb) = receiver.join().unwrap();
+        assert_eq!(v, 99);
+        assert_eq!(tx.wakes(), 1);
+        // The stale-epoch envelopes the scan met are gone; the rest wait.
+        assert_eq!(mb.unexpected_len(), (N - N / 4) as usize);
+    }
+
+    #[test]
+    fn poison_wakes_a_receiver_parked_on_another_peer() {
+        let (tx, mut mb) = Mailbox::new();
+        let receiver = thread::spawn(move || mb.recv::<u32>(1, 0, 7, &bounded()));
+        while !tx.owner_parked() {
+            thread::yield_now();
+        }
+        tx.deliver(envelope(POISON_CTX, 5, 0, 0, ()));
+        assert_eq!(
+            receiver.join().unwrap().unwrap_err(),
+            RecvFault::PeerDead { src: 5 }
+        );
+        assert_eq!(tx.wakes(), 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        // Four senders interleave random (ctx, tag) streams into one
+        // mailbox while its owner receives keys in a random order.
+        // Every message arrives exactly once, in send order per
+        // (src, ctx, tag).
+        #[test]
+        fn concurrent_senders_keep_per_key_fifo_and_lose_nothing(
+            seed in 0u64..u64::MAX,
+            per_sender in 1usize..120,
+        ) {
+            const SENDERS: usize = 4;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let streams: Vec<Vec<(Context, Tag)>> = (0..SENDERS)
+                .map(|_| {
+                    (0..per_sender)
+                        .map(|_| (rng.gen_range(1u64..3), rng.gen_range(0u64..3)))
+                        .collect()
+                })
+                .collect();
+            // The receive order: every (src, ctx, tag) occurrence, shuffled.
+            let mut order: Vec<Key> = streams
+                .iter()
+                .enumerate()
+                .flat_map(|(src, s)| s.iter().map(move |&(ctx, tag)| (ctx, src, tag)))
+                .collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.gen_range(0..i + 1));
+            }
+
+            let (tx, mut mb) = Mailbox::new();
+            let senders: Vec<_> = streams
+                .into_iter()
+                .enumerate()
+                .map(|(src, stream)| {
+                    let tx = tx.clone();
+                    let pause = seed.rotate_left(src as u32 * 16) as usize;
+                    thread::spawn(move || {
+                        let mut seq: HashMap<(Context, Tag), u32> = HashMap::new();
+                        for (i, (ctx, tag)) in stream.into_iter().enumerate() {
+                            let n = seq.entry((ctx, tag)).or_default();
+                            tx.deliver(envelope(ctx, src, tag, 0, *n));
+                            *n += 1;
+                            if (pause >> (i % 64)) & 1 == 1 {
+                                thread::yield_now();
+                            }
+                        }
+                    })
+                })
+                .collect();
+
+            // `tx` stays alive until every message is in: a receiver that
+            // parks is woken by the sender of its match, never by the
+            // last sender hanging up.
+            let ctl = bounded();
+            let mut want: HashMap<Key, u32> = HashMap::new();
+            for key @ (ctx, src, tag) in order {
+                let got: u32 = mb
+                    .recv(ctx, src, tag, &ctl)
+                    .unwrap_or_else(|f| panic!("seed {seed}: recv {key:?} failed: {f:?}"));
+                let next = want.entry(key).or_default();
+                prop_assert_eq!(got, *next, "seed {}: key {:?} out of order", seed, key);
+                *next += 1;
+            }
+            for s in senders {
+                s.join().unwrap();
+            }
+            drop(tx);
+            prop_assert_eq!(mb.unexpected_len(), 0, "seed {}: unreceived messages", seed);
+            // Every sender is gone and the queue is empty: nothing more
+            // can arrive.
+            prop_assert_eq!(mb.recv::<u32>(1, 0, 0, &ctl).unwrap_err(), RecvFault::Closed);
+        }
     }
 }

@@ -341,9 +341,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "rank 2 panicked")]
     fn rank_panic_is_propagated() {
-        // Ranks that wait on the panicking rank must not hang forever: the
-        // mailbox channel disconnects when rank 2 dies, turning their recv
-        // into a panic, and the runtime reports the original failure.
+        // Ranks that wait on the panicking rank must not hang forever:
+        // rank 2 poisons its peers as it dies, turning their recv into a
+        // panic, and the runtime reports the original failure.
         let _ = Runtime::run(4, |comm| {
             if comm.rank() == 2 {
                 panic!("boom");

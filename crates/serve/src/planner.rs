@@ -80,9 +80,9 @@ impl Default for PlannerConfig {
 /// In the pure cost model pipelining never loses — `α + max(β·m, γ·f)`
 /// is at most `α + β·m + γ·f` — so an unconditional "always pipeline"
 /// rule would make the choice vacuous. `Auto` instead demands a
-/// *material* modeled win before taking the pipelined path, mirroring
-/// the `fault_overhead` guard: the handle machinery is only free when
-/// there is real transfer time to hide behind real compute.
+/// *material* modeled win before taking the pipelined path: the handle
+/// machinery is only free when there is real transfer time to hide
+/// behind real compute.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PipelinePolicy {
     /// Pipeline when the model predicts the overlap hides more than 2%
