@@ -517,7 +517,7 @@ impl Communicator for Comm {
     }
 
     fn send_mat(&self, dst: usize, tag: u64, mat: Matrix) -> Result<(), CommError> {
-        self.send_payload(dst, tag, mat)
+        self.send(dst, tag, mat)
     }
     fn recv_mat(
         &self,
@@ -526,7 +526,7 @@ impl Communicator for Comm {
         rows: usize,
         cols: usize,
     ) -> Result<Matrix, CommError> {
-        let mat = self.recv_payload::<Matrix>(src, tag)?;
+        let mat = self.recv::<Matrix>(src, tag)?;
         debug_assert_eq!(
             (mat.rows(), mat.cols()),
             (rows, cols),
@@ -539,7 +539,7 @@ impl Communicator for Comm {
         shared
     }
     fn send_shared(&self, dst: usize, tag: u64, shared: &Arc<Matrix>) -> Result<(), CommError> {
-        self.send_payload(dst, tag, Arc::clone(shared))
+        self.send(dst, tag, Arc::clone(shared))
     }
     fn recv_shared(
         &self,
@@ -548,7 +548,7 @@ impl Communicator for Comm {
         rows: usize,
         cols: usize,
     ) -> Result<Arc<Matrix>, CommError> {
-        let mat = self.recv_payload::<Arc<Matrix>>(src, tag)?;
+        let mat = self.recv::<Arc<Matrix>>(src, tag)?;
         debug_assert_eq!(
             (mat.rows(), mat.cols()),
             (rows, cols),
@@ -561,7 +561,7 @@ impl Communicator for Comm {
         if handle.is_complete() {
             return Ok(true);
         }
-        match self.try_recv_payload::<Arc<Matrix>>(handle.root(), handle.tag())? {
+        match self.try_recv::<Arc<Matrix>>(handle.root(), handle.tag())? {
             Some(panel) => {
                 handle.fulfill(panel);
                 Ok(true)
@@ -591,7 +591,7 @@ impl Communicator for Comm {
             return Ok(panel.expect("root supplied the value"));
         }
         if !algo.needs_segmentation() {
-            return collectives::bcast_payload(self, algo, root, panel);
+            return collectives::bcast(self, algo, root, panel);
         }
         // Segments are slices of one mutable buffer: the root's panel,
         // copied only if another rank still holds it.

@@ -17,15 +17,16 @@
 //! | `Pipelined{s}` | chain of `p−1+s−1` segments | `(p+s−2)(α+mβ/s)` |
 //! | `ScatterAllgather` | binomial scatter + ring allgather | `(log₂p+p−1)α + 2((p−1)/p)mβ` |
 //!
-//! Reductions, gathers and barriers follow the textbook constructions
-//! (binomial reduce, flat gather, dissemination barrier).
+//! Reductions and the barrier follow the textbook constructions
+//! (binomial reduce, dissemination barrier). Every message is sized by
+//! its payload's [`WirePayload`] hook, as point-to-point sends are.
 //!
 //! Every collective returns `Result<_, CommError>`: a blocked rank whose
 //! job deadline passes (or whose job is cancelled, or whose peer dies)
 //! unwinds out of the schedule with the stalled edge named instead of
 //! hanging the world.
 
-use crate::comm::{Comm, PayloadSize, INTERNAL_TAG_BASE};
+use crate::comm::{Comm, INTERNAL_TAG_BASE};
 use crate::message::Tag;
 use hsumma_trace::{CommError, WirePayload};
 use std::any::Any;
@@ -33,13 +34,10 @@ use std::sync::Arc;
 
 pub(crate) const TAG_BARRIER: Tag = INTERNAL_TAG_BASE + 16;
 const TAG_BCAST: Tag = INTERNAL_TAG_BASE + 17;
-const TAG_GATHER: Tag = INTERNAL_TAG_BASE + 18;
 const TAG_REDUCE: Tag = INTERNAL_TAG_BASE + 19;
 const TAG_SCATTER: Tag = INTERNAL_TAG_BASE + 20;
 const TAG_ALLGATHER: Tag = INTERNAL_TAG_BASE + 21;
 const TAG_PIPELINE: Tag = INTERNAL_TAG_BASE + 22;
-const TAG_ALLTOALL: Tag = INTERNAL_TAG_BASE + 23;
-const TAG_ALLREDUCE: Tag = INTERNAL_TAG_BASE + 24;
 
 // The algorithm selector itself lives in `hsumma-trace` (the leaf crate
 // both substrates depend on) so the runtime and the simulator cannot
@@ -66,44 +64,18 @@ pub fn barrier(comm: &Comm) -> Result<(), CommError> {
 /// Broadcasts `value` from `root` using a whole-message algorithm.
 ///
 /// `value` is read at the root only (other ranks may pass `None`); every
-/// rank returns the broadcast value. Wire bytes are probed from the
-/// buffer types the collectives ship (see [`bcast_payload`] for payloads
-/// that report their own size).
+/// rank returns the broadcast value. An `Arc`-shared payload moves by
+/// reference-count bump at every hop, so every rank returns the root's
+/// allocation.
 ///
 /// # Panics
 /// Panics if the root passes `None`, or if `algo` requires segmentation
 /// (use [`bcast_f64`] for those), or if `root >= comm.size()`.
-pub fn bcast<T: Any + Send + Clone>(
+pub fn bcast<T: Any + Send + Clone + WirePayload>(
     comm: &Comm,
     algo: BcastAlgorithm,
     root: usize,
     value: Option<T>,
-) -> Result<T, CommError> {
-    bcast_with(comm, algo, root, value, PayloadSize::Probe)
-}
-
-/// [`bcast`] for a payload that reports its own wire size: the same
-/// trees and tags, with bytes taken from the payload's [`WirePayload`]
-/// hook. An `Arc`-shared payload moves by reference-count bump at every
-/// hop, so every rank returns the root's allocation.
-///
-/// # Panics
-/// As [`bcast`].
-pub fn bcast_payload<T: Any + Send + Clone + WirePayload>(
-    comm: &Comm,
-    algo: BcastAlgorithm,
-    root: usize,
-    value: Option<T>,
-) -> Result<T, CommError> {
-    bcast_with(comm, algo, root, value, PayloadSize::Hook(T::payload_bytes))
-}
-
-fn bcast_with<T: Any + Send + Clone>(
-    comm: &Comm,
-    algo: BcastAlgorithm,
-    root: usize,
-    value: Option<T>,
-    size: PayloadSize<T>,
 ) -> Result<T, CommError> {
     assert!(root < comm.size(), "root out of range");
     assert!(
@@ -113,7 +85,7 @@ fn bcast_with<T: Any + Send + Clone>(
     let is_root = comm.rank() == root;
     assert!(value.is_some() || !is_root, "root must supply the value");
     comm.trace_collective("bcast", algo.name(), root, || {
-        bcast_tree(comm, algo, root, TAG_BCAST, value, size)
+        bcast_tree(comm, algo, root, TAG_BCAST, value)
     })
 }
 
@@ -124,13 +96,12 @@ fn bcast_with<T: Any + Send + Clone>(
 /// `v + mask`, so each rank receives from itself with the highest set
 /// bit cleared. Keeping both substrates on the *same* trees is what lets
 /// traces of real and simulated runs be compared message for message.
-pub(crate) fn bcast_tree<T: Any + Send + Clone>(
+pub(crate) fn bcast_tree<T: Any + Send + Clone + WirePayload>(
     comm: &Comm,
     algo: BcastAlgorithm,
     root: usize,
     tag: Tag,
     value: Option<T>,
-    size: PayloadSize<T>,
 ) -> Result<T, CommError> {
     let p = comm.size();
     let vrank = (comm.rank() + p - root) % p;
@@ -145,9 +116,9 @@ pub(crate) fn bcast_tree<T: Any + Send + Clone>(
             BcastAlgorithm::Ring => vrank - 1,
             BcastAlgorithm::Pipelined { .. } | BcastAlgorithm::ScatterAllgather => unreachable!(),
         };
-        comm.recv_impl(local(parent), tag, size)?
+        comm.recv_internal(local(parent), tag)?
     };
-    let send = |dst: usize| comm.send_impl(dst, tag, value.clone(), size);
+    let send = |dst: usize| comm.send_internal(dst, tag, value.clone());
     match algo {
         // The flat root sends in local-rank order, not virtual order.
         BcastAlgorithm::Flat if vrank == 0 => {
@@ -342,60 +313,9 @@ fn bcast_scatter_allgather(comm: &Comm, root: usize, data: &mut [f64]) -> Result
     Ok(())
 }
 
-/// Flat gather: every rank's `value` collected at `root` in rank order.
-/// Returns `Some(values)` at the root, `None` elsewhere.
-pub fn gather<T: Any + Send>(
-    comm: &Comm,
-    root: usize,
-    value: T,
-) -> Result<Option<Vec<T>>, CommError> {
-    assert!(root < comm.size(), "root out of range");
-    comm.trace_collective("gather", "flat", root, || gather_inner(comm, root, value))
-}
-
-fn gather_inner<T: Any + Send>(
-    comm: &Comm,
-    root: usize,
-    value: T,
-) -> Result<Option<Vec<T>>, CommError> {
-    if comm.rank() == root {
-        let mut out: Vec<Option<T>> = (0..comm.size()).map(|_| None).collect();
-        out[root] = Some(value);
-        for (src, slot) in out.iter_mut().enumerate() {
-            if src != root {
-                *slot = Some(comm.recv_internal(src, TAG_GATHER)?);
-            }
-        }
-        Ok(Some(
-            out.into_iter()
-                .map(|v| v.expect("gather slot filled"))
-                .collect(),
-        ))
-    } else {
-        comm.send_internal(root, TAG_GATHER, value)?;
-        Ok(None)
-    }
-}
-
-/// Gather to rank 0 followed by a binomial broadcast of the table.
-pub fn allgather<T: Any + Send + Clone>(comm: &Comm, value: T) -> Result<Vec<T>, CommError> {
-    comm.trace_collective("allgather", "gather_bcast", 0, || {
-        let gathered = gather_inner(comm, 0, value)?.map(Some);
-        let v = bcast_tree(
-            comm,
-            BcastAlgorithm::Binomial,
-            0,
-            TAG_ALLGATHER,
-            gathered,
-            PayloadSize::Probe,
-        )?;
-        Ok(v.expect("allgather bcast delivered no value"))
-    })
-}
-
 /// Binomial-tree reduction with a caller-supplied associative combiner.
 /// Returns `Some(result)` at the root, `None` elsewhere.
-pub fn reduce<T: Any + Send>(
+pub fn reduce<T: Any + Send + WirePayload>(
     comm: &Comm,
     root: usize,
     value: T,
@@ -425,104 +345,14 @@ pub fn reduce<T: Any + Send>(
 }
 
 /// Reduce to rank 0 then broadcast the result to everyone.
-pub fn allreduce<T: Any + Send + Clone>(
+pub fn allreduce<T: Any + Send + Clone + WirePayload>(
     comm: &Comm,
     value: T,
     combine: impl FnMut(T, T) -> T,
 ) -> Result<T, CommError> {
     comm.trace_collective("allreduce", "reduce_bcast", 0, || {
-        let reduced = reduce(comm, 0, value, combine)?.map(Some);
-        let v = bcast_tree(
-            comm,
-            BcastAlgorithm::Binomial,
-            0,
-            TAG_REDUCE,
-            reduced,
-            PayloadSize::Probe,
-        )?;
-        Ok(v.expect("allreduce bcast delivered no value"))
-    })
-}
-
-/// Simultaneous send and receive (an `MPI_Sendrecv`): deadlock-free
-/// because sends are eager.
-pub fn sendrecv<T: Any + Send>(
-    comm: &Comm,
-    dst: usize,
-    send_value: T,
-    src: usize,
-    tag: crate::message::Tag,
-) -> Result<T, CommError> {
-    comm.send(dst, tag, send_value)?;
-    comm.recv(src, tag)
-}
-
-/// Flat scatter: the root deals `values[i]` to local rank `i` (the root
-/// keeps its own slot). Non-roots pass `None`. Returns this rank's value.
-///
-/// # Panics
-/// Panics if the root's vector length differs from the communicator size.
-pub fn scatter<T: Any + Send>(
-    comm: &Comm,
-    root: usize,
-    values: Option<Vec<T>>,
-) -> Result<T, CommError> {
-    assert!(root < comm.size(), "root out of range");
-    comm.trace_collective("scatter", "flat", root, || {
-        scatter_inner(comm, root, values)
-    })
-}
-
-fn scatter_inner<T: Any + Send>(
-    comm: &Comm,
-    root: usize,
-    values: Option<Vec<T>>,
-) -> Result<T, CommError> {
-    if comm.rank() == root {
-        let values = values.expect("root must supply the values");
-        assert_eq!(values.len(), comm.size(), "one value per rank required");
-        let mut mine = None;
-        for (dst, v) in values.into_iter().enumerate() {
-            if dst == root {
-                mine = Some(v);
-            } else {
-                comm.send_internal(dst, TAG_SCATTER, v)?;
-            }
-        }
-        Ok(mine.expect("root keeps its own slot"))
-    } else {
-        assert!(values.is_none(), "only the root supplies values");
-        comm.recv_internal(root, TAG_SCATTER)
-    }
-}
-
-/// Personalized all-to-all exchange: rank `r` sends `values[d]` to rank
-/// `d` and returns the vector of values received, indexed by source.
-///
-/// # Panics
-/// Panics if `values.len() != comm.size()`.
-pub fn alltoall<T: Any + Send>(comm: &Comm, values: Vec<T>) -> Result<Vec<T>, CommError> {
-    let p = comm.size();
-    assert_eq!(values.len(), p, "one value per destination required");
-    comm.trace_collective("alltoall", "pairwise", 0, || {
-        let me = comm.rank();
-        let mut mine = None;
-        for (dst, v) in values.into_iter().enumerate() {
-            if dst == me {
-                mine = Some(v);
-            } else {
-                comm.send_internal(dst, TAG_ALLTOALL, v)?;
-            }
-        }
-        (0..p)
-            .map(|src| {
-                if src == me {
-                    Ok(mine.take().expect("own slot present"))
-                } else {
-                    comm.recv_internal(src, TAG_ALLTOALL)
-                }
-            })
-            .collect()
+        let reduced = reduce(comm, 0, value, combine)?;
+        bcast_tree(comm, BcastAlgorithm::Binomial, 0, TAG_REDUCE, reduced)
     })
 }
 
@@ -557,53 +387,6 @@ pub fn reduce_sum_f64(comm: &Comm, root: usize, data: &mut [f64]) -> Result<(), 
         }
         Ok(())
     })
-}
-
-/// Bandwidth-optimal all-reduce of `f64` buffers à la Rabenseifner:
-/// ring reduce-scatter (each rank ends owning the sum of one chunk) then
-/// ring allgather. Bandwidth `≈ 2(p−1)/p · m·β`, like the van de Geijn
-/// broadcast — the long-vector algorithm MPI implementations use.
-pub fn allreduce_sum_f64(comm: &Comm, data: &mut [f64]) -> Result<(), CommError> {
-    let p = comm.size();
-    if p == 1 {
-        return Ok(());
-    }
-    comm.trace_collective("allreduce_sum", "ring", 0, || {
-        allreduce_sum_f64_inner(comm, data)
-    })
-}
-
-fn allreduce_sum_f64_inner(comm: &Comm, data: &mut [f64]) -> Result<(), CommError> {
-    let p = comm.size();
-    let me = comm.rank();
-    let next = (me + 1) % p;
-    let prev = (me + p - 1) % p;
-    let len = data.len();
-
-    // Reduce-scatter: after p−1 rounds, rank r owns the full sum of
-    // chunk (r+1) mod p.
-    for k in 0..p - 1 {
-        let send_chunk = (me + p - k) % p;
-        let recv_chunk = (me + p - k - 1) % p;
-        let (slo, shi) = chunk_range(len, p, send_chunk);
-        comm.send_internal(next, TAG_ALLREDUCE, data[slo..shi].to_vec())?;
-        let seg: Vec<f64> = comm.recv_internal(prev, TAG_ALLREDUCE)?;
-        let (rlo, rhi) = chunk_range(len, p, recv_chunk);
-        for (a, b) in data[rlo..rhi].iter_mut().zip(&seg) {
-            *a += b;
-        }
-    }
-    // Allgather of the owned chunks around the ring.
-    for k in 0..p - 1 {
-        let send_chunk = (me + 1 + p - k) % p;
-        let recv_chunk = (me + p - k) % p;
-        let (slo, shi) = chunk_range(len, p, send_chunk);
-        comm.send_internal(next, TAG_ALLREDUCE, data[slo..shi].to_vec())?;
-        let seg: Vec<f64> = comm.recv_internal(prev, TAG_ALLREDUCE)?;
-        let (rlo, rhi) = chunk_range(len, p, recv_chunk);
-        data[rlo..rhi].copy_from_slice(&seg);
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -738,7 +521,7 @@ mod tests {
     }
 
     #[test]
-    fn f64_bcast_payload_shorter_than_comm() {
+    fn f64_bcast_buffer_shorter_than_comm() {
         // Fewer elements than ranks: some scatter chunks are empty.
         let out = Runtime::run(8, |comm| {
             let mut buf = if comm.rank() == 0 {
@@ -777,28 +560,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_collects_in_rank_order() {
-        let out = Runtime::run(5, |comm| gather(comm, 2, comm.rank() as u32).unwrap());
-        for (rank, res) in out.iter().enumerate() {
-            if rank == 2 {
-                assert_eq!(res.as_deref(), Some(&[0u32, 1, 2, 3, 4][..]));
-            } else {
-                assert!(res.is_none());
-            }
-        }
-    }
-
-    #[test]
-    fn allgather_gives_everyone_the_table() {
-        let out = Runtime::run(4, |comm| {
-            allgather(comm, (comm.rank() * 10) as u32).unwrap()
-        });
-        for table in out {
-            assert_eq!(table, vec![0, 10, 20, 30]);
-        }
-    }
-
-    #[test]
     fn reduce_sums_at_root_only() {
         let out = Runtime::run(6, |comm| {
             reduce(comm, 1, comm.rank() as u64, |a, b| a + b).unwrap()
@@ -814,12 +575,16 @@ mod tests {
 
     #[test]
     fn reduce_respects_non_commutative_order() {
-        // String concatenation is associative but not commutative; the
-        // binomial tree must still produce rank order relative to the root.
+        // Concatenation is associative but not commutative; the binomial
+        // tree must still produce rank order relative to the root.
         let out = Runtime::run(4, |comm| {
-            reduce(comm, 0, comm.rank().to_string(), |a, b| format!("{a}{b}")).unwrap()
+            reduce(comm, 0, vec![comm.rank() as f64], |mut a, b| {
+                a.extend(b);
+                a
+            })
+            .unwrap()
         });
-        assert_eq!(out[0].as_deref(), Some("0123"));
+        assert_eq!(out[0], Some(vec![0.0, 1.0, 2.0, 3.0]));
     }
 
     #[test]
@@ -866,48 +631,6 @@ mod tests {
     }
 
     #[test]
-    fn sendrecv_swaps_values() {
-        let out = Runtime::run(2, |comm| {
-            let peer = 1 - comm.rank();
-            sendrecv(comm, peer, comm.rank() as u32 * 100, peer, 7).unwrap()
-        });
-        assert_eq!(out, vec![100, 0]);
-    }
-
-    #[test]
-    fn scatter_deals_one_value_per_rank() {
-        let out = Runtime::run(4, |comm| {
-            let values = (comm.rank() == 1).then(|| vec![10u32, 11, 12, 13]);
-            scatter(comm, 1, values).unwrap()
-        });
-        assert_eq!(out, vec![10, 11, 12, 13]);
-    }
-
-    #[test]
-    #[should_panic(expected = "one value per rank")]
-    fn scatter_rejects_wrong_count() {
-        let _ = Runtime::run(2, |comm| {
-            let values = (comm.rank() == 0).then(|| vec![1u8]);
-            scatter(comm, 0, values).unwrap()
-        });
-    }
-
-    #[test]
-    fn alltoall_transposes_the_exchange_matrix() {
-        let p = 4;
-        let out = Runtime::run(p, |comm| {
-            // Rank r sends (r, d) to rank d.
-            let values: Vec<(usize, usize)> = (0..p).map(|d| (comm.rank(), d)).collect();
-            alltoall(comm, values).unwrap()
-        });
-        for (rank, received) in out.iter().enumerate() {
-            for (src, pair) in received.iter().enumerate() {
-                assert_eq!(*pair, (src, rank));
-            }
-        }
-    }
-
-    #[test]
     fn reduce_sum_f64_sums_at_root() {
         let out = Runtime::run(5, |comm| {
             let mut buf = vec![comm.rank() as f64; 16];
@@ -920,38 +643,6 @@ mod tests {
         });
         let sum = (0..5).sum::<usize>() as f64;
         assert_eq!(out[2].as_ref().expect("root holds result"), &vec![sum; 16]);
-    }
-
-    #[test]
-    fn allreduce_sum_f64_everywhere_matches_binomial_reduce() {
-        for p in [1usize, 2, 3, 4, 7, 8] {
-            let out = Runtime::run(p, |comm| {
-                let mut buf: Vec<f64> = (0..23).map(|i| (comm.rank() * 31 + i) as f64).collect();
-                allreduce_sum_f64(comm, &mut buf).unwrap();
-                buf
-            });
-            let want: Vec<f64> = (0..23)
-                .map(|i| (0..p).map(|r| (r * 31 + i) as f64).sum())
-                .collect();
-            for (rank, buf) in out.iter().enumerate() {
-                for (a, b) in buf.iter().zip(&want) {
-                    assert!((a - b).abs() < 1e-9, "p={p} rank={rank}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn allreduce_handles_short_buffers() {
-        // Fewer elements than ranks: some ring chunks are empty.
-        let out = Runtime::run(8, |comm| {
-            let mut buf = vec![1.0f64, 2.0];
-            allreduce_sum_f64(comm, &mut buf).unwrap();
-            buf
-        });
-        for buf in out {
-            assert_eq!(buf, vec![8.0, 16.0]);
-        }
     }
 
     #[test]
@@ -1006,28 +697,13 @@ mod tests {
             });
         }
         check("barrier", &|comm: &Comm| barrier(comm).unwrap());
-        check("gather", &|comm: &Comm| {
-            let _ = gather(comm, 0, vec![comm.rank() as f64; 4]).unwrap();
-        });
-        check("allgather", &|comm: &Comm| {
-            let _ = allgather(comm, comm.rank() as u64).unwrap();
-        });
         check("reduce_sum", &|comm: &Comm| {
             let mut buf = vec![1.0; 32];
             reduce_sum_f64(comm, 2, &mut buf).unwrap();
         });
-        check("allreduce_sum", &|comm: &Comm| {
-            let mut buf = vec![1.0; 32];
-            allreduce_sum_f64(comm, &mut buf).unwrap();
-        });
-        check("alltoall", &|comm: &Comm| {
-            let vals: Vec<Vec<f64>> = (0..comm.size()).map(|d| vec![d as f64; 3]).collect();
-            let _ = alltoall(comm, vals).unwrap();
-        });
-        check("scatter", &|comm: &Comm| {
-            let vals =
-                (comm.rank() == 0).then(|| (0..comm.size()).map(|d| vec![d as f64; 5]).collect());
-            let _ = scatter::<Vec<f64>>(comm, 0, vals).unwrap();
+        check("allreduce", &|comm: &Comm| {
+            let sum = |a: Vec<f64>, b: Vec<f64>| a.iter().zip(&b).map(|(x, y)| x + y).collect();
+            allreduce(comm, vec![1.0; 32], sum).unwrap();
         });
     }
 

@@ -62,51 +62,15 @@ pub(crate) struct RankShared {
     pub faults: Option<RefCell<FaultState>>,
 }
 
-/// Wire size of a payload, for the byte ledgers and the trace. The
-/// runtime's messages are `Any`-typed, so sizes are recovered by probing
-/// the concrete types the collectives and algorithms actually ship;
-/// opaque user types report 0 (use [`Comm::send_sized`] to account them).
-fn payload_bytes_of<T: Any>(value: &T) -> u64 {
-    let v = value as &dyn Any;
-    if let Some(x) = v.downcast_ref::<Vec<f64>>() {
-        x.payload_bytes()
-    } else if let Some(x) = v.downcast_ref::<Arc<Vec<f64>>>() {
-        x.payload_bytes()
-    } else if let Some(x) = v.downcast_ref::<Option<Arc<Vec<f64>>>>() {
-        x.payload_bytes()
-    } else if let Some(x) = v.downcast_ref::<(Arc<Vec<f64>>, usize)>() {
-        x.payload_bytes()
-    } else {
+/// A runtime bookkeeping message — the split protocol's key and table.
+/// Like an MPI implementation's internal handshakes it stays out of the
+/// byte ledgers: it counts as a message but moves 0 payload bytes.
+#[derive(Clone)]
+struct Control<T>(T);
+
+impl<T> WirePayload for Control<T> {
+    fn payload_bytes(&self) -> u64 {
         0
-    }
-}
-
-/// How a send/recv path learns a message's wire size: probe the `Any`
-/// payload for the buffer types the collectives ship, trust an exact
-/// caller-supplied figure, or ask the payload's own [`WirePayload`]
-/// hook. The hook is the path dense and sparse application payloads
-/// share, so their bytes are counted by identical code.
-pub(crate) enum PayloadSize<T> {
-    Probe,
-    Exact(u64),
-    Hook(fn(&T) -> u64),
-}
-
-impl<T> Clone for PayloadSize<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<T> Copy for PayloadSize<T> {}
-
-impl<T: Any> PayloadSize<T> {
-    fn of(&self, value: &T) -> u64 {
-        match self {
-            PayloadSize::Probe => payload_bytes_of(value),
-            PayloadSize::Exact(b) => *b,
-            PayloadSize::Hook(f) => f(value),
-        }
     }
 }
 
@@ -262,70 +226,45 @@ impl Comm {
     }
 
     /// Sends `value` to local rank `dst` with `tag`. Buffered: returns
-    /// immediately (eager protocol), so exchanges can't deadlock. Fails
-    /// only when the job is already cancelled, past its deadline, or this
-    /// rank is killed by the job's fault plan.
+    /// immediately (eager protocol), so exchanges can't deadlock. The
+    /// byte ledgers and the trace account the payload's own
+    /// [`WirePayload::payload_bytes`]. Fails only when the job is
+    /// already cancelled, past its deadline, or this rank is killed by
+    /// the job's fault plan.
     ///
     /// # Panics
     /// Panics if `dst` is out of range or `tag` uses the reserved high bit.
-    pub fn send<T: Any + Send>(&self, dst: usize, tag: Tag, value: T) -> Result<(), CommError> {
+    pub fn send<T: Any + Send + WirePayload>(
+        &self,
+        dst: usize,
+        tag: Tag,
+        value: T,
+    ) -> Result<(), CommError> {
         assert!(tag < INTERNAL_TAG_BASE, "tag uses reserved high bit");
         self.send_internal(dst, tag, value)
     }
 
     /// Receives a `T` from local rank `src` with `tag`, blocking until
     /// the message arrives, the job deadline passes, the job is
-    /// cancelled, or the peer dies.
-    pub fn recv<T: Any + Send>(&self, src: usize, tag: Tag) -> Result<T, CommError> {
+    /// cancelled, or the peer dies. Bytes are taken from the *received*
+    /// value, so nnz-dependent sizes are accounted exactly.
+    pub fn recv<T: Any + Send + WirePayload>(&self, src: usize, tag: Tag) -> Result<T, CommError> {
         assert!(tag < INTERNAL_TAG_BASE, "tag uses reserved high bit");
         self.recv_internal(src, tag)
     }
 
-    /// Like [`Comm::recv`], but bounded by `deadline` as well as the
-    /// job-level deadline (whichever is sooner).
-    pub fn recv_deadline<T: Any + Send>(
-        &self,
-        src: usize,
-        tag: Tag,
-        deadline: Instant,
-    ) -> Result<T, CommError> {
-        assert!(tag < INTERNAL_TAG_BASE, "tag uses reserved high bit");
-        let ctl = self.shared.ctl.tightened(deadline);
-        self.recv_with(src, tag, PayloadSize::Probe, &ctl)
-    }
-
     /// Non-blocking receive: `Ok(Some(value))` if a matching message has
     /// already arrived, `Ok(None)` otherwise (poll again later). Lets
-    /// callers overlap local work with pending transfers. Surfaces a
-    /// peer's death as an error like the blocking form does.
-    pub fn try_recv<T: Any + Send>(&self, src: usize, tag: Tag) -> Result<Option<T>, CommError> {
-        assert!(tag < INTERNAL_TAG_BASE, "tag uses reserved high bit");
-        self.try_recv_impl(src, tag, PayloadSize::Probe)
-    }
-
-    /// Non-blocking receive of a payload whose wire size the caller
-    /// knows: [`Comm::try_recv`] with the byte ledgers and trace
-    /// accounting `bytes`, the polling counterpart of
-    /// [`Comm::recv_sized`]. This is the completion probe behind
-    /// nonblocking collectives (`ibcast_test`): it never blocks, never
-    /// parks the rank, and charges bytes only when a message is actually
-    /// consumed.
-    pub fn try_recv_sized<T: Any + Send>(
+    /// callers overlap local work with pending transfers, and is the
+    /// completion probe behind nonblocking collectives: it never parks
+    /// the rank and charges bytes only when a message is consumed.
+    /// Surfaces a peer's death as an error like the blocking form does.
+    pub fn try_recv<T: Any + Send + WirePayload>(
         &self,
         src: usize,
         tag: Tag,
-        bytes: u64,
     ) -> Result<Option<T>, CommError> {
         assert!(tag < INTERNAL_TAG_BASE, "tag uses reserved high bit");
-        self.try_recv_impl(src, tag, PayloadSize::Exact(bytes))
-    }
-
-    fn try_recv_impl<T: Any + Send>(
-        &self,
-        src: usize,
-        tag: Tag,
-        size: PayloadSize<T>,
-    ) -> Result<Option<T>, CommError> {
         let t0 = Instant::now();
         let tr0 = self.shared.sink.now();
         let src_world = self.members[src];
@@ -335,108 +274,20 @@ impl Comm {
             .borrow_mut()
             .try_recv::<T>(self.ctx, src_world, tag)
             .map_err(|f| self.map_recv_fault(f, src_world, tag, "try_recv"))?;
-        {
-            let mut stats = self.shared.stats.borrow_mut();
-            if let Some(v) = &value {
-                stats.msgs_recv += 1;
-                stats.bytes_recv += size.of(v);
-            }
-            stats.comm_seconds += t0.elapsed().as_secs_f64();
-        }
-        if self.shared.sink.enabled() {
-            if let Some(v) = &value {
-                self.shared.sink.record(
-                    EventKind::Recv {
-                        src: src_world,
-                        tag,
-                        channel: self.ctx,
-                        bytes: size.of(v),
-                    },
-                    tr0,
-                    self.shared.sink.now(),
-                );
-            }
+        match &value {
+            Some(v) => self.account_recv(src_world, tag, v.payload_bytes(), t0, tr0),
+            None => self.shared.stats.borrow_mut().comm_seconds += t0.elapsed().as_secs_f64(),
         }
         Ok(value)
     }
 
-    /// Sends a payload whose wire size the caller knows (e.g. an opaque
-    /// matrix type the byte probe can't see). Identical to [`Comm::send`]
-    /// except the byte ledgers and the trace account `bytes`.
-    pub fn send_sized<T: Any + Send>(
+    /// The one send body: bounded-job checks, fault injection, delivery
+    /// and accounting, for user and internal tags alike.
+    pub(crate) fn send_internal<T: Any + Send + WirePayload>(
         &self,
         dst: usize,
         tag: Tag,
         value: T,
-        bytes: u64,
-    ) -> Result<(), CommError> {
-        assert!(tag < INTERNAL_TAG_BASE, "tag uses reserved high bit");
-        self.send_impl(dst, tag, value, PayloadSize::Exact(bytes))
-    }
-
-    /// Receiving half of [`Comm::send_sized`]: accounts `bytes` received.
-    pub fn recv_sized<T: Any + Send>(
-        &self,
-        src: usize,
-        tag: Tag,
-        bytes: u64,
-    ) -> Result<T, CommError> {
-        assert!(tag < INTERNAL_TAG_BASE, "tag uses reserved high bit");
-        self.recv_impl(src, tag, PayloadSize::Exact(bytes))
-    }
-
-    /// Sends a payload whose wire size comes from its own
-    /// [`WirePayload`] hook. This is the one code path that accounts
-    /// dense and sparse application payloads alike — prefer it over
-    /// [`Comm::send_sized`] whenever the payload type models its wire
-    /// size.
-    pub fn send_payload<T: Any + Send + WirePayload>(
-        &self,
-        dst: usize,
-        tag: Tag,
-        value: T,
-    ) -> Result<(), CommError> {
-        assert!(tag < INTERNAL_TAG_BASE, "tag uses reserved high bit");
-        self.send_impl(dst, tag, value, PayloadSize::Hook(T::payload_bytes))
-    }
-
-    /// Receiving half of [`Comm::send_payload`]: bytes are taken from
-    /// the *received* value's [`WirePayload`] hook, so non-uniform
-    /// (e.g. nnz-dependent) message sizes are accounted exactly.
-    pub fn recv_payload<T: Any + Send + WirePayload>(
-        &self,
-        src: usize,
-        tag: Tag,
-    ) -> Result<T, CommError> {
-        assert!(tag < INTERNAL_TAG_BASE, "tag uses reserved high bit");
-        self.recv_impl(src, tag, PayloadSize::Hook(T::payload_bytes))
-    }
-
-    /// Polling counterpart of [`Comm::recv_payload`].
-    pub fn try_recv_payload<T: Any + Send + WirePayload>(
-        &self,
-        src: usize,
-        tag: Tag,
-    ) -> Result<Option<T>, CommError> {
-        assert!(tag < INTERNAL_TAG_BASE, "tag uses reserved high bit");
-        self.try_recv_impl(src, tag, PayloadSize::Hook(T::payload_bytes))
-    }
-
-    pub(crate) fn send_internal<T: Any + Send>(
-        &self,
-        dst: usize,
-        tag: Tag,
-        value: T,
-    ) -> Result<(), CommError> {
-        self.send_impl(dst, tag, value, PayloadSize::Probe)
-    }
-
-    pub(crate) fn send_impl<T: Any + Send>(
-        &self,
-        dst: usize,
-        tag: Tag,
-        value: T,
-        size: PayloadSize<T>,
     ) -> Result<(), CommError> {
         let t0 = Instant::now();
         let tr0 = self.shared.sink.now();
@@ -493,7 +344,7 @@ impl Comm {
                 }
             }
         }
-        let bytes = size.of(&value);
+        let bytes = value.payload_bytes();
         if duplicate {
             // The duplicate travels on a reserved tag nothing matches, so
             // it is stray wire traffic (absorbed by the epoch purge), not
@@ -536,21 +387,53 @@ impl Comm {
         Ok(())
     }
 
-    pub(crate) fn recv_internal<T: Any + Send>(
+    /// The one blocking receive body, for user and internal tags alike.
+    pub(crate) fn recv_internal<T: Any + Send + WirePayload>(
         &self,
         src: usize,
         tag: Tag,
     ) -> Result<T, CommError> {
-        self.recv_impl(src, tag, PayloadSize::Probe)
+        let t0 = Instant::now();
+        let tr0 = self.shared.sink.now();
+        let src_world = self.members[src];
+        let value =
+            self.shared
+                .mailbox
+                .borrow_mut()
+                .recv::<T>(self.ctx, src_world, tag, &self.shared.ctl);
+        match value {
+            Ok(v) => {
+                self.account_recv(src_world, tag, v.payload_bytes(), t0, tr0);
+                Ok(v)
+            }
+            Err(fault) => {
+                self.shared.stats.borrow_mut().comm_seconds += t0.elapsed().as_secs_f64();
+                Err(self.map_recv_fault(fault, src_world, tag, "recv"))
+            }
+        }
     }
 
-    pub(crate) fn recv_impl<T: Any + Send>(
-        &self,
-        src: usize,
-        tag: Tag,
-        size: PayloadSize<T>,
-    ) -> Result<T, CommError> {
-        self.recv_with(src, tag, size, &self.shared.ctl)
+    /// Books one consumed message of `bytes` from `src_world`: the
+    /// receive ledgers, the wait time since `t0`, and the trace event.
+    fn account_recv(&self, src_world: usize, tag: Tag, bytes: u64, t0: Instant, tr0: f64) {
+        {
+            let mut stats = self.shared.stats.borrow_mut();
+            stats.msgs_recv += 1;
+            stats.bytes_recv += bytes;
+            stats.comm_seconds += t0.elapsed().as_secs_f64();
+        }
+        if self.shared.sink.enabled() {
+            self.shared.sink.record(
+                EventKind::Recv {
+                    src: src_world,
+                    tag,
+                    channel: self.ctx,
+                    bytes,
+                },
+                tr0,
+                self.shared.sink.now(),
+            );
+        }
     }
 
     /// Translates a mailbox-level [`RecvFault`] into a [`CommError`]
@@ -588,50 +471,6 @@ impl Comm {
                 op: "recv (all peers gone)",
             },
         }
-    }
-
-    fn recv_with<T: Any + Send>(
-        &self,
-        src: usize,
-        tag: Tag,
-        size: PayloadSize<T>,
-        ctl: &JobCtl,
-    ) -> Result<T, CommError> {
-        let t0 = Instant::now();
-        let tr0 = self.shared.sink.now();
-        let src_world = self.members[src];
-        let value = self
-            .shared
-            .mailbox
-            .borrow_mut()
-            .recv::<T>(self.ctx, src_world, tag, ctl);
-        let value = match value {
-            Ok(v) => v,
-            Err(fault) => {
-                self.shared.stats.borrow_mut().comm_seconds += t0.elapsed().as_secs_f64();
-                return Err(self.map_recv_fault(fault, src_world, tag, "recv"));
-            }
-        };
-        let bytes = size.of(&value);
-        {
-            let mut stats = self.shared.stats.borrow_mut();
-            stats.msgs_recv += 1;
-            stats.bytes_recv += bytes;
-            stats.comm_seconds += t0.elapsed().as_secs_f64();
-        }
-        if self.shared.sink.enabled() {
-            self.shared.sink.record(
-                EventKind::Recv {
-                    src: src_world,
-                    tag,
-                    channel: self.ctx,
-                    bytes,
-                },
-                tr0,
-                self.shared.sink.now(),
-            );
-        }
-        Ok(value)
     }
 
     /// Records one payload-buffer materialization of `bytes` bytes.
@@ -745,25 +584,20 @@ impl Comm {
 
         // Allgather (color, key) over the parent communicator: flat gather
         // to parent rank 0, then binomial broadcast of the table.
-        let table: Option<Vec<(u64, i64)>> = if self.my_rank == 0 {
+        let table = if self.my_rank == 0 {
             let mut table = vec![(0u64, 0i64); p];
             table[0] = (color, key);
             for (src, slot) in table.iter_mut().enumerate().skip(1) {
-                *slot = self.recv_internal::<(u64, i64)>(src, TAG_SPLIT_GATHER)?;
+                *slot = self
+                    .recv_internal::<Control<(u64, i64)>>(src, TAG_SPLIT_GATHER)?
+                    .0;
             }
-            Some(table)
+            Some(Control(table))
         } else {
-            self.send_internal(0, TAG_SPLIT_GATHER, (color, key))?;
+            self.send_internal(0, TAG_SPLIT_GATHER, Control((color, key)))?;
             None
         };
-        let table = bcast_tree(
-            self,
-            BcastAlgorithm::Binomial,
-            0,
-            TAG_SPLIT_BCAST,
-            table,
-            PayloadSize::Probe,
-        )?;
+        let Control(table) = bcast_tree(self, BcastAlgorithm::Binomial, 0, TAG_SPLIT_BCAST, table)?;
 
         // My group: parent ranks with my color, sorted by (key, parent rank).
         let mut group: Vec<usize> = (0..p).filter(|&r| table[r].0 == color).collect();

@@ -9,7 +9,9 @@
 //! * [`Runtime::run`] spawns one thread per rank and hands each a
 //!   [`Comm`] spanning all ranks (the "world" communicator);
 //! * [`Comm::send`] / [`Comm::recv`] are typed, tagged, buffered
-//!   point-to-point operations with MPI-style `(source, tag)` matching;
+//!   point-to-point operations with MPI-style `(source, tag)` matching.
+//!   Every payload implements [`WirePayload`], whose `payload_bytes` is
+//!   the one rule for the `m` the byte ledgers and traces record;
 //! * each rank owns one [`message::Mailbox`]: a queue behind one mutex
 //!   that senders append to and its owner matches under the same lock,
 //!   oldest match first. A receiver about to park posts the key it waits
@@ -20,9 +22,9 @@
 //!   group-row, group-column; Algorithm 1 of the paper) are built this way;
 //! * [`collectives`] provides `barrier`, `bcast` (with selectable
 //!   algorithms: flat, binomial, binary, ring, pipelined, and van de
-//!   Geijn's scatter/allgather), `gather`, `allgather`, `reduce` and
-//!   `allreduce`, all implemented message-by-message over point-to-point —
-//!   so the runtime's communication behaviour is fully observable;
+//!   Geijn's scatter/allgather), `reduce` and `allreduce`, all
+//!   implemented message-by-message over point-to-point — so the
+//!   runtime's communication behaviour is fully observable;
 //! * every operation accumulates wall-clock time into per-rank
 //!   [`stats::CommStats`], which is how the experiments separate
 //!   *communication* from *computation* time, mirroring the paper's

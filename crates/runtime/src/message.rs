@@ -137,16 +137,6 @@ impl JobCtl {
             flag: Arc::clone(&self.cancelled),
         }
     }
-
-    /// A copy of this control block with the deadline tightened to
-    /// `at` (keeps the shared cancellation flag).
-    pub fn tightened(&self, at: Instant) -> JobCtl {
-        let deadline = Some(self.deadline.map_or(at, |d| d.min(at)));
-        JobCtl {
-            deadline,
-            cancelled: Arc::clone(&self.cancelled),
-        }
-    }
 }
 
 /// Raises a job's cancellation flag. Waking ranks that are parked in a

@@ -435,16 +435,16 @@ mod tests {
                 .unwrap();
             let peer_row = 1 - row.rank();
             let peer_col = 1 - col.rank();
-            row.send(peer_row, 5, format!("row-from-{}", comm.rank()))
-                .unwrap();
-            col.send(peer_col, 5, format!("col-from-{}", comm.rank()))
-                .unwrap();
-            let from_row: String = row.recv(peer_row, 5).unwrap();
-            let from_col: String = col.recv(peer_col, 5).unwrap();
+            // Row messages carry 100 + sender, column messages 200 + sender.
+            let me = comm.rank() as u64;
+            row.send(peer_row, 5, 100 + me).unwrap();
+            col.send(peer_col, 5, 200 + me).unwrap();
+            let from_row: u64 = row.recv(peer_row, 5).unwrap();
+            let from_col: u64 = col.recv(peer_col, 5).unwrap();
             (from_row, from_col)
         });
-        assert_eq!(out[0], ("row-from-1".into(), "col-from-2".into()));
-        assert_eq!(out[3], ("row-from-2".into(), "col-from-1".into()));
+        assert_eq!(out[0], (101, 202));
+        assert_eq!(out[3], (102, 201));
     }
 
     #[test]

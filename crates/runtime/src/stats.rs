@@ -17,10 +17,8 @@ pub struct CommStats {
     /// Point-to-point messages sent (collectives count their constituent
     /// messages — the runtime's collectives are built from point-to-point).
     pub msgs_sent: u64,
-    /// Payload bytes sent, accounted per message at the send site for
-    /// every payload type whose wire size the runtime can see (`f64`
-    /// buffers and their `Arc`-shared forms; `Comm::send_sized` for the
-    /// rest). Control messages of unknown size count 0.
+    /// Payload bytes sent: each message's `WirePayload::payload_bytes`,
+    /// accounted at the send site. Control messages count 0.
     pub bytes_sent: u64,
     /// Point-to-point messages received. Across a whole run the world
     /// totals must balance: `Σ msgs_sent == Σ msgs_recv`.
@@ -76,32 +74,6 @@ impl CommStats {
         *self = self.merge(other);
     }
 
-    /// The change since `baseline` — what happened between two snapshots
-    /// of the same accumulating instance. This is how pooled jobs report
-    /// *per-job* statistics (an epoch's delta) instead of counters
-    /// accumulated over the pool's whole lifetime. Counters saturate at 0
-    /// and times clamp at 0.0, so a stale baseline (e.g. taken before a
-    /// reset) degrades to the raw values instead of underflowing.
-    pub fn delta(&self, baseline: &CommStats) -> CommStats {
-        CommStats {
-            comm_seconds: (self.comm_seconds - baseline.comm_seconds).max(0.0),
-            comp_seconds: (self.comp_seconds - baseline.comp_seconds).max(0.0),
-            msgs_sent: self.msgs_sent.saturating_sub(baseline.msgs_sent),
-            bytes_sent: self.bytes_sent.saturating_sub(baseline.bytes_sent),
-            msgs_recv: self.msgs_recv.saturating_sub(baseline.msgs_recv),
-            bytes_recv: self.bytes_recv.saturating_sub(baseline.bytes_recv),
-            payload_clones: self.payload_clones.saturating_sub(baseline.payload_clones),
-            payload_clone_bytes: self
-                .payload_clone_bytes
-                .saturating_sub(baseline.payload_clone_bytes),
-            timeouts: self.timeouts.saturating_sub(baseline.timeouts),
-            cancelled: self.cancelled.saturating_sub(baseline.cancelled),
-            faults_injected: self
-                .faults_injected
-                .saturating_sub(baseline.faults_injected),
-        }
-    }
-
     /// Element-wise maximum of the time fields, counter sum — the usual
     /// "slowest rank defines the phase time" reduction for BSP phases.
     pub fn max_times(&self, other: &CommStats) -> CommStats {
@@ -150,21 +122,6 @@ mod tests {
     fn merge_sums_everything() {
         let m = sample(1.0, 2.0, 3, 4).merge(&sample(10.0, 20.0, 30, 40));
         assert_eq!(m, sample(11.0, 22.0, 33, 44));
-    }
-
-    #[test]
-    fn delta_subtracts_a_snapshot_baseline() {
-        let before = sample(1.0, 2.0, 3, 4);
-        let after = sample(10.0, 22.0, 33, 44);
-        assert_eq!(after.delta(&before), sample(9.0, 20.0, 30, 40));
-        // Snapshot arithmetic round-trips: baseline + delta == current.
-        assert_eq!(before.merge(&after.delta(&before)), after);
-    }
-
-    #[test]
-    fn delta_saturates_instead_of_underflowing() {
-        let d = sample(1.0, 1.0, 1, 1).delta(&sample(5.0, 5.0, 5, 5));
-        assert_eq!(d, sample(0.0, 0.0, 0, 0));
     }
 
     #[test]

@@ -59,8 +59,8 @@ pub use job::{
     ServePlan, SubmitError, Workload,
 };
 pub use planner::{
-    sparsity_profile, JobEstimate, PipelinePolicy, Planned, Planner, PlannerConfig, PlannerStats,
-    ShapeClass, SparsePlanned, RANK_TOLERANCE,
+    sparsity_profile, JobEstimate, Planned, Planner, PlannerConfig, PlannerStats, ShapeClass,
+    SparsePlanned, RANK_TOLERANCE,
 };
 pub use sched::{subgrid, Calibration, PriorityClass, ReadyQueue, AGING_BOUND};
 pub use server::{Admission, GemmServer, SchedPolicy, ServerConfig, ServerStats};

@@ -56,11 +56,6 @@ pub struct PlannerConfig {
     pub platform: Platform,
     /// Broadcast cost model of the closed-form pass.
     pub bcast: BcastModel,
-    /// Whether to refine HSUMMA's `G` on the simulator (pass 2). When
-    /// `false` the analytic `G` is used directly and no sweeps run.
-    pub refine_with_sim: bool,
-    /// When to take the double-buffered overlap GEMM path.
-    pub pipeline: PipelinePolicy,
 }
 
 impl Default for PlannerConfig {
@@ -68,37 +63,20 @@ impl Default for PlannerConfig {
         PlannerConfig {
             platform: Platform::grid5000(),
             bcast: BcastModel::Binomial,
-            refine_with_sim: true,
-            pipeline: PipelinePolicy::Auto,
         }
     }
 }
 
-/// Whether plans use the pipelined (double-buffered overlap) GEMM path
-/// or the blocking collectives.
+/// The modeled fraction of blocking time the double-buffered overlap
+/// pipeline must hide before a plan takes it.
 ///
 /// In the pure cost model pipelining never loses — `α + max(β·m, γ·f)`
-/// is at most `α + β·m + γ·f` — so an unconditional "always pipeline"
-/// rule would make the choice vacuous. `Auto` instead demands a
-/// *material* modeled win before taking the pipelined path: the handle
+/// is at most `α + β·m + γ·f` — so "always pipeline" would make the
+/// choice vacuous. The planner instead demands a *material* modeled win
+/// ([`hsumma_model::PlanAdvice::overlap_win_fraction`]): the handle
 /// machinery is only free when there is real transfer time to hide
 /// behind real compute.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PipelinePolicy {
-    /// Pipeline when the model predicts the overlap hides more than 2%
-    /// of the blocking execution time ([`hsumma_model::PlanAdvice::overlap_win_fraction`]).
-    Auto,
-    /// Always use the blocking collectives (pre-pipeline behavior).
-    Blocking,
-    /// Always use the pipelined path (where one exists; Cannon and the
-    /// Cosma brick schedule have none, and rectangular shapes run the
-    /// blocking rect forms).
-    Pipelined,
-}
-
-/// `Auto`'s threshold: the modeled fraction of blocking time the
-/// pipeline must hide before it is worth the handle machinery.
-const AUTO_MIN_WIN: f64 = 0.02;
+const PIPELINE_MIN_WIN: f64 = 0.02;
 
 /// Cache key: problems of the same rank count and size class share a plan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -307,28 +285,8 @@ impl Planner {
         // pipelined schedule for this shape class? The double-buffered
         // pivot pipelines are square-only, so rectangular shapes always
         // take the blocking collectives.
-        let pipelined = square
-            && match self.config.pipeline {
-                PipelinePolicy::Auto => advice.overlap_win_fraction() > AUTO_MIN_WIN,
-                PipelinePolicy::Blocking => false,
-                PipelinePolicy::Pipelined => true,
-            };
-        // A forced pipelined path restricts the candidates to schedules
-        // that *have* one: Cosma (like Cannon) is blocking-only, so the
-        // operator's policy overrides the scoreboard with its best 2-D
-        // pipelined candidate.
-        let choice = match (advice.choice, self.config.pipeline) {
-            (AlgoChoice::Cosma { .. }, PipelinePolicy::Pipelined) if square => {
-                let (g, h) = advice.hsumma;
-                if h.comm() < advice.summa.comm() {
-                    AlgoChoice::Hsumma { g }
-                } else {
-                    AlgoChoice::Summa
-                }
-            }
-            (c, _) => c,
-        };
-        match choice {
+        let pipelined = square && advice.overlap_win_fraction() > PIPELINE_MIN_WIN;
+        match advice.choice {
             AlgoChoice::Cosma { .. } => CachedChoice::Cosma,
             AlgoChoice::Cannon if square && self.grid.rows == self.grid.cols => {
                 CachedChoice::Cannon
@@ -337,7 +295,7 @@ impl Planner {
             AlgoChoice::Hsumma { g } => {
                 // The simulator sweep prices the square schedule only;
                 // rectangular shapes keep the analytic G.
-                let g = if self.config.refine_with_sim && square {
+                let g = if square {
                     self.refine_g(n, block)
                 } else {
                     g as usize
@@ -663,25 +621,8 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_policy_forces_the_path() {
-        // Non-square grid so Cannon (which has no pipelined variant) is
-        // out of the running and the forced policies can pin the path.
-        for (policy, want) in [
-            (PipelinePolicy::Blocking, "blocking"),
-            (PipelinePolicy::Pipelined, "pipelined"),
-        ] {
-            let config = PlannerConfig {
-                pipeline: policy,
-                ..PlannerConfig::default()
-            };
-            let mut planner = Planner::new(GridShape::new(2, 4), config);
-            assert_eq!(planner.plan_gemm(256, 256, 256).plan.gemm_path(), want);
-        }
-    }
-
-    #[test]
     fn auto_policy_agrees_with_the_model_overlap_win() {
-        // Auto's decision must be exactly the model's: pipeline iff the
+        // The path decision must be exactly the model's: pipeline iff the
         // predicted overlap hides more than the threshold fraction. The
         // equivalence applies to the plans that *have* a pipelined
         // variant — a Cosma or Cannon winner is blocking by
@@ -712,7 +653,7 @@ mod tests {
             }
             assert_eq!(
                 plan.gemm_path() == "pipelined",
-                advice.overlap_win_fraction() > AUTO_MIN_WIN,
+                advice.overlap_win_fraction() > PIPELINE_MIN_WIN,
                 "n={n}: plan {} vs modeled win {}",
                 plan.describe(),
                 advice.overlap_win_fraction()
@@ -774,16 +715,5 @@ mod tests {
         let again = planner.estimate(128, 128, 128);
         assert_eq!(est.ranks, again.ranks);
         assert_eq!(est.model_secs, again.model_secs);
-    }
-
-    #[test]
-    fn disabling_refinement_runs_no_sims() {
-        let config = PlannerConfig {
-            refine_with_sim: false,
-            ..PlannerConfig::default()
-        };
-        let mut planner = Planner::new(GridShape::new(4, 4), config);
-        planner.plan_gemm(256, 256, 256);
-        assert_eq!(planner.stats().sims_run, 0);
     }
 }

@@ -98,7 +98,7 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Record a per-job [`hsumma_trace::Trace`] into every report.
     pub trace_jobs: bool,
-    /// Planner configuration (cost model, simulator, refinement).
+    /// Planner configuration (cost model and simulated platform).
     pub planner: PlannerConfig,
     /// Dispatch order and placement policy.
     pub sched: SchedPolicy,

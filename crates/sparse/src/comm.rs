@@ -143,7 +143,7 @@ impl SparseComm for Comm {
     fn send_sp(&self, dst: usize, tag: u64, sp: &Arc<CsrMatrix>) -> Result<(), CommError> {
         // The WirePayload hook on CsrMatrix (through the Arc blanket
         // impl) prices this send at its serialized nnz-dependent size.
-        self.send_payload(dst, tag, Arc::clone(sp))
+        self.send(dst, tag, Arc::clone(sp))
     }
     fn recv_sp(
         &self,
@@ -152,7 +152,7 @@ impl SparseComm for Comm {
         rows: usize,
         cols: usize,
     ) -> Result<Arc<CsrMatrix>, CommError> {
-        let sp = self.recv_payload::<Arc<CsrMatrix>>(src, tag)?;
+        let sp = self.recv::<Arc<CsrMatrix>>(src, tag)?;
         debug_assert_eq!((sp.rows(), sp.cols()), (rows, cols), "panel shape mismatch");
         Ok(sp)
     }

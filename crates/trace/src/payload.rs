@@ -1,11 +1,11 @@
 //! Wire-size accounting for message payloads.
 //!
 //! Every byte that enters a `CommStats` ledger or a trace event comes
-//! from one place: a payload's [`WirePayload::payload_bytes`]. Dense
-//! matrices, shared panels, sparse CSR buffers and the simulator's
-//! phantom stand-ins all implement the same hook, so both substrates
-//! count dense and sparse traffic through identical code — there is no
-//! hand-computed `rows*cols*8` at call sites.
+//! from one place: a payload's [`WirePayload::payload_bytes`]. The
+//! runtime sends only `WirePayload` types, and dense matrices, shared
+//! panels, sparse CSR buffers and the simulator's phantom stand-ins all
+//! implement the hook, so both substrates count traffic through
+//! identical code.
 //!
 //! The trait lives in `hsumma-trace` (the dependency-free base crate)
 //! so the matrix, runtime, simulator and sparse crates can all implement
@@ -29,6 +29,21 @@ impl WirePayload for Vec<f64> {
         (self.len() * 8) as u64
     }
 }
+
+/// Scalars and the unit token are control words: like a tag, or the
+/// routing index of `(T, usize)` below, they ride in the envelope. The
+/// α of Hockney's `α + m·β` prices them; they add nothing to `m`.
+macro_rules! control_words {
+    ($($t:ty),*) => {$(
+        impl WirePayload for $t {
+            fn payload_bytes(&self) -> u64 {
+                0
+            }
+        }
+    )*};
+}
+
+control_words!((), u8, u32, u64, usize, f64);
 
 /// Shared payloads ship the pointee's bytes; the `Arc` itself is free.
 impl<T: WirePayload + ?Sized> WirePayload for Arc<T> {
@@ -69,5 +84,12 @@ mod tests {
         assert_eq!(Some(Arc::clone(&v)).payload_bytes(), 24);
         assert_eq!(None::<Arc<Vec<f64>>>.payload_bytes(), 0);
         assert_eq!((Arc::clone(&v), 7usize).payload_bytes(), 24);
+    }
+
+    #[test]
+    fn control_words_are_free() {
+        assert_eq!(().payload_bytes(), 0);
+        assert_eq!(7u64.payload_bytes(), 0);
+        assert_eq!(2.5f64.payload_bytes(), 0);
     }
 }
