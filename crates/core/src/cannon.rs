@@ -6,6 +6,12 @@
 //! "multiply, then rotate `A` left and `B` up by one". Its restriction to
 //! square processor counts is exactly why SUMMA superseded it in general
 //! purpose libraries.
+//!
+//! Cannon consumes its tiles: the alignment shifts send the caller's
+//! `A` and `B` tiles themselves, so a caller that owns them (the serving
+//! layer) copies nothing. A caller holding only borrows goes through
+//! [`crate::run_planned_gemm`], which makes the one copy and counts it
+//! as a payload materialization.
 
 use crate::comm::{Communicator, MatLike};
 use hsumma_matrix::{GemmKernel, GridShape};
@@ -32,7 +38,9 @@ fn shift<C: Communicator>(
 }
 
 /// Runs Cannon's algorithm on the calling rank. SPMD over a square grid;
-/// operands block-checkerboard distributed. Returns the local `C` tile.
+/// operands block-checkerboard distributed. Consumes the local `A` and
+/// `B` tiles (they are what the first shifts send) and returns the local
+/// `C` tile.
 ///
 /// Generic over the [`Communicator`] substrate: real matrices over the
 /// threaded runtime, or phantom payloads over the simulator's clocks.
@@ -43,8 +51,8 @@ pub fn cannon<C: Communicator>(
     comm: &C,
     grid: GridShape,
     n: usize,
-    a: &C::Mat,
-    b: &C::Mat,
+    a: C::Mat,
+    b: C::Mat,
     kernel: GemmKernel,
 ) -> Result<C::Mat, CommError> {
     assert_eq!(
@@ -65,8 +73,8 @@ pub fn cannon<C: Communicator>(
     let down = |steps: usize| grid.rank((i + steps) % q, j);
 
     // Initial alignment: A_i· moves i positions left, B·_j moves j up.
-    let mut a_cur = shift(comm, left(i), right(i), TAG_SHIFT_A, a.clone())?;
-    let mut b_cur = shift(comm, up(j), down(j), TAG_SHIFT_B, b.clone())?;
+    let mut a_cur = shift(comm, left(i), right(i), TAG_SHIFT_A, a)?;
+    let mut b_cur = shift(comm, up(j), down(j), TAG_SHIFT_B, b)?;
 
     let mut c = C::Mat::zeros(ts, ts);
     let step_pairs = ts * ts * ts;
@@ -88,14 +96,17 @@ pub fn cannon<C: Communicator>(
 mod tests {
     use super::*;
     use crate::testutil::{distributed_product, reference_product};
-    use hsumma_matrix::seeded_uniform;
+    use crate::{run_planned_gemm, Distribution, PlannedAlgo};
+    use hsumma_matrix::{seeded_uniform, Matrix};
+    use hsumma_runtime::RankPool;
+    use std::sync::Arc;
 
     fn run_cannon_case(q: usize, n: usize) {
         let grid = GridShape::new(q, q);
         let a = seeded_uniform(n, n, 500);
         let b = seeded_uniform(n, n, 600);
         let got = distributed_product(grid, n, &a, &b, |comm, at, bt| {
-            cannon(comm, grid, n, &at, &bt, GemmKernel::Blocked).unwrap()
+            cannon(comm, grid, n, at, bt, GemmKernel::Blocked).unwrap()
         });
         let want = reference_product(&a, &b);
         assert!(
@@ -125,6 +136,49 @@ mod tests {
         run_cannon_case(1, 4);
     }
 
+    /// Every rank's `C` tile and the world's payload-clone bytes, with
+    /// Cannon consuming owned tiles or borrowing them through
+    /// [`crate::run_planned_gemm`].
+    fn cannon_tiles(q: usize, n: usize, owned: bool) -> (Vec<Matrix>, u64) {
+        let grid = GridShape::new(q, q);
+        let dist = Distribution::grid2d(grid, n, n);
+        let at = Arc::new(dist.scatter(&seeded_uniform(n, n, 700)));
+        let bt = Arc::new(dist.scatter(&seeded_uniform(n, n, 800)));
+        let kernel = GemmKernel::Packed;
+        let mut pool = RankPool::new(grid.size()).unwrap();
+        let run = pool
+            .run(move |comm| {
+                let r = comm.rank();
+                let c = if owned {
+                    cannon(&*comm, grid, n, at[r].clone(), bt[r].clone(), kernel)
+                } else {
+                    let plan = PlannedAlgo::Cannon { kernel };
+                    run_planned_gemm(&*comm, grid, n, n, n, &at[r], &bt[r], &plan)
+                };
+                c.unwrap()
+            })
+            .unwrap();
+        let copied = run.stats.iter().map(|s| s.payload_clone_bytes).sum();
+        (run.results, copied)
+    }
+
+    #[test]
+    fn owned_and_borrowed_cannon_agree_bit_for_bit() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let ts = 12;
+        for q in [2, 3, 4] {
+            let n = q * ts;
+            let (owned, owned_copied) = cannon_tiles(q, n, true);
+            let (borrowed, borrowed_copied) = cannon_tiles(q, n, false);
+            for (r, (o, b)) in owned.iter().zip(&borrowed).enumerate() {
+                assert!(bits(o) == bits(b), "q={q}: rank {r}'s C tile differs");
+            }
+            assert_eq!(owned_copied, 0, "q={q}: owned tiles are never copied");
+            // Borrowing costs each rank one copy of its A and B tile.
+            assert_eq!(borrowed_copied, (q * q * 2 * ts * ts * 8) as u64, "q={q}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "square processor grid")]
     fn cannon_rejects_rectangular_grid() {
@@ -132,7 +186,7 @@ mod tests {
         let a = seeded_uniform(8, 8, 1);
         let b = seeded_uniform(8, 8, 2);
         let _ = distributed_product(grid, 8, &a, &b, |comm, at, bt| {
-            cannon(comm, grid, 8, &at, &bt, GemmKernel::Blocked).unwrap()
+            cannon(comm, grid, 8, at, bt, GemmKernel::Blocked).unwrap()
         });
     }
 }

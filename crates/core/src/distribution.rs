@@ -123,20 +123,30 @@ impl Distribution {
         M::zeros(r.rows(), r.cols())
     }
 
+    /// Cuts `rank`'s local tile out of the global matrix (a `0 × 0` tile
+    /// for an empty owner): one rank's share of [`Self::scatter`], for a
+    /// rank that cuts its own tile from a shared global.
+    ///
+    /// # Panics
+    /// Panics if `global`'s shape differs from the descriptor's.
+    pub fn local_tile<M: MatLike>(&self, global: &M, rank: usize) -> M {
+        assert_eq!(
+            (global.rows(), global.cols()),
+            (self.rows, self.cols),
+            "global shape does not match the distribution"
+        );
+        let r = self.range(rank);
+        global.block(r.row0, r.col0, r.rows(), r.cols())
+    }
+
     /// Splits the global matrix into per-rank local tiles (empty owners
     /// get `0 × 0` tiles).
     ///
     /// # Panics
     /// Panics if `global`'s shape differs from the descriptor's.
     pub fn scatter<M: MatLike>(&self, global: &M) -> Vec<M> {
-        assert_eq!(
-            (global.rows(), global.cols()),
-            (self.rows, self.cols),
-            "global shape does not match the distribution"
-        );
-        self.ranges
-            .iter()
-            .map(|r| global.block(r.row0, r.col0, r.rows(), r.cols()))
+        (0..self.num_ranks())
+            .map(|rank| self.local_tile(global, rank))
             .collect()
     }
 

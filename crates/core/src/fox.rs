@@ -143,7 +143,7 @@ mod tests {
             fox(comm, grid, n, &at, &bt, GemmKernel::Blocked).unwrap()
         });
         let by_cannon = distributed_product(grid, n, &a, &b, |comm, at, bt| {
-            crate::cannon::cannon(comm, grid, n, &at, &bt, GemmKernel::Blocked).unwrap()
+            crate::cannon::cannon(comm, grid, n, at, bt, GemmKernel::Blocked).unwrap()
         });
         let by_summa = distributed_product(grid, n, &a, &b, |comm, at, bt| {
             summa(

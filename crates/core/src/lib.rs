@@ -28,7 +28,8 @@
 //! * [`tuning`] — optimal group count selection by sampling (§VI);
 //! * [`multilevel`] — ≥ 2 hierarchy levels (the paper's future work);
 //! * [`plan`] — executable algorithm plans ([`PlannedAlgo`]) and the
-//!   generic dispatcher [`run_planned_gemm`], used by the serving layer;
+//!   generic dispatcher [`run_planned_gemm`] (and [`run_planned_gemm_cow`],
+//!   which the serving layer calls with owned tiles);
 //! * [`lu`] — distributed block LU with optional hierarchical panel
 //!   broadcasts, and [`mod@tsqr`] — communication-avoiding tall-skinny QR
 //!   (the §VI plan to carry the approach to LU/QR);
@@ -75,7 +76,7 @@ pub use overlap::{hsumma_overlap, summa_overlap};
 pub use partition::{
     ceil_div, chunk_range, pivot_offset, pivot_owner, tile_shape, tile_shape_rect, MatMulDims,
 };
-pub use plan::{run_planned_gemm, PlannedAlgo};
+pub use plan::{run_planned_gemm, run_planned_gemm_cow, PlannedAlgo};
 pub use simdrive::{
     record_cosma, record_hsumma, replay_on, sim_hsumma_engine, sim_summa_engine, simulate,
     simulate_on, Schedule, SimEngine,

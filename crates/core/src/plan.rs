@@ -18,6 +18,7 @@ use crate::pivot::{self, Layout, Spec};
 use crate::summa::SummaConfig;
 use hsumma_matrix::{GemmKernel, GridShape};
 use hsumma_runtime::CommError;
+use std::borrow::Cow;
 
 /// A fully resolved algorithm choice for one `C(m×n) = A(m×k) · B(k×n)`
 /// multiply (square `m = n = k` being the common case).
@@ -95,6 +96,10 @@ impl PlannedAlgo {
 /// precondition of the grid algorithms anyway — those layouts are the
 /// classic uniform block-checkerboard tiles.
 ///
+/// This is the borrowing form of [`run_planned_gemm_cow`]: the Cannon
+/// plan, which consumes its tiles, copies both (counted as payload
+/// materializations); every other plan reads them in place.
+///
 /// # Panics
 /// Panics if the plan is inconsistent with `grid`/`(m, n, k)`: the
 /// Cannon plan requires square operands, the grid algorithms require
@@ -111,24 +116,45 @@ pub fn run_planned_gemm<C: Communicator>(
     b: &C::Mat,
     plan: &PlannedAlgo,
 ) -> Result<C::Mat, CommError> {
+    let (a, b) = (Cow::Borrowed(a), Cow::Borrowed(b));
+    run_planned_gemm_cow(comm, grid, m, n, k, a, b, plan)
+}
+
+/// [`run_planned_gemm`] over tiles the caller either lends or hands
+/// over. The Cannon plan consumes owned tiles without a copy; every
+/// other plan only reads them, so ownership changes nothing there.
+///
+/// # Panics
+/// As [`run_planned_gemm`].
+#[allow(clippy::too_many_arguments)]
+pub fn run_planned_gemm_cow<C: Communicator>(
+    comm: &C,
+    grid: GridShape,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: Cow<'_, C::Mat>,
+    b: Cow<'_, C::Mat>,
+    plan: &PlannedAlgo,
+) -> Result<C::Mat, CommError> {
     let dims = MatMulDims { m, l: k, n };
     match plan {
         PlannedAlgo::Summa(cfg) => {
             let spec = Spec::summa(grid, dims, cfg, Layout::Block);
-            pivot::blocking(comm, &spec, a, b, |_| true)
+            pivot::blocking(comm, &spec, &a, &b, |_| true)
         }
         PlannedAlgo::SummaPipelined(cfg) => {
-            pivot::pipelined(comm, &Spec::summa(grid, dims, cfg, Layout::Block), a, b)
+            pivot::pipelined(comm, &Spec::summa(grid, dims, cfg, Layout::Block), &a, &b)
         }
         PlannedAlgo::Hsumma(cfg) => {
-            pivot::blocking(comm, &Spec::hsumma(grid, dims, cfg), a, b, |_| true)
+            pivot::blocking(comm, &Spec::hsumma(grid, dims, cfg), &a, &b, |_| true)
         }
         PlannedAlgo::HsummaPipelined(cfg) => {
-            pivot::pipelined(comm, &Spec::hsumma(grid, dims, cfg), a, b)
+            pivot::pipelined(comm, &Spec::hsumma(grid, dims, cfg), &a, &b)
         }
         PlannedAlgo::Cannon { kernel } => {
             assert!(m == n && k == n, "the Cannon plan is square-only");
-            cannon(comm, grid, n, a, b, *kernel)
+            cannon(comm, grid, n, comm.own(a), comm.own(b), *kernel)
         }
         PlannedAlgo::Cosma(cfg) => {
             let p = comm.size();
@@ -140,13 +166,13 @@ pub fn run_planned_gemm<C: Communicator>(
                 comm,
                 &Distribution::grid2d(grid, m, k),
                 &d.a_distribution(m, k, p),
-                a,
+                &a,
             )?;
             let b_brick = redistribute(
                 comm,
                 &Distribution::grid2d(grid, k, n),
                 &d.b_distribution(k, n, p),
-                b,
+                &b,
             )?;
             let dc = d.c_distribution(m, n, p);
             let c_brick = cosma(comm, m, n, k, &a_brick, &b_brick, cfg)?

@@ -49,13 +49,14 @@ use crate::planner::{
     sparsity_profile, Planned, Planner, PlannerConfig, PlannerStats, ShapeClass, RANK_TOLERANCE,
 };
 use crate::sched::{subgrid, Calibration, ReadyQueue, AGING_BOUND};
-use hsumma_core::{run_planned_gemm, Distribution};
+use hsumma_core::{run_planned_gemm_cow, Distribution};
 use hsumma_matrix::sparse::CsrMatrix;
-use hsumma_matrix::{BlockDist, GridShape, Matrix};
-use hsumma_model::{advise_sddmm_ranks, advise_spgemm_ranks, ModelParams};
+use hsumma_matrix::{GridShape, Matrix};
+use hsumma_model::{advise_sddmm_ranks, advise_spgemm_ranks, ModelParams, SparsityProfile};
 use hsumma_runtime::{Comm, CommStats, JobOptions, PoolExec, PoolRun, RankPool, RuntimeError};
 use hsumma_sparse::{gather_csr, scatter_csr, sddmm_2d, spgemm_2d, SparseConfig};
 use hsumma_trace::{primary_comm_error, CommError, CommErrorKind, Tracer};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -123,9 +124,23 @@ impl ServerConfig {
 
 /// A queued job's operands, matching its spec's [`Workload`].
 enum JobOperands {
-    Dense { a: Matrix, b: Matrix },
-    SpGemm { a: CsrMatrix, b: CsrMatrix },
-    Sddmm { s: CsrMatrix, a: Matrix, b: Matrix },
+    Dense {
+        a: Matrix,
+        b: Matrix,
+    },
+    /// SpGEMM operands with their sparsity profiles, sampled once at
+    /// submission: the gang size and the route read the same sample.
+    SpGemm {
+        a: CsrMatrix,
+        b: CsrMatrix,
+        prof_a: SparsityProfile,
+        prof_b: SparsityProfile,
+    },
+    Sddmm {
+        s: CsrMatrix,
+        a: Matrix,
+        b: Matrix,
+    },
 }
 
 struct QueuedJob {
@@ -314,7 +329,15 @@ impl GemmServer {
         self.validate_spec(&spec, Workload::SpGemm)?;
         self.validate_shape("A", a.shape(), (spec.m, spec.k))?;
         self.validate_shape("B", b.shape(), (spec.k, spec.n))?;
-        self.admit(spec, JobOperands::SpGemm { a, b })
+        let prof_a = sparsity_profile(&a, PROFILE_SAMPLES);
+        let prof_b = sparsity_profile(&b, PROFILE_SAMPLES);
+        let operands = JobOperands::SpGemm {
+            a,
+            b,
+            prof_a,
+            prof_b,
+        };
+        self.admit(spec, operands)
     }
 
     /// Submits one SDDMM job `C = S ⊙ (A·B)`: sparse sample matrix `S`,
@@ -539,10 +562,8 @@ fn sparse_ranks(
     let block = spec.n.clamp(1, 32) as f64;
     let advice = match operands {
         JobOperands::Dense { .. } => return None,
-        JobOperands::SpGemm { a, b } => {
-            let pa = sparsity_profile(a, PROFILE_SAMPLES);
-            let pb = sparsity_profile(b, PROFILE_SAMPLES);
-            advise_spgemm_ranks(&params, n, p_max, block, &pa, &pb, RANK_TOLERANCE)
+        JobOperands::SpGemm { prof_a, prof_b, .. } => {
+            advise_spgemm_ranks(&params, n, p_max, block, prof_a, prof_b, RANK_TOLERANCE)
         }
         JobOperands::Sddmm { s, .. } => {
             let ps = sparsity_profile(s, PROFILE_SAMPLES);
@@ -686,84 +707,93 @@ fn finish_job<P: PoolExec>(
     grid: GridShape,
     trace_jobs: bool,
 ) {
-    job.cell.set_running();
-    let outcome = execute(planners, pool, grid, trace_jobs, &job);
-    if job.model_secs > 0.0 {
+    let QueuedJob {
+        id,
+        spec,
+        operands,
+        cell,
+        model_secs,
+        class,
+        ..
+    } = job;
+    cell.set_running();
+    let run = JobRun {
+        pool,
+        grid,
+        trace_jobs,
+        id,
+        spec: &spec,
+        started: Instant::now(),
+    };
+    let outcome = execute(planners, run, operands);
+    if model_secs > 0.0 {
         if let Ok(out) = &outcome {
             calibration.lock().expect("calibration lock").observe(
-                job.class,
-                job.model_secs,
+                class,
+                model_secs,
                 out.report.wall.as_secs_f64(),
             );
         }
     }
-    job.cell.finish(outcome);
+    cell.finish(outcome);
 }
 
-/// Plan → scatter → pooled SPMD run → gather, routed by workload.
-fn execute<P: PoolExec>(
-    planners: &Planners,
-    pool: &mut P,
+/// Where and as what one job runs: its (sub-)pool and grid, its id and
+/// spec, and when execution began. The operands travel beside it, by
+/// value, so the workload paths can hand them to the ranks.
+struct JobRun<'a, P> {
+    pool: &'a mut P,
     grid: GridShape,
     trace_jobs: bool,
-    job: &QueuedJob,
+    id: u64,
+    spec: &'a JobSpec,
+    started: Instant,
+}
+
+/// Plan → pooled SPMD run (each rank cutting its own tiles) → gather,
+/// routed by workload.
+fn execute<P: PoolExec>(
+    planners: &Planners,
+    run: JobRun<'_, P>,
+    operands: JobOperands,
 ) -> Result<JobOutput, JobError> {
-    let n = job.spec.n;
-    let started = Instant::now();
-    match &job.operands {
+    let (spec, grid, n) = (run.spec, run.grid, run.spec.n);
+    let forced = |plan| Planned {
+        plan,
+        cached: false,
+    };
+    match operands {
         JobOperands::Dense { a, b } => {
-            let planned = match job.spec.hint {
-                PlanHint::Auto => planners.with(grid, |p| p.plan_gemm(job.spec.m, job.spec.k, n)),
-                PlanHint::Force(plan) => Planned {
-                    plan,
-                    cached: false,
-                },
+            let planned = match spec.hint {
+                PlanHint::Auto => planners.with(grid, |p| p.plan_gemm(spec.m, spec.k, n)),
+                PlanHint::Force(plan) => forced(plan),
             };
-            run_dense(pool, grid, trace_jobs, job, started, planned, a, b, false)
+            run_dense(run, planned, a, b, false)
         }
-        JobOperands::SpGemm { a, b } => {
+        JobOperands::SpGemm {
+            a,
+            b,
+            prof_a,
+            prof_b,
+        } => {
             // A forced dense plan bypasses the scoreboard: densify and
-            // run exactly that plan.
-            if let PlanHint::Force(plan) = job.spec.hint {
-                let planned = Planned {
-                    plan,
-                    cached: false,
-                };
-                return run_dense(
-                    pool,
-                    grid,
-                    trace_jobs,
-                    job,
-                    started,
-                    planned,
-                    &a.to_dense(),
-                    &b.to_dense(),
-                    true,
-                );
-            }
-            let prof_a = sparsity_profile(a, PROFILE_SAMPLES);
-            let prof_b = sparsity_profile(b, PROFILE_SAMPLES);
-            let sp = planners.with(grid, |p| p.plan_spgemm(n, &prof_a, &prof_b));
-            match sp.dense {
-                // The scoreboard says the operands are full enough that
-                // dense panels win: densify and run the dense plan.
-                Some(planned) => run_dense(
-                    pool,
-                    grid,
-                    trace_jobs,
-                    job,
-                    started,
-                    planned,
-                    &a.to_dense(),
-                    &b.to_dense(),
-                    true,
-                ),
-                None => run_spgemm(pool, grid, trace_jobs, job, started, sp.block, a, b),
-            }
+            // run exactly that plan. Otherwise the scoreboard says
+            // whether the operands are full enough that dense panels win.
+            let planned = match spec.hint {
+                PlanHint::Force(plan) => forced(plan),
+                PlanHint::Auto => {
+                    let sp = planners.with(grid, |p| p.plan_spgemm(n, &prof_a, &prof_b));
+                    match sp.dense {
+                        Some(planned) => planned,
+                        None => return run_spgemm(run, sp.block, &a, &b),
+                    }
+                }
+            };
+            run_dense(run, planned, a.to_dense(), b.to_dense(), true)
         }
         JobOperands::Sddmm { s, a, b } => {
             let block = planners.with(grid, |p| p.sddmm_block(n));
-            run_sddmm(pool, grid, trace_jobs, job, started, block, s, a, b)
+            run_sddmm(run, block, &s, a, b)
         }
     }
 }
@@ -774,44 +804,34 @@ fn execute<P: PoolExec>(
 ///
 /// Operands are dealt by the [`Distribution`] checkerboard descriptors
 /// (exact cover for *any* extents, no divisibility required) and the
-/// plan runs through [`run_planned_gemm`] — the same descriptors the
-/// planner's brick schedule redistributes from.
-#[allow(clippy::too_many_arguments)]
+/// plan runs through [`run_planned_gemm_cow`] — the same descriptors
+/// the planner's brick schedule redistributes from. Each rank cuts its
+/// own tiles from the shared operands and hands them over owned: that
+/// cut is the only copy of an operand between submission and the first
+/// multiply, Cannon included.
 fn run_dense<P: PoolExec>(
-    pool: &mut P,
-    grid: GridShape,
-    trace_jobs: bool,
-    job: &QueuedJob,
-    started: Instant,
+    run: JobRun<'_, P>,
     planned: Planned,
-    a: &Matrix,
-    b: &Matrix,
+    a: Matrix,
+    b: Matrix,
     sparsify: bool,
 ) -> Result<JobOutput, JobError> {
-    let (m, k, n) = (job.spec.m, job.spec.k, job.spec.n);
+    let (m, k, n, grid) = (run.spec.m, run.spec.k, run.spec.n, run.grid);
     let c_dist = Distribution::grid2d(grid, m, n);
-    let a_tiles = Arc::new(Distribution::grid2d(grid, m, k).scatter(a));
-    let b_tiles = Arc::new(Distribution::grid2d(grid, k, n).scatter(b));
+    let a_dist = Distribution::grid2d(grid, m, k);
+    let b_dist = Distribution::grid2d(grid, k, n);
+    let (a, b) = (Arc::new(a), Arc::new(b));
     let plan = planned.plan;
     let serve_plan = if sparsify {
         ServePlan::Densified(plan)
     } else {
         ServePlan::Dense(plan)
     };
-    let (tiles, report) = run_pooled(
-        pool,
-        grid,
-        trace_jobs,
-        job,
-        serve_plan,
-        planned.cached,
-        started,
-        move |comm| {
-            let at = a_tiles[comm.rank()].clone();
-            let bt = b_tiles[comm.rank()].clone();
-            run_planned_gemm(comm, grid, m, n, k, &at, &bt, &plan)
-        },
-    )?;
+    let (tiles, report) = run_pooled(run, serve_plan, planned.cached, move |comm| {
+        let at = a_dist.local_tile(&*a, comm.rank());
+        let bt = b_dist.local_tile(&*b, comm.rank());
+        run_planned_gemm_cow(comm, grid, m, n, k, Cow::Owned(at), Cow::Owned(bt), &plan)
+    })?;
     let c = c_dist.gather(&tiles);
     let c = if sparsify {
         Product::Sparse(CsrMatrix::from_dense(&c))
@@ -822,114 +842,99 @@ fn run_dense<P: PoolExec>(
 }
 
 /// Native 2-D SpGEMM on CSR tiles.
-#[allow(clippy::too_many_arguments)]
 fn run_spgemm<P: PoolExec>(
-    pool: &mut P,
-    grid: GridShape,
-    trace_jobs: bool,
-    job: &QueuedJob,
-    started: Instant,
+    run: JobRun<'_, P>,
     block: usize,
     a: &CsrMatrix,
     b: &CsrMatrix,
 ) -> Result<JobOutput, JobError> {
-    let n = job.spec.n;
-    let at: Arc<Vec<Arc<CsrMatrix>>> =
-        Arc::new(scatter_csr(grid, a).into_iter().map(Arc::new).collect());
-    let bt: Arc<Vec<Arc<CsrMatrix>>> =
-        Arc::new(scatter_csr(grid, b).into_iter().map(Arc::new).collect());
+    let (n, grid) = (run.spec.n, run.grid);
+    let at = csr_tiles(grid, a);
+    let bt = csr_tiles(grid, b);
     let cfg = SparseConfig {
         block,
         ..SparseConfig::default()
     };
-    let (tiles, report) = run_pooled(
-        pool,
-        grid,
-        trace_jobs,
-        job,
-        ServePlan::SpGemm { block },
-        false,
-        started,
-        move |comm| {
-            let r = comm.rank();
-            spgemm_2d(comm, grid, n, &at[r], &bt[r], &cfg)
-        },
-    )?;
-    let tiles: Vec<CsrMatrix> = tiles.iter().map(|t| (**t).clone()).collect();
+    let (tiles, report) = run_pooled(run, ServePlan::SpGemm { block }, false, move |comm| {
+        let r = comm.rank();
+        spgemm_2d(comm, grid, n, &at[r], &bt[r], &cfg)
+    })?;
     Ok(JobOutput {
-        c: Product::Sparse(gather_csr(grid, &tiles)),
+        c: Product::Sparse(gather_csr_tiles(grid, tiles)),
         report,
     })
 }
 
-/// 2-D SDDMM: CSR sample tiles, dense operand tiles.
-#[allow(clippy::too_many_arguments)]
+/// 2-D SDDMM: CSR sample tiles, dense operand tiles that each rank cuts
+/// from the shared operands as [`run_dense`] does.
 fn run_sddmm<P: PoolExec>(
-    pool: &mut P,
-    grid: GridShape,
-    trace_jobs: bool,
-    job: &QueuedJob,
-    started: Instant,
+    run: JobRun<'_, P>,
     block: usize,
     s: &CsrMatrix,
-    a: &Matrix,
-    b: &Matrix,
+    a: Matrix,
+    b: Matrix,
 ) -> Result<JobOutput, JobError> {
-    let n = job.spec.n;
-    let st: Arc<Vec<Arc<CsrMatrix>>> =
-        Arc::new(scatter_csr(grid, s).into_iter().map(Arc::new).collect());
-    let dist = BlockDist::new(grid, n, n);
-    let at = Arc::new(dist.scatter(a));
-    let bt = Arc::new(dist.scatter(b));
+    let (n, grid) = (run.spec.n, run.grid);
+    let st = csr_tiles(grid, s);
+    let dist = Distribution::grid2d(grid, n, n);
+    let (a, b) = (Arc::new(a), Arc::new(b));
     let cfg = SparseConfig {
         block,
         ..SparseConfig::default()
     };
-    let (tiles, report) = run_pooled(
-        pool,
-        grid,
-        trace_jobs,
-        job,
-        ServePlan::Sddmm { block },
-        false,
-        started,
-        move |comm| {
-            let r = comm.rank();
-            sddmm_2d(comm, grid, n, &st[r], &at[r], &bt[r], &cfg)
-        },
-    )?;
-    let tiles: Vec<CsrMatrix> = tiles.iter().map(|t| (**t).clone()).collect();
+    let (tiles, report) = run_pooled(run, ServePlan::Sddmm { block }, false, move |comm| {
+        let r = comm.rank();
+        let at = dist.local_tile(&*a, r);
+        let bt = dist.local_tile(&*b, r);
+        sddmm_2d(comm, grid, n, &st[r], &at, &bt, &cfg)
+    })?;
     Ok(JobOutput {
-        c: Product::Sparse(gather_csr(grid, &tiles)),
+        c: Product::Sparse(gather_csr_tiles(grid, tiles)),
         report,
     })
+}
+
+/// `m`'s checkerboard CSR tiles, shareable with every rank.
+fn csr_tiles(grid: GridShape, m: &CsrMatrix) -> Arc<Vec<Arc<CsrMatrix>>> {
+    Arc::new(scatter_csr(grid, m).into_iter().map(Arc::new).collect())
+}
+
+/// Gathers the ranks' CSR result tiles, unwrapping each `Arc` (the rank
+/// that built a tile holds its only reference by now) instead of
+/// deep-cloning it.
+fn gather_csr_tiles(grid: GridShape, tiles: Vec<Arc<CsrMatrix>>) -> CsrMatrix {
+    let tiles: Vec<CsrMatrix> = tiles.into_iter().map(Arc::unwrap_or_clone).collect();
+    gather_csr(grid, &tiles)
 }
 
 /// The pooled-run tail every workload shares: run the SPMD closure under
 /// the job's deadline/fault options with per-job stat demarcation, then
 /// either hand back the per-rank values with a `Completed` report or
 /// diagnose the primary failure into a [`JobError`] carrying the report.
-#[allow(clippy::too_many_arguments)]
 fn run_pooled<P: PoolExec, T: Send + 'static>(
-    pool: &mut P,
-    grid: GridShape,
-    trace_jobs: bool,
-    job: &QueuedJob,
+    run: JobRun<'_, P>,
     plan: ServePlan,
     plan_cached: bool,
-    started: Instant,
     f: impl Fn(&mut Comm) -> Result<T, CommError> + Send + Sync + 'static,
 ) -> Result<(Vec<T>, JobReport), JobError> {
+    let JobRun {
+        pool,
+        grid,
+        trace_jobs,
+        id,
+        spec,
+        started,
+    } = run;
     let tracer = if trace_jobs {
         Tracer::new(grid.size())
     } else {
         Tracer::disabled()
     };
     let mut opts = JobOptions::default();
-    if let Some(d) = job.spec.deadline {
+    if let Some(d) = spec.deadline {
         opts = opts.with_deadline(d);
     }
-    if let Some(fp) = &job.spec.faults {
+    if let Some(fp) = &spec.faults {
         opts = opts.with_faults(Arc::clone(fp));
     }
     let run = pool.run_job(&tracer, &opts, f);
@@ -942,7 +947,7 @@ fn run_pooled<P: PoolExec, T: Send + 'static>(
             .iter()
             .fold(CommStats::default(), |acc, s| acc.merge(s));
         JobReport {
-            job_id: job.id,
+            job_id: id,
             plan,
             plan_desc: plan.describe(),
             plan_cached,

@@ -57,6 +57,30 @@ fn concurrent_mixed_size_clients_all_get_correct_products() {
 }
 
 #[test]
+fn served_cannon_job_copies_no_payload() {
+    // The server hands Cannon the tiles its ranks cut: a borrowed tile
+    // would be copied again, and that copy is counted as a payload clone.
+    let server = GemmServer::new(ServerConfig::new(GridShape::new(2, 2))).unwrap();
+    let n = 64;
+    let a = seeded_uniform(n, n, 41);
+    let b = seeded_uniform(n, n, 42);
+    let want = reference(&a, &b);
+    let cannon = PlanHint::Force(PlannedAlgo::Cannon {
+        kernel: GemmKernel::Packed,
+    });
+    let out = server
+        .submit(JobSpec::square(n).with_hint(cannon), a, b)
+        .unwrap()
+        .wait()
+        .expect("Cannon job must succeed");
+    assert_eq!(out.report.plan_desc, "cannon");
+    assert!(out.c.dense().approx_eq(&want, 1e-9));
+    let stats = out.report.merged_stats();
+    assert!(stats.msgs_sent > 0, "Cannon shifts tiles between ranks");
+    assert_eq!(stats.payload_clone_bytes, 0);
+}
+
+#[test]
 fn second_same_shape_job_hits_the_plan_cache_and_skips_the_sweep() {
     let server = GemmServer::new(ServerConfig::new(GridShape::new(2, 2))).unwrap();
     let submit = |n: usize, seed: u64| {

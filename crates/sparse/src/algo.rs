@@ -12,8 +12,9 @@
 //!   panels broadcast down [`bcast_sp`]'s binomial tree, with per-message
 //!   wire sizes proportional to each panel's own `nnz`;
 //! * [`sddmm_2d`] — `C = S ⊙ (A·B)` with sparse `S` and dense `A`, `B`:
-//!   the dense pivot panels ride the ordinary `bcast_mat` collectives
-//!   while `S` (and the output pattern) never leaves its tile.
+//!   the dense pivot panels ride the shared-panel `bcast_shared`
+//!   collectives, cut once by their owner, while `S` (and the output
+//!   pattern) never leaves its tile.
 
 use crate::comm::{bcast_sp, SparseComm, SparseLike};
 use hsumma_core::{pivot_offset, pivot_owner, tile_shape, MatLike};
@@ -158,25 +159,28 @@ pub fn sddmm_2d<C: SparseComm>(
     let col_comm = comm.split((grid.rows + gj) as u64, gi as i64)?;
 
     let mut acc = C::sddmm_acc(s);
-    let mut a_panel = C::Mat::zeros(th, bs);
-    let mut b_panel = C::Mat::zeros(bs, tw);
     let step_pairs = s.nnz() * bs;
     for k in 0..n / bs {
         comm.trace_step(k, bs, bs, || -> Result<(), CommError> {
+            // Each panel moves once: its owner cuts it into a shared
+            // matrix and every rank multiplies from the root's copy.
             let owner_col = pivot_owner(k, bs, tw);
-            if gj == owner_col {
-                a.block_into(0, pivot_offset(k, bs, tw), &mut a_panel);
-            }
-            row_comm.bcast_mat(cfg.bcast, owner_col, &mut a_panel)?;
+            let mine =
+                (gj == owner_col).then(|| row_comm.cut(a, 0, pivot_offset(k, bs, tw), th, bs));
+            let a_panel = row_comm.bcast_shared(cfg.bcast, owner_col, th, bs, mine)?;
 
             let owner_row = pivot_owner(k, bs, th);
-            if gi == owner_row {
-                b.block_into(pivot_offset(k, bs, th), 0, &mut b_panel);
-            }
-            col_comm.bcast_mat(cfg.bcast, owner_row, &mut b_panel)?;
+            let mine =
+                (gi == owner_row).then(|| col_comm.cut(b, pivot_offset(k, bs, th), 0, bs, tw));
+            let b_panel = col_comm.bcast_shared(cfg.bcast, owner_row, bs, tw, mine)?;
 
             comm.compute(step_pairs as f64, 2 * step_pairs as u64, || {
-                C::sddmm_step(&mut acc, s, &a_panel, &b_panel)
+                C::sddmm_step(
+                    &mut acc,
+                    s,
+                    C::shared_ref(&a_panel),
+                    C::shared_ref(&b_panel),
+                )
             });
             Ok(())
         })?;

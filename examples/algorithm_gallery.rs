@@ -54,7 +54,7 @@ fn main() {
     println!("C = A*B, n = {n}, 16 ranks on a 4x4 grid\n");
 
     run_algo("cannon", grid, n, &a, &b, &want, |comm, at, bt| {
-        cannon(comm, grid, n, &at, &bt, GemmKernel::Blocked).unwrap()
+        cannon(comm, grid, n, at, bt, GemmKernel::Blocked).unwrap()
     });
     run_algo("fox", grid, n, &a, &b, &want, |comm, at, bt| {
         fox(comm, grid, n, &at, &bt, GemmKernel::Blocked).unwrap()

@@ -77,7 +77,7 @@ fn all_four_algorithms_agree_on_a_square_grid() {
     let want = reference_product(&a, &b);
 
     let by_cannon = distributed_product(grid, n, &a, &b, |comm, at, bt| {
-        cannon(comm, grid, n, &at, &bt, GemmKernel::Blocked).unwrap()
+        cannon(comm, grid, n, at, bt, GemmKernel::Blocked).unwrap()
     });
     let by_fox = distributed_product(grid, n, &a, &b, |comm, at, bt| {
         fox(comm, grid, n, &at, &bt, GemmKernel::Blocked).unwrap()

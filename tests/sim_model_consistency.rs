@@ -220,11 +220,11 @@ fn real_and_sim_cannon_emit_identical_payload_multisets() {
         .collect();
     let real = real_trace(grid, |comm| {
         let t = &tiles[comm.rank()];
-        let _ = cannon(comm, grid, n, t, t, GemmKernel::Blocked);
+        let _ = cannon(comm, grid, n, t.clone(), t.clone(), GemmKernel::Blocked);
     });
     let sim = sim_trace(grid.size(), |comm| {
         let t = PhantomMat { rows: ts, cols: ts };
-        let _ = cannon(comm, grid, n, &t, &t, GemmKernel::Blocked);
+        let _ = cannon(comm, grid, n, t, t, GemmKernel::Blocked);
     });
     assert_same_sends(&real, &sim, "cannon");
 }

@@ -12,7 +12,10 @@
 //! 2. sparse `Arc<CsrMatrix>` panels, whose size depends on nnz:
 //!    `spgemm_2d` and `sddmm_2d` as the `distributed_*` drivers run them;
 //! 3. the segmenting broadcasts' `f64` segments: `bcast_f64` under
-//!    `Pipelined` and `ScatterAllgather`.
+//!    `Pipelined` and `ScatterAllgather`;
+//! 4. whole owned `Matrix` tiles: a served n = 512 job that a 2×2
+//!    `GemmServer` plans as Cannon, whose product must also match
+//!    Cannon on a bare `RankPool` bit for bit.
 //!
 //! A change to how the runtime sizes a message must leave every one of
 //! these sums bit-equal.
@@ -23,6 +26,7 @@ use hsumma_repro::matrix::{seeded_uniform, BlockDist, GridShape, Matrix};
 use hsumma_repro::runtime::collectives::bcast_f64;
 use hsumma_repro::runtime::{BcastAlgorithm, CommStats, PoolRun, RankPool};
 use hsumma_repro::sparse::{scatter_csr, sddmm_2d, spgemm_2d, SparseConfig};
+use hsumma_serve::{GemmServer, JobSpec, ServePlan, ServerConfig};
 use std::sync::Arc;
 
 /// World totals `(bytes_sent, bytes_recv, msgs_sent, msgs_recv)` of one
@@ -50,6 +54,44 @@ fn gemm_comm_shape_moves_the_pinned_bytes_and_messages() {
         })
         .expect("pool job");
     assert_eq!(ledger(&run), (3_145_728, 3_145_728, 888, 888));
+}
+
+#[test]
+fn served_cannon_moves_the_pinned_bytes_and_matches_pooled_cannon() {
+    let (grid, n) = (GridShape::new(2, 2), 512);
+    let a = seeded_uniform(n, n, 21);
+    let b = seeded_uniform(n, n, 22);
+    let server = GemmServer::new(ServerConfig::new(grid)).expect("start server");
+    let out = server
+        .submit(JobSpec::square(n), a.clone(), b.clone())
+        .expect("admitted")
+        .wait()
+        .expect("served");
+    let kernel = match out.report.plan {
+        ServePlan::Dense(PlannedAlgo::Cannon { kernel }) => kernel,
+        other => panic!("expected a Cannon plan, got {}", other.describe()),
+    };
+    let s = out.report.merged_stats();
+    assert_eq!((s.bytes_sent, s.msgs_sent), (10_485_760, 20));
+
+    // The same tiles through Cannon (the plan's only arm) on a bare pool.
+    let dist = Distribution::grid2d(grid, n, n);
+    let at = Arc::new(dist.scatter(&a));
+    let bt = Arc::new(dist.scatter(&b));
+    let plan = PlannedAlgo::Cannon { kernel };
+    let mut pool = RankPool::new(grid.size()).expect("spawn rank pool");
+    let run = pool
+        .run(move |comm| {
+            let r = comm.rank();
+            run_planned_gemm(&*comm, grid, n, n, n, &at[r], &bt[r], &plan).expect("cannon")
+        })
+        .expect("pool job");
+    let want = dist.gather(&run.results);
+    let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert!(
+        bits(out.c.dense()) == bits(&want),
+        "served Cannon differs from pooled Cannon"
+    );
 }
 
 const SPARSE_N: usize = 64;
