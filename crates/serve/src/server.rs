@@ -738,9 +738,9 @@ fn finish_job<P: PoolExec>(
     cell.finish(outcome);
 }
 
-/// Where and as what one job runs: its (sub-)pool and grid, its id and
-/// spec, and when execution began. The operands travel beside it, by
-/// value, so the workload paths can hand them to the ranks.
+/// One job's execution context: the (sub-)pool and grid it runs on, its
+/// id and spec, and when execution began. The operands travel beside it
+/// by value, so the workload paths can hand them to the ranks.
 struct JobRun<'a, P> {
     pool: &'a mut P,
     grid: GridShape,
