@@ -6,17 +6,19 @@
 //!
 //! * the threaded runtime's [`Comm`] — moves real [`Matrix`] payloads
 //!   between rank threads and measures wall-clock time;
-//! * the simulator's [`SimComm`] — moves [`PhantomMat`] payloads (shapes
-//!   only), advances [`hsumma_netsim::SimNet`] virtual clocks per the
-//!   Hockney model `α + m·β`, and charges local compute analytically at
-//!   `γ` seconds per multiply-add pair.
+//! * one phantom body for the simulator's [`SimComm`] and the recorder's
+//!   [`RecordComm`] — moves [`PhantomMat`] payloads (shapes only). The
+//!   simulator advances [`hsumma_netsim::SimNet`] virtual clocks per the
+//!   Hockney model `α + m·β` and charges local compute analytically at
+//!   `γ` seconds per multiply-add pair; the recorder writes the same
+//!   operations into a replayable program.
 //!
 //! Because the *same* per-rank program runs on both substrates, the
 //! simulator cannot drift from the executable code: the message schedule
-//! is defined exactly once. The simulator-side collective schedules below
-//! are rank-for-rank transliterations of
-//! `hsumma_runtime::collectives` (same trees, same segment dealing), which
-//! is what `tests/sim_golden_parity.rs` and
+//! is defined exactly once. That holds inside the collectives too: the
+//! phantom broadcast and reduce below, like `hsumma_runtime::collectives`,
+//! take every tree edge, segment and chunk from the schedule in
+//! `hsumma_trace`, which is what `tests/sim_golden_parity.rs` and
 //! `tests/sim_model_consistency.rs` pin down.
 //!
 //! Payload shapes are globally known in all these algorithms (each panel's
@@ -27,8 +29,9 @@
 use hsumma_matrix::factor::{lu_nopiv_inplace, qr_thin, trsm_left_lower_unit, trsm_right_upper};
 use hsumma_matrix::{gemm, gemm_scaled, GemmKernel, Matrix};
 use hsumma_netsim::{RecordComm, SimComm};
-use hsumma_runtime::collectives::{self, chunk_range};
+use hsumma_runtime::collectives;
 use hsumma_runtime::{BcastAlgorithm, Comm, CommError, WirePayload};
+use hsumma_trace::{allgather_rounds, bcast_edges, bcast_range, bcast_segments, reduce_edges};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -208,17 +211,6 @@ impl MatLike for PhantomMat {
     }
 }
 
-/// A pending nonblocking collective: the in-flight half of an
-/// `ibcast`-style `start`/`test`/`wait` protocol.
-///
-/// Handles are started by [`Communicator::ibcast_shared`], polled with
-/// [`Communicator::ibcast_test`] and completed with
-/// [`Communicator::ibcast_wait`]. They compose with the fallible
-/// communication machinery: a start sends through the normal (deadline-,
-/// cancellation- and fault-checked) send path, and a wait receives
-/// through the normal receive path, so a dropped or delayed in-flight
-/// broadcast surfaces as a [`CommError`] naming the stalled edge rather
-/// than a hang or a torn buffer.
 /// Wire-tag band for in-flight panel broadcasts: a caller's ibcast tag
 /// is offset into the collective region (`≥ COLLECTIVE_TAG_FLOOR`,
 /// `1 << 62`) so fault rules written against `TagClass::Collective`
@@ -233,24 +225,25 @@ pub const IBCAST_TAG_BASE: u64 = (1 << 62) + (1 << 48);
 /// smaller than this.
 pub const IBCAST_TAG_SPAN: u64 = 1 << 48;
 
-pub trait CollectiveHandle {
-    /// Root rank (communicator-local) the payload originates from.
-    fn root(&self) -> usize;
-    /// Wire tag the collective's messages travel under.
-    fn tag(&self) -> u64;
-    /// Whether the payload is already locally available, i.e. `wait`
-    /// will return without blocking. Always true at the root.
-    fn is_complete(&self) -> bool;
-}
-
-/// Handle to one in-flight nonblocking panel broadcast
-/// ([`Communicator::ibcast_shared`]). Generic over the substrate's
-/// [`Communicator::Shared`] payload, so the same handle type serves both
-/// the threaded runtime (`Arc<Matrix>`) and the simulator
-/// ([`PhantomMat`]).
+/// Handle to one nonblocking panel broadcast: the in-flight half of an
+/// `ibcast`-style `start`/`test`/`wait` protocol. Generic over
+/// the substrate's [`Communicator::Shared`] payload, so the same handle
+/// type serves both the threaded runtime (`Arc<Matrix>`) and the
+/// simulator ([`PhantomMat`]).
+///
+/// Handles are started by [`Communicator::ibcast_shared`], polled with
+/// [`Communicator::ibcast_test`] and completed with
+/// [`Communicator::ibcast_wait`]. They compose with the fallible
+/// communication machinery: a start sends through the normal (deadline-,
+/// cancellation- and fault-checked) send path, and a wait receives
+/// through the normal receive path, so a dropped or delayed in-flight
+/// broadcast surfaces as a [`CommError`] naming the stalled edge rather
+/// than a hang or a torn buffer.
 #[derive(Debug)]
 pub struct PanelBcast<S> {
+    /// Root rank (communicator-local) the payload originates from.
     root: usize,
+    /// Wire tag the broadcast's messages travel under.
     tag: u64,
     rows: usize,
     cols: usize,
@@ -270,16 +263,6 @@ impl<S> PanelBcast<S> {
         }
     }
 
-    /// Row count of the broadcast panel.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Column count of the broadcast panel.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Records the received panel (used by the substrates' `test`/`wait`).
     fn fulfill(&mut self, panel: S) {
         debug_assert!(self.got.is_none(), "broadcast fulfilled twice");
@@ -288,18 +271,6 @@ impl<S> PanelBcast<S> {
 
     fn take(self) -> (usize, u64, usize, usize, Option<S>) {
         (self.root, self.tag, self.rows, self.cols, self.got)
-    }
-}
-
-impl<S> CollectiveHandle for PanelBcast<S> {
-    fn root(&self) -> usize {
-        self.root
-    }
-    fn tag(&self) -> u64 {
-        self.tag
-    }
-    fn is_complete(&self) -> bool {
-        self.got.is_some()
     }
 }
 
@@ -567,10 +538,10 @@ impl Communicator for Comm {
     }
 
     fn ibcast_test(&self, handle: &mut PanelBcast<Arc<Matrix>>) -> Result<bool, CommError> {
-        if handle.is_complete() {
+        if handle.got.is_some() {
             return Ok(true);
         }
-        match self.try_recv::<Arc<Matrix>>(handle.root(), handle.tag())? {
+        match self.try_recv::<Arc<Matrix>>(handle.root, handle.tag)? {
             Some(panel) => {
                 handle.fulfill(panel);
                 Ok(true)
@@ -643,28 +614,37 @@ impl Communicator for Comm {
 }
 
 // ---------------------------------------------------------------------------
-// Simulated substrate: phantom payloads over SimNet clocks.
+// Phantom substrates: shapes over simulated clocks or into a recording.
 // ---------------------------------------------------------------------------
 
 // Collective wire tags, far above any tag the algorithms use (the largest
 // algorithm tag is overlap's `2·steps + 2³²`).
 const SIM_TAG_BCAST: u64 = 1 << 62;
-const SIM_TAG_PIPELINE: u64 = (1 << 62) + 1;
-const SIM_TAG_SCATTER: u64 = (1 << 62) + 2;
 const SIM_TAG_ALLGATHER: u64 = (1 << 62) + 3;
 const SIM_TAG_REDUCE: u64 = (1 << 62) + 4;
 
-/// Rank algebra plus raw byte point-to-point: the minimal surface the
-/// simulator-side collective schedules below need. Implemented by the
-/// clock-advancing [`SimComm`] and the schedule-recording [`RecordComm`],
-/// so one transliteration of the runtime's collectives serves both — the
-/// recorded tree edges are definitionally the ones the threaded simulator
-/// walks.
-trait ByteComm {
+/// Rank algebra, raw byte point-to-point and the simulator hooks: all a
+/// phantom substrate must supply for the one [`Communicator`] body below.
+/// Implemented by the clock-advancing [`SimComm`] and the
+/// schedule-recording [`RecordComm`], so the recorded tree edges are
+/// definitionally the ones the threaded simulator walks.
+trait ByteComm: Sized {
     fn rank(&self) -> usize;
     fn size(&self) -> usize;
+    fn split(&self, color: u64, key: i64) -> Result<Self, CommError>;
     fn send_bytes(&self, dst: usize, tag: u64, bytes: u64) -> Result<(), CommError>;
+    /// A collective's receive. The shapes are globally known, so the
+    /// byte count is not inspected.
     fn recv_bytes(&self, src: usize, tag: u64) -> Result<u64, CommError>;
+    /// A tile's receive, whose byte count must be `bytes`: checked when
+    /// the message arrives, or by the replay engine for a recording.
+    fn recv_bytes_expect(&self, src: usize, tag: u64, bytes: u64) -> Result<(), CommError>;
+    /// Receives from `src` only if the message has already arrived.
+    fn try_recv_bytes(&self, src: usize, tag: u64) -> Result<Option<u64>, CommError>;
+    fn barrier(&self) -> Result<(), CommError>;
+    fn maybe_step_sync(&self) -> Result<(), CommError>;
+    fn compute(&self, pairs: f64, flops: u64);
+    fn trace_step<R>(&self, k: usize, outer: usize, inner: usize, f: impl FnOnce() -> R) -> R;
 }
 
 impl ByteComm for SimComm<'_> {
@@ -674,11 +654,34 @@ impl ByteComm for SimComm<'_> {
     fn size(&self) -> usize {
         SimComm::size(self)
     }
+    fn split(&self, color: u64, key: i64) -> Result<Self, CommError> {
+        SimComm::split(self, color, key)
+    }
     fn send_bytes(&self, dst: usize, tag: u64, bytes: u64) -> Result<(), CommError> {
         SimComm::send_bytes(self, dst, tag, bytes)
     }
     fn recv_bytes(&self, src: usize, tag: u64) -> Result<u64, CommError> {
         SimComm::recv_bytes(self, src, tag)
+    }
+    fn recv_bytes_expect(&self, src: usize, tag: u64, bytes: u64) -> Result<(), CommError> {
+        let got = SimComm::recv_bytes(self, src, tag)?;
+        assert_eq!(got, bytes, "phantom payload size mismatch");
+        Ok(())
+    }
+    fn try_recv_bytes(&self, src: usize, tag: u64) -> Result<Option<u64>, CommError> {
+        SimComm::try_recv_bytes(self, src, tag)
+    }
+    fn barrier(&self) -> Result<(), CommError> {
+        SimComm::barrier(self)
+    }
+    fn maybe_step_sync(&self) -> Result<(), CommError> {
+        SimComm::maybe_step_sync(self)
+    }
+    fn compute(&self, pairs: f64, flops: u64) {
+        SimComm::compute(self, pairs, flops)
+    }
+    fn trace_step<R>(&self, k: usize, outer: usize, inner: usize, f: impl FnOnce() -> R) -> R {
+        SimComm::trace_step(self, k, outer, inner, f)
     }
 }
 
@@ -689,28 +692,57 @@ impl ByteComm for RecordComm<'_> {
     fn size(&self) -> usize {
         RecordComm::size(self)
     }
+    fn split(&self, color: u64, key: i64) -> Result<Self, CommError> {
+        RecordComm::split(self, color, key)
+    }
     fn send_bytes(&self, dst: usize, tag: u64, bytes: u64) -> Result<(), CommError> {
         RecordComm::send_bytes(self, dst, tag, bytes)
     }
     fn recv_bytes(&self, src: usize, tag: u64) -> Result<u64, CommError> {
-        // Collective receives never inspect the byte count (the shapes
-        // are globally known), so the recorded op is unchecked.
         self.recv_bytes_unchecked(src, tag)
+    }
+    fn recv_bytes_expect(&self, src: usize, tag: u64, bytes: u64) -> Result<(), CommError> {
+        RecordComm::recv_bytes_expect(self, src, tag, bytes)
+    }
+    fn try_recv_bytes(&self, _src: usize, _tag: u64) -> Result<Option<u64>, CommError> {
+        // "Has the message arrived *yet*?" is a question about the
+        // virtual clock that a sequential recording pass cannot answer.
+        // Schedules that poll (hsumma_overlap's adaptive handoff) are
+        // data-dependent on timing and therefore not schedule-as-data;
+        // run them on the threaded sim engine. The default
+        // `ibcast_shared`/`ibcast_wait` pair (summa_overlap) records
+        // fine: its message schedule is timing-independent.
+        unimplemented!(
+            "ibcast_test polls the virtual clock, which a sequential recording pass \
+             cannot observe; timing-adaptive schedules are not recordable"
+        )
+    }
+    fn barrier(&self) -> Result<(), CommError> {
+        RecordComm::barrier(self)
+    }
+    fn maybe_step_sync(&self) -> Result<(), CommError> {
+        RecordComm::maybe_step_sync(self)
+    }
+    fn compute(&self, pairs: f64, flops: u64) {
+        RecordComm::compute(self, pairs, flops)
+    }
+    fn trace_step<R>(&self, k: usize, outer: usize, inner: usize, f: impl FnOnce() -> R) -> R {
+        RecordComm::trace_step(self, k, outer, inner, f)
     }
 }
 
-impl<'w> Communicator for SimComm<'w> {
+impl<B: ByteComm> Communicator for B {
     type Mat = PhantomMat;
     type Shared = PhantomMat;
 
     fn rank(&self) -> usize {
-        SimComm::rank(self)
+        ByteComm::rank(self)
     }
     fn size(&self) -> usize {
-        SimComm::size(self)
+        ByteComm::size(self)
     }
     fn split(&self, color: u64, key: i64) -> Result<Self, CommError> {
-        SimComm::split(self, color, key)
+        ByteComm::split(self, color, key)
     }
 
     fn send_mat(&self, dst: usize, tag: u64, mat: PhantomMat) -> Result<(), CommError> {
@@ -723,8 +755,7 @@ impl<'w> Communicator for SimComm<'w> {
         rows: usize,
         cols: usize,
     ) -> Result<PhantomMat, CommError> {
-        let got = self.recv_bytes(src, tag)?;
-        assert_eq!(got, mat_bytes(rows, cols), "phantom payload size mismatch");
+        self.recv_bytes_expect(src, tag, mat_bytes(rows, cols))?;
         Ok(PhantomMat { rows, cols })
     }
 
@@ -745,20 +776,18 @@ impl<'w> Communicator for SimComm<'w> {
     }
 
     fn ibcast_test(&self, handle: &mut PanelBcast<PhantomMat>) -> Result<bool, CommError> {
-        if handle.is_complete() {
+        if handle.got.is_some() {
             return Ok(true);
         }
-        match self.try_recv_bytes(handle.root(), handle.tag())? {
+        let (rows, cols) = (handle.rows, handle.cols);
+        match self.try_recv_bytes(handle.root, handle.tag)? {
             Some(bytes) => {
                 assert_eq!(
                     bytes,
-                    mat_bytes(handle.rows(), handle.cols()),
+                    mat_bytes(rows, cols),
                     "phantom payload size mismatch"
                 );
-                handle.fulfill(PhantomMat {
-                    rows: handle.rows(),
-                    cols: handle.cols(),
-                });
+                handle.fulfill(PhantomMat { rows, cols });
                 Ok(true)
             }
             None => Ok(false),
@@ -776,283 +805,71 @@ impl<'w> Communicator for SimComm<'w> {
         cols: usize,
         panel: Option<PhantomMat>,
     ) -> Result<PhantomMat, CommError> {
-        phantom_bcast(self, algo, root, rows, cols, panel)
-    }
-    fn reduce_sum_mat(&self, root: usize, mat: &mut PhantomMat) -> Result<(), CommError> {
-        assert!(root < self.size(), "root out of range");
-        sim_reduce(self, root, mat.elems())
-    }
-    fn barrier(&self) -> Result<(), CommError> {
-        SimComm::barrier(self)
-    }
-    fn maybe_step_sync(&self) -> Result<(), CommError> {
-        SimComm::maybe_step_sync(self)
-    }
-
-    fn compute<R>(&self, pairs: f64, flops: u64, f: impl FnOnce() -> R) -> R {
-        SimComm::compute(self, pairs, flops);
-        f()
-    }
-    fn trace_step<R>(&self, k: usize, outer: usize, inner: usize, f: impl FnOnce() -> R) -> R {
-        SimComm::trace_step(self, k, outer, inner, f)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Recording substrate: phantom payloads into a flat op program.
-// ---------------------------------------------------------------------------
-
-impl<'r> Communicator for RecordComm<'r> {
-    type Mat = PhantomMat;
-    type Shared = PhantomMat;
-
-    fn rank(&self) -> usize {
-        RecordComm::rank(self)
-    }
-    fn size(&self) -> usize {
-        RecordComm::size(self)
-    }
-    fn split(&self, color: u64, key: i64) -> Result<Self, CommError> {
-        RecordComm::split(self, color, key)
-    }
-
-    fn send_mat(&self, dst: usize, tag: u64, mat: PhantomMat) -> Result<(), CommError> {
-        RecordComm::send_bytes(self, dst, tag, mat.payload_bytes())
-    }
-    fn recv_mat(
-        &self,
-        src: usize,
-        tag: u64,
-        rows: usize,
-        cols: usize,
-    ) -> Result<PhantomMat, CommError> {
-        // The shape is known here, so the recorded op carries the exact
-        // byte count and the replay engine re-asserts it — the same
-        // check `SimComm::recv_mat` performs at run time.
-        self.recv_bytes_expect(src, tag, mat_bytes(rows, cols))?;
+        assert!(root < Communicator::size(self), "root out of range");
+        assert!(
+            panel.is_some() || Communicator::rank(self) != root,
+            "root must supply the value"
+        );
+        sim_bcast(self, algo, root, rows * cols)?;
         Ok(PhantomMat { rows, cols })
     }
-
-    fn shared_ref(shared: &PhantomMat) -> &PhantomMat {
-        shared
-    }
-    fn send_shared(&self, dst: usize, tag: u64, shared: &PhantomMat) -> Result<(), CommError> {
-        RecordComm::send_bytes(self, dst, tag, shared.payload_bytes())
-    }
-    fn recv_shared(
-        &self,
-        src: usize,
-        tag: u64,
-        rows: usize,
-        cols: usize,
-    ) -> Result<PhantomMat, CommError> {
-        Communicator::recv_mat(self, src, tag, rows, cols)
-    }
-
-    fn ibcast_test(&self, _handle: &mut PanelBcast<PhantomMat>) -> Result<bool, CommError> {
-        // `ibcast_test` asks "has the message arrived *yet*?" — a
-        // question about the virtual clock that a sequential recording
-        // pass cannot answer. Schedules that poll (hsumma_overlap's
-        // adaptive handoff) are data-dependent on timing and therefore
-        // not schedule-as-data; run them on the threaded sim engine.
-        // The default `ibcast_shared`/`ibcast_wait` pair (summa_overlap)
-        // records fine: its message schedule is timing-independent.
-        unimplemented!(
-            "ibcast_test polls the virtual clock, which a sequential recording pass \
-             cannot observe; timing-adaptive schedules are not recordable"
-        )
-    }
-
-    fn cut(&self, src: &PhantomMat, r0: usize, c0: usize, rows: usize, cols: usize) -> PhantomMat {
-        src.block(r0, c0, rows, cols)
-    }
-    fn bcast_shared(
-        &self,
-        algo: BcastAlgorithm,
-        root: usize,
-        rows: usize,
-        cols: usize,
-        panel: Option<PhantomMat>,
-    ) -> Result<PhantomMat, CommError> {
-        phantom_bcast(self, algo, root, rows, cols, panel)
-    }
     fn reduce_sum_mat(&self, root: usize, mat: &mut PhantomMat) -> Result<(), CommError> {
-        assert!(root < self.size(), "root out of range");
+        assert!(root < Communicator::size(self), "root out of range");
         sim_reduce(self, root, mat.elems())
     }
     fn barrier(&self) -> Result<(), CommError> {
-        RecordComm::barrier(self)
+        ByteComm::barrier(self)
     }
     fn maybe_step_sync(&self) -> Result<(), CommError> {
-        RecordComm::maybe_step_sync(self)
+        ByteComm::maybe_step_sync(self)
     }
 
     fn compute<R>(&self, pairs: f64, flops: u64, f: impl FnOnce() -> R) -> R {
-        RecordComm::compute(self, pairs, flops);
+        ByteComm::compute(self, pairs, flops);
         f()
     }
     fn trace_step<R>(&self, k: usize, outer: usize, inner: usize, f: impl FnOnce() -> R) -> R {
-        RecordComm::trace_step(self, k, outer, inner, f)
+        ByteComm::trace_step(self, k, outer, inner, f)
     }
 }
 
-/// [`Communicator::bcast_shared`] on a phantom substrate: the root's
-/// panel (or its shape, everywhere else) after [`sim_bcast`]'s schedule.
-fn phantom_bcast<C: ByteComm>(
-    comm: &C,
-    algo: BcastAlgorithm,
-    root: usize,
-    rows: usize,
-    cols: usize,
-    panel: Option<PhantomMat>,
-) -> Result<PhantomMat, CommError> {
-    assert!(root < comm.size(), "root out of range");
-    assert!(
-        panel.is_some() || comm.rank() != root,
-        "root must supply the value"
-    );
-    sim_bcast(comm, algo, root, rows * cols)?;
-    Ok(PhantomMat { rows, cols })
-}
-
-/// Phantom-payload broadcast of `elems` `f64`s: the same per-rank message
-/// schedules as `hsumma_runtime::collectives::bcast_f64`, expressed SPMD
-/// over virtual clocks. Segmenting algorithms deal *elements* with
-/// [`chunk_range`], exactly like the runtime, so segment wire sizes match
-/// message-for-message.
+/// Phantom-payload broadcast of `elems` `f64`s: the runtime's
+/// `bcast_f64` walk, with byte counts in place of buffers. Each message
+/// carries the current segment's part of the receiving subtree's range.
 fn sim_bcast<C: ByteComm>(
     comm: &C,
     algo: BcastAlgorithm,
     root: usize,
     elems: usize,
 ) -> Result<(), CommError> {
-    let p = comm.size();
-    if p == 1 {
-        return Ok(());
+    let (p, me) = (comm.size(), comm.rank());
+    let (parent, children) = bcast_edges(algo, p, root, me);
+    for (slo, shi) in bcast_segments(algo, elems) {
+        if let Some(src) = parent {
+            comm.recv_bytes(src, SIM_TAG_BCAST)?;
+        }
+        for dst in children.clone() {
+            let (lo, hi) = bcast_range(algo, p, root, dst, elems);
+            comm.send_bytes(dst, SIM_TAG_BCAST, mat_bytes(1, hi.min(shi) - lo.max(slo)))?;
+        }
     }
-    let me = comm.rank();
-    let vrank = (me + p - root) % p;
-    let unvirt = |v: usize| (v + root) % p;
-    let bytes = mat_bytes(1, elems);
-    match algo {
-        BcastAlgorithm::Flat => {
-            // The runtime's root sends in *local-rank* order, not virtual
-            // order — mirrored here so arrival times line up.
-            if me == root {
-                for dst in 0..p {
-                    if dst != root {
-                        comm.send_bytes(dst, SIM_TAG_BCAST, bytes)?;
-                    }
-                }
-            } else {
-                comm.recv_bytes(root, SIM_TAG_BCAST)?;
-            }
-        }
-        BcastAlgorithm::Binomial => {
-            if vrank != 0 {
-                let high = 1usize << (usize::BITS - 1 - vrank.leading_zeros());
-                comm.recv_bytes(unvirt(vrank - high), SIM_TAG_BCAST)?;
-            }
-            let mut mask = 1usize;
-            while mask < p {
-                if mask > vrank && vrank + mask < p {
-                    comm.send_bytes(unvirt(vrank + mask), SIM_TAG_BCAST, bytes)?;
-                }
-                mask <<= 1;
-            }
-        }
-        BcastAlgorithm::Binary => {
-            if vrank != 0 {
-                comm.recv_bytes(unvirt((vrank - 1) / 2), SIM_TAG_BCAST)?;
-            }
-            for child in [2 * vrank + 1, 2 * vrank + 2] {
-                if child < p {
-                    comm.send_bytes(unvirt(child), SIM_TAG_BCAST, bytes)?;
-                }
-            }
-        }
-        BcastAlgorithm::Ring => {
-            if vrank != 0 {
-                comm.recv_bytes(unvirt(vrank - 1), SIM_TAG_BCAST)?;
-            }
-            if vrank + 1 < p {
-                comm.send_bytes(unvirt(vrank + 1), SIM_TAG_BCAST, bytes)?;
-            }
-        }
-        BcastAlgorithm::Pipelined { segments } => {
-            assert!(segments >= 1, "need at least one segment");
-            let segments = segments.min(elems.max(1));
-            let prev = unvirt(vrank + p - 1);
-            let next = unvirt(vrank + 1);
-            for s in 0..segments {
-                let (lo, hi) = chunk_range(elems, segments, s);
-                if vrank > 0 {
-                    comm.recv_bytes(prev, SIM_TAG_PIPELINE)?;
-                }
-                if vrank + 1 < p {
-                    comm.send_bytes(next, SIM_TAG_PIPELINE, mat_bytes(1, hi - lo))?;
-                }
-            }
-        }
-        BcastAlgorithm::ScatterAllgather => {
-            // Binomial scatter: virtual rank v relays the chunks of
-            // virtual ranks [v, v + extent), extent = v's lowest set bit
-            // (everything for the root). The runtime's relay messages
-            // carry a shared buffer; on the wire the *useful* payload of
-            // an edge is its subtree's chunk range, which is what the
-            // analytic model (and the old central replay) charges.
-            let p2 = p.next_power_of_two();
-            let my_extent = if vrank == 0 {
-                p2
-            } else {
-                vrank & vrank.wrapping_neg()
-            };
-            if vrank != 0 {
-                comm.recv_bytes(unvirt(vrank - my_extent), SIM_TAG_SCATTER)?;
-            }
-            let mut mask = my_extent >> 1;
-            while mask > 0 {
-                let child = vrank + mask;
-                if child < p {
-                    let hi_v = (child + mask).min(p);
-                    let (lo, _) = chunk_range(elems, p, child);
-                    let (_, hi) = chunk_range(elems, p, hi_v - 1);
-                    comm.send_bytes(unvirt(child), SIM_TAG_SCATTER, mat_bytes(1, hi - lo))?;
-                }
-                mask >>= 1;
-            }
-            // Ring allgather: round k sends chunk (v−k), receives (v−k−1).
-            let next = unvirt(vrank + 1);
-            let prev = unvirt(vrank + p - 1);
-            for k in 0..p - 1 {
-                let send_chunk = (vrank + p - k) % p;
-                let (slo, shi) = chunk_range(elems, p, send_chunk);
-                comm.send_bytes(next, SIM_TAG_ALLGATHER, mat_bytes(1, shi - slo))?;
-                comm.recv_bytes(prev, SIM_TAG_ALLGATHER)?;
-            }
-        }
+    for (next, (lo, hi), prev, _) in allgather_rounds(algo, p, root, me, elems) {
+        comm.send_bytes(next, SIM_TAG_ALLGATHER, mat_bytes(1, hi - lo))?;
+        comm.recv_bytes(prev, SIM_TAG_ALLGATHER)?;
     }
     Ok(())
 }
 
-/// Phantom binomial-tree sum reduction, mirroring
-/// `hsumma_runtime::collectives::reduce_sum_f64` (leaves send first; the
-/// element-wise adds are uncharged there and so charge nothing here).
+/// Phantom binomial-tree sum reduction: the runtime's `reduce_sum_f64`
+/// walk (its element-wise adds are uncharged there and so charge nothing
+/// here).
 fn sim_reduce<C: ByteComm>(comm: &C, root: usize, elems: usize) -> Result<(), CommError> {
-    let p = comm.size();
-    let vrank = (comm.rank() + p - root) % p;
-    let unvirt = |v: usize| (v + root) % p;
-    let bytes = mat_bytes(1, elems);
-    let mut mask = 1usize;
-    while mask < p {
-        if vrank & mask != 0 {
-            comm.send_bytes(unvirt(vrank ^ mask), SIM_TAG_REDUCE, bytes)?;
-            return Ok(());
-        }
-        if vrank + mask < p {
-            comm.recv_bytes(unvirt(vrank + mask), SIM_TAG_REDUCE)?;
-        }
-        mask <<= 1;
+    let (children, parent) = reduce_edges(comm.size(), root, comm.rank());
+    for src in children {
+        comm.recv_bytes(src, SIM_TAG_REDUCE)?;
+    }
+    if let Some(dst) = parent {
+        comm.send_bytes(dst, SIM_TAG_REDUCE, mat_bytes(1, elems))?;
     }
     Ok(())
 }

@@ -63,7 +63,7 @@ pub mod tuning;
 pub mod twodotfive;
 
 pub use cannon::cannon;
-pub use comm::{CollectiveHandle, Communicator, MatLike, PanelBcast, PhantomMat};
+pub use comm::{Communicator, MatLike, PanelBcast, PhantomMat};
 pub use cosma::{cosma, reduce_scatter_gather, CosmaConfig};
 pub use cyclic::summa_cyclic;
 pub use distribution::{redistribute, BrickDecomp, Distribution};

@@ -10,15 +10,15 @@
 //!
 //! The 1-D "deal `len` elements over `p` parts" helper used by the
 //! segmented collectives is [`chunk_range`], re-exported from the
-//! runtime so core-side schedule code has a single import path. It is
-//! also the dealing rule behind [`crate::distribution::Distribution`]'s
-//! checkerboard constructor, which drops the divisibility requirement
-//! entirely; the exact-cover invariant both must satisfy is property
-//! tested below.
+//! broadcast schedule in `hsumma-trace` so core-side schedule code has a
+//! single import path. It is also the dealing rule behind
+//! [`crate::distribution::Distribution`]'s checkerboard constructor,
+//! which drops the divisibility requirement entirely; the exact-cover
+//! invariant both must satisfy is property tested below.
 
 use hsumma_matrix::GridShape;
 
-pub use hsumma_runtime::collectives::chunk_range;
+pub use hsumma_trace::chunk_range;
 
 /// Global operand dimensions of `C(M×N) = A(M×L) · B(L×N)` — Algorithm 1
 /// of the paper is stated for general `(M, L, N)`; the pivot traversal

@@ -4,22 +4,16 @@
 //! choose from — trees for short messages, pipelined or scatter/allgather
 //! schemes for long ones — and analyses SUMMA/HSUMMA under two of them
 //! (binomial tree and van de Geijn's scatter + allgather, §IV). This module
-//! implements the full menu over the runtime's point-to-point layer so the
+//! executes the full menu over the runtime's point-to-point layer so the
 //! distributed algorithms can be parameterized by broadcast algorithm, just
-//! as the analysis is:
+//! as the analysis is. [`BcastAlgorithm`] lists each one's model cost.
 //!
-//! | [`BcastAlgorithm`] | messages on the critical path | model cost |
-//! |---|---|---|
-//! | `Flat` | root sends `p−1` copies | `(p−1)(α+mβ)` |
-//! | `Binomial` | `⌈log₂p⌉` rounds of full copies | `log₂(p)(α+mβ)` |
-//! | `Binary` | depth `⌊log₂p⌋` tree, 2 sends per node | `≈2log₂(p)(α+mβ)` |
-//! | `Ring` | chain of `p−1` full copies | `(p−1)(α+mβ)` |
-//! | `Pipelined{s}` | chain of `p−1+s−1` segments | `(p+s−2)(α+mβ/s)` |
-//! | `ScatterAllgather` | binomial scatter + ring allgather | `(log₂p+p−1)α + 2((p−1)/p)mβ` |
-//!
-//! Reductions and the barrier follow the textbook constructions
-//! (binomial reduce, dissemination barrier). Every message is sized by
-//! its payload's [`WirePayload`] hook, as point-to-point sends are.
+//! The schedules themselves — tree edges, segments, scatter ranges,
+//! allgather rounds and reduce partners — come from `hsumma-trace`, the
+//! leaf crate the simulator takes them from too; this module only moves
+//! payloads along them. The barrier is the textbook dissemination
+//! barrier. Every message is sized by its payload's [`WirePayload`] hook,
+//! as point-to-point sends are.
 //!
 //! Every collective returns `Result<_, CommError>`: a blocked rank whose
 //! job deadline passes (or whose job is cancelled, or whose peer dies)
@@ -28,7 +22,10 @@
 
 use crate::comm::{Comm, INTERNAL_TAG_BASE};
 use crate::message::Tag;
-use hsumma_trace::{CommError, WirePayload};
+use hsumma_trace::{
+    allgather_rounds, bcast_edges, bcast_range, bcast_segments, reduce_edges, BcastAlgorithm,
+    CommError, WirePayload,
+};
 use std::any::Any;
 use std::sync::Arc;
 
@@ -38,11 +35,6 @@ const TAG_REDUCE: Tag = INTERNAL_TAG_BASE + 19;
 const TAG_SCATTER: Tag = INTERNAL_TAG_BASE + 20;
 const TAG_ALLGATHER: Tag = INTERNAL_TAG_BASE + 21;
 const TAG_PIPELINE: Tag = INTERNAL_TAG_BASE + 22;
-
-// The algorithm selector itself lives in `hsumma-trace` (the leaf crate
-// both substrates depend on) so the runtime and the simulator cannot
-// drift; this module provides the executable schedules for it.
-pub use hsumma_trace::{auto_bcast, BcastAlgorithm};
 
 /// Dissemination barrier: `⌈log₂ p⌉` rounds, no root.
 pub fn barrier(comm: &Comm) -> Result<(), CommError> {
@@ -90,12 +82,7 @@ pub fn bcast<T: Any + Send + Clone + WirePayload>(
 }
 
 /// One rank's part in a whole-message broadcast on `tag`: receive from
-/// its parent in `algo`'s tree (in virtual ranks, the root is 0), then
-/// send to its children. The binomial tree is the simulator's: in round
-/// `mask = 1, 2, 4, …` every virtual rank `v < mask` sends to
-/// `v + mask`, so each rank receives from itself with the highest set
-/// bit cleared. Keeping both substrates on the *same* trees is what lets
-/// traces of real and simulated runs be compared message for message.
+/// its parent in `algo`'s tree, then send to its children.
 pub(crate) fn bcast_tree<T: Any + Send + Clone + WirePayload>(
     comm: &Comm,
     algo: BcastAlgorithm,
@@ -103,59 +90,15 @@ pub(crate) fn bcast_tree<T: Any + Send + Clone + WirePayload>(
     tag: Tag,
     value: Option<T>,
 ) -> Result<T, CommError> {
-    let p = comm.size();
-    let vrank = (comm.rank() + p - root) % p;
-    let local = |v: usize| (v + root) % p;
-    let value = if vrank == 0 {
-        value.expect("root must supply the value")
-    } else {
-        let parent = match algo {
-            BcastAlgorithm::Flat => 0,
-            BcastAlgorithm::Binomial => vrank - (1 << vrank.ilog2()),
-            BcastAlgorithm::Binary => (vrank - 1) / 2,
-            BcastAlgorithm::Ring => vrank - 1,
-            BcastAlgorithm::Pipelined { .. } | BcastAlgorithm::ScatterAllgather => unreachable!(),
-        };
-        comm.recv_internal(local(parent), tag)?
+    let (parent, children) = bcast_edges(algo, comm.size(), root, comm.rank());
+    let value = match parent {
+        None => value.expect("root must supply the value"),
+        Some(parent) => comm.recv_internal(parent, tag)?,
     };
-    let send = |dst: usize| comm.send_internal(dst, tag, value.clone());
-    match algo {
-        // The flat root sends in local-rank order, not virtual order.
-        BcastAlgorithm::Flat if vrank == 0 => {
-            for dst in (0..p).filter(|&d| d != root) {
-                send(dst)?;
-            }
-        }
-        BcastAlgorithm::Binomial => {
-            let mut mask = 1usize;
-            while mask < p {
-                if mask > vrank && vrank + mask < p {
-                    send(local(vrank + mask))?;
-                }
-                mask <<= 1;
-            }
-        }
-        BcastAlgorithm::Binary => {
-            for child in [2 * vrank + 1, 2 * vrank + 2] {
-                if child < p {
-                    send(local(child))?;
-                }
-            }
-        }
-        BcastAlgorithm::Ring if vrank + 1 < p => send(local(vrank + 1))?,
-        _ => {}
+    for child in children {
+        comm.send_internal(child, tag, value.clone())?;
     }
     Ok(value)
-}
-
-/// Element range of chunk `i` when `len` elements are dealt over `p`
-/// near-equal chunks (first `len % p` chunks get one extra element).
-pub fn chunk_range(len: usize, p: usize, i: usize) -> (usize, usize) {
-    let base = len / p;
-    let rem = len % p;
-    let start = i * base + i.min(rem);
-    let extent = base + usize::from(i < rem);
-    (start, start + extent)
 }
 
 /// Broadcasts the `f64` buffer from `root` in place. All ranks must pass a
@@ -170,8 +113,7 @@ pub fn bcast_f64(
     data: &mut [f64],
 ) -> Result<(), CommError> {
     assert!(root < comm.size(), "root out of range");
-    let p = comm.size();
-    if p == 1 {
+    if comm.size() == 1 {
         return Ok(());
     }
     match algo {
@@ -194,45 +136,41 @@ pub fn bcast_f64(
             }
             Ok(())
         }
-        BcastAlgorithm::Pipelined { segments } => {
+        BcastAlgorithm::Pipelined { .. } => {
             comm.trace_collective("bcast", algo.name(), root, || {
-                bcast_pipelined(comm, root, data, segments)
+                bcast_pipelined(comm, algo, root, data)
             })
         }
         BcastAlgorithm::ScatterAllgather => {
             comm.trace_collective("bcast", algo.name(), root, || {
-                bcast_scatter_allgather(comm, root, data)
+                bcast_scatter_allgather(comm, algo, root, data)
             })
         }
     }
 }
 
-/// Chain pipeline: virtual rank k receives each segment from k−1 and
-/// forwards it to k+1 while already receiving the next one. The root
-/// materializes each segment once; every later hop forwards the same
-/// `Arc`-shared segment it received.
+/// Chain pipeline: each rank receives each segment from its predecessor
+/// and forwards it to its successor while already receiving the next
+/// one. The root materializes each segment once; every later hop
+/// forwards the same `Arc`-shared segment it received.
 fn bcast_pipelined(
     comm: &Comm,
+    algo: BcastAlgorithm,
     root: usize,
     data: &mut [f64],
-    segments: usize,
 ) -> Result<(), CommError> {
-    assert!(segments >= 1, "need at least one segment");
-    let p = comm.size();
-    let vrank = (comm.rank() + p - root) % p;
-    let prev = (vrank + p - 1 + root) % p;
-    let next = (vrank + 1 + root) % p;
-    let segments = segments.min(data.len().max(1));
-    for s in 0..segments {
-        let (lo, hi) = chunk_range(data.len(), segments, s);
-        let received: Option<Arc<Vec<f64>>> = if vrank > 0 {
-            let seg: Arc<Vec<f64>> = comm.recv_internal(prev, TAG_PIPELINE)?;
-            data[lo..hi].copy_from_slice(&seg);
-            Some(seg)
-        } else {
-            None
+    let (prev, mut children) = bcast_edges(algo, comm.size(), root, comm.rank());
+    let next = children.next();
+    for (lo, hi) in bcast_segments(algo, data.len()) {
+        let received: Option<Arc<Vec<f64>>> = match prev {
+            Some(prev) => {
+                let seg: Arc<Vec<f64>> = comm.recv_internal(prev, TAG_PIPELINE)?;
+                data[lo..hi].copy_from_slice(&seg);
+                Some(seg)
+            }
+            None => None,
         };
-        if vrank + 1 < p {
+        if let Some(next) = next {
             let seg = received.unwrap_or_else(|| {
                 comm.count_payload_clone(((hi - lo) * 8) as u64);
                 Arc::new(data[lo..hi].to_vec())
@@ -243,70 +181,69 @@ fn bcast_pipelined(
     Ok(())
 }
 
+/// A scatter message: the root's snapshot, shared by every hop, and the
+/// element range of the receiving subtree. Only that range goes on the
+/// wire, so a relay is priced at its subtree's chunks, not the snapshot.
+struct ScatterSlice {
+    buf: Arc<Vec<f64>>,
+    range: (usize, usize),
+}
+
+impl WirePayload for ScatterSlice {
+    fn payload_bytes(&self) -> u64 {
+        ((self.range.1 - self.range.0) * 8) as u64
+    }
+}
+
 /// Van de Geijn long-message broadcast: binomial-tree scatter of the `p`
 /// chunks, then a ring allgather. Bandwidth term `2(p−1)/p·mβ`, latency
 /// `(log₂p + p − 1)α`.
-fn bcast_scatter_allgather(comm: &Comm, root: usize, data: &mut [f64]) -> Result<(), CommError> {
-    let p = comm.size();
-    let len = data.len();
-    let vrank = (comm.rank() + p - root) % p;
-    let to_world = |v: usize| (v + root) % p;
+fn bcast_scatter_allgather(
+    comm: &Comm,
+    algo: BcastAlgorithm,
+    root: usize,
+    data: &mut [f64],
+) -> Result<(), CommError> {
+    let (p, me, len) = (comm.size(), comm.rank(), data.len());
 
-    // --- Binomial scatter ------------------------------------------------
-    // Virtual rank v is responsible for relaying the chunks of virtual
-    // ranks [v, v + extent) where extent is v's lowest set bit (the whole
-    // clipped range for the root). Messages are `(buffer, offset)` pairs:
-    // one `Arc`-shared buffer tagged with the global element index of its
-    // first element, so a relay hands its children a sub-view of the very
-    // buffer it received instead of slicing out fresh copies.
-    let p2 = p.next_power_of_two();
-    let my_extent = if vrank == 0 {
-        p2
-    } else {
-        vrank & vrank.wrapping_neg()
-    };
-    let relay: (Arc<Vec<f64>>, usize) = if vrank == 0 {
-        comm.count_payload_clone((len * 8) as u64);
-        (Arc::new(data.to_vec()), 0)
-    } else {
-        let parent = vrank - my_extent;
-        let hi_v = (vrank + my_extent).min(p);
-        let (lo, _) = chunk_range(len, p, vrank);
-        let (_, hi) = chunk_range(len, p, hi_v - 1);
-        let (buf, off): (Arc<Vec<f64>>, usize) =
-            comm.recv_internal(to_world(parent), TAG_SCATTER)?;
-        data[lo..hi].copy_from_slice(&buf[lo - off..hi - off]);
-        (buf, off)
-    };
-    let mut mask = my_extent >> 1;
-    while mask > 0 {
-        let child = vrank + mask;
-        if child < p {
-            comm.send_internal(to_world(child), TAG_SCATTER, relay.clone())?;
+    // Scatter: every message views the root's one snapshot, so a relay
+    // hands its children sub-ranges of the buffer it received instead of
+    // slicing out fresh copies.
+    let (parent, children) = bcast_edges(algo, p, root, me);
+    let snapshot = match parent {
+        None => {
+            comm.count_payload_clone((len * 8) as u64);
+            Arc::new(data.to_vec())
         }
-        mask >>= 1;
+        Some(parent) => {
+            let ScatterSlice {
+                buf,
+                range: (lo, hi),
+            } = comm.recv_internal(parent, TAG_SCATTER)?;
+            data[lo..hi].copy_from_slice(&buf[lo..hi]);
+            buf
+        }
+    };
+    for child in children {
+        let slice = ScatterSlice {
+            buf: Arc::clone(&snapshot),
+            range: bcast_range(algo, p, root, child, len),
+        };
+        comm.send_internal(child, TAG_SCATTER, slice)?;
     }
-    drop(relay);
+    drop(snapshot);
 
-    // --- Ring allgather ---------------------------------------------------
-    // Round k: send chunk (vrank − k) and receive chunk (vrank − k − 1),
-    // both mod p, from the ring neighbours. The chunk received in round k
-    // is exactly the chunk sent in round k+1, so each rank materializes
-    // only its *own* chunk (round 0) and forwards received `Arc`s after.
-    let next = to_world((vrank + 1) % p);
-    let prev = to_world((vrank + p - 1) % p);
+    // Allgather: the chunk received in one round is the one sent in the
+    // next, so each rank materializes only its *own* chunk (round 0) and
+    // forwards received `Arc`s after.
     let mut carry: Option<Arc<Vec<f64>>> = None;
-    for k in 0..p - 1 {
-        let send_chunk = (vrank + p - k) % p;
-        let recv_chunk = (vrank + p - k - 1) % p;
+    for (next, (slo, shi), prev, (rlo, rhi)) in allgather_rounds(algo, p, root, me, len) {
         let seg = carry.take().unwrap_or_else(|| {
-            let (slo, shi) = chunk_range(len, p, send_chunk);
             comm.count_payload_clone(((shi - slo) * 8) as u64);
             Arc::new(data[slo..shi].to_vec())
         });
         comm.send_internal(next, TAG_ALLGATHER, seg)?;
         let seg: Arc<Vec<f64>> = comm.recv_internal(prev, TAG_ALLGATHER)?;
-        let (rlo, rhi) = chunk_range(len, p, recv_chunk);
         data[rlo..rhi].copy_from_slice(&seg);
         carry = Some(seg);
     }
@@ -323,24 +260,18 @@ pub fn reduce<T: Any + Send + WirePayload>(
 ) -> Result<Option<T>, CommError> {
     assert!(root < comm.size(), "root out of range");
     comm.trace_collective("reduce", "binomial", root, || {
-        let p = comm.size();
-        let vrank = (comm.rank() + p - root) % p;
-        let to_world = |v: usize| (v + root) % p;
+        let (children, parent) = reduce_edges(comm.size(), root, comm.rank());
         let mut acc = value;
-        let mut mask = 1usize;
-        // Mirror image of the binomial broadcast: leaves send first.
-        while mask < p {
-            if vrank & mask != 0 {
-                comm.send_internal(to_world(vrank ^ mask), TAG_REDUCE, acc)?;
-                return Ok(None);
-            }
-            if vrank + mask < p {
-                let child: T = comm.recv_internal(to_world(vrank + mask), TAG_REDUCE)?;
-                acc = combine(acc, child);
-            }
-            mask <<= 1;
+        for child in children {
+            acc = combine(acc, comm.recv_internal(child, TAG_REDUCE)?);
         }
-        Ok(Some(acc))
+        match parent {
+            Some(parent) => {
+                comm.send_internal(parent, TAG_REDUCE, acc)?;
+                Ok(None)
+            }
+            None => Ok(Some(acc)),
+        }
     })
 }
 
@@ -363,27 +294,20 @@ pub fn allreduce<T: Any + Send + Clone + WirePayload>(
 pub fn reduce_sum_f64(comm: &Comm, root: usize, data: &mut [f64]) -> Result<(), CommError> {
     assert!(root < comm.size(), "root out of range");
     comm.trace_collective("reduce_sum", "binomial", root, || {
-        let p = comm.size();
-        let vrank = (comm.rank() + p - root) % p;
-        let to_world = |v: usize| (v + root) % p;
-        let mut mask = 1usize;
-        while mask < p {
-            if vrank & mask != 0 {
-                comm.send_internal(to_world(vrank ^ mask), TAG_REDUCE, data.to_vec())?;
-                return Ok(());
+        let (children, parent) = reduce_edges(comm.size(), root, comm.rank());
+        for child in children {
+            let child: Vec<f64> = comm.recv_internal(child, TAG_REDUCE)?;
+            assert_eq!(
+                child.len(),
+                data.len(),
+                "reduce buffers must match in length"
+            );
+            for (a, b) in data.iter_mut().zip(&child) {
+                *a += b;
             }
-            if vrank + mask < p {
-                let child: Vec<f64> = comm.recv_internal(to_world(vrank + mask), TAG_REDUCE)?;
-                assert_eq!(
-                    child.len(),
-                    data.len(),
-                    "reduce buffers must match in length"
-                );
-                for (a, b) in data.iter_mut().zip(&child) {
-                    *a += b;
-                }
-            }
-            mask <<= 1;
+        }
+        if let Some(parent) = parent {
+            comm.send_internal(parent, TAG_REDUCE, data.to_vec())?;
         }
         Ok(())
     })
@@ -393,6 +317,7 @@ pub fn reduce_sum_f64(comm: &Comm, root: usize, data: &mut [f64]) -> Result<(), 
 mod tests {
     use super::*;
     use crate::runtime::Runtime;
+    use hsumma_trace::{auto_bcast, chunk_range};
     use proptest::prelude::*;
 
     const ALGOS: [BcastAlgorithm; 6] = [

@@ -7,9 +7,10 @@
 //! reproduces `MPI_Comm_split(color, key)` semantics and is how the
 //! distributed algorithms build row, column and group communicators.
 
-use crate::collectives::{bcast_tree, BcastAlgorithm};
+use crate::collectives::bcast_tree;
 use crate::message::{Context, Envelope, JobCtl, Mailbox, MailboxSender, RecvFault, Tag};
 use crate::stats::CommStats;
+use crate::BcastAlgorithm;
 use hsumma_trace::{
     CommEdge, CommError, EventKind, FaultDecision, FaultState, TraceSink, WirePayload,
 };

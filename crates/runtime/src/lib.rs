@@ -53,7 +53,6 @@ pub mod pool;
 pub mod runtime;
 pub mod stats;
 
-pub use collectives::BcastAlgorithm;
 pub use comm::Comm;
 pub use error::RuntimeError;
 pub use message::{CancelToken, JobCtl};
@@ -61,9 +60,10 @@ pub use pool::{PoolExec, PoolRun, RankPool, SubPool};
 pub use runtime::{JobOptions, Runtime};
 pub use stats::CommStats;
 
-// The fault vocabulary lives in `hsumma-trace` (shared with the
-// simulator); re-export it so runtime users need one import path.
+// The broadcast algorithms and the fault vocabulary live in
+// `hsumma-trace` (shared with the simulator); re-export them so runtime
+// users need one import path.
 pub use hsumma_trace::{
-    CommEdge, CommError, CommErrorKind, FaultAction, FaultPlan, FaultRule, KillRule, TagClass,
-    WirePayload,
+    BcastAlgorithm, CommEdge, CommError, CommErrorKind, FaultAction, FaultPlan, FaultRule,
+    KillRule, TagClass, WirePayload,
 };

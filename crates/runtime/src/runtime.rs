@@ -449,7 +449,8 @@ mod tests {
 
     #[test]
     fn collectives_on_overlapping_split_comms_do_not_interfere() {
-        use crate::collectives::{allreduce, bcast_f64, BcastAlgorithm};
+        use crate::collectives::{allreduce, bcast_f64};
+        use crate::BcastAlgorithm;
         // 4x4 grid: every rank is in one row comm and one col comm; run a
         // broadcast on each back-to-back and an allreduce over the world.
         let out = Runtime::run(16, |comm| {

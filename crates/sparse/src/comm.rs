@@ -13,8 +13,8 @@
 //!   wire format, so the Hockney charge `α + β·bytes` sees the same
 //!   non-uniform message sizes the real substrate ships.
 //!
-//! [`bcast_sp`] is the one sparse collective: a highest-bit binomial
-//! tree (the same tree the dense collectives use) written once over
+//! [`bcast_sp`] is the one sparse collective: the binomial tree the
+//! dense collectives use, walked once over
 //! `send_sp`/`recv_sp`, so per-rank `(src, dst, bytes)` multisets agree
 //! across substrates by construction. Its messages travel under
 //! *user-level* tags (the step index), which keeps them fault-eligible:
@@ -27,7 +27,7 @@ use hsumma_matrix::sparse::{CsrMatrix, SpGemmAcc};
 use hsumma_matrix::Matrix;
 use hsumma_netsim::spmd::SimComm;
 use hsumma_runtime::{Comm, CommError};
-use hsumma_trace::WirePayload;
+use hsumma_trace::{bcast_edges, BcastAlgorithm, WirePayload};
 use std::sync::Arc;
 
 /// The sparse-panel payload: enough structure to slice pivot panels out
@@ -283,11 +283,11 @@ impl SparseComm for SimComm<'_> {
     }
 }
 
-/// Broadcasts a sparse panel of globally-known shape from `root`:
-/// the highest-bit binomial tree (virtual rank `v` receives from `v`
-/// with its highest set bit cleared, then relays at successive masks),
-/// written once over [`SparseComm::send_sp`]/[`SparseComm::recv_sp`] —
-/// the per-rank message multiset is substrate-identical by construction.
+/// Broadcasts a sparse panel of globally-known shape from `root` down
+/// the binomial tree of [`BcastAlgorithm::Binomial`] (the same tree the
+/// dense collectives walk), written once over
+/// [`SparseComm::send_sp`]/[`SparseComm::recv_sp`] — the per-rank message
+/// multiset is substrate-identical by construction.
 ///
 /// The root passes `Some(panel)`, everyone else `None` and receives.
 /// Relays forward the payload they received: the real substrate shares
@@ -304,23 +304,16 @@ pub fn bcast_sp<C: SparseComm>(
     cols: usize,
     panel: Option<C::Sp>,
 ) -> Result<C::Sp, CommError> {
-    let p = comm.size();
-    let me = comm.rank();
-    let vrank = (me + p - root) % p;
-    let unvirt = |v: usize| (v + root) % p;
-    let panel = if vrank == 0 {
-        panel.expect("the broadcast root must supply the panel")
-    } else {
-        assert!(panel.is_none(), "only the broadcast root supplies a panel");
-        let high = 1usize << (usize::BITS - 1 - vrank.leading_zeros());
-        comm.recv_sp(unvirt(vrank - high), tag, rows, cols)?
-    };
-    let mut mask = 1usize;
-    while mask < p {
-        if mask > vrank && vrank + mask < p {
-            comm.send_sp(unvirt(vrank + mask), tag, &panel)?;
+    let (parent, children) = bcast_edges(BcastAlgorithm::Binomial, comm.size(), root, comm.rank());
+    let panel = match parent {
+        None => panel.expect("the broadcast root must supply the panel"),
+        Some(parent) => {
+            assert!(panel.is_none(), "only the broadcast root supplies a panel");
+            comm.recv_sp(parent, tag, rows, cols)?
         }
-        mask <<= 1;
+    };
+    for child in children {
+        comm.send_sp(child, tag, &panel)?;
     }
     Ok(panel)
 }

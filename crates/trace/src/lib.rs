@@ -34,7 +34,10 @@ mod payload;
 mod ring;
 mod tracer;
 
-pub use algo::{auto_bcast, BcastAlgorithm};
+pub use algo::{
+    allgather_rounds, auto_bcast, bcast_edges, bcast_range, bcast_segments, chunk_range,
+    reduce_edges, BcastAlgorithm,
+};
 pub use breakdown::{render_breakdown, StepRow};
 pub use chrome::validate_json;
 pub use critical::{CriticalPath, MessageEdge, PathCost};

@@ -30,9 +30,9 @@ impl WirePayload for Vec<f64> {
     }
 }
 
-/// Scalars and the unit token are control words: like a tag, or the
-/// routing index of `(T, usize)` below, they ride in the envelope. The
-/// α of Hockney's `α + m·β` prices them; they add nothing to `m`.
+/// Scalars and the unit token are control words: like a tag, they ride
+/// in the envelope. The α of Hockney's `α + m·β` prices them; they add
+/// nothing to `m`.
 macro_rules! control_words {
     ($($t:ty),*) => {$(
         impl WirePayload for $t {
@@ -59,14 +59,6 @@ impl<T: WirePayload> WirePayload for Option<T> {
     }
 }
 
-/// A payload with a routing index rides the payload's bytes (the index
-/// travels in the envelope, like a tag).
-impl<T: WirePayload> WirePayload for (T, usize) {
-    fn payload_bytes(&self) -> u64 {
-        self.0.payload_bytes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,7 +75,6 @@ mod tests {
         assert_eq!(v.payload_bytes(), 24);
         assert_eq!(Some(Arc::clone(&v)).payload_bytes(), 24);
         assert_eq!(None::<Arc<Vec<f64>>>.payload_bytes(), 0);
-        assert_eq!((Arc::clone(&v), 7usize).payload_bytes(), 24);
     }
 
     #[test]

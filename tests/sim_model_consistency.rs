@@ -200,14 +200,13 @@ fn real_and_sim_hsumma_emit_identical_payload_multisets() {
 // runs the *same generic function* on both substrates — real `Matrix`
 // payloads over threads, `PhantomMat` over simulated clocks — and
 // demands identical per-rank `(src, dst, bytes)` send multisets.
-// Broadcasts are pinned to Binomial where configurable: relayed trees
-// move the same wire bytes on both substrates, while scatter-allgather's
-// real segmentation differs from the simulator's subtree accounting.
+// Broadcasts are pinned to Binomial where configurable; the `bcast_mat`
+// test runs every algorithm, since both substrates walk one schedule.
 // ---------------------------------------------------------------------
 
 use hsumma_repro::core::{
     block_lu, cannon, fox, hier_bcast, run_planned_gemm, summa_cyclic, summa_overlap, tsqr,
-    twodotfive, LuConfig, MatMulDims, PhantomMat, PlannedAlgo, TwoDotFiveConfig,
+    twodotfive, Communicator, LuConfig, MatMulDims, PhantomMat, PlannedAlgo, TwoDotFiveConfig,
 };
 use hsumma_repro::matrix::{factor::seeded_diag_dominant, BlockCyclicDist, Matrix};
 
@@ -417,6 +416,40 @@ fn real_and_sim_hier_bcast_emit_identical_payload_multisets() {
         hier_bcast(comm, BcastAlgorithm::Binomial, root, &mut m, &[2, 4]).unwrap();
     });
     assert_same_sends(&real, &sim, "hierarchical broadcast");
+}
+
+#[test]
+fn real_and_sim_bcast_mat_emit_identical_payload_multisets() {
+    // Every broadcast algorithm, from every kind of root, on rank counts
+    // that are and are not powers of two. A 3×7 panel deals unevenly
+    // over every p here, so segment and chunk sizes differ per message.
+    let (rows, cols) = (3usize, 7usize);
+    for algo in [
+        BcastAlgorithm::Flat,
+        BcastAlgorithm::Binomial,
+        BcastAlgorithm::Binary,
+        BcastAlgorithm::Ring,
+        BcastAlgorithm::Pipelined { segments: 3 },
+        BcastAlgorithm::ScatterAllgather,
+    ] {
+        for p in [3usize, 5, 8] {
+            for root in [0, p / 2, p - 1] {
+                let real = real_trace_p(p, |comm| {
+                    let mut m = if comm.rank() == root {
+                        seeded_uniform(rows, cols, 11)
+                    } else {
+                        Matrix::zeros(rows, cols)
+                    };
+                    comm.bcast_mat(algo, root, &mut m).unwrap();
+                });
+                let sim = sim_trace(p, |comm| {
+                    let mut m = PhantomMat { rows, cols };
+                    comm.bcast_mat(algo, root, &mut m).unwrap();
+                });
+                assert_same_sends(&real, &sim, &format!("{algo:?} p={p} root={root}"));
+            }
+        }
+    }
 }
 
 #[test]

@@ -171,8 +171,11 @@ fn pipelined_bcast_moves_the_pinned_segments() {
 
 #[test]
 fn scatter_allgather_bcast_moves_the_pinned_chunks() {
+    // Scatter: each of the 7 tree edges carries its subtree's 125-double
+    // chunks, 4 + 2 + 1 from the root and 2 + 1 + 1 + 1 below, 12 000
+    // bytes. Allgather: 8 ranks × 7 rounds of one chunk, 56 000 bytes.
     assert_eq!(
         segmented_bcast(BcastAlgorithm::ScatterAllgather),
-        (112_000, 112_000, 63, 63)
+        (68_000, 68_000, 63, 63)
     );
 }
