@@ -27,7 +27,7 @@
 //! ```
 
 use hsumma_bench::{render_table, secs};
-use hsumma_core::simdrive::{replay_on, simulate, Schedule, SimEngine};
+use hsumma_core::simdrive::{replay_on, simulate, Schedule};
 use hsumma_core::tuning;
 use hsumma_core::{CosmaConfig, MatMulDims};
 use hsumma_matrix::GridShape;
@@ -190,7 +190,6 @@ fn main() {
                 simulate(
                     &Schedule::hsumma(grid, groups, n, b, b, bcast, bcast),
                     &platform,
-                    SimEngine::Replay,
                     false,
                 )
             });

@@ -22,8 +22,8 @@
 
 use hsumma_bench::grid_for;
 use hsumma_core::grid::HierGrid;
-use hsumma_core::lu::{block_lu, sim_block_lu_on, LuConfig};
-use hsumma_core::simdrive::{simulate_on, Schedule, SimEngine};
+use hsumma_core::lu::{block_lu, LuConfig};
+use hsumma_core::simdrive::{simulate_on, Schedule};
 use hsumma_core::{
     cosma, fox, hier_bcast, run_planned_gemm, summa_cyclic, tsqr, twodotfive, CosmaConfig,
     HsummaConfig, MatMulDims, PhantomMat, PlannedAlgo, SummaConfig, TwoDotFiveConfig,
@@ -481,27 +481,25 @@ fn run_sim(cfg: &Config) -> Result<Trace, String> {
             dims: MatMulDims::square(n),
             cfg: cosma_cfg(cfg),
         }),
+        "lu" => {
+            let groups = Some(cfg.groups);
+            Some(Schedule::lu(
+                grid,
+                n,
+                cfg.inner_b,
+                SimBcast::Binomial,
+                groups,
+            ))
+        }
         _ => None,
     });
     if let Some(sched) = sched {
-        simulate_on(&sched, &mut net, gamma, SimEngine::Threads, false);
+        simulate_on(&sched, &mut net, gamma, false);
         return Ok(tracer.collect());
     }
     // The rest have no `Schedule` variant: their generic functions run
     // over `SimWorld` directly.
     match cfg.algo.as_str() {
-        "lu" => {
-            sim_block_lu_on(
-                &mut net,
-                gamma,
-                grid,
-                n,
-                cfg.inner_b,
-                SimBcast::Binomial,
-                Some(cfg.groups),
-                false,
-            );
-        }
         "tsqr" => {
             let b = cfg.inner_b;
             SimWorld::run(net, gamma, false, move |comm| {

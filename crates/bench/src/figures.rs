@@ -8,8 +8,7 @@
 
 use crate::{grid_for, model_params, render_table, run_sweep, secs, Machine, Profile};
 use hsumma_core::grid::HierGrid;
-use hsumma_core::lu::sim_block_lu;
-use hsumma_core::simdrive::simulate_on;
+use hsumma_core::simdrive::{simulate_on, threads_on};
 use hsumma_core::tsqr::sim_tsqr;
 use hsumma_core::tuning::{best_by_comm, power_of_two_gs, sweep_groups};
 use hsumma_core::{
@@ -824,7 +823,6 @@ pub fn validate_model(out: &mut String) {
             simulate(
                 &Schedule::hsumma(grid, groups, *n, *b, *b, bcast, bcast),
                 platform,
-                SimEngine::Threads,
                 false,
             )
         });
@@ -940,7 +938,7 @@ pub fn related_work(out: &mut String) {
         platform.name,
         q * q
     );
-    let sim = |sched| simulate(&sched, &platform, SimEngine::Threads, true);
+    let sim = |sched| simulate(&sched, &platform, true);
     let bcast = SimBcast::Flat;
     let cannon_r = sim(Schedule::cannon(q, n_sim));
     let fox_r = sim(Schedule::Fox { q, n: n_sim, bcast });
@@ -1109,7 +1107,7 @@ pub fn ablation_bcast(out: &mut String) {
         grid.rows, grid.cols, groups.rows, groups.cols
     );
 
-    let sim = |sched| simulate(&sched, &platform, SimEngine::Threads, true);
+    let sim = |sched| simulate(&sched, &platform, true);
     let _ = writeln!(out, "SUMMA per broadcast algorithm:");
     let mut rows = Vec::new();
     for (name, algo) in ALGOS {
@@ -1181,9 +1179,8 @@ pub fn multilevel(out: &mut String) {
         let mut rows = Vec::new();
         let mut base = None;
         for (name, levels) in configs {
-            let r = hsumma_core::multilevel::sim_summa_hier_with(
-                &platform, grid, n, b, algo, levels, true,
-            );
+            let r =
+                hsumma_core::multilevel::sim_summa_hier(&platform, grid, n, b, algo, levels, true);
             let base_time = *base.get_or_insert(r.comm_time);
             rows.push(vec![
                 name.to_string(),
@@ -1236,7 +1233,8 @@ pub fn extension_lu(out: &mut String) {
         let platform = profile.platform(Machine::BlueGeneP);
         let bcast = profile.bcast();
         let _ = writeln!(out, "== profile: {} ==", profile.label());
-        let flat = sim_block_lu(&platform, grid, n, b, bcast, None, true);
+        let lu = |groups| simulate(&Schedule::lu(grid, n, b, bcast, groups), &platform, true);
+        let flat = lu(None);
         let mut rows = vec![vec![
             "flat (plain LU)".to_string(),
             secs(flat.comm_time),
@@ -1248,7 +1246,7 @@ pub fn extension_lu(out: &mut String) {
             let Some(groups) = HierGrid::factor_groups(grid, g) else {
                 continue;
             };
-            let r = sim_block_lu(&platform, grid, n, b, bcast, Some(groups), true);
+            let r = lu(Some(groups));
             if r.total_time < best.1 {
                 best = (g, r.total_time);
             }
@@ -1440,7 +1438,7 @@ pub fn noise_robustness(out: &mut String) {
             if amplitude > 0.0 {
                 net.set_noise(NoiseModel::new(1, amplitude));
             }
-            simulate_on(&sched, &mut net, platform.gamma, SimEngine::Threads, true)
+            simulate_on(&sched, &mut net, platform.gamma, true)
         };
         let summa = run(Schedule::summa(grid, n, b, bcast));
         let mut best: Option<(usize, f64)> = None;
@@ -1499,7 +1497,7 @@ pub fn noise_robustness(out: &mut String) {
 /// payloads on `p = 4096` simulated ranks (64 × 64 grid / 32 × 32 × 4
 /// for 2.5D), priced with the paper's BlueGene/P `(α, β, γ)`. A second
 /// table runs the same schedules at `p = 2¹⁶`, past the thread-per-rank
-/// simulator's VM-map ceiling, on the record-and-replay engine
+/// simulator's VM-map ceiling; both record and replay every schedule
 /// (`docs/simulation.md`).
 ///
 /// [`Communicator`]: hsumma_core::Communicator
@@ -1528,17 +1526,17 @@ pub fn large_scale(out: &mut String) {
 
     let mut rows = Vec::new();
 
-    let threads = |sched, step_sync| simulate(&sched, &platform, SimEngine::Threads, step_sync);
+    let sim = |sched, step_sync| simulate(&sched, &platform, step_sync);
     let bc = SimBcast::Binomial;
 
     // Baselines: free-running and per-step-synchronized SUMMA.
-    let summa = threads(Schedule::summa(grid, N, B, bc), false);
+    let summa = sim(Schedule::summa(grid, N, B, bc), false);
     rows.push(row("summa", "64x64, free-run", &summa));
-    let summa_sync = threads(Schedule::summa(grid, N, B, bc), true);
+    let summa_sync = sim(Schedule::summa(grid, N, B, bc), true);
     rows.push(row("summa", "64x64, step-sync", &summa_sync));
 
     // Pipelined SUMMA: the two-slot panel buffer hides panel transfers.
-    let over = threads(Schedule::summa(grid, N, B, bc).pipelined(), false);
+    let over = sim(Schedule::summa(grid, N, B, bc).pipelined(), false);
     rows.push(row("overlap", "64x64, pipelined", &over));
 
     // 2.5D with c = 1 (degenerate, SUMMA-shaped) and c = 4 replicas.
@@ -1554,24 +1552,17 @@ pub fn large_scale(out: &mut String) {
             },
         },
     };
-    let r1 = threads(twodotfive(N, 64, 1), false);
+    let r1 = sim(twodotfive(N, 64, 1), false);
     rows.push(row("2.5d", "q=64, c=1", &r1));
-    let r4 = threads(twodotfive(N, 32, 4), false);
+    let r4 = sim(twodotfive(N, 32, 4), false);
     rows.push(row("2.5d", "q=32, c=4", &r4));
 
     // Block LU under serialized (root-injection-bound) panel broadcasts,
     // the regime the measured profiles exhibit: one-level vs 8x8 groups.
-    let lu_flat = sim_block_lu(&platform, grid, N, B, SimBcast::Flat, None, true);
+    let lu = |groups| sim(Schedule::lu(grid, N, B, SimBcast::Flat, groups), true);
+    let lu_flat = lu(None);
     rows.push(row("lu", "64x64, one level", &lu_flat));
-    let lu_hier = sim_block_lu(
-        &platform,
-        grid,
-        N,
-        B,
-        SimBcast::Flat,
-        Some(GridShape::new(8, 8)),
-        true,
-    );
+    let lu_hier = lu(Some(GridShape::new(8, 8)));
     rows.push(row("lu", "64x64, 8x8 groups", &lu_hier));
 
     let _ = writeln!(
@@ -1583,22 +1574,20 @@ pub fn large_scale(out: &mut String) {
         )
     );
 
-    // The same schedules, four doublings past the thread ceiling, on
-    // the record-and-replay engine. No threads: each row records every
-    // rank's op program sequentially and replays all 65536 of them on
-    // a single-threaded event loop.
+    // The same schedules, four doublings past the thread ceiling: each
+    // row records every rank's op program sequentially and replays all
+    // 65536 of them on a single-threaded event loop.
     let rp = 1 << 16;
     let rgrid = GridShape::new(256, 256);
     let (rn, rb) = (16384, 64);
     let _ = writeln!(out, "\n== same schedules, p = {rp} (replay engine) ==\n");
     let mut rrows = Vec::new();
-    let replay = |sched| simulate(&sched, &platform, SimEngine::Replay, false);
-    let rsumma = replay(Schedule::summa(rgrid, rn, rb, bc));
+    let rsumma = sim(Schedule::summa(rgrid, rn, rb, bc), false);
     rrows.push(row("summa", "256x256, free-run", &rsumma));
     let rgroups = GridShape::new(16, 16);
-    let rhsumma = replay(Schedule::hsumma(rgrid, rgroups, rn, rb, rb, bc, bc));
+    let rhsumma = sim(Schedule::hsumma(rgrid, rgroups, rn, rb, rb, bc, bc), false);
     rrows.push(row("hsumma", "G=256 (sqrt p)", &rhsumma));
-    let r25 = replay(twodotfive(rn, 128, 4));
+    let r25 = sim(twodotfive(rn, 128, 4), false);
     rrows.push(row("2.5d", "q=128, c=4", &r25));
     let _ = writeln!(
         out,
@@ -1649,8 +1638,9 @@ struct CosmaPoint {
 /// Measures one point: cosma on the simulator, the analytic volume, and
 /// — when the problem is square and `√p` is a usable grid — HSUMMA at
 /// the model's best grouping for comparison. The `engine` picks the
-/// substrate: thread-per-rank up to the VM-map ceiling, record-and-replay
-/// (bit-identical, threadless) beyond it.
+/// substrate: the thread-per-rank reference up to the VM-map ceiling,
+/// record-and-replay (bit-identical, threadless) beyond it, so that the
+/// table cross-checks the two.
 #[allow(clippy::too_many_arguments)]
 fn measure_cosma(
     platform: &Platform,
@@ -1670,7 +1660,14 @@ fn measure_cosma(
         c: d.c,
     };
     let dims = MatMulDims { m, l: k, n };
-    let report = simulate(&Schedule::Cosma { p, dims, cfg }, platform, engine, false);
+    let sim = |sched: &Schedule| {
+        let mut net = SimNet::new(p, platform.net);
+        match engine {
+            SimEngine::Threads => threads_on(&mut net, platform.gamma, sched, false),
+            SimEngine::Replay => simulate_on(sched, &mut net, platform.gamma, false),
+        }
+    };
+    let report = sim(&Schedule::Cosma { p, dims, cfg });
     let model_bytes = cosma_volume(shape, m as f64, n as f64, k as f64);
     let rel_err = (report.bytes as f64 - model_bytes).abs() / model_bytes.max(1.0);
 
@@ -1705,7 +1702,7 @@ fn measure_cosma(
                 let outer = (b * 2).min(n / q);
                 let bc = SimBcast::Binomial;
                 let sched = Schedule::hsumma(grid, groups, n, outer, b, bc, bc);
-                simulate(&sched, platform, engine, false).total_time
+                sim(&sched).total_time
             },
         );
     let agree = hsumma_s.map(|h| {
@@ -1951,7 +1948,7 @@ pub fn cosma(out: &mut String) {
 fn sim_secs(platform: &Platform, grid: GridShape, n: usize, plan: PlannedAlgo) -> f64 {
     let dims = MatMulDims::square(n);
     let sched = Schedule::Gemm { grid, dims, plan };
-    simulate(&sched, platform, SimEngine::Threads, false).total_time
+    simulate(&sched, platform, false).total_time
 }
 
 /// The double-buffered pivot pipeline against the blocking schedule over

@@ -11,7 +11,7 @@
 pub mod figures;
 
 use hsumma_core::tuning::{power_of_two_gs, sweep_groups};
-use hsumma_core::{simulate, Schedule, SimEngine};
+use hsumma_core::{simulate, Schedule};
 use hsumma_matrix::GridShape;
 use hsumma_model::ModelParams;
 use hsumma_netsim::{Platform, SimBcast};
@@ -92,7 +92,7 @@ pub fn run_sweep(profile: Profile, machine: Machine, n: usize, p: usize, b: usiz
     let platform = profile.platform(machine);
     let grid = grid_for(p);
     let bcast = profile.bcast();
-    let sim = |sched| simulate(&sched, &platform, SimEngine::Threads, true);
+    let sim = |sched| simulate(&sched, &platform, true);
     let summa = sim(Schedule::summa(grid, n, b, bcast));
     let points = sweep_groups(grid, &power_of_two_gs(p), |groups| {
         sim(Schedule::hsumma(grid, groups, n, b, b, bcast, bcast))

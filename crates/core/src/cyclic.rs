@@ -49,7 +49,7 @@ pub fn summa_cyclic<C: Communicator>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simdrive::{simulate, Schedule, SimEngine};
+    use crate::simdrive::{simulate, Schedule};
     use crate::testutil::reference_product;
     use hsumma_matrix::{seeded_uniform, BlockCyclicDist};
     use hsumma_netsim::{Platform, SimBcast, SimReport};
@@ -68,7 +68,7 @@ mod tests {
             bcast,
             ..Default::default()
         };
-        let sim = |sched| simulate(&sched, plat, SimEngine::Threads, step_sync);
+        let sim = |sched| simulate(&sched, plat, step_sync);
         (
             sim(Schedule::summa(grid, n, b, bcast)),
             sim(Schedule::Cyclic { grid, n, cfg }),

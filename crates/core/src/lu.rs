@@ -21,17 +21,15 @@
 //! study. Use diagonally dominant inputs.
 //!
 //! [`block_lu`] is generic over the [`Communicator`] substrate;
-//! [`sim_block_lu`] runs the *same* function over simulated clocks with
+//! [`crate::Schedule::Lu`] runs the *same* function over simulated clocks with
 //! phantom payloads (local kernels charged analytically: `bs³/3` pairs
 //! for the diagonal factor, `m·bs²/2` per triangular solve, `r·c·bs` per
 //! trailing update).
 
-use crate::comm::{Communicator, MatLike, PhantomMat};
+use crate::comm::{Communicator, MatLike};
 use crate::grid::HierGrid;
 use crate::partition::{pivot_offset, pivot_owner, tile_shape};
 use hsumma_matrix::{GemmKernel, GridShape};
-use hsumma_netsim::spmd::SimWorld;
-use hsumma_netsim::{Hockney, Platform, SimBcast, SimNet, SimReport};
 use hsumma_runtime::{BcastAlgorithm, CommError};
 
 /// Parameters of a distributed LU run.
@@ -230,66 +228,13 @@ pub fn block_lu<C: Communicator>(
     Ok(t)
 }
 
-/// Timing replay of the block-LU communication schedule (flat or
-/// hierarchical panel broadcasts) on the simulator: [`block_lu`] itself,
-/// run over phantom payloads.
-pub fn sim_block_lu(
-    platform: &Platform,
-    grid: GridShape,
-    n: usize,
-    bs: usize,
-    bcast: SimBcast,
-    groups: Option<GridShape>,
-    step_sync: bool,
-) -> SimReport {
-    let mut net = SimNet::new(grid.size(), platform.net);
-    sim_block_lu_on(
-        &mut net,
-        platform.gamma,
-        grid,
-        n,
-        bs,
-        bcast,
-        groups,
-        step_sync,
-    )
-}
-
-/// Like [`sim_block_lu`], on a caller-provided network (so a tracer can
-/// be attached beforehand). `gamma` is seconds per multiply-add pair.
-#[allow(clippy::too_many_arguments)]
-pub fn sim_block_lu_on(
-    net: &mut SimNet,
-    gamma: f64,
-    grid: GridShape,
-    n: usize,
-    bs: usize,
-    bcast: SimBcast,
-    groups: Option<GridShape>,
-    step_sync: bool,
-) -> SimReport {
-    assert_eq!(net.size(), grid.size(), "network must span the grid");
-    let (th, tw) = tile_shape(grid, n);
-    let cfg = LuConfig {
-        block: bs,
-        bcast,
-        groups,
-        ..Default::default()
-    };
-    let owned = std::mem::replace(net, SimNet::new(1, Hockney::new(0.0, 0.0)));
-    let (done, _) = SimWorld::run(owned, gamma, step_sync, move |comm| {
-        let tile = PhantomMat { rows: th, cols: tw };
-        block_lu(comm, grid, n, &tile, &cfg).unwrap()
-    });
-    *net = done;
-    net.report()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simdrive::{simulate, threads_on, Schedule};
     use hsumma_matrix::factor::{seeded_diag_dominant, unpack_lower_unit, unpack_upper};
     use hsumma_matrix::{gemm, BlockDist, Matrix};
+    use hsumma_netsim::{Platform, SimBcast, SimNet};
     use hsumma_runtime::Runtime;
 
     /// Scatter → distributed LU → gather → reconstruct L·U and compare.
@@ -415,21 +360,39 @@ mod tests {
     fn sim_lu_runs_and_counts_messages() {
         let plat = Platform::bluegene_p();
         let grid = GridShape::new(4, 4);
-        let flat = sim_block_lu(&plat, grid, 64, 8, SimBcast::Binomial, None, true);
+        let lu = |groups| {
+            simulate(
+                &Schedule::lu(grid, 64, 8, SimBcast::Binomial, groups),
+                &plat,
+                true,
+            )
+        };
+        let flat = lu(None);
         assert!(flat.total_time > 0.0);
         assert!(flat.msgs > 0);
-        let hier = sim_block_lu(
-            &plat,
-            grid,
-            64,
-            8,
-            SimBcast::Binomial,
-            Some(GridShape::new(2, 2)),
-            true,
-        );
+        let hier = lu(Some(GridShape::new(2, 2)));
         // Hierarchy moves the same panel volume (every rank still receives
         // each panel once under tree broadcasts).
         assert_eq!(flat.bytes, hier.bytes);
+    }
+
+    #[test]
+    fn replayed_schedule_matches_the_threaded_reference() {
+        // The recorded schedule must price exactly as `block_lu` itself
+        // on rank threads, flat and grouped, under both sync modes.
+        let plat = Platform::bluegene_p();
+        let grid = GridShape::new(8, 8);
+        for groups in [None, Some(GridShape::new(2, 4))] {
+            let sched = Schedule::lu(grid, 128, 8, SimBcast::Binomial, groups);
+            for step_sync in [false, true] {
+                let mut net = SimNet::new(grid.size(), plat.net);
+                assert_eq!(
+                    simulate(&sched, &plat, step_sync),
+                    threads_on(&mut net, plat.gamma, &sched, step_sync),
+                    "groups {groups:?}, step_sync {step_sync}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -438,16 +401,15 @@ mod tests {
         // two-level split reduces the per-step broadcast width.
         let plat = Platform::bluegene_p_effective();
         let grid = GridShape::new(16, 16);
-        let flat = sim_block_lu(&plat, grid, 512, 32, SimBcast::Flat, None, true);
-        let hier = sim_block_lu(
-            &plat,
-            grid,
-            512,
-            32,
-            SimBcast::Flat,
-            Some(GridShape::new(4, 4)),
-            true,
-        );
+        let lu = |groups| {
+            simulate(
+                &Schedule::lu(grid, 512, 32, SimBcast::Flat, groups),
+                &plat,
+                true,
+            )
+        };
+        let flat = lu(None);
+        let hier = lu(Some(GridShape::new(4, 4)));
         assert!(
             hier.comm_time < flat.comm_time,
             "HLU {} should beat LU {}",

@@ -17,9 +17,9 @@
 
 use crate::comm::{Communicator, PhantomMat};
 use crate::partition::{pivot_owner, tile_shape};
+use crate::simdrive::replay_on;
 use hsumma_matrix::GridShape;
-use hsumma_netsim::spmd::SimWorld;
-use hsumma_netsim::{Platform, SimBcast, SimNet, SimReport};
+use hsumma_netsim::{record, Platform, SimBcast, SimNet, SimReport};
 use hsumma_runtime::{BcastAlgorithm, CommError};
 
 /// Hierarchically broadcasts `mat` from rank `root` of `comm`:
@@ -72,24 +72,13 @@ pub fn hier_bcast<C: Communicator>(
 }
 
 /// SUMMA on a square grid where every panel broadcast is an `levels`-level
-/// hierarchical broadcast — i.e. multi-level HSUMMA at `b = B`.
+/// hierarchical broadcast — i.e. multi-level HSUMMA at `b = B` — recorded
+/// and replayed. `step_sync` selects blocking-collective semantics (see
+/// [`crate::simdrive::simulate`]).
 ///
 /// `levels` applies to both row and column broadcasts, so the grid side
 /// must equal the product of `levels`.
 pub fn sim_summa_hier(
-    platform: &Platform,
-    grid: GridShape,
-    n: usize,
-    b: usize,
-    algo: SimBcast,
-    levels: &[usize],
-) -> SimReport {
-    sim_summa_hier_with(platform, grid, n, b, algo, levels, false)
-}
-
-/// [`sim_summa_hier`] with selectable per-step synchronization
-/// (blocking-collective semantics; see [`crate::simdrive::simulate`]).
-pub fn sim_summa_hier_with(
     platform: &Platform,
     grid: GridShape,
     n: usize,
@@ -113,35 +102,48 @@ pub fn sim_summa_hier_with(
         "block must divide tile extents"
     );
 
-    let levels: Vec<usize> = levels.to_vec();
-    let (net, _) = SimWorld::run(
-        SimNet::new(grid.size(), platform.net),
+    let prog = record(grid.size(), step_sync, |comm| {
+        summa_hier(comm, grid, n, b, algo, levels)
+    });
+    replay_on(
+        &mut SimNet::new(grid.size(), platform.net),
         platform.gamma,
-        step_sync,
-        move |comm| {
-            let (gi, gj) = grid.coords(comm.rank());
-            let row_comm = comm.split(gi as u64, gj as i64).unwrap();
-            let col_comm = comm.split((grid.rows + gj) as u64, gi as i64).unwrap();
-            let pairs = th * tw * b;
-            let mut a_panel = PhantomMat { rows: th, cols: b };
-            let mut b_panel = PhantomMat { rows: b, cols: tw };
-            for k in 0..n / b {
-                let owner_col = pivot_owner(k, b, tw);
-                hier_bcast(&row_comm, algo, owner_col, &mut a_panel, &levels).unwrap();
-                let owner_row = pivot_owner(k, b, th);
-                hier_bcast(&col_comm, algo, owner_row, &mut b_panel, &levels).unwrap();
-                comm.compute(pairs as f64, 2 * pairs as u64);
-                comm.maybe_step_sync().unwrap();
-            }
-        },
-    );
-    net.report()
+        &prog,
+    )
+}
+
+/// One rank of [`sim_summa_hier`]'s schedule over phantom tiles: per
+/// pivot step, the `A` panel along the grid row and the `B` panel along
+/// the grid column, each by [`hier_bcast`], then the local update.
+fn summa_hier<C: Communicator<Mat = PhantomMat>>(
+    comm: &C,
+    grid: GridShape,
+    n: usize,
+    b: usize,
+    algo: SimBcast,
+    levels: &[usize],
+) -> Result<(), CommError> {
+    let (th, tw) = tile_shape(grid, n);
+    let (gi, gj) = grid.coords(comm.rank());
+    let row_comm = comm.split(gi as u64, gj as i64)?;
+    let col_comm = comm.split((grid.rows + gj) as u64, gi as i64)?;
+    let pairs = th * tw * b;
+    let mut a_panel = PhantomMat { rows: th, cols: b };
+    let mut b_panel = PhantomMat { rows: b, cols: tw };
+    for k in 0..n / b {
+        hier_bcast(&row_comm, algo, pivot_owner(k, b, tw), &mut a_panel, levels)?;
+        hier_bcast(&col_comm, algo, pivot_owner(k, b, th), &mut b_panel, levels)?;
+        comm.compute(pairs as f64, 2 * pairs as u64, || ());
+        comm.maybe_step_sync()?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simdrive::{simulate, Schedule, SimEngine};
+    use crate::simdrive::{simulate, Schedule};
+    use hsumma_netsim::spmd::SimWorld;
 
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
@@ -167,8 +169,8 @@ mod tests {
         let plat = Platform::grid5000();
         let grid = GridShape::new(8, 8);
         let sched = Schedule::summa(grid, 128, 16, SimBcast::Binomial);
-        let flat = simulate(&sched, &plat, SimEngine::Threads, false);
-        let hier = sim_summa_hier(&plat, grid, 128, 16, SimBcast::Binomial, &[8]);
+        let flat = simulate(&sched, &plat, false);
+        let hier = sim_summa_hier(&plat, grid, 128, 16, SimBcast::Binomial, &[8], false);
         assert!(close(flat.total_time, hier.total_time));
         assert_eq!(flat.msgs, hier.msgs);
     }
@@ -178,10 +180,10 @@ mod tests {
         // levels [2, 4] on a side of 8 = 2x2 groups of 4x4 processors.
         let plat = Platform::bluegene_p();
         let grid = GridShape::new(8, 8);
-        let two = sim_summa_hier(&plat, grid, 128, 16, SimBcast::Binomial, &[2, 4]);
+        let two = sim_summa_hier(&plat, grid, 128, 16, SimBcast::Binomial, &[2, 4], false);
         let (groups, bc) = (GridShape::new(2, 2), SimBcast::Binomial);
         let sched = Schedule::hsumma(grid, groups, 128, 16, 16, bc, bc);
-        let hs = simulate(&sched, &plat, SimEngine::Threads, false);
+        let hs = simulate(&sched, &plat, false);
         assert!(
             close(two.total_time, hs.total_time),
             "hier {two:?} vs hsumma {hs:?}"
@@ -189,6 +191,31 @@ mod tests {
         assert!(close(two.comm_time, hs.comm_time));
         assert_eq!(two.msgs, hs.msgs);
         assert_eq!(two.bytes, hs.bytes);
+    }
+
+    #[test]
+    fn recorded_hierarchy_matches_the_threaded_reference() {
+        // The recorded schedule must price exactly as the same body on
+        // rank threads, at every depth and under both sync modes. Flat
+        // broadcasts leave the free run unaligned, so a recording that
+        // dropped the sync would show.
+        let plat = Platform::bluegene_p();
+        let grid = GridShape::new(8, 8);
+        let (n, b, algo) = (128, 16, SimBcast::Flat);
+        for levels in [&[8][..], &[2, 4], &[2, 2, 2]] {
+            for step_sync in [false, true] {
+                let replayed = sim_summa_hier(&plat, grid, n, b, algo, levels, step_sync);
+                let net = SimNet::new(grid.size(), plat.net);
+                let (net, _) = SimWorld::run(net, plat.gamma, step_sync, |comm| {
+                    summa_hier(comm, grid, n, b, algo, levels).unwrap()
+                });
+                assert_eq!(
+                    replayed,
+                    net.report(),
+                    "levels {levels:?}, step_sync {step_sync}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -211,9 +238,33 @@ mod tests {
             gamma: 0.0,
         };
         let grid = GridShape::new(16, 16);
-        let one = sim_summa_hier(&plat, grid, 256, 16, SimBcast::ScatterAllgather, &[16]);
-        let two = sim_summa_hier(&plat, grid, 256, 16, SimBcast::ScatterAllgather, &[4, 4]);
-        let three = sim_summa_hier(&plat, grid, 256, 16, SimBcast::ScatterAllgather, &[2, 2, 4]);
+        let one = sim_summa_hier(
+            &plat,
+            grid,
+            256,
+            16,
+            SimBcast::ScatterAllgather,
+            &[16],
+            false,
+        );
+        let two = sim_summa_hier(
+            &plat,
+            grid,
+            256,
+            16,
+            SimBcast::ScatterAllgather,
+            &[4, 4],
+            false,
+        );
+        let three = sim_summa_hier(
+            &plat,
+            grid,
+            256,
+            16,
+            SimBcast::ScatterAllgather,
+            &[2, 2, 4],
+            false,
+        );
         assert!(two.comm_time < one.comm_time, "two levels should help");
         assert!(three.comm_time < one.comm_time, "three levels should help");
     }

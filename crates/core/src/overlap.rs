@@ -94,7 +94,7 @@ mod tests {
     use super::*;
     use crate::grid::HierGrid;
     use crate::hsumma::hsumma;
-    use crate::simdrive::{simulate, Schedule, SimEngine};
+    use crate::simdrive::{simulate, Schedule};
     use crate::summa::summa;
     use crate::testutil::{distributed_product, reference_product};
     use hsumma_matrix::{seeded_uniform, GemmKernel};
@@ -263,8 +263,8 @@ mod tests {
         let platform = Platform::bluegene_p_effective();
         let grid = GridShape::new(8, 8);
         let sched = Schedule::summa(grid, 512, 32, SimBcast::Flat);
-        let free = simulate(&sched, &platform, SimEngine::Threads, false).total_time;
-        let sync = simulate(&sched, &platform, SimEngine::Threads, true).total_time;
+        let free = simulate(&sched, &platform, false).total_time;
+        let sync = simulate(&sched, &platform, true).total_time;
         assert!(free < sync, "overlapped {free} should beat blocking {sync}");
     }
 }

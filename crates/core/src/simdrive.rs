@@ -1,6 +1,7 @@
 //! Timing replay of the communication schedules on the discrete-event
-//! simulator: one [`Schedule`] value per algorithm, executed by
-//! [`simulate`] / [`simulate_on`] under a [`SimEngine`].
+//! simulator: one [`Schedule`] value per algorithm, priced by
+//! [`simulate`] / [`simulate_on`], which record and replay every schedule
+//! whose op sequence is timing-independent.
 //!
 //! The executable algorithms ([`mod@crate::summa`], [`mod@crate::hsumma`], …)
 //! are generic over [`crate::comm::Communicator`]. On the threaded
@@ -21,7 +22,8 @@ use crate::cosma::{cosma, CosmaConfig};
 use crate::cyclic::summa_cyclic;
 use crate::fox::fox_with;
 use crate::hsumma::HsummaConfig;
-use crate::partition::{chunk_range, MatMulDims};
+use crate::lu::{block_lu, LuConfig};
+use crate::partition::{chunk_range, tile_shape, MatMulDims};
 use crate::plan::{run_planned_gemm, PlannedAlgo};
 use crate::summa::SummaConfig;
 use crate::twodotfive::{twodotfive, TwoDotFiveConfig};
@@ -93,6 +95,17 @@ pub enum Schedule {
         /// Decomposition and pipelining.
         cfg: CosmaConfig,
     },
+    /// Block LU without pivoting ([`block_lu`]): per panel step, the
+    /// diagonal factor's broadcasts, then the `L` and `U` panels along
+    /// grid rows and columns (hierarchically when `cfg.groups` is set).
+    Lu {
+        /// The `s × t` processor grid.
+        grid: GridShape,
+        /// Square problem size.
+        n: usize,
+        /// Panel width, broadcast and grouping.
+        cfg: LuConfig,
+    },
 }
 
 impl Schedule {
@@ -146,6 +159,24 @@ impl Schedule {
         }
     }
 
+    /// Block LU with panel width `block`, its panel broadcasts split over
+    /// `groups` when set (hierarchical LU).
+    pub fn lu(
+        grid: GridShape,
+        n: usize,
+        block: usize,
+        bcast: SimBcast,
+        groups: Option<GridShape>,
+    ) -> Self {
+        let cfg = LuConfig {
+            block,
+            bcast,
+            groups,
+            ..Default::default()
+        };
+        Schedule::Lu { grid, n, cfg }
+    }
+
     /// The double-buffered form of a SUMMA or HSUMMA schedule.
     ///
     /// # Panics
@@ -165,7 +196,9 @@ impl Schedule {
     /// Number of (virtual) ranks the schedule spans.
     pub fn ranks(&self) -> usize {
         match self {
-            Schedule::Gemm { grid, .. } | Schedule::Cyclic { grid, .. } => grid.size(),
+            Schedule::Gemm { grid, .. }
+            | Schedule::Cyclic { grid, .. }
+            | Schedule::Lu { grid, .. } => grid.size(),
             Schedule::Fox { q, .. } => q * q,
             Schedule::TwoDotFive { cfg, .. } => cfg.q * cfg.q * cfg.c,
             Schedule::Cosma { p, .. } => *p,
@@ -228,6 +261,10 @@ impl Schedule {
                 }
                 cosma(comm, m, n, k, &a, &b, cfg)?;
             }
+            Schedule::Lu { grid, n, cfg } => {
+                let (th, tw) = tile_shape(*grid, *n);
+                block_lu(comm, *grid, *n, &PhantomMat::zeros(th, tw), cfg)?;
+            }
         }
         Ok(())
     }
@@ -241,37 +278,36 @@ impl Schedule {
     /// messages land.
     pub fn record(&self, step_sync: bool) -> RecordedProgram {
         assert!(
-            !matches!(
-                self,
-                Schedule::Gemm {
-                    plan: PlannedAlgo::HsummaPipelined(_),
-                    ..
-                }
-            ),
+            self.recordable(),
             "pipelined HSUMMA polls ibcast_test, so its op sequence depends on when messages \
              land: a recording would bake in one interleaving and silently stop being the \
-             algorithm. Simulate it with SimEngine::Threads"
+             algorithm. Price it with `simulate`, which runs it on rank threads"
         );
         record(self.ranks(), step_sync, |comm| self.run(comm))
     }
+
+    /// Whether the op sequence is timing-independent, so that
+    /// [`Schedule::record`] captures the algorithm: everything but
+    /// pipelined HSUMMA.
+    fn recordable(&self) -> bool {
+        !matches!(
+            self,
+            Schedule::Gemm {
+                plan: PlannedAlgo::HsummaPipelined(_),
+                ..
+            }
+        )
+    }
 }
 
-/// Which execution engine prices a simulated schedule.
-///
-/// Both produce bit-identical [`SimReport`]s and per-rank trace multisets
-/// for every recordable schedule (pinned by `tests/replay_parity.rs`);
-/// they differ only in scale. Threads cap out where the OS does
-/// (p ≈ 8192 under the default `vm.max_map_count` — each rank is a stack
-/// and two mappings); replay holds O(p) cursors and reaches p = 2²⁰.
+/// Which engine the benchmark-pinned [`sim_summa_engine`] and
+/// [`sim_hsumma_engine`] run. [`simulate`] picks its own; delete this
+/// with the pair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimEngine {
-    /// One OS thread per simulated rank, parking on virtual-clock
-    /// mailboxes. Required for the timing-adaptive schedule (pipelined
-    /// HSUMMA's `ibcast_test` polling).
+    /// [`threads_on`], the reference engine.
     Threads,
-    /// Record each rank's op program sequentially
-    /// ([`Schedule::record`]), then execute all programs on a
-    /// single-threaded event loop ([`EventLoopSim`]).
+    /// [`Schedule::record`] + [`replay_on`].
     Replay,
 }
 
@@ -287,43 +323,44 @@ pub enum SimEngine {
 /// the hook.
 ///
 /// # Panics
-/// As [`Schedule::run`] and (under [`SimEngine::Replay`])
-/// [`Schedule::record`]; also if 2.5D is asked to step-synchronize.
-pub fn simulate(
-    sched: &Schedule,
-    platform: &Platform,
-    engine: SimEngine,
-    step_sync: bool,
-) -> SimReport {
+/// As [`Schedule::run`]; also if 2.5D is asked to step-synchronize.
+pub fn simulate(sched: &Schedule, platform: &Platform, step_sync: bool) -> SimReport {
     let mut net = SimNet::new(sched.ranks(), platform.net);
-    simulate_on(sched, &mut net, platform.gamma, engine, step_sync)
+    simulate_on(sched, &mut net, platform.gamma, step_sync)
 }
 
 /// [`simulate`] on a caller-provided network — one with a tracer, torus
 /// topology or noise model attached. `gamma` is seconds per multiply-add
 /// pair.
-pub fn simulate_on(
-    sched: &Schedule,
-    net: &mut SimNet,
-    gamma: f64,
-    engine: SimEngine,
-    step_sync: bool,
-) -> SimReport {
+///
+/// Every recordable schedule is recorded and replayed on one thread
+/// ([`replay_on`]); pipelined HSUMMA, whose op sequence depends on
+/// timing, runs on rank threads ([`threads_on`]). Both engines give
+/// bit-identical reports wherever both apply (`tests/replay_parity.rs`).
+pub fn simulate_on(sched: &Schedule, net: &mut SimNet, gamma: f64, step_sync: bool) -> SimReport {
+    if sched.recordable() {
+        replay_on(net, gamma, &sched.record(step_sync))
+    } else {
+        threads_on(net, gamma, sched, step_sync)
+    }
+}
+
+/// The reference engine: one OS thread per simulated rank, parking on
+/// virtual-clock mailboxes. [`simulate_on`] takes it only for pipelined
+/// HSUMMA; the parity suites hold the replay engine against it. Threads
+/// cap out where the OS does (p ≈ 8192 under the default
+/// `vm.max_map_count`).
+pub fn threads_on(net: &mut SimNet, gamma: f64, sched: &Schedule, step_sync: bool) -> SimReport {
     assert_eq!(
         net.size(),
         sched.ranks(),
         "network must span the schedule's ranks"
     );
-    match engine {
-        SimEngine::Threads => {
-            let (done, _) = SimWorld::run(take(net), gamma, step_sync, |comm| {
-                sched.run(comm).expect("a clean simulated run cannot fail")
-            });
-            *net = done;
-            net.report()
-        }
-        SimEngine::Replay => replay_on(net, gamma, &sched.record(step_sync)),
-    }
+    let (done, _) = SimWorld::run(take(net), gamma, step_sync, |comm| {
+        sched.run(comm).expect("a clean simulated run cannot fail")
+    });
+    *net = done;
+    net.report()
 }
 
 /// Moves the caller's network out for an engine that consumes it; the
@@ -362,7 +399,9 @@ pub fn record_cosma(p: usize, m: usize, n: usize, k: usize, cfg: &CosmaConfig) -
     Schedule::Cosma { p, dims, cfg: *cfg }.record(false)
 }
 
-/// Pinned by `benchmark/`; remove when it moves to [`simulate`].
+/// Pinned by `benchmark/`, which times both engines on one schedule;
+/// remove with [`SimEngine`] when it moves to [`simulate`] and
+/// [`threads_on`].
 pub fn sim_summa_engine(
     engine: SimEngine,
     platform: &Platform,
@@ -371,10 +410,10 @@ pub fn sim_summa_engine(
     b: usize,
     bcast: SimBcast,
 ) -> SimReport {
-    simulate(&Schedule::summa(grid, n, b, bcast), platform, engine, false)
+    simulate_with(engine, &Schedule::summa(grid, n, b, bcast), platform)
 }
 
-/// Pinned by `benchmark/`; remove when it moves to [`simulate`].
+/// Pinned by `benchmark/`; remove with [`sim_summa_engine`].
 #[allow(clippy::too_many_arguments)]
 pub fn sim_hsumma_engine(
     engine: SimEngine,
@@ -388,7 +427,17 @@ pub fn sim_hsumma_engine(
     inner_bcast: SimBcast,
 ) -> SimReport {
     let sched = Schedule::hsumma(grid, groups, n, outer_b, inner_b, outer_bcast, inner_bcast);
-    simulate(&sched, platform, engine, false)
+    simulate_with(engine, &sched, platform)
+}
+
+/// The pinned pair's body: a free-running `sched` on a fresh network,
+/// priced by `engine`.
+fn simulate_with(engine: SimEngine, sched: &Schedule, platform: &Platform) -> SimReport {
+    let mut net = SimNet::new(sched.ranks(), platform.net);
+    match engine {
+        SimEngine::Threads => threads_on(&mut net, platform.gamma, sched, false),
+        SimEngine::Replay => simulate_on(sched, &mut net, platform.gamma, false),
+    }
 }
 
 #[cfg(test)]
@@ -400,9 +449,9 @@ mod tests {
         (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
     }
 
-    /// Free-running simulation on rank threads.
+    /// Free-running simulation.
     fn sim(sched: Schedule, plat: &Platform) -> SimReport {
-        simulate(&sched, plat, SimEngine::Threads, false)
+        simulate(&sched, plat, false)
     }
 
     /// HSUMMA at `b = B` under one broadcast algorithm.
@@ -645,7 +694,7 @@ mod tests {
             &plat,
         );
         let flat = Schedule::summa(grid, 64, 8, SimBcast::Flat);
-        let sync = simulate(&flat, &plat, SimEngine::Threads, true);
+        let sync = simulate(&flat, &plat, true);
         assert!(
             over.total_time <= sync.total_time,
             "overlap {} vs sync {}",

@@ -27,8 +27,8 @@ pub struct GroupPoint {
 
 /// Prices every group count in `gs` that factors on `grid` (the others
 /// are skipped) with `price`, typically a [`crate::simulate`] call on
-/// [`crate::Schedule::hsumma`] — under [`crate::SimEngine::Replay`] a
-/// G sweep at p = 2¹⁶ is a planner call, not an overnight job.
+/// [`crate::Schedule::hsumma`], which records and replays it: a G sweep
+/// at p = 2¹⁶ is a planner call, not an overnight job.
 pub fn sweep_groups(
     grid: GridShape,
     gs: &[usize],
@@ -129,10 +129,10 @@ pub fn tuned_hsumma(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simdrive::{simulate, Schedule, SimEngine};
+    use crate::simdrive::{simulate, threads_on, Schedule, SimEngine};
     use crate::testutil::{distributed_product, reference_product};
     use hsumma_matrix::seeded_uniform;
-    use hsumma_netsim::{Platform, SimBcast};
+    use hsumma_netsim::{Platform, SimBcast, SimNet};
 
     /// Sweeps all valid group counts on `grid`.
     fn sweep_all_groups(
@@ -148,7 +148,7 @@ mod tests {
             .collect();
         sweep_groups(grid, &gs, |groups| {
             let sched = Schedule::hsumma(grid, groups, n, block, block, bcast, bcast);
-            simulate(&sched, platform, SimEngine::Threads, false)
+            simulate(&sched, platform, false)
         })
     }
 
@@ -206,7 +206,7 @@ mod tests {
         let pts = sweep_groups(grid, &[1, 3, 4], |groups| {
             let bc = SimBcast::Binomial;
             let sched = Schedule::hsumma(grid, groups, 32, 8, 8, bc, bc);
-            simulate(&sched, &plat, SimEngine::Threads, false)
+            simulate(&sched, &plat, false)
         });
         let gs: Vec<usize> = pts.iter().map(|p| p.g).collect();
         assert_eq!(gs, vec![1, 4]);
@@ -231,12 +231,14 @@ mod tests {
         let sweep = |engine| {
             sweep_groups(grid, &gs, |groups| {
                 let bc = SimBcast::Binomial;
-                simulate(
-                    &Schedule::hsumma(grid, groups, 64, 8, 8, bc, bc),
-                    &plat,
-                    engine,
-                    false,
-                )
+                let sched = Schedule::hsumma(grid, groups, 64, 8, 8, bc, bc);
+                match engine {
+                    SimEngine::Threads => {
+                        let mut net = SimNet::new(grid.size(), plat.net);
+                        threads_on(&mut net, plat.gamma, &sched, false)
+                    }
+                    SimEngine::Replay => simulate(&sched, &plat, false),
+                }
             })
         };
         let threaded = sweep(SimEngine::Threads);

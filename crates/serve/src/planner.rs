@@ -30,8 +30,7 @@
 
 use hsumma_core::tuning::{best_by_comm, power_of_two_gs, sweep_groups};
 use hsumma_core::{
-    simulate, BrickDecomp, CosmaConfig, HierGrid, HsummaConfig, PlannedAlgo, Schedule, SimEngine,
-    SummaConfig,
+    simulate, BrickDecomp, CosmaConfig, HierGrid, HsummaConfig, PlannedAlgo, Schedule, SummaConfig,
 };
 use hsumma_matrix::sparse::CsrMatrix;
 use hsumma_matrix::{GemmKernel, GridShape};
@@ -451,7 +450,7 @@ impl Planner {
         let sweep = sweep_groups(grid, &gs, |groups| {
             let bc = SimBcast::Binomial;
             let sched = Schedule::hsumma(grid, groups, n, block, block, bc, bc);
-            simulate(&sched, platform, SimEngine::Replay, false)
+            simulate(&sched, platform, false)
         });
         self.stats.sims_run += sweep.len() as u64;
         best_by_comm(&sweep).g

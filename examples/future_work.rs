@@ -14,9 +14,9 @@
 //! ```
 
 use hsumma_repro::core::cyclic::summa_cyclic;
-use hsumma_repro::core::multilevel::sim_summa_hier_with;
+use hsumma_repro::core::multilevel::sim_summa_hier;
 use hsumma_repro::core::overlap::{hsumma_overlap, summa_overlap};
-use hsumma_repro::core::simdrive::{simulate, Schedule, SimEngine};
+use hsumma_repro::core::simdrive::{simulate, Schedule};
 use hsumma_repro::core::testutil::{distributed_product, reference_product};
 use hsumma_repro::core::{HsummaConfig, SummaConfig};
 use hsumma_repro::matrix::{seeded_uniform, BlockCyclicDist, GemmKernel, GridShape};
@@ -66,8 +66,8 @@ fn main() {
             ..Default::default()
         },
     };
-    let blocked = simulate(&blocked_sched, &platform, SimEngine::Threads, false);
-    let cyclic = simulate(&cyclic_sched, &platform, SimEngine::Threads, false);
+    let blocked = simulate(&blocked_sched, &platform, false);
+    let cyclic = simulate(&cyclic_sched, &platform, false);
     println!(
         "   rotating pivot owners (256 simulated cores): {:.3} s -> {:.3} s makespan ({:.1}% better)",
         blocked.total_time,
@@ -95,7 +95,7 @@ fn main() {
         by_hoverlap.max_abs_diff(&want)
     );
     // The same flat-push schedule free-running (above) vs step-synchronized.
-    let sync = simulate(&blocked_sched, &platform, SimEngine::Threads, true);
+    let sync = simulate(&blocked_sched, &platform, true);
     println!(
         "   simulated overlap benefit: {:.3} s blocking -> {:.3} s overlapped ({:.1}% hidden)",
         sync.total_time,
@@ -111,7 +111,7 @@ fn main() {
         ("3 levels", vec![2, 2, 4]),
         ("4 levels", vec![2, 2, 2, 2]),
     ] {
-        let r = sim_summa_hier_with(&platform, sim_grid, 2048, 64, SimBcast::Flat, &levels, true);
+        let r = sim_summa_hier(&platform, sim_grid, 2048, 64, SimBcast::Flat, &levels, true);
         println!("   {label} {:?}: comm {:.3} s", levels, r.comm_time);
     }
 }

@@ -10,7 +10,7 @@
 //! cargo run --release --example optimal_grouping
 //! ```
 
-use hsumma_repro::core::simdrive::{simulate, Schedule, SimEngine};
+use hsumma_repro::core::simdrive::{simulate, Schedule};
 use hsumma_repro::core::tuning::{best_by_comm, power_of_two_gs, sweep_groups};
 use hsumma_repro::matrix::GridShape;
 use hsumma_repro::netsim::{Platform, SimBcast};
@@ -28,7 +28,7 @@ fn main() {
     );
 
     // Blocking-collective semantics, as measured MPI runs behave.
-    let sim = |sched| simulate(&sched, &platform, SimEngine::Threads, true);
+    let sim = |sched| simulate(&sched, &platform, true);
     let summa = sim(Schedule::summa(grid, n, b, bcast));
     println!(
         "SUMMA baseline: total {:.3} s, comm {:.3} s\n",

@@ -19,7 +19,7 @@
 //! ```
 
 use hsumma_repro::core::grid::HierGrid;
-use hsumma_repro::core::simdrive::{simulate_on, Schedule, SimEngine};
+use hsumma_repro::core::simdrive::{simulate_on, Schedule};
 use hsumma_repro::matrix::GridShape;
 use hsumma_repro::netsim::topology::Topology;
 use hsumma_repro::netsim::{Platform, SimBcast, SimNet, Torus3D};
@@ -84,7 +84,6 @@ fn main() {
                 &Schedule::hsumma(grid, groups, n, b, b, bcast, bcast),
                 net,
                 platform.gamma,
-                SimEngine::Threads,
                 true,
             )
         };

@@ -14,7 +14,7 @@
 
 use hsumma_repro::core::testutil::reference_product;
 use hsumma_repro::core::tuning::{best_by_comm, power_of_two_gs, sweep_groups};
-use hsumma_repro::core::{hsumma, simulate, simulate_on, HsummaConfig, Schedule, SimEngine};
+use hsumma_repro::core::{hsumma, simulate, simulate_on, HsummaConfig, Schedule};
 use hsumma_repro::matrix::{seeded_uniform, BlockDist, GridShape};
 use hsumma_repro::model::predict::{best_point, sweep_groups as model_sweep};
 use hsumma_repro::model::{classify_regime, BcastModel, ModelParams, Regime};
@@ -194,7 +194,7 @@ fn cmd_sweep(opts: &HashMap<String, String>) -> Result<(), String> {
         s,
         p / s
     );
-    let sim = |sched| simulate(&sched, &platform, SimEngine::Threads, true);
+    let sim = |sched| simulate(&sched, &platform, true);
     let summa = sim(Schedule::summa(grid, n, block, bcast));
     println!(
         "SUMMA: total {:.4} s, comm {:.4} s",
@@ -334,7 +334,7 @@ fn cmd_trace(opts: &HashMap<String, String>) -> Result<(), String> {
     net.enable_trace();
     let flat = SimBcast::Flat;
     let sched = Schedule::hsumma(grid, groups, n, block, block, flat, flat);
-    let report = simulate_on(&sched, &mut net, platform.gamma, SimEngine::Threads, true);
+    let report = simulate_on(&sched, &mut net, platform.gamma, true);
     let json = net.trace_to_chrome_json().expect("tracing was enabled");
     std::fs::write(&out, &json).map_err(|e| format!("writing {out}: {e}"))?;
     println!(

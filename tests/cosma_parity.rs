@@ -15,7 +15,7 @@
 
 use hsumma_repro::core::{
     cosma, run_planned_gemm, simulate, BrickDecomp, CosmaConfig, Distribution, MatLike, MatMulDims,
-    PhantomMat, PlannedAlgo, Schedule, SimEngine,
+    PhantomMat, PlannedAlgo, Schedule,
 };
 use hsumma_repro::matrix::{seeded_uniform, GridShape, Matrix};
 use hsumma_repro::model::{cosma_volume, BrickShape};
@@ -141,7 +141,7 @@ fn sim_wire_bytes_match_the_analytic_volume_exactly_when_divisible() {
     };
     let dims = MatMulDims { m, l: k, n };
     let sched = Schedule::Cosma { p, dims, cfg };
-    let report = simulate(&sched, &Platform::grid5000(), SimEngine::Threads, false);
+    let report = simulate(&sched, &Platform::grid5000(), false);
     let predicted = cosma_volume(
         BrickShape {
             a: d.a,
@@ -170,7 +170,7 @@ fn sim_wire_bytes_track_the_analytic_volume_on_awkward_shapes() {
         let d = cfg.decomp;
         let dims = MatMulDims { m, l: k, n };
         let sched = Schedule::Cosma { p, dims, cfg };
-        let report = simulate(&sched, &Platform::grid5000(), SimEngine::Threads, false);
+        let report = simulate(&sched, &Platform::grid5000(), false);
         let predicted = cosma_volume(
             BrickShape {
                 a: d.a,

@@ -3,7 +3,7 @@
 //! paper's structural guarantees.
 
 use hsumma_repro::core::grid::HierGrid;
-use hsumma_repro::core::simdrive::{simulate, Schedule, SimEngine};
+use hsumma_repro::core::simdrive::{simulate, Schedule};
 use hsumma_repro::core::testutil::{distributed_product, reference_product};
 use hsumma_repro::core::{hsumma, HsummaConfig};
 use hsumma_repro::matrix::{seeded_uniform, GemmKernel, GridShape};
@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 /// Simulates under blocking-collective (step-synchronized) semantics.
 fn sync(sched: Schedule, platform: &Platform) -> SimReport {
-    simulate(&sched, platform, SimEngine::Threads, true)
+    simulate(&sched, platform, true)
 }
 
 const BCASTS: [SimBcast; 4] = [

@@ -5,7 +5,7 @@
 //! records the full-scale numbers from the bench binaries.
 
 use hsumma_repro::core::grid::HierGrid;
-use hsumma_repro::core::simdrive::{simulate, Schedule, SimEngine};
+use hsumma_repro::core::simdrive::{simulate, Schedule};
 use hsumma_repro::core::tuning::{best_by_comm, power_of_two_gs, sweep_groups};
 use hsumma_repro::matrix::GridShape;
 use hsumma_repro::model::{classify_regime, Regime};
@@ -15,7 +15,7 @@ use hsumma_repro::netsim::{Platform, SimBcast, SimReport};
 /// which is what the paper's measurements — and so its claims — are
 /// stated under.
 fn sync(sched: Schedule, platform: &Platform) -> SimReport {
-    simulate(&sched, platform, SimEngine::Threads, true)
+    simulate(&sched, platform, true)
 }
 
 /// §III: "It is clear that SUMMA is a special case of HSUMMA when the
@@ -181,9 +181,9 @@ fn claim_deeper_hierarchies_can_help_further() {
     let grid = GridShape::new(16, 16);
     let (n, b) = (256usize, 16usize);
     let algo = SimBcast::ScatterAllgather;
-    let one = sim_summa_hier(&platform, grid, n, b, algo, &[16]);
-    let two = sim_summa_hier(&platform, grid, n, b, algo, &[4, 4]);
-    let three = sim_summa_hier(&platform, grid, n, b, algo, &[2, 2, 4]);
+    let one = sim_summa_hier(&platform, grid, n, b, algo, &[16], false);
+    let two = sim_summa_hier(&platform, grid, n, b, algo, &[4, 4], false);
+    let three = sim_summa_hier(&platform, grid, n, b, algo, &[2, 2, 4], false);
     assert!(
         two.comm_time < one.comm_time,
         "2 levels {} < 1 level {}",

@@ -13,7 +13,7 @@
 //! threadless engine and attributing the numbers to the same simulator
 //! the rest of the test suite pins.
 
-use hsumma_repro::core::simdrive::{replay_on, simulate, simulate_on, Schedule, SimEngine};
+use hsumma_repro::core::simdrive::{replay_on, simulate, threads_on, Schedule, SimEngine};
 use hsumma_repro::core::{BrickDecomp, CosmaConfig, MatMulDims, SummaConfig, TwoDotFiveConfig};
 use hsumma_repro::matrix::GridShape;
 use hsumma_repro::netsim::{
@@ -62,8 +62,9 @@ fn traced(
 fn assert_engine_parity(label: &str, sched: &Schedule, step_sync: bool) {
     let gamma = platform().gamma;
     let run = |engine| {
-        traced(sched.ranks(), |net| {
-            simulate_on(sched, net, gamma, engine, step_sync)
+        traced(sched.ranks(), |net| match engine {
+            SimEngine::Threads => threads_on(net, gamma, sched, step_sync),
+            SimEngine::Replay => replay_on(net, gamma, &sched.record(step_sync)),
         })
     };
     let (t_report, t_sets) = run(SimEngine::Threads);
@@ -166,7 +167,7 @@ fn replay_parity_holds_under_noise() {
     let gamma = platform().gamma;
     let mut tnet = SimNet::new(sched.ranks(), platform().net);
     tnet.set_noise(NoiseModel::new(7, 0.25));
-    let threaded = simulate_on(&sched, &mut tnet, gamma, SimEngine::Threads, false);
+    let threaded = threads_on(&mut tnet, gamma, &sched, false);
     let mut rnet = SimNet::new(sched.ranks(), platform().net);
     rnet.set_noise(NoiseModel::new(7, 0.25));
     let replayed = replay_on(&mut rnet, gamma, &sched.record(false));
@@ -177,9 +178,48 @@ fn replay_parity_holds_under_noise() {
 fn engine_selector_agrees_with_direct_calls() {
     let sched = Schedule::summa(GridShape::new(4, 4), 64, 8, SimBcast::Binomial);
     let plat = platform();
-    let t = simulate(&sched, &plat, SimEngine::Threads, false);
-    let r = simulate(&sched, &plat, SimEngine::Replay, false);
+    let t = threads_on(&mut SimNet::new(16, plat.net), plat.gamma, &sched, false);
+    let r = simulate(&sched, &plat, false);
     assert_eq!(bits(&t), bits(&r));
+}
+
+#[test]
+fn simulate_runs_pipelined_hsumma_on_rank_threads() {
+    // The one schedule that cannot be recorded: `simulate` must hand it
+    // to the threaded reference, not panic in `Schedule::record`.
+    let bc = SimBcast::Binomial;
+    let (grid, groups) = (GridShape::new(4, 4), GridShape::new(2, 2));
+    let sched = Schedule::hsumma(grid, groups, 64, 16, 8, bc, bc).pipelined();
+    let plat = platform();
+    let want = threads_on(&mut SimNet::new(16, plat.net), plat.gamma, &sched, false);
+    assert_eq!(bits(&simulate(&sched, &plat, false)), bits(&want));
+}
+
+#[test]
+fn simulate_replays_every_recordable_schedule() {
+    let (grid, bc) = (GridShape::new(4, 4), SimBcast::Binomial);
+    let summa = Schedule::summa(grid, 64, 8, bc);
+    let scheds = [
+        summa,
+        summa.pipelined(),
+        Schedule::hsumma(grid, GridShape::new(2, 2), 64, 16, 8, bc, bc),
+        Schedule::cannon(4, 64),
+        Schedule::Fox {
+            q: 4,
+            n: 64,
+            bcast: bc,
+        },
+        cosma_for(16, 64, 64, 64),
+    ];
+    let plat = platform();
+    for sched in &scheds {
+        for step_sync in [false, true] {
+            let mut net = SimNet::new(sched.ranks(), plat.net);
+            let want = replay_on(&mut net, plat.gamma, &sched.record(step_sync));
+            let got = simulate(sched, &plat, step_sync);
+            assert_eq!(bits(&got), bits(&want), "{sched:?}, step_sync {step_sync}");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

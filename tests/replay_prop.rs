@@ -8,7 +8,7 @@
 //! cases live in `replay_parity.rs`; this file walks the configuration
 //! space around them.
 
-use hsumma_repro::core::simdrive::{simulate, simulate_on, Schedule, SimEngine};
+use hsumma_repro::core::simdrive::{replay_on, simulate, threads_on, Schedule, SimEngine};
 use hsumma_repro::core::{BrickDecomp, CosmaConfig, HierGrid, MatMulDims};
 use hsumma_repro::matrix::GridShape;
 use hsumma_repro::netsim::{
@@ -56,8 +56,9 @@ fn traced(p: usize, f: impl FnOnce(&mut SimNet) -> SimReport) -> (ReportBits, Se
 fn check(label: &str, sched: &Schedule) {
     let gamma = platform().gamma;
     let run = |engine| {
-        traced(sched.ranks(), |net| {
-            simulate_on(sched, net, gamma, engine, false)
+        traced(sched.ranks(), |net| match engine {
+            SimEngine::Threads => threads_on(net, gamma, sched, false),
+            SimEngine::Replay => replay_on(net, gamma, &sched.record(false)),
         })
     };
     let (t_report, t_sets) = run(SimEngine::Threads);
@@ -203,7 +204,7 @@ proptest! {
         };
         let p = sched.ranks();
         let plat = Platform::bluegene_p_effective();
-        let makespan = simulate(&sched, &plat, SimEngine::Replay, false).total_time;
+        let makespan = simulate(&sched, &plat, false).total_time;
         let victim = ((victim_frac * p as f64) as usize).min(p - 1);
         let plan = Arc::new(one_fault(kind, victim, nth, 0.5 * makespan));
         let opts = SimRunOptions::unbounded()

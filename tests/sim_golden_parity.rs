@@ -12,10 +12,10 @@
 //! schedule broadcasts over, keeping byte-chunked and element-chunked
 //! segmentation identical.
 
-use hsumma_core::simdrive::{simulate, Schedule, SimEngine};
+use hsumma_core::simdrive::{simulate_on, threads_on, Schedule, SimEngine};
 use hsumma_core::{SummaConfig, TwoDotFiveConfig};
 use hsumma_matrix::GridShape;
-use hsumma_netsim::{Platform, SimBcast, SimReport};
+use hsumma_netsim::{Platform, SimBcast, SimNet, SimReport};
 
 /// (label, total_time bits, comm_time bits, comp_time bits, msgs, bytes)
 type Golden = (&'static str, u64, u64, u64, u64, u64);
@@ -234,7 +234,16 @@ fn run(label: &str) -> SimReport {
         "bgp" => Platform::bluegene_p(),
         other => panic!("unknown platform tag {other}"),
     };
-    simulate(&schedule(algo), &plat, SimEngine::Threads, false)
+    price(SimEngine::Threads, &schedule(algo), &plat)
+}
+
+/// A free-running `sched` on a fresh `plat` network, priced by `engine`.
+fn price(engine: SimEngine, sched: &Schedule, plat: &Platform) -> SimReport {
+    let mut net = SimNet::new(sched.ranks(), plat.net);
+    match engine {
+        SimEngine::Threads => threads_on(&mut net, plat.gamma, sched, false),
+        SimEngine::Replay => simulate_on(sched, &mut net, plat.gamma, false),
+    }
 }
 
 #[test]
@@ -304,10 +313,10 @@ fn hsumma_is_summa_at_both_endpoints_to_the_bit() {
         },
     ];
     for plat in [Platform::grid5000(), Platform::bluegene_p()] {
-        let want = bits(simulate(&family[0], &plat, SimEngine::Threads, false));
+        let want = bits(price(SimEngine::Threads, &family[0], &plat));
         for engine in [SimEngine::Threads, SimEngine::Replay] {
             for sched in &family {
-                let got = bits(simulate(sched, &plat, engine, false));
+                let got = bits(price(engine, sched, &plat));
                 assert_eq!(got, want, "{sched:?} on {} under {engine:?}", plat.name);
             }
         }

@@ -8,7 +8,7 @@
 //! strongest evidence that the simulated BlueGene/P figures are replaying
 //! the same schedule the real implementation executes.
 
-use hsumma_repro::core::simdrive::{simulate, simulate_on, Schedule, SimEngine};
+use hsumma_repro::core::simdrive::{simulate, simulate_on, Schedule};
 use hsumma_repro::core::{hsumma, summa, HsummaConfig, SummaConfig};
 use hsumma_repro::matrix::{seeded_uniform, BlockDist, GemmKernel, GridShape};
 use hsumma_repro::model::{hsumma_cost, summa_cost, BcastModel, ModelParams};
@@ -18,7 +18,7 @@ use hsumma_repro::trace::{Trace, Tracer};
 
 /// Free-running simulation on rank threads.
 fn free_run(sched: Schedule, platform: &Platform) -> SimReport {
-    simulate(&sched, platform, SimEngine::Threads, false)
+    simulate(&sched, platform, false)
 }
 
 /// HSUMMA at `b = B` under one broadcast algorithm.
@@ -127,7 +127,6 @@ fn real_and_sim_summa_emit_identical_payload_multisets() {
         &Schedule::summa(grid, n, b, SimBcast::Binomial),
         &mut net,
         0.0,
-        SimEngine::Threads,
         false,
     );
     let sim = tracer.collect();
@@ -183,7 +182,6 @@ fn real_and_sim_hsumma_emit_identical_payload_multisets() {
         ),
         &mut net,
         0.0,
-        SimEngine::Threads,
         false,
     );
     let sim = tracer.collect();
@@ -489,7 +487,6 @@ fn real_summa_message_count_matches_simulated_schedule() {
     let sim = simulate(
         &Schedule::summa(grid, n, b, SimBcast::Binomial),
         &Platform::grid5000(),
-        SimEngine::Threads,
         false,
     );
     assert_eq!(
@@ -533,7 +530,6 @@ fn real_hsumma_message_count_matches_simulated_schedule() {
     let sim = simulate(
         &hsumma_uniform(grid, groups, n, b, SimBcast::Binomial),
         &Platform::grid5000(),
-        SimEngine::Threads,
         false,
     );
     assert_eq!(

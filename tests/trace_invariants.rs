@@ -2,7 +2,7 @@
 //! substrates: zero overhead when disabled, exact critical paths on
 //! known schedules, and well-formed Chrome-trace exports.
 
-use hsumma_repro::core::simdrive::{simulate_on, Schedule, SimEngine};
+use hsumma_repro::core::simdrive::{simulate_on, Schedule};
 use hsumma_repro::core::{
     hsumma, run_planned_gemm, summa, summa_cyclic, twodotfive, HsummaConfig, MatMulDims,
     PlannedAlgo, SummaConfig, TwoDotFiveConfig,
@@ -146,7 +146,7 @@ fn chrome_exports_from_both_substrates_validate() {
     net.attach_tracer(&sim_tracer);
     let bc = SimBcast::Binomial;
     let sched = Schedule::hsumma(grid, GridShape::new(2, 2), n, 4, 4, bc, bc);
-    simulate_on(&sched, &mut net, 0.0, SimEngine::Threads, false);
+    simulate_on(&sched, &mut net, 0.0, false);
     let sim = sim_tracer.collect();
     let sim_json = sim.to_chrome_json();
     validate_json(&sim_json).expect("sim export must be valid JSON");
@@ -166,7 +166,7 @@ fn step_breakdown_covers_the_whole_schedule() {
     let bc = SimBcast::Binomial;
     let sched = Schedule::hsumma(grid, groups, n, bb, bs, bc, bc);
     let gamma = Platform::grid5000().gamma;
-    simulate_on(&sched, &mut net, gamma, SimEngine::Threads, false);
+    simulate_on(&sched, &mut net, gamma, false);
     let trace = tracer.collect();
     let rows = trace.step_breakdown();
     assert_eq!(rows.len(), n / bb, "one row per outer pivot step");
@@ -338,7 +338,7 @@ fn rect_cyclic_and_twodotfive_steps_are_traced_on_the_simulator() {
         let plat = Platform::grid5000();
         let mut net = SimNet::new(sched.ranks(), plat.net);
         net.attach_tracer(&tracer);
-        simulate_on(&sched, &mut net, plat.gamma, SimEngine::Threads, false);
+        simulate_on(&sched, &mut net, plat.gamma, false);
         assert_steps_and_flops(&sched, &tracer.collect(), steps, flops);
     }
 }
