@@ -299,8 +299,13 @@ pub trait Communicator: Sized {
     fn rank(&self) -> usize;
     /// Number of ranks in this communicator.
     fn size(&self) -> usize;
-    /// `MPI_Comm_split`: groups by `color`, orders by `(key, rank)`.
-    fn split(&self, color: u64, key: i64) -> Result<Self, CommError>;
+    /// `MPI_Comm_split` from a function every member shares: `f` maps
+    /// each parent rank to its `(color, key)`; the child groups by color
+    /// and orders by `(key, parent rank)`. Each rank computes its own
+    /// group, so no substrate sends a message or waits. Members call it
+    /// in the same program order; a rank that makes no later split of
+    /// this communicator may skip it.
+    fn split(&self, f: impl Fn(usize) -> (u64, i64)) -> Self;
 
     /// Sends `mat` to `dst`.
     fn send_mat(&self, dst: usize, tag: u64, mat: Self::Mat) -> Result<(), CommError>;
@@ -492,8 +497,8 @@ impl Communicator for Comm {
     fn size(&self) -> usize {
         Comm::size(self)
     }
-    fn split(&self, color: u64, key: i64) -> Result<Self, CommError> {
-        Comm::split(self, color, key)
+    fn split(&self, f: impl Fn(usize) -> (u64, i64)) -> Self {
+        Comm::split(self, f)
     }
 
     fn send_mat(&self, dst: usize, tag: u64, mat: Matrix) -> Result<(), CommError> {
@@ -631,7 +636,7 @@ const SIM_TAG_REDUCE: u64 = (1 << 62) + 4;
 trait ByteComm: Sized {
     fn rank(&self) -> usize;
     fn size(&self) -> usize;
-    fn split(&self, color: u64, key: i64) -> Result<Self, CommError>;
+    fn split(&self, f: impl Fn(usize) -> (u64, i64)) -> Self;
     fn send_bytes(&self, dst: usize, tag: u64, bytes: u64) -> Result<(), CommError>;
     /// A collective's receive. The shapes are globally known, so the
     /// byte count is not inspected.
@@ -654,8 +659,8 @@ impl ByteComm for SimComm<'_> {
     fn size(&self) -> usize {
         SimComm::size(self)
     }
-    fn split(&self, color: u64, key: i64) -> Result<Self, CommError> {
-        SimComm::split(self, color, key)
+    fn split(&self, f: impl Fn(usize) -> (u64, i64)) -> Self {
+        SimComm::split(self, f)
     }
     fn send_bytes(&self, dst: usize, tag: u64, bytes: u64) -> Result<(), CommError> {
         SimComm::send_bytes(self, dst, tag, bytes)
@@ -692,8 +697,8 @@ impl ByteComm for RecordComm<'_> {
     fn size(&self) -> usize {
         RecordComm::size(self)
     }
-    fn split(&self, color: u64, key: i64) -> Result<Self, CommError> {
-        RecordComm::split(self, color, key)
+    fn split(&self, f: impl Fn(usize) -> (u64, i64)) -> Self {
+        RecordComm::split(self, f)
     }
     fn send_bytes(&self, dst: usize, tag: u64, bytes: u64) -> Result<(), CommError> {
         RecordComm::send_bytes(self, dst, tag, bytes)
@@ -741,8 +746,8 @@ impl<B: ByteComm> Communicator for B {
     fn size(&self) -> usize {
         ByteComm::size(self)
     }
-    fn split(&self, color: u64, key: i64) -> Result<Self, CommError> {
-        ByteComm::split(self, color, key)
+    fn split(&self, f: impl Fn(usize) -> (u64, i64)) -> Self {
+        ByteComm::split(self, f)
     }
 
     fn send_mat(&self, dst: usize, tag: u64, mat: PhantomMat) -> Result<(), CommError> {
@@ -1073,19 +1078,17 @@ mod tests {
 
     #[test]
     fn real_and_simulated_splits_agree_on_ordering() {
-        // Same (color, key) program on both substrates must produce the
+        // Same (color, key) function on both substrates must produce the
         // same communicator membership — the algorithms depend on it.
         use hsumma_runtime::Runtime;
         let program = |rank: usize| -> (u64, i64) { ((rank % 2) as u64, -(rank as i64)) };
         let real = Runtime::run(4, |comm| {
-            let (color, key) = program(Comm::rank(comm));
-            let sub = Communicator::split(comm, color, key).unwrap();
+            let sub = Communicator::split(comm, program);
             (Communicator::rank(&sub), Communicator::size(&sub))
         });
         let net = SimNet::new(4, Hockney::new(ALPHA, BETA));
         let (_, sim) = SimWorld::run(net, 0.0, false, |comm| {
-            let (color, key) = program(SimComm::rank(comm));
-            let sub = Communicator::split(comm, color, key).unwrap();
+            let sub = Communicator::split(comm, program);
             (Communicator::rank(&sub), Communicator::size(&sub))
         });
         assert_eq!(real, sim);

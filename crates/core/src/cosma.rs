@@ -124,12 +124,7 @@ pub fn cosma<C: Communicator>(
     let me = comm.rank();
 
     if me >= d.ranks() {
-        // Idle remainder: splits are collective over the parent
-        // communicator, so idle ranks must participate — each lands in
-        // its own singleton group and then does nothing.
-        for _ in 0..3 {
-            let _ = comm.split(color3(3, 0, me), 0)?;
-        }
+        // Idle remainder: it takes no fiber, so it makes no split.
         assert_eq!(a.elems(), 0, "idle ranks pass an empty A");
         assert_eq!(b.elems(), 0, "idle ranks pass an empty B");
         return Ok(None);
@@ -154,9 +149,17 @@ pub fn cosma<C: Communicator>(
     // BFS fibers of the cube, as sub-communicator splits. Keys order
     // each fiber by its free coordinate, so fiber rank 0 is the brick
     // owner (`j = 0`, `i = 0`) or the reduction root (`l = 0`).
-    let j_comm = comm.split(color3(0, i, l), j as i64)?;
-    let i_comm = comm.split(color3(1, j, l), i as i64)?;
-    let l_comm = comm.split(color3(2, i, j), l as i64)?;
+    // Idle ranks each get a singleton color of their own.
+    let fiber = |r: usize, line: fn((usize, usize, usize)) -> (u64, i64)| {
+        if r < d.ranks() {
+            line(d.coords(r))
+        } else {
+            (color3(3, 0, r), 0)
+        }
+    };
+    let j_comm = comm.split(|r| fiber(r, |(i, j, l)| (color3(0, i, l), j as i64)));
+    let i_comm = comm.split(|r| fiber(r, |(i, j, l)| (color3(1, j, l), i as i64)));
+    let l_comm = comm.split(|r| fiber(r, |(i, j, l)| (color3(2, i, j), l as i64)));
 
     let mut c_part = C::Mat::zeros(mi, nj);
     for s in 0..cfg.steps {

@@ -52,7 +52,10 @@ pub fn fox_with<C: Communicator>(
     assert_eq!((b.rows(), b.cols()), (ts, ts), "B tile has wrong shape");
 
     let (i, j) = grid.coords(comm.rank());
-    let row_comm = comm.split(i as u64, j as i64)?;
+    let row_comm = comm.split(|r| {
+        let (i, j) = grid.coords(r);
+        (i as u64, j as i64)
+    });
     let up = grid.rank((i + q - 1) % q, j);
     let down = grid.rank((i + 1) % q, j);
 

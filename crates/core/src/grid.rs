@@ -4,8 +4,9 @@
 //! overlays an `I × J` arrangement of *groups* on that grid, so each group
 //! is internally an `s/I × t/J` grid. [`HierGrid`] owns all the coordinate
 //! algebra: global grid coordinates ↔ (group, inner) coordinates, and the
-//! rank lists of the four communicators of Algorithm 1.
+//! rank lists and splits of the four communicators of Algorithm 1.
 
+use crate::comm::Communicator;
 use hsumma_matrix::GridShape;
 
 /// Encodes up to three 20-bit coordinates into one `split` color — the
@@ -15,6 +16,21 @@ use hsumma_matrix::GridShape;
 pub(crate) fn color3(a: usize, b: usize, c: usize) -> u64 {
     debug_assert!(a < (1 << 20) && b < (1 << 20) && c < (1 << 20));
     ((a as u64) << 40) | ((b as u64) << 20) | c as u64
+}
+
+/// The row and column communicators of `comm`, which spans `grid` in
+/// row-major rank order: grid row `gi` ordered by column, grid column `gj`
+/// ordered by row.
+pub fn grid_lines<C: Communicator>(comm: &C, grid: GridShape) -> (C, C) {
+    let row = comm.split(|r| {
+        let (gi, gj) = grid.coords(r);
+        (gi as u64, gj as i64)
+    });
+    let col = comm.split(|r| {
+        let (gi, gj) = grid.coords(r);
+        ((grid.rows + gj) as u64, gi as i64)
+    });
+    (row, col)
 }
 
 /// A two-level hierarchical view of an `s × t` processor grid as an
@@ -148,6 +164,39 @@ impl HierGrid {
                 self.grid.rank(gi, gj)
             })
             .collect()
+    }
+
+    /// Splits `comm`, which spans the grid in row-major rank order, by
+    /// `line`: each rank's `((x, y), (i, j))` → its `(color, key)`.
+    fn split<C: Communicator>(
+        &self,
+        comm: &C,
+        line: impl Fn((usize, usize), (usize, usize)) -> (u64, i64),
+    ) -> C {
+        comm.split(|r| {
+            let (gi, gj) = self.grid.coords(r);
+            line(self.group_of(gi, gj), self.inner_of(gi, gj))
+        })
+    }
+
+    /// The inter-group communicators through each rank of `comm`:
+    /// `P(x,·)(i,j)` ordered by `y`, where A's outer broadcasts run, and
+    /// `P(·,y)(i,j)` ordered by `x`, where B's run.
+    pub(crate) fn outer_comms<C: Communicator>(&self, comm: &C) -> (C, C) {
+        (
+            self.split(comm, |(x, y), (i, j)| (color3(x, i, j), y as i64)),
+            self.split(comm, |(x, y), (i, j)| (color3(y, i, j), x as i64)),
+        )
+    }
+
+    /// The intra-group communicators through each rank of `comm`:
+    /// `P(x,y)(i,·)` ordered by `j`, where A's inner broadcasts run, and
+    /// `P(x,y)(·,j)` ordered by `i`, where B's run.
+    pub(crate) fn inner_comms<C: Communicator>(&self, comm: &C) -> (C, C) {
+        (
+            self.split(comm, |(x, y), (i, j)| (color3(x, y, i), j as i64)),
+            self.split(comm, |(x, y), (i, j)| (color3(x, y, j), i as i64)),
+        )
     }
 
     /// A balanced `I × J` factorization of `g` compatible with `grid`

@@ -68,7 +68,7 @@ pub use cosma::{cosma, reduce_scatter_gather, CosmaConfig};
 pub use cyclic::summa_cyclic;
 pub use distribution::{redistribute, BrickDecomp, Distribution};
 pub use fox::fox;
-pub use grid::HierGrid;
+pub use grid::{grid_lines, HierGrid};
 pub use hsumma::{hsumma, HsummaConfig};
 pub use lu::{block_lu, LuConfig};
 pub use multilevel::hier_bcast;

@@ -27,7 +27,7 @@
 //! trailing update).
 
 use crate::comm::{Communicator, MatLike};
-use crate::grid::HierGrid;
+use crate::grid::{grid_lines, HierGrid};
 use crate::partition::{pivot_offset, pivot_owner, tile_shape};
 use hsumma_matrix::{GemmKernel, GridShape};
 use hsumma_runtime::{BcastAlgorithm, CommError};
@@ -95,23 +95,14 @@ pub fn block_lu<C: Communicator>(
 
     let (gi, gj) = grid.coords(comm.rank());
     // Flat row/column communicators (always needed: diagonal broadcast).
-    let row_comm = comm.split(gi as u64, gj as i64)?;
-    let col_comm = comm.split((grid.rows + gj) as u64, gi as i64)?;
+    let (row_comm, col_comm) = grid_lines(comm, grid);
     // Optional hierarchy for the panel broadcasts.
-    let hier = match cfg.groups {
-        None => None,
-        Some(groups) => {
-            let hg = HierGrid::new(grid, groups);
-            let (x, y) = hg.group_of(gi, gj);
-            let (i, j) = hg.inner_of(gi, gj);
-            let c3 = crate::grid::color3;
-            let group_row = comm.split(c3(x, i, j), y as i64)?;
-            let group_col = comm.split(c3(y, i, j), x as i64)?;
-            let inner_row = comm.split(c3(x, y, i), j as i64)?;
-            let inner_col = comm.split(c3(x, y, j), i as i64)?;
-            Some((hg, group_row, group_col, inner_row, inner_col))
-        }
-    };
+    let hier = cfg.groups.map(|groups| {
+        let hg = HierGrid::new(grid, groups);
+        let (group_row, group_col) = hg.outer_comms(comm);
+        let (inner_row, inner_col) = hg.inner_comms(comm);
+        (hg, group_row, group_col, inner_row, inner_col)
+    });
 
     // Two-phase (or flat) broadcast of an L-panel slab along this grid
     // row from grid column `cj`.

@@ -16,6 +16,7 @@
 //! tests), so this is a strict generalization.
 
 use crate::comm::{Communicator, PhantomMat};
+use crate::grid::grid_lines;
 use crate::partition::{pivot_owner, tile_shape};
 use crate::simdrive::replay_on;
 use hsumma_matrix::GridShape;
@@ -55,19 +56,20 @@ pub fn hier_bcast<C: Communicator>(
     // The leaders sit at the root's offset within each subgroup, so the
     // original root is itself a leader.
     let offset = root % sub;
-    let me = comm.rank();
-    let is_leader = me % sub == offset;
-    // Collective split: leaders share color 0 (ordered by subgroup index),
-    // everyone else lands in a singleton group.
-    let leader_comm = if is_leader {
-        comm.split(0, (me / sub) as i64)?
-    } else {
-        comm.split(1 + me as u64, 0)?
-    };
-    if is_leader {
+    // Leaders share color 0 (ordered by subgroup index), everyone else
+    // lands in a singleton group.
+    let is_leader = |r: usize| r % sub == offset;
+    let leader_comm = comm.split(|r| {
+        if is_leader(r) {
+            (0, (r / sub) as i64)
+        } else {
+            (1 + r as u64, 0)
+        }
+    });
+    if is_leader(comm.rank()) {
         leader_comm.bcast_mat(algo, root / sub, mat)?;
     }
-    let sub_comm = comm.split((me / sub) as u64, (me % sub) as i64)?;
+    let sub_comm = comm.split(|r| ((r / sub) as u64, (r % sub) as i64));
     hier_bcast(&sub_comm, algo, offset, mat, &levels[1..])
 }
 
@@ -124,9 +126,7 @@ fn summa_hier<C: Communicator<Mat = PhantomMat>>(
     levels: &[usize],
 ) -> Result<(), CommError> {
     let (th, tw) = tile_shape(grid, n);
-    let (gi, gj) = grid.coords(comm.rank());
-    let row_comm = comm.split(gi as u64, gj as i64)?;
-    let col_comm = comm.split((grid.rows + gj) as u64, gi as i64)?;
+    let (row_comm, col_comm) = grid_lines(comm, grid);
     let pairs = th * tw * b;
     let mut a_panel = PhantomMat { rows: th, cols: b };
     let mut b_panel = PhantomMat { rows: b, cols: tw };

@@ -12,8 +12,8 @@
 //!   outer panel of width `B` first crosses the groups, then is
 //!   re-broadcast inside them in slices of width `b ≤ B`. The paper's
 //!   theorem that HSUMMA *is* SUMMA at `G = 1` and `G = p` is the
-//!   statement that skipping the outer phase changes nothing but the
-//!   two extra communicator splits;
+//!   statement that one of the two levels then runs on singleton
+//!   communicators and sends nothing;
 //! * **extents** — general `(M, L, N)` ([`MatMulDims`]), as Algorithm 1
 //!   is stated;
 //! * **layout** — which grid row/column owns pivot step `k`
@@ -25,7 +25,7 @@
 //!   bit-identical.
 
 use crate::comm::{Communicator, MatLike, PanelBcast};
-use crate::grid::{color3, HierGrid};
+use crate::grid::HierGrid;
 use crate::hsumma::HsummaConfig;
 use crate::partition::{pivot_offset, pivot_owner, MatMulDims};
 use crate::summa::SummaConfig;
@@ -83,8 +83,8 @@ impl Spec {
     }
 
     /// HSUMMA over the block-checkerboard layout. `groups = 1×1` still
-    /// takes the two-level path: its two singleton-group splits are real
-    /// messages on the threaded runtime.
+    /// takes the two-level path, whose outer level is then singleton
+    /// communicators that send nothing.
     pub fn hsumma(grid: GridShape, dims: MatMulDims, cfg: &HsummaConfig) -> Self {
         Spec {
             grid,
@@ -198,7 +198,7 @@ impl<C: Communicator> Geometry<C> {
     /// # Panics
     /// Panics with [`Spec::validate`]'s message, or if the communicator
     /// or a tile does not match the spec.
-    fn new(comm: &C, spec: &Spec, a: &C::Mat, b: &C::Mat) -> Result<Self, CommError> {
+    fn new(comm: &C, spec: &Spec, a: &C::Mat, b: &C::Mat) -> Self {
         let (a_tile, b_tile) = spec.validate().unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(
             comm.size(),
@@ -210,16 +210,10 @@ impl<C: Communicator> Geometry<C> {
 
         let hg = HierGrid::new(spec.grid, spec.groups.unwrap_or(GridShape::new(1, 1)));
         let (gi, gj) = spec.grid.coords(comm.rank());
-        let (x, y) = hg.group_of(gi, gj);
         let (i, j) = hg.inner_of(gi, gj);
-        let outer = match spec.groups {
-            Some(_) => Some((
-                comm.split(color3(x, i, j), y as i64)?,
-                comm.split(color3(y, i, j), x as i64)?,
-            )),
-            None => None,
-        };
-        Ok(Geometry {
+        let outer = spec.groups.map(|_| hg.outer_comms(comm));
+        let (row, col) = hg.inner_comms(comm);
+        Geometry {
             a_tile,
             b_tile,
             gi,
@@ -228,9 +222,9 @@ impl<C: Communicator> Geometry<C> {
             j,
             inner: hg.inner(),
             outer,
-            row: comm.split(color3(x, y, i), j as i64)?,
-            col: comm.split(color3(x, y, j), i as i64)?,
-        })
+            row,
+            col,
+        }
     }
 
     /// Outer step `kg`'s panel of `A`, located along the grid columns.
@@ -355,7 +349,7 @@ pub(crate) fn blocking<C: Communicator>(
     b: &C::Mat,
     take: impl Fn(usize) -> bool,
 ) -> Result<C::Mat, CommError> {
-    let g = Geometry::new(comm, spec, a, b)?;
+    let g = Geometry::new(comm, spec, a, b);
     let ((ah, _), (_, bw)) = (g.a_tile, g.b_tile);
     let (bb, bs) = (spec.outer_block, spec.inner_block);
 
@@ -432,7 +426,7 @@ pub(crate) fn pipelined<C: Communicator>(
     a: &C::Mat,
     b: &C::Mat,
 ) -> Result<C::Mat, CommError> {
-    let g = Geometry::new(comm, spec, a, b)?;
+    let g = Geometry::new(comm, spec, a, b);
     let ((ah, _), (_, bw)) = (g.a_tile, g.b_tile);
     let (bb, bs) = (spec.outer_block, spec.inner_block);
     let outer_steps = spec.dims.l / bb;
@@ -848,7 +842,7 @@ mod tests {
         let bt = dist.scatter(&seeded_uniform(n, n, 34));
         Runtime::run(spec.grid.size(), |comm| {
             let (a, b) = (&at[comm.rank()], &bt[comm.rank()]);
-            let g = Geometry::new(&*comm, &spec, a, b).unwrap();
+            let g = Geometry::new(&*comm, &spec, a, b);
             let step = g.outer_step(&spec, 0, a, b).unwrap();
             let slices = (0..bb / 8)
                 .map(|ki| g.slices(&spec, &step, ki, a, b).unwrap())

@@ -85,8 +85,7 @@ pub enum Schedule {
     /// COSMA over `p` ranks with bricks in their native
     /// [`crate::distribution::BrickDecomp`] layouts — no redistribution,
     /// matching how the serving layer would stage operands for a pure
-    /// cosma job. Ranks beyond the decomposition idle, taking part only
-    /// in the split rendezvous.
+    /// cosma job. Ranks beyond the decomposition idle and send nothing.
     Cosma {
         /// World size (may exceed the decomposition's rank count).
         p: usize,

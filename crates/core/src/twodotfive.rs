@@ -78,11 +78,17 @@ pub fn twodotfive<C: Communicator>(
         "the number of SUMMA steps (n/b = {steps}) must be divisible by c = {c}"
     );
 
-    let (layer, i, j) = coords_3d(comm.rank(), q);
+    let (layer, _, _) = coords_3d(comm.rank(), q);
     // Layer communicator: all ranks of my layer, row-major rank order.
-    let layer_comm = comm.split(layer as u64, (i * q + j) as i64)?;
+    let layer_comm = comm.split(|r| {
+        let (layer, i, j) = coords_3d(r, q);
+        (layer as u64, (i * q + j) as i64)
+    });
     // Depth communicator: same (i, j) across layers, ordered by layer.
-    let depth_comm = comm.split((c + i * q + j) as u64, layer as i64)?;
+    let depth_comm = comm.split(|r| {
+        let (layer, i, j) = coords_3d(r, q);
+        ((c + i * q + j) as u64, layer as i64)
+    });
 
     // --- 1. replicate the operands from layer 0 ------------------------
     let mut a_rep = if layer == 0 {

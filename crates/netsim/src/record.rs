@@ -19,18 +19,10 @@
 //! per-operation semantics of the threaded world are mirrored (see
 //! `replay.rs`), so one recording serves every failure scenario.
 //!
-//! The one collective that needs care is `split`: its result (child
-//! membership and rank order) depends on every member's `(color, key)`
-//! deposit, which a sequential recorder does not have until the *other*
-//! ranks have run. The recorder therefore runs in passes: a rank that
-//! reaches an unresolved split rendezvous aborts its pass with a sentinel
-//! error (the deposit is kept), and once all members of a rendezvous have
-//! deposited, the split is resolved exactly the way the SPMD world
-//! resolves it — colors sorted, members ordered by `(key, parent rank)` —
-//! and the aborted ranks re-run from the top. Re-runs are deterministic,
-//! so re-deposits are asserted identical. Dense schedules split a handful
-//! of times before their step loops, so recording converges in a few
-//! passes (SUMMA: 3, HSUMMA: 5, COSMA: 4).
+//! A `split` needs no other rank either: its function gives every
+//! member's `(color, key)`, so the first rank to reach a split resolves
+//! it for all of them (`SplitTable`) and each rank's closure runs
+//! exactly once.
 //!
 //! What is *not* recordable: schedules whose control flow depends on the
 //! outcome of a non-blocking probe (`ibcast_test`), i.e. the polling
@@ -39,7 +31,7 @@
 //! The blocking-wait pipeline (`summa_overlap`) records fine — its
 //! schedule is a fixed sequence of starts and waits.
 
-use hsumma_trace::{CommEdge, CommError};
+use hsumma_trace::{split_order, CommError};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -97,11 +89,6 @@ pub enum Op {
     Compute { pairs: f64, flops: u64 },
     /// Group barrier number `seq` on communicator `comm`.
     Barrier { comm: u32, seq: u32 },
-    /// Split rendezvous number `seq` on communicator `comm`. Pure
-    /// synchronization at replay: membership was resolved at record
-    /// time, but the rendezvous itself must still hold ranks back so
-    /// deadline/fault quiescence matches the threaded world.
-    Split { comm: u32, seq: u32 },
     /// Open a pivot-step trace span (`k`, outer, inner block sizes).
     StepPush { k: u32, outer: u32, inner: u32 },
     /// Close the innermost open pivot-step span.
@@ -149,28 +136,84 @@ impl RecordedProgram {
     }
 }
 
-/// One in-progress split rendezvous: `(color, key)` deposits by parent
-/// rank, and (once every member has deposited and a pass boundary
-/// resolved it) each parent rank's `(child communicator, rank in it)`.
-struct SplitRec {
-    deposits: Vec<Option<(u64, i64)>>,
-    resolved: Option<Vec<(u32, usize)>>,
+/// One split, resolved by the first member to reach it and interned for
+/// the others, so the simulators evaluate a split's function once per
+/// `(parent, epoch)` rather than once per member — O(p) per split, not
+/// O(p²), at p = 2²⁰. Shared by the recorder and the SPMD world.
+pub(crate) struct SplitTable {
+    /// Each parent rank's `(color, key)`, against which every later
+    /// member checks what its own function gives it.
+    entries: Vec<(u64, i64)>,
+    /// Each parent rank's child (an index into `groups`) and rank in it.
+    placed: Vec<(u32, u32)>,
+    /// The id of `groups[0]`; the children are numbered on from it.
+    first: u32,
+    /// Each child's members as world ranks, in rank order; colors
+    /// ascending.
+    groups: Vec<Arc<Vec<usize>>>,
+}
+
+impl SplitTable {
+    /// Resolves `f` over a parent whose members are the world ranks
+    /// `parent`, numbering the children `first, first + 1, …`.
+    pub(crate) fn resolve(parent: &[usize], first: u32, f: impl Fn(usize) -> (u64, i64)) -> Self {
+        let mut entries = vec![(0, 0); parent.len()];
+        let mut placed = vec![(0, 0); parent.len()];
+        let mut groups = Vec::new();
+        let order = split_order(parent.len(), f);
+        for run in order.chunk_by(|a, b| a.0 == b.0) {
+            let g = u32::try_from(groups.len()).expect("too many communicators");
+            let mut world = Vec::with_capacity(run.len());
+            for (child_rank, &(color, key, r)) in run.iter().enumerate() {
+                entries[r] = (color, key);
+                placed[r] = (g, child_rank as u32);
+                world.push(parent[r]);
+            }
+            groups.push(Arc::new(world));
+        }
+        SplitTable {
+            entries,
+            placed,
+            first,
+            groups,
+        }
+    }
+
+    /// The children, in id order.
+    pub(crate) fn groups(&self) -> &[Arc<Vec<usize>>] {
+        &self.groups
+    }
+
+    /// Parent rank `me`'s child id, its members and `me`'s rank in it.
+    ///
+    /// # Panics
+    /// Panics unless `own` — what `me`'s function gives `me` — is the
+    /// table's entry: the function was not the same on every member, so
+    /// the schedule is not deterministic and cannot be simulated.
+    pub(crate) fn place(&self, me: usize, own: (u64, i64)) -> (u32, Arc<Vec<usize>>, usize) {
+        assert_eq!(
+            own, self.entries[me],
+            "parent rank {me}'s split function disagrees with the first member's: \
+             the split function must be the same on every member"
+        );
+        let (g, child_rank) = self.placed[me];
+        let members = Arc::clone(&self.groups[g as usize]);
+        (self.first + g, members, child_rank as usize)
+    }
 }
 
 /// Shared recording state, threaded through every [`RecordComm`] handle
 /// of the rank currently being recorded.
 struct RecordState {
     step_sync: bool,
-    /// The current rank's op buffer: cleared, not freed, between ranks
-    /// and passes; a completed rank's program is copied out exact-size.
+    /// The current rank's op buffer: cleared, not freed, between ranks;
+    /// a completed rank's program is copied out exact-size.
     ops: Vec<Op>,
-    /// Raised when the current rank aborted at an unresolved split; the
-    /// driver distinguishes this expected abort from a real error.
-    stalled: bool,
     chans: Vec<(u32, u64)>,
     chan_ids: IdMap<(u32, u64), u32>,
     comms: Vec<Arc<Vec<usize>>>,
-    splits: IdMap<(u32, u64), SplitRec>,
+    /// Every split so far, by `(parent communicator, epoch)`.
+    splits: IdMap<(u32, u64), SplitTable>,
 }
 
 impl RecordState {
@@ -185,54 +228,6 @@ impl RecordState {
         self.chans.push((comm, tag));
         self.chan_ids.insert((comm, tag), id);
         id
-    }
-
-    /// Resolves every fully-deposited, still-unresolved split, in
-    /// deterministic `(parent communicator, epoch)` order so child
-    /// communicator ids do not depend on the pass's rank iteration.
-    /// Mirrors the SPMD world's resolution exactly: colors sorted and
-    /// deduplicated, members ordered by `(key, parent rank)`, one fresh
-    /// communicator per color in color order. Returns how many
-    /// rendezvous were resolved.
-    fn resolve_splits(&mut self) -> usize {
-        let mut ready: Vec<(u32, u64)> = self
-            .splits
-            .iter()
-            .filter(|(_, s)| s.resolved.is_none() && s.deposits.iter().all(Option::is_some))
-            .map(|(&k, _)| k)
-            .collect();
-        ready.sort_unstable();
-        for &(parent, epoch) in &ready {
-            let parent_members = Arc::clone(&self.comms[parent as usize]);
-            let split = self
-                .splits
-                .get_mut(&(parent, epoch))
-                .expect("rendezvous vanished");
-            // One sort orders colors, and members by (key, parent rank)
-            // within each color.
-            let mut order: Vec<(u64, i64, usize)> = split
-                .deposits
-                .iter()
-                .enumerate()
-                .map(|(parent_rank, d)| {
-                    let (color, key) = d.expect("every member deposited");
-                    (color, key, parent_rank)
-                })
-                .collect();
-            order.sort_unstable();
-            let mut placed = vec![(0, 0); order.len()];
-            for group in order.chunk_by(|a, b| a.0 == b.0) {
-                let id = u32::try_from(self.comms.len()).expect("too many communicators");
-                let mut world = Vec::with_capacity(group.len());
-                for (child_rank, &(_, _, parent_rank)) in group.iter().enumerate() {
-                    placed[parent_rank] = (id, child_rank);
-                    world.push(parent_members[parent_rank]);
-                }
-                self.comms.push(Arc::new(world));
-            }
-            split.resolved = Some(placed);
-        }
-        ready.len()
     }
 }
 
@@ -329,10 +324,6 @@ impl<'r> RecordComm<'r> {
         self.members.len()
     }
 
-    fn world_me(&self) -> usize {
-        self.members[self.my_rank]
-    }
-
     /// Records a send of `bytes` to `dst` (communicator rank).
     pub fn send_bytes(&self, dst: usize, tag: u64, bytes: u64) -> Result<(), CommError> {
         let dst = self.members[dst] as u32;
@@ -405,58 +396,23 @@ impl<'r> RecordComm<'r> {
         Ok(())
     }
 
-    /// Splits this communicator by `color`, members ordered by
-    /// `(key, parent rank)` — same contract as the live substrates.
-    ///
-    /// If the rendezvous is not yet resolved (some member has not
-    /// deposited in an earlier pass), the deposit is kept and the pass
-    /// aborts with a sentinel error the driver recognizes; the rank
-    /// re-runs after the next resolution round.
-    pub fn split(&self, color: u64, key: i64) -> Result<RecordComm<'r>, CommError> {
+    /// Splits this communicator by `f`, members ordered by `(key, parent
+    /// rank)` — same contract as the live substrates. Records no op: the
+    /// first member to reach the split resolves it for every member.
+    pub fn split(&self, f: impl Fn(usize) -> (u64, i64)) -> RecordComm<'r> {
         let epoch = self.epoch.get();
         self.epoch.set(epoch + 1);
-        let rkey = (self.comm, epoch);
-        let me_w = self.world_me();
-        let group = self.members.len();
+        let own = f(self.my_rank);
         let mut st = self.st.borrow_mut();
-        let entry = st.splits.entry(rkey).or_insert_with(|| SplitRec {
-            deposits: vec![None; group],
-            resolved: None,
+        let st = &mut *st;
+        let table = st.splits.entry((self.comm, epoch)).or_insert_with(|| {
+            let first = u32::try_from(st.comms.len()).expect("too many communicators");
+            let table = SplitTable::resolve(&self.members, first, f);
+            st.comms.extend(table.groups().iter().cloned());
+            table
         });
-        match entry.deposits[self.my_rank] {
-            None => entry.deposits[self.my_rank] = Some((color, key)),
-            Some(prev) => assert_eq!(
-                prev,
-                (color, key),
-                "rank {me_w} deposited a different (color, key) on re-run: \
-                 the schedule is not deterministic and cannot be recorded"
-            ),
-        }
-        let Some(placed) = entry.resolved.as_ref() else {
-            st.stalled = true;
-            // Sentinel abort: the driver re-runs this rank once the
-            // rendezvous resolves. `Cancelled` (not `Timeout`) so a
-            // buggy non-collective split that never resolves is
-            // distinguishable in the panic message.
-            return Err(CommError::Cancelled {
-                edge: CommEdge {
-                    rank: me_w,
-                    peer: me_w,
-                    ctx: self.comm as u64,
-                    tag: 0,
-                    epoch,
-                },
-                op: "split",
-            });
-        };
-        let (child, my_rank) = placed[self.my_rank];
-        st.ops.push(Op::Split {
-            comm: self.comm,
-            seq: epoch as u32,
-        });
-        let members = Arc::clone(&st.comms[child as usize]);
-        drop(st);
-        Ok(RecordComm::new(self.st, child, members, my_rank))
+        let (child, members, my_rank) = table.place(self.my_rank, own);
+        RecordComm::new(self.st, child, members, my_rank)
     }
 }
 
@@ -468,17 +424,16 @@ impl RecordState {
 }
 
 /// Records the SPMD program `f` for a `p`-rank world: runs each rank's
-/// closure to completion sequentially (re-running ranks that stall at
-/// split rendezvous, see module docs) and returns the per-rank op
+/// closure to completion once, in rank order, and returns the per-rank op
 /// programs.
 ///
 /// `step_sync` selects the per-step-synchronized semantics, exactly like
 /// the `step_sync` flag of [`crate::spmd::SimWorld::run`].
 ///
 /// # Panics
-/// Panics if a rank's closure returns a real error (recording is a clean
-/// run: deadlines and faults belong to replay), or if recording cannot
-/// make progress (a split that is not collective over its communicator).
+/// Panics if a rank's closure returns an error (recording is a clean
+/// run: deadlines and faults belong to replay), or if the members of a
+/// split pass it different functions.
 pub fn record<F>(p: usize, step_sync: bool, f: F) -> RecordedProgram
 where
     F: for<'r> Fn(&RecordComm<'r>) -> Result<(), CommError>,
@@ -488,52 +443,25 @@ where
     let st = RefCell::new(RecordState {
         step_sync,
         ops: Vec::new(),
-        stalled: false,
         chans: Vec::new(),
         chan_ids: IdMap::default(),
         comms: vec![Arc::clone(&world)],
         splits: IdMap::default(),
     });
-    let mut programs: Vec<Option<Vec<Op>>> = (0..p).map(|_| None).collect();
-    loop {
-        let mut completed_this_pass = 0usize;
-        for (rank, slot) in programs.iter_mut().enumerate() {
-            if slot.is_some() {
-                continue;
-            }
-            {
-                let mut s = st.borrow_mut();
-                s.ops.clear();
-                s.stalled = false;
-            }
+    let programs = (0..p)
+        .map(|rank| {
+            st.borrow_mut().ops.clear();
             let comm = RecordComm::new(&st, 0, Arc::clone(&world), rank);
-            match f(&comm) {
-                // `to_vec` allocates exactly `len`: no spare capacity.
-                Ok(()) => {
-                    *slot = Some(st.borrow().ops.to_vec());
-                    completed_this_pass += 1;
-                }
-                Err(e) => {
-                    assert!(
-                        st.borrow().stalled,
-                        "recording must be a clean run, but rank {rank} failed: {e:?}"
-                    );
-                }
+            if let Err(e) = f(&comm) {
+                panic!("recording must be a clean run, but rank {rank} failed: {e:?}");
             }
-        }
-        if programs.iter().all(Option::is_some) {
-            break;
-        }
-        let resolved = st.borrow_mut().resolve_splits();
-        assert!(
-            resolved > 0 || completed_this_pass > 0,
-            "recording made no progress: a split rendezvous never completed \
-             (is the split collective over its communicator?)"
-        );
-    }
+            // `to_vec` allocates exactly `len`: no spare capacity.
+            st.borrow().ops.to_vec()
+        })
+        .collect();
     let st = st.into_inner();
     RecordedProgram {
-        programs: programs.into_iter().map(Option::unwrap).collect(),
+        programs,
         chans: st.chans,
         comms: st.comms,
     }
@@ -577,8 +505,7 @@ mod tests {
     fn split_resolves_like_the_spmd_world() {
         // Mirrors spmd's split_is_free_and_orders_by_key_then_parent_rank.
         let prog = record(4, false, |comm| {
-            let color = (comm.rank() % 2) as u64;
-            let sub = comm.split(color, -(comm.rank() as i64))?;
+            let sub = comm.split(|r| ((r % 2) as u64, -(r as i64)));
             // Color 0 = world {0, 2}, keys {0, -2}: order [2, 0].
             // Color 1 = world {1, 3}, keys {-1, -3}: order [3, 1].
             match comm.rank() {
@@ -590,30 +517,27 @@ mod tests {
             }
             sub.send_bytes((sub.rank() + 1) % 2, 5, 8)?;
             sub.recv_bytes_unchecked((sub.rank() + 1) % 2, 5)?;
-            Ok(())
-        });
-        // Two children after the world: colors 0 and 1 in sorted order.
-        assert_eq!(prog.comm_count(), 3);
-        assert_eq!(*prog.comms[1], vec![2, 0]);
-        assert_eq!(*prog.comms[2], vec![3, 1]);
-    }
-
-    #[test]
-    fn nested_splits_converge_over_passes() {
-        let prog = record(4, false, |comm| {
-            let half = comm.split((comm.rank() / 2) as u64, comm.rank() as i64)?;
-            let single = half.split(half.rank() as u64, 0)?;
+            // Nested: each child splits again, into singletons.
+            let single = sub.split(|r| (r as u64, 0));
             assert_eq!(single.size(), 1);
             Ok(())
         });
-        // World + 2 halves + 4 singletons.
+        // Two children after the world: colors 0 and 1 in sorted order.
+        assert_eq!(*prog.comms[1], vec![2, 0]);
+        assert_eq!(*prog.comms[2], vec![3, 1]);
+        // Then two singletons under each child.
         assert_eq!(prog.comm_count(), 7);
-        for p in &prog.programs {
-            assert_eq!(
-                p.iter().filter(|o| matches!(o, Op::Split { .. })).count(),
-                2
-            );
-        }
+    }
+
+    #[test]
+    #[should_panic(expected = "same on every member")]
+    fn ranks_passing_different_split_functions_panic_the_recorder() {
+        let _ = record(2, false, |comm| {
+            // Rank 0 groups by parity; rank 1 puts everyone together.
+            let me = comm.rank();
+            let _ = comm.split(|r| ((if me == 0 { r % 2 } else { 0 }) as u64, 0));
+            Ok(())
+        });
     }
 
     #[test]
@@ -637,18 +561,17 @@ mod tests {
 
     #[test]
     fn programs_hold_no_spare_capacity() {
-        // Uneven program lengths, and a split that makes every rank
-        // abort and re-run (re-filling the shared buffer) in a later pass.
+        // Uneven program lengths, recorded one after the other into the
+        // shared buffer.
         let prog = record(5, false, |comm| {
-            let sub = comm.split(0, comm.rank() as i64)?;
+            let sub = comm.split(|r| (0, r as i64));
             for i in 0..(37 * comm.rank() + 3) {
                 sub.compute(i as f64, 0);
             }
             Ok(())
         });
         for (r, p) in prog.programs.iter().enumerate() {
-            assert_eq!(p.len(), 37 * r + 4, "rank {r}: the split plus the computes");
-            assert!(matches!(p[0], Op::Split { .. }));
+            assert_eq!(p.len(), 37 * r + 3, "rank {r}: the computes");
             assert_eq!(p.capacity(), p.len(), "rank {r} holds spare capacity");
         }
     }
@@ -663,7 +586,7 @@ mod tests {
         // the (comm, tag) it was sent on.
         let tags = [5u64, 9, 1, 7, 3, 5, 11, 9, 1, 13, 5, 7, 20, 21, 22, 21];
         let prog = record(2, false, |comm| {
-            let sub = comm.split(0, 0)?;
+            let sub = comm.split(|_| (0, 0));
             let p2p = |c: &RecordComm, tag: u64| {
                 if c.rank() == 0 {
                     c.send_bytes(1, tag, tag)

@@ -94,8 +94,6 @@ enum State {
     Recv { chan: u32, src: u32 },
     /// Waiting at a barrier on communicator `comm`.
     Barrier { comm: u32 },
-    /// Waiting at a split rendezvous on communicator `comm`.
-    Split { comm: u32 },
     /// Completed its program, or failed.
     Done,
 }
@@ -236,9 +234,8 @@ struct Replay<'p> {
     /// attached, the spans' one consumer.
     steps: Option<Vec<Vec<OpenStep>>>,
     mail: Mail,
-    /// `(comm, seq, kind)` → ranks waiting at that rendezvous; kind 0 =
-    /// barrier, 1 = split.
-    rendezvous: IdMap<(u32, u32, u8), Vec<usize>>,
+    /// `(comm, seq)` → ranks waiting at that barrier.
+    barriers: IdMap<(u32, u32), Vec<usize>>,
 }
 
 /// The threadless replay engine: prices a [`RecordedProgram`] on a
@@ -304,7 +301,7 @@ impl EventLoopSim {
             errors: (0..p).map(|_| None).collect(),
             steps,
             mail: Mail::new(p),
-            rendezvous: IdMap::default(),
+            barriers: IdMap::default(),
         };
         rp.drive();
         if !relaxed {
@@ -351,7 +348,6 @@ impl<'p> Replay<'p> {
                     timeout(r, src as usize, ctx, tag, "recv")
                 }
                 State::Barrier { comm } => timeout(r, r, comm, 0, "barrier"),
-                State::Split { comm } => timeout(r, r, comm, 0, "split"),
                 State::Ready => unreachable!("a quiescent replay has no runnable rank"),
             };
             self.net.wait_until(r, d);
@@ -493,18 +489,8 @@ impl<'p> Replay<'p> {
                         }
                     }
                     pc += 1;
-                    if !self.arrive(r, comm, seq, 0) {
+                    if !self.arrive(r, comm, seq) {
                         break State::Barrier { comm };
-                    }
-                }
-                Op::Split { comm, seq } => {
-                    // spmd split: pure rendezvous — no entry deadline
-                    // check, no clock effect. It must still hold ranks
-                    // back so fault/deadline quiescence sees the same
-                    // blocked set as the threaded world.
-                    pc += 1;
-                    if !self.arrive(r, comm, seq, 1) {
-                        break State::Split { comm };
                     }
                 }
                 Op::StepPush { k, outer, inner } => {
@@ -536,25 +522,23 @@ impl<'p> Replay<'p> {
         };
     }
 
-    /// Deposits `r`'s arrival at rendezvous `(comm, seq, kind)`. Returns
-    /// `true` if the rank may continue (it completed the rendezvous),
-    /// `false` if it must wait for the remaining members (its pc has
-    /// already advanced past the op; a wake simply resumes it).
-    fn arrive(&mut self, r: usize, comm: u32, seq: u32, kind: u8) -> bool {
+    /// Deposits `r`'s arrival at barrier `(comm, seq)`. Returns `true` if
+    /// the rank may continue (it completed the barrier), `false` if it
+    /// must wait for the remaining members (its pc has already advanced
+    /// past the op; a wake simply resumes it).
+    fn arrive(&mut self, r: usize, comm: u32, seq: u32) -> bool {
         let group = self.prog.comms[comm as usize].len();
-        let waiters = self.rendezvous.entry((comm, seq, kind)).or_default();
+        let waiters = self.barriers.entry((comm, seq)).or_default();
         if waiters.len() + 1 < group {
             waiters.push(r);
             return false;
         }
         let waiters = self
-            .rendezvous
-            .remove(&(comm, seq, kind))
-            .expect("rendezvous vanished");
-        if kind == 0 {
-            let members = Arc::clone(&self.prog.comms[comm as usize]);
-            self.net.barrier_group(&members);
-        }
+            .barriers
+            .remove(&(comm, seq))
+            .expect("barrier vanished");
+        let members = Arc::clone(&self.prog.comms[comm as usize]);
+        self.net.barrier_group(&members);
         for w in waiters {
             self.wake(w);
         }

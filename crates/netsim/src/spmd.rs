@@ -35,6 +35,7 @@
 //! `CommError::Timeout`s) or, with no deadline set, panics with a
 //! deadlock diagnosis.
 
+use crate::record::SplitTable;
 use crate::sim::{SimNet, SimReport};
 use hsumma_trace::{CommEdge, CommError, FaultDecision, FaultPlan, FaultState};
 use std::cell::Cell;
@@ -54,9 +55,6 @@ const SIM_TAG_FAULT_DUP: u64 = u64::MAX;
 
 const DEADLOCK_MSG: &str = "simulated program deadlocked: every live rank is blocked on a message \
      that can never arrive (set a deadline via SimRunOptions to turn stalls into timeouts)";
-
-/// One split subgroup: `(child context, world ranks)`, keyed by color.
-type SplitGroups = HashMap<u64, (u64, Arc<Vec<usize>>)>;
 
 /// Failure policy for one simulated run: the virtual-time twin of the
 /// runtime's `JobOptions`.
@@ -104,16 +102,6 @@ pub struct SimOutcome<R> {
     pub faults_injected: u64,
 }
 
-/// In-progress `split` rendezvous for one `(parent context, epoch)`.
-struct SplitState {
-    /// `(color, key)` deposited by each member of the parent group.
-    table: Vec<Option<(u64, i64)>>,
-    arrived: usize,
-    departed: usize,
-    /// Filled by the last arriver.
-    groups: Option<SplitGroups>,
-}
-
 /// In-progress group barrier for one `(context, sequence number)`.
 struct BarrierState {
     arrived: usize,
@@ -124,7 +112,8 @@ struct BarrierState {
 struct WorldState {
     net: SimNet,
     mail: HashMap<MailKey, VecDeque<crate::sim::PendingMsg>>,
-    splits: HashMap<(u64, u64), SplitState>,
+    /// Every split so far, by `(parent context, epoch)`.
+    splits: HashMap<(u64, u64), SplitTable>,
     barriers: HashMap<(u64, u64), BarrierState>,
     /// Next fresh communicator context id (0 is the world context).
     next_ctx: u64,
@@ -158,7 +147,7 @@ struct WorldState {
 pub struct SimWorld {
     state: Mutex<WorldState>,
     /// One condition variable per world rank: senders wake only the
-    /// destination, barriers and splits wake only their members.
+    /// destination, barriers wake only their members.
     wake: Vec<Condvar>,
     gamma: f64,
     step_sync: bool,
@@ -448,8 +437,8 @@ impl<'w> SimComm<'w> {
         }
         // Fault injection: same replay-cursor semantics as the threaded
         // runtime (every send here is cursor-eligible — the simulator's
-        // barrier/split bookkeeping sends no messages, matching the
-        // tags the runtime excludes).
+        // barrier sends no messages, matching the tag the runtime
+        // excludes).
         let mut delay = None;
         let mut duplicate = false;
         if let Some(faults) = st.faults.as_mut() {
@@ -724,96 +713,33 @@ impl<'w> SimComm<'w> {
         Ok(())
     }
 
-    /// Splits this communicator by `color`; members of the new group are
-    /// ordered by `(key, parent rank)`. Pure control plane: unlike the
-    /// runtime's split (which gathers and broadcasts the color table in
-    /// zero-byte messages), the simulator charges nothing, matching the
-    /// analytic model.
-    ///
-    /// Fails with [`CommError::Timeout`] if the deadline passes while
-    /// waiting for the other members to arrive at the rendezvous.
-    pub fn split(&self, color: u64, key: i64) -> Result<SimComm<'w>, CommError> {
+    /// Splits this communicator by `f`, which maps each parent rank to
+    /// its `(color, key)`; members of the new group are ordered by
+    /// `(key, parent rank)`. Pure control plane: no message and no wait,
+    /// as on the runtime, and the simulator charges nothing, matching the
+    /// analytic model. The first member to reach the split resolves it
+    /// for every member.
+    pub fn split(&self, f: impl Fn(usize) -> (u64, i64)) -> SimComm<'w> {
         let epoch = self.epoch.get();
         self.epoch.set(epoch + 1);
-        let rkey = (self.ctx, epoch);
-        let group = self.members.len();
-        let me_w = self.world_me();
+        let own = f(self.my_rank);
         let mut st = self.world.lock();
-        let entry = st.splits.entry(rkey).or_insert_with(|| SplitState {
-            table: vec![None; group],
-            arrived: 0,
-            departed: 0,
-            groups: None,
+        let st = &mut *st;
+        let table = st.splits.entry((self.ctx, epoch)).or_insert_with(|| {
+            let first = u32::try_from(st.next_ctx).expect("too many communicators");
+            let table = SplitTable::resolve(&self.members, first, f);
+            st.next_ctx += table.groups().len() as u64;
+            table
         });
-        entry.table[self.my_rank] = Some((color, key));
-        entry.arrived += 1;
-        if entry.arrived == group {
-            // Last arriver computes every color's membership and context.
-            let table: Vec<(u64, i64)> = entry.table.iter().map(|e| e.unwrap()).collect();
-            let mut colors: Vec<u64> = table.iter().map(|&(c, _)| c).collect();
-            colors.sort_unstable();
-            colors.dedup();
-            let mut groups = HashMap::new();
-            let mut next_ctx = st.next_ctx;
-            for &c in &colors {
-                let mut members: Vec<(i64, usize)> = table
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &(mc, _))| mc == c)
-                    .map(|(parent_rank, &(_, k))| (k, parent_rank))
-                    .collect();
-                members.sort_unstable();
-                let world: Vec<usize> = members
-                    .into_iter()
-                    .map(|(_, parent_rank)| self.members[parent_rank])
-                    .collect();
-                groups.insert(c, (next_ctx, Arc::new(world)));
-                next_ctx += 1;
-            }
-            st.next_ctx = next_ctx;
-            let entry = st.splits.get_mut(&rkey).expect("split entry vanished");
-            entry.groups = Some(groups);
-            let members = self.members.clone();
-            for &m in members.iter() {
-                if m != me_w {
-                    self.world.wake_rank(&mut st, m);
-                }
-            }
-        } else {
-            while st.splits[&rkey].groups.is_none() {
-                if st.timed_out {
-                    if let Some(d) = st.deadline {
-                        st.net.wait_until(me_w, d);
-                    }
-                    return Err(self.timeout(me_w, me_w, 0, "split"));
-                }
-                let (guard, dead) = self.world.park(st, me_w);
-                st = guard;
-                if dead {
-                    drop(st);
-                    panic!("{DEADLOCK_MSG}");
-                }
-            }
-        }
-        let entry = st.splits.get_mut(&rkey).expect("split entry vanished");
-        let (ctx, members) = entry.groups.as_ref().expect("groups just computed")[&color].clone();
-        entry.departed += 1;
-        if entry.departed == group {
-            st.splits.remove(&rkey);
-        }
-        drop(st);
-        let my_rank = members
-            .iter()
-            .position(|&w| w == me_w)
-            .expect("caller must be a member of its own color group");
-        Ok(SimComm {
+        let (ctx, members, my_rank) = table.place(self.my_rank, own);
+        SimComm {
             world: self.world,
-            ctx,
+            ctx: u64::from(ctx),
             members,
             my_rank,
             epoch: Cell::new(0),
             barrier_seq: Cell::new(0),
-        })
+        }
     }
 }
 
@@ -900,8 +826,7 @@ mod tests {
     fn split_is_free_and_orders_by_key_then_parent_rank() {
         let (net, ranks) = SimWorld::run(world(4), 0.0, false, |comm| {
             // Two colors; reversed keys flip the rank order.
-            let color = (comm.rank() % 2) as u64;
-            let sub = comm.split(color, -(comm.rank() as i64)).unwrap();
+            let sub = comm.split(|r| ((r % 2) as u64, -(r as i64)));
             (sub.rank(), sub.size(), sub.world_rank_of(0))
         });
         // Color 0 holds world ranks {0, 2} with keys {0, -2}: rank order 2, 0.
@@ -917,9 +842,7 @@ mod tests {
     #[test]
     fn sub_communicator_messages_are_isolated() {
         let (net, _) = SimWorld::run(world(4), 0.0, false, |comm| {
-            let sub = comm
-                .split((comm.rank() / 2) as u64, comm.rank() as i64)
-                .unwrap();
+            let sub = comm.split(|r| ((r / 2) as u64, r as i64));
             if sub.rank() == 0 {
                 comm.send_bytes(comm.rank() + 1, 5, 64).unwrap(); // world-context send
                 sub.send_bytes(1, 5, 32).unwrap(); // same tag, sub-context

@@ -4,15 +4,15 @@
 //! an MPI communicator it has a *group* (an ordered list of member world
 //! ranks), a *local rank* for the calling thread, and a *context* that
 //! isolates its traffic from every other communicator's. [`Comm::split`]
-//! reproduces `MPI_Comm_split(color, key)` semantics and is how the
-//! distributed algorithms build row, column and group communicators.
+//! reproduces `MPI_Comm_split` semantics without a message — each rank
+//! computes its group from a rank → `(color, key)` function all members
+//! share — and is how the distributed algorithms build row, column and
+//! group communicators.
 
-use crate::collectives::bcast_tree;
 use crate::message::{Context, Envelope, JobCtl, Mailbox, MailboxSender, RecvFault, Tag};
 use crate::stats::CommStats;
-use crate::BcastAlgorithm;
 use hsumma_trace::{
-    CommEdge, CommError, EventKind, FaultDecision, FaultState, TraceSink, WirePayload,
+    split_order, CommEdge, CommError, EventKind, FaultDecision, FaultState, TraceSink, WirePayload,
 };
 use std::any::Any;
 use std::cell::{Cell, RefCell};
@@ -21,11 +21,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Tags with this bit set are reserved for runtime-internal protocols
-/// (split, collectives). User code must keep tags below this value.
+/// (barrier, collectives). User code must keep tags below this value.
 pub const INTERNAL_TAG_BASE: Tag = 1 << 63;
 
-const TAG_SPLIT_GATHER: Tag = INTERNAL_TAG_BASE;
-const TAG_SPLIT_BCAST: Tag = INTERNAL_TAG_BASE + 1;
 /// Tag carried by the extra envelope of a `Duplicate` fault. Nothing ever
 /// posts a receive for it, so the duplicate is pure stray traffic absorbed
 /// by the epoch purge — mirroring the simulator, where the duplicate sits
@@ -33,12 +31,12 @@ const TAG_SPLIT_BCAST: Tag = INTERNAL_TAG_BASE + 1;
 const TAG_FAULT_DUP: Tag = INTERNAL_TAG_BASE + 63;
 
 /// Whether a message tag participates in fault injection and kill-rule
-/// send counting. The split and barrier bookkeeping protocols are
-/// excluded: the simulator implements split/barrier by rendezvous without
-/// sending messages, so counting them here would desynchronise the two
-/// substrates' fault-replay cursors.
+/// send counting. The barrier's bookkeeping is excluded: the simulator
+/// implements a barrier by rendezvous without sending messages, so
+/// counting it here would desynchronise the two substrates' fault-replay
+/// cursors.
 fn fault_eligible(tag: Tag) -> bool {
-    tag != TAG_SPLIT_GATHER && tag != TAG_SPLIT_BCAST && tag != crate::collectives::TAG_BARRIER
+    tag != crate::collectives::TAG_BARRIER
 }
 
 /// State shared by every communicator a single rank thread holds: the
@@ -61,18 +59,6 @@ pub(crate) struct RankShared {
     /// Fault-injection replay cursor for this rank, when the job runs
     /// under a `FaultPlan`. Consulted at the send path.
     pub faults: Option<RefCell<FaultState>>,
-}
-
-/// A runtime bookkeeping message — the split protocol's key and table.
-/// Like an MPI implementation's internal handshakes it stays out of the
-/// byte ledgers: it counts as a message but moves 0 payload bytes.
-#[derive(Clone)]
-struct Control<T>(T);
-
-impl<T> WirePayload for Control<T> {
-    fn payload_bytes(&self) -> u64 {
-        0
-    }
 }
 
 /// A communicator: an ordered group of ranks plus an isolated context.
@@ -121,11 +107,10 @@ impl Comm {
         )
     }
 
-    /// Builds a communicator over a *subset* of the world's ranks — the
-    /// non-collective analogue of [`Comm::split`], used by the rank
-    /// pool's carved sub-pools where the member table is known up front
-    /// (so no gather/broadcast round is needed, and disjoint sub-pools
-    /// can enter their jobs at independent times). `members` are world
+    /// Builds a communicator over a *subset* of the world's ranks, used by
+    /// the rank pool's carved sub-pools where the member table is known up
+    /// front (so disjoint sub-pools can enter their jobs at independent
+    /// times). `members` are world
     /// ranks ordered by local rank; the calling thread's world rank must
     /// be among them. Traffic is isolated from concurrent sub-pool jobs
     /// twice over: by the epoch stamped on every envelope (sub-pools
@@ -311,7 +296,7 @@ impl Comm {
             });
         }
         // Fault injection: consult the plan's replay cursor for every
-        // eligible send (split/barrier bookkeeping excluded — see
+        // eligible send (barrier bookkeeping excluded — see
         // `fault_eligible`).
         let mut not_before = None;
         let mut duplicate = false;
@@ -574,48 +559,37 @@ impl Comm {
         }
     }
 
-    /// Partitions the communicator: ranks passing equal `color` end up in
-    /// the same child communicator, ordered by `(key, parent rank)` —
-    /// `MPI_Comm_split` semantics.
+    /// Partitions the communicator by `f`, which maps each parent rank to
+    /// its `(color, key)`: ranks of equal color end up in the same child
+    /// communicator, ordered by `(key, parent rank)` — `MPI_Comm_split`
+    /// semantics. `f` must be the same function on every member, so each
+    /// rank computes its own group locally: nothing is sent and nothing
+    /// waits.
     ///
-    /// Collective: every member must call it in the same program order.
-    pub fn split(&self, color: u64, key: i64) -> Result<Comm, CommError> {
+    /// Members call it in the same program order (each call advances the
+    /// context derivation); a rank that makes no later `split` or `dup`
+    /// of this communicator may skip it.
+    pub fn split(&self, f: impl Fn(usize) -> (u64, i64)) -> Comm {
         let epoch = self.bump_epoch();
-        let p = self.size();
-
-        // Allgather (color, key) over the parent communicator: flat gather
-        // to parent rank 0, then binomial broadcast of the table.
-        let table = if self.my_rank == 0 {
-            let mut table = vec![(0u64, 0i64); p];
-            table[0] = (color, key);
-            for (src, slot) in table.iter_mut().enumerate().skip(1) {
-                *slot = self
-                    .recv_internal::<Control<(u64, i64)>>(src, TAG_SPLIT_GATHER)?
-                    .0;
-            }
-            Some(Control(table))
-        } else {
-            self.send_internal(0, TAG_SPLIT_GATHER, Control((color, key)))?;
-            None
-        };
-        let Control(table) = bcast_tree(self, BcastAlgorithm::Binomial, 0, TAG_SPLIT_BCAST, table)?;
-
-        // My group: parent ranks with my color, sorted by (key, parent rank).
-        let mut group: Vec<usize> = (0..p).filter(|&r| table[r].0 == color).collect();
-        group.sort_by_key(|&r| (table[r].1, r));
+        let (color, _) = f(self.my_rank);
+        let group: Vec<usize> = split_order(self.size(), f)
+            .into_iter()
+            .filter(|&(c, _, _)| c == color)
+            .map(|(_, _, r)| r)
+            .collect();
         let my_pos = group
             .iter()
             .position(|&r| r == self.my_rank)
             .expect("caller must be in its own color group");
         let members: Vec<usize> = group.iter().map(|&r| self.members[r]).collect();
 
-        Ok(Comm {
+        Comm {
             shared: Rc::clone(&self.shared),
             ctx: derive_context(self.ctx, epoch, color),
             members: Rc::new(members),
             my_rank: my_pos,
             derive_epoch: Rc::new(Cell::new(0)),
-        })
+        }
     }
 
     fn bump_epoch(&self) -> u64 {

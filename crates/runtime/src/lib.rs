@@ -18,8 +18,10 @@
 //!   for, and only a matching message, a dying peer's poison marker or a
 //!   cancellation wakes it;
 //! * [`Comm::split`] partitions a communicator by `(color, key)` exactly
-//!   like `MPI_Comm_split` — HSUMMA's four communicators (row, column,
-//!   group-row, group-column; Algorithm 1 of the paper) are built this way;
+//!   like `MPI_Comm_split`, but from a rank → `(color, key)` function
+//!   every member shares, so it sends nothing — HSUMMA's four
+//!   communicators (row, column, group-row, group-column; Algorithm 1 of
+//!   the paper) are built this way;
 //! * [`collectives`] provides `barrier`, `bcast` (with selectable
 //!   algorithms: flat, binomial, binary, ring, pipelined, and van de
 //!   Geijn's scatter/allgather), `reduce` and `allreduce`, all

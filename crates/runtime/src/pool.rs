@@ -685,8 +685,7 @@ mod tests {
         for _ in 0..3 {
             let run = pool
                 .run(|comm| {
-                    let color = (comm.rank() % 2) as u64;
-                    let sub = comm.split(color, comm.rank() as i64).unwrap();
+                    let sub = comm.split(|r| ((r % 2) as u64, r as i64));
                     allreduce(&sub, comm.rank(), |a, b| a + b).unwrap()
                 })
                 .unwrap();

@@ -399,8 +399,7 @@ mod tests {
     #[test]
     fn split_partitions_by_color() {
         let out = Runtime::run(6, |comm| {
-            let color = (comm.rank() % 2) as u64;
-            let sub = comm.split(color, comm.rank() as i64).unwrap();
+            let sub = comm.split(|r| ((r % 2) as u64, r as i64));
             (sub.rank(), sub.size(), sub.world_rank_of(0))
         });
         // Evens form one comm {0,2,4}, odds the other {1,3,5}.
@@ -416,7 +415,7 @@ mod tests {
     fn split_orders_by_key_then_parent_rank() {
         let out = Runtime::run(4, |comm| {
             // Reverse the ordering via keys.
-            let sub = comm.split(0, -(comm.rank() as i64)).unwrap();
+            let sub = comm.split(|r| (0, -(r as i64)));
             sub.rank()
         });
         assert_eq!(out, vec![3, 2, 1, 0]);
@@ -427,12 +426,8 @@ mod tests {
         // 2x2 grid: row comms and column comms coexist; messages on one
         // must not be received on the other even with identical tags.
         let out = Runtime::run(4, |comm| {
-            let row = comm
-                .split((comm.rank() / 2) as u64, comm.rank() as i64)
-                .unwrap();
-            let col = comm
-                .split((comm.rank() % 2) as u64, comm.rank() as i64)
-                .unwrap();
+            let row = comm.split(|r| ((r / 2) as u64, r as i64));
+            let col = comm.split(|r| ((r % 2) as u64, r as i64));
             let peer_row = 1 - row.rank();
             let peer_col = 1 - col.rank();
             // Row messages carry 100 + sender, column messages 200 + sender.
@@ -455,8 +450,8 @@ mod tests {
         // broadcast on each back-to-back and an allreduce over the world.
         let out = Runtime::run(16, |comm| {
             let (i, j) = (comm.rank() / 4, comm.rank() % 4);
-            let row = comm.split(i as u64, j as i64).unwrap();
-            let col = comm.split((4 + j) as u64, i as i64).unwrap();
+            let row = comm.split(|r| ((r / 4) as u64, (r % 4) as i64));
+            let col = comm.split(|r| ((4 + r % 4) as u64, (r / 4) as i64));
             let mut rbuf = if row.rank() == 0 {
                 vec![i as f64; 8]
             } else {
@@ -487,9 +482,8 @@ mod tests {
             let mut c = comm.clone();
             let mut colors = Vec::new();
             while c.size() > 1 {
-                let color = (c.rank() % 2) as u64;
-                colors.push(color);
-                c = c.split(color, c.rank() as i64).unwrap();
+                colors.push((c.rank() % 2) as u64);
+                c = c.split(|r| ((r % 2) as u64, r as i64));
             }
             (c.size(), colors.len())
         });
@@ -497,6 +491,26 @@ mod tests {
             assert_eq!(size, 1);
             assert_eq!(depth, 3); // log2(8) halvings
         }
+    }
+
+    #[test]
+    fn split_sends_nothing_and_a_child_message_waits_for_its_receiver() {
+        // Split synchronizes no one: rank 0 sends on the child before
+        // rank 1, asleep, has created it, and the message still arrives.
+        let out = Runtime::run(2, |comm| {
+            if comm.rank() == 1 {
+                thread::sleep(Duration::from_millis(50));
+            }
+            let sub = comm.split(|r| (0, -(r as i64)));
+            let got = if sub.rank() == 1 {
+                sub.send(0, 9, 42u64).unwrap();
+                0
+            } else {
+                sub.recv::<u64>(1, 9).unwrap()
+            };
+            (got, comm.stats().msgs_sent)
+        });
+        assert_eq!(out, vec![(0, 1), (42, 0)]);
     }
 
     #[test]

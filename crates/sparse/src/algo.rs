@@ -17,7 +17,7 @@
 //!   pattern) never leaves its tile.
 
 use crate::comm::{bcast_sp, SparseComm, SparseLike};
-use hsumma_core::{pivot_offset, pivot_owner, tile_shape, MatLike};
+use hsumma_core::{grid_lines, pivot_offset, pivot_owner, tile_shape, MatLike};
 use hsumma_matrix::GridShape;
 use hsumma_runtime::{BcastAlgorithm, CommError};
 
@@ -90,8 +90,7 @@ pub fn spgemm_2d<C: SparseComm>(
     let (th, tw) = check_sparse_tiles(grid, n, a, b, comm.size(), bs);
 
     let (gi, gj) = grid.coords(comm.rank());
-    let row_comm = comm.split(gi as u64, gj as i64)?;
-    let col_comm = comm.split((grid.rows + gj) as u64, gi as i64)?;
+    let (row_comm, col_comm) = grid_lines(comm, grid);
 
     let mut acc = C::spgemm_acc(th, tw);
     for k in 0..n / bs {
@@ -155,8 +154,7 @@ pub fn sddmm_2d<C: SparseComm>(
     assert_eq!(th % bs, 0, "block must divide the tile height");
 
     let (gi, gj) = grid.coords(comm.rank());
-    let row_comm = comm.split(gi as u64, gj as i64)?;
-    let col_comm = comm.split((grid.rows + gj) as u64, gi as i64)?;
+    let (row_comm, col_comm) = grid_lines(comm, grid);
 
     let mut acc = C::sddmm_acc(s);
     let step_pairs = s.nnz() * bs;

@@ -364,7 +364,7 @@ pub enum FaultDecision {
 
 /// Per-sending-rank replay cursor over a [`FaultPlan`]. Each substrate
 /// creates one per rank and consults it on every *eligible* send (the
-/// runtime excludes its split/barrier bookkeeping messages, which have no
+/// runtime excludes its barrier's bookkeeping messages, which have no
 /// simulator counterpart, so the counters advance in lockstep on both).
 #[derive(Debug, Clone)]
 pub struct FaultState {

@@ -32,6 +32,7 @@ mod event;
 pub mod fault;
 mod payload;
 mod ring;
+mod split;
 mod tracer;
 
 pub use algo::{
@@ -47,4 +48,5 @@ pub use fault::{
     FaultRule, FaultState, KillRule, TagClass, COLLECTIVE_TAG_FLOOR,
 };
 pub use payload::WirePayload;
+pub use split::split_order;
 pub use tracer::{Trace, TraceSink, Tracer};

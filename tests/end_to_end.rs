@@ -5,8 +5,9 @@
 
 use hsumma_repro::core::testutil::{distributed_product, reference_product};
 use hsumma_repro::core::{cannon, fox, hsumma, summa, HierGrid, HsummaConfig, SummaConfig};
-use hsumma_repro::matrix::{seeded_uniform, GemmKernel, GridShape};
-use hsumma_repro::runtime::BcastAlgorithm;
+use hsumma_repro::matrix::{seeded_uniform, BlockDist, GemmKernel, GridShape, Matrix};
+use hsumma_repro::runtime::{BcastAlgorithm, Comm, Runtime};
+use hsumma_repro::trace::Tracer;
 use proptest::prelude::*;
 
 const TOL: f64 = 1e-9;
@@ -41,13 +42,41 @@ fn summa_across_grids_and_blocks() {
     }
 }
 
+/// Sends of one run, per rank: `(src, dst, bytes)`, sorted.
+type SendMultisets = Vec<Vec<(usize, usize, u64)>>;
+
+/// One traced run on rank threads: the gathered product, the world's
+/// `(msgs, bytes)` ledger and every rank's send multiset.
+fn ledgered_product(
+    grid: GridShape,
+    n: usize,
+    a: &Matrix,
+    b: &Matrix,
+    algo: impl Fn(&mut Comm, &Matrix, &Matrix) -> Matrix + Send + Sync,
+) -> (Matrix, (u64, u64), SendMultisets) {
+    let dist = BlockDist::new(grid, n, n);
+    let (at, bt) = (dist.scatter(a), dist.scatter(b));
+    let tracer = Tracer::new(grid.size());
+    let out = Runtime::run_traced(grid.size(), &tracer, |comm| {
+        let c = algo(comm, &at[comm.rank()], &bt[comm.rank()]);
+        let stats = comm.stats();
+        (c, stats.msgs_sent, stats.bytes_sent)
+    });
+    let ledger = out.iter().fold((0, 0), |(m, b), o| (m + o.1, b + o.2));
+    let tiles: Vec<Matrix> = out.into_iter().map(|o| o.0).collect();
+    let sends = tracer.collect().per_rank_send_multisets();
+    (dist.gather(&tiles), ledger, sends)
+}
+
 #[test]
 fn hsumma_matches_summa_bit_for_bit_when_schedules_align() {
-    // With G = 1, b = B and the same kernel, HSUMMA performs the same
-    // local operations in the same order as SUMMA, so results agree to
-    // the last bit, not just within tolerance.
-    let grid = GridShape::new(2, 2);
-    let n = 16;
+    // The paper's theorem: with b = B and the same kernel, HSUMMA at
+    // G = 1 and at G = p performs the same local operations in the same
+    // order as SUMMA, and one of its two levels runs on singleton
+    // communicators that send nothing. So the products agree to the last
+    // bit, and the message ledgers and per-rank send multisets outright.
+    let grid = GridShape::new(4, 4);
+    let n = 32;
     let a = seeded_uniform(n, n, 77);
     let b = seeded_uniform(n, n, 88);
     let scfg = SummaConfig {
@@ -55,17 +84,31 @@ fn hsumma_matches_summa_bit_for_bit_when_schedules_align() {
         kernel: GemmKernel::Blocked,
         ..Default::default()
     };
-    let by_summa = distributed_product(grid, n, &a, &b, |comm, at, bt| {
-        summa(comm, grid, n, &at, &bt, &scfg).unwrap()
+    let by_summa = ledgered_product(grid, n, &a, &b, |comm, at, bt| {
+        summa(comm, grid, n, at, bt, &scfg).unwrap()
     });
-    let hcfg = HsummaConfig {
-        kernel: GemmKernel::Blocked,
-        ..HsummaConfig::uniform(GridShape::new(1, 1), 4)
-    };
-    let by_hsumma = distributed_product(grid, n, &a, &b, |comm, at, bt| {
-        hsumma(comm, grid, n, &at, &bt, &hcfg).unwrap()
-    });
-    assert_eq!(by_summa, by_hsumma, "G=1 HSUMMA must equal SUMMA exactly");
+    for groups in [GridShape::new(1, 1), grid] {
+        let hcfg = HsummaConfig {
+            kernel: GemmKernel::Blocked,
+            ..HsummaConfig::uniform(groups, 4)
+        };
+        let by_hsumma = ledgered_product(grid, n, &a, &b, |comm, at, bt| {
+            hsumma(comm, grid, n, at, bt, &hcfg).unwrap()
+        });
+        let g = groups.size();
+        assert_eq!(
+            by_summa.0, by_hsumma.0,
+            "G={g} HSUMMA must equal SUMMA exactly"
+        );
+        assert_eq!(
+            by_summa.1, by_hsumma.1,
+            "G={g} HSUMMA must send SUMMA's ledger"
+        );
+        assert_eq!(
+            by_summa.2, by_hsumma.2,
+            "G={g} HSUMMA must send SUMMA's messages"
+        );
+    }
 }
 
 #[test]

@@ -8,9 +8,9 @@
 //!    …), and
 //! 2. the same number of injected faults,
 //!
-//! because both replay the plan with world-rank cursors at the send path
-//! and both exclude the split/barrier bookkeeping protocols from fault
-//! eligibility. This is what makes a failure schedule *portable*: debug
+//! because both replay the plan with world-rank cursors at the send path,
+//! neither sends a message to split, and both exclude the barrier's
+//! bookkeeping from fault eligibility. This is what makes a failure schedule *portable*: debug
 //! it in simulation, then reproduce it on real threads (or vice versa).
 
 use hsumma_repro::core::{

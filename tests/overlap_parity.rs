@@ -21,8 +21,7 @@ use hsumma_repro::runtime::{BcastAlgorithm, Comm, Runtime};
 use hsumma_repro::trace::{Trace, Tracer};
 
 /// Runs the threaded runtime with a tracer attached and returns the
-/// trace (split-protocol control messages carry 0 payload bytes, so the
-/// payload multisets below are multiply-phase traffic only).
+/// trace.
 fn real_trace(p: usize, run: impl Fn(&Comm) + Send + Sync) -> Trace {
     let tracer = Tracer::new(p);
     Runtime::run_traced(p, &tracer, |comm| run(comm));

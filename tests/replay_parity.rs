@@ -153,8 +153,8 @@ fn cosma_replay_is_bit_identical() {
 #[test]
 fn cosma_replay_matches_on_awkward_shapes_with_idle_ranks() {
     // A prime rank count over non-dividing extents: the decomposition
-    // uses fewer ranks than the world, so the recording must capture the
-    // idle ranks' singleton splits for the rendezvous to line up.
+    // uses fewer ranks than the world, and the idle ranks, which make no
+    // split and send nothing, must finish on both engines alike.
     assert_engine_parity("cosma-13", &cosma_for(13, 96, 80, 72), false);
 }
 

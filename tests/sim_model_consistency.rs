@@ -32,34 +32,18 @@ fn hsumma_uniform(
     Schedule::hsumma(grid, groups, n, b, b, bcast, bcast)
 }
 
-/// Counts messages the executable algorithm sends during the multiply
-/// phase (excluding the fixed communicator-split protocol).
-fn real_multiply_msgs(
-    grid: GridShape,
-    n: usize,
-    run: impl Fn(&hsumma_repro::runtime::Comm) + Send + Sync,
-    split_msgs: u64,
-) -> u64 {
-    let total: u64 = Runtime::run(grid.size(), |comm| {
-        comm.reset_stats();
+/// Counts the messages the executable algorithm sends, world-wide.
+fn real_msgs(grid: GridShape, run: impl Fn(&hsumma_repro::runtime::Comm) + Send + Sync) -> u64 {
+    Runtime::run(grid.size(), |comm| {
         run(comm);
         comm.stats().msgs_sent
     })
     .iter()
-    .sum();
-    let _ = n;
-    total - split_msgs
-}
-
-/// Messages a split of `p` ranks costs: flat gather (p−1) + binomial
-/// broadcast of the table (p−1).
-fn split_cost(p: usize) -> u64 {
-    2 * (p as u64 - 1)
+    .sum()
 }
 
 /// Runs the executable algorithm with a tracer attached and returns the
-/// trace (split-protocol control messages carry 0 payload bytes, so the
-/// payload multisets below are multiply-phase traffic only).
+/// trace.
 fn real_trace(grid: GridShape, run: impl Fn(&Comm) + Send + Sync) -> Trace {
     real_trace_p(grid.size(), run)
 }
@@ -466,23 +450,16 @@ fn real_summa_message_count_matches_simulated_schedule() {
         bcast: BcastAlgorithm::Binomial,
         kernel: GemmKernel::Blocked,
     };
-    // SUMMA makes 2 splits: row comms (4 splits of 4 ranks happen as ONE
-    // split call over 16 ranks) and column comms.
-    let real = real_multiply_msgs(
-        grid,
-        n,
-        |comm| {
-            let _ = summa(
-                comm,
-                grid,
-                n,
-                &at[comm.rank()].clone(),
-                &bt[comm.rank()].clone(),
-                &cfg,
-            );
-        },
-        2 * split_cost(grid.size()),
-    );
+    let real = real_msgs(grid, |comm| {
+        let _ = summa(
+            comm,
+            grid,
+            n,
+            &at[comm.rank()].clone(),
+            &bt[comm.rank()].clone(),
+            &cfg,
+        );
+    });
 
     let sim = simulate(
         &Schedule::summa(grid, n, b, SimBcast::Binomial),
@@ -511,21 +488,16 @@ fn real_hsumma_message_count_matches_simulated_schedule() {
         kernel: GemmKernel::Blocked,
         ..HsummaConfig::uniform(groups, b)
     };
-    let real = real_multiply_msgs(
-        grid,
-        n,
-        |comm| {
-            let _ = hsumma(
-                comm,
-                grid,
-                n,
-                &at[comm.rank()].clone(),
-                &bt[comm.rank()].clone(),
-                &cfg,
-            );
-        },
-        4 * split_cost(grid.size()), // HSUMMA builds four communicators
-    );
+    let real = real_msgs(grid, |comm| {
+        let _ = hsumma(
+            comm,
+            grid,
+            n,
+            &at[comm.rank()].clone(),
+            &bt[comm.rank()].clone(),
+            &cfg,
+        );
+    });
 
     let sim = simulate(
         &hsumma_uniform(grid, groups, n, b, SimBcast::Binomial),
