@@ -23,7 +23,7 @@
 use hsumma_bench::grid_for;
 use hsumma_core::grid::HierGrid;
 use hsumma_core::lu::{block_lu, LuConfig};
-use hsumma_core::simdrive::{simulate_on, Schedule};
+use hsumma_core::simdrive::{replay_on, simulate_on, Schedule};
 use hsumma_core::{
     cosma, fox, hier_bcast, run_planned_gemm, summa_cyclic, tsqr, twodotfive, CosmaConfig,
     HsummaConfig, MatMulDims, PhantomMat, PlannedAlgo, SummaConfig, TwoDotFiveConfig,
@@ -32,7 +32,7 @@ use hsumma_matrix::factor::seeded_diag_dominant;
 use hsumma_matrix::sparse::{seeded_sparse, CsrMatrix};
 use hsumma_matrix::{seeded_uniform, BlockCyclicDist, BlockDist, GemmKernel, GridShape, Matrix};
 use hsumma_netsim::spmd::SimWorld;
-use hsumma_netsim::{Platform, SimBcast, SimNet};
+use hsumma_netsim::{record, Platform, SimBcast, SimNet};
 use hsumma_runtime::{BcastAlgorithm, Runtime};
 use hsumma_sparse::{scatter_csr, sddmm_2d, spgemm_2d, PhantomSparse, SparseConfig};
 use hsumma_trace::{render_breakdown, Trace, Tracer};
@@ -269,7 +269,7 @@ fn run_real(cfg: &Config) -> Result<Trace, String> {
                 block: cfg.inner_b,
                 bcast: BcastAlgorithm::Binomial,
                 kernel: GemmKernel::Packed,
-                groups: Some(cfg.groups),
+                groups: cfg.groups,
             };
             let lt = BlockDist::new(grid, n, n).scatter(&seeded_diag_dominant(n, 42));
             Runtime::run_traced(grid.size(), &tracer, |comm| {
@@ -481,39 +481,38 @@ fn run_sim(cfg: &Config) -> Result<Trace, String> {
             dims: MatMulDims::square(n),
             cfg: cosma_cfg(cfg),
         }),
-        "lu" => {
-            let groups = Some(cfg.groups);
-            Some(Schedule::lu(
-                grid,
-                n,
-                cfg.inner_b,
-                SimBcast::Binomial,
-                groups,
-            ))
-        }
+        "lu" => Some(Schedule::lu(
+            grid,
+            n,
+            cfg.inner_b,
+            SimBcast::Binomial,
+            cfg.groups,
+        )),
         _ => None,
     });
     if let Some(sched) = sched {
         simulate_on(&sched, &mut net, gamma, false);
         return Ok(tracer.collect());
     }
-    // The rest have no `Schedule` variant: their generic functions run
-    // over `SimWorld` directly.
+    // The rest have no `Schedule` variant: the dense ones are recorded
+    // and replayed like one, the sparse ones run over `SimWorld`.
     match cfg.algo.as_str() {
         "tsqr" => {
-            let b = cfg.inner_b;
-            SimWorld::run(net, gamma, false, move |comm| {
-                let block = PhantomMat { rows: n, cols: b };
-                tsqr(comm, &block).unwrap();
-            });
+            let block = PhantomMat {
+                rows: n,
+                cols: cfg.inner_b,
+            };
+            let prog = record(cfg.ranks, false, |comm| tsqr(comm, &block).map(drop));
+            replay_on(&mut net, gamma, &prog);
         }
         "hierbcast" => {
             check_hierbcast_levels(cfg)?;
             let levels = [cfg.g, cfg.ranks / cfg.g];
-            SimWorld::run(net, gamma, false, move |comm| {
+            let prog = record(cfg.ranks, false, |comm| {
                 let mut m = PhantomMat { rows: n, cols: n };
-                hier_bcast(comm, BcastAlgorithm::Binomial, 0, &mut m, &levels).unwrap();
+                hier_bcast(comm, BcastAlgorithm::Binomial, 0, &mut m, &levels)
             });
+            replay_on(&mut net, gamma, &prog);
         }
         // The sparse schedules also run generically: the simulator holds
         // only the nonzero *patterns* (`PhantomSparse`), yet must price

@@ -1234,7 +1234,7 @@ pub fn extension_lu(out: &mut String) {
         let bcast = profile.bcast();
         let _ = writeln!(out, "== profile: {} ==", profile.label());
         let lu = |groups| simulate(&Schedule::lu(grid, n, b, bcast, groups), &platform, true);
-        let flat = lu(None);
+        let flat = lu(GridShape::new(1, 1));
         let mut rows = vec![vec![
             "flat (plain LU)".to_string(),
             secs(flat.comm_time),
@@ -1246,7 +1246,7 @@ pub fn extension_lu(out: &mut String) {
             let Some(groups) = HierGrid::factor_groups(grid, g) else {
                 continue;
             };
-            let r = lu(Some(groups));
+            let r = lu(groups);
             if r.total_time < best.1 {
                 best = (g, r.total_time);
             }
@@ -1560,9 +1560,9 @@ pub fn large_scale(out: &mut String) {
     // Block LU under serialized (root-injection-bound) panel broadcasts,
     // the regime the measured profiles exhibit: one-level vs 8x8 groups.
     let lu = |groups| sim(Schedule::lu(grid, N, B, SimBcast::Flat, groups), true);
-    let lu_flat = lu(None);
+    let lu_flat = lu(GridShape::new(1, 1));
     rows.push(row("lu", "64x64, one level", &lu_flat));
-    let lu_hier = lu(Some(GridShape::new(8, 8)));
+    let lu_hier = lu(GridShape::new(8, 8));
     rows.push(row("lu", "64x64, 8x8 groups", &lu_hier));
 
     let _ = writeln!(

@@ -12,9 +12,9 @@
 //!   loops (blocking, two-slot pipelined) over general `(M, L, N)`
 //!   extents that every entry point below instantiates;
 //! * [`mod@summa`] — SUMMA (van de Geijn & Watts), the paper's baseline:
-//!   the engine without a hierarchy;
+//!   the engine over one group;
 //! * [`mod@hsumma`] — HSUMMA per Algorithm 1, the paper's contribution:
-//!   the engine with one;
+//!   the engine over `I × J` groups;
 //! * [`cyclic`] — SUMMA over a block-cyclic distribution (future work of
 //!   §VI): the engine with rotating pivot owners;
 //! * [`overlap`] — pipelined SUMMA/HSUMMA hiding panel transfers behind

@@ -12,8 +12,9 @@
 //! 3. the `L` panel is broadcast along grid rows and the `U` panel along
 //!    grid columns — *the same communication pattern as SUMMA's pivot
 //!    broadcasts*, which is exactly why HSUMMA's two-level hierarchy
-//!    transfers: with [`LuConfig::groups`] set, both panel broadcasts run
-//!    inter-group first, then intra-group (hierarchical LU, "HLU");
+//!    transfers: both panel broadcasts run inter-group first, then
+//!    intra-group over [`LuConfig::groups`] (hierarchical LU, "HLU";
+//!    one group is plain LU);
 //! 4. every rank applies the trailing update `A_ij -= L_ik·U_kj`.
 //!
 //! Pivoting is omitted (see `hsumma_matrix::factor`): it would add a
@@ -41,9 +42,9 @@ pub struct LuConfig {
     pub bcast: BcastAlgorithm,
     /// Local kernel for the trailing update.
     pub kernel: GemmKernel,
-    /// `Some(I × J)`: broadcast panels hierarchically over that group
-    /// arrangement (hierarchical LU). `None`: plain SUMMA-style rows/cols.
-    pub groups: Option<GridShape>,
+    /// The `I × J` group arrangement the `L` and `U` panel broadcasts
+    /// cross first (hierarchical LU); the default `1 × 1` is plain LU.
+    pub groups: GridShape,
 }
 
 impl Default for LuConfig {
@@ -52,7 +53,7 @@ impl Default for LuConfig {
             block: 32,
             bcast: BcastAlgorithm::Binomial,
             kernel: GemmKernel::Packed,
-            groups: None,
+            groups: GridShape::new(1, 1),
         }
     }
 }
@@ -94,45 +95,29 @@ pub fn block_lu<C: Communicator>(
     );
 
     let (gi, gj) = grid.coords(comm.rank());
-    // Flat row/column communicators (always needed: diagonal broadcast).
+    // Flat row/column communicators for the diagonal factor.
     let (row_comm, col_comm) = grid_lines(comm, grid);
-    // Optional hierarchy for the panel broadcasts.
-    let hier = cfg.groups.map(|groups| {
-        let hg = HierGrid::new(grid, groups);
-        let (group_row, group_col) = hg.outer_comms(comm);
-        let (inner_row, inner_col) = hg.inner_comms(comm);
-        (hg, group_row, group_col, inner_row, inner_col)
-    });
+    // The group hierarchy of the panel broadcasts.
+    let hg = HierGrid::new(grid, cfg.groups);
+    let (group_row, group_col) = hg.outer_comms(comm);
+    let (inner_row, inner_col) = hg.inner_comms(comm);
+    let inner = hg.inner();
 
-    // Two-phase (or flat) broadcast of an L-panel slab along this grid
-    // row from grid column `cj`.
+    // Two-phase broadcast of an L-panel slab along this grid row from
+    // grid column `cj`: across the groups, then inside them.
     let bcast_l = |panel: &mut C::Mat, cj: usize| -> Result<(), CommError> {
-        match &hier {
-            None => row_comm.bcast_mat(cfg.bcast, cj, panel),
-            Some((hg, group_row, _, inner_row, _)) => {
-                let inner = hg.inner();
-                let (yk, jk) = (cj / inner.cols, cj % inner.cols);
-                let my_j = gj % inner.cols;
-                if my_j == jk {
-                    group_row.bcast_mat(cfg.bcast, yk, panel)?;
-                }
-                inner_row.bcast_mat(cfg.bcast, jk, panel)
-            }
+        let (yk, jk) = (cj / inner.cols, cj % inner.cols);
+        if gj % inner.cols == jk {
+            group_row.bcast_mat(cfg.bcast, yk, panel)?;
         }
+        inner_row.bcast_mat(cfg.bcast, jk, panel)
     };
     let bcast_u = |panel: &mut C::Mat, ri: usize| -> Result<(), CommError> {
-        match &hier {
-            None => col_comm.bcast_mat(cfg.bcast, ri, panel),
-            Some((hg, _, group_col, _, inner_col)) => {
-                let inner = hg.inner();
-                let (xk, ik) = (ri / inner.rows, ri % inner.rows);
-                let my_i = gi % inner.rows;
-                if my_i == ik {
-                    group_col.bcast_mat(cfg.bcast, xk, panel)?;
-                }
-                inner_col.bcast_mat(cfg.bcast, ik, panel)
-            }
+        let (xk, ik) = (ri / inner.rows, ri % inner.rows);
+        if gi % inner.rows == ik {
+            group_col.bcast_mat(cfg.bcast, xk, panel)?;
         }
+        inner_col.bcast_mat(cfg.bcast, ik, panel)
     };
 
     let mut t = a.clone();
@@ -311,7 +296,7 @@ mod tests {
         let a = seeded_diag_dominant(n, 17);
         let dist = BlockDist::new(grid, n, n);
         let tiles = dist.scatter(&a);
-        let run = |groups: Option<GridShape>| {
+        let run = |groups: GridShape| {
             let cfg = LuConfig {
                 block: 2,
                 kernel: GemmKernel::Blocked,
@@ -323,13 +308,13 @@ mod tests {
             });
             dist.gather(&out)
         };
-        let flat = run(None);
+        let flat = run(GridShape::new(1, 1));
         for groups in [
             GridShape::new(2, 2),
             GridShape::new(1, 4),
             GridShape::new(4, 4),
         ] {
-            let hier = run(Some(groups));
+            let hier = run(groups);
             assert_eq!(flat, hier, "groups {groups:?} changed the factorization");
         }
     }
@@ -341,7 +326,7 @@ mod tests {
             32,
             LuConfig {
                 block: 4,
-                groups: Some(GridShape::new(2, 2)),
+                groups: GridShape::new(2, 2),
                 ..Default::default()
             },
         );
@@ -358,10 +343,10 @@ mod tests {
                 true,
             )
         };
-        let flat = lu(None);
+        let flat = lu(GridShape::new(1, 1));
         assert!(flat.total_time > 0.0);
         assert!(flat.msgs > 0);
-        let hier = lu(Some(GridShape::new(2, 2)));
+        let hier = lu(GridShape::new(2, 2));
         // Hierarchy moves the same panel volume (every rank still receives
         // each panel once under tree broadcasts).
         assert_eq!(flat.bytes, hier.bytes);
@@ -373,7 +358,7 @@ mod tests {
         // on rank threads, flat and grouped, under both sync modes.
         let plat = Platform::bluegene_p();
         let grid = GridShape::new(8, 8);
-        for groups in [None, Some(GridShape::new(2, 4))] {
+        for groups in [GridShape::new(1, 1), GridShape::new(2, 4)] {
             let sched = Schedule::lu(grid, 128, 8, SimBcast::Binomial, groups);
             for step_sync in [false, true] {
                 let mut net = SimNet::new(grid.size(), plat.net);
@@ -399,8 +384,8 @@ mod tests {
                 true,
             )
         };
-        let flat = lu(None);
-        let hier = lu(Some(GridShape::new(4, 4)));
+        let flat = lu(GridShape::new(1, 1));
+        let hier = lu(GridShape::new(4, 4));
         assert!(
             hier.comm_time < flat.comm_time,
             "HLU {} should beat LU {}",

@@ -48,8 +48,9 @@ pub use crate::summa::SummaConfig;
 /// shared handles (an `Arc` refcount bump per destination on the real
 /// runtime, a byte charge on the simulator), and completion is deferred
 /// to the moment the kernel needs the panel, so transfers that landed
-/// during the previous step's multiply are free. Never polls, so the
-/// schedule is timing-independent and records.
+/// during the previous step's multiply are free. With one group every
+/// outer handle is complete at its start, so no poll depends on timing:
+/// the schedule records.
 ///
 /// # Panics
 /// Panics on the same inconsistencies as `summa`.

@@ -7,13 +7,12 @@
 //! accumulate `C += A_panel · B_panel`. They differ in four decisions,
 //! which a [`Spec`] names once:
 //!
-//! * **hierarchy** — `groups: None` is SUMMA: one broadcast level over
-//!   the row/column communicators. `Some(I × J)` is HSUMMA (§III): each
-//!   outer panel of width `B` first crosses the groups, then is
-//!   re-broadcast inside them in slices of width `b ≤ B`. The paper's
-//!   theorem that HSUMMA *is* SUMMA at `G = 1` and `G = p` is the
-//!   statement that one of the two levels then runs on singleton
-//!   communicators and sends nothing;
+//! * **hierarchy** — `groups = I × J` (§III): each outer panel of width
+//!   `B` first crosses the groups, then is re-broadcast inside them in
+//!   slices of width `b ≤ B`. SUMMA is the one group `1 × 1` with
+//!   `B = b`: the paper's theorem that HSUMMA *is* SUMMA at `G = 1` and
+//!   `G = p` is the statement that one of the two levels then runs on
+//!   singleton communicators and sends nothing;
 //! * **extents** — general `(M, L, N)` ([`MatMulDims`]), as Algorithm 1
 //!   is stated;
 //! * **layout** — which grid row/column owns pivot step `k`
@@ -50,9 +49,9 @@ pub(crate) enum Layout {
 pub(crate) struct Spec {
     pub grid: GridShape,
     pub dims: MatMulDims,
-    /// `None`: one broadcast level (SUMMA). `Some(I × J)`: two (HSUMMA).
-    pub groups: Option<GridShape>,
-    /// Outer panel width `B` (equal to `inner_block` without a hierarchy).
+    /// The `I × J` group arrangement; SUMMA is `1 × 1`.
+    pub groups: GridShape,
+    /// Outer panel width `B`.
     pub outer_block: usize,
     /// Inner panel width `b`, the width of every local multiply.
     pub inner_block: usize,
@@ -67,12 +66,12 @@ pub(crate) struct Spec {
 pub(crate) type Tiles = ((usize, usize), (usize, usize));
 
 impl Spec {
-    /// SUMMA: no hierarchy, one block size, one broadcast algorithm.
+    /// SUMMA: one group, one block size, one broadcast algorithm.
     pub fn summa(grid: GridShape, dims: MatMulDims, cfg: &SummaConfig, layout: Layout) -> Self {
         Spec {
             grid,
             dims,
-            groups: None,
+            groups: GridShape::new(1, 1),
             outer_block: cfg.block,
             inner_block: cfg.block,
             outer_bcast: cfg.bcast,
@@ -82,14 +81,12 @@ impl Spec {
         }
     }
 
-    /// HSUMMA over the block-checkerboard layout. `groups = 1×1` still
-    /// takes the two-level path, whose outer level is then singleton
-    /// communicators that send nothing.
+    /// HSUMMA over the block-checkerboard layout.
     pub fn hsumma(grid: GridShape, dims: MatMulDims, cfg: &HsummaConfig) -> Self {
         Spec {
             grid,
             dims,
-            groups: Some(cfg.groups),
+            groups: cfg.groups,
             outer_block: cfg.outer_block,
             inner_block: cfg.inner_block,
             outer_bcast: cfg.outer_bcast,
@@ -125,31 +122,25 @@ impl Spec {
                 return Err(format!("{name} must be divisible by grid {line}{per}"));
             }
         }
-        if let Some(g) = self.groups {
-            if s % g.rows != 0 || t % g.cols != 0 {
-                return Err(format!(
-                    "groups {}x{} must divide the {s}x{t} grid",
-                    g.rows, g.cols
-                ));
-            }
+        let g = self.groups;
+        if s % g.rows != 0 || t % g.cols != 0 {
+            return Err(format!(
+                "groups {}x{} must divide the {s}x{t} grid",
+                g.rows, g.cols
+            ));
         }
         if bb % bs != 0 {
             return Err("inner block must divide outer block".into());
         }
         let (aw, bh) = (l / t, l / s);
-        let which = if self.groups.is_some() {
-            "outer block"
-        } else {
-            "block"
-        };
         if !aw.is_multiple_of(bb) {
             return Err(format!(
-                "{which} must divide A's tile width (L/t = {aw}), got {bb}"
+                "outer block must divide A's tile width (L/t = {aw}), got {bb}"
             ));
         }
         if !bh.is_multiple_of(bb) {
             return Err(format!(
-                "{which} must divide B's tile height (L/s = {bh}), got {bb}"
+                "outer block must divide B's tile height (L/s = {bh}), got {bb}"
             ));
         }
         Ok(((m / s, aw), (bh, n / t)))
@@ -157,23 +148,25 @@ impl Spec {
 }
 
 /// One rank's view of a validated [`Spec`]: tile shapes, coordinates and
-/// the communicators of Algorithm 1.
+/// the four communicators of Algorithm 1.
 struct Geometry<C> {
     a_tile: (usize, usize),
     b_tile: (usize, usize),
     /// Grid coordinates of this rank.
     gi: usize,
     gj: usize,
-    /// Coordinates inside its group (the grid's without a hierarchy).
+    /// Coordinates inside its group.
     i: usize,
     j: usize,
-    /// The grid inside one group (the whole grid without a hierarchy).
+    /// The grid inside one group.
     inner: GridShape,
-    /// `P(x,·)(i,j)` and `P(·,y)(i,j)`: the inter-group communicators.
-    outer: Option<(C, C)>,
-    /// `P(x,y)(i,·)`: A's (inner) broadcasts run here.
+    /// `P(x,·)(i,j)`: A's inter-group broadcasts run here.
+    group_row: C,
+    /// `P(·,y)(i,j)`: B's inter-group broadcasts run here.
+    group_col: C,
+    /// `P(x,y)(i,·)`: A's inner broadcasts run here.
     row: C,
-    /// `P(x,y)(·,j)`: B's (inner) broadcasts run here.
+    /// `P(x,y)(·,j)`: B's inner broadcasts run here.
     col: C,
 }
 
@@ -193,7 +186,7 @@ struct PivotAt {
 
 impl<C: Communicator> Geometry<C> {
     /// Validates `spec` against the communicator and the tiles, then
-    /// builds the 2 (SUMMA) or 4 (HSUMMA) communicators.
+    /// builds the four communicators.
     ///
     /// # Panics
     /// Panics with [`Spec::validate`]'s message, or if the communicator
@@ -208,10 +201,10 @@ impl<C: Communicator> Geometry<C> {
         assert_eq!((a.rows(), a.cols()), a_tile, "A tile has wrong shape");
         assert_eq!((b.rows(), b.cols()), b_tile, "B tile has wrong shape");
 
-        let hg = HierGrid::new(spec.grid, spec.groups.unwrap_or(GridShape::new(1, 1)));
+        let hg = HierGrid::new(spec.grid, spec.groups);
         let (gi, gj) = spec.grid.coords(comm.rank());
         let (i, j) = hg.inner_of(gi, gj);
-        let outer = spec.groups.map(|_| hg.outer_comms(comm));
+        let (group_row, group_col) = hg.outer_comms(comm);
         let (row, col) = hg.inner_comms(comm);
         Geometry {
             a_tile,
@@ -221,7 +214,8 @@ impl<C: Communicator> Geometry<C> {
             i,
             j,
             inner: hg.inner(),
-            outer,
+            group_row,
+            group_col,
             row,
             col,
         }
@@ -237,84 +231,76 @@ impl<C: Communicator> Geometry<C> {
         locate(spec, kg, self.b_tile.0, spec.grid.rows, self.inner.rows)
     }
 
-    /// Locates outer step `kg` and runs its inter-group broadcasts: the
-    /// owner cuts its panel once, and the pivot inner column (`A`) /
-    /// inner row (`B`) of every group receives that allocation.
+    /// Slice `ki` of an outer `A` panel, as its inner root sends it: the
+    /// panel itself when `B == b`, a cut of it otherwise.
+    fn a_slice(&self, spec: &Spec, outer: &C::Shared, ki: usize) -> C::Shared {
+        let (ah, bs) = (self.a_tile.0, spec.inner_block);
+        if spec.outer_block == bs {
+            return outer.clone();
+        }
+        self.row.cut(C::shared_ref(outer), 0, ki * bs, ah, bs)
+    }
+
+    /// Slice `ki` of an outer `B` panel, as its inner root sends it.
+    fn b_slice(&self, spec: &Spec, outer: &C::Shared, ki: usize) -> C::Shared {
+        let (bw, bs) = (self.b_tile.1, spec.inner_block);
+        if spec.outer_block == bs {
+            return outer.clone();
+        }
+        self.col.cut(C::shared_ref(outer), ki * bs, 0, bs, bw)
+    }
+
+    /// Runs outer step `kg`'s inter-group broadcasts: the owner cuts its
+    /// panel once, and the pivot inner column (`A`) / inner row (`B`) of
+    /// every group receives that allocation.
     fn outer_step(
         &self,
         spec: &Spec,
         kg: usize,
         a: &C::Mat,
         b: &C::Mat,
-    ) -> Result<Step<C::Shared>, CommError> {
+    ) -> Result<LandedPair<C>, CommError> {
         let (at, bt) = (self.a_at(spec, kg), self.b_at(spec, kg));
         let (ah, bw, bb) = (self.a_tile.0, self.b_tile.1, spec.outer_block);
-        let mut step = Step {
-            at,
-            bt,
-            outer_a: None,
-            outer_b: None,
-        };
-        if let Some((group_row, group_col)) = &self.outer {
-            if self.j == at.inner {
-                let panel = (self.gj == at.owner).then(|| group_row.cut(a, 0, at.offset, ah, bb));
-                let got = group_row.bcast_shared(spec.outer_bcast, at.group, ah, bb, panel)?;
-                step.outer_a = Some(got);
-            }
-            if self.i == bt.inner {
-                let panel = (self.gi == bt.owner).then(|| group_col.cut(b, bt.offset, 0, bb, bw));
-                let got = group_col.bcast_shared(spec.outer_bcast, bt.group, bb, bw, panel)?;
-                step.outer_b = Some(got);
-            }
+        let (algo, rows, cols) = (spec.outer_bcast, &self.group_row, &self.group_col);
+        let mut landed = (None, None);
+        if self.j == at.inner {
+            let panel = (self.gj == at.owner).then(|| rows.cut(a, 0, at.offset, ah, bb));
+            landed.0 = Some(rows.bcast_shared(algo, at.group, ah, bb, panel)?);
         }
-        Ok(step)
+        if self.i == bt.inner {
+            let panel = (self.gi == bt.owner).then(|| cols.cut(b, bt.offset, 0, bb, bw));
+            landed.1 = Some(cols.bcast_shared(algo, bt.group, bb, bw, panel)?);
+        }
+        Ok(landed)
     }
 
-    /// Broadcasts slice `ki` of `step` along the inner row (`A`) and
-    /// column (`B`). Each inner root forwards its outer panel whole when
-    /// `B == b`, and otherwise cuts the slice from it — or, without a
-    /// hierarchy, from its own tile.
+    /// Broadcasts slice `ki` of outer step `kg` along the inner row (`A`)
+    /// and column (`B`) from the inner roots, which hold `landed`.
     fn slices(
         &self,
         spec: &Spec,
-        step: &Step<C::Shared>,
+        kg: usize,
+        (outer_a, outer_b): &LandedPair<C>,
         ki: usize,
-        a: &C::Mat,
-        b: &C::Mat,
     ) -> Result<(C::Shared, C::Shared), CommError> {
         let (ah, bw, bs) = (self.a_tile.0, self.b_tile.1, spec.inner_block);
-        let whole = spec.outer_block == bs;
-        let (at, bt) = (step.at, step.bt);
-        let a_panel = (self.j == at.inner).then(|| match &step.outer_a {
-            Some(p) if whole => p.clone(),
-            Some(p) => self.row.cut(C::shared_ref(p), 0, ki * bs, ah, bs),
-            None => self.row.cut(a, 0, at.offset + ki * bs, ah, bs),
-        });
-        let a_in = self
-            .row
-            .bcast_shared(spec.inner_bcast, at.inner, ah, bs, a_panel)?;
-        let b_panel = (self.i == bt.inner).then(|| match &step.outer_b {
-            Some(p) if whole => p.clone(),
-            Some(p) => self.col.cut(C::shared_ref(p), ki * bs, 0, bs, bw),
-            None => self.col.cut(b, bt.offset + ki * bs, 0, bs, bw),
-        });
-        let b_in = self
-            .col
-            .bcast_shared(spec.inner_bcast, bt.inner, bs, bw, b_panel)?;
+        let (at, bt, algo) = (self.a_at(spec, kg), self.b_at(spec, kg), spec.inner_bcast);
+        let a_panel = outer_a.as_ref().map(|p| self.a_slice(spec, p, ki));
+        let a_in = self.row.bcast_shared(algo, at.inner, ah, bs, a_panel)?;
+        let b_panel = outer_b.as_ref().map(|p| self.b_slice(spec, p, ki));
+        let b_in = self.col.bcast_shared(algo, bt.inner, bs, bw, b_panel)?;
         Ok((a_in, b_in))
     }
 }
 
-/// One outer pivot step as a rank sees it: where the step's panels
-/// live, and the outer panels the rank holds after the inter-group
-/// broadcasts (on the pivot inner column for `A` and inner row for `B`;
-/// `None` elsewhere, and always without a hierarchy).
-struct Step<S> {
-    at: PivotAt,
-    bt: PivotAt,
-    outer_a: Option<S>,
-    outer_b: Option<S>,
-}
+/// The outer panels a rank holds for one step once the inter-group
+/// broadcasts land: `A`'s on the pivot inner column, `B`'s on the pivot
+/// inner row, `None` elsewhere.
+type LandedPair<C> = (
+    Option<<C as Communicator>::Shared>,
+    Option<<C as Communicator>::Shared>,
+);
 
 fn locate(spec: &Spec, kg: usize, extent: usize, parts: usize, inner_parts: usize) -> PivotAt {
     let bb = spec.outer_block;
@@ -338,7 +324,8 @@ fn locate(spec: &Spec, kg: usize, extent: usize, parts: usize, inner_parts: usiz
 /// and the broadcasts hand that allocation on, so on the threaded
 /// runtime every rank multiplies straight from the owner's copy. With
 /// `B == b` the inner roots forward the outer panel they received
-/// without a second cut.
+/// without a second cut. Clocks align after every inner step, inside
+/// the step span.
 ///
 /// # Panics
 /// As [`Geometry::new`].
@@ -357,9 +344,9 @@ pub(crate) fn blocking<C: Communicator>(
     let pairs = ah * bw * bs;
     for kg in (0..spec.dims.l / bb).filter(|&kg| take(kg)) {
         comm.trace_step(kg, bb, bs, || -> Result<(), CommError> {
-            let step = g.outer_step(spec, kg, a, b)?;
+            let landed = g.outer_step(spec, kg, a, b)?;
             for ki in 0..bb / bs {
-                let (a_in, b_in) = g.slices(spec, &step, ki, a, b)?;
+                let (a_in, b_in) = g.slices(spec, kg, &landed, ki)?;
                 comm.compute(pairs as f64, 2 * pairs as u64, || {
                     C::Mat::gemm(
                         spec.kernel,
@@ -368,17 +355,10 @@ pub(crate) fn blocking<C: Communicator>(
                         &mut c,
                     )
                 });
-                if g.outer.is_some() {
-                    comm.maybe_step_sync()?;
-                }
+                comm.maybe_step_sync()?;
             }
             Ok(())
         })?;
-        // SUMMA aligns clocks after its step span closes, HSUMMA after
-        // every inner step inside it; recorded programs pin both orders.
-        if g.outer.is_none() {
-            comm.maybe_step_sync()?;
-        }
     }
     Ok(c)
 }
@@ -397,12 +377,6 @@ type OuterPair<C> = (
     Option<PanelBcast<<C as Communicator>::Shared>>,
 );
 
-/// A landed outer step's shared panels.
-type LandedPair<C> = (
-    Option<<C as Communicator>::Shared>,
-    Option<<C as Communicator>::Shared>,
-);
-
 /// The two-slot pipelined pivot loop (§VI's "overlapping the
 /// communications on the virtual hierarchies"). Same operands, layout
 /// and result — bit for bit — as [`blocking`]; the spec's broadcast
@@ -414,9 +388,10 @@ type LandedPair<C> = (
 /// outer step ahead, and the inner pipeline crosses outer-step
 /// boundaries: during the last slice of step `kg`, outer step `kg+1` is
 /// landed and its first slice started, so the multiply never waits on a
-/// transfer that could have been overlapped. Without a hierarchy there is
-/// no outer phase: every slice is cut from the local tile, nothing is
-/// ever polled, and the schedule is timing-independent (recordable).
+/// transfer that could have been overlapped. With one group every outer
+/// broadcast runs on a singleton communicator, so its handle is complete
+/// at its start, no poll ever waits on a message, and the schedule is
+/// timing-independent (recordable).
 ///
 /// # Panics
 /// As [`Geometry::new`].
@@ -432,40 +407,32 @@ pub(crate) fn pipelined<C: Communicator>(
     let outer_steps = spec.dims.l / bb;
     let inner_steps = bb / bs;
 
+    let (rows, cols) = (&g.group_row, &g.group_col);
+
     // Starts outer step kg's inter-group broadcasts on the pivot inner
     // column (A) / inner row (B).
     let start_outer = |kg: usize| -> Result<OuterPair<C>, CommError> {
-        let Some((group_row, group_col)) = &g.outer else {
-            return Ok((None, None));
-        };
-        let at = g.a_at(spec, kg);
-        let a_h = if g.j == at.inner {
-            let panel = (g.gj == at.owner).then(|| group_row.cut(a, 0, at.offset, ah, bb));
-            Some(group_row.ibcast_shared(at.group, 2 * kg as u64, ah, bb, panel)?)
-        } else {
-            None
-        };
-        let bt = g.b_at(spec, kg);
-        let b_h = if g.i == bt.inner {
-            let panel = (g.gi == bt.owner).then(|| group_col.cut(b, bt.offset, 0, bb, bw));
-            Some(group_col.ibcast_shared(bt.group, 2 * kg as u64 + 1, bb, bw, panel)?)
-        } else {
-            None
-        };
-        Ok((a_h, b_h))
+        let (at, bt) = (g.a_at(spec, kg), g.b_at(spec, kg));
+        let mut started = (None, None);
+        if g.j == at.inner {
+            let panel = (g.gj == at.owner).then(|| rows.cut(a, 0, at.offset, ah, bb));
+            started.0 = Some(rows.ibcast_shared(at.group, 2 * kg as u64, ah, bb, panel)?);
+        }
+        if g.i == bt.inner {
+            let panel = (g.gi == bt.owner).then(|| cols.cut(b, bt.offset, 0, bb, bw));
+            started.1 = Some(cols.ibcast_shared(bt.group, 2 * kg as u64 + 1, bb, bw, panel)?);
+        }
+        Ok(started)
     };
 
     // Polls a started outer step: free — no clock advance, no park.
     let has_landed = |pair: &mut OuterPair<C>| -> Result<bool, CommError> {
-        let Some((group_row, group_col)) = &g.outer else {
-            return Ok(true);
-        };
         let a_done = match pair.0.as_mut() {
-            Some(h) => group_row.ibcast_test(h)?,
+            Some(h) => rows.ibcast_test(h)?,
             None => true,
         };
         let b_done = match pair.1.as_mut() {
-            Some(h) => group_col.ibcast_test(h)?,
+            Some(h) => cols.ibcast_test(h)?,
             None => true,
         };
         Ok(a_done && b_done)
@@ -473,12 +440,9 @@ pub(crate) fn pipelined<C: Communicator>(
 
     // Completes a started outer step, blocking until its panels arrive.
     let land = |(a_h, b_h): OuterPair<C>| -> Result<LandedPair<C>, CommError> {
-        let Some((group_row, group_col)) = &g.outer else {
-            return Ok((None, None));
-        };
         Ok((
-            a_h.map(|h| group_row.ibcast_wait(h)).transpose()?,
-            b_h.map(|h| group_col.ibcast_wait(h)).transpose()?,
+            a_h.map(|h| rows.ibcast_wait(h)).transpose()?,
+            b_h.map(|h| cols.ibcast_wait(h)).transpose()?,
         ))
     };
 
@@ -489,25 +453,11 @@ pub(crate) fn pipelined<C: Communicator>(
                        ki: usize,
                        (outer_a, outer_b): &LandedPair<C>|
      -> Result<BcastPair<C>, CommError> {
-        let two_level = g.outer.is_some();
-        let tag = 2 * (kg * inner_steps + ki) as u64 + if two_level { 1 << 32 } else { 0 };
-        let at = g.a_at(spec, kg);
-        let a_slice = if two_level {
-            outer_a
-                .as_ref()
-                .map(|p| g.row.cut(C::shared_ref(p), 0, ki * bs, ah, bs))
-        } else {
-            (g.gj == at.owner).then(|| g.row.cut(a, 0, at.offset + ki * bs, ah, bs))
-        };
+        let tag = 2 * (kg * inner_steps + ki) as u64 + (1 << 32);
+        let (at, bt) = (g.a_at(spec, kg), g.b_at(spec, kg));
+        let a_slice = outer_a.as_ref().map(|p| g.a_slice(spec, p, ki));
         let a_h = g.row.ibcast_shared(at.inner, tag, ah, bs, a_slice)?;
-        let bt = g.b_at(spec, kg);
-        let b_slice = if two_level {
-            outer_b
-                .as_ref()
-                .map(|p| g.col.cut(C::shared_ref(p), ki * bs, 0, bs, bw))
-        } else {
-            (g.gi == bt.owner).then(|| g.col.cut(b, bt.offset + ki * bs, 0, bs, bw))
-        };
+        let b_slice = outer_b.as_ref().map(|p| g.b_slice(spec, p, ki));
         let b_h = g.col.ibcast_shared(bt.inner, tag + 1, bs, bw, b_slice)?;
         Ok((a_h, b_h))
     };
@@ -843,11 +793,11 @@ mod tests {
         Runtime::run(spec.grid.size(), |comm| {
             let (a, b) = (&at[comm.rank()], &bt[comm.rank()]);
             let g = Geometry::new(&*comm, &spec, a, b);
-            let step = g.outer_step(&spec, 0, a, b).unwrap();
+            let landed = g.outer_step(&spec, 0, a, b).unwrap();
             let slices = (0..bb / 8)
-                .map(|ki| g.slices(&spec, &step, ki, a, b).unwrap())
+                .map(|ki| g.slices(&spec, 0, &landed, ki).unwrap())
                 .collect();
-            ((g.gi, g.gj), step.outer_a, slices)
+            ((g.gi, g.gj), landed.0, slices)
         })
     }
 

@@ -96,7 +96,8 @@ pub enum Schedule {
     },
     /// Block LU without pivoting ([`block_lu`]): per panel step, the
     /// diagonal factor's broadcasts, then the `L` and `U` panels along
-    /// grid rows and columns (hierarchically when `cfg.groups` is set).
+    /// grid rows and columns, across `cfg.groups` first (one group is
+    /// plain LU).
     Lu {
         /// The `s × t` processor grid.
         grid: GridShape,
@@ -159,14 +160,8 @@ impl Schedule {
     }
 
     /// Block LU with panel width `block`, its panel broadcasts split over
-    /// `groups` when set (hierarchical LU).
-    pub fn lu(
-        grid: GridShape,
-        n: usize,
-        block: usize,
-        bcast: SimBcast,
-        groups: Option<GridShape>,
-    ) -> Self {
+    /// `groups` (hierarchical LU; `1 × 1` is plain LU).
+    pub fn lu(grid: GridShape, n: usize, block: usize, bcast: SimBcast, groups: GridShape) -> Self {
         let cfg = LuConfig {
             block,
             bcast,

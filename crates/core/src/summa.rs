@@ -5,7 +5,8 @@
 //! panel `k` of `A` broadcast it along their grid rows, the owners of
 //! pivot row panel `k` of `B` broadcast it along their grid columns, and
 //! every processor accumulates `C_tile += A_panel · B_panel`. The loop
-//! itself is the pivot engine's blocking loop with no hierarchy.
+//! itself is the pivot engine's blocking loop over one group (HSUMMA at
+//! `G = 1` with `B = b`).
 
 use crate::comm::Communicator;
 use crate::partition::MatMulDims;

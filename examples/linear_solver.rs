@@ -39,7 +39,7 @@ fn main() {
     let tiles = dist.scatter(&a);
     let cfg = LuConfig {
         block: 32,
-        groups: Some(GridShape::new(2, 2)),
+        groups: GridShape::new(2, 2),
         ..Default::default()
     };
     let t0 = std::time::Instant::now();

@@ -279,10 +279,13 @@ fn cmd_predict(opts: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_bcast(opts: &HashMap<String, String>) -> Result<(), String> {
-    use hsumma_repro::core::{Communicator, PhantomMat};
-    use hsumma_repro::netsim::spmd::SimWorld;
+    use hsumma_repro::core::{replay_on, Communicator, PhantomMat};
+    use hsumma_repro::netsim::record;
 
     let p: usize = get(opts, "p", 16)?;
+    if p == 0 {
+        return Err("--p must be at least 1: a broadcast needs a root".into());
+    }
     let bytes: u64 = get(opts, "bytes", 1_048_576)?;
     // Payloads travel as whole f64 elements on every substrate.
     let elems = (bytes / 8).max(1) as usize;
@@ -301,14 +304,17 @@ fn cmd_bcast(opts: &HashMap<String, String>) -> Result<(), String> {
         ("pipelined(16)", SimBcast::Pipelined { segments: 16 }),
         ("van de Geijn", SimBcast::ScatterAllgather),
     ] {
-        let (net, _) = SimWorld::run(SimNet::new(p, net_params), 0.0, false, move |comm| {
+        // Recorded once in rank order and replayed on one thread: no
+        // rank gets an OS thread, whatever `--p` is.
+        let prog = record(p, false, move |comm| {
             let mut m = PhantomMat {
                 rows: 1,
                 cols: elems,
             };
-            comm.bcast_mat(algo, 0, &mut m).unwrap();
+            comm.bcast_mat(algo, 0, &mut m)
         });
-        println!("{name:>14}: {:.6} s", net.elapsed());
+        let report = replay_on(&mut SimNet::new(p, net_params), 0.0, &prog);
+        println!("{name:>14}: {:.6} s", report.total_time);
     }
     Ok(())
 }
@@ -463,5 +469,12 @@ mod tests {
         let mut opts = HashMap::new();
         opts.insert("p".to_string(), "8".to_string());
         cmd_bcast(&opts).expect("bcast comparison runs");
+    }
+
+    #[test]
+    fn bcast_command_refuses_zero_ranks() {
+        let opts = HashMap::from([("p".to_string(), "0".to_string())]);
+        let err = cmd_bcast(&opts).expect_err("p = 0 must be refused");
+        assert!(err.contains("at least 1"), "got `{err}`");
     }
 }

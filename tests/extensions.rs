@@ -168,7 +168,7 @@ fn hierarchical_lu_reconstructs_through_facade() {
     let cfg = LuConfig {
         block: 4,
         kernel: GemmKernel::Blocked,
-        groups: Some(GridShape::new(2, 2)),
+        groups: GridShape::new(2, 2),
         ..Default::default()
     };
     let out = Runtime::run(grid.size(), |comm| {

@@ -318,7 +318,7 @@ fn real_and_sim_lu_emit_identical_payload_multisets() {
         block: bs,
         bcast: BcastAlgorithm::Binomial,
         kernel: GemmKernel::Blocked,
-        groups: Some(GridShape::new(2, 2)),
+        groups: GridShape::new(2, 2),
     };
     let a = seeded_diag_dominant(n, 9);
     let dist = BlockDist::new(grid, n, n);

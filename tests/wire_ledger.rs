@@ -8,7 +8,11 @@
 //! the schedules ship:
 //!
 //! 1. dense `Arc<Matrix>` panels: HSUMMA on the benchmark's `gemm-comm`
-//!    shape (4×4 ranks, 2×2 groups, n = 256, b = B = 8);
+//!    shape (4×4 ranks, 2×2 groups, n = 256, b = B = 8), and there every
+//!    grid plan — SUMMA, HSUMMA and their pipelined forms — with its
+//!    payload copies (`payload_clones`, `payload_clone_bytes`): each
+//!    panel is cut once, by its owner, and SUMMA's wire traffic is
+//!    HSUMMA's. HSUMMA at `B = 2b` pins the inner roots' slice cuts;
 //! 2. sparse `Arc<CsrMatrix>` panels, whose size depends on nnz:
 //!    `spgemm_2d` and `sddmm_2d` as the `distributed_*` drivers run them;
 //! 3. the segmenting broadcasts' `f64` segments: `bcast_f64` under
@@ -24,9 +28,9 @@
 //! rank → `(color, key)` function all members share. The message pins
 //! therefore count only the schedules' own traffic.
 
-use hsumma_repro::core::{run_planned_gemm, Distribution, HsummaConfig, PlannedAlgo};
+use hsumma_repro::core::{run_planned_gemm, Distribution, HsummaConfig, PlannedAlgo, SummaConfig};
 use hsumma_repro::matrix::sparse::{seeded_sparse, CsrMatrix};
-use hsumma_repro::matrix::{seeded_uniform, BlockDist, GridShape, Matrix};
+use hsumma_repro::matrix::{seeded_uniform, BlockDist, GemmKernel, GridShape, Matrix};
 use hsumma_repro::runtime::collectives::bcast_f64;
 use hsumma_repro::runtime::{BcastAlgorithm, CommStats, PoolRun, RankPool};
 use hsumma_repro::sparse::{scatter_csr, sddmm_2d, spgemm_2d, SparseConfig};
@@ -43,21 +47,84 @@ fn ledger<R>(run: &PoolRun<R>) -> (u64, u64, u64, u64) {
     (t.bytes_sent, t.bytes_recv, t.msgs_sent, t.msgs_recv)
 }
 
-#[test]
-fn gemm_comm_shape_moves_the_pinned_bytes_and_messages() {
+/// World payload copies `(payload_clones, payload_clone_bytes)` of one
+/// pool job.
+fn copies<R>(run: &PoolRun<R>) -> (u64, u64) {
+    let t = run
+        .stats
+        .iter()
+        .fold(CommStats::default(), |acc, s| acc.merge(s));
+    (t.payload_clones, t.payload_clone_bytes)
+}
+
+/// One `plan` on the gemm-comm shape: 4×4 ranks, n = 256.
+fn gemm_comm_run(plan: PlannedAlgo) -> PoolRun<()> {
     let (grid, n) = (GridShape::new(4, 4), 256);
-    let plan = PlannedAlgo::Hsumma(HsummaConfig::uniform(GridShape::new(2, 2), 8));
     let dist = Distribution::grid2d(grid, n, n);
     let a = Arc::new(dist.scatter(&seeded_uniform(n, n, 1)));
     let b = Arc::new(dist.scatter(&seeded_uniform(n, n, 2)));
     let mut pool = RankPool::new(grid.size()).expect("spawn rank pool");
-    let run = pool
-        .run(move |comm| {
-            let r = comm.rank();
-            run_planned_gemm(&*comm, grid, n, n, n, &a[r], &b[r], &plan).expect("planned gemm");
-        })
-        .expect("pool job");
+    pool.run(move |comm| {
+        let r = comm.rank();
+        run_planned_gemm(&*comm, grid, n, n, n, &a[r], &b[r], &plan).expect("planned gemm");
+    })
+    .expect("pool job")
+}
+
+/// HSUMMA over 2×2 groups with `B = b = 8`, binomial broadcasts.
+fn gemm_comm_hsumma() -> HsummaConfig {
+    HsummaConfig::uniform(GridShape::new(2, 2), 8)
+}
+
+#[test]
+fn gemm_comm_shape_moves_the_pinned_bytes_and_messages() {
+    let run = gemm_comm_run(PlannedAlgo::Hsumma(gemm_comm_hsumma()));
     assert_eq!(ledger(&run), (3_145_728, 3_145_728, 768, 768));
+}
+
+#[test]
+fn every_grid_plan_cuts_each_panel_once_at_the_gemm_comm_shape() {
+    // 32 pivot steps, each with 4 owners of an A panel (one per grid
+    // row) and 4 of a B panel, each cutting one 64×8 panel (4 KiB). The
+    // inner roots forward what they received (B == b), so nobody else
+    // copies. On the wire, SUMMA is HSUMMA: 768 messages of 4 KiB.
+    let summa = SummaConfig {
+        block: 8,
+        bcast: BcastAlgorithm::Binomial,
+        kernel: GemmKernel::Packed,
+    };
+    for plan in [
+        PlannedAlgo::Summa(summa),
+        PlannedAlgo::SummaPipelined(summa),
+        PlannedAlgo::Hsumma(gemm_comm_hsumma()),
+        PlannedAlgo::HsummaPipelined(gemm_comm_hsumma()),
+    ] {
+        let run = gemm_comm_run(plan);
+        let what = plan.describe();
+        assert_eq!(copies(&run), (256, 1_048_576), "{what} payload copies");
+        let (bytes, _, msgs, _) = ledger(&run);
+        assert_eq!((msgs, bytes), (768, 3_145_728), "{what} wire traffic");
+    }
+}
+
+#[test]
+fn hsumma_inner_roots_cut_their_slices_when_the_outer_block_is_wider() {
+    // B = 2b = 16: 16 outer steps. The 4 + 4 owners cut 64×16 outer
+    // panels; the 8 inner roots per operand (the pivot inner line of
+    // each of the 2×2 groups' 2 inner lines) each cut 2 slices of 64×8
+    // from the panel they received. Blocking and pipelined slice alike.
+    let steps = 256 / 16;
+    let outer = (steps * 2 * 4, steps * 2 * 4 * 64 * 16 * 8);
+    let inner = (steps * 2 * 8 * 2, steps * 2 * 8 * 2 * 64 * 8 * 8);
+    let want = ((outer.0 + inner.0) as u64, (outer.1 + inner.1) as u64);
+    let cfg = HsummaConfig {
+        outer_block: 16,
+        ..gemm_comm_hsumma()
+    };
+    for plan in [PlannedAlgo::Hsumma(cfg), PlannedAlgo::HsummaPipelined(cfg)] {
+        let run = gemm_comm_run(plan);
+        assert_eq!(copies(&run), want, "{}", plan.describe());
+    }
 }
 
 #[test]
