@@ -19,8 +19,9 @@
 //! Results go to stdout and `BENCH_scale.json`; a small traced replay
 //! also writes `replay_trace.json` (Chrome `about:tracing` format).
 //! `--smoke` runs the `p = 2¹⁶` ladder rung only, under a wall-clock
-//! budget — the CI guard proving the replay engine stays a laptop-budget
-//! tool at six-figure rank counts.
+//! budget and a peak-memory budget per recorded op — the CI guard
+//! proving the replay engine stays a laptop-budget tool at six-figure
+//! rank counts.
 //!
 //! ```sh
 //! cargo run --release -p hsumma-bench --bin replay_scale [-- --smoke]
@@ -37,10 +38,18 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Wall-clock budget for the smoke rung: recording and replaying a
-/// `p = 2¹⁶` COSMA schedule (4.8 M ops) takes 0.3 s on a 2-vCPU x86-64
+/// `p = 2¹⁶` COSMA schedule (4.6 M ops) takes 0.3 s on a 2-vCPU x86-64
 /// host (0.65 s when a neighbour contends for it). 2.5 s leaves 4–8×
 /// headroom for slower runners and still fails a 10× engine regression.
 const SMOKE_BUDGET_SECS: f64 = 2.5;
+
+/// Peak-memory budget for the smoke rung, per recorded op: the 16-byte
+/// op and half as much again for everything else the process holds at
+/// its peak (the replay's cursors and mail, the interning tables, the
+/// network's clocks, allocator headers). On a 2-vCPU x86-64 host the
+/// rung's `VmHWM` reads 21.0 B per op (97.4 MB for 4.64 M ops), 14 %
+/// under budget; with 24-byte ops it read 28.9 B per op (134.3 MB).
+const SMOKE_PEAK_BYTES_PER_OP: u64 = 16 * 3 / 2;
 
 /// One rung of the replay ladder.
 struct ScaleRow {
@@ -54,6 +63,17 @@ struct ScaleRow {
     rel_err: f64,
     makespan_s: f64,
     wall_s: f64,
+    /// The process's peak resident set (`VmHWM`) once the rung is done,
+    /// where the kernel reports one.
+    peak_rss: Option<u64>,
+}
+
+/// The process's peak resident set so far, from `/proc/self/status`.
+fn peak_rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: u64 = kb.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kb * 1024)
 }
 
 /// Records the COSMA schedule for a cubic `n³` problem on `p` ranks and
@@ -86,6 +106,7 @@ fn replay_cosma(platform: &Platform, label: &'static str, p: usize, n: usize) ->
         rel_err,
         makespan_s: report.total_time,
         wall_s,
+        peak_rss: peak_rss_bytes(),
     }
 }
 
@@ -249,6 +270,18 @@ fn main() {
         SMOKE_BUDGET_SECS,
         if within_budget { "ok" } else { "OVER BUDGET" }
     );
+    // The memory guard, where the kernel reports a peak: a recording
+    // that outgrows its ops fails here before it fails at p = 2^20.
+    let peak_budget = budget_row.ops as u64 * SMOKE_PEAK_BYTES_PER_OP;
+    let within_memory = budget_row.peak_rss.is_none_or(|peak| peak <= peak_budget);
+    if let Some(peak) = budget_row.peak_rss {
+        println!(
+            "p = 2^16 peak RSS: {:.1} MB (budget {:.1} MB, {SMOKE_PEAK_BYTES_PER_OP} B/op): {}",
+            peak as f64 / 1e6,
+            peak_budget as f64 / 1e6,
+            if within_memory { "ok" } else { "OVER BUDGET" }
+        );
+    }
 
     let mut json = String::from("{\n");
     let _ = write!(
@@ -316,6 +349,16 @@ fn main() {
             "replay smoke exceeded its wall-clock budget: {:.1} s > {} s",
             budget_row.wall_s, SMOKE_BUDGET_SECS
         );
+    }
+    if smoke && !within_memory {
+        eprintln!(
+            "replay smoke exceeded its memory budget: {} B > {} ops x {} B",
+            budget_row.peak_rss.unwrap_or_default(),
+            budget_row.ops,
+            SMOKE_PEAK_BYTES_PER_OP
+        );
+    }
+    if smoke && !(within_budget && within_memory) {
         std::process::exit(1);
     }
 }

@@ -749,4 +749,20 @@ mod tests {
             flat.total_time
         );
     }
+
+    #[test]
+    fn compute_charges_intern_to_at_most_one_per_pivot_step() {
+        // The benchmark's sim-replay G = 1 rung: 4.29 M ops, among them
+        // a compute per rank per pivot step. Interned, those name at most
+        // one charge per pivot step — never one per op.
+        let (n, b) = (2048, 64);
+        let sa = SimBcast::ScatterAllgather;
+        let prog = hsumma(GridShape::new(32, 32), GridShape::new(1, 1), n, b, sa).record(false);
+        assert!(
+            (1..=n / b).contains(&prog.charge_count()),
+            "{} charges for {} pivot steps",
+            prog.charge_count(),
+            n / b
+        );
+    }
 }

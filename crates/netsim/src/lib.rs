@@ -44,7 +44,7 @@ pub mod topology;
 /// the simulator APIs have always used.
 pub use hsumma_trace::BcastAlgorithm as SimBcast;
 pub use model::{Hockney, Platform};
-pub use record::{record, Op, RecordComm, RecordedProgram};
+pub use record::{record, RecordComm, RecordedProgram};
 pub use replay::{EventLoopSim, ReplayOutcome};
 pub use sim::{NoiseModel, SimNet, SimReport};
 pub use spmd::{SimComm, SimOutcome, SimRunOptions, SimWorld};

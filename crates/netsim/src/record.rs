@@ -10,7 +10,7 @@
 //! it makes something stronger possible: run each rank's SPMD closure
 //! **sequentially**, once, against a [`RecordComm`] that performs no
 //! synchronization at all and simply writes down the rank's operations as
-//! a flat [`Op`] program. The p recorded programs are then executed by
+//! a flat program of 16-byte ops. The p recorded programs are then executed by
 //! the threadless event loop in [`crate::replay`] — O(p) cursor state,
 //! zero threads, p = 2²⁰ within reach.
 //!
@@ -71,22 +71,37 @@ impl Hasher for IdHasher {
     }
 }
 
-/// One recorded operation of one rank's program. Peers are **world**
-/// ranks (communicator-local ranks are resolved at record time), and
-/// point-to-point endpoints are addressed through a channel id that
-/// interns the `(communicator, tag)` pair — a `u32` per side keeps the
-/// op at 24 bytes (pinned below). Programs are stored exact-size, so a
-/// recording holds `total ops · 24 B` of ops plus one `Vec` per rank.
+/// One recorded operation of one rank's program, 16 bytes (pinned
+/// below). Peers are **world** ranks (communicator-local ranks are
+/// resolved at record time), and point-to-point endpoints are addressed
+/// through a channel id that interns the `(communicator, tag)` pair.
+/// Message sizes below [`UNCHECKED`] are stored inline; when `wide` is
+/// set, `bytes` instead indexes [`RecordedProgram`]'s table of larger
+/// sizes. Compute charges are interned like channels. Programs are
+/// stored exact-size, so a recording holds `total ops · 16 B` of ops plus
+/// one `Vec` per rank.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Op {
+pub(crate) enum Op {
     /// Send `bytes` to world rank `dst` on channel `chan`.
-    Send { chan: u32, dst: u32, bytes: u64 },
+    Send {
+        wide: bool,
+        chan: u32,
+        dst: u32,
+        bytes: u32,
+    },
     /// Receive the next message from world rank `src` on channel `chan`.
-    /// `bytes` is the expected payload size, checked at replay —
-    /// `u64::MAX` means unchecked (collective internals discard sizes).
-    Recv { chan: u32, src: u32, bytes: u64 },
-    /// Charge `γ · pairs` seconds of local compute (stamped `flops`).
-    Compute { pairs: f64, flops: u64 },
+    /// `bytes` is the expected payload size, checked at replay — an
+    /// inline [`UNCHECKED`] means unchecked (collective internals discard
+    /// sizes).
+    Recv {
+        wide: bool,
+        chan: u32,
+        src: u32,
+        bytes: u32,
+    },
+    /// Charge `γ · pairs` seconds of local compute (stamped `flops`),
+    /// where `(pairs, flops)` is entry `charge` of the charge table.
+    Compute { charge: u32 },
     /// Group barrier number `seq` on communicator `comm`.
     Barrier { comm: u32, seq: u32 },
     /// Open a pivot-step trace span (`k`, outer, inner block sizes).
@@ -95,7 +110,12 @@ pub enum Op {
     StepPop,
 }
 
-const _: () = assert!(std::mem::size_of::<Op>() == 24);
+const _: () = assert!(std::mem::size_of::<Op>() == 16);
+
+/// The inline size of an unchecked receive. A size of this value or more
+/// is stored in the wide table instead, so the sentinel names no real
+/// size.
+pub(crate) const UNCHECKED: u32 = u32::MAX;
 
 /// The output of [`record`]: one flat op program per world rank, plus the
 /// interning tables the ops index into. Platform-independent — the same
@@ -112,6 +132,11 @@ pub struct RecordedProgram {
     /// Communicator id → world ranks of its members, in rank order.
     /// Id 0 is the world.
     pub(crate) comms: Vec<Arc<Vec<usize>>>,
+    /// Charge id → `(pairs, flops)`, one entry per distinct charge.
+    pub(crate) charges: Vec<(f64, u64)>,
+    /// The sizes of [`UNCHECKED`] bytes and more, one entry per op that
+    /// carries one, in recording order.
+    pub(crate) wide: Vec<u64>,
 }
 
 impl RecordedProgram {
@@ -121,9 +146,9 @@ impl RecordedProgram {
     }
 
     /// Total recorded operations across all ranks. The programs hold
-    /// exactly this many 24-byte ops (no spare capacity); the benchmark's
+    /// exactly this many 16-byte ops (no spare capacity); the benchmark's
     /// traced `sim-replay` pass, whose `netsim.rss_bytes_per_op` also
-    /// counts allocator headers and the replay's own state, reads 25 B
+    /// counts allocator headers and the replay's own state, reads 17 B
     /// per op.
     pub fn total_ops(&self) -> usize {
         self.programs.iter().map(Vec::len).sum()
@@ -133,6 +158,21 @@ impl RecordedProgram {
     /// the world).
     pub fn comm_count(&self) -> usize {
         self.comms.len()
+    }
+
+    /// Number of distinct `(pairs, flops)` compute charges the programs
+    /// name.
+    pub fn charge_count(&self) -> usize {
+        self.charges.len()
+    }
+
+    /// The payload size an op stored as `(wide, bytes)`.
+    pub(crate) fn bytes(&self, wide: bool, bytes: u32) -> u64 {
+        if wide {
+            self.wide[bytes as usize]
+        } else {
+            u64::from(bytes)
+        }
     }
 }
 
@@ -166,7 +206,7 @@ impl SplitTable {
             let mut world = Vec::with_capacity(run.len());
             for (child_rank, &(color, key, r)) in run.iter().enumerate() {
                 entries[r] = (color, key);
-                placed[r] = (g, child_rank as u32);
+                placed[r] = (g, u32::try_from(child_rank).expect("too many ranks"));
                 world.push(parent[r]);
             }
             groups.push(Arc::new(world));
@@ -214,6 +254,11 @@ struct RecordState {
     comms: Vec<Arc<Vec<usize>>>,
     /// Every split so far, by `(parent communicator, epoch)`.
     splits: IdMap<(u32, u64), SplitTable>,
+    charges: Vec<(f64, u64)>,
+    /// Charge ids by `(pairs` bits, `flops)`: bits, so that the replay
+    /// charges exactly the recorded value.
+    charge_ids: IdMap<(u64, u64), u32>,
+    wide: Vec<u64>,
 }
 
 impl RecordState {
@@ -228,6 +273,32 @@ impl RecordState {
         self.chans.push((comm, tag));
         self.chan_ids.insert((comm, tag), id);
         id
+    }
+
+    /// The charge id of `(pairs, flops)`, interned on first sight.
+    fn charge(&mut self, pairs: f64, flops: u64) -> u32 {
+        let next = u32::try_from(self.charges.len()).expect("too many compute charges");
+        let id = *self
+            .charge_ids
+            .entry((pairs.to_bits(), flops))
+            .or_insert(next);
+        if id == next {
+            self.charges.push((pairs, flops));
+        }
+        id
+    }
+
+    /// How an op stores a size of `bytes`: the `(wide, bytes)` pair
+    /// [`Op`] describes.
+    fn size(&mut self, bytes: u64) -> (bool, u32) {
+        match u32::try_from(bytes) {
+            Ok(b) if b != UNCHECKED => (false, b),
+            _ => {
+                let i = u32::try_from(self.wide.len()).expect("too many wide sizes");
+                self.wide.push(bytes);
+                (true, i)
+            }
+        }
     }
 }
 
@@ -276,9 +347,9 @@ impl<'r> RecordComm<'r> {
         }
     }
 
-    /// Appends the op `make(chan)` for `tag` on this communicator,
-    /// interning the channel through the cache.
-    fn push_p2p(&self, tag: u64, make: impl FnOnce(u32) -> Op) {
+    /// Appends the op `make(state, chan)` for `tag` on this
+    /// communicator, interning the channel through the cache.
+    fn push_p2p(&self, tag: u64, make: impl FnOnce(&mut RecordState, u32) -> Op) {
         let cached = self
             .chan_cache
             .iter()
@@ -311,7 +382,8 @@ impl<'r> RecordComm<'r> {
                 c
             }
         };
-        st.ops.push(make(chan));
+        let op = make(&mut st, chan);
+        st.ops.push(op);
     }
 
     /// Rank within this communicator.
@@ -326,8 +398,16 @@ impl<'r> RecordComm<'r> {
 
     /// Records a send of `bytes` to `dst` (communicator rank).
     pub fn send_bytes(&self, dst: usize, tag: u64, bytes: u64) -> Result<(), CommError> {
-        let dst = self.members[dst] as u32;
-        self.push_p2p(tag, |chan| Op::Send { chan, dst, bytes });
+        let dst = u32::try_from(self.members[dst]).expect("world rank exceeds u32");
+        self.push_p2p(tag, |st, chan| {
+            let (wide, bytes) = st.size(bytes);
+            Op::Send {
+                wide,
+                chan,
+                dst,
+                bytes,
+            }
+        });
         Ok(())
     }
 
@@ -336,35 +416,44 @@ impl<'r> RecordComm<'r> {
     /// discard it). The replay delivers whatever the matching send
     /// carried.
     pub fn recv_bytes_unchecked(&self, src: usize, tag: u64) -> Result<u64, CommError> {
-        self.record_recv(src, tag, u64::MAX);
+        self.record_recv(src, tag, None);
         Ok(0)
     }
 
     /// Records a receive from `src` expecting exactly `bytes`; the
     /// replay asserts the matching message's size.
     pub fn recv_bytes_expect(&self, src: usize, tag: u64, bytes: u64) -> Result<(), CommError> {
-        assert_ne!(bytes, u64::MAX, "u64::MAX is the unchecked sentinel");
-        self.record_recv(src, tag, bytes);
+        self.record_recv(src, tag, Some(bytes));
         Ok(())
     }
 
-    fn record_recv(&self, src: usize, tag: u64, bytes: u64) {
-        let src = self.members[src] as u32;
-        self.push_p2p(tag, |chan| Op::Recv { chan, src, bytes });
+    fn record_recv(&self, src: usize, tag: u64, bytes: Option<u64>) {
+        let src = u32::try_from(self.members[src]).expect("world rank exceeds u32");
+        self.push_p2p(tag, |st, chan| {
+            let (wide, bytes) = bytes.map_or((false, UNCHECKED), |b| st.size(b));
+            Op::Recv {
+                wide,
+                chan,
+                src,
+                bytes,
+            }
+        });
     }
 
     /// Records a compute charge of `pairs` multiply-add pairs (stamped
     /// with `flops` for the trace), mirroring `SimComm::compute`.
     pub fn compute(&self, pairs: f64, flops: u64) {
-        self.st.borrow_mut().ops.push(Op::Compute { pairs, flops });
+        let mut st = self.st.borrow_mut();
+        let charge = st.charge(pairs, flops);
+        st.ops.push(Op::Compute { charge });
     }
 
     /// Records a pivot-step span around `f`.
     pub fn trace_step<R>(&self, k: usize, outer: usize, inner: usize, f: impl FnOnce() -> R) -> R {
         self.st.borrow_mut().ops.push(Op::StepPush {
-            k: k as u32,
-            outer: outer as u32,
-            inner: inner as u32,
+            k: u32::try_from(k).expect("pivot step exceeds u32"),
+            outer: u32::try_from(outer).expect("outer block exceeds u32"),
+            inner: u32::try_from(inner).expect("inner block exceeds u32"),
         });
         let out = f();
         self.st.borrow_mut().ops.push(Op::StepPop);
@@ -375,9 +464,10 @@ impl<'r> RecordComm<'r> {
     pub fn barrier(&self) -> Result<(), CommError> {
         let seq = self.barrier_seq.get();
         self.barrier_seq.set(seq + 1);
+        let seq = u32::try_from(seq).expect("barrier count exceeds u32");
         self.st.borrow_mut().ops.push(Op::Barrier {
             comm: self.comm,
-            seq: seq as u32,
+            seq,
         });
         Ok(())
     }
@@ -447,6 +537,9 @@ where
         chan_ids: IdMap::default(),
         comms: vec![Arc::clone(&world)],
         splits: IdMap::default(),
+        charges: Vec::new(),
+        charge_ids: IdMap::default(),
+        wide: Vec::new(),
     });
     let programs = (0..p)
         .map(|rank| {
@@ -464,6 +557,8 @@ where
         programs,
         chans: st.chans,
         comms: st.comms,
+        charges: st.charges,
+        wide: st.wide,
     }
 }
 
@@ -485,6 +580,7 @@ mod tests {
         assert_eq!(
             prog.programs[0],
             vec![Op::Send {
+                wide: false,
                 chan: 0,
                 dst: 1,
                 bytes: 1000
@@ -493,6 +589,7 @@ mod tests {
         assert_eq!(
             prog.programs[1],
             vec![Op::Recv {
+                wide: false,
                 chan: 0,
                 src: 0,
                 bytes: 1000
@@ -549,14 +646,9 @@ mod tests {
         });
         assert_eq!(
             prog.programs[0],
-            vec![
-                Op::Compute {
-                    pairs: 10.0,
-                    flops: 20
-                },
-                Op::Barrier { comm: 0, seq: 0 }
-            ]
+            vec![Op::Compute { charge: 0 }, Op::Barrier { comm: 0, seq: 0 }]
         );
+        assert_eq!(prog.charges, vec![(10.0, 20)]);
     }
 
     #[test]
@@ -617,15 +709,28 @@ mod tests {
             let named: Vec<(u32, u64, u64)> = p
                 .iter()
                 .filter_map(|op| match *op {
-                    Op::Send { chan, bytes, .. } | Op::Recv { chan, bytes, .. } => {
+                    Op::Send {
+                        wide, chan, bytes, ..
+                    }
+                    | Op::Recv {
+                        wide, chan, bytes, ..
+                    } => {
                         let (comm, tag) = prog.chans[chan as usize];
-                        Some((comm, tag, bytes))
+                        Some((comm, tag, prog.bytes(wide, bytes)))
                     }
                     _ => None,
                 })
                 .collect();
             assert_eq!(named, want, "rank {r}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "pivot step exceeds u32")]
+    fn fields_past_u32_panic_instead_of_truncating() {
+        let _ = record(1, false, |comm| {
+            comm.trace_step(u32::MAX as usize + 1, 1, 1, || Ok(()))
+        });
     }
 
     #[test]

@@ -45,7 +45,7 @@
 //! never counts it — pure leftover mail, and the leftover assert is
 //! relaxed under faults on both engines).
 
-use crate::record::{IdMap, Op, RecordedProgram};
+use crate::record::{IdMap, Op, RecordedProgram, UNCHECKED};
 use crate::sim::{PendingMsg, SimNet};
 use crate::spmd::SimRunOptions;
 use hsumma_trace::{CommEdge, CommError, FaultDecision, FaultState};
@@ -400,7 +400,13 @@ impl<'p> Replay<'p> {
                 break State::Done;
             };
             match op {
-                Op::Send { chan, dst, bytes } => {
+                Op::Send {
+                    wide,
+                    chan,
+                    dst,
+                    bytes,
+                } => {
+                    let bytes = prog.bytes(wide, bytes);
                     // spmd send_bytes: the deadline check precedes the
                     // fault cursor, which precedes the clock work.
                     if let Some(d) = self.deadline {
@@ -446,7 +452,12 @@ impl<'p> Replay<'p> {
                         self.wake(dst);
                     }
                 }
-                Op::Recv { chan, src, bytes } => {
+                Op::Recv {
+                    wide,
+                    chan,
+                    src,
+                    bytes,
+                } => {
                     // spmd recv_bytes: own-clock deadline check first
                     // (no wait charged) …
                     if let Some(d) = self.deadline {
@@ -468,14 +479,19 @@ impl<'p> Replay<'p> {
                         }
                     }
                     let msg = self.mail.take(r, found);
-                    if bytes != u64::MAX {
-                        assert_eq!(msg.payload_bytes(), bytes, "phantom payload size mismatch");
+                    if wide || bytes != UNCHECKED {
+                        assert_eq!(
+                            msg.payload_bytes(),
+                            prog.bytes(wide, bytes),
+                            "phantom payload size mismatch"
+                        );
                     }
                     self.net.deliver(r, msg);
                     pc += 1;
                 }
-                Op::Compute { pairs, flops } => {
+                Op::Compute { charge } => {
                     // spmd compute: no deadline check.
+                    let (pairs, flops) = prog.charges[charge as usize];
                     self.net.compute_flops(r, self.gamma * pairs, flops);
                     pc += 1;
                 }
@@ -892,6 +908,95 @@ mod tests {
         assert_eq!(out.net.now(2), 0.0);
         assert_eq!(out.net.comm_of(2), 0.0);
         assert_eq!(out.expect_clean().1.msgs, 1);
+    }
+
+    /// Asserts that replaying `prog` reports, to the bit, what `spmd` —
+    /// the same program on rank threads — does.
+    fn assert_bitwise_parity(
+        prog: &RecordedProgram,
+        gamma: f64,
+        spmd: impl Fn(&crate::spmd::SimComm) + Sync,
+    ) {
+        let p = prog.ranks();
+        let (threaded, _) = SimWorld::run(net(p), gamma, false, spmd);
+        let out = EventLoopSim::new(net(p), gamma).run(prog, &SimRunOptions::unbounded());
+        let bits = |r: SimReport| {
+            let times = [r.total_time, r.comm_time, r.comp_time].map(f64::to_bits);
+            (times, r.msgs, r.bytes)
+        };
+        assert_eq!(bits(out.expect_clean().1), bits(threaded.report()));
+    }
+
+    #[test]
+    fn sizes_past_four_gib_replay_exactly() {
+        // One message received checked and one unchecked, then the
+        // sentinel's own value as a real size.
+        let sizes = [(1u64 << 32) + 8, (1 << 32) + 8, u64::from(UNCHECKED)];
+        let prog = record(2, false, |comm| {
+            for (tag, &bytes) in sizes.iter().enumerate() {
+                if comm.rank() == 0 {
+                    comm.send_bytes(1, tag as u64, bytes)?;
+                } else if tag == 1 {
+                    comm.recv_bytes_unchecked(0, tag as u64)?;
+                } else {
+                    comm.recv_bytes_expect(0, tag as u64, bytes)?;
+                }
+            }
+            Ok(())
+        });
+        // Every send and every checked receive went to the wide table.
+        assert_eq!(prog.wide, [0, 1, 2, 0, 2].map(|i| sizes[i]));
+        assert_bitwise_parity(&prog, 0.0, |comm| {
+            for (tag, &bytes) in sizes.iter().enumerate() {
+                if comm.rank() == 0 {
+                    comm.send_bytes(1, tag as u64, bytes).unwrap();
+                } else {
+                    assert_eq!(comm.recv_bytes(0, tag as u64).unwrap(), bytes);
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn fractional_charges_replay_exactly_and_intern_once() {
+        // Block LU's diagonal factorization charges b³/3 pairs and stamps
+        // no flops: a fraction that must reach the clock unrounded.
+        let blocks = [7usize, 7, 5, 7];
+        let lu = |b: usize| (b * b * b) as f64 / 3.0;
+        let prog = record(2, false, |comm| {
+            for &b in &blocks {
+                comm.compute(lu(b), 0);
+            }
+            if comm.rank() == 0 {
+                comm.send_bytes(1, 1, 8)
+            } else {
+                comm.recv_bytes_expect(0, 1, 8)
+            }
+        });
+        assert_eq!(prog.charges, vec![(lu(7), 0), (lu(5), 0)]);
+        assert_bitwise_parity(&prog, 1e-6, |comm| {
+            for &b in &blocks {
+                comm.compute(lu(b), 0);
+            }
+            if comm.rank() == 0 {
+                comm.send_bytes(1, 1, 8).unwrap();
+            } else {
+                comm.recv_bytes(0, 1).unwrap();
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "payload size mismatch")]
+    fn sizes_differing_only_above_bit_32_are_caught() {
+        let prog = record(2, false, |comm| {
+            if comm.rank() == 0 {
+                comm.send_bytes(1, 1, (1 << 33) + 8)
+            } else {
+                comm.recv_bytes_expect(0, 1, (1 << 32) + 8)
+            }
+        });
+        let _ = EventLoopSim::new(net(2), 0.0).run(&prog, &SimRunOptions::unbounded());
     }
 
     #[test]
