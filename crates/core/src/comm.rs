@@ -623,7 +623,7 @@ impl Communicator for Comm {
 // ---------------------------------------------------------------------------
 
 // Collective wire tags, far above any tag the algorithms use (the largest
-// algorithm tag is overlap's `2·steps + 2³²`).
+// algorithm tag is overlap's `2·slices + 2³²`).
 const SIM_TAG_BCAST: u64 = 1 << 62;
 const SIM_TAG_ALLGATHER: u64 = (1 << 62) + 3;
 const SIM_TAG_REDUCE: u64 = (1 << 62) + 4;

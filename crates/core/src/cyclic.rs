@@ -7,7 +7,7 @@
 //! With dealing blocks of edge `b` (the SUMMA panel width), pivot panel
 //! `k` is owned by grid column `k mod t` (for `A`) and grid row
 //! `k mod s` (for `B`) — the ScaLAPACK convention, which is the pivot
-//! engine's cyclic layout. Two consequences:
+//! engine run over the cyclic list of steps. Two consequences:
 //!
 //! * the broadcast *roots rotate every step* instead of every `n/(t·b)`
 //!   steps, which spreads the root's serialized sends over all ranks and
@@ -19,8 +19,8 @@
 //!   same cyclic dealing.
 
 use crate::comm::Communicator;
-use crate::partition::MatMulDims;
-use crate::pivot::{self, Layout, Spec};
+use crate::partition::{cyclic_steps, MatMulDims};
+use crate::pivot::{self, Spec};
 use crate::summa::SummaConfig;
 use hsumma_matrix::GridShape;
 use hsumma_runtime::CommError;
@@ -42,7 +42,10 @@ pub fn summa_cyclic<C: Communicator>(
     b: &C::Mat,
     cfg: &SummaConfig,
 ) -> Result<C::Mat, CommError> {
-    let spec = Spec::summa(grid, MatMulDims::square(n), cfg, Layout::Cyclic);
+    let spec = Spec {
+        steps: cyclic_steps,
+        ..Spec::summa(grid, MatMulDims::square(n), cfg)
+    };
     pivot::blocking(comm, &spec, a, b, |_| true)
 }
 

@@ -1,12 +1,11 @@
 //! Grid-free data distributions: who owns which block of an `m × n` global.
 //!
-//! Every schedule in this crate used to phrase ownership through a
-//! process grid — `GridShape` coordinates plus the divisibility
-//! assumptions of [`crate::partition`]. A [`Distribution`] drops the
-//! grid: it is nothing but one owned [`BlockRange`] per rank over an
-//! `m × n` global, validated to tile the global **exactly** (no overlap,
-//! full cover — the same invariant `tile_shape_rect` enforces through
-//! divisibility, now checked structurally so arbitrary extents work).
+//! The grid schedules phrase ownership through a process grid —
+//! `GridShape` coordinates and the [`crate::partition`] dealing. A
+//! [`Distribution`] drops the grid: it is nothing but one owned
+//! [`BlockRange`] per rank over an `m × n` global, validated to tile the
+//! global **exactly** (no overlap, full cover, checked structurally so
+//! arbitrary extents work).
 //! Empty ranges are legal and describe ranks that own nothing, e.g. the
 //! idle remainder of a brick decomposition over a prime-ish `p`.
 //!

@@ -57,9 +57,7 @@ impl HsummaConfig {
     /// For callers that hold outside input and want to refuse it before
     /// any rank starts.
     pub fn validate(&self, grid: GridShape, n: usize) -> Result<(), String> {
-        Spec::hsumma(grid, MatMulDims::square(n), self)
-            .validate()
-            .map(|_| ())
+        Spec::hsumma(grid, MatMulDims::square(n), self).validate()
     }
 }
 
@@ -70,9 +68,11 @@ impl HsummaConfig {
 /// blocking loop with a hierarchy.
 ///
 /// # Panics
-/// Panics on inconsistent configuration: `groups` must divide `grid`,
-/// `inner_block` must divide `outer_block`, and `outer_block` must divide
-/// both local tile extents (so outer panels never straddle a tile).
+/// Panics on inconsistent configuration: the blocks must be positive,
+/// `groups` must divide `grid`, `inner_block` must divide `outer_block`,
+/// and each tile must be this rank's share of the grid. Neither block
+/// needs to divide `n` or a tile: an outer panel ends at its tile's end,
+/// and its last inner slice may be narrower.
 pub fn hsumma<C: Communicator>(
     comm: &C,
     grid: GridShape,

@@ -29,8 +29,8 @@
 
 use crate::comm::{Communicator, MatLike};
 use crate::grid::{grid_lines, HierGrid};
-use crate::partition::{pivot_offset, pivot_owner, tile_shape};
-use hsumma_matrix::{GemmKernel, GridShape};
+use crate::partition::pivot_steps;
+use hsumma_matrix::{BlockDist, GemmKernel, GridShape};
 use hsumma_runtime::{BcastAlgorithm, CommError};
 
 /// Parameters of a distributed LU run.
@@ -86,7 +86,7 @@ pub fn block_lu<C: Communicator>(
     cfg: &LuConfig,
 ) -> Result<C::Mat, CommError> {
     assert_eq!(comm.size(), grid.size(), "communicator must span the grid");
-    let (th, tw) = tile_shape(grid, n);
+    let (th, tw) = BlockDist::new(grid, n, n).tile_shape();
     assert_eq!((a.rows(), a.cols()), (th, tw), "tile has wrong shape");
     let bs = cfg.block;
     assert!(
@@ -121,10 +121,9 @@ pub fn block_lu<C: Communicator>(
     };
 
     let mut t = a.clone();
-    for k in 0..n / bs {
+    for (k, (col, row)) in pivot_steps(n, grid, bs).into_iter().enumerate() {
         comm.trace_step(k, bs, bs, || -> Result<(), CommError> {
-            let (ri, ro) = (pivot_owner(k, bs, th), pivot_offset(k, bs, th));
-            let (cj, co) = (pivot_owner(k, bs, tw), pivot_offset(k, bs, tw));
+            let (ri, ro, cj, co) = (row.owner, row.offset, col.owner, col.offset);
 
             // --- 1. diagonal factor + broadcast ------------------------------
             let mut diag = if gi == ri && gj == cj {

@@ -17,9 +17,9 @@
 
 use crate::comm::{Communicator, PhantomMat};
 use crate::grid::grid_lines;
-use crate::partition::{pivot_owner, tile_shape};
+use crate::partition::pivot_steps;
 use crate::simdrive::replay_on;
-use hsumma_matrix::GridShape;
+use hsumma_matrix::{BlockDist, GridShape};
 use hsumma_netsim::{record, Platform, SimBcast, SimNet, SimReport};
 use hsumma_runtime::{BcastAlgorithm, CommError};
 
@@ -98,7 +98,7 @@ pub fn sim_summa_hier(
         grid.cols,
         "levels must multiply to the grid side"
     );
-    let (th, tw) = tile_shape(grid, n);
+    let (th, tw) = BlockDist::new(grid, n, n).tile_shape();
     assert!(
         b > 0 && tw % b == 0 && th % b == 0,
         "block must divide tile extents"
@@ -125,14 +125,14 @@ fn summa_hier<C: Communicator<Mat = PhantomMat>>(
     algo: SimBcast,
     levels: &[usize],
 ) -> Result<(), CommError> {
-    let (th, tw) = tile_shape(grid, n);
+    let (th, tw) = BlockDist::new(grid, n, n).tile_shape();
     let (row_comm, col_comm) = grid_lines(comm, grid);
     let pairs = th * tw * b;
     let mut a_panel = PhantomMat { rows: th, cols: b };
     let mut b_panel = PhantomMat { rows: b, cols: tw };
-    for k in 0..n / b {
-        hier_bcast(&row_comm, algo, pivot_owner(k, b, tw), &mut a_panel, levels)?;
-        hier_bcast(&col_comm, algo, pivot_owner(k, b, th), &mut b_panel, levels)?;
+    for (col, row) in pivot_steps(n, grid, b) {
+        hier_bcast(&row_comm, algo, col.owner, &mut a_panel, levels)?;
+        hier_bcast(&col_comm, algo, row.owner, &mut b_panel, levels)?;
         comm.compute(pairs as f64, 2 * pairs as u64, || ());
         comm.maybe_step_sync()?;
     }

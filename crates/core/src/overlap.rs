@@ -33,7 +33,7 @@
 use crate::comm::Communicator;
 use crate::hsumma::HsummaConfig;
 use crate::partition::MatMulDims;
-use crate::pivot::{self, Layout, Spec};
+use crate::pivot::{self, Spec};
 use hsumma_matrix::GridShape;
 use hsumma_runtime::CommError;
 
@@ -62,7 +62,7 @@ pub fn summa_overlap<C: Communicator>(
     b: &C::Mat,
     cfg: &SummaConfig,
 ) -> Result<C::Mat, CommError> {
-    let spec = Spec::summa(grid, MatMulDims::square(n), cfg, Layout::Block);
+    let spec = Spec::summa(grid, MatMulDims::square(n), cfg);
     pivot::pipelined(comm, &spec, a, b)
 }
 

@@ -1,20 +1,22 @@
-//! Block-partition arithmetic shared by every 2-D algorithm.
+//! The geometry every 2-D schedule walks: operand extents and the pivot
+//! steps along the shared dimension `L`.
 //!
-//! Each schedule in this crate walks the same block-checkerboard
-//! geometry: a `rows × cols` operand over an `s × t` grid yields
-//! `(rows/s) × (cols/t)` local tiles (square `n × n` being the common
-//! case), and pivot step `k` with panel width `bs` lives on the grid
-//! row/column owning global index `k·bs`. That arithmetic lives here
-//! exactly once: the pivot engine, LU and the sparse panel schedules all
-//! walk the tiles through [`pivot_owner`]/[`pivot_offset`].
+//! A block-checkerboard operand deals each dimension over the grid lines
+//! with [`chunk_range`] (the dealing rule of
+//! [`crate::distribution::Distribution::grid2d`]), so tiles differ by at
+//! most one row or column and no extent needs to divide. [`pivot_steps`]
+//! is the one builder of the pivot walk: it cuts each grid line's share
+//! of `L` into panels of width at most the block, once along `A`'s
+//! columns and once along `B`'s rows, and pairs them up by their common
+//! refinement. Each [`Panel`] names its owning grid line, its offset in
+//! that line's tile and its width. The pivot engine, LU, the multilevel
+//! driver and the sparse schedules all read their owners from it; the
+//! block-cyclic walk is the same pairing over whole blocks dealt round
+//! robin.
 //!
-//! The 1-D "deal `len` elements over `p` parts" helper used by the
-//! segmented collectives is [`chunk_range`], re-exported from the
-//! broadcast schedule in `hsumma-trace` so core-side schedule code has a
-//! single import path. It is also the dealing rule behind
-//! [`crate::distribution::Distribution`]'s checkerboard constructor,
-//! which drops the divisibility requirement entirely; the exact-cover
-//! invariant both must satisfy is property tested below.
+//! [`chunk_range`] is re-exported from the broadcast schedule in
+//! `hsumma-trace` so core-side schedule code has a single import path;
+//! its exact-cover invariant is property tested below.
 
 use hsumma_matrix::GridShape;
 
@@ -49,93 +51,199 @@ pub fn ceil_div(a: usize, b: usize) -> usize {
     a.div_ceil(b)
 }
 
-/// Local tile shape `(rows, cols)` of a square `n × n` operand
-/// block-distributed over `grid`.
-///
-/// # Panics
-/// Panics unless both grid extents divide `n` (the block-checkerboard
-/// precondition every algorithm here checks).
-pub fn tile_shape(grid: GridShape, n: usize) -> (usize, usize) {
-    tile_shape_rect(grid, n, n)
+/// One pivot panel along a dealt extent.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Panel {
+    /// The grid column (for `A`) or row (for `B`) holding the panel.
+    pub owner: usize,
+    /// Offset of the panel within the owner's tile.
+    pub offset: usize,
+    /// Panel width: the block, or less at the end of a tile.
+    pub width: usize,
 }
 
-/// Local tile shape of a rectangular `rows × cols` operand
-/// block-distributed over `grid`.
-///
-/// # Panics
-/// Panics unless `grid.rows` divides `rows` and `grid.cols` divides
-/// `cols`.
-pub fn tile_shape_rect(grid: GridShape, rows: usize, cols: usize) -> (usize, usize) {
-    assert_eq!(
-        rows % grid.rows,
-        0,
-        "rows must be divisible by the grid rows"
-    );
-    assert_eq!(
-        cols % grid.cols,
-        0,
-        "cols must be divisible by the grid cols"
-    );
-    (rows / grid.rows, cols / grid.cols)
+impl Panel {
+    /// What is left of the panel once its first `width` are taken.
+    fn after(self, width: usize) -> Option<Panel> {
+        (self.width > width).then(|| Panel {
+            offset: self.offset + width,
+            width: self.width - width,
+            ..self
+        })
+    }
 }
 
-/// Grid row/column owning pivot step `k`: the tile of extent `extent`
-/// containing global index `k·bs`.
+/// The outer pivot steps of a multiply over `grid` along a shared extent
+/// `l`, in global order. `A`'s columns and `B`'s rows are each dealt over
+/// their grid lines by [`chunk_range`] and each line's tile is cut into
+/// panels of width `block`, the last one narrower. Step `k` pairs `A`'s
+/// panel with `B`'s over the same global range, so both have one width:
+/// where the two axes cut at different places, the steps cut at both.
+/// When the grid and the block divide `l`, step `k` is global range
+/// `[k·block, (k+1)·block)` on both axes.
 ///
 /// # Panics
-/// Panics if `extent == 0`.
-pub fn pivot_owner(k: usize, bs: usize, extent: usize) -> usize {
-    assert!(extent > 0, "tile extent must be positive");
-    k * bs / extent
+/// Panics if `block == 0`.
+pub fn pivot_steps(l: usize, grid: GridShape, block: usize) -> Vec<(Panel, Panel)> {
+    assert!(block > 0, "block must be positive");
+    let deal = |parts: usize| {
+        (0..parts).flat_map(move |owner| {
+            let (start, end) = chunk_range(l, parts, owner);
+            (0..end - start).step_by(block).map(move |offset| Panel {
+                owner,
+                offset,
+                width: block.min(end - start - offset),
+            })
+        })
+    };
+    refine(deal(grid.cols), deal(grid.rows))
 }
 
-/// Offset of pivot step `k`'s panel within its owner's tile.
+/// Block-cyclic pivot steps: `l / block` whole blocks dealt round robin,
+/// so block `k` lives on grid line `k mod parts` at offset
+/// `(k div parts)·block` (the ScaLAPACK convention).
 ///
 /// # Panics
-/// Panics if `extent == 0`.
-pub fn pivot_offset(k: usize, bs: usize, extent: usize) -> usize {
-    assert!(extent > 0, "tile extent must be positive");
-    k * bs % extent
+/// Panics unless both grid extents divide `l` in whole blocks.
+pub(crate) fn cyclic_steps(l: usize, grid: GridShape, block: usize) -> Vec<(Panel, Panel)> {
+    let deal = |parts: usize| {
+        assert!(
+            l.is_multiple_of(block * parts),
+            "L must be divisible by the grid in whole blocks"
+        );
+        (0..l / block).map(move |k| Panel {
+            owner: k % parts,
+            offset: k / parts * block,
+            width: block,
+        })
+    };
+    refine(deal(grid.cols), deal(grid.rows))
+}
+
+/// The common refinement of two panel lists that cover the same extent
+/// in global order: each step is as wide as the narrower of the two
+/// current panels, and the wider one's remainder carries on.
+fn refine(
+    mut a: impl Iterator<Item = Panel>,
+    mut b: impl Iterator<Item = Panel>,
+) -> Vec<(Panel, Panel)> {
+    let mut steps = Vec::new();
+    let (mut pa, mut pb) = (a.next(), b.next());
+    while let (Some(x), Some(y)) = (pa, pb) {
+        let width = x.width.min(y.width);
+        steps.push((Panel { width, ..x }, Panel { width, ..y }));
+        pa = x.after(width).or_else(|| a.next());
+        pb = y.after(width).or_else(|| b.next());
+    }
+    steps
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn tile_shape_divides_the_grid() {
-        assert_eq!(tile_shape(GridShape::new(2, 4), 16), (8, 4));
-        assert_eq!(tile_shape(GridShape::new(1, 1), 7), (7, 7));
-        assert_eq!(tile_shape_rect(GridShape::new(2, 3), 10, 9), (5, 3));
+    /// `(owner, offset, width)` of each step's `A` panel and `B` panel.
+    type Walk = Vec<((usize, usize, usize), (usize, usize, usize))>;
+
+    fn walk(steps: &[(Panel, Panel)]) -> Walk {
+        let t = |p: &Panel| (p.owner, p.offset, p.width);
+        steps.iter().map(|(a, b)| (t(a), t(b))).collect()
     }
 
     #[test]
-    #[should_panic(expected = "divisible")]
-    fn tile_shape_rejects_non_dividing_grid() {
-        let _ = tile_shape(GridShape::new(3, 3), 16);
+    fn tile_shape_divides_the_grid() {
+        // 16 over a 2×4 grid in blocks of 2: every step is one whole
+        // block, A's four column tiles hold 4 each, B's two row tiles 8.
+        let steps = pivot_steps(16, GridShape::new(2, 4), 2);
+        assert_eq!(steps.len(), 8);
+        for (k, (a, b)) in steps.iter().enumerate() {
+            assert_eq!((a.owner, a.offset, a.width), (k / 2, k % 2 * 2, 2));
+            assert_eq!((b.owner, b.offset, b.width), (k / 4, k % 4 * 2, 2));
+        }
+    }
+
+    #[test]
+    fn pivot_steps_deal_a_non_dividing_grid() {
+        // 7 over a 2×3 grid in blocks of 2. A's columns deal 3, 2, 2 and
+        // cut [0,2) [2,3) | [3,5) | [5,7); B's rows deal 4, 3 and cut
+        // [0,2) [2,4) | [4,6) [6,7). The steps cut at both.
+        let steps = pivot_steps(7, GridShape::new(2, 3), 2);
+        let want: Walk = vec![
+            ((0, 0, 2), (0, 0, 2)),
+            ((0, 2, 1), (0, 2, 1)),
+            ((1, 0, 1), (0, 3, 1)),
+            ((1, 1, 1), (1, 0, 1)),
+            ((2, 0, 1), (1, 1, 1)),
+            ((2, 1, 1), (1, 2, 1)),
+        ];
+        assert_eq!(walk(&steps), want);
     }
 
     #[test]
     fn pivot_owner_and_offset_walk_the_tiles() {
         // Tiles of extent 8, panels of 4: steps 0,1 live on owner 0 at
         // offsets 0,4; steps 2,3 on owner 1; and so on.
-        let (bs, tw) = (4, 8);
-        let walk: Vec<(usize, usize)> = (0..6)
-            .map(|k| (pivot_owner(k, bs, tw), pivot_offset(k, bs, tw)))
-            .collect();
-        assert_eq!(walk, [(0, 0), (0, 4), (1, 0), (1, 4), (2, 0), (2, 4)]);
+        let steps = pivot_steps(24, GridShape::new(3, 3), 4);
+        let at = [
+            (0, 0, 4),
+            (0, 4, 4),
+            (1, 0, 4),
+            (1, 4, 4),
+            (2, 0, 4),
+            (2, 4, 4),
+        ];
+        let want: Walk = at.iter().map(|&p| (p, p)).collect();
+        assert_eq!(walk(&steps), want);
     }
 
     #[test]
     fn pivot_offset_plus_width_stays_in_tile() {
-        for (bs, extent) in [(1, 5), (2, 8), (4, 8), (8, 8), (3, 12)] {
-            for k in 0..(4 * extent / bs) {
-                assert!(
-                    pivot_offset(k, bs, extent) + bs <= extent,
-                    "{bs}/{extent}/{k}"
-                );
+        for (l, s, t, block) in [
+            (5, 1, 1, 1),
+            (16, 2, 2, 4),
+            (30, 4, 4, 3),
+            (17, 3, 5, 4),
+            (3, 4, 2, 2),
+        ] {
+            for (a, b) in pivot_steps(l, GridShape::new(s, t), block) {
+                for (p, parts) in [(a, t), (b, s)] {
+                    let (start, end) = chunk_range(l, parts, p.owner);
+                    assert!(
+                        p.width > 0 && p.width <= block,
+                        "{l}/{s}x{t}/{block}: {p:?}"
+                    );
+                    assert!(
+                        p.offset + p.width <= end - start,
+                        "{l}/{s}x{t}/{block}: {p:?}"
+                    );
+                }
             }
         }
+    }
+
+    #[test]
+    fn cyclic_steps_rotate_the_owners() {
+        // 16 in blocks of 2 over 2 rows and 4 columns: the owners rotate
+        // every step, and a line's second block sits one block in.
+        let steps = cyclic_steps(16, GridShape::new(2, 4), 2);
+        assert_eq!(steps.len(), 8);
+        for (k, (a, b)) in steps.iter().enumerate() {
+            assert_eq!((a.owner, a.offset, a.width), (k % 4, k / 4 * 2, 2));
+            assert_eq!((b.owner, b.offset, b.width), (k % 2, k / 2 * 2, 2));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "whole blocks")]
+    fn cyclic_steps_refuse_a_partial_block() {
+        // 12 columns in blocks of 4 leave 3 blocks for 2 grid lines.
+        let _ = cyclic_steps(12, GridShape::new(2, 2), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "block must be positive")]
+    fn pivot_steps_reject_a_zero_block() {
+        let _ = pivot_steps(8, GridShape::new(2, 2), 0);
     }
 
     #[test]
@@ -180,28 +288,23 @@ mod tests {
                 prop_assert!(max_ext - min_ext <= 1, "balanced dealing");
             }
 
-            /// On dividing shapes the rectangular tile shape reassembles
-            /// the global exactly: `s·(rows/s) = rows`, `t·(cols/t) = cols`.
+            /// The steps walk both operands' tiles through the whole of
+            /// `L` in order, dividing or not: on each axis, step `k`
+            /// starts where step `k - 1` ended, inside its owner's
+            /// `chunk_range` tile, so the tiles reassemble the global.
             #[test]
             fn tile_shape_rect_reassembles_the_global(
                 s in 1usize..8, t in 1usize..8,
-                rf in 1usize..10, cf in 1usize..10,
+                l in 0usize..100, block in 1usize..10,
             ) {
-                let grid = GridShape::new(s, t);
-                let (rows, cols) = (s * rf, t * cf);
-                let (th, tw) = tile_shape_rect(grid, rows, cols);
-                prop_assert_eq!(th * grid.rows, rows);
-                prop_assert_eq!(tw * grid.cols, cols);
-                // And it agrees with the chunk_range dealing (which is
-                // uniform exactly when the grid divides).
-                for i in 0..s {
-                    let (r0, r1) = chunk_range(rows, s, i);
-                    prop_assert_eq!(r1 - r0, th);
+                let mut cursor = 0usize;
+                for (a, b) in pivot_steps(l, GridShape::new(s, t), block) {
+                    prop_assert_eq!(a.width, b.width);
+                    prop_assert_eq!(chunk_range(l, t, a.owner).0 + a.offset, cursor);
+                    prop_assert_eq!(chunk_range(l, s, b.owner).0 + b.offset, cursor);
+                    cursor += a.width;
                 }
-                for j in 0..t {
-                    let (c0, c1) = chunk_range(cols, t, j);
-                    prop_assert_eq!(c1 - c0, tw);
-                }
+                prop_assert_eq!(cursor, l);
             }
         }
     }

@@ -8,41 +8,36 @@
 //! which a [`Spec`] names once:
 //!
 //! * **hierarchy** — `groups = I × J` (§III): each outer panel of width
-//!   `B` first crosses the groups, then is re-broadcast inside them in
-//!   slices of width `b ≤ B`. SUMMA is the one group `1 × 1` with
+//!   up to `B` first crosses the groups, then is re-broadcast inside them
+//!   in slices of width up to `b`. SUMMA is the one group `1 × 1` with
 //!   `B = b`: the paper's theorem that HSUMMA *is* SUMMA at `G = 1` and
 //!   `G = p` is the statement that one of the two levels then runs on
 //!   singleton communicators and sends nothing;
 //! * **extents** — general `(M, L, N)` ([`MatMulDims`]), as Algorithm 1
-//!   is stated;
-//! * **layout** — which grid row/column owns pivot step `k`
-//!   ([`Layout`]);
+//!   is stated, dealt over the grid by [`chunk_range`]: no extent needs
+//!   to divide by the grid or the blocks;
+//! * **steps** — who owns which panel of `L`: the outer steps are
+//!   [`pivot_steps`]'s list (or [`cyclic_steps`]'s), built once per run,
+//!   and an outer step of width `w` runs `⌈w/b⌉` inner slices, the last
+//!   one possibly narrower;
 //! * **when ranks block** — [`blocking`] completes each broadcast
 //!   before the multiply; [`pipelined`] keeps a two-slot buffer per
 //!   level and defers every wait to the moment the kernel needs the
 //!   panel. Both accumulate in the same order, so their products are
 //!   bit-identical.
+//!
+//! [`cyclic_steps`]: crate::partition::cyclic_steps
 
 use crate::comm::{Communicator, MatLike, PanelBcast};
 use crate::grid::HierGrid;
 use crate::hsumma::HsummaConfig;
-use crate::partition::{pivot_offset, pivot_owner, MatMulDims};
+use crate::partition::{chunk_range, pivot_steps, MatMulDims, Panel};
 use crate::summa::SummaConfig;
 use hsumma_matrix::{GemmKernel, GridShape};
 use hsumma_runtime::{BcastAlgorithm, CommError};
 
-/// How operand tiles map to the global matrices, i.e. who owns pivot
-/// step `k`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Layout {
-    /// Block-checkerboard: the owner is the tile containing global index
-    /// `k·B`, so it changes every `extent / B` steps.
-    Block,
-    /// Block-cyclic with dealing block `B` (the ScaLAPACK convention):
-    /// panel `k` lives on grid line `k mod parts`, local block
-    /// `k div parts` — the broadcast roots rotate every step.
-    Cyclic,
-}
+/// Builds a run's outer pivot steps from `(L, grid, B)`.
+pub(crate) type Steps = fn(usize, GridShape, usize) -> Vec<(Panel, Panel)>;
 
 /// Everything that distinguishes one SUMMA-family schedule from another.
 #[derive(Clone, Copy, Debug)]
@@ -53,21 +48,20 @@ pub(crate) struct Spec {
     pub groups: GridShape,
     /// Outer panel width `B`.
     pub outer_block: usize,
-    /// Inner panel width `b`, the width of every local multiply.
+    /// Inner panel width `b`, the width of every local multiply but a
+    /// step's last.
     pub inner_block: usize,
     pub outer_bcast: BcastAlgorithm,
     pub inner_bcast: BcastAlgorithm,
     pub kernel: GemmKernel,
-    pub layout: Layout,
+    /// Who owns which panel: [`pivot_steps`] for the block
+    /// checkerboard.
+    pub steps: Steps,
 }
-
-/// Local tile shapes `(rows, cols)` of `A` and of `B`; `C`'s tile takes
-/// `A`'s rows and `B`'s columns.
-pub(crate) type Tiles = ((usize, usize), (usize, usize));
 
 impl Spec {
     /// SUMMA: one group, one block size, one broadcast algorithm.
-    pub fn summa(grid: GridShape, dims: MatMulDims, cfg: &SummaConfig, layout: Layout) -> Self {
+    pub fn summa(grid: GridShape, dims: MatMulDims, cfg: &SummaConfig) -> Self {
         Spec {
             grid,
             dims,
@@ -77,11 +71,11 @@ impl Spec {
             outer_bcast: cfg.bcast,
             inner_bcast: cfg.bcast,
             kernel: cfg.kernel,
-            layout,
+            steps: pivot_steps,
         }
     }
 
-    /// HSUMMA over the block-checkerboard layout.
+    /// HSUMMA over the block checkerboard.
     pub fn hsumma(grid: GridShape, dims: MatMulDims, cfg: &HsummaConfig) -> Self {
         Spec {
             grid,
@@ -92,35 +86,18 @@ impl Spec {
             outer_bcast: cfg.outer_bcast,
             inner_bcast: cfg.inner_bcast,
             kernel: cfg.kernel,
-            layout: Layout::Block,
+            steps: pivot_steps,
         }
     }
 
-    /// Checks the configuration against the grid and extents and returns
-    /// the local tile shapes. The engine panics with the returned
-    /// message; callers holding outside input (the CLI) call this first.
-    pub fn validate(&self) -> Result<Tiles, String> {
-        let MatMulDims { m, l, n } = self.dims;
+    /// Checks the blocks and the groups against the grid. The engine
+    /// panics with the returned message; callers holding outside input
+    /// (the CLI) call this first.
+    pub fn validate(&self) -> Result<(), String> {
         let (s, t) = (self.grid.rows, self.grid.cols);
         let (bb, bs) = (self.outer_block, self.inner_block);
         if bb == 0 || bs == 0 {
             return Err("block sizes must be positive".into());
-        }
-        // A cyclic layout deals whole blocks, so blocks (not elements)
-        // must spread evenly over the grid.
-        let (unit, per) = match self.layout {
-            Layout::Block => (1, ""),
-            Layout::Cyclic => (bb, " in whole blocks"),
-        };
-        for (name, extent, parts, line) in [
-            ("M", m, s, "rows"),
-            ("L", l, t, "cols"),
-            ("L", l, s, "rows"),
-            ("N", n, t, "cols"),
-        ] {
-            if extent % (unit * parts) != 0 {
-                return Err(format!("{name} must be divisible by grid {line}{per}"));
-            }
         }
         let g = self.groups;
         if s % g.rows != 0 || t % g.cols != 0 {
@@ -132,23 +109,12 @@ impl Spec {
         if bb % bs != 0 {
             return Err("inner block must divide outer block".into());
         }
-        let (aw, bh) = (l / t, l / s);
-        if !aw.is_multiple_of(bb) {
-            return Err(format!(
-                "outer block must divide A's tile width (L/t = {aw}), got {bb}"
-            ));
-        }
-        if !bh.is_multiple_of(bb) {
-            return Err(format!(
-                "outer block must divide B's tile height (L/s = {bh}), got {bb}"
-            ));
-        }
-        Ok(((m / s, aw), (bh, n / t)))
+        Ok(())
     }
 }
 
-/// One rank's view of a validated [`Spec`]: tile shapes, coordinates and
-/// the four communicators of Algorithm 1.
+/// One rank's view of a validated [`Spec`]: tile shapes, coordinates,
+/// the four communicators of Algorithm 1 and the outer steps.
 struct Geometry<C> {
     a_tile: (usize, usize),
     b_tile: (usize, usize),
@@ -168,41 +134,47 @@ struct Geometry<C> {
     row: C,
     /// `P(x,y)(·,j)`: B's inner broadcasts run here.
     col: C,
+    /// Outer step `kg`'s panel of `A` (owner a grid column) and of `B`
+    /// (owner a grid row), of one width.
+    steps: Vec<(Panel, Panel)>,
 }
 
-/// Where one outer pivot panel lives along a grid dimension.
-#[derive(Clone, Copy)]
-struct PivotAt {
-    /// Grid row/column owning the panel.
-    owner: usize,
-    /// Offset of the panel within the owner's tile.
-    offset: usize,
-    /// The owner's group index: root of the inter-group broadcast.
-    group: usize,
-    /// The owner's index inside its group: root of the inner broadcasts,
-    /// and the inner line that takes part in the outer phase.
-    inner: usize,
+/// A panel owner's group index (the root of the inter-group broadcast)
+/// and its index inside the group (the root of the inner broadcasts, and
+/// the inner line that takes part in the outer phase), along a grid
+/// dimension whose groups are `inner_parts` lines wide.
+fn split_owner(owner: usize, inner_parts: usize) -> (usize, usize) {
+    (owner / inner_parts, owner % inner_parts)
 }
 
 impl<C: Communicator> Geometry<C> {
     /// Validates `spec` against the communicator and the tiles, then
-    /// builds the four communicators.
+    /// builds the four communicators and the outer steps.
     ///
     /// # Panics
     /// Panics with [`Spec::validate`]'s message, or if the communicator
-    /// or a tile does not match the spec.
+    /// or a tile does not match the spec: this rank's tiles must be its
+    /// [`chunk_range`] shares of `A (M×L)` and `B (L×N)`.
     fn new(comm: &C, spec: &Spec, a: &C::Mat, b: &C::Mat) -> Self {
-        let (a_tile, b_tile) = spec.validate().unwrap_or_else(|e| panic!("{e}"));
+        spec.validate().unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(
             comm.size(),
             spec.grid.size(),
             "communicator must span the whole grid"
         );
+        let (gi, gj) = spec.grid.coords(comm.rank());
+        let MatMulDims { m, l, n } = spec.dims;
+        let share = |extent: usize, parts: usize, line: usize| {
+            let (start, end) = chunk_range(extent, parts, line);
+            end - start
+        };
+        let (s, t) = (spec.grid.rows, spec.grid.cols);
+        let a_tile = (share(m, s, gi), share(l, t, gj));
+        let b_tile = (share(l, s, gi), share(n, t, gj));
         assert_eq!((a.rows(), a.cols()), a_tile, "A tile has wrong shape");
         assert_eq!((b.rows(), b.cols()), b_tile, "B tile has wrong shape");
 
         let hg = HierGrid::new(spec.grid, spec.groups);
-        let (gi, gj) = spec.grid.coords(comm.rank());
         let (i, j) = hg.inner_of(gi, gj);
         let (group_row, group_col) = hg.outer_comms(comm);
         let (row, col) = hg.inner_comms(comm);
@@ -218,36 +190,42 @@ impl<C: Communicator> Geometry<C> {
             group_col,
             row,
             col,
+            steps: (spec.steps)(l, spec.grid, spec.outer_block),
         }
     }
 
-    /// Outer step `kg`'s panel of `A`, located along the grid columns.
-    fn a_at(&self, spec: &Spec, kg: usize) -> PivotAt {
-        locate(spec, kg, self.a_tile.1, spec.grid.cols, self.inner.cols)
+    /// The number of inner slices of outer step `kg`: `⌈w/b⌉`.
+    fn slice_count(&self, spec: &Spec, kg: usize) -> usize {
+        self.steps[kg].0.width.div_ceil(spec.inner_block)
     }
 
-    /// Outer step `kg`'s panel of `B`, located along the grid rows.
-    fn b_at(&self, spec: &Spec, kg: usize) -> PivotAt {
-        locate(spec, kg, self.b_tile.0, spec.grid.rows, self.inner.rows)
+    /// Offset and width of slice `ki` within outer step `kg`'s panel:
+    /// `b` wide, or what is left of the panel for its last slice.
+    fn slice_at(&self, spec: &Spec, kg: usize, ki: usize) -> (usize, usize) {
+        let (w, bs) = (self.steps[kg].0.width, spec.inner_block);
+        (ki * bs, bs.min(w - ki * bs))
     }
 
-    /// Slice `ki` of an outer `A` panel, as its inner root sends it: the
-    /// panel itself when `B == b`, a cut of it otherwise.
-    fn a_slice(&self, spec: &Spec, outer: &C::Shared, ki: usize) -> C::Shared {
-        let (ah, bs) = (self.a_tile.0, spec.inner_block);
-        if spec.outer_block == bs {
+    /// Slice `ki` of outer step `kg`'s `A` panel, as its inner root sends
+    /// it: the panel itself when it is one slice, a cut of it otherwise.
+    fn a_slice(&self, spec: &Spec, kg: usize, outer: &C::Shared, ki: usize) -> C::Shared {
+        let (offset, width) = self.slice_at(spec, kg, ki);
+        if width == self.steps[kg].0.width {
             return outer.clone();
         }
-        self.row.cut(C::shared_ref(outer), 0, ki * bs, ah, bs)
+        self.row
+            .cut(C::shared_ref(outer), 0, offset, self.a_tile.0, width)
     }
 
-    /// Slice `ki` of an outer `B` panel, as its inner root sends it.
-    fn b_slice(&self, spec: &Spec, outer: &C::Shared, ki: usize) -> C::Shared {
-        let (bw, bs) = (self.b_tile.1, spec.inner_block);
-        if spec.outer_block == bs {
+    /// Slice `ki` of outer step `kg`'s `B` panel, as its inner root sends
+    /// it.
+    fn b_slice(&self, spec: &Spec, kg: usize, outer: &C::Shared, ki: usize) -> C::Shared {
+        let (offset, width) = self.slice_at(spec, kg, ki);
+        if width == self.steps[kg].1.width {
             return outer.clone();
         }
-        self.col.cut(C::shared_ref(outer), ki * bs, 0, bs, bw)
+        self.col
+            .cut(C::shared_ref(outer), offset, 0, width, self.b_tile.1)
     }
 
     /// Runs outer step `kg`'s inter-group broadcasts: the owner cuts its
@@ -260,17 +238,20 @@ impl<C: Communicator> Geometry<C> {
         a: &C::Mat,
         b: &C::Mat,
     ) -> Result<LandedPair<C>, CommError> {
-        let (at, bt) = (self.a_at(spec, kg), self.b_at(spec, kg));
-        let (ah, bw, bb) = (self.a_tile.0, self.b_tile.1, spec.outer_block);
+        let ((ap, bp), ah, bw) = (self.steps[kg], self.a_tile.0, self.b_tile.1);
         let (algo, rows, cols) = (spec.outer_bcast, &self.group_row, &self.group_col);
+        let ((ay, aj), (bx, bi)) = (
+            split_owner(ap.owner, self.inner.cols),
+            split_owner(bp.owner, self.inner.rows),
+        );
         let mut landed = (None, None);
-        if self.j == at.inner {
-            let panel = (self.gj == at.owner).then(|| rows.cut(a, 0, at.offset, ah, bb));
-            landed.0 = Some(rows.bcast_shared(algo, at.group, ah, bb, panel)?);
+        if self.j == aj {
+            let panel = (self.gj == ap.owner).then(|| rows.cut(a, 0, ap.offset, ah, ap.width));
+            landed.0 = Some(rows.bcast_shared(algo, ay, ah, ap.width, panel)?);
         }
-        if self.i == bt.inner {
-            let panel = (self.gi == bt.owner).then(|| cols.cut(b, bt.offset, 0, bb, bw));
-            landed.1 = Some(cols.bcast_shared(algo, bt.group, bb, bw, panel)?);
+        if self.i == bi {
+            let panel = (self.gi == bp.owner).then(|| cols.cut(b, bp.offset, 0, bp.width, bw));
+            landed.1 = Some(cols.bcast_shared(algo, bx, bp.width, bw, panel)?);
         }
         Ok(landed)
     }
@@ -284,12 +265,14 @@ impl<C: Communicator> Geometry<C> {
         (outer_a, outer_b): &LandedPair<C>,
         ki: usize,
     ) -> Result<(C::Shared, C::Shared), CommError> {
-        let (ah, bw, bs) = (self.a_tile.0, self.b_tile.1, spec.inner_block);
-        let (at, bt, algo) = (self.a_at(spec, kg), self.b_at(spec, kg), spec.inner_bcast);
-        let a_panel = outer_a.as_ref().map(|p| self.a_slice(spec, p, ki));
-        let a_in = self.row.bcast_shared(algo, at.inner, ah, bs, a_panel)?;
-        let b_panel = outer_b.as_ref().map(|p| self.b_slice(spec, p, ki));
-        let b_in = self.col.bcast_shared(algo, bt.inner, bs, bw, b_panel)?;
+        let ((ap, bp), ah, bw) = (self.steps[kg], self.a_tile.0, self.b_tile.1);
+        let (width, algo) = (self.slice_at(spec, kg, ki).1, spec.inner_bcast);
+        let a_panel = outer_a.as_ref().map(|p| self.a_slice(spec, kg, p, ki));
+        let a_root = split_owner(ap.owner, self.inner.cols).1;
+        let a_in = self.row.bcast_shared(algo, a_root, ah, width, a_panel)?;
+        let b_panel = outer_b.as_ref().map(|p| self.b_slice(spec, kg, p, ki));
+        let b_root = split_owner(bp.owner, self.inner.rows).1;
+        let b_in = self.col.bcast_shared(algo, b_root, width, bw, b_panel)?;
         Ok((a_in, b_in))
     }
 }
@@ -302,30 +285,16 @@ type LandedPair<C> = (
     Option<<C as Communicator>::Shared>,
 );
 
-fn locate(spec: &Spec, kg: usize, extent: usize, parts: usize, inner_parts: usize) -> PivotAt {
-    let bb = spec.outer_block;
-    let (owner, offset) = match spec.layout {
-        Layout::Block => (pivot_owner(kg, bb, extent), pivot_offset(kg, bb, extent)),
-        Layout::Cyclic => (kg % parts, kg / parts * bb),
-    };
-    PivotAt {
-        owner,
-        offset,
-        group: owner / inner_parts,
-        inner: owner % inner_parts,
-    }
-}
-
 /// The blocking pivot loop over the outer steps selected by `take`
 /// (2.5D gives each layer a subset; everyone else takes all). SPMD over
 /// `comm`; returns the local tile of `C`.
 ///
 /// Every panel moves once: its owner cuts it into a fresh shared matrix
 /// and the broadcasts hand that allocation on, so on the threaded
-/// runtime every rank multiplies straight from the owner's copy. With
-/// `B == b` the inner roots forward the outer panel they received
-/// without a second cut. Clocks align after every inner step, inside
-/// the step span.
+/// runtime every rank multiplies straight from the owner's copy. An
+/// inner root whose outer panel is one slice wide (always at `B == b`)
+/// forwards the panel it received without a second cut. Clocks align
+/// after every inner step, inside the step span.
 ///
 /// # Panics
 /// As [`Geometry::new`].
@@ -338,15 +307,15 @@ pub(crate) fn blocking<C: Communicator>(
 ) -> Result<C::Mat, CommError> {
     let g = Geometry::new(comm, spec, a, b);
     let ((ah, _), (_, bw)) = (g.a_tile, g.b_tile);
-    let (bb, bs) = (spec.outer_block, spec.inner_block);
 
     let mut c = C::Mat::zeros(ah, bw);
-    let pairs = ah * bw * bs;
-    for kg in (0..spec.dims.l / bb).filter(|&kg| take(kg)) {
-        comm.trace_step(kg, bb, bs, || -> Result<(), CommError> {
+    for kg in (0..g.steps.len()).filter(|&kg| take(kg)) {
+        let width = g.steps[kg].0.width;
+        comm.trace_step(kg, width, spec.inner_block, || -> Result<(), CommError> {
             let landed = g.outer_step(spec, kg, a, b)?;
-            for ki in 0..bb / bs {
+            for ki in 0..g.slice_count(spec, kg) {
                 let (a_in, b_in) = g.slices(spec, kg, &landed, ki)?;
+                let pairs = ah * bw * g.slice_at(spec, kg, ki).1;
                 comm.compute(pairs as f64, 2 * pairs as u64, || {
                     C::Mat::gemm(
                         spec.kernel,
@@ -378,7 +347,7 @@ type OuterPair<C> = (
 );
 
 /// The two-slot pipelined pivot loop (§VI's "overlapping the
-/// communications on the virtual hierarchies"). Same operands, layout
+/// communications on the virtual hierarchies"). Same operands, steps
 /// and result — bit for bit — as [`blocking`]; the spec's broadcast
 /// algorithms are ignored, because every broadcast is a flat nonblocking
 /// push ([`Communicator::ibcast_shared`]): a relay would have to block
@@ -403,24 +372,26 @@ pub(crate) fn pipelined<C: Communicator>(
 ) -> Result<C::Mat, CommError> {
     let g = Geometry::new(comm, spec, a, b);
     let ((ah, _), (_, bw)) = (g.a_tile, g.b_tile);
-    let (bb, bs) = (spec.outer_block, spec.inner_block);
-    let outer_steps = spec.dims.l / bb;
-    let inner_steps = bb / bs;
+    let outer_steps = g.steps.len();
 
     let (rows, cols) = (&g.group_row, &g.group_col);
 
     // Starts outer step kg's inter-group broadcasts on the pivot inner
     // column (A) / inner row (B).
     let start_outer = |kg: usize| -> Result<OuterPair<C>, CommError> {
-        let (at, bt) = (g.a_at(spec, kg), g.b_at(spec, kg));
+        let (ap, bp) = g.steps[kg];
+        let ((ay, aj), (bx, bi)) = (
+            split_owner(ap.owner, g.inner.cols),
+            split_owner(bp.owner, g.inner.rows),
+        );
         let mut started = (None, None);
-        if g.j == at.inner {
-            let panel = (g.gj == at.owner).then(|| rows.cut(a, 0, at.offset, ah, bb));
-            started.0 = Some(rows.ibcast_shared(at.group, 2 * kg as u64, ah, bb, panel)?);
+        if g.j == aj {
+            let panel = (g.gj == ap.owner).then(|| rows.cut(a, 0, ap.offset, ah, ap.width));
+            started.0 = Some(rows.ibcast_shared(ay, 2 * kg as u64, ah, ap.width, panel)?);
         }
-        if g.i == bt.inner {
-            let panel = (g.gi == bt.owner).then(|| cols.cut(b, bt.offset, 0, bb, bw));
-            started.1 = Some(cols.ibcast_shared(bt.group, 2 * kg as u64 + 1, bb, bw, panel)?);
+        if g.i == bi {
+            let panel = (g.gi == bp.owner).then(|| cols.cut(b, bp.offset, 0, bp.width, bw));
+            started.1 = Some(cols.ibcast_shared(bx, 2 * kg as u64 + 1, bp.width, bw, panel)?);
         }
         Ok(started)
     };
@@ -446,24 +417,27 @@ pub(crate) fn pipelined<C: Communicator>(
         ))
     };
 
-    // Starts the broadcasts of slice ki of outer step kg: the holder of
-    // the outer panel (exactly the inner root) slices it and fans the
-    // slice out. Inner tags sit 2³² above the outer steps' `2k`, `2k+1`.
+    // Starts the broadcasts of slice ki of outer step kg, the run's
+    // slice number idx: the holder of the outer panel (exactly the inner
+    // root) slices it and fans the slice out. Inner tags sit 2³² above
+    // the outer steps' `2k`, `2k+1`.
     let start_inner = |kg: usize,
                        ki: usize,
+                       idx: usize,
                        (outer_a, outer_b): &LandedPair<C>|
      -> Result<BcastPair<C>, CommError> {
-        let tag = 2 * (kg * inner_steps + ki) as u64 + (1 << 32);
-        let (at, bt) = (g.a_at(spec, kg), g.b_at(spec, kg));
-        let a_slice = outer_a.as_ref().map(|p| g.a_slice(spec, p, ki));
-        let a_h = g.row.ibcast_shared(at.inner, tag, ah, bs, a_slice)?;
-        let b_slice = outer_b.as_ref().map(|p| g.b_slice(spec, p, ki));
-        let b_h = g.col.ibcast_shared(bt.inner, tag + 1, bs, bw, b_slice)?;
+        let tag = 2 * idx as u64 + (1 << 32);
+        let ((ap, bp), width) = (g.steps[kg], g.slice_at(spec, kg, ki).1);
+        let a_slice = outer_a.as_ref().map(|p| g.a_slice(spec, kg, p, ki));
+        let a_root = split_owner(ap.owner, g.inner.cols).1;
+        let a_h = g.row.ibcast_shared(a_root, tag, ah, width, a_slice)?;
+        let b_slice = outer_b.as_ref().map(|p| g.b_slice(spec, kg, p, ki));
+        let b_root = split_owner(bp.owner, g.inner.rows).1;
+        let b_h = g.col.ibcast_shared(b_root, tag + 1, width, bw, b_slice)?;
         Ok((a_h, b_h))
     };
 
     let mut c = C::Mat::zeros(ah, bw);
-    let pairs = ah * bw * bs;
     if outer_steps == 0 {
         return Ok(c);
     }
@@ -473,7 +447,8 @@ pub(crate) fn pipelined<C: Communicator>(
     // consecutive pivot ownership reuses the storage safely: a fresh
     // panel always lands in the *other* slot while this one is still
     // being sliced). `inner_h[idx % 2]` holds the in-flight broadcasts of
-    // global slice index idx = kg·inner_steps + ki.
+    // the run's slice number idx, which counts the slices of every
+    // earlier outer step plus ki.
     let mut outer_h: [Option<OuterPair<C>>; 2] = [None, None];
     let mut outer_p: [LandedPair<C>; 2] = [(None, None), (None, None)];
     let mut inner_h: [Option<BcastPair<C>>; 2] = [None, None];
@@ -488,16 +463,17 @@ pub(crate) fn pipelined<C: Communicator>(
         outer_h[1] = Some(start_outer(1)?);
     }
     outer_p[0] = land(outer_h[0].take().expect("outer 0 started"))?;
-    inner_h[0] = Some(start_inner(0, 0, &outer_p[0])?);
+    inner_h[0] = Some(start_inner(0, 0, 0, &outer_p[0])?);
 
+    let mut idx = 0;
     for kg in 0..outer_steps {
         let next = (kg + 1) % 2;
+        let inner_steps = g.slice_count(spec, kg);
         for ki in 0..inner_steps {
-            let idx = kg * inner_steps + ki;
             let boundary = ki + 1 == inner_steps && kg + 1 < outer_steps;
             // Keep the inner pipeline one slice ahead.
             if ki + 1 < inner_steps {
-                inner_h[(idx + 1) % 2] = Some(start_inner(kg, ki + 1, &outer_p[kg % 2])?);
+                inner_h[(idx + 1) % 2] = Some(start_inner(kg, ki + 1, idx + 1, &outer_p[kg % 2])?);
             } else if boundary {
                 // Slot kg%2 is free (its handles were consumed when kg
                 // landed); refill it with outer kg+2's fan-out NOW, before
@@ -514,12 +490,13 @@ pub(crate) fn pipelined<C: Communicator>(
                 // wait is hidden behind the compute just done.
                 if has_landed(outer_h[next].as_mut().expect("outer kg+1 started"))? {
                     outer_p[next] = land(outer_h[next].take().expect("outer kg+1 started"))?;
-                    inner_h[(idx + 1) % 2] = Some(start_inner(kg + 1, 0, &outer_p[next])?);
+                    inner_h[(idx + 1) % 2] = Some(start_inner(kg + 1, 0, idx + 1, &outer_p[next])?);
                 }
             }
             let (a_h, b_h) = inner_h[idx % 2].take().expect("inner slice started");
             let a_in = g.row.ibcast_wait(a_h)?;
             let b_in = g.col.ibcast_wait(b_h)?;
+            let pairs = ah * bw * g.slice_at(spec, kg, ki).1;
             comm.compute(pairs as f64, 2 * pairs as u64, || {
                 C::Mat::gemm(
                     spec.kernel,
@@ -533,8 +510,9 @@ pub(crate) fn pipelined<C: Communicator>(
                 // now, with the multiply's worth of transfer time already
                 // credited, and start its first slice.
                 outer_p[next] = land(outer_h[next].take().expect("outer kg+1 started"))?;
-                inner_h[(idx + 1) % 2] = Some(start_inner(kg + 1, 0, &outer_p[next])?);
+                inner_h[(idx + 1) % 2] = Some(start_inner(kg + 1, 0, idx + 1, &outer_p[next])?);
             }
+            idx += 1;
         }
     }
     Ok(c)
@@ -543,6 +521,7 @@ pub(crate) fn pipelined<C: Communicator>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distribution::Distribution;
     use crate::testutil::{distributed_product, reference_product};
     use hsumma_matrix::{seeded_uniform, BlockDist, Matrix};
     use hsumma_runtime::{Comm, Runtime};
@@ -559,24 +538,22 @@ mod tests {
         grid: GridShape,
         dims: MatMulDims,
         algo: impl Fn(&Comm, Matrix, Matrix) -> Matrix + Send + Sync,
-    ) {
+    ) -> Matrix {
         let a = seeded_uniform(dims.m, dims.l, 70);
         let b = seeded_uniform(dims.l, dims.n, 71);
         let want = reference_product(&a, &b);
-        let a_dist = BlockDist::new(grid, dims.m, dims.l);
-        let b_dist = BlockDist::new(grid, dims.l, dims.n);
-        let c_dist = BlockDist::new(grid, dims.m, dims.n);
-        let at = a_dist.scatter(&a);
-        let bt = b_dist.scatter(&b);
+        let at = Distribution::grid2d(grid, dims.m, dims.l).scatter(&a);
+        let bt = Distribution::grid2d(grid, dims.l, dims.n).scatter(&b);
         let ct = Runtime::run(grid.size(), |comm| {
             algo(comm, at[comm.rank()].clone(), bt[comm.rank()].clone())
         });
-        let got = c_dist.gather(&ct);
+        let got = Distribution::grid2d(grid, dims.m, dims.n).gather(&ct);
         assert!(
             got.approx_eq(&want, 1e-9),
             "grid {grid:?} dims {dims:?}: err {}",
             got.max_abs_diff(&want)
         );
+        got
     }
 
     #[test]
@@ -589,7 +566,7 @@ mod tests {
             ..Default::default()
         };
         run_rect(grid, dims, move |comm, a, b| {
-            run(comm, Spec::summa(grid, dims, &cfg, Layout::Block), &a, &b)
+            run(comm, Spec::summa(grid, dims, &cfg), &a, &b)
         });
     }
 
@@ -603,7 +580,7 @@ mod tests {
             ..Default::default()
         };
         run_rect(grid, dims, move |comm, a, b| {
-            run(comm, Spec::summa(grid, dims, &cfg, Layout::Block), &a, &b)
+            run(comm, Spec::summa(grid, dims, &cfg), &a, &b)
         });
     }
 
@@ -626,7 +603,7 @@ mod tests {
         let by_rect = Runtime::run(grid.size(), |comm| {
             run(
                 comm,
-                Spec::summa(grid, dims, &cfg, Layout::Block),
+                Spec::summa(grid, dims, &cfg),
                 &at[comm.rank()].clone(),
                 &bt[comm.rank()].clone(),
             )
@@ -674,10 +651,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "L must be divisible by grid rows")]
+    #[should_panic(expected = "B tile has wrong shape")]
     fn rect_rejects_inconsistent_shared_dimension() {
-        // Call the algorithm directly (the scatter helper would reject the
-        // distribution first); tile shapes are plausible but L % s != 0.
+        // Call the algorithm directly (the scatter helper would deal the
+        // right shapes). L = 6 over 4 grid rows deals B's rows 2, 2, 1,
+        // 1, so a 1-row B tile on grid rows 0 and 1 is refused.
         let grid = GridShape::new(4, 2);
         let dims = MatMulDims { m: 8, l: 6, n: 8 };
         let cfg = SummaConfig {
@@ -687,8 +665,39 @@ mod tests {
         let _ = Runtime::run(grid.size(), |comm| {
             let a = Matrix::zeros(2, 3);
             let b = Matrix::zeros(1, 4);
-            run(comm, Spec::summa(grid, dims, &cfg, Layout::Block), &a, &b)
+            run(comm, Spec::summa(grid, dims, &cfg), &a, &b)
         });
+    }
+
+    #[test]
+    fn uneven_steps_slice_their_last_panel_narrower() {
+        // M, L, N = 13, 17, 11 on a 3×4 grid: A's columns deal 5, 4, 4, 4
+        // and B's rows 6, 6, 5, so with B = 4 the steps are 4, 1, 3, 1, …
+        // wide and with b = 2 some slices are 1 wide. Both loops run the
+        // same slices in the same order.
+        let grid = GridShape::new(3, 4);
+        let dims = MatMulDims {
+            m: 13,
+            l: 17,
+            n: 11,
+        };
+        for (groups, bb, bs) in [((1, 1), 4, 4), ((3, 2), 4, 2), ((3, 4), 3, 1)] {
+            let cfg = HsummaConfig {
+                outer_block: bb,
+                inner_block: bs,
+                kernel: GemmKernel::Blocked,
+                ..HsummaConfig::uniform(GridShape::new(groups.0, groups.1), bb)
+            };
+            let spec = Spec::hsumma(grid, dims, &cfg);
+            let by_blocking = run_rect(grid, dims, |comm, a, b| run(comm, spec, &a, &b));
+            let by_pipeline = run_rect(grid, dims, |comm, a, b| {
+                pipelined(comm, &spec, &a, &b).unwrap()
+            });
+            assert_eq!(
+                by_blocking, by_pipeline,
+                "G = {groups:?}, B = {bb}, b = {bs}"
+            );
+        }
     }
 
     #[test]
@@ -871,7 +880,7 @@ mod tests {
             let bt = b_dist.scatter(&b);
             let cfg = SummaConfig { block: 1, kernel: GemmKernel::Blocked, ..Default::default() };
             let ct = Runtime::run(grid.size(), |comm| {
-                run(comm, Spec::summa(grid, dims, &cfg, Layout::Block), &at[comm.rank()].clone(), &bt[comm.rank()].clone())
+                run(comm, Spec::summa(grid, dims, &cfg), &at[comm.rank()].clone(), &bt[comm.rank()].clone())
             });
             prop_assert!(c_dist.gather(&ct).approx_eq(&want, 1e-9));
         }

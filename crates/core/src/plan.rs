@@ -14,7 +14,7 @@ use crate::cosma::{cosma, CosmaConfig};
 use crate::distribution::{redistribute, Distribution};
 use crate::hsumma::HsummaConfig;
 use crate::partition::MatMulDims;
-use crate::pivot::{self, Layout, Spec};
+use crate::pivot::{self, Spec};
 use crate::summa::SummaConfig;
 use hsumma_matrix::{GemmKernel, GridShape};
 use hsumma_runtime::CommError;
@@ -25,7 +25,7 @@ use std::borrow::Cow;
 #[derive(Clone, Copy, Debug)]
 pub enum PlannedAlgo {
     /// SUMMA with the given panel width / broadcast / kernel, over any
-    /// grid-divisible `(m, k, n)`.
+    /// `(m, k, n)`.
     Summa(SummaConfig),
     /// SUMMA over the double-buffered pivot pipeline
     /// ([`crate::overlap::summa_overlap`]); `cfg.bcast` is ignored —
@@ -92,9 +92,8 @@ impl PlannedAlgo {
 /// same plan and its local tiles under the checkerboard layout of
 /// [`Distribution::grid2d`] (`A` over `grid2d(grid, m, k)`, `B` over
 /// `grid2d(grid, k, n)`); returns the local tile of `C` under
-/// `grid2d(grid, m, n)`. When the grid divides every extent — a
-/// precondition of the grid algorithms anyway — those layouts are the
-/// classic uniform block-checkerboard tiles.
+/// `grid2d(grid, m, n)`. When the grid divides every extent, those
+/// layouts are the classic uniform block-checkerboard tiles.
 ///
 /// This is the borrowing form of [`run_planned_gemm_cow`]: the Cannon
 /// plan, which consumes its tiles, copies both (counted as payload
@@ -102,9 +101,10 @@ impl PlannedAlgo {
 ///
 /// # Panics
 /// Panics if the plan is inconsistent with `grid`/`(m, n, k)`: the
-/// Cannon plan requires square operands, the grid algorithms require
-/// grid divisibility (and block divisibility of the shared-dimension
-/// tile extents); only [`PlannedAlgo::Cosma`] accepts arbitrary extents.
+/// Cannon plan requires square operands its square grid divides, and the
+/// SUMMA and HSUMMA plans positive blocks (and for HSUMMA, groups that
+/// divide the grid and `b | B`). SUMMA, HSUMMA and
+/// [`PlannedAlgo::Cosma`] accept any extents.
 #[allow(clippy::too_many_arguments)]
 pub fn run_planned_gemm<C: Communicator>(
     comm: &C,
@@ -140,11 +140,10 @@ pub fn run_planned_gemm_cow<C: Communicator>(
     let dims = MatMulDims { m, l: k, n };
     match plan {
         PlannedAlgo::Summa(cfg) => {
-            let spec = Spec::summa(grid, dims, cfg, Layout::Block);
-            pivot::blocking(comm, &spec, &a, &b, |_| true)
+            pivot::blocking(comm, &Spec::summa(grid, dims, cfg), &a, &b, |_| true)
         }
         PlannedAlgo::SummaPipelined(cfg) => {
-            pivot::pipelined(comm, &Spec::summa(grid, dims, cfg, Layout::Block), &a, &b)
+            pivot::pipelined(comm, &Spec::summa(grid, dims, cfg), &a, &b)
         }
         PlannedAlgo::Hsumma(cfg) => {
             pivot::blocking(comm, &Spec::hsumma(grid, dims, cfg), &a, &b, |_| true)

@@ -23,7 +23,7 @@ use crate::cyclic::summa_cyclic;
 use crate::fox::fox_with;
 use crate::hsumma::HsummaConfig;
 use crate::lu::{block_lu, LuConfig};
-use crate::partition::{chunk_range, tile_shape, MatMulDims};
+use crate::partition::{chunk_range, MatMulDims};
 use crate::plan::{run_planned_gemm, PlannedAlgo};
 use crate::summa::SummaConfig;
 use crate::twodotfive::{twodotfive, TwoDotFiveConfig};
@@ -256,8 +256,8 @@ impl Schedule {
                 cosma(comm, m, n, k, &a, &b, cfg)?;
             }
             Schedule::Lu { grid, n, cfg } => {
-                let (th, tw) = tile_shape(*grid, *n);
-                block_lu(comm, *grid, *n, &PhantomMat::zeros(th, tw), cfg)?;
+                let tile = PhantomMat::zeros(n / grid.rows, n / grid.cols);
+                block_lu(comm, *grid, *n, &tile, cfg)?;
             }
         }
         Ok(())

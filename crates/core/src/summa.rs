@@ -10,14 +10,14 @@
 
 use crate::comm::Communicator;
 use crate::partition::MatMulDims;
-use crate::pivot::{self, Layout, Spec};
+use crate::pivot::{self, Spec};
 use hsumma_matrix::{GemmKernel, GridShape};
 use hsumma_runtime::{BcastAlgorithm, CommError};
 
 /// Parameters of a SUMMA run.
 #[derive(Clone, Copy, Debug)]
 pub struct SummaConfig {
-    /// Panel width `b`. Must divide both local tile extents.
+    /// Panel width `b`; a tile's last panel may be narrower.
     pub block: usize,
     /// Broadcast algorithm for the pivot panels.
     pub bcast: BcastAlgorithm,
@@ -36,19 +36,19 @@ impl Default for SummaConfig {
 }
 
 /// Runs SUMMA on the calling rank. SPMD: every rank of `comm` must call
-/// this with its local tiles of `A` and `B` (block-checkerboard
-/// distribution over `grid`). This entry point is the square `n × n`
+/// this with its local tiles of `A` and `B` (the block checkerboard of
+/// [`crate::Distribution::grid2d`] over `grid`; neither the grid nor the
+/// block needs to divide `n`). This entry point is the square `n × n`
 /// special case — [`crate::run_planned_gemm`] takes general `(M, L, N)`
-/// extents, and reaches non-grid-divisible shapes via the
-/// [`crate::cosma()`] brick schedule. Returns the local tile of `C`.
+/// extents. Returns the local tile of `C`.
 ///
 /// Generic over the [`Communicator`] substrate: with the runtime's `Comm`
 /// it multiplies real matrices; with the simulator's `SimComm` the same
 /// schedule advances virtual clocks over phantom payloads.
 ///
 /// # Panics
-/// Panics if the grid, tile shapes or block size are inconsistent
-/// (`block` must divide `n/s` and `n/t`).
+/// Panics if `block` is zero or a tile is not this rank's share of the
+/// grid.
 pub fn summa<C: Communicator>(
     comm: &C,
     grid: GridShape,
@@ -57,7 +57,7 @@ pub fn summa<C: Communicator>(
     b: &C::Mat,
     cfg: &SummaConfig,
 ) -> Result<C::Mat, CommError> {
-    let spec = Spec::summa(grid, MatMulDims::square(n), cfg, Layout::Block);
+    let spec = Spec::summa(grid, MatMulDims::square(n), cfg);
     pivot::blocking(comm, &spec, a, b, |_| true)
 }
 
@@ -210,25 +210,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "block must divide")]
-    fn summa_rejects_non_dividing_block() {
-        let grid = GridShape::new(2, 2);
-        let n = 8;
-        let a = seeded_uniform(n, n, 1);
-        let b = seeded_uniform(n, n, 2);
-        let _ = distributed_product(grid, n, &a, &b, |comm, at, bt| {
-            summa(
-                comm,
-                grid,
-                n,
-                &at,
-                &bt,
-                &SummaConfig {
-                    block: 3,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
-        });
+    fn summa_block_need_not_divide_the_tile() {
+        // n = 9 on 2×2 deals tiles of 5 and 4; blocks of 3 cut them into
+        // panels 3, 2 | 3, 1, and the steps refine both axes.
+        run_summa_case(
+            GridShape::new(2, 2),
+            9,
+            SummaConfig {
+                block: 3,
+                ..Default::default()
+            },
+        );
     }
 }

@@ -4,7 +4,8 @@
 //! verifying them requires the scatter → run → gather → compare loop.
 //! [`distributed_product`] packages that loop.
 
-use hsumma_matrix::{gemm, BlockDist, GemmKernel, GridShape, Matrix};
+use crate::distribution::Distribution;
+use hsumma_matrix::{gemm, GemmKernel, GridShape, Matrix};
 use hsumma_runtime::{Comm, Runtime};
 
 /// Serial reference product `A·B` (naive kernel — the correctness oracle).
@@ -14,7 +15,8 @@ pub fn reference_product(a: &Matrix, b: &Matrix) -> Matrix {
     c
 }
 
-/// Scatters `a` and `b` over `grid`, runs `algo` on every rank (receiving
+/// Scatters `a` and `b` over `grid` as [`Distribution::grid2d`] deals
+/// them (any `n`, dividing or not), runs `algo` on every rank (receiving
 /// its local tiles), gathers the per-rank results into the global `C`.
 ///
 /// `algo` must be an SPMD distributed multiply returning the local C tile.
@@ -25,7 +27,7 @@ pub fn distributed_product(
     b: &Matrix,
     algo: impl Fn(&mut Comm, Matrix, Matrix) -> Matrix + Send + Sync,
 ) -> Matrix {
-    let dist = BlockDist::new(grid, n, n);
+    let dist = Distribution::grid2d(grid, n, n);
     let a_tiles = dist.scatter(a);
     let b_tiles = dist.scatter(b);
     let c_tiles = Runtime::run(grid.size(), |comm| {

@@ -21,7 +21,7 @@
 
 use crate::comm::{Communicator, MatLike};
 use crate::partition::MatMulDims;
-use crate::pivot::{self, Layout, Spec};
+use crate::pivot::{self, Spec};
 use crate::summa::SummaConfig;
 use hsumma_matrix::GridShape;
 use hsumma_runtime::{BcastAlgorithm, CommError};
@@ -108,12 +108,7 @@ pub fn twodotfive<C: Communicator>(
     // The loop runs on the layer communicator, where the simulator's
     // world-wide step alignment cannot apply: 2.5D is never simulated
     // step-synchronized.
-    let spec = Spec::summa(
-        GridShape::new(q, q),
-        MatMulDims::square(n),
-        &cfg.summa,
-        Layout::Block,
-    );
+    let spec = Spec::summa(GridShape::new(q, q), MatMulDims::square(n), &cfg.summa);
     let mut partial = pivot::blocking(&layer_comm, &spec, &a_rep, &b_rep, |k| k % c == layer)?;
 
     // --- 3. reduce the partials onto layer 0 ----------------------------

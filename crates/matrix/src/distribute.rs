@@ -194,11 +194,6 @@ impl BlockDist {
         }
     }
 
-    /// The processor grid.
-    pub fn grid(&self) -> GridShape {
-        self.grid
-    }
-
     /// Local tile extents: `(m/s, n/t)`.
     pub fn tile_shape(&self) -> (usize, usize) {
         (
@@ -248,38 +243,6 @@ impl BlockDist {
         }
         global
     }
-
-    /// Which grid *column* owns global matrix columns `[k·b, (k+1)·b)` —
-    /// i.e. which processors hold the `k`-th pivot column panel of `A`.
-    pub fn owner_grid_col(&self, k: usize, b: usize) -> usize {
-        let (_, tw) = self.tile_shape();
-        debug_assert_eq!(
-            (k * b) / tw,
-            (k * b + b - 1) / tw,
-            "panel must not straddle a tile boundary"
-        );
-        (k * b) / tw
-    }
-
-    /// Which grid *row* owns global matrix rows `[k·b, (k+1)·b)` — i.e.
-    /// which processors hold the `k`-th pivot row panel of `B`.
-    pub fn owner_grid_row(&self, k: usize, b: usize) -> usize {
-        let (th, _) = self.tile_shape();
-        debug_assert_eq!((k * b) / th, (k * b + b - 1) / th);
-        (k * b) / th
-    }
-
-    /// Column offset of panel `k` (width `b`) inside the owning tile.
-    pub fn panel_col_offset(&self, k: usize, b: usize) -> usize {
-        let (_, tw) = self.tile_shape();
-        (k * b) % tw
-    }
-
-    /// Row offset of panel `k` (height `b`) inside the owning tile.
-    pub fn panel_row_offset(&self, k: usize, b: usize) -> usize {
-        let (th, _) = self.tile_shape();
-        (k * b) % th
-    }
 }
 
 /// Block-cyclic distribution with square dealing blocks of edge `nb`.
@@ -324,16 +287,6 @@ impl BlockCyclicDist {
             mat_cols,
             nb,
         }
-    }
-
-    /// The processor grid.
-    pub fn grid(&self) -> GridShape {
-        self.grid
-    }
-
-    /// Dealing block edge.
-    pub fn block_size(&self) -> usize {
-        self.nb
     }
 
     /// Local tile extents (every rank holds the same amount).
@@ -436,21 +389,6 @@ mod tests {
         let tile = dist.local_tile(&m, 3);
         assert_eq!(tile.get(0, 0), m.get(2, 2));
         assert_eq!(tile.get(1, 1), m.get(3, 3));
-    }
-
-    #[test]
-    fn owner_of_pivot_panels() {
-        // 8x8 matrix on 2x2 grid: tiles are 4x4. With b = 2 there are 4
-        // panels; panels 0,1 live in grid column 0, panels 2,3 in column 1.
-        let dist = BlockDist::new(GridShape::new(2, 2), 8, 8);
-        assert_eq!(dist.owner_grid_col(0, 2), 0);
-        assert_eq!(dist.owner_grid_col(1, 2), 0);
-        assert_eq!(dist.owner_grid_col(2, 2), 1);
-        assert_eq!(dist.owner_grid_col(3, 2), 1);
-        assert_eq!(dist.panel_col_offset(1, 2), 2);
-        assert_eq!(dist.panel_col_offset(2, 2), 0);
-        assert_eq!(dist.owner_grid_row(3, 2), 1);
-        assert_eq!(dist.panel_row_offset(3, 2), 2);
     }
 
     #[test]

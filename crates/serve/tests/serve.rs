@@ -1,7 +1,7 @@
 //! End-to-end service tests: correctness under concurrent mixed-size
 //! submission, plan-cache behaviour, backpressure, failure containment.
 
-use hsumma_core::{PlannedAlgo, SummaConfig};
+use hsumma_core::{HsummaConfig, PlannedAlgo, SummaConfig};
 use hsumma_matrix::{gemm, seeded_uniform, GemmKernel, GridShape, Matrix};
 use hsumma_serve::{GemmServer, JobSpec, JobState, PlanHint, ServerConfig, SubmitError};
 use std::sync::Arc;
@@ -247,15 +247,38 @@ fn rectangular_and_awkward_dense_jobs_are_served() {
 }
 
 #[test]
+fn forced_grid_plans_serve_a_shape_nothing_divides() {
+    // (m, k, n) = (30, 17, 23) deals uneven tiles over 2×2, and no
+    // block divides them: SUMMA and HSUMMA walk the uneven panels.
+    let server = GemmServer::new(ServerConfig::new(GridShape::new(2, 2))).unwrap();
+    let summa = SummaConfig {
+        block: 4,
+        ..SummaConfig::default()
+    };
+    let hsumma = HsummaConfig {
+        inner_block: 3,
+        ..HsummaConfig::uniform(GridShape::new(2, 1), 6)
+    };
+    for plan in [PlannedAlgo::Summa(summa), PlannedAlgo::Hsumma(hsumma)] {
+        let (a, b) = (seeded_uniform(30, 17, 40), seeded_uniform(17, 23, 41));
+        let want = reference(&a, &b);
+        let spec = JobSpec::gemm(30, 17, 23).with_hint(PlanHint::Force(plan));
+        let out = server.submit(spec, a, b).unwrap().wait().expect("served");
+        assert_eq!(out.report.plan_desc, plan.describe());
+        assert!(out.c.dense().approx_eq(&want, 1e-9), "{}", plan.describe());
+    }
+}
+
+#[test]
 fn a_failing_job_reports_failure_and_the_server_keeps_serving() {
     let server = GemmServer::new(ServerConfig::new(GridShape::new(2, 2))).unwrap();
-    // Force a plan whose block size violates the algorithm's divisibility
-    // precondition: the ranks panic, the job fails, the pool survives.
+    // Force a plan the pivot engine refuses: the ranks panic, the job
+    // fails, the pool survives.
     let n = 16;
     let a = seeded_uniform(n, n, 1);
     let b = seeded_uniform(n, n, 2);
     let bad_plan = PlanHint::Force(PlannedAlgo::Summa(SummaConfig {
-        block: 5, // does not divide the 8x8 tiles
+        block: 0, // no panel is zero wide
         ..SummaConfig::default()
     }));
     let handle = server

@@ -2,7 +2,7 @@
 //!
 //! Both algorithms follow the dense `summa()` schedule shape exactly —
 //! same split colors for the row/column communicators, same pivot
-//! ownership arithmetic, same per-step `trace_step`/`compute`/
+//! steps (`pivot_steps`), same per-step `trace_step`/`compute`/
 //! `maybe_step_sync` structure — so everything the dense stack already
 //! guarantees (fault replay cursors, deadline propagation, per-step
 //! traces, real-vs-sim schedule identity) carries over to sparse jobs
@@ -17,8 +17,8 @@
 //!   pattern) never leaves its tile.
 
 use crate::comm::{bcast_sp, SparseComm, SparseLike};
-use hsumma_core::{grid_lines, pivot_offset, pivot_owner, tile_shape, MatLike};
-use hsumma_matrix::GridShape;
+use hsumma_core::{grid_lines, pivot_steps, MatLike};
+use hsumma_matrix::{BlockDist, GridShape};
 use hsumma_runtime::{BcastAlgorithm, CommError};
 
 /// Parameters of a 2-D sparse multiply.
@@ -53,7 +53,7 @@ fn check_sparse_tiles<S: SparseLike>(
         grid.size(),
         "communicator must span the whole grid"
     );
-    let (th, tw) = tile_shape(grid, n);
+    let (th, tw) = BlockDist::new(grid, n, n).tile_shape();
     assert_eq!((a.rows(), a.cols()), (th, tw), "A tile has wrong shape");
     assert_eq!((b.rows(), b.cols()), (th, tw), "B tile has wrong shape");
     assert!(bs > 0, "block size must be positive");
@@ -93,17 +93,15 @@ pub fn spgemm_2d<C: SparseComm>(
     let (row_comm, col_comm) = grid_lines(comm, grid);
 
     let mut acc = C::spgemm_acc(th, tw);
-    for k in 0..n / bs {
+    for (k, (col, row)) in pivot_steps(n, grid, bs).into_iter().enumerate() {
         comm.trace_step(k, bs, bs, || -> Result<(), CommError> {
             // --- pivot column panel of A, broadcast along the grid row ---
-            let owner_col = pivot_owner(k, bs, tw);
-            let mine = (gj == owner_col).then(|| a.block(0, pivot_offset(k, bs, tw), th, bs));
-            let a_panel = bcast_sp(&row_comm, owner_col, k as u64, th, bs, mine)?;
+            let mine = (gj == col.owner).then(|| a.block(0, col.offset, th, bs));
+            let a_panel = bcast_sp(&row_comm, col.owner, k as u64, th, bs, mine)?;
 
             // --- pivot row panel of B, broadcast along the grid column ---
-            let owner_row = pivot_owner(k, bs, th);
-            let mine = (gi == owner_row).then(|| b.block(pivot_offset(k, bs, th), 0, bs, tw));
-            let b_panel = bcast_sp(&col_comm, owner_row, k as u64, bs, tw, mine)?;
+            let mine = (gi == row.owner).then(|| b.block(row.offset, 0, bs, tw));
+            let b_panel = bcast_sp(&col_comm, row.owner, k as u64, bs, tw, mine)?;
 
             // --- local update: C += A_panel · B_panel --------------------
             let pairs = C::spgemm_pairs(&a_panel, &b_panel);
@@ -140,7 +138,7 @@ pub fn sddmm_2d<C: SparseComm>(
     cfg: &SparseConfig,
 ) -> Result<C::Sp, CommError> {
     let bs = cfg.block;
-    let (th, tw) = tile_shape(grid, n);
+    let (th, tw) = BlockDist::new(grid, n, n).tile_shape();
     assert_eq!(
         comm.size(),
         grid.size(),
@@ -158,19 +156,15 @@ pub fn sddmm_2d<C: SparseComm>(
 
     let mut acc = C::sddmm_acc(s);
     let step_pairs = s.nnz() * bs;
-    for k in 0..n / bs {
+    for (k, (col, row)) in pivot_steps(n, grid, bs).into_iter().enumerate() {
         comm.trace_step(k, bs, bs, || -> Result<(), CommError> {
             // Each panel moves once: its owner cuts it into a shared
             // matrix and every rank multiplies from the root's copy.
-            let owner_col = pivot_owner(k, bs, tw);
-            let mine =
-                (gj == owner_col).then(|| row_comm.cut(a, 0, pivot_offset(k, bs, tw), th, bs));
-            let a_panel = row_comm.bcast_shared(cfg.bcast, owner_col, th, bs, mine)?;
+            let mine = (gj == col.owner).then(|| row_comm.cut(a, 0, col.offset, th, bs));
+            let a_panel = row_comm.bcast_shared(cfg.bcast, col.owner, th, bs, mine)?;
 
-            let owner_row = pivot_owner(k, bs, th);
-            let mine =
-                (gi == owner_row).then(|| col_comm.cut(b, pivot_offset(k, bs, th), 0, bs, tw));
-            let b_panel = col_comm.bcast_shared(cfg.bcast, owner_row, bs, tw, mine)?;
+            let mine = (gi == row.owner).then(|| col_comm.cut(b, row.offset, 0, bs, tw));
+            let b_panel = col_comm.bcast_shared(cfg.bcast, row.owner, bs, tw, mine)?;
 
             comm.compute(step_pairs as f64, 2 * step_pairs as u64, || {
                 C::sddmm_step(

@@ -5,7 +5,6 @@
 use crate::algo::{sddmm_2d, spgemm_2d, SparseConfig};
 use crate::phantom::PhantomSparse;
 use hsumma_core::comm::PhantomMat;
-use hsumma_core::{tile_shape, tile_shape_rect};
 use hsumma_matrix::sparse::CsrMatrix;
 use hsumma_matrix::{BlockDist, GridShape, Matrix};
 use hsumma_netsim::spmd::SimWorld;
@@ -19,7 +18,7 @@ use std::sync::Arc;
 /// # Panics
 /// Panics unless the grid divides both extents.
 pub fn scatter_csr(grid: GridShape, m: &CsrMatrix) -> Vec<CsrMatrix> {
-    let (th, tw) = tile_shape_rect(grid, m.rows(), m.cols());
+    let (th, tw) = BlockDist::new(grid, m.rows(), m.cols()).tile_shape();
     (0..grid.size())
         .map(|r| {
             let (gi, gj) = grid.coords(r);
@@ -145,7 +144,7 @@ pub fn sim_sddmm_2d(
         .iter()
         .map(PhantomSparse::from_csr)
         .collect();
-    let (th, tw) = tile_shape(grid, n);
+    let (th, tw) = BlockDist::new(grid, n, n).tile_shape();
     let cfg = *cfg;
     let (net, _) = SimWorld::run(
         SimNet::new(grid.size(), platform.net),

@@ -14,8 +14,8 @@
 
 use hsumma_repro::core::testutil::reference_product;
 use hsumma_repro::core::tuning::{best_by_comm, power_of_two_gs, sweep_groups};
-use hsumma_repro::core::{hsumma, simulate, simulate_on, HsummaConfig, Schedule};
-use hsumma_repro::matrix::{seeded_uniform, BlockDist, GridShape};
+use hsumma_repro::core::{hsumma, simulate, simulate_on, Distribution, HsummaConfig, Schedule};
+use hsumma_repro::matrix::{seeded_uniform, GridShape};
 use hsumma_repro::model::predict::{best_point, sweep_groups as model_sweep};
 use hsumma_repro::model::{classify_regime, BcastModel, ModelParams, Regime};
 use hsumma_repro::netsim::{Hockney, Platform, SimBcast, SimNet};
@@ -119,7 +119,7 @@ fn cmd_run(opts: &HashMap<String, String>) -> Result<(), String> {
     cfg.validate(grid, n)?;
     let a = seeded_uniform(n, n, 1);
     let b = seeded_uniform(n, n, 2);
-    let dist = BlockDist::new(grid, n, n);
+    let dist = Distribution::grid2d(grid, n, n);
     let at = dist.scatter(&a);
     let bt = dist.scatter(&b);
 
@@ -403,13 +403,31 @@ mod tests {
     }
 
     #[test]
+    fn run_command_verifies_shapes_nothing_divides() {
+        // n = 30 on a 4x4 grid deals tiles of 8 and 7; blocks of 3 and 5
+        // divide neither.
+        for (n, block) in [("30", "3"), ("30", "5"), ("64", "5")] {
+            let opts: HashMap<String, String> = [
+                ("n", n),
+                ("grid", "4x4"),
+                ("groups", "2x2"),
+                ("block", block),
+            ]
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+            cmd_run(&opts).expect("uneven run verifies");
+        }
+    }
+
+    #[test]
     fn run_command_refuses_a_bad_shape_before_spawning_ranks() {
         // Each of these used to panic on every rank thread (exit 101).
         for (n, grid, groups, block, want) in [
-            ("64", "2x2", "2x2", "5", "outer block must divide"),
             ("64", "2x2", "3x1", "8", "must divide the 2x2 grid"),
-            ("30", "4x4", "2x2", "2", "must be divisible by grid"),
+            ("30", "4x4", "3x2", "2", "must divide the 4x4 grid"),
             ("64", "2x2", "2x2", "0", "must be positive"),
+            ("30", "4x4", "2x2", "0", "must be positive"),
         ] {
             let opts: HashMap<String, String> = [
                 ("n", n),

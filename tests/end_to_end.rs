@@ -179,13 +179,17 @@ proptest! {
         t in 1usize..4,
         tiles in 1usize..4,
         seed in 0u64..1000,
+        pad in 0usize..3,
+        block in 1usize..5,
     ) {
+        // `pad` makes n indivisible by the grid, `block` > 1 leaves the
+        // last panel of a tile short.
         let grid = GridShape::new(s, t);
-        let n = s * t * tiles * 2;
+        let n = s * t * tiles * 2 + pad;
         let a = seeded_uniform(n, n, seed);
         let b = seeded_uniform(n, n, seed.wrapping_add(1));
         let want = reference_product(&a, &b);
-        let cfg = SummaConfig { block: 1, kernel: GemmKernel::Blocked, ..Default::default() };
+        let cfg = SummaConfig { block, kernel: GemmKernel::Blocked, ..Default::default() };
         let got = distributed_product(grid, n, &a, &b, |comm, at, bt| {
             summa(comm, grid, n, &at, &bt, &cfg).unwrap()
         });
@@ -197,15 +201,22 @@ proptest! {
         side in 1usize..5usize,
         g_seed in 0usize..100,
         seed in 0u64..1000,
+        pad in 0usize..4,
+        inner in 1usize..4,
+        slices in 1usize..3,
     ) {
+        // `pad` makes n indivisible by the grid; B = slices·b need not
+        // divide the tiles, so steps and slices end short.
         let grid = GridShape::new(side, side);
         let counts = HierGrid::valid_group_counts(grid);
         let (_, groups) = counts[g_seed % counts.len()];
-        let n = side * 4;
+        let n = side * 4 + pad;
         let a = seeded_uniform(n, n, seed);
         let b = seeded_uniform(n, n, seed.wrapping_add(1));
         let want = reference_product(&a, &b);
         let cfg = HsummaConfig {
+            outer_block: inner * slices,
+            inner_block: inner,
             kernel: GemmKernel::Blocked,
             ..HsummaConfig::uniform(groups, 2)
         };

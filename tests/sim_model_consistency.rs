@@ -188,7 +188,8 @@ fn real_and_sim_hsumma_emit_identical_payload_multisets() {
 
 use hsumma_repro::core::{
     block_lu, cannon, fox, hier_bcast, run_planned_gemm, summa_cyclic, summa_overlap, tsqr,
-    twodotfive, Communicator, LuConfig, MatMulDims, PhantomMat, PlannedAlgo, TwoDotFiveConfig,
+    twodotfive, Communicator, Distribution, LuConfig, MatMulDims, PhantomMat, PlannedAlgo,
+    TwoDotFiveConfig,
 };
 use hsumma_repro::matrix::{factor::seeded_diag_dominant, BlockCyclicDist, Matrix};
 
@@ -279,33 +280,55 @@ fn real_and_sim_overlap_emit_identical_payload_multisets() {
 #[test]
 fn real_and_sim_rect_summa_emit_identical_payload_multisets() {
     // Rectangular shapes exercise the m/l/n bookkeeping: A tiles are
-    // 4×8, B tiles 8×4 on a 2×2 grid.
-    let grid = GridShape::new(2, 2);
-    let dims = MatMulDims { m: 8, l: 16, n: 8 };
-    let plan = PlannedAlgo::Summa(SummaConfig {
-        block: 2,
-        bcast: BcastAlgorithm::Binomial,
-        kernel: GemmKernel::Blocked,
-    });
-    let MatMulDims { m, l, n } = dims;
-    let (ah, aw) = (dims.m / grid.rows, dims.l / grid.cols);
-    let (bh, bw) = (dims.l / grid.rows, dims.n / grid.cols);
-    let ats: Vec<Matrix> = (0..grid.size())
-        .map(|r| seeded_uniform(ah, aw, 500 + r as u64))
-        .collect();
-    let bts: Vec<Matrix> = (0..grid.size())
-        .map(|r| seeded_uniform(bh, bw, 600 + r as u64))
-        .collect();
-    let real = real_trace(grid, |comm| {
-        let (a, b) = (&ats[comm.rank()], &bts[comm.rank()]);
-        let _ = run_planned_gemm(comm, grid, m, n, l, a, b, &plan);
-    });
-    let sim = sim_trace(grid.size(), |comm| {
-        let a = PhantomMat { rows: ah, cols: aw };
-        let b = PhantomMat { rows: bh, cols: bw };
-        let _ = run_planned_gemm(comm, grid, m, n, l, &a, &b, &plan);
-    });
-    assert_same_sends(&real, &sim, "rectangular summa");
+    // 4×8, B tiles 8×4 on a 2×2 grid. On the 3×4 grid nothing divides:
+    // the tiles are uneven and blocks of 3 end short of their tiles.
+    for (grid, dims, block) in [
+        (GridShape::new(2, 2), MatMulDims { m: 8, l: 16, n: 8 }, 2),
+        (
+            GridShape::new(3, 4),
+            MatMulDims {
+                m: 13,
+                l: 17,
+                n: 11,
+            },
+            3,
+        ),
+    ] {
+        let plan = PlannedAlgo::Summa(SummaConfig {
+            block,
+            bcast: BcastAlgorithm::Binomial,
+            kernel: GemmKernel::Blocked,
+        });
+        let MatMulDims { m, l, n } = dims;
+        let shape = |rows, cols, rank| {
+            let r = Distribution::grid2d(grid, rows, cols).range(rank);
+            (r.rows(), r.cols())
+        };
+        let ats: Vec<Matrix> = (0..grid.size())
+            .map(|r| {
+                let (h, w) = shape(m, l, r);
+                seeded_uniform(h, w, 500 + r as u64)
+            })
+            .collect();
+        let bts: Vec<Matrix> = (0..grid.size())
+            .map(|r| {
+                let (h, w) = shape(l, n, r);
+                seeded_uniform(h, w, 600 + r as u64)
+            })
+            .collect();
+        let real = real_trace(grid, |comm| {
+            let (a, b) = (&ats[comm.rank()], &bts[comm.rank()]);
+            let _ = run_planned_gemm(comm, grid, m, n, l, a, b, &plan);
+        });
+        let sim = sim_trace(grid.size(), |comm| {
+            let (ah, aw) = shape(m, l, comm.rank());
+            let (bh, bw) = shape(l, n, comm.rank());
+            let a = PhantomMat { rows: ah, cols: aw };
+            let b = PhantomMat { rows: bh, cols: bw };
+            let _ = run_planned_gemm(comm, grid, m, n, l, &a, &b, &plan);
+        });
+        assert_same_sends(&real, &sim, &format!("rectangular summa on {grid:?}"));
+    }
 }
 
 #[test]

@@ -21,6 +21,10 @@
 //!    `GemmServer` plans as Cannon, whose product must also match
 //!    Cannon on a bare `RankPool` bit for bit.
 //!
+//! On shapes neither the grid nor the blocks divide, the dense grid
+//! plans are pinned to a closed form instead: `8·(M·L·(t−1) +
+//! L·N·(s−1))` bytes on an `s × t` grid.
+//!
 //! A change to how the runtime sizes a message must leave every one of
 //! these sums bit-equal.
 //!
@@ -28,6 +32,7 @@
 //! rank → `(color, key)` function all members share. The message pins
 //! therefore count only the schedules' own traffic.
 
+use hsumma_repro::core::testutil::reference_product;
 use hsumma_repro::core::{run_planned_gemm, Distribution, HsummaConfig, PlannedAlgo, SummaConfig};
 use hsumma_repro::matrix::sparse::{seeded_sparse, CsrMatrix};
 use hsumma_repro::matrix::{seeded_uniform, BlockDist, GemmKernel, GridShape, Matrix};
@@ -124,6 +129,78 @@ fn hsumma_inner_roots_cut_their_slices_when_the_outer_block_is_wider() {
     for plan in [PlannedAlgo::Hsumma(cfg), PlannedAlgo::HsummaPipelined(cfg)] {
         let run = gemm_comm_run(plan);
         assert_eq!(copies(&run), want, "{}", plan.describe());
+    }
+}
+
+/// One `plan` over an `(m, l, n)` the grid need not divide, with tiles
+/// dealt by `Distribution::grid2d`: the world's wire bytes, after the
+/// gathered product is checked against the serial one.
+fn uneven_run_bytes(grid: GridShape, (m, l, n): (usize, usize, usize), plan: PlannedAlgo) -> u64 {
+    let a = seeded_uniform(m, l, 3);
+    let b = seeded_uniform(l, n, 4);
+    let at = Arc::new(Distribution::grid2d(grid, m, l).scatter(&a));
+    let bt = Arc::new(Distribution::grid2d(grid, l, n).scatter(&b));
+    let mut pool = RankPool::new(grid.size()).expect("spawn rank pool");
+    let run = pool
+        .run(move |comm| {
+            let r = comm.rank();
+            run_planned_gemm(&*comm, grid, m, n, l, &at[r], &bt[r], &plan).expect("planned gemm")
+        })
+        .expect("pool job");
+    let got = Distribution::grid2d(grid, m, n).gather(&run.results);
+    let want = reference_product(&a, &b);
+    assert!(got.approx_eq(&want, 1e-9), "{} product", plan.describe());
+    ledger(&run).0
+}
+
+#[test]
+fn uneven_shapes_move_each_panel_to_every_other_rank_of_its_line() {
+    // Each element of A crosses its grid row to the t - 1 other ranks
+    // once and each element of B its grid column to the s - 1 others,
+    // whatever the tiles, the panel widths and the grouping: flat and
+    // binomial broadcasts (and the pipelines' flat pushes) send every
+    // member one copy, and the two levels of a hierarchy together reach
+    // the t - 1 others once. Both the 3×4 grid and the prime 1×5 one
+    // divide none of the extents, and B = 4 divides none of the tiles.
+    let groupings = |grid: GridShape| {
+        let mut gs = vec![GridShape::new(1, 1), grid];
+        if grid.rows == 3 {
+            gs.push(GridShape::new(3, 2));
+        }
+        gs
+    };
+    for (grid, (m, l, n)) in [
+        (GridShape::new(3, 4), (13, 17, 11)),
+        (GridShape::new(1, 5), (7, 23, 9)),
+    ] {
+        let (s, t) = (grid.rows, grid.cols);
+        let want = (8 * (m * l * (t - 1) + l * n * (s - 1))) as u64;
+        for bcast in [BcastAlgorithm::Binomial, BcastAlgorithm::Flat] {
+            let summa = SummaConfig {
+                block: 4,
+                bcast,
+                kernel: GemmKernel::Blocked,
+            };
+            let mut plans = vec![
+                PlannedAlgo::Summa(summa),
+                PlannedAlgo::SummaPipelined(summa),
+            ];
+            for groups in groupings(grid) {
+                let cfg = HsummaConfig {
+                    outer_block: 4,
+                    inner_block: 2,
+                    outer_bcast: bcast,
+                    inner_bcast: bcast,
+                    kernel: GemmKernel::Blocked,
+                    groups,
+                };
+                plans.extend([PlannedAlgo::Hsumma(cfg), PlannedAlgo::HsummaPipelined(cfg)]);
+            }
+            for plan in plans {
+                let got = uneven_run_bytes(grid, (m, l, n), plan);
+                assert_eq!(got, want, "{grid:?} {bcast:?} {}", plan.describe());
+            }
+        }
     }
 }
 
