@@ -206,12 +206,15 @@ mod tests {
             cols in 1usize..4,
             tile in 1usize..4,
             pick in 0usize..1024,
+            pad in 0usize..3,
         ) {
             // Non-square grids, non-square tiles, every valid grouping
             // reachable by `pick` — including shapes where a group owns
             // the pivot panel several steps in a row (bb < tile extent).
+            // A nonzero `pad` deals uneven tiles that bb need not divide,
+            // so outer steps differ in width and last slices run short.
             let grid = GridShape::new(rows, cols);
-            let n = rows * cols * tile * 2;
+            let n = rows * cols * tile * 2 + pad;
             let (th, tw) = (n / rows, n / cols);
             let bbs = divisors(gcd(th, tw));
             let bb = bbs[pick % bbs.len()];

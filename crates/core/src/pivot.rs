@@ -521,7 +521,6 @@ pub(crate) fn pipelined<C: Communicator>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distribution::Distribution;
     use crate::testutil::{distributed_product, reference_product};
     use hsumma_matrix::{seeded_uniform, BlockDist, Matrix};
     use hsumma_runtime::{Comm, Runtime};
@@ -538,22 +537,24 @@ mod tests {
         grid: GridShape,
         dims: MatMulDims,
         algo: impl Fn(&Comm, Matrix, Matrix) -> Matrix + Send + Sync,
-    ) -> Matrix {
+    ) {
         let a = seeded_uniform(dims.m, dims.l, 70);
         let b = seeded_uniform(dims.l, dims.n, 71);
         let want = reference_product(&a, &b);
-        let at = Distribution::grid2d(grid, dims.m, dims.l).scatter(&a);
-        let bt = Distribution::grid2d(grid, dims.l, dims.n).scatter(&b);
+        let a_dist = BlockDist::new(grid, dims.m, dims.l);
+        let b_dist = BlockDist::new(grid, dims.l, dims.n);
+        let c_dist = BlockDist::new(grid, dims.m, dims.n);
+        let at = a_dist.scatter(&a);
+        let bt = b_dist.scatter(&b);
         let ct = Runtime::run(grid.size(), |comm| {
             algo(comm, at[comm.rank()].clone(), bt[comm.rank()].clone())
         });
-        let got = Distribution::grid2d(grid, dims.m, dims.n).gather(&ct);
+        let got = c_dist.gather(&ct);
         assert!(
             got.approx_eq(&want, 1e-9),
             "grid {grid:?} dims {dims:?}: err {}",
             got.max_abs_diff(&want)
         );
-        got
     }
 
     #[test]
@@ -653,9 +654,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "B tile has wrong shape")]
     fn rect_rejects_inconsistent_shared_dimension() {
-        // Call the algorithm directly (the scatter helper would deal the
-        // right shapes). L = 6 over 4 grid rows deals B's rows 2, 2, 1,
-        // 1, so a 1-row B tile on grid rows 0 and 1 is refused.
+        // Call the algorithm directly (the scatter helper would reject the
+        // distribution first). L = 6 over 4 grid rows deals B's rows 2,
+        // 2, 1, 1, so a 1-row B tile on grid rows 0 and 1 is refused.
         let grid = GridShape::new(4, 2);
         let dims = MatMulDims { m: 8, l: 6, n: 8 };
         let cfg = SummaConfig {
@@ -667,37 +668,6 @@ mod tests {
             let b = Matrix::zeros(1, 4);
             run(comm, Spec::summa(grid, dims, &cfg), &a, &b)
         });
-    }
-
-    #[test]
-    fn uneven_steps_slice_their_last_panel_narrower() {
-        // M, L, N = 13, 17, 11 on a 3×4 grid: A's columns deal 5, 4, 4, 4
-        // and B's rows 6, 6, 5, so with B = 4 the steps are 4, 1, 3, 1, …
-        // wide and with b = 2 some slices are 1 wide. Both loops run the
-        // same slices in the same order.
-        let grid = GridShape::new(3, 4);
-        let dims = MatMulDims {
-            m: 13,
-            l: 17,
-            n: 11,
-        };
-        for (groups, bb, bs) in [((1, 1), 4, 4), ((3, 2), 4, 2), ((3, 4), 3, 1)] {
-            let cfg = HsummaConfig {
-                outer_block: bb,
-                inner_block: bs,
-                kernel: GemmKernel::Blocked,
-                ..HsummaConfig::uniform(GridShape::new(groups.0, groups.1), bb)
-            };
-            let spec = Spec::hsumma(grid, dims, &cfg);
-            let by_blocking = run_rect(grid, dims, |comm, a, b| run(comm, spec, &a, &b));
-            let by_pipeline = run_rect(grid, dims, |comm, a, b| {
-                pipelined(comm, &spec, &a, &b).unwrap()
-            });
-            assert_eq!(
-                by_blocking, by_pipeline,
-                "G = {groups:?}, B = {bb}, b = {bs}"
-            );
-        }
     }
 
     #[test]

@@ -289,8 +289,7 @@ mod tests {
 
     #[test]
     fn dispatches_cosma_with_redistribution() {
-        // Nothing divides anything: the cosma plan is the only one that
-        // can serve this shape on a 2 x 2 grid.
+        // Nothing divides anything on a 2 x 2 grid.
         check_gemm(
             PlannedAlgo::Cosma(CosmaConfig::for_problem(4, 7, 5, 9)),
             GridShape::new(2, 2),

@@ -23,10 +23,11 @@
 //! ([`PlannerStats`]) are part of the public API so tests and operators
 //! can *prove* the second same-shape job skipped the sweep.
 //!
-//! Shapes the grid cannot tile (extents not divisible by the grid rows
-//! and columns) bypass both the cache and the model: only the brick
-//! schedule ([`hsumma_core::cosma()`]) can serve them, so planning is one
-//! decomposition search per job.
+//! Shapes the grid does not tile evenly (extents not divisible by the
+//! grid rows and columns) bypass both the cache and the model and go to
+//! the brick schedule ([`hsumma_core::cosma()`]), so planning is one
+//! decomposition search per job. The grid plans run on those shapes
+//! too (a forced plan takes them), but are not priced there yet.
 
 use hsumma_core::tuning::{best_by_comm, power_of_two_gs, sweep_groups};
 use hsumma_core::{
@@ -222,8 +223,9 @@ impl Planner {
     /// no divisibility at all.
     pub fn plan_gemm(&mut self, m: usize, k: usize, n: usize) -> Planned {
         if !self.grid_divides(m, k, n) {
-            // Cosma is the only executable plan for this shape; no model
-            // consultation or caching, just the decomposition search.
+            // The grid plans would run here too, but the planner prices
+            // them only on divisible shapes: no model consultation or
+            // caching, just the decomposition search.
             return Planned {
                 plan: self.materialize(CachedChoice::Cosma, m, k, n),
                 cached: false,
@@ -246,9 +248,9 @@ impl Planner {
         }
     }
 
-    /// Whether the grid algorithms' tile preconditions hold: `A`'s
-    /// `m × k` and `B`'s `k × n` must block-checkerboard evenly (the
-    /// shared dimension is cut both ways — see `rect::check_rect`).
+    /// Whether `A`'s `m × k` and `B`'s `k × n` block-checkerboard evenly
+    /// (the shared dimension is cut both ways): the shapes the planner
+    /// prices the grid plans on.
     fn grid_divides(&self, m: usize, k: usize, n: usize) -> bool {
         m.is_multiple_of(self.grid.rows)
             && k.is_multiple_of(self.grid.cols)
