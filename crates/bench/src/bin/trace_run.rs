@@ -25,12 +25,12 @@ use hsumma_core::grid::HierGrid;
 use hsumma_core::lu::{block_lu, LuConfig};
 use hsumma_core::simdrive::{replay_on, simulate_on, Schedule};
 use hsumma_core::{
-    cosma, fox, hier_bcast, run_planned_gemm, summa_cyclic, tsqr, twodotfive, CosmaConfig,
-    HsummaConfig, MatMulDims, PhantomMat, PlannedAlgo, SummaConfig, TwoDotFiveConfig,
+    cosma, fox, hier_bcast, run_planned_gemm, summa_cyclic, tile_of, tsqr, twodotfive, CosmaConfig,
+    Distribution, HsummaConfig, MatMulDims, PhantomMat, PlannedAlgo, SummaConfig, TwoDotFiveConfig,
 };
 use hsumma_matrix::factor::seeded_diag_dominant;
 use hsumma_matrix::sparse::{seeded_sparse, CsrMatrix};
-use hsumma_matrix::{seeded_uniform, BlockCyclicDist, BlockDist, GemmKernel, GridShape, Matrix};
+use hsumma_matrix::{seeded_uniform, BlockCyclicDist, GemmKernel, GridShape, Matrix};
 use hsumma_netsim::spmd::SimWorld;
 use hsumma_netsim::{record, Platform, SimBcast, SimNet};
 use hsumma_runtime::{BcastAlgorithm, Runtime};
@@ -244,13 +244,13 @@ fn run_real(cfg: &Config) -> Result<Trace, String> {
     let tracer = Tracer::new(cfg.ranks);
     let a = seeded_uniform(n, n, 100);
     let b = seeded_uniform(n, n, 200);
-    let dist = BlockDist::new(grid, n, n);
+    let dist = Distribution::grid2d(grid, n, n);
     let at = dist.scatter(&a);
     let bt = dist.scatter(&b);
     if let Some((dims, plan)) = planned_gemm(cfg) {
         let MatMulDims { m, l, n } = dims;
-        let at = BlockDist::new(grid, m, l).scatter(&seeded_uniform(m, l, 100));
-        let bt = BlockDist::new(grid, l, n).scatter(&seeded_uniform(l, n, 200));
+        let at = Distribution::grid2d(grid, m, l).scatter(&seeded_uniform(m, l, 100));
+        let bt = Distribution::grid2d(grid, l, n).scatter(&seeded_uniform(l, n, 200));
         Runtime::run_traced(grid.size(), &tracer, |comm| {
             let (at, bt) = (at[comm.rank()].clone(), bt[comm.rank()].clone());
             run_planned_gemm(comm, grid, m, n, l, &at, &bt, &plan).unwrap()
@@ -271,7 +271,7 @@ fn run_real(cfg: &Config) -> Result<Trace, String> {
                 kernel: GemmKernel::Packed,
                 groups: cfg.groups,
             };
-            let lt = BlockDist::new(grid, n, n).scatter(&seeded_diag_dominant(n, 42));
+            let lt = dist.scatter(&seeded_diag_dominant(n, 42));
             Runtime::run_traced(grid.size(), &tracer, |comm| {
                 block_lu(comm, grid, n, &lt[comm.rank()].clone(), &lcfg).unwrap()
             });
@@ -347,7 +347,7 @@ fn run_real(cfg: &Config) -> Result<Trace, String> {
             let scfg = sparse_cfg(cfg);
             let s = seeded_sparse(n, n, SPARSE_DENSITY, 300);
             let st: Vec<Arc<CsrMatrix>> = scatter_csr(grid, &s).into_iter().map(Arc::new).collect();
-            // The dense factors reuse the block-scattered A and B tiles.
+            // The dense factors reuse the dealt A and B tiles.
             Runtime::run_traced(grid.size(), &tracer, |comm| {
                 let r = comm.rank();
                 sddmm_2d(comm, grid, n, &st[r], &at[r], &bt[r], &scfg).unwrap();
@@ -540,10 +540,10 @@ fn run_sim(cfg: &Config) -> Result<Trace, String> {
                 .iter()
                 .map(PhantomSparse::from_csr)
                 .collect();
-            let (th, tw) = (n / grid.rows, n / grid.cols);
             SimWorld::run(net, gamma, false, move |comm| {
                 let r = comm.rank();
-                let tile = PhantomMat { rows: th, cols: tw };
+                let (rows, cols) = tile_of(grid, r, n, n);
+                let tile = PhantomMat { rows, cols };
                 sddmm_2d(comm, grid, n, &st[r], &tile, &tile, &scfg).unwrap();
             });
         }

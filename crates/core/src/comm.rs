@@ -53,8 +53,6 @@ pub trait MatLike: Clone + Send + 'static {
     }
     /// A freshly allocated copy of the `h × w` block at `(r0, c0)`.
     fn block(&self, r0: usize, c0: usize, h: usize, w: usize) -> Self;
-    /// Copies the block at `(r0, c0)` with `dst`'s shape into `dst`.
-    fn block_into(&self, r0: usize, c0: usize, dst: &mut Self);
     /// Overwrites the block at `(r0, c0)` with `src`.
     fn set_block(&mut self, r0: usize, c0: usize, src: &Self);
     /// Element-wise `self += other`; shapes must agree.
@@ -89,9 +87,6 @@ impl MatLike for Matrix {
     }
     fn block(&self, r0: usize, c0: usize, h: usize, w: usize) -> Self {
         Matrix::block(self, r0, c0, h, w)
-    }
-    fn block_into(&self, r0: usize, c0: usize, dst: &mut Self) {
-        Matrix::block_into(self, r0, c0, dst)
     }
     fn set_block(&mut self, r0: usize, c0: usize, src: &Self) {
         Matrix::set_block(self, r0, c0, src)
@@ -158,12 +153,6 @@ impl MatLike for PhantomMat {
             "block out of bounds"
         );
         PhantomMat { rows: h, cols: w }
-    }
-    fn block_into(&self, r0: usize, c0: usize, dst: &mut Self) {
-        assert!(
-            r0 + dst.rows <= self.rows && c0 + dst.cols <= self.cols,
-            "block out of bounds"
-        );
     }
     fn set_block(&mut self, r0: usize, c0: usize, src: &Self) {
         assert!(

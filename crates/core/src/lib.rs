@@ -73,7 +73,7 @@ pub use hsumma::{hsumma, HsummaConfig};
 pub use lu::{block_lu, LuConfig};
 pub use multilevel::hier_bcast;
 pub use overlap::{hsumma_overlap, summa_overlap};
-pub use partition::{ceil_div, chunk_range, pivot_steps, MatMulDims, Panel};
+pub use partition::{ceil_div, chunk_range, pivot_steps, tile_of, MatMulDims, Panel};
 pub use plan::{run_planned_gemm, run_planned_gemm_cow, PlannedAlgo};
 pub use simdrive::{
     record_cosma, record_hsumma, replay_on, sim_hsumma_engine, sim_summa_engine, simulate,

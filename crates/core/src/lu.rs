@@ -23,20 +23,20 @@
 //!
 //! [`block_lu`] is generic over the [`Communicator`] substrate;
 //! [`crate::Schedule::Lu`] runs the *same* function over simulated clocks with
-//! phantom payloads (local kernels charged analytically: `bs³/3` pairs
-//! for the diagonal factor, `m·bs²/2` per triangular solve, `r·c·bs` per
-//! trailing update).
+//! phantom payloads (local kernels charged analytically, for a step of
+//! width `w`: `w³/3` pairs for the diagonal factor, `m·w²/2` per
+//! triangular solve, `r·c·w` per trailing update).
 
 use crate::comm::{Communicator, MatLike};
 use crate::grid::{grid_lines, HierGrid};
-use crate::partition::pivot_steps;
-use hsumma_matrix::{BlockDist, GemmKernel, GridShape};
+use crate::partition::{pivot_steps, tile_of};
+use hsumma_matrix::{GemmKernel, GridShape};
 use hsumma_runtime::{BcastAlgorithm, CommError};
 
 /// Parameters of a distributed LU run.
 #[derive(Clone, Copy, Debug)]
 pub struct LuConfig {
-    /// Panel width; must divide both local tile extents.
+    /// Panel width: the widest diagonal block a step factors.
     pub block: usize,
     /// Broadcast algorithm for panels (and hierarchy phases).
     pub bcast: BcastAlgorithm,
@@ -58,13 +58,14 @@ impl Default for LuConfig {
     }
 }
 
-/// The row extent of rank `gi`'s share of the L panel at step `k` (rows
-/// strictly below the pivot block), and its local row offset.
-fn below_rows(gi: usize, ri: usize, ro: usize, bs: usize, th: usize) -> (usize, usize) {
+/// The row extent of rank `gi`'s share of the L panel at a step of
+/// width `w` whose pivot block sits at offset `ro` of grid row `ri`'s
+/// tile (rows strictly below the pivot block), and its local row offset.
+fn below_rows(gi: usize, ri: usize, ro: usize, w: usize, th: usize) -> (usize, usize) {
     use std::cmp::Ordering::*;
     match gi.cmp(&ri) {
         Greater => (0, th),
-        Equal => (ro + bs, th - ro - bs),
+        Equal => (ro + w, th - ro - w),
         Less => (0, 0),
     }
 }
@@ -74,7 +75,10 @@ fn below_rows(gi: usize, ri: usize, ro: usize, bs: usize, th: usize) -> (usize, 
 /// part of the packed `L\U` (unit lower below the diagonal, upper on and
 /// above it).
 ///
-/// SPMD over `comm`; `a` is this rank's block-checkerboard tile.
+/// SPMD over `comm`; `a` is this rank's [`tile_of`] share of the `n × n`
+/// matrix. The panels are [`pivot_steps`]'s: each step factors a
+/// diagonal block as wide as its panel, so neither the grid nor the
+/// block need divide `n`.
 ///
 /// # Panics
 /// Panics on inconsistent configuration or a zero pivot (unpivoted LU).
@@ -86,13 +90,8 @@ pub fn block_lu<C: Communicator>(
     cfg: &LuConfig,
 ) -> Result<C::Mat, CommError> {
     assert_eq!(comm.size(), grid.size(), "communicator must span the grid");
-    let (th, tw) = BlockDist::new(grid, n, n).tile_shape();
+    let (th, tw) = tile_of(grid, comm.rank(), n, n);
     assert_eq!((a.rows(), a.cols()), (th, tw), "tile has wrong shape");
-    let bs = cfg.block;
-    assert!(
-        bs > 0 && th % bs == 0 && tw % bs == 0,
-        "block must divide tile extents"
-    );
 
     let (gi, gj) = grid.coords(comm.rank());
     // Flat row/column communicators for the diagonal factor.
@@ -121,18 +120,19 @@ pub fn block_lu<C: Communicator>(
     };
 
     let mut t = a.clone();
-    for (k, (col, row)) in pivot_steps(n, grid, bs).into_iter().enumerate() {
-        comm.trace_step(k, bs, bs, || -> Result<(), CommError> {
+    for (k, (col, row)) in pivot_steps(n, grid, cfg.block).into_iter().enumerate() {
+        let w = col.width;
+        comm.trace_step(k, w, w, || -> Result<(), CommError> {
             let (ri, ro, cj, co) = (row.owner, row.offset, col.owner, col.offset);
 
             // --- 1. diagonal factor + broadcast ------------------------------
             let mut diag = if gi == ri && gj == cj {
-                let mut d = t.block(ro, co, bs, bs);
-                comm.compute((bs * bs * bs) as f64 / 3.0, 0, || d.lu_nopiv_inplace());
+                let mut d = t.block(ro, co, w, w);
+                comm.compute((w * w * w) as f64 / 3.0, 0, || d.lu_nopiv_inplace());
                 t.set_block(ro, co, &d);
                 d
             } else {
-                C::Mat::zeros(bs, bs)
+                C::Mat::zeros(w, w)
             };
             // Down the pivot column (for the L slabs' trsm)...
             if gj == cj {
@@ -144,44 +144,36 @@ pub fn block_lu<C: Communicator>(
             }
 
             // --- 2. panel solves ----------------------------------------------
-            let (rlo, rcount) = below_rows(gi, ri, ro, bs, th);
+            let (rlo, rcount) = below_rows(gi, ri, ro, w, th);
             if gj == cj && rcount > 0 {
-                let mut slab = t.block(rlo, co, rcount, bs);
-                comm.compute((rcount * bs * bs) as f64 / 2.0, 0, || {
+                let mut slab = t.block(rlo, co, rcount, w);
+                comm.compute((rcount * w * w) as f64 / 2.0, 0, || {
                     C::Mat::trsm_right_upper(&diag, &mut slab)
                 });
                 t.set_block(rlo, co, &slab);
             }
-            let (clo, ccount) = below_rows(gj, cj, co, bs, tw);
+            let (clo, ccount) = below_rows(gj, cj, co, w, tw);
             if gi == ri && ccount > 0 {
-                let mut slab = t.block(ro, clo, bs, ccount);
-                comm.compute((ccount * bs * bs) as f64 / 2.0, 0, || {
+                let mut slab = t.block(ro, clo, w, ccount);
+                comm.compute((ccount * w * w) as f64 / 2.0, 0, || {
                     C::Mat::trsm_left_lower_unit(&diag, &mut slab)
                 });
                 t.set_block(ro, clo, &slab);
             }
 
             // --- 3. panel broadcasts -------------------------------------------
-            let mut l_panel = if rcount > 0 {
-                if gj == cj {
-                    t.block(rlo, co, rcount, bs)
-                } else {
-                    C::Mat::zeros(rcount, bs)
-                }
+            let mut l_panel = if gj == cj {
+                t.block(rlo, co, rcount, w)
             } else {
-                C::Mat::zeros(0, bs)
+                C::Mat::zeros(rcount, w)
             };
             if rcount > 0 {
                 bcast_l(&mut l_panel, cj)?;
             }
-            let mut u_panel = if ccount > 0 {
-                if gi == ri {
-                    t.block(ro, clo, bs, ccount)
-                } else {
-                    C::Mat::zeros(bs, ccount)
-                }
+            let mut u_panel = if gi == ri {
+                t.block(ro, clo, w, ccount)
             } else {
-                C::Mat::zeros(bs, 0)
+                C::Mat::zeros(w, ccount)
             };
             if ccount > 0 {
                 bcast_u(&mut u_panel, ri)?;
@@ -190,7 +182,7 @@ pub fn block_lu<C: Communicator>(
             // --- 4. trailing update --------------------------------------------
             if rcount > 0 && ccount > 0 {
                 let mut trailing = t.block(rlo, clo, rcount, ccount);
-                let pairs = rcount * ccount * bs;
+                let pairs = rcount * ccount * w;
                 comm.compute(pairs as f64, 2 * pairs as u64, || {
                     C::Mat::gemm_scaled(cfg.kernel, -1.0, &l_panel, &u_panel, &mut trailing)
                 });
@@ -206,6 +198,7 @@ pub fn block_lu<C: Communicator>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distribution::Distribution;
     use crate::simdrive::{simulate, threads_on, Schedule};
     use hsumma_matrix::factor::{seeded_diag_dominant, unpack_lower_unit, unpack_upper};
     use hsumma_matrix::{gemm, BlockDist, Matrix};
@@ -215,7 +208,7 @@ mod tests {
     /// Scatter → distributed LU → gather → reconstruct L·U and compare.
     fn run_lu_case(grid: GridShape, n: usize, cfg: LuConfig) {
         let a = seeded_diag_dominant(n, 42);
-        let dist = BlockDist::new(grid, n, n);
+        let dist = Distribution::grid2d(grid, n, n);
         let tiles = dist.scatter(&a);
         let out = Runtime::run(grid.size(), |comm| {
             block_lu(comm, grid, n, &tiles[comm.rank()].clone(), &cfg).unwrap()
@@ -254,6 +247,16 @@ mod tests {
                 ..Default::default()
             },
         );
+        // An extent smaller than the grid side: ranks past it hold
+        // empty tiles and own no panel.
+        run_lu_case(
+            GridShape::new(4, 4),
+            3,
+            LuConfig {
+                block: 2,
+                ..Default::default()
+            },
+        );
     }
 
     #[test]
@@ -274,6 +277,23 @@ mod tests {
                 ..Default::default()
             },
         );
+        // Nothing divides: 50 deals 25/25 over the rows and 17/17/16
+        // over the columns, and blocks of 4 end short of every tile.
+        // Prime p runs as 1 × p.
+        for (grid, n, groups) in [
+            (GridShape::new(2, 3), 50, GridShape::new(1, 3)),
+            (GridShape::new(1, 5), 12, GridShape::new(1, 1)),
+        ] {
+            run_lu_case(
+                grid,
+                n,
+                LuConfig {
+                    block: 4,
+                    groups,
+                    ..Default::default()
+                },
+            );
+        }
     }
 
     #[test]
@@ -356,15 +376,21 @@ mod tests {
         // The recorded schedule must price exactly as `block_lu` itself
         // on rank threads, flat and grouped, under both sync modes.
         let plat = Platform::bluegene_p();
-        let grid = GridShape::new(8, 8);
-        for groups in [GridShape::new(1, 1), GridShape::new(2, 4)] {
-            let sched = Schedule::lu(grid, 128, 8, SimBcast::Binomial, groups);
+        let g = GridShape::new;
+        for (grid, n, groups) in [
+            (g(8, 8), 128, g(1, 1)),
+            (g(8, 8), 128, g(2, 4)),
+            (g(2, 3), 50, g(1, 3)),
+            (g(1, 5), 12, g(1, 1)),
+            (g(4, 4), 3, g(2, 2)),
+        ] {
+            let sched = Schedule::lu(grid, n, 8, SimBcast::Binomial, groups);
             for step_sync in [false, true] {
                 let mut net = SimNet::new(grid.size(), plat.net);
                 assert_eq!(
                     simulate(&sched, &plat, step_sync),
                     threads_on(&mut net, plat.gamma, &sched, step_sync),
-                    "groups {groups:?}, step_sync {step_sync}"
+                    "{grid:?}, n {n}, groups {groups:?}, step_sync {step_sync}"
                 );
             }
         }

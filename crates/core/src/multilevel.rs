@@ -17,9 +17,9 @@
 
 use crate::comm::{Communicator, PhantomMat};
 use crate::grid::grid_lines;
-use crate::partition::pivot_steps;
+use crate::partition::{pivot_steps, tile_of};
 use crate::simdrive::replay_on;
-use hsumma_matrix::{BlockDist, GridShape};
+use hsumma_matrix::GridShape;
 use hsumma_netsim::{record, Platform, SimBcast, SimNet, SimReport};
 use hsumma_runtime::{BcastAlgorithm, CommError};
 
@@ -79,7 +79,8 @@ pub fn hier_bcast<C: Communicator>(
 /// [`crate::simdrive::simulate`]).
 ///
 /// `levels` applies to both row and column broadcasts, so the grid side
-/// must equal the product of `levels`.
+/// must equal the product of `levels`. The tiles and panels are
+/// [`pivot_steps`]'s, so neither the grid nor `b` need divide `n`.
 pub fn sim_summa_hier(
     platform: &Platform,
     grid: GridShape,
@@ -98,12 +99,6 @@ pub fn sim_summa_hier(
         grid.cols,
         "levels must multiply to the grid side"
     );
-    let (th, tw) = BlockDist::new(grid, n, n).tile_shape();
-    assert!(
-        b > 0 && tw % b == 0 && th % b == 0,
-        "block must divide tile extents"
-    );
-
     let prog = record(grid.size(), step_sync, |comm| {
         summa_hier(comm, grid, n, b, algo, levels)
     });
@@ -116,7 +111,8 @@ pub fn sim_summa_hier(
 
 /// One rank of [`sim_summa_hier`]'s schedule over phantom tiles: per
 /// pivot step, the `A` panel along the grid row and the `B` panel along
-/// the grid column, each by [`hier_bcast`], then the local update.
+/// the grid column, each by [`hier_bcast`] at the step's width, then the
+/// local update.
 fn summa_hier<C: Communicator<Mat = PhantomMat>>(
     comm: &C,
     grid: GridShape,
@@ -125,14 +121,15 @@ fn summa_hier<C: Communicator<Mat = PhantomMat>>(
     algo: SimBcast,
     levels: &[usize],
 ) -> Result<(), CommError> {
-    let (th, tw) = BlockDist::new(grid, n, n).tile_shape();
+    let (th, tw) = tile_of(grid, comm.rank(), n, n);
     let (row_comm, col_comm) = grid_lines(comm, grid);
-    let pairs = th * tw * b;
-    let mut a_panel = PhantomMat { rows: th, cols: b };
-    let mut b_panel = PhantomMat { rows: b, cols: tw };
     for (col, row) in pivot_steps(n, grid, b) {
+        let w = col.width;
+        let mut a_panel = PhantomMat { rows: th, cols: w };
+        let mut b_panel = PhantomMat { rows: w, cols: tw };
         hier_bcast(&row_comm, algo, col.owner, &mut a_panel, levels)?;
         hier_bcast(&col_comm, algo, row.owner, &mut b_panel, levels)?;
+        let pairs = th * tw * w;
         comm.compute(pairs as f64, 2 * pairs as u64, || ());
         comm.maybe_step_sync()?;
     }
@@ -199,10 +196,18 @@ mod tests {
         // rank threads, at every depth and under both sync modes. Flat
         // broadcasts leave the free run unaligned, so a recording that
         // dropped the sync would show.
+        // The last two cases deal uneven tiles: 50 over 6 lines in
+        // blocks of 4, and 5 over 8 lines, which leaves three empty.
         let plat = Platform::bluegene_p();
-        let grid = GridShape::new(8, 8);
-        let (n, b, algo) = (128, 16, SimBcast::Flat);
-        for levels in [&[8][..], &[2, 4], &[2, 2, 2]] {
+        let algo = SimBcast::Flat;
+        let g = GridShape::new;
+        for (grid, n, b, levels) in [
+            (g(8, 8), 128, 16, &[8][..]),
+            (g(8, 8), 128, 16, &[2, 4]),
+            (g(8, 8), 128, 16, &[2, 2, 2]),
+            (g(6, 6), 50, 4, &[2, 3]),
+            (g(8, 8), 5, 2, &[2, 4]),
+        ] {
             for step_sync in [false, true] {
                 let replayed = sim_summa_hier(&plat, grid, n, b, algo, levels, step_sync);
                 let net = SimNet::new(grid.size(), plat.net);
@@ -212,7 +217,7 @@ mod tests {
                 assert_eq!(
                     replayed,
                     net.report(),
-                    "levels {levels:?}, step_sync {step_sync}"
+                    "{grid:?}, n {n}, levels {levels:?}, step_sync {step_sync}"
                 );
             }
         }

@@ -51,6 +51,16 @@ pub fn ceil_div(a: usize, b: usize) -> usize {
     a.div_ceil(b)
 }
 
+/// The shape of `rank`'s tile of a `rows × cols` operand dealt over
+/// `grid`: its [`crate::distribution::Distribution::grid2d`] range, one
+/// [`chunk_range`] share per dimension.
+pub fn tile_of(grid: GridShape, rank: usize, rows: usize, cols: usize) -> (usize, usize) {
+    let (gi, gj) = grid.coords(rank);
+    let (r0, r1) = chunk_range(rows, grid.rows, gi);
+    let (c0, c1) = chunk_range(cols, grid.cols, gj);
+    (r1 - r0, c1 - c0)
+}
+
 /// One pivot panel along a dealt extent.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Panel {

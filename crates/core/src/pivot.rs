@@ -26,12 +26,13 @@
 //!   panel. Both accumulate in the same order, so their products are
 //!   bit-identical.
 //!
+//! [`chunk_range`]: crate::partition::chunk_range
 //! [`cyclic_steps`]: crate::partition::cyclic_steps
 
 use crate::comm::{Communicator, MatLike, PanelBcast};
 use crate::grid::HierGrid;
 use crate::hsumma::HsummaConfig;
-use crate::partition::{chunk_range, pivot_steps, MatMulDims, Panel};
+use crate::partition::{pivot_steps, tile_of, MatMulDims, Panel};
 use crate::summa::SummaConfig;
 use hsumma_matrix::{GemmKernel, GridShape};
 use hsumma_runtime::{BcastAlgorithm, CommError};
@@ -154,7 +155,7 @@ impl<C: Communicator> Geometry<C> {
     /// # Panics
     /// Panics with [`Spec::validate`]'s message, or if the communicator
     /// or a tile does not match the spec: this rank's tiles must be its
-    /// [`chunk_range`] shares of `A (M×L)` and `B (L×N)`.
+    /// [`tile_of`] shares of `A (M×L)` and `B (L×N)`.
     fn new(comm: &C, spec: &Spec, a: &C::Mat, b: &C::Mat) -> Self {
         spec.validate().unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(
@@ -162,15 +163,11 @@ impl<C: Communicator> Geometry<C> {
             spec.grid.size(),
             "communicator must span the whole grid"
         );
-        let (gi, gj) = spec.grid.coords(comm.rank());
+        let (rank, grid) = (comm.rank(), spec.grid);
+        let (gi, gj) = grid.coords(rank);
         let MatMulDims { m, l, n } = spec.dims;
-        let share = |extent: usize, parts: usize, line: usize| {
-            let (start, end) = chunk_range(extent, parts, line);
-            end - start
-        };
-        let (s, t) = (spec.grid.rows, spec.grid.cols);
-        let a_tile = (share(m, s, gi), share(l, t, gj));
-        let b_tile = (share(l, s, gi), share(n, t, gj));
+        let a_tile = tile_of(grid, rank, m, l);
+        let b_tile = tile_of(grid, rank, l, n);
         assert_eq!((a.rows(), a.cols()), a_tile, "A tile has wrong shape");
         assert_eq!((b.rows(), b.cols()), b_tile, "B tile has wrong shape");
 

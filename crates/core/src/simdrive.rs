@@ -23,7 +23,7 @@ use crate::cyclic::summa_cyclic;
 use crate::fox::fox_with;
 use crate::hsumma::HsummaConfig;
 use crate::lu::{block_lu, LuConfig};
-use crate::partition::{chunk_range, MatMulDims};
+use crate::partition::{tile_of, MatMulDims};
 use crate::plan::{run_planned_gemm, PlannedAlgo};
 use crate::summa::SummaConfig;
 use crate::twodotfive::{twodotfive, TwoDotFiveConfig};
@@ -211,17 +211,15 @@ impl Schedule {
         C: Communicator<Mat = PhantomMat>,
     {
         let square = |rows: usize, parts: usize| PhantomMat::zeros(rows / parts, rows / parts);
+        // This rank's `Distribution::grid2d` tile, which is the uniform
+        // tile whenever the grid divides the extents.
+        let dealt = |grid: GridShape, rows: usize, cols: usize| {
+            let (h, w) = tile_of(grid, comm.rank(), rows, cols);
+            PhantomMat::zeros(h, w)
+        };
         match self {
             Schedule::Gemm { grid, dims, plan } => {
-                // `Distribution::grid2d`'s dealing, which is the uniform
-                // tile whenever the grid divides the extent.
-                let (gi, gj) = grid.coords(comm.rank());
-                let tile = |rows: usize, cols: usize| {
-                    let (r0, r1) = chunk_range(rows, grid.rows, gi);
-                    let (c0, c1) = chunk_range(cols, grid.cols, gj);
-                    PhantomMat::zeros(r1 - r0, c1 - c0)
-                };
-                let (a, b) = (tile(dims.m, dims.l), tile(dims.l, dims.n));
+                let (a, b) = (dealt(*grid, dims.m, dims.l), dealt(*grid, dims.l, dims.n));
                 run_planned_gemm(comm, *grid, dims.m, dims.n, dims.l, &a, &b, plan)?;
             }
             Schedule::Cyclic { grid, n, cfg } => {
@@ -256,8 +254,7 @@ impl Schedule {
                 cosma(comm, m, n, k, &a, &b, cfg)?;
             }
             Schedule::Lu { grid, n, cfg } => {
-                let tile = PhantomMat::zeros(n / grid.rows, n / grid.cols);
-                block_lu(comm, *grid, *n, &tile, cfg)?;
+                block_lu(comm, *grid, *n, &dealt(*grid, *n, *n), cfg)?;
             }
         }
         Ok(())

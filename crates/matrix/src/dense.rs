@@ -159,24 +159,6 @@ impl Matrix {
         }
     }
 
-    /// Copies the block with top-left corner `(r0, c0)` and the shape of
-    /// `dst` into `dst` — the allocation-free counterpart of
-    /// [`Self::block`], for panel scratch that is reused across steps.
-    ///
-    /// # Panics
-    /// Panics if the block exceeds the matrix bounds.
-    pub fn block_into(&self, r0: usize, c0: usize, dst: &mut Matrix) {
-        assert!(
-            r0 + dst.rows <= self.rows && c0 + dst.cols <= self.cols,
-            "block out of bounds"
-        );
-        for i in 0..dst.rows {
-            let src = (r0 + i) * self.cols + c0;
-            let d = i * dst.cols;
-            dst.data[d..d + dst.cols].copy_from_slice(&self.data[src..src + dst.cols]);
-        }
-    }
-
     /// Overwrites the block with top-left corner `(r0, c0)` with `src`.
     ///
     /// # Panics
@@ -310,25 +292,6 @@ mod tests {
         let m = Matrix::from_fn(4, 4, |i, j| (i * 4 + j) as f64);
         let b = m.block(1, 2, 2, 2);
         assert_eq!(b.as_slice(), &[6.0, 7.0, 10.0, 11.0]);
-    }
-
-    #[test]
-    fn block_into_matches_block_and_overwrites_scratch() {
-        let m = Matrix::from_fn(5, 7, |i, j| (i * 7 + j) as f64);
-        let mut scratch = Matrix::from_fn(2, 3, |_, _| -1.0);
-        m.block_into(1, 2, &mut scratch);
-        assert_eq!(scratch, m.block(1, 2, 2, 3));
-        // Reuse: a second extraction fully replaces the first.
-        m.block_into(3, 4, &mut scratch);
-        assert_eq!(scratch, m.block(3, 4, 2, 3));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn block_into_out_of_bounds_panics() {
-        let m = Matrix::zeros(3, 3);
-        let mut scratch = Matrix::zeros(2, 2);
-        m.block_into(2, 2, &mut scratch);
     }
 
     #[test]

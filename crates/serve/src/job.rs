@@ -44,12 +44,11 @@ pub enum Workload {
 
 /// What the client wants multiplied, before operands are attached.
 ///
-/// The dimensions describe `C[m × n] = A[m × k] · B[k × n]`. Dense GEMM
-/// jobs accept any positive extents: the planner picks the rectangular
-/// grid forms (`hsumma-core::rect`) when the grid tiles the shape and
-/// the COSMA brick schedule (which needs no divisibility) otherwise.
-/// The sparse workloads still require square grid-divisible operands
-/// and reject others at submission with a reason.
+/// The dimensions describe `C[m × n] = A[m × k] · B[k × n]`. Every
+/// workload accepts any positive extents, dealt over the grid by
+/// `chunk_range`; the planner scores the grid plans and the COSMA brick
+/// schedule on every shape. The sparse workloads must be square and
+/// reject others at submission with a reason.
 #[derive(Clone, Debug)]
 pub struct JobSpec {
     /// Columns of `C` (and of `B`).

@@ -23,11 +23,10 @@
 //! ([`PlannerStats`]) are part of the public API so tests and operators
 //! can *prove* the second same-shape job skipped the sweep.
 //!
-//! Shapes the grid does not tile evenly (extents not divisible by the
-//! grid rows and columns) bypass both the cache and the model and go to
-//! the brick schedule ([`hsumma_core::cosma()`]), so planning is one
-//! decomposition search per job. The grid plans run on those shapes
-//! too (a forced plan takes them), but are not priced there yet.
+//! Every shape takes this path, whether the grid divides its extents or
+//! not: the grid plans deal uneven tiles by `chunk_range`, and the
+//! brick schedule ([`hsumma_core::cosma()`]) needs no divisibility
+//! either. Only Cannon needs its grid side to divide `n`.
 
 use hsumma_core::tuning::{best_by_comm, power_of_two_gs, sweep_groups};
 use hsumma_core::{
@@ -130,9 +129,9 @@ pub struct PlannerStats {
 
 /// What the cache remembers per shape class: the *decision* — which
 /// algorithm and, for HSUMMA, which grouping. The panel width is NOT
-/// cached: two sizes of the same class (say 24 and 32) need different
-/// blocks to satisfy the tile-divisibility preconditions, so the block
-/// is re-derived per job — a divisor search, not a simulator sweep.
+/// cached: two sizes of the same class (say 24 and 32) prefer different
+/// blocks, so the block is re-derived per job — a divisor search, not a
+/// simulator sweep.
 #[derive(Clone, Copy, Debug)]
 enum CachedChoice {
     Summa {
@@ -218,19 +217,8 @@ impl Planner {
     }
 
     /// Plans a general `C(m×n) = A(m×k)·B(k×n)` multiply, consulting the
-    /// cache first. Any positive extents are accepted: shapes the grid
-    /// does not divide route straight to the brick schedule, which needs
-    /// no divisibility at all.
+    /// cache first. Any positive extents are accepted.
     pub fn plan_gemm(&mut self, m: usize, k: usize, n: usize) -> Planned {
-        if !self.grid_divides(m, k, n) {
-            // The grid plans would run here too, but the planner prices
-            // them only on divisible shapes: no model consultation or
-            // caching, just the decomposition search.
-            return Planned {
-                plan: self.materialize(CachedChoice::Cosma, m, k, n),
-                cached: false,
-            };
-        }
         let key = ShapeClass::of_gemm(self.grid.size(), m, k, n);
         if let Some(&choice) = self.cache.get(&key) {
             self.stats.hits += 1;
@@ -248,26 +236,23 @@ impl Planner {
         }
     }
 
-    /// Whether `A`'s `m × k` and `B`'s `k × n` block-checkerboard evenly
-    /// (the shared dimension is cut both ways): the shapes the planner
-    /// prices the grid plans on.
-    fn grid_divides(&self, m: usize, k: usize, n: usize) -> bool {
-        m.is_multiple_of(self.grid.rows)
-            && k.is_multiple_of(self.grid.cols)
-            && k.is_multiple_of(self.grid.rows)
-            && n.is_multiple_of(self.grid.cols)
+    /// Whether Cannon runs `m × k · k × n` on this grid: square operands
+    /// that a square grid's side divides.
+    fn cannon_runs(&self, m: usize, k: usize, n: usize) -> bool {
+        let q = self.grid.rows;
+        m == n && k == n && self.grid.cols == q && n.is_multiple_of(q)
     }
 
     /// The expensive half: model comparison plus (for HSUMMA) the
-    /// simulator sweep. Runs once per shape class; only called for
-    /// shapes the grid divides.
+    /// simulator sweep. Runs once per shape class.
     fn compute_choice(&mut self, m: usize, k: usize, n: usize) -> CachedChoice {
         let p = self.grid.size();
         let square = m == n && k == n;
-        // The shared-dimension tile extents: every grid algorithm's
-        // panel width must divide these (for square shapes they equal
-        // the n-tile extents, matching the historical behavior).
+        // The panel width of the shared dimension's tiles (for square
+        // shapes they equal the n-tile extents). The model prices no
+        // panel wider than an extent.
         let block = preferred_block(k / self.grid.rows, k / self.grid.cols);
+        let priced = block.min(m).min(n).min(k);
         let params = ModelParams {
             alpha: self.config.platform.net.alpha,
             beta: self.config.platform.net.beta,
@@ -280,7 +265,7 @@ impl Planner {
             n as f64,
             k as f64,
             p as f64,
-            block as f64,
+            priced as f64,
         );
         // Path decision: does the modeled overlap win justify the
         // pipelined schedule for this shape class? The double-buffered
@@ -289,9 +274,7 @@ impl Planner {
         let pipelined = square && advice.overlap_win_fraction() > PIPELINE_MIN_WIN;
         match advice.choice {
             AlgoChoice::Cosma { .. } => CachedChoice::Cosma,
-            AlgoChoice::Cannon if square && self.grid.rows == self.grid.cols => {
-                CachedChoice::Cannon
-            }
+            AlgoChoice::Cannon if self.cannon_runs(m, k, n) => CachedChoice::Cannon,
             AlgoChoice::Summa | AlgoChoice::Cannon => CachedChoice::Summa { pipelined },
             AlgoChoice::Hsumma { g } => {
                 // The simulator sweep prices the square schedule only;
@@ -312,10 +295,18 @@ impl Planner {
     }
 
     /// The cheap half: turn a cached decision into an executable plan for
-    /// this exact `(m, k, n)` — the panel width must divide this job's
-    /// tiles, and the brick decomposition fits this job's cube.
+    /// this exact `(m, k, n)` — the panel width fits this job's tiles,
+    /// and the brick decomposition this job's cube. A class's Cannon
+    /// verdict serves only the shapes Cannon runs; the rest of the class
+    /// takes blocking SUMMA.
     fn materialize(&mut self, choice: CachedChoice, m: usize, k: usize, n: usize) -> PlannedAlgo {
         let block = preferred_block(k / self.grid.rows, k / self.grid.cols);
+        let choice = match choice {
+            CachedChoice::Cannon if !self.cannon_runs(m, k, n) => {
+                CachedChoice::Summa { pipelined: false }
+            }
+            choice => choice,
+        };
         match choice {
             CachedChoice::Summa { pipelined } => {
                 let cfg = SummaConfig {
@@ -488,9 +479,8 @@ pub fn sparsity_profile(m: &CsrMatrix, max_samples: usize) -> SparsityProfile {
     SparsityProfile::from_row_samples(m.rows() as f64, m.cols() as f64, &samples)
 }
 
-/// The largest panel width ≤ 32 dividing both tile extents — the planner
-/// never proposes a block the algorithms' divisibility preconditions
-/// would reject.
+/// The largest panel width ≤ 32 dividing both tile extents, so the
+/// panels of a shape the grid divides are all one block wide.
 fn preferred_block(tile_rows: usize, tile_cols: usize) -> usize {
     (1..=tile_rows.min(tile_cols).min(32))
         .rev()
@@ -587,23 +577,51 @@ mod tests {
     }
 
     #[test]
-    fn non_divisible_shapes_plan_to_cosma_without_caching() {
-        // 7 × 5 × 9 on a 2 × 2 grid: no grid algorithm can tile it, so
-        // the planner must route to the brick schedule, and must do so
-        // without polluting the shape-class cache.
+    fn non_divisible_shapes_are_scored_memoized_and_run() {
+        // 7 × 9 × 5 on a 2 × 2 grid: nothing divides, yet the shape is
+        // scored like any other, and 6 × 9 × 5, of the same class, is
+        // served from the memo. Both plans run to the serial product.
+        use hsumma_core::{run_planned_gemm, Distribution};
+        use hsumma_matrix::{gemm, seeded_uniform, Matrix};
+        let grid = GridShape::new(2, 2);
+        let mut planner = Planner::new(grid, PlannerConfig::default());
+        for (i, (m, k, n)) in [(7, 9, 5), (6, 9, 5)].into_iter().enumerate() {
+            let planned = planner.plan_gemm(m, k, n);
+            assert_eq!(planned.cached, i == 1, "{m}x{k}x{n}");
+            let stats = planner.stats();
+            assert_eq!((stats.hits, stats.misses), (i as u64, 1));
+
+            let (a, b) = (seeded_uniform(m, k, 70), seeded_uniform(k, n, 71));
+            let mut want = Matrix::zeros(m, n);
+            gemm(GemmKernel::Naive, &a, &b, &mut want);
+            let at = Distribution::grid2d(grid, m, k).scatter(&a);
+            let bt = Distribution::grid2d(grid, k, n).scatter(&b);
+            let plan = planned.plan;
+            let tiles = hsumma_runtime::Runtime::run(grid.size(), |comm| {
+                let r = comm.rank();
+                run_planned_gemm(comm, grid, m, n, k, &at[r], &bt[r], &plan).unwrap()
+            });
+            let got = Distribution::grid2d(grid, m, n).gather(&tiles);
+            assert!(got.approx_eq(&want, 1e-9), "{}", plan.describe());
+        }
+    }
+
+    #[test]
+    fn a_cached_cannon_verdict_serves_only_the_shapes_cannon_runs() {
+        // 250³ scores to Cannon on 2 × 2. 249³ and 250 × 250 × 249 share
+        // its class, but the grid side does not divide 249 and Cannon is
+        // square-only: both take blocking SUMMA from the memo.
         let mut planner = Planner::new(GridShape::new(2, 2), PlannerConfig::default());
-        let planned = planner.plan_gemm(7, 9, 5);
-        assert!(!planned.cached);
+        let first = planner.plan_gemm(250, 250, 250);
         assert!(
-            matches!(planned.plan, PlannedAlgo::Cosma(_)),
-            "got {}",
-            planned.plan.describe()
+            matches!(first.plan, PlannedAlgo::Cannon { .. }),
+            "{first:?}"
         );
-        let stats = planner.stats();
-        assert_eq!((stats.hits, stats.misses), (0, 0));
-        // Same shape again: still uncached (the brick search is the
-        // whole cost), still executable.
-        assert!(!planner.plan_gemm(7, 9, 5).cached);
+        for (m, k, n) in [(249, 249, 249), (250, 250, 249)] {
+            let planned = planner.plan_gemm(m, k, n);
+            assert!(planned.cached);
+            assert!(matches!(planned.plan, PlannedAlgo::Summa(_)), "{planned:?}");
+        }
     }
 
     #[test]
@@ -692,17 +710,19 @@ mod tests {
 
     #[test]
     fn repeated_cosma_shapes_search_the_brick_decomposition_once() {
-        // 7 × 5 × 9 routes to cosma (nothing divides the 2 × 2 grid).
-        // The decision is uncached by design, but the decomposition
-        // search — the actual cost — must be memoized by exact extents.
+        // 8 × 4096 × 8 scores to cosma on the 2 × 2 grid (a long shared
+        // dimension and tiny tiles). The decision is memoized per shape
+        // class, and the decomposition search by exact extents.
         let mut planner = Planner::new(GridShape::new(2, 2), PlannerConfig::default());
-        let first = planner.plan_gemm(7, 9, 5);
+        let first = planner.plan_gemm(8, 4096, 8);
+        assert!(matches!(first.plan, PlannedAlgo::Cosma(_)), "{first:?}");
         assert_eq!(planner.stats().brick_searches, 1);
-        let second = planner.plan_gemm(7, 9, 5);
+        let second = planner.plan_gemm(8, 4096, 8);
         assert_eq!(planner.stats().brick_searches, 1, "second search memoized");
         assert_eq!(format!("{:?}", second.plan), format!("{:?}", first.plan));
-        // A different exact shape is a different decomposition.
-        planner.plan_gemm(7, 9, 10);
+        // A different exact shape of the same class is a different
+        // decomposition under the cached decision.
+        assert!(planner.plan_gemm(8, 4096, 7).cached);
         assert_eq!(planner.stats().brick_searches, 2);
     }
 

@@ -306,8 +306,7 @@ impl GemmServer {
     /// the reason.
     ///
     /// `a` and `b` must match the spec's dimensions. Any positive
-    /// `(m, k, n)` is served: shapes the grid cannot tile run the brick
-    /// schedule, which needs no divisibility (see [`JobSpec`]).
+    /// `(m, k, n)` is served (see [`JobSpec`]).
     pub fn submit(&self, spec: JobSpec, a: Matrix, b: Matrix) -> Result<JobHandle, SubmitError> {
         self.validate_spec(&spec, Workload::DenseGemm)?;
         self.validate_shape("A", a.shape(), (spec.m, spec.k))?;
@@ -435,10 +434,9 @@ impl GemmServer {
     /// Spec-level admission validation — every rejection names its
     /// reason. `expected` is the workload implied by the entry point.
     ///
-    /// Dense GEMM accepts any positive `(m, k, n)`: the planner routes
-    /// shapes the grid cannot tile to the brick schedule. The sparse
-    /// workloads' CSR scatter/gather still assumes square grid-divisible
-    /// operands, so they keep the stricter contract.
+    /// Every workload accepts any positive extents the grid deals; the
+    /// sparse ones must be square, because `spgemm_2d` and `sddmm_2d`
+    /// take one `n`.
     fn validate_spec(&self, spec: &JobSpec, expected: Workload) -> Result<(), SubmitError> {
         let invalid = |reason: String| Err(SubmitError::Invalid(reason));
         if spec.workload != expected {
@@ -457,12 +455,6 @@ impl GemmServer {
             return invalid(format!(
                 "sparse workloads are served square (m = k = n); got m={}, k={}, n={}",
                 spec.m, spec.k, spec.n
-            ));
-        }
-        if !spec.n.is_multiple_of(self.grid.rows) || !spec.n.is_multiple_of(self.grid.cols) {
-            return invalid(format!(
-                "n={} not divisible by the {}x{} grid",
-                spec.n, self.grid.rows, self.grid.cols
             ));
         }
         Ok(())
@@ -539,11 +531,9 @@ impl Drop for GemmServer {
 /// The sub-pool size a planner-routed sparse job is worth: the
 /// nnz-aware strong-scaling sweep ([`advise_spgemm_ranks`] /
 /// [`advise_sddmm_ranks`] over sampled operand profiles, tolerance
-/// [`RANK_TOLERANCE`]), clamped down to a power of two whose
-/// near-square [`subgrid`] divides `n` — the CSR scatter's contract.
-/// `r = 1` always qualifies (a 1 × 1 grid tiles anything), so the clamp
-/// terminates. `None` for dense operands or a forced plan (forced plans
-/// are bound to the configured grid and keep the whole pool).
+/// [`RANK_TOLERANCE`]). `None` for dense operands or a forced plan
+/// (forced plans are bound to the configured grid and keep the whole
+/// pool).
 fn sparse_ranks(
     config: &PlannerConfig,
     p_max: usize,
@@ -570,15 +560,7 @@ fn sparse_ranks(
             advise_sddmm_ranks(&params, n, p_max, block, &ps, RANK_TOLERANCE)
         }
     };
-    let mut r = advice.preferred;
-    while r > 1 {
-        let g = subgrid(r);
-        if spec.n.is_multiple_of(g.rows) && spec.n.is_multiple_of(g.cols) {
-            break;
-        }
-        r /= 2;
-    }
-    Some(r)
+    Some(advice.preferred)
 }
 
 /// Rank-seconds of deadline-class work queued ahead of `deadline_at`,

@@ -102,6 +102,47 @@ fn sddmm_job_matches_the_serial_kernel() {
 }
 
 #[test]
+fn sparse_jobs_serve_an_n_the_grid_does_not_divide() {
+    // n = 9 on 2 × 2 deals 5/4 tiles, n = 12 on 1 × 5 deals 3/3/2/2/2.
+    // FIFO keeps each job on the whole grid.
+    for (grid, n) in [(GridShape::new(2, 2), 9), (GridShape::new(1, 5), 12)] {
+        let config = ServerConfig {
+            sched: SchedPolicy::Fifo,
+            ..ServerConfig::new(grid)
+        };
+        let server = GemmServer::new(config).unwrap();
+        let (a, b) = (seeded_sparse(n, n, 0.1, 311), seeded_sparse(n, n, 0.1, 312));
+        let want = spgemm(&a, &b);
+        let out = server
+            .submit_spgemm(JobSpec::spgemm(n), a, b)
+            .expect("an uneven sparse n is admitted")
+            .wait()
+            .expect("and served");
+        assert!(out.report.plan_desc.starts_with("spgemm_2d"), "{grid:?}");
+        let got = out.c.sparse();
+        assert_eq!(got.row_ptr(), want.row_ptr(), "{grid:?}: pattern");
+        assert_eq!(got.col_idx(), want.col_idx(), "{grid:?}: pattern");
+        assert!(got.max_abs_diff(&want) < 1e-9, "{grid:?}");
+
+        let s = seeded_sparse(n, n, 0.3, 313);
+        let (a, b) = (seeded_uniform(n, n, 314), seeded_uniform(n, n, 315));
+        let want = sddmm(&s, &a, &b);
+        let out = server
+            .submit_sddmm(JobSpec::sddmm(n), s, a, b)
+            .unwrap()
+            .wait()
+            .unwrap();
+        let got = out.c.sparse();
+        assert_eq!(
+            got.row_ptr(),
+            want.row_ptr(),
+            "{grid:?}: pattern must be S's"
+        );
+        assert!(got.max_abs_diff(&want) < 1e-9, "{grid:?}");
+    }
+}
+
+#[test]
 fn dropped_sparse_panel_times_out_the_job_and_the_pool_keeps_serving() {
     with_watchdog(Duration::from_secs(60), || {
         // FIFO runs each job alone on the whole 2×2 grid. Under the gang

@@ -17,14 +17,15 @@
 //!   pattern) never leaves its tile.
 
 use crate::comm::{bcast_sp, SparseComm, SparseLike};
-use hsumma_core::{grid_lines, pivot_steps, MatLike};
-use hsumma_matrix::{BlockDist, GridShape};
+use hsumma_core::{grid_lines, pivot_steps, tile_of, Communicator, MatLike};
+use hsumma_matrix::GridShape;
 use hsumma_runtime::{BcastAlgorithm, CommError};
 
 /// Parameters of a 2-D sparse multiply.
 #[derive(Clone, Copy, Debug)]
 pub struct SparseConfig {
-    /// Pivot panel width `b`. Must divide both local tile extents.
+    /// Pivot panel width `b`: each tile is cut into panels this wide,
+    /// the last one narrower.
     pub block: usize,
     /// Broadcast algorithm for SDDMM's *dense* pivot panels (sparse
     /// panels always use the binomial tree of [`bcast_sp`]).
@@ -40,33 +41,32 @@ impl Default for SparseConfig {
     }
 }
 
-fn check_sparse_tiles<S: SparseLike>(
+/// Checks the communicator against the grid and each named tile's
+/// `(rows, cols)` against this rank's [`tile_of`] share of an `n × n`
+/// operand; returns that share.
+fn check_tiles<C: Communicator>(
+    comm: &C,
     grid: GridShape,
     n: usize,
-    a: &S,
-    b: &S,
-    comm_size: usize,
-    bs: usize,
+    tiles: &[(&str, (usize, usize))],
 ) -> (usize, usize) {
     assert_eq!(
-        comm_size,
+        comm.size(),
         grid.size(),
         "communicator must span the whole grid"
     );
-    let (th, tw) = BlockDist::new(grid, n, n).tile_shape();
-    assert_eq!((a.rows(), a.cols()), (th, tw), "A tile has wrong shape");
-    assert_eq!((b.rows(), b.cols()), (th, tw), "B tile has wrong shape");
-    assert!(bs > 0, "block size must be positive");
-    assert_eq!(tw % bs, 0, "block must divide the tile width");
-    assert_eq!(th % bs, 0, "block must divide the tile height");
-    (th, tw)
+    let share = tile_of(grid, comm.rank(), n, n);
+    for &(name, shape) in tiles {
+        assert_eq!(shape, share, "{name} tile has wrong shape");
+    }
+    share
 }
 
 /// Distributed sparse × sparse product `C = A·B` on the calling rank.
-/// SPMD: every rank of `comm` must call this with its local CSR tiles
-/// (block-checkerboard distribution over `grid`, square `n × n` global
-/// operands). Returns the local tile of `C` in the substrate's sparse
-/// payload.
+/// SPMD: every rank of `comm` must call this with its local CSR tiles,
+/// its [`tile_of`] shares of square `n × n` global operands (as
+/// [`crate::scatter_csr`] deals them; nothing need divide `n`). Returns
+/// the local tile of `C` in the substrate's sparse payload.
 ///
 /// At step `k` the owners of pivot column panel `k` of `A` slice it out
 /// of their tile and broadcast it along their grid row; likewise `B`'s
@@ -86,22 +86,23 @@ pub fn spgemm_2d<C: SparseComm>(
     b: &C::Sp,
     cfg: &SparseConfig,
 ) -> Result<C::Sp, CommError> {
-    let bs = cfg.block;
-    let (th, tw) = check_sparse_tiles(grid, n, a, b, comm.size(), bs);
+    let shapes = [("A", (a.rows(), a.cols())), ("B", (b.rows(), b.cols()))];
+    let (th, tw) = check_tiles(comm, grid, n, &shapes);
 
     let (gi, gj) = grid.coords(comm.rank());
     let (row_comm, col_comm) = grid_lines(comm, grid);
 
     let mut acc = C::spgemm_acc(th, tw);
-    for (k, (col, row)) in pivot_steps(n, grid, bs).into_iter().enumerate() {
-        comm.trace_step(k, bs, bs, || -> Result<(), CommError> {
+    for (k, (col, row)) in pivot_steps(n, grid, cfg.block).into_iter().enumerate() {
+        let w = col.width;
+        comm.trace_step(k, w, w, || -> Result<(), CommError> {
             // --- pivot column panel of A, broadcast along the grid row ---
-            let mine = (gj == col.owner).then(|| a.block(0, col.offset, th, bs));
-            let a_panel = bcast_sp(&row_comm, col.owner, k as u64, th, bs, mine)?;
+            let mine = (gj == col.owner).then(|| a.block(0, col.offset, th, w));
+            let a_panel = bcast_sp(&row_comm, col.owner, k as u64, th, w, mine)?;
 
             // --- pivot row panel of B, broadcast along the grid column ---
-            let mine = (gi == row.owner).then(|| b.block(row.offset, 0, bs, tw));
-            let b_panel = bcast_sp(&col_comm, row.owner, k as u64, bs, tw, mine)?;
+            let mine = (gi == row.owner).then(|| b.block(row.offset, 0, w, tw));
+            let b_panel = bcast_sp(&col_comm, row.owner, k as u64, w, tw, mine)?;
 
             // --- local update: C += A_panel · B_panel --------------------
             let pairs = C::spgemm_pairs(&a_panel, &b_panel);
@@ -117,14 +118,14 @@ pub fn spgemm_2d<C: SparseComm>(
 
 /// Distributed sampled dense-dense matrix multiplication
 /// `C = S ⊙ (A·B)` on the calling rank: sparse `n × n` sample matrix
-/// `S`, dense `n × n` operands `A` and `B`, all block-checkerboard over
-/// `grid`. Returns the local `C` tile — `S`'s pattern with each sampled
-/// entry scaled by the corresponding dot product.
+/// `S`, dense `n × n` operands `A` and `B`, each rank holding its
+/// [`tile_of`] shares. Returns the local `C` tile — `S`'s pattern with
+/// each sampled entry scaled by the corresponding dot product.
 ///
 /// The schedule is exactly SUMMA's: dense pivot panels of `A` and `B`
 /// broadcast with `cfg.bcast` each step; only the sampled dot products
-/// are accumulated (`nnz(S_tile) · b` pairs per step instead of the
-/// dense `th·tw·b`). `S` itself never travels.
+/// are accumulated (`nnz(S_tile) · w` pairs for a step of width `w`
+/// instead of the dense `th·tw·w`). `S` itself never travels.
 ///
 /// # Panics
 /// Panics if the grid, tile shapes or block size are inconsistent.
@@ -137,34 +138,28 @@ pub fn sddmm_2d<C: SparseComm>(
     b: &C::Mat,
     cfg: &SparseConfig,
 ) -> Result<C::Sp, CommError> {
-    let bs = cfg.block;
-    let (th, tw) = BlockDist::new(grid, n, n).tile_shape();
-    assert_eq!(
-        comm.size(),
-        grid.size(),
-        "communicator must span the whole grid"
-    );
-    assert_eq!((s.rows(), s.cols()), (th, tw), "S tile has wrong shape");
-    assert_eq!((a.rows(), a.cols()), (th, tw), "A tile has wrong shape");
-    assert_eq!((b.rows(), b.cols()), (th, tw), "B tile has wrong shape");
-    assert!(bs > 0, "block size must be positive");
-    assert_eq!(tw % bs, 0, "block must divide the tile width");
-    assert_eq!(th % bs, 0, "block must divide the tile height");
+    let shapes = [
+        ("S", (s.rows(), s.cols())),
+        ("A", (a.rows(), a.cols())),
+        ("B", (b.rows(), b.cols())),
+    ];
+    let (th, tw) = check_tiles(comm, grid, n, &shapes);
 
     let (gi, gj) = grid.coords(comm.rank());
     let (row_comm, col_comm) = grid_lines(comm, grid);
 
     let mut acc = C::sddmm_acc(s);
-    let step_pairs = s.nnz() * bs;
-    for (k, (col, row)) in pivot_steps(n, grid, bs).into_iter().enumerate() {
-        comm.trace_step(k, bs, bs, || -> Result<(), CommError> {
+    for (k, (col, row)) in pivot_steps(n, grid, cfg.block).into_iter().enumerate() {
+        let w = col.width;
+        let step_pairs = s.nnz() * w;
+        comm.trace_step(k, w, w, || -> Result<(), CommError> {
             // Each panel moves once: its owner cuts it into a shared
             // matrix and every rank multiplies from the root's copy.
-            let mine = (gj == col.owner).then(|| row_comm.cut(a, 0, col.offset, th, bs));
-            let a_panel = row_comm.bcast_shared(cfg.bcast, col.owner, th, bs, mine)?;
+            let mine = (gj == col.owner).then(|| row_comm.cut(a, 0, col.offset, th, w));
+            let a_panel = row_comm.bcast_shared(cfg.bcast, col.owner, th, w, mine)?;
 
-            let mine = (gi == row.owner).then(|| col_comm.cut(b, row.offset, 0, bs, tw));
-            let b_panel = col_comm.bcast_shared(cfg.bcast, row.owner, bs, tw, mine)?;
+            let mine = (gi == row.owner).then(|| col_comm.cut(b, row.offset, 0, w, tw));
+            let b_panel = col_comm.bcast_shared(cfg.bcast, row.owner, w, tw, mine)?;
 
             comm.compute(step_pairs as f64, 2 * step_pairs as u64, || {
                 C::sddmm_step(

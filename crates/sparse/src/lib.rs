@@ -18,9 +18,8 @@
 //!   `(src, dst, bytes)` send multisets agree between substrates, and
 //!   fault injection / deadlines / tracing work on sparse jobs
 //!   unchanged.
-//! * [`scatter_csr`]/[`gather_csr`] and the `distributed_*`/`sim_*`
-//!   drivers package the scatter → run → gather loop for both
-//!   substrates.
+//! * [`scatter_csr`]/[`gather_csr`] deal CSR operands over the grid and
+//!   reassemble the product, at any extents.
 //!
 //! [`Communicator`]: hsumma_core::Communicator
 
@@ -31,7 +30,5 @@ pub mod phantom;
 
 pub use algo::{sddmm_2d, spgemm_2d, SparseConfig};
 pub use comm::{bcast_sp, PhantomSpGemmAcc, SparseComm, SparseLike};
-pub use distribute::{
-    distributed_sddmm, distributed_spgemm, gather_csr, scatter_csr, sim_sddmm_2d, sim_spgemm_2d,
-};
+pub use distribute::{gather_csr, scatter_csr};
 pub use phantom::{PhantomSparse, SparsePattern};

@@ -320,8 +320,6 @@ fn cmd_bcast(opts: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_trace(opts: &HashMap<String, String>) -> Result<(), String> {
-    use hsumma_repro::core::grid::HierGrid;
-
     let p: usize = get(opts, "p", 16)?;
     let n: usize = get(opts, "n", 256)?;
     let block: usize = get(opts, "block", 32)?;
@@ -348,7 +346,6 @@ fn cmd_trace(opts: &HashMap<String, String>) -> Result<(), String> {
         report.msgs, report.total_time
     );
     println!("open it at chrome://tracing or https://ui.perfetto.dev");
-    let _ = HierGrid::valid_group_counts(grid); // keep import used under all cfgs
     Ok(())
 }
 

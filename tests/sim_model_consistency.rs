@@ -187,8 +187,8 @@ fn real_and_sim_hsumma_emit_identical_payload_multisets() {
 // ---------------------------------------------------------------------
 
 use hsumma_repro::core::{
-    block_lu, cannon, fox, hier_bcast, run_planned_gemm, summa_cyclic, summa_overlap, tsqr,
-    twodotfive, Communicator, Distribution, LuConfig, MatMulDims, PhantomMat, PlannedAlgo,
+    block_lu, cannon, fox, hier_bcast, run_planned_gemm, summa_cyclic, summa_overlap, tile_of,
+    tsqr, twodotfive, Communicator, Distribution, LuConfig, MatMulDims, PhantomMat, PlannedAlgo,
     TwoDotFiveConfig,
 };
 use hsumma_repro::matrix::{factor::seeded_diag_dominant, BlockCyclicDist, Matrix};
@@ -333,27 +333,34 @@ fn real_and_sim_rect_summa_emit_identical_payload_multisets() {
 
 #[test]
 fn real_and_sim_lu_emit_identical_payload_multisets() {
-    // Hierarchical panel broadcasts (groups = 2×2) on both substrates.
-    // LU needs nonzero pivots on the real side, hence diag-dominant data.
-    let grid = GridShape::new(4, 4);
-    let (n, bs) = (16usize, 2usize);
-    let cfg = LuConfig {
-        block: bs,
-        bcast: BcastAlgorithm::Binomial,
-        kernel: GemmKernel::Blocked,
-        groups: GridShape::new(2, 2),
-    };
-    let a = seeded_diag_dominant(n, 9);
-    let dist = BlockDist::new(grid, n, n);
-    let at = dist.scatter(&a);
-    let real = real_trace(grid, |comm| {
-        let _ = block_lu(comm, grid, n, &at[comm.rank()].clone(), &cfg);
-    });
-    let sim = sim_trace(grid.size(), |comm| {
-        let t = PhantomMat { rows: 4, cols: 4 };
-        let _ = block_lu(comm, grid, n, &t, &cfg);
-    });
-    assert_same_sends(&real, &sim, "block LU");
+    // Hierarchical panel broadcasts (groups = 2×2) on both substrates,
+    // then shapes nothing divides: n = 50 on 2×3, prime p as 1×5, and
+    // an extent smaller than a grid side. LU needs nonzero pivots on the
+    // real side, hence diag-dominant data.
+    let g = GridShape::new;
+    for (grid, n, bs, groups) in [
+        (g(4, 4), 16, 2, g(2, 2)),
+        (g(2, 3), 50, 4, g(1, 3)),
+        (g(1, 5), 12, 4, g(1, 1)),
+        (g(4, 4), 3, 2, g(2, 2)),
+    ] {
+        let cfg = LuConfig {
+            block: bs,
+            bcast: BcastAlgorithm::Binomial,
+            kernel: GemmKernel::Blocked,
+            groups,
+        };
+        let a = seeded_diag_dominant(n, 9);
+        let at = Distribution::grid2d(grid, n, n).scatter(&a);
+        let real = real_trace(grid, |comm| {
+            let _ = block_lu(comm, grid, n, &at[comm.rank()].clone(), &cfg);
+        });
+        let sim = sim_trace(grid.size(), |comm| {
+            let (rows, cols) = tile_of(grid, comm.rank(), n, n);
+            let _ = block_lu(comm, grid, n, &PhantomMat { rows, cols }, &cfg);
+        });
+        assert_same_sends(&real, &sim, &format!("block LU on {grid:?}, n = {n}"));
+    }
 }
 
 #[test]

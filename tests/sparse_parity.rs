@@ -19,9 +19,9 @@
 //!    on both substrates (sparse panels travel under user-level
 //!    step-index tags, so `TagClass::App` rules reach them).
 
-use hsumma_repro::core::PhantomMat;
+use hsumma_repro::core::{tile_of, Distribution, PhantomMat};
 use hsumma_repro::matrix::sparse::{seeded_sparse, CsrMatrix};
-use hsumma_repro::matrix::{seeded_uniform, BlockDist, GridShape, Matrix};
+use hsumma_repro::matrix::{seeded_uniform, GridShape, Matrix};
 use hsumma_repro::netsim::spmd::{SimComm, SimWorld};
 use hsumma_repro::netsim::{Platform, SimNet, SimRunOptions};
 use hsumma_repro::runtime::{Comm, JobOptions, Runtime};
@@ -59,20 +59,22 @@ fn sim_trace(p: usize, f: impl Fn(&SimComm) + Sync) -> Trace {
     tracer.collect()
 }
 
+/// Shapes nothing divides, for the multiset checks: `n` = 50 on 2 × 3,
+/// prime `p` as `1 × 5`, and an extent smaller than a grid side.
+const UNEVEN: [(usize, usize, usize); 3] = [(2, 3, 50), (1, 5, 12), (4, 2, 3)];
+
 /// Real-side spgemm trace for the given operands.
-fn spgemm_real(a: &CsrMatrix, b: &CsrMatrix) -> Trace {
-    let grid = grid();
+fn spgemm_real(grid: GridShape, n: usize, a: &CsrMatrix, b: &CsrMatrix) -> Trace {
     let at: Vec<Arc<CsrMatrix>> = scatter_csr(grid, a).into_iter().map(Arc::new).collect();
     let bt: Vec<Arc<CsrMatrix>> = scatter_csr(grid, b).into_iter().map(Arc::new).collect();
     real_trace(grid.size(), move |comm| {
         let r = comm.rank();
-        spgemm_2d(comm, grid, N, &at[r], &bt[r], &cfg()).unwrap();
+        spgemm_2d(comm, grid, n, &at[r], &bt[r], &cfg()).unwrap();
     })
 }
 
 /// Sim-side spgemm trace for the *same* operands, as patterned phantoms.
-fn spgemm_sim(a: &CsrMatrix, b: &CsrMatrix) -> Trace {
-    let grid = grid();
+fn spgemm_sim(grid: GridShape, n: usize, a: &CsrMatrix, b: &CsrMatrix) -> Trace {
     let at: Vec<PhantomSparse> = scatter_csr(grid, a)
         .iter()
         .map(PhantomSparse::from_csr)
@@ -83,53 +85,58 @@ fn spgemm_sim(a: &CsrMatrix, b: &CsrMatrix) -> Trace {
         .collect();
     sim_trace(grid.size(), move |comm| {
         let r = comm.rank();
-        spgemm_2d(comm, grid, N, &at[r], &bt[r], &cfg()).unwrap();
+        spgemm_2d(comm, grid, n, &at[r], &bt[r], &cfg()).unwrap();
     })
 }
 
 #[test]
 fn real_and_sim_spgemm_emit_identical_payload_multisets() {
-    let a = seeded_sparse(N, N, 0.2, 401);
-    let b = seeded_sparse(N, N, 0.3, 402);
-    let real = spgemm_real(&a, &b);
-    let sim = spgemm_sim(&a, &b);
-    assert_eq!(
-        real.per_rank_send_multisets(),
-        sim.per_rank_send_multisets(),
-        "spgemm_2d: real and simulated schedules moved different messages"
-    );
+    for (s, t, n) in [(2, 2, N)].into_iter().chain(UNEVEN) {
+        let grid = GridShape::new(s, t);
+        let a = seeded_sparse(n, n, 0.2, 401);
+        let b = seeded_sparse(n, n, 0.3, 402);
+        let real = spgemm_real(grid, n, &a, &b);
+        let sim = spgemm_sim(grid, n, &a, &b);
+        assert_eq!(
+            real.per_rank_send_multisets(),
+            sim.per_rank_send_multisets(),
+            "spgemm_2d on {grid:?}, n = {n}: real and simulated schedules moved different messages"
+        );
+    }
 }
 
 #[test]
 fn real_and_sim_sddmm_emit_identical_payload_multisets() {
-    let grid = grid();
-    let s = seeded_sparse(N, N, 0.25, 403);
-    let a = seeded_uniform(N, N, 404);
-    let b = seeded_uniform(N, N, 405);
-    let st: Vec<Arc<CsrMatrix>> = scatter_csr(grid, &s).into_iter().map(Arc::new).collect();
-    let dist = BlockDist::new(grid, N, N);
-    let at: Vec<Matrix> = dist.scatter(&a);
-    let bt: Vec<Matrix> = dist.scatter(&b);
-    let real = real_trace(grid.size(), move |comm| {
-        let r = comm.rank();
-        sddmm_2d(comm, grid, N, &st[r], &at[r], &bt[r], &cfg()).unwrap();
-    });
+    for (rows, cols, n) in [(2, 2, N)].into_iter().chain(UNEVEN) {
+        let grid = GridShape::new(rows, cols);
+        let s = seeded_sparse(n, n, 0.25, 403);
+        let a = seeded_uniform(n, n, 404);
+        let b = seeded_uniform(n, n, 405);
+        let st: Vec<Arc<CsrMatrix>> = scatter_csr(grid, &s).into_iter().map(Arc::new).collect();
+        let dist = Distribution::grid2d(grid, n, n);
+        let at: Vec<Matrix> = dist.scatter(&a);
+        let bt: Vec<Matrix> = dist.scatter(&b);
+        let real = real_trace(grid.size(), move |comm| {
+            let r = comm.rank();
+            sddmm_2d(comm, grid, n, &st[r], &at[r], &bt[r], &cfg()).unwrap();
+        });
 
-    let sp: Vec<PhantomSparse> = scatter_csr(grid, &s)
-        .iter()
-        .map(PhantomSparse::from_csr)
-        .collect();
-    let (th, tw) = (N / grid.rows, N / grid.cols);
-    let sim = sim_trace(grid.size(), move |comm| {
-        let r = comm.rank();
-        let tile = PhantomMat { rows: th, cols: tw };
-        sddmm_2d(comm, grid, N, &sp[r], &tile, &tile, &cfg()).unwrap();
-    });
-    assert_eq!(
-        real.per_rank_send_multisets(),
-        sim.per_rank_send_multisets(),
-        "sddmm_2d: real and simulated schedules moved different messages"
-    );
+        let sp: Vec<PhantomSparse> = scatter_csr(grid, &s)
+            .iter()
+            .map(PhantomSparse::from_csr)
+            .collect();
+        let sim = sim_trace(grid.size(), move |comm| {
+            let r = comm.rank();
+            let (rows, cols) = tile_of(grid, r, n, n);
+            let tile = PhantomMat { rows, cols };
+            sddmm_2d(comm, grid, n, &sp[r], &tile, &tile, &cfg()).unwrap();
+        });
+        assert_eq!(
+            real.per_rank_send_multisets(),
+            sim.per_rank_send_multisets(),
+            "sddmm_2d on {grid:?}, n = {n}: real and simulated schedules moved different messages"
+        );
+    }
 }
 
 /// The acceptance criterion the dense stack could never express: two
@@ -144,8 +151,8 @@ fn wire_bytes_depend_on_nnz_not_just_shape() {
     let hi_a = seeded_sparse(N, N, 0.7, 406);
     let hi_b = seeded_sparse(N, N, 0.7, 407);
 
-    let lo = spgemm_real(&lo_a, &lo_b);
-    let hi = spgemm_real(&hi_a, &hi_b);
+    let lo = spgemm_real(grid(), N, &lo_a, &lo_b);
+    let hi = spgemm_real(grid(), N, &hi_a, &hi_b);
     let lo_sets = lo.per_rank_send_multisets();
     let hi_sets = hi.per_rank_send_multisets();
     assert_ne!(lo_sets, hi_sets, "fill must change the wire bytes");
