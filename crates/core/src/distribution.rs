@@ -27,7 +27,7 @@
 //! [`Distribution`]s of the `A`, `B` and `C` operands it implies.
 
 use crate::comm::{Communicator, MatLike};
-use crate::partition::{ceil_div, chunk_range};
+use crate::partition::{ceil_div, chunk_range, grid_range};
 use hsumma_matrix::{BlockRange, GridShape};
 use hsumma_runtime::CommError;
 
@@ -68,12 +68,7 @@ impl Distribution {
     /// tiles differ by at most one row/column and still cover exactly.
     pub fn grid2d(grid: GridShape, rows: usize, cols: usize) -> Self {
         let ranges = (0..grid.size())
-            .map(|rank| {
-                let (i, j) = grid.coords(rank);
-                let (r0, r1) = chunk_range(rows, grid.rows, i);
-                let (c0, c1) = chunk_range(cols, grid.cols, j);
-                BlockRange::new(r0, r1, c0, c1)
-            })
+            .map(|rank| grid_range(grid, rank, rows, cols))
             .collect();
         Distribution::new(rows, cols, ranges)
     }

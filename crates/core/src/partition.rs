@@ -18,7 +18,7 @@
 //! `hsumma-trace` so core-side schedule code has a single import path;
 //! its exact-cover invariant is property tested below.
 
-use hsumma_matrix::GridShape;
+use hsumma_matrix::{BlockRange, GridShape};
 
 pub use hsumma_trace::chunk_range;
 
@@ -51,14 +51,21 @@ pub fn ceil_div(a: usize, b: usize) -> usize {
     a.div_ceil(b)
 }
 
-/// The shape of `rank`'s tile of a `rows × cols` operand dealt over
-/// `grid`: its [`crate::distribution::Distribution::grid2d`] range, one
-/// [`chunk_range`] share per dimension.
-pub fn tile_of(grid: GridShape, rank: usize, rows: usize, cols: usize) -> (usize, usize) {
+/// `rank`'s range of a `rows × cols` operand dealt over `grid`, one
+/// [`chunk_range`] share per dimension: the one dealing rule behind
+/// [`crate::distribution::Distribution::grid2d`] and [`tile_of`].
+pub(crate) fn grid_range(grid: GridShape, rank: usize, rows: usize, cols: usize) -> BlockRange {
     let (gi, gj) = grid.coords(rank);
     let (r0, r1) = chunk_range(rows, grid.rows, gi);
     let (c0, c1) = chunk_range(cols, grid.cols, gj);
-    (r1 - r0, c1 - c0)
+    BlockRange::new(r0, r1, c0, c1)
+}
+
+/// The shape of `rank`'s tile of a `rows × cols` operand dealt over
+/// `grid`: its [`crate::distribution::Distribution::grid2d`] range.
+pub fn tile_of(grid: GridShape, rank: usize, rows: usize, cols: usize) -> (usize, usize) {
+    let r = grid_range(grid, rank, rows, cols);
+    (r.rows(), r.cols())
 }
 
 /// One pivot panel along a dealt extent.

@@ -268,9 +268,9 @@ impl Default for Calibration {
 
 /// The near-square processor grid for an `r`-rank sub-pool: the divisor
 /// pair closest to `√r`, rows ≤ cols (the same convention the
-/// benchmarks use). Dense jobs run on any grid — shapes the grid cannot
-/// tile fall back to the brick schedule — so packing never has to
-/// reject a sub-pool size.
+/// benchmarks use). Dense and sparse jobs run on any sub-grid — their
+/// tiles are dealt by `chunk_range` — so packing never has to reject a
+/// sub-pool size.
 pub fn subgrid(r: usize) -> GridShape {
     assert!(r >= 1, "a sub-pool has at least one rank");
     let mut s = (r as f64).sqrt() as usize;

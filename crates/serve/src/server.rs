@@ -32,8 +32,7 @@
 //! live in the pooled-run tail every workload shares. Planner-routed
 //! jobs gang regardless of workload: dense jobs are sized by the dense
 //! strong-scaling curve, sparse jobs by the nnz-aware sweep over their
-//! sampled profiles (clamped to sub-grids the CSR scatter can tile).
-//! Only forced-plan jobs always run on the whole pool — their plans are
+//! sampled profiles. Only forced-plan jobs always run on the whole pool — their plans are
 //! bound to the configured grid.
 //!
 //! Failure containment mirrors the pool's: a job whose plan panics on a

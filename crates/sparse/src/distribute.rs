@@ -184,8 +184,9 @@ mod tests {
 
     #[test]
     fn distributed_spgemm_matches_serial_reference() {
-        let even = [(1, 1, 16), (2, 2, 16), (2, 4, 16)];
-        for (s, t, n) in even.into_iter().chain(UNEVEN) {
+        // Even grids keep the serial kernel's 1e-12; uneven tiles get 1e-9.
+        let even = [(1, 1, 16), (2, 2, 16), (2, 4, 16)].map(|c| (c, 1e-12));
+        for ((s, t, n), tol) in even.into_iter().chain(UNEVEN.map(|c| (c, 1e-9))) {
             let grid = GridShape::new(s, t);
             let a = seeded_sparse(n, n, 0.25, 52);
             let b = seeded_sparse(n, n, 0.3, 53);
@@ -194,7 +195,7 @@ mod tests {
             assert_eq!(got.row_ptr(), want.row_ptr(), "{grid:?} n={n}: pattern");
             assert_eq!(got.col_idx(), want.col_idx(), "{grid:?} n={n}: pattern");
             assert!(
-                got.max_abs_diff(&want) < 1e-9,
+                got.max_abs_diff(&want) < tol,
                 "{grid:?} n={n}: err {}",
                 got.max_abs_diff(&want)
             );
