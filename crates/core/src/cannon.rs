@@ -1,20 +1,25 @@
 //! Cannon's algorithm (1969) — the paper's historical baseline (§I).
 //!
-//! Works on a square `q × q` grid with one tile per processor. After an
-//! initial alignment (tile row `i` of `A` rotated left by `i`, tile column
-//! `j` of `B` rotated up by `j`), the algorithm performs `q` rounds of
-//! "multiply, then rotate `A` left and `B` up by one". Its restriction to
-//! square processor counts is exactly why SUMMA superseded it in general
+//! Works on a square `q × q` grid with one tile per processor, over
+//! tiles that are already aligned: rank `(i, j)` holds `A(i, i+j)` and
+//! `B(i+j, j)` (block indices mod `q`), the layouts of
+//! [`aligned_layouts`]. The algorithm performs `q` multiplies and the
+//! `q − 1` rotations between them (`A` left and `B` up by one); no
+//! rotation follows the last multiply. Its restriction to square
+//! processor counts is exactly why SUMMA superseded it in general
 //! purpose libraries.
 //!
-//! Cannon consumes its tiles: the alignment shifts send the caller's
-//! `A` and `B` tiles themselves, so a caller that owns them (the serving
-//! layer) copies nothing. A caller holding only borrows goes through
-//! [`crate::run_planned_gemm`], which makes the one copy and counts it
-//! as a payload materialization.
+//! The alignment is a layout, not a phase: a caller that deals its own
+//! tiles (the serving layer) cuts them aligned and moves only the
+//! rotations, and [`crate::run_planned_gemm`] reaches the aligned
+//! layouts from the checkerboard with one [`crate::redistribute`] per
+//! operand, which sends what the classic alignment shifts send. Cannon
+//! consumes its tiles: the rotations send them themselves.
 
 use crate::comm::{Communicator, MatLike};
-use hsumma_matrix::{GemmKernel, GridShape};
+use crate::distribution::Distribution;
+use crate::partition::chunk_range;
+use hsumma_matrix::{BlockRange, GemmKernel, GridShape};
 use hsumma_runtime::CommError;
 
 const TAG_SHIFT_A: u64 = 11;
@@ -29,18 +34,42 @@ fn shift<C: Communicator>(
     tag: u64,
     mat: C::Mat,
 ) -> Result<C::Mat, CommError> {
-    if dst == comm.rank() {
-        return Ok(mat); // rotation by zero
-    }
     let (r, c) = (mat.rows(), mat.cols());
     comm.send_mat(dst, tag, mat)?;
     comm.recv_mat(src, tag, r, c)
 }
 
+/// Cannon's aligned layouts `(A, B)` of `n × n` operands over the square
+/// `grid`: rank `(i, j)` owns `A(i, i+j)` and `B(i+j, j)`, block indices
+/// mod `q` and blocks dealt by [`chunk_range`]. `C` stays on the
+/// checkerboard of [`Distribution::grid2d`].
+///
+/// # Panics
+/// Panics if the grid is not square.
+pub fn aligned_layouts(grid: GridShape, n: usize) -> (Distribution, Distribution) {
+    assert_eq!(
+        grid.rows, grid.cols,
+        "Cannon requires a square processor grid"
+    );
+    let q = grid.rows;
+    let block = |bi: usize, bj: usize| {
+        let ((r0, r1), (c0, c1)) = (chunk_range(n, q, bi), chunk_range(n, q, bj));
+        BlockRange::new(r0, r1, c0, c1)
+    };
+    let (a, b) = (0..grid.size())
+        .map(|rank| {
+            let (i, j) = grid.coords(rank);
+            let l = (i + j) % q;
+            (block(i, l), block(l, j))
+        })
+        .unzip();
+    (Distribution::dealt(n, n, a), Distribution::dealt(n, n, b))
+}
+
 /// Runs Cannon's algorithm on the calling rank. SPMD over a square grid;
-/// operands block-checkerboard distributed. Consumes the local `A` and
-/// `B` tiles (they are what the first shifts send) and returns the local
-/// `C` tile.
+/// `a` and `b` are this rank's tiles under [`aligned_layouts`], and the
+/// result is its checkerboard `C` tile. Consumes the tiles: they are
+/// what the rotations send.
 ///
 /// Generic over the [`Communicator`] substrate: real matrices over the
 /// threaded runtime, or phantom payloads over the simulator's clocks.
@@ -67,15 +96,10 @@ pub fn cannon<C: Communicator>(
     assert_eq!((b.rows(), b.cols()), (ts, ts), "B tile has wrong shape");
 
     let (i, j) = grid.coords(comm.rank());
-    let left = |steps: usize| grid.rank(i, (j + q - steps % q) % q);
-    let right = |steps: usize| grid.rank(i, (j + steps) % q);
-    let up = |steps: usize| grid.rank((i + q - steps % q) % q, j);
-    let down = |steps: usize| grid.rank((i + steps) % q, j);
+    let (left, right) = (grid.rank(i, (j + q - 1) % q), grid.rank(i, (j + 1) % q));
+    let (up, down) = (grid.rank((i + q - 1) % q, j), grid.rank((i + 1) % q, j));
 
-    // Initial alignment: A_i· moves i positions left, B·_j moves j up.
-    let mut a_cur = shift(comm, left(i), right(i), TAG_SHIFT_A, a)?;
-    let mut b_cur = shift(comm, up(j), down(j), TAG_SHIFT_B, b)?;
-
+    let (mut a_cur, mut b_cur) = (a, b);
     let mut c = C::Mat::zeros(ts, ts);
     let step_pairs = ts * ts * ts;
     for k in 0..q {
@@ -83,8 +107,11 @@ pub fn cannon<C: Communicator>(
             comm.compute(step_pairs as f64, 2 * step_pairs as u64, || {
                 C::Mat::gemm(kernel, &a_cur, &b_cur, &mut c)
             });
-            let a_next = shift(comm, left(1), right(1), TAG_SHIFT_A, a_cur)?;
-            let b_next = shift(comm, up(1), down(1), TAG_SHIFT_B, b_cur)?;
+            if k + 1 == q {
+                return Ok((a_cur, b_cur)); // no multiply reads another rotation
+            }
+            let a_next = shift(comm, left, right, TAG_SHIFT_A, a_cur)?;
+            let b_next = shift(comm, up, down, TAG_SHIFT_B, b_cur)?;
             Ok((a_next, b_next))
         })?;
         comm.maybe_step_sync()?;
@@ -96,17 +123,20 @@ pub fn cannon<C: Communicator>(
 mod tests {
     use super::*;
     use crate::testutil::{distributed_product, reference_product};
-    use crate::{run_planned_gemm, Distribution, PlannedAlgo};
+    use crate::{run_planned_gemm, PlannedAlgo};
     use hsumma_matrix::{seeded_uniform, Matrix};
-    use hsumma_runtime::RankPool;
+    use hsumma_runtime::{CommStats, RankPool};
     use std::sync::Arc;
 
     fn run_cannon_case(q: usize, n: usize) {
         let grid = GridShape::new(q, q);
         let a = seeded_uniform(n, n, 500);
         let b = seeded_uniform(n, n, 600);
+        let plan = PlannedAlgo::Cannon {
+            kernel: GemmKernel::Blocked,
+        };
         let got = distributed_product(grid, n, &a, &b, |comm, at, bt| {
-            cannon(comm, grid, n, at, bt, GemmKernel::Blocked).unwrap()
+            run_planned_gemm(comm, grid, n, n, n, &at, &bt, &plan).unwrap()
         });
         let want = reference_product(&a, &b);
         assert!(
@@ -136,14 +166,19 @@ mod tests {
         run_cannon_case(1, 4);
     }
 
-    /// Every rank's `C` tile and the world's payload-clone bytes, with
-    /// Cannon consuming owned tiles or borrowing them through
-    /// [`crate::run_planned_gemm`].
-    fn cannon_tiles(q: usize, n: usize, owned: bool) -> (Vec<Matrix>, u64) {
+    /// Every rank's `C` tile and the world's totals, with Cannon
+    /// consuming owned tiles cut in its aligned layouts, or borrowing
+    /// checkerboard tiles through [`crate::run_planned_gemm`].
+    fn cannon_tiles(q: usize, n: usize, owned: bool) -> (Vec<Matrix>, CommStats) {
         let grid = GridShape::new(q, q);
-        let dist = Distribution::grid2d(grid, n, n);
-        let at = Arc::new(dist.scatter(&seeded_uniform(n, n, 700)));
-        let bt = Arc::new(dist.scatter(&seeded_uniform(n, n, 800)));
+        let (a, b) = (seeded_uniform(n, n, 700), seeded_uniform(n, n, 800));
+        let (da, db) = if owned {
+            aligned_layouts(grid, n)
+        } else {
+            let cb = Distribution::grid2d(grid, n, n);
+            (cb.clone(), cb)
+        };
+        let (at, bt) = (Arc::new(da.scatter(&a)), Arc::new(db.scatter(&b)));
         let kernel = GemmKernel::Packed;
         let mut pool = RankPool::new(grid.size()).unwrap();
         let run = pool
@@ -158,8 +193,11 @@ mod tests {
                 c.unwrap()
             })
             .unwrap();
-        let copied = run.stats.iter().map(|s| s.payload_clone_bytes).sum();
-        (run.results, copied)
+        let total = run
+            .stats
+            .iter()
+            .fold(CommStats::default(), |t, s| t.merge(s));
+        (run.results, total)
     }
 
     #[test]
@@ -168,14 +206,29 @@ mod tests {
         let ts = 12;
         for q in [2, 3, 4] {
             let n = q * ts;
-            let (owned, owned_copied) = cannon_tiles(q, n, true);
-            let (borrowed, borrowed_copied) = cannon_tiles(q, n, false);
+            let (owned, owned_stats) = cannon_tiles(q, n, true);
+            let (borrowed, borrowed_stats) = cannon_tiles(q, n, false);
             for (r, (o, b)) in owned.iter().zip(&borrowed).enumerate() {
                 assert!(bits(o) == bits(b), "q={q}: rank {r}'s C tile differs");
             }
-            assert_eq!(owned_copied, 0, "q={q}: owned tiles are never copied");
-            // Borrowing costs each rank one copy of its A and B tile.
-            assert_eq!(borrowed_copied, (q * q * 2 * ts * ts * 8) as u64, "q={q}");
+            assert_eq!(
+                owned_stats.payload_clone_bytes, 0,
+                "q={q}: owned tiles are never copied"
+            );
+            // The checkerboard pays the alignment: every rank off the
+            // first block row (A) or column (B) receives one tile.
+            let tile = (ts * ts * 8) as u64;
+            let align = 2 * (q * (q - 1)) as u64;
+            assert_eq!(
+                borrowed_stats.bytes_sent - owned_stats.bytes_sent,
+                align * tile,
+                "q={q}"
+            );
+            assert_eq!(
+                borrowed_stats.msgs_sent - owned_stats.msgs_sent,
+                align,
+                "q={q}"
+            );
         }
     }
 

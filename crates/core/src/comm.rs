@@ -32,7 +32,6 @@ use hsumma_netsim::{RecordComm, SimComm};
 use hsumma_runtime::collectives;
 use hsumma_runtime::{BcastAlgorithm, Comm, CommError, WirePayload};
 use hsumma_trace::{allgather_rounds, bcast_edges, bcast_range, bcast_segments, reduce_edges};
-use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Matrix operations the generic algorithms need. Implemented by the real
@@ -394,14 +393,6 @@ pub trait Communicator: Sized {
     /// `CommStats`; the phantom substrates only check bounds.
     fn cut(&self, src: &Self::Mat, r0: usize, c0: usize, rows: usize, cols: usize) -> Self::Shared;
 
-    /// Takes ownership of a whole tile for a schedule that consumes its
-    /// operands: free for an owned tile, one copy for a borrowed one.
-    /// The real substrate counts that copy as a payload materialization
-    /// in the rank's `CommStats`, like [`Communicator::cut`].
-    fn own(&self, tile: Cow<'_, Self::Mat>) -> Self::Mat {
-        tile.into_owned()
-    }
-
     /// Broadcasts a shared `rows × cols` panel from `root` with the
     /// selected algorithm and returns it on every rank. The root passes
     /// `Some(panel)`, everyone else `None`. On the real substrate the
@@ -547,12 +538,6 @@ impl Communicator for Comm {
     fn cut(&self, src: &Matrix, r0: usize, c0: usize, rows: usize, cols: usize) -> Arc<Matrix> {
         self.count_payload_clone(mat_bytes(rows, cols));
         Arc::new(src.block(r0, c0, rows, cols))
-    }
-    fn own(&self, tile: Cow<'_, Matrix>) -> Matrix {
-        if let Cow::Borrowed(m) = tile {
-            self.count_payload_clone(mat_bytes(m.rows(), m.cols()));
-        }
-        tile.into_owned()
     }
     fn bcast_shared(
         &self,

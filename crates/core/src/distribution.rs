@@ -62,6 +62,19 @@ impl Distribution {
         dist
     }
 
+    /// A distribution whose ranges tile the global exactly by
+    /// construction: [`chunk_range`] blocks, dealt one per rank in any
+    /// order. The cover sweep of [`Self::new`] costs `O(p log p)`, which
+    /// each rank of a `p`-rank schedule that builds its layouts would
+    /// pay again, so it runs in debug builds only.
+    pub(crate) fn dealt(rows: usize, cols: usize, ranges: Vec<BlockRange>) -> Self {
+        let dist = Distribution { rows, cols, ranges };
+        if cfg!(debug_assertions) {
+            dist.assert_exact_cover();
+        }
+        dist
+    }
+
     /// The block-checkerboard layout of an `rows × cols` global over a
     /// process grid, without the divisibility requirement of
     /// `BlockDist`: each dimension is dealt with [`chunk_range`], so
@@ -70,7 +83,7 @@ impl Distribution {
         let ranges = (0..grid.size())
             .map(|rank| grid_range(grid, rank, rows, cols))
             .collect();
-        Distribution::new(rows, cols, ranges)
+        Distribution::dealt(rows, cols, ranges)
     }
 
     /// Global row count.

@@ -2,9 +2,10 @@
 //!
 //! Square `q × q` grid, one tile per processor. In round `k`, each
 //! processor row broadcasts its diagonal-offset tile `A[i][(i+k) mod q]`
-//! along the row, multiplies it with the current `B` tile, then rolls `B`
-//! one position up. Like Cannon's, the square-grid restriction kept it out
-//! of general-purpose libraries.
+//! along the row and multiplies it with the current `B` tile; between
+//! rounds `B` rolls one position up (`q − 1` rolls, none after the last
+//! multiply). Like Cannon's, the square-grid restriction kept it out of
+//! general-purpose libraries.
 
 use crate::comm::{Communicator, MatLike};
 use hsumma_matrix::{GemmKernel, GridShape};
@@ -64,26 +65,22 @@ pub fn fox_with<C: Communicator>(
     let step_pairs = ts * ts * ts;
     for k in 0..q {
         b_cur = comm.trace_step(k, ts, ts, || -> Result<_, CommError> {
-            // Broadcast A[i][(i+k) mod q] along row i.
+            // Broadcast A[i][(i+k) mod q] along row i: the root cuts its
+            // tile once, the receivers take the panel that lands.
             let root = (i + k) % q;
-            let mut a_bc = if j == root {
-                a.clone()
-            } else {
-                C::Mat::zeros(ts, ts)
-            };
-            row_comm.bcast_mat(bcast, root, &mut a_bc)?;
+            let mine = (j == root).then(|| row_comm.cut(a, 0, 0, ts, ts));
+            let a_bc = row_comm.bcast_shared(bcast, root, ts, ts, mine)?;
 
             comm.compute(step_pairs as f64, 2 * step_pairs as u64, || {
-                C::Mat::gemm(kernel, &a_bc, &b_cur, &mut c)
+                C::Mat::gemm(kernel, C::shared_ref(&a_bc), &b_cur, &mut c)
             });
 
-            // Roll B up by one (skip on a 1-wide column).
-            if q > 1 {
-                comm.send_mat(up, TAG_ROLL_B, b_cur)?;
-                comm.recv_mat(down, TAG_ROLL_B, ts, ts)
-            } else {
-                Ok(b_cur)
+            // Roll B up by one, unless no multiply reads the result.
+            if k + 1 == q {
+                return Ok(b_cur);
             }
+            comm.send_mat(up, TAG_ROLL_B, b_cur)?;
+            comm.recv_mat(down, TAG_ROLL_B, ts, ts)
         })?;
         comm.maybe_step_sync()?;
     }
@@ -145,8 +142,11 @@ mod tests {
         let by_fox = distributed_product(grid, n, &a, &b, |comm, at, bt| {
             fox(comm, grid, n, &at, &bt, GemmKernel::Blocked).unwrap()
         });
+        let cannon = crate::PlannedAlgo::Cannon {
+            kernel: GemmKernel::Blocked,
+        };
         let by_cannon = distributed_product(grid, n, &a, &b, |comm, at, bt| {
-            crate::cannon::cannon(comm, grid, n, at, bt, GemmKernel::Blocked).unwrap()
+            crate::run_planned_gemm(comm, grid, n, n, n, &at, &bt, &cannon).unwrap()
         });
         let by_summa = distributed_product(grid, n, &a, &b, |comm, at, bt| {
             summa(

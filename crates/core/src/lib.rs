@@ -27,9 +27,11 @@
 //!   `hsumma-netsim` clocks (Figs. 5–9);
 //! * [`tuning`] — optimal group count selection by sampling (§VI);
 //! * [`multilevel`] — ≥ 2 hierarchy levels (the paper's future work);
-//! * [`plan`] — executable algorithm plans ([`PlannedAlgo`]) and the
-//!   generic dispatcher [`run_planned_gemm`] (and [`run_planned_gemm_cow`],
-//!   which the serving layer calls with owned tiles);
+//! * [`plan`] — executable algorithm plans ([`PlannedAlgo`]), each naming
+//!   its operand [`Layouts`], and the generic dispatchers
+//!   [`run_planned_gemm`] (checkerboard in and out) and
+//!   [`run_in_layouts`] (the plan's own layouts, which the serving layer
+//!   deals);
 //! * [`lu`] — distributed block LU with optional hierarchical panel
 //!   broadcasts, and [`mod@tsqr`] — communication-avoiding tall-skinny QR
 //!   (the §VI plan to carry the approach to LU/QR);
@@ -62,7 +64,7 @@ pub mod tsqr;
 pub mod tuning;
 pub mod twodotfive;
 
-pub use cannon::cannon;
+pub use cannon::{aligned_layouts, cannon};
 pub use comm::{Communicator, MatLike, PanelBcast, PhantomMat};
 pub use cosma::{cosma, reduce_scatter_gather, CosmaConfig};
 pub use cyclic::summa_cyclic;
@@ -74,7 +76,7 @@ pub use lu::{block_lu, LuConfig};
 pub use multilevel::hier_bcast;
 pub use overlap::{hsumma_overlap, summa_overlap};
 pub use partition::{ceil_div, chunk_range, pivot_steps, tile_of, MatMulDims, Panel};
-pub use plan::{run_planned_gemm, run_planned_gemm_cow, PlannedAlgo};
+pub use plan::{run_in_layouts, run_planned_gemm, Layouts, PlannedAlgo};
 pub use simdrive::{
     record_cosma, record_hsumma, replay_on, sim_hsumma_engine, sim_summa_engine, simulate,
     simulate_on, Schedule, SimEngine,

@@ -1,14 +1,17 @@
 //! Executable plans: one value that says *which* multiply to run and
-//! *how*, plus the dispatcher that runs it.
+//! *how*, plus the dispatchers that run it.
 //!
 //! The serving layer's planner (and any caller that wants to defer the
-//! algorithm decision) produces a [`PlannedAlgo`]; [`run_planned_gemm`]
-//! maps it onto the algorithm implementations. Because the dispatcher is
+//! algorithm decision) produces a [`PlannedAlgo`]. Each plan names the
+//! layouts its body reads and writes ([`PlannedAlgo::layouts`]);
+//! [`run_in_layouts`] runs the body over tiles already in them, and
+//! [`run_planned_gemm`] runs it from and back to the checkerboard,
+//! converting only for a plan whose layouts differ. Because both are
 //! generic over [`Communicator`], the same plan value executes real
 //! matrices on the threaded runtime *and* replays on the simulator — so
 //! a plan can be priced on `SimComm` before being committed to a pool.
 
-use crate::cannon::cannon;
+use crate::cannon::{aligned_layouts, cannon};
 use crate::comm::{Communicator, MatLike};
 use crate::cosma::{cosma, CosmaConfig};
 use crate::distribution::{redistribute, Distribution};
@@ -18,7 +21,6 @@ use crate::pivot::{self, Spec};
 use crate::summa::SummaConfig;
 use hsumma_matrix::{GemmKernel, GridShape};
 use hsumma_runtime::CommError;
-use std::borrow::Cow;
 
 /// A fully resolved algorithm choice for one `C(m×n) = A(m×k) · B(k×n)`
 /// multiply (square `m = n = k` being the common case).
@@ -37,18 +39,46 @@ pub enum PlannedAlgo {
     /// ([`crate::overlap::hsumma_overlap`]); the `*_bcast` fields are
     /// ignored — nonblocking flat pushes replace the collectives.
     HsummaPipelined(HsummaConfig),
-    /// Cannon's algorithm (square grids and operands only).
+    /// Cannon's algorithm (square grids and operands only) over its
+    /// aligned layouts ([`crate::cannon::aligned_layouts`]).
     Cannon {
         /// Local multiply kernel.
         kernel: GemmKernel,
     },
-    /// The COSMA-style brick schedule ([`crate::cosma()`]). The
-    /// dispatcher redistributes the block-checkerboard tiles into the
-    /// decomposition's brick layout, runs the schedule, and
-    /// redistributes the product back — so the plan is interchangeable
-    /// with the grid algorithms under the same tile convention, and
-    /// needs no divisibility from `(m, n, k)` at all.
+    /// The COSMA-style brick schedule ([`crate::cosma()`]) over the
+    /// decomposition's own layouts ([`crate::BrickDecomp::a_distribution`]
+    /// and its `b` and `c` siblings): only the first brick of each fiber
+    /// holds an operand, and `C` lands on the first layer. A caller that
+    /// deals tiles in those layouts moves only the schedule's fiber
+    /// broadcasts and reduction; [`run_planned_gemm`] converts from and
+    /// back to the checkerboard around them. Needs no divisibility from
+    /// `(m, n, k)` at all.
     Cosma(CosmaConfig),
+}
+
+/// The layouts of one multiply's operands over `p` ranks: `A` (`m × k`)
+/// and `B` (`k × n`) as a plan's body reads them, `C` (`m × n`) as it
+/// leaves it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Layouts {
+    /// Layout of `A`.
+    pub a: Distribution,
+    /// Layout of `B`.
+    pub b: Distribution,
+    /// Layout of `C`.
+    pub c: Distribution,
+}
+
+impl Layouts {
+    /// All three operands on the checkerboard of
+    /// [`Distribution::grid2d`].
+    pub(crate) fn checkerboard(grid: GridShape, m: usize, n: usize, k: usize) -> Self {
+        Layouts {
+            a: Distribution::grid2d(grid, m, k),
+            b: Distribution::grid2d(grid, k, n),
+            c: Distribution::grid2d(grid, m, n),
+        }
+    }
 }
 
 impl PlannedAlgo {
@@ -85,6 +115,36 @@ impl PlannedAlgo {
             | PlannedAlgo::Cosma(_) => "blocking",
         }
     }
+
+    /// The layouts this plan's body reads `A` and `B` in and leaves `C`
+    /// in, for `C(m×n) = A(m×k) · B(k×n)` over `grid`: the checkerboard
+    /// for SUMMA and HSUMMA, Cannon's aligned `A` and `B` with a
+    /// checkerboard `C`, and COSMA's bricks.
+    ///
+    /// # Panics
+    /// Panics for a Cannon plan on non-square operands or grid.
+    pub fn layouts(&self, grid: GridShape, m: usize, n: usize, k: usize) -> Layouts {
+        match self {
+            PlannedAlgo::Summa(_)
+            | PlannedAlgo::SummaPipelined(_)
+            | PlannedAlgo::Hsumma(_)
+            | PlannedAlgo::HsummaPipelined(_) => Layouts::checkerboard(grid, m, n, k),
+            PlannedAlgo::Cannon { .. } => {
+                assert!(m == n && k == n, "the Cannon plan is square-only");
+                let (a, b) = aligned_layouts(grid, n);
+                let c = Distribution::grid2d(grid, n, n);
+                Layouts { a, b, c }
+            }
+            PlannedAlgo::Cosma(cfg) => {
+                let (d, p) = (cfg.decomp, grid.size());
+                Layouts {
+                    a: d.a_distribution(m, k, p),
+                    b: d.b_distribution(k, n, p),
+                    c: d.c_distribution(m, n, p),
+                }
+            }
+        }
+    }
 }
 
 /// Runs the planned algorithm for `C(m×n) = A(m×k) · B(k×n)` on the
@@ -95,9 +155,11 @@ impl PlannedAlgo {
 /// `grid2d(grid, m, n)`. When the grid divides every extent, those
 /// layouts are the classic uniform block-checkerboard tiles.
 ///
-/// This is the borrowing form of [`run_planned_gemm_cow`]: the Cannon
-/// plan, which consumes its tiles, copies both (counted as payload
-/// materializations); every other plan reads them in place.
+/// SUMMA and HSUMMA read the tiles in place. The Cannon and COSMA plans
+/// first [`redistribute`] them into their own layouts, and COSMA moves
+/// its product back: pure functions of the descriptors, so both
+/// substrates move identical multisets. For Cannon that conversion is
+/// the classic alignment shift.
 ///
 /// # Panics
 /// Panics if the plan is inconsistent with `grid`/`(m, n, k)`: the
@@ -116,68 +178,68 @@ pub fn run_planned_gemm<C: Communicator>(
     b: &C::Mat,
     plan: &PlannedAlgo,
 ) -> Result<C::Mat, CommError> {
-    let (a, b) = (Cow::Borrowed(a), Cow::Borrowed(b));
-    run_planned_gemm_cow(comm, grid, m, n, k, a, b, plan)
+    let dims = MatMulDims { m, l: k, n };
+    match plan {
+        PlannedAlgo::Summa(cfg) => {
+            pivot::blocking(comm, &Spec::summa(grid, dims, cfg), a, b, |_| true)
+        }
+        PlannedAlgo::SummaPipelined(cfg) => {
+            pivot::pipelined(comm, &Spec::summa(grid, dims, cfg), a, b)
+        }
+        PlannedAlgo::Hsumma(cfg) => {
+            pivot::blocking(comm, &Spec::hsumma(grid, dims, cfg), a, b, |_| true)
+        }
+        PlannedAlgo::HsummaPipelined(cfg) => {
+            pivot::pipelined(comm, &Spec::hsumma(grid, dims, cfg), a, b)
+        }
+        PlannedAlgo::Cannon { .. } | PlannedAlgo::Cosma(_) => {
+            let (from, to) = (
+                Layouts::checkerboard(grid, m, n, k),
+                plan.layouts(grid, m, n, k),
+            );
+            let a = redistribute(comm, &from.a, &to.a, a)?;
+            let b = redistribute(comm, &from.b, &to.b, b)?;
+            let c = run_in_layouts(comm, grid, m, n, k, a, b, plan)?;
+            if to.c == from.c {
+                return Ok(c);
+            }
+            redistribute(comm, &to.c, &from.c, &c)
+        }
+    }
 }
 
-/// [`run_planned_gemm`] over tiles the caller either lends or hands
-/// over. The Cannon plan consumes owned tiles without a copy; every
-/// other plan only reads them, so ownership changes nothing there.
+/// Runs the plan's body for `C(m×n) = A(m×k) · B(k×n)` on the calling
+/// rank over tiles already in the plan's own layouts
+/// ([`PlannedAlgo::layouts`]) and returns this rank's tile of `C` in the
+/// plan's `C` layout: what a caller that cuts its own tiles from shared
+/// operands (the serving layer) runs, so that it moves nothing but the
+/// schedule's own traffic. Cannon consumes its tiles; every other plan
+/// reads them in place.
 ///
 /// # Panics
-/// As [`run_planned_gemm`].
+/// As [`run_planned_gemm`], and if a tile does not have its layout's
+/// shape for this rank.
 #[allow(clippy::too_many_arguments)]
-pub fn run_planned_gemm_cow<C: Communicator>(
+pub fn run_in_layouts<C: Communicator>(
     comm: &C,
     grid: GridShape,
     m: usize,
     n: usize,
     k: usize,
-    a: Cow<'_, C::Mat>,
-    b: Cow<'_, C::Mat>,
+    a: C::Mat,
+    b: C::Mat,
     plan: &PlannedAlgo,
 ) -> Result<C::Mat, CommError> {
-    let dims = MatMulDims { m, l: k, n };
     match plan {
-        PlannedAlgo::Summa(cfg) => {
-            pivot::blocking(comm, &Spec::summa(grid, dims, cfg), &a, &b, |_| true)
-        }
-        PlannedAlgo::SummaPipelined(cfg) => {
-            pivot::pipelined(comm, &Spec::summa(grid, dims, cfg), &a, &b)
-        }
-        PlannedAlgo::Hsumma(cfg) => {
-            pivot::blocking(comm, &Spec::hsumma(grid, dims, cfg), &a, &b, |_| true)
-        }
-        PlannedAlgo::HsummaPipelined(cfg) => {
-            pivot::pipelined(comm, &Spec::hsumma(grid, dims, cfg), &a, &b)
-        }
         PlannedAlgo::Cannon { kernel } => {
             assert!(m == n && k == n, "the Cannon plan is square-only");
-            cannon(comm, grid, n, comm.own(a), comm.own(b), *kernel)
+            cannon(comm, grid, n, a, b, *kernel)
         }
         PlannedAlgo::Cosma(cfg) => {
-            let p = comm.size();
-            let d = cfg.decomp;
-            // Checkerboard → bricks, run, bricks → checkerboard. The
-            // redistribution schedules are pure functions of the
-            // descriptors, preserving multiset parity across substrates.
-            let a_brick = redistribute(
-                comm,
-                &Distribution::grid2d(grid, m, k),
-                &d.a_distribution(m, k, p),
-                &a,
-            )?;
-            let b_brick = redistribute(
-                comm,
-                &Distribution::grid2d(grid, k, n),
-                &d.b_distribution(k, n, p),
-                &b,
-            )?;
-            let dc = d.c_distribution(m, n, p);
-            let c_brick = cosma(comm, m, n, k, &a_brick, &b_brick, cfg)?
-                .unwrap_or_else(|| C::Mat::zeros(0, 0));
-            redistribute(comm, &dc, &Distribution::grid2d(grid, m, n), &c_brick)
+            Ok(cosma(comm, m, n, k, &a, &b, cfg)?.unwrap_or_else(|| C::Mat::zeros(0, 0)))
         }
+        // The pivot plans' layouts are the checkerboard.
+        _ => run_planned_gemm(comm, grid, m, n, k, &a, &b, plan),
     }
 }
 

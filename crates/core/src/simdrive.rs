@@ -24,7 +24,7 @@ use crate::fox::fox_with;
 use crate::hsumma::HsummaConfig;
 use crate::lu::{block_lu, LuConfig};
 use crate::partition::{tile_of, MatMulDims};
-use crate::plan::{run_planned_gemm, PlannedAlgo};
+use crate::plan::{run_in_layouts, run_planned_gemm, PlannedAlgo};
 use crate::summa::SummaConfig;
 use crate::twodotfive::{twodotfive, TwoDotFiveConfig};
 use hsumma_matrix::{GemmKernel, GridShape};
@@ -42,9 +42,20 @@ use hsumma_runtime::CommError;
 pub enum Schedule {
     /// A planned grid multiply `C(m×n) = A(m×l)·B(l×n)` over
     /// block-checkerboard tiles — [`run_planned_gemm`]: SUMMA, HSUMMA,
-    /// their pipelined forms, Cannon, or COSMA behind its
-    /// checkerboard↔brick redistribution.
+    /// their pipelined forms, Cannon behind its alignment, or COSMA
+    /// behind its checkerboard↔brick redistribution.
     Gemm {
+        /// The `s × t` processor grid.
+        grid: GridShape,
+        /// Global operand extents.
+        dims: MatMulDims,
+        /// Algorithm and configuration.
+        plan: PlannedAlgo,
+    },
+    /// The same planned multiply over tiles dealt in the plan's own
+    /// layouts ([`PlannedAlgo::layouts`]) — [`run_in_layouts`], as the
+    /// serving layer runs it: no conversion from the checkerboard.
+    Native {
         /// The `s × t` processor grid.
         grid: GridShape,
         /// Global operand extents.
@@ -84,8 +95,11 @@ pub enum Schedule {
     },
     /// COSMA over `p` ranks with bricks in their native
     /// [`crate::distribution::BrickDecomp`] layouts — no redistribution,
-    /// matching how the serving layer would stage operands for a pure
-    /// cosma job. Ranks beyond the decomposition idle and send nothing.
+    /// as the serving layer deals a COSMA job. It moves what
+    /// [`Schedule::Native`] moves for the plan, but deals each rank in
+    /// O(1), without a [`crate::Distribution`] of all `p` ranks, so it
+    /// scales to `p = 2²⁰`. Ranks beyond the decomposition idle and send
+    /// nothing.
     Cosma {
         /// World size (may exceed the decomposition's rank count).
         p: usize,
@@ -191,6 +205,7 @@ impl Schedule {
     pub fn ranks(&self) -> usize {
         match self {
             Schedule::Gemm { grid, .. }
+            | Schedule::Native { grid, .. }
             | Schedule::Cyclic { grid, .. }
             | Schedule::Lu { grid, .. } => grid.size(),
             Schedule::Fox { q, .. } => q * q,
@@ -221,6 +236,12 @@ impl Schedule {
             Schedule::Gemm { grid, dims, plan } => {
                 let (a, b) = (dealt(*grid, dims.m, dims.l), dealt(*grid, dims.l, dims.n));
                 run_planned_gemm(comm, *grid, dims.m, dims.n, dims.l, &a, &b, plan)?;
+            }
+            Schedule::Native { grid, dims, plan } => {
+                let MatMulDims { m, l: k, n } = *dims;
+                let (layouts, me) = (plan.layouts(*grid, m, n, k), comm.rank());
+                let (a, b) = (layouts.a.local_zeros(me), layouts.b.local_zeros(me));
+                run_in_layouts(comm, *grid, m, n, k, a, b, plan)?;
             }
             Schedule::Cyclic { grid, n, cfg } => {
                 let tile = PhantomMat::zeros(n / grid.rows, n / grid.cols);
@@ -284,6 +305,9 @@ impl Schedule {
         !matches!(
             self,
             Schedule::Gemm {
+                plan: PlannedAlgo::HsummaPipelined(_),
+                ..
+            } | Schedule::Native {
                 plan: PlannedAlgo::HsummaPipelined(_),
                 ..
             }
@@ -568,13 +592,19 @@ mod tests {
     #[test]
     fn cannon_sim_message_count_matches_schedule() {
         // Alignment: rows 1..q shift A (q ranks each), cols 1..q shift B;
-        // then q rounds of 2 shifts per rank.
+        // then the q - 1 rotations between the q multiplies, 2 shifts per
+        // rank each. Dealt aligned, only the rotations remain.
         let plat = Platform::grid5000();
         let q = 4;
         let r = sim(Schedule::cannon(q, 64), &plat);
         let align = 2 * (q * (q - 1)) as u64;
-        let rounds = (q * q * q * 2) as u64;
-        assert_eq!(r.msgs, align + rounds);
+        let rotations = (q * q * (q - 1) * 2) as u64;
+        assert_eq!(r.msgs, align + rotations);
+        let Schedule::Gemm { grid, dims, plan } = Schedule::cannon(q, 64) else {
+            unreachable!("Cannon is a planned grid multiply");
+        };
+        let native = sim(Schedule::Native { grid, dims, plan }, &plat);
+        assert_eq!(native.msgs, rotations);
     }
 
     #[test]
@@ -598,9 +628,10 @@ mod tests {
             },
             &plat,
         );
-        // Per round: q row-bcasts of (q-1) messages each + q*q roll sends.
-        let per_round = (q * (q - 1) + q * q) as u64;
-        assert_eq!(r.msgs, q as u64 * per_round);
+        // Per round: q row-bcasts of (q-1) messages each; between rounds
+        // q*q roll sends.
+        let (bcasts, rolls) = ((q * q * (q - 1)) as u64, (q * q * (q - 1)) as u64);
+        assert_eq!(r.msgs, bcasts + rolls);
     }
 
     #[test]

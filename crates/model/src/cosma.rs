@@ -143,7 +143,8 @@ pub fn cosma_cost(
 /// redistribute`): every rank streams roughly its `1/p` share of all
 /// three operands out and the brick share back in, as concurrent
 /// point-to-point messages. Charged to cosma by [`crate::advise_gemm`]
-/// because the serving layer's input contract is the checkerboard.
+/// because the checkerboard entry point pays it; a served job, dealt
+/// in the brick layouts, does not (a known conservative bias).
 pub fn redistribution_cost(params: &ModelParams, p: f64, m: f64, n: f64, k: f64) -> CostBreakdown {
     CostBreakdown {
         // Three redistributions, each about one exchange wave deep.

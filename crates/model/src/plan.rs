@@ -16,10 +16,11 @@
 //!
 //! COSMA's candidate is priced *including* the one-time cost of
 //! redistributing checkerboard-distributed operands into brick layouts
-//! and back ([`crate::cosma::redistribution_cost`]) — the serving
-//! layer's input contract is the checkerboard, so that toll is part of
-//! choosing the brick schedule, and it keeps the comparison honest on
-//! problems where cosma's schedule advantage is thin.
+//! and back ([`crate::cosma::redistribution_cost`]), and Cannon's
+//! including its alignment shifts ([`crate::related::cannon_cost`]):
+//! the checkerboard entry point pays both. The serving layer deals
+//! each plan's tiles in its own layouts and pays neither, so for served
+//! jobs both candidates carry a known conservative bias.
 //!
 //! The advice is intentionally coarse — closed-form, contention-free. The
 //! serving planner treats it as the first pass and refines HSUMMA's `G`

@@ -12,19 +12,45 @@
 use crate::cost::{CostBreakdown, ModelParams};
 use crate::ELEM_BYTES;
 
-/// Predicted cost of Cannon's algorithm on a `√p × √p` grid: `√p` rounds
-/// of one tile shift per operand, tiles of `n²/p` elements.
+/// Predicted cost of Cannon's algorithm on a `√p × √p` grid over
+/// checkerboard tiles of `n²/p` elements: on each rank's path, one
+/// alignment shift per operand and two shifts for each of the `q − 1`
+/// rotations between the `q` multiplies — `2q` shifts for `q ≥ 2`, none
+/// at `q = 1`.
+///
+/// This prices the checkerboard schedule even where a caller deals the
+/// tiles aligned (the serving layer), which skips the two alignment
+/// shifts: a known conservative bias of `2(α + β·8n²/p)`.
 pub fn cannon_cost(params: &ModelParams, n: f64, p: f64) -> CostBreakdown {
     let q = p.sqrt();
     let tile_bytes = n * n / p * ELEM_BYTES;
-    // Two shifts (A and B) per round, q rounds; alignment adds ~2 more
-    // shifts, which we fold in for the worst case.
-    let shifts = 2.0 * (q + 1.0);
+    let shifts = if q >= 2.0 { 2.0 * q } else { 0.0 };
     CostBreakdown {
         latency: shifts * params.alpha,
         bandwidth: shifts * tile_bytes * params.beta,
         compute: params.gamma * n * n * n / p,
     }
+}
+
+/// World-wide tile moves of checkerboard Cannon on a `q × q` grid, in
+/// tiles of `(n/q)²` elements: the alignment (`q(q−1)` per operand) plus
+/// `2q²` for each of the `q − 1` rotations — `2q(q−1)(q+1)`.
+pub fn cannon_tile_moves(q: u64) -> u64 {
+    2 * q * (q - 1) * (q + 1)
+}
+
+/// World-wide tile moves of Cannon over tiles dealt in its aligned
+/// layouts: the `q − 1` rotations alone, `2q²(q−1)`.
+pub fn cannon_aligned_tile_moves(q: u64) -> u64 {
+    2 * q * q * (q - 1)
+}
+
+/// World-wide tile moves of Fox on a `q × q` grid with binomial (or any
+/// tree) row broadcasts: each of `q` rounds reaches the `q − 1` other
+/// ranks of each of `q` rows, and `q − 1` rolls move `q²` tiles each —
+/// `2q²(q−1)`.
+pub fn fox_tile_moves(q: u64) -> u64 {
+    2 * q * q * (q - 1)
 }
 
 /// Predicted cost of the 3-D algorithm on a `p^⅓ × p^⅓ × p^⅓` mesh
@@ -85,6 +111,17 @@ mod tests {
         let cannon = cannon_cost(&params, n, p);
         let summa = summa_cost(&params, BcastModel::Binomial, n, p, 256.0);
         assert!(cannon.bandwidth < summa.bandwidth);
+    }
+
+    #[test]
+    fn cannon_prices_two_shifts_per_rank_and_round_but_none_on_one_rank() {
+        let params = ModelParams::bluegene_p();
+        let n = 1024.0;
+        let tile = n * n / 16.0 * ELEM_BYTES;
+        let c = cannon_cost(&params, n, 16.0);
+        assert!((c.latency - 8.0 * params.alpha).abs() < 1e-15);
+        assert!((c.bandwidth - 8.0 * tile * params.beta).abs() < 1e-12);
+        assert_eq!(cannon_cost(&params, n, 1.0).comm(), 0.0);
     }
 
     #[test]

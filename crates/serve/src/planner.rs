@@ -269,9 +269,8 @@ impl Planner {
         );
         // Path decision: does the modeled overlap win justify the
         // pipelined schedule for this shape class? The double-buffered
-        // pivot pipelines are square-only, so rectangular shapes always
-        // take the blocking collectives.
-        let pipelined = square && advice.overlap_win_fraction() > PIPELINE_MIN_WIN;
+        // pivot pipelines run any `(m, k, n)`, so the model alone decides.
+        let pipelined = advice.overlap_win_fraction() > PIPELINE_MIN_WIN;
         match advice.choice {
             AlgoChoice::Cosma { .. } => CachedChoice::Cosma,
             AlgoChoice::Cannon if self.cannon_runs(m, k, n) => CachedChoice::Cannon,
@@ -645,39 +644,52 @@ mod tests {
         // predicted overlap hides more than the threshold fraction. The
         // equivalence applies to the plans that *have* a pipelined
         // variant — a Cosma or Cannon winner is blocking by
-        // construction, whatever the model's overlap term says.
+        // construction, whatever the model's overlap term says. The
+        // pipelines run any shape, so rectangular shapes are held to the
+        // same rule.
         let grid = GridShape::new(2, 4);
         let config = PlannerConfig::default();
-        for n in [64usize, 256, 1024] {
-            let params = hsumma_model::ModelParams {
-                alpha: config.platform.net.alpha,
-                beta: config.platform.net.beta,
-                gamma: config.platform.gamma,
-            };
-            let block = preferred_block(n / grid.rows, n / grid.cols);
+        let params = hsumma_model::ModelParams {
+            alpha: config.platform.net.alpha,
+            beta: config.platform.net.beta,
+            gamma: config.platform.gamma,
+        };
+        let mut pipelined = 0;
+        for (m, k, n) in [
+            (64, 64, 64),
+            (256, 256, 256),
+            (1024, 1024, 1024),
+            (64, 64, 1024),
+            (1024, 64, 256),
+            (512, 64, 1024),
+            (1024, 256, 2048),
+        ] {
+            let block = preferred_block(k / grid.rows, k / grid.cols).min(m).min(n);
             let advice = hsumma_model::advise_gemm(
                 &params,
                 config.bcast,
+                m as f64,
                 n as f64,
-                n as f64,
-                n as f64,
+                k as f64,
                 grid.size() as f64,
                 block as f64,
             );
             let mut planner = Planner::new(grid, config.clone());
-            let plan = planner.plan_gemm(n, n, n).plan;
+            let plan = planner.plan_gemm(m, k, n).plan;
             if matches!(plan, PlannedAlgo::Cosma(_) | PlannedAlgo::Cannon { .. }) {
                 assert_eq!(plan.gemm_path(), "blocking");
                 continue;
             }
+            pipelined += usize::from(plan.gemm_path() == "pipelined" && m != n);
             assert_eq!(
                 plan.gemm_path() == "pipelined",
                 advice.overlap_win_fraction() > PIPELINE_MIN_WIN,
-                "n={n}: plan {} vs modeled win {}",
+                "{m}x{k}x{n}: plan {} vs modeled win {}",
                 plan.describe(),
                 advice.overlap_win_fraction()
             );
         }
+        assert!(pipelined > 0, "some rectangular shape must pipeline");
     }
 
     #[test]

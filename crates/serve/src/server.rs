@@ -48,14 +48,13 @@ use crate::planner::{
     sparsity_profile, Planned, Planner, PlannerConfig, PlannerStats, ShapeClass, RANK_TOLERANCE,
 };
 use crate::sched::{subgrid, Calibration, ReadyQueue, AGING_BOUND};
-use hsumma_core::{run_planned_gemm_cow, Distribution};
+use hsumma_core::{run_in_layouts, Distribution};
 use hsumma_matrix::sparse::CsrMatrix;
 use hsumma_matrix::{GridShape, Matrix};
 use hsumma_model::{advise_sddmm_ranks, advise_spgemm_ranks, ModelParams, SparsityProfile};
 use hsumma_runtime::{Comm, CommStats, JobOptions, PoolExec, PoolRun, RankPool, RuntimeError};
 use hsumma_sparse::{gather_csr, scatter_csr, sddmm_2d, spgemm_2d, SparseConfig};
 use hsumma_trace::{primary_comm_error, CommError, CommErrorKind, Tracer};
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -783,13 +782,16 @@ fn execute<P: PoolExec>(
 /// densified CSR inputs and the product converts back to CSR — the
 /// product contract follows the submission, not the execution path.
 ///
-/// Operands are dealt by the [`Distribution`] checkerboard descriptors
-/// (exact cover for *any* extents, no divisibility required) and the
-/// plan runs through [`run_planned_gemm_cow`] — the same descriptors
-/// the planner's brick schedule redistributes from. Each rank cuts its
-/// own tiles from the shared operands and hands them over owned: that
-/// cut is the only copy of an operand between submission and the first
-/// multiply, Cannon included.
+/// Operands are dealt by the plan's own layouts
+/// ([`PlannedAlgo::layouts`](hsumma_core::PlannedAlgo::layouts): the
+/// checkerboard for SUMMA and HSUMMA, Cannon's aligned tiles, COSMA's
+/// bricks — each an exact cover for any extents) and the plan runs
+/// through [`run_in_layouts`], so the job moves only its schedule's own
+/// traffic: no alignment shifts, no brick redistribution. Each rank cuts
+/// its own tiles from the shared operands and hands them over owned:
+/// that cut is the only copy of an operand between submission and the
+/// first multiply, Cannon included. `C` is gathered by the plan's `C`
+/// layout.
 fn run_dense<P: PoolExec>(
     run: JobRun<'_, P>,
     planned: Planned,
@@ -798,22 +800,21 @@ fn run_dense<P: PoolExec>(
     sparsify: bool,
 ) -> Result<JobOutput, JobError> {
     let (m, k, n, grid) = (run.spec.m, run.spec.k, run.spec.n, run.grid);
-    let c_dist = Distribution::grid2d(grid, m, n);
-    let a_dist = Distribution::grid2d(grid, m, k);
-    let b_dist = Distribution::grid2d(grid, k, n);
-    let (a, b) = (Arc::new(a), Arc::new(b));
     let plan = planned.plan;
+    let layouts = plan.layouts(grid, m, n, k);
+    let (da, db, dc) = (layouts.a, layouts.b, layouts.c);
+    let (a, b) = (Arc::new(a), Arc::new(b));
     let serve_plan = if sparsify {
         ServePlan::Densified(plan)
     } else {
         ServePlan::Dense(plan)
     };
     let (tiles, report) = run_pooled(run, serve_plan, planned.cached, move |comm| {
-        let at = a_dist.local_tile(&*a, comm.rank());
-        let bt = b_dist.local_tile(&*b, comm.rank());
-        run_planned_gemm_cow(comm, grid, m, n, k, Cow::Owned(at), Cow::Owned(bt), &plan)
+        let at = da.local_tile(&*a, comm.rank());
+        let bt = db.local_tile(&*b, comm.rank());
+        run_in_layouts(comm, grid, m, n, k, at, bt, &plan)
     })?;
-    let c = c_dist.gather(&tiles);
+    let c = dc.gather(&tiles);
     let c = if sparsify {
         Product::Sparse(CsrMatrix::from_dense(&c))
     } else {

@@ -58,8 +58,9 @@ fn concurrent_mixed_size_clients_all_get_correct_products() {
 
 #[test]
 fn served_cannon_job_copies_no_payload() {
-    // The server hands Cannon the tiles its ranks cut: a borrowed tile
-    // would be copied again, and that copy is counted as a payload clone.
+    // Each rank cuts its tiles in Cannon's aligned layouts and hands
+    // them over owned: the rotations send those tiles themselves, so no
+    // payload is copied.
     let server = GemmServer::new(ServerConfig::new(GridShape::new(2, 2))).unwrap();
     let n = 64;
     let a = seeded_uniform(n, n, 41);
@@ -76,7 +77,7 @@ fn served_cannon_job_copies_no_payload() {
     assert_eq!(out.report.plan_desc, "cannon");
     assert!(out.c.dense().approx_eq(&want, 1e-9));
     let stats = out.report.merged_stats();
-    assert!(stats.msgs_sent > 0, "Cannon shifts tiles between ranks");
+    assert_eq!(stats.msgs_sent, 8, "one rotation of A and B on every rank");
     assert_eq!(stats.payload_clone_bytes, 0);
 }
 

@@ -8,7 +8,9 @@
 //! ```
 
 use hsumma_repro::core::testutil::reference_product;
-use hsumma_repro::core::{cannon, fox, hsumma, summa, HsummaConfig, SummaConfig};
+use hsumma_repro::core::{
+    fox, hsumma, run_planned_gemm, summa, HsummaConfig, PlannedAlgo, SummaConfig,
+};
 use hsumma_repro::matrix::{seeded_uniform, BlockDist, GemmKernel, GridShape, Matrix};
 use hsumma_repro::runtime::{Comm, CommStats, Runtime};
 
@@ -54,7 +56,10 @@ fn main() {
     println!("C = A*B, n = {n}, 16 ranks on a 4x4 grid\n");
 
     run_algo("cannon", grid, n, &a, &b, &want, |comm, at, bt| {
-        cannon(comm, grid, n, at, bt, GemmKernel::Blocked).unwrap()
+        let plan = PlannedAlgo::Cannon {
+            kernel: GemmKernel::Blocked,
+        };
+        run_planned_gemm(comm, grid, n, n, n, &at, &bt, &plan).unwrap()
     });
     run_algo("fox", grid, n, &a, &b, &want, |comm, at, bt| {
         fox(comm, grid, n, &at, &bt, GemmKernel::Blocked).unwrap()

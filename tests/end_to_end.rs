@@ -4,7 +4,9 @@
 //! groupings and broadcast algorithms.
 
 use hsumma_repro::core::testutil::{distributed_product, reference_product};
-use hsumma_repro::core::{cannon, fox, hsumma, summa, HierGrid, HsummaConfig, SummaConfig};
+use hsumma_repro::core::{
+    fox, hsumma, run_planned_gemm, summa, HierGrid, HsummaConfig, PlannedAlgo, SummaConfig,
+};
 use hsumma_repro::matrix::{seeded_uniform, BlockDist, GemmKernel, GridShape, Matrix};
 use hsumma_repro::runtime::{BcastAlgorithm, Comm, Runtime};
 use hsumma_repro::trace::Tracer;
@@ -120,7 +122,10 @@ fn all_four_algorithms_agree_on_a_square_grid() {
     let want = reference_product(&a, &b);
 
     let by_cannon = distributed_product(grid, n, &a, &b, |comm, at, bt| {
-        cannon(comm, grid, n, at, bt, GemmKernel::Blocked).unwrap()
+        let plan = PlannedAlgo::Cannon {
+            kernel: GemmKernel::Blocked,
+        };
+        run_planned_gemm(comm, grid, n, n, n, &at, &bt, &plan).unwrap()
     });
     let by_fox = distributed_product(grid, n, &a, &b, |comm, at, bt| {
         fox(comm, grid, n, &at, &bt, GemmKernel::Blocked).unwrap()

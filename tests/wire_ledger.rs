@@ -18,8 +18,13 @@
 //! 3. the segmenting broadcasts' `f64` segments: `bcast_f64` under
 //!    `Pipelined` and `ScatterAllgather`;
 //! 4. whole owned `Matrix` tiles: a served n = 512 job that a 2×2
-//!    `GemmServer` plans as Cannon, whose product must also match
-//!    Cannon on a bare `RankPool` bit for bit.
+//!    `GemmServer` plans as Cannon and a served 300×200×260 one it
+//!    plans as COSMA, each dealt in its plan's own layouts, whose
+//!    products must also match the plan run from the checkerboard on a
+//!    bare `RankPool` bit for bit.
+//!
+//! Cannon and Fox are also pinned to closed forms in whole tiles on the
+//! simulator's replay ledger, for `q = 1 … 4`.
 //!
 //! On shapes neither the grid nor the blocks divide, the dense grid
 //! plans are pinned to a closed form instead: `8·(M·L·(t−1) +
@@ -33,9 +38,13 @@
 //! therefore count only the schedules' own traffic.
 
 use hsumma_repro::core::testutil::reference_product;
-use hsumma_repro::core::{run_planned_gemm, Distribution, HsummaConfig, PlannedAlgo, SummaConfig};
+use hsumma_repro::core::{
+    run_planned_gemm, simulate, Distribution, HsummaConfig, PlannedAlgo, Schedule, SummaConfig,
+};
 use hsumma_repro::matrix::sparse::{seeded_sparse, CsrMatrix};
 use hsumma_repro::matrix::{seeded_uniform, BlockDist, GemmKernel, GridShape, Matrix};
+use hsumma_repro::model::related::{cannon_aligned_tile_moves, cannon_tile_moves, fox_tile_moves};
+use hsumma_repro::netsim::{Platform, SimBcast};
 use hsumma_repro::runtime::collectives::bcast_f64;
 use hsumma_repro::runtime::{BcastAlgorithm, CommStats, PoolRun, RankPool};
 use hsumma_repro::sparse::{scatter_csr, sddmm_2d, spgemm_2d, SparseConfig};
@@ -205,41 +214,91 @@ fn uneven_shapes_move_each_panel_to_every_other_rank_of_its_line() {
 }
 
 #[test]
-fn served_cannon_moves_the_pinned_bytes_and_matches_pooled_cannon() {
-    let (grid, n) = (GridShape::new(2, 2), 512);
-    let a = seeded_uniform(n, n, 21);
-    let b = seeded_uniform(n, n, 22);
-    let server = GemmServer::new(ServerConfig::new(grid)).expect("start server");
-    let out = server
-        .submit(JobSpec::square(n), a.clone(), b.clone())
-        .expect("admitted")
-        .wait()
-        .expect("served");
-    let kernel = match out.report.plan {
-        ServePlan::Dense(PlannedAlgo::Cannon { kernel }) => kernel,
-        other => panic!("expected a Cannon plan, got {}", other.describe()),
-    };
-    let s = out.report.merged_stats();
-    assert_eq!((s.bytes_sent, s.msgs_sent), (10_485_760, 20));
+fn served_cannon_and_cosma_move_the_pinned_bytes_and_match_pooled_runs() {
+    // Served, each plan's tiles are dealt in its own layouts, so a job
+    // moves its schedule's own traffic and nothing else. Cannon on 2×2
+    // at n = 512: the one rotation between its two multiplies, 8 tiles
+    // of 256² doubles. COSMA over 4×1×1 bricks at 300×200×260: the
+    // broadcast of B's one brick down its fiber, 3 copies of 200×260,
+    // after its root cuts that brick once. Cannon copies nothing.
+    let grid = GridShape::new(2, 2);
+    for ((m, k, n), pinned) in [
+        ((512, 512, 512), (4_194_304, 8, 0)),
+        ((300, 200, 260), (1_248_000, 3, 416_000)),
+    ] {
+        let a = seeded_uniform(m, k, 21);
+        let b = seeded_uniform(k, n, 22);
+        let server = GemmServer::new(ServerConfig::new(grid)).expect("start server");
+        let out = server
+            .submit(JobSpec::gemm(m, k, n), a.clone(), b.clone())
+            .expect("admitted")
+            .wait()
+            .expect("served");
+        let plan = match out.report.plan {
+            ServePlan::Dense(plan @ (PlannedAlgo::Cannon { .. } | PlannedAlgo::Cosma(_))) => plan,
+            other => panic!(
+                "{m}x{k}x{n}: expected Cannon or COSMA, got {}",
+                other.describe()
+            ),
+        };
+        let s = out.report.merged_stats();
+        let got = (s.bytes_sent, s.msgs_sent, s.payload_clone_bytes);
+        assert_eq!(got, pinned, "{}", plan.describe());
 
-    // The same tiles through Cannon (the plan's only arm) on a bare pool.
-    let dist = Distribution::grid2d(grid, n, n);
-    let at = Arc::new(dist.scatter(&a));
-    let bt = Arc::new(dist.scatter(&b));
-    let plan = PlannedAlgo::Cannon { kernel };
-    let mut pool = RankPool::new(grid.size()).expect("spawn rank pool");
-    let run = pool
-        .run(move |comm| {
-            let r = comm.rank();
-            run_planned_gemm(&*comm, grid, n, n, n, &at[r], &bt[r], &plan).expect("cannon")
-        })
-        .expect("pool job");
-    let want = dist.gather(&run.results);
-    let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert!(
-        bits(out.c.dense()) == bits(&want),
-        "served Cannon differs from pooled Cannon"
-    );
+        // The same plan from checkerboard tiles on a bare pool.
+        let at = Arc::new(Distribution::grid2d(grid, m, k).scatter(&a));
+        let bt = Arc::new(Distribution::grid2d(grid, k, n).scatter(&b));
+        let mut pool = RankPool::new(grid.size()).expect("spawn rank pool");
+        let run = pool
+            .run(move |comm| {
+                let r = comm.rank();
+                run_planned_gemm(&*comm, grid, m, n, k, &at[r], &bt[r], &plan).expect("plan")
+            })
+            .expect("pool job");
+        let want = Distribution::grid2d(grid, m, n).gather(&run.results);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert!(
+            bits(out.c.dense()) == bits(&want),
+            "served {} differs from pooled",
+            plan.describe()
+        );
+    }
+}
+
+#[test]
+fn cannon_and_fox_ledgers_match_their_closed_forms() {
+    // In tiles of (n/q)² doubles: checkerboard Cannon 2q(q-1)(q+1),
+    // Cannon dealt aligned 2q²(q-1), Fox with binomial row broadcasts
+    // 2q²(q-1). Every message carries one whole tile.
+    let plat = Platform::grid5000();
+    for q in 1..=4u64 {
+        let (qs, n) = (q as usize, 12 * q as usize);
+        let tile = (12 * 12 * 8) as u64;
+        let Schedule::Gemm { grid, dims, plan } = Schedule::cannon(qs, n) else {
+            unreachable!("Cannon is a planned grid multiply");
+        };
+        let fox = Schedule::Fox {
+            q: qs,
+            n,
+            bcast: SimBcast::Binomial,
+        };
+        for (what, sched, moves) in [
+            (
+                "checkerboard cannon",
+                Schedule::cannon(qs, n),
+                cannon_tile_moves(q),
+            ),
+            (
+                "aligned cannon",
+                Schedule::Native { grid, dims, plan },
+                cannon_aligned_tile_moves(q),
+            ),
+            ("fox", fox, fox_tile_moves(q)),
+        ] {
+            let r = simulate(&sched, &plat, false);
+            assert_eq!((r.bytes, r.msgs), (moves * tile, moves), "q={q} {what}");
+        }
+    }
 }
 
 const SPARSE_N: usize = 64;
