@@ -60,7 +60,10 @@ pub fn fox_with<C: Communicator>(
     let up = grid.rank((i + q - 1) % q, j);
     let down = grid.rank((i + 1) % q, j);
 
-    let mut b_cur = b.clone();
+    // The rolls send `B` as a shared handle: the one copy is this cut of
+    // the borrowed tile (counted, as every cut is), and each later roll
+    // passes on the panel that landed.
+    let mut b_cur = comm.cut(b, 0, 0, ts, ts);
     let mut c = C::Mat::zeros(ts, ts);
     let step_pairs = ts * ts * ts;
     for k in 0..q {
@@ -72,15 +75,15 @@ pub fn fox_with<C: Communicator>(
             let a_bc = row_comm.bcast_shared(bcast, root, ts, ts, mine)?;
 
             comm.compute(step_pairs as f64, 2 * step_pairs as u64, || {
-                C::Mat::gemm(kernel, C::shared_ref(&a_bc), &b_cur, &mut c)
+                C::Mat::gemm(kernel, C::shared_ref(&a_bc), C::shared_ref(&b_cur), &mut c)
             });
 
             // Roll B up by one, unless no multiply reads the result.
             if k + 1 == q {
                 return Ok(b_cur);
             }
-            comm.send_mat(up, TAG_ROLL_B, b_cur)?;
-            comm.recv_mat(down, TAG_ROLL_B, ts, ts)
+            comm.send_shared(up, TAG_ROLL_B, &b_cur)?;
+            comm.recv_shared(down, TAG_ROLL_B, ts, ts)
         })?;
         comm.maybe_step_sync()?;
     }
@@ -126,6 +129,40 @@ mod tests {
     #[test]
     fn fox_single_rank() {
         run_fox_case(1, 4);
+    }
+
+    #[test]
+    fn fox_copies_each_operand_once() {
+        // Each rank cuts its own `B` tile once for the rolls, and every
+        // step's row root cuts its `A` tile once for the broadcast: `n²`
+        // elements of each operand are copied, and nothing else is.
+        use crate::distribution::Distribution;
+        use hsumma_runtime::{CommStats, RankPool};
+        use std::sync::Arc;
+        for q in [2, 3] {
+            let n = 5 * q;
+            let grid = GridShape::new(q, q);
+            let (a, b) = (seeded_uniform(n, n, 41), seeded_uniform(n, n, 42));
+            let dist = Distribution::grid2d(grid, n, n);
+            let (at, bt) = (Arc::new(dist.scatter(&a)), Arc::new(dist.scatter(&b)));
+            let mut pool = RankPool::new(grid.size()).unwrap();
+            let run = pool
+                .run(move |comm| {
+                    let r = comm.rank();
+                    fox(&*comm, grid, n, &at[r], &bt[r], GemmKernel::Packed).unwrap()
+                })
+                .unwrap();
+            let total = run
+                .stats
+                .iter()
+                .fold(CommStats::default(), |t, s| t.merge(s));
+            let tiles = 2 * (q * q) as u64;
+            assert_eq!(total.payload_clones, tiles, "q={q}");
+            assert_eq!(total.payload_clone_bytes, 2 * (n * n * 8) as u64, "q={q}");
+            assert!(dist
+                .gather(&run.results)
+                .approx_eq(&reference_product(&a, &b), 1e-9));
+        }
     }
 
     #[test]

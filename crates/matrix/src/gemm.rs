@@ -22,10 +22,19 @@
 //! intrinsics where the build targets `avx512f`, an autovectorized loop
 //! everywhere else.
 //!
+//! Packing costs a copy of every operand element, which a thin or small
+//! product (SUMMA's rank-local update at a narrow panel) feeds to only a
+//! few multiply-adds. On the shapes [`in_place_pays`] admits, `Packed`
+//! therefore runs the same microkernel straight off `A`'s and `B`'s rows
+//! through their leading dimensions, tile by tile in the packed order,
+//! and gives the same bits; [`crate::gemm_view`] is that path on strided
+//! views, and [`gemm_packed`] the packed path on any shape.
+//!
 //! All kernels *accumulate* (`C += A·B`), which is the operation SUMMA's
 //! inner step needs (`c_ij = c_ij + a_ik · b_kj`).
 
 use crate::dense::Matrix;
+use crate::view::MatrixView;
 use rayon::prelude::*;
 use std::cell::RefCell;
 
@@ -59,6 +68,28 @@ pub const KC: usize = 256;
 /// 8 MiB): wider than any operand the workloads multiply, so `A` is packed
 /// once per `KC` slice.
 pub const NC: usize = 4096;
+
+/// Widest `m` and `n` the in-place path takes: a row of `B` at most 1 KiB,
+/// so a tile's strided `B` rows spread over L1's sets instead of piling
+/// into a few, and `C` at most 128 KiB.
+const IN_PLACE_EDGE: usize = 128;
+
+/// Flop pairs from which the packed driver fans a multiply out over `MC`
+/// row blocks (when it has threads to fan out to).
+const FAN_OUT_PAIRS: u64 = 4 * (TILE * TILE * TILE) as u64;
+
+/// Whether [`GemmKernel::Packed`] multiplies an `m×k · k×n` product in
+/// place, running the microkernel straight off the operands' rows,
+/// instead of packing them first. Decided by shape alone: both of `C`'s
+/// extents at most 128, and fewer flop pairs than the packed driver would
+/// fan out over threads. Packing pays where it is amortized:
+/// its copy is `m·k + k·n` elements against `m·k·n` multiply-adds, so thin
+/// and small products spend much of their time in it. DESIGN.md ("Local
+/// kernel hierarchy") records the sweep behind the cut. Either path gives
+/// the same bits.
+pub fn in_place_pays(m: usize, k: usize, n: usize) -> bool {
+    m <= IN_PLACE_EDGE && n <= IN_PLACE_EDGE && flop_pairs(m, k, n) < FAN_OUT_PAIRS
+}
 
 /// Which local multiply implementation to use.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -107,8 +138,24 @@ pub fn gemm_scaled(kernel: GemmKernel, alpha: f64, a: &Matrix, b: &Matrix, c: &m
         GemmKernel::Naive => gemm_naive(alpha, a, b, c),
         GemmKernel::Blocked => gemm_blocked(alpha, a, b, c),
         GemmKernel::Parallel => gemm_parallel(alpha, a, b, c),
-        GemmKernel::Packed => gemm_packed(alpha, a, b, c),
+        GemmKernel::Packed if in_place_pays(a.rows(), a.cols(), b.cols()) => {
+            gemm_in_place(alpha, &a.view(), &b.view(), c)
+        }
+        GemmKernel::Packed => packed(alpha, a, b, c),
     }
+}
+
+/// The packed path alone, whatever the shape: what [`GemmKernel::Packed`]
+/// runs on the shapes [`in_place_pays`] leaves to it, and the baseline the
+/// in-place path is measured and bit-compared against.
+///
+/// # Panics
+/// Panics on non-conformant shapes (see [`gemm`]).
+pub fn gemm_packed(alpha: f64, a: &Matrix, b: &Matrix, c: &mut Matrix) {
+    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
+    assert_eq!(a.rows(), c.rows(), "C row count must match A");
+    assert_eq!(b.cols(), c.cols(), "C column count must match B");
+    packed(alpha, a, b, c)
 }
 
 /// Number of floating-point operations a `m×k · k×n` multiply-accumulate
@@ -264,34 +311,97 @@ fn pack_b<'s>(
     out
 }
 
+/// Where the operands of one `MR×NR` tile sit: element `(i, l)` of the
+/// tile's `A` rows at `a[a_row[i] + l·a_step]`, row `l` of its `B` columns
+/// at `b[l·ldb..]`, of which the first `b_cols` are read (the rest count
+/// as zero). The packed micro-panels and the operands in place are two
+/// settings of these numbers, so both run the one microkernel.
+#[derive(Clone, Copy)]
+struct TileOperands<'s> {
+    a: &'s [f64],
+    a_row: [usize; MR],
+    a_step: usize,
+    b: &'s [f64],
+    ldb: usize,
+    b_cols: usize,
+}
+
+impl<'s> TileOperands<'s> {
+    /// One packed `A` micro-panel against one packed `B` micro-panel, both
+    /// zero-padded to full `MR` rows and `NR` columns.
+    #[inline(always)]
+    fn packed(a_panel: &'s [f64], b_panel: &'s [f64]) -> Self {
+        TileOperands {
+            a: a_panel,
+            a_row: std::array::from_fn(|i| i),
+            a_step: MR,
+            b: b_panel,
+            ldb: NR,
+            b_cols: NR,
+        }
+    }
+
+    /// The operands where they lie: `a` starts at the tile's first `A`
+    /// element, its rows `lda` apart, and `b` at the tile's first `B`
+    /// element, its rows `ldb` apart. Rows of `A` past `rows` alias the
+    /// last real one (their sums are dropped at write-back) and columns of
+    /// `B` past `cols` are not read, so nothing outside the tile's own
+    /// rows and columns is touched.
+    #[inline(always)]
+    fn in_place(
+        a: &'s [f64],
+        lda: usize,
+        rows: usize,
+        b: &'s [f64],
+        ldb: usize,
+        cols: usize,
+    ) -> Self {
+        TileOperands {
+            a,
+            a_row: std::array::from_fn(|i| i.min(rows - 1) * lda),
+            a_step: 1,
+            b,
+            ldb,
+            b_cols: cols,
+        }
+    }
+
+    /// Whether `kc` steps read only inside `a` and `b`.
+    #[inline(always)]
+    fn reads_within(&self, kc: usize) -> bool {
+        let last_row = self.a_row.iter().max().copied().unwrap_or(0);
+        (1..=NR).contains(&self.b_cols)
+            && (kc == 0
+                || (last_row + (kc - 1) * self.a_step < self.a.len()
+                    && (kc - 1) * self.ldb + self.b_cols <= self.b.len()))
+    }
+}
+
 /// The portable register-blocked microkernel: returns the `MR×NR` product
-/// block of one packed `A` micro-panel against one packed `B` micro-panel,
-/// `kc` deep. The `j` loop is the autovectorized dimension.
+/// block of one tile's operands, `kc` deep. The `j` loop is the
+/// autovectorized dimension.
 #[cfg(not(target_feature = "avx512f"))]
 #[inline(always)]
-fn microkernel(kc: usize, a_panel: &[f64], b_panel: &[f64]) -> [[f64; NR]; MR] {
+fn microkernel(kc: usize, ops: &TileOperands<'_>) -> [[f64; NR]; MR] {
     let mut acc = [[0.0f64; NR]; MR];
-    for (av, bv) in a_panel
-        .chunks_exact(MR)
-        .zip(b_panel.chunks_exact(NR))
-        .take(kc)
-    {
-        let bv: &[f64; NR] = bv.try_into().expect("exact chunk");
-        for i in 0..MR {
-            let ai = av[i];
+    for l in 0..kc {
+        let mut bv = [0.0f64; NR];
+        bv[..ops.b_cols].copy_from_slice(&ops.b[l * ops.ldb..][..ops.b_cols]);
+        for (i, acc_row) in acc.iter_mut().enumerate() {
+            let ai = ops.a[ops.a_row[i] + l * ops.a_step];
             for j in 0..NR {
-                acc[i][j] += ai * bv[j];
+                acc_row[j] += ai * bv[j];
             }
         }
     }
     acc
 }
 
-/// `c_tile[i·ldc + j] += alpha · Σ_l a_panel[l·MR + i] · b_panel[l·NR + j]`
-/// for `i < mr_eff`, `j < nr_eff`: one packed `A` micro-panel against one
-/// packed `B` micro-panel, `kc` deep, `l` ascending. `c_tile` starts at
-/// the tile's top-left element; rows and columns past the ragged edge are
-/// computed (the panels are zero-padded) and dropped at write-back.
+/// `c_tile[i·ldc + j] += alpha · Σ_l A(i, l) · B(l, j)` for `i < mr_eff`,
+/// `j < nr_eff`, with `A` and `B` read through `ops`, `kc` deep, `l`
+/// ascending. `c_tile` starts at the tile's top-left element; rows and
+/// columns past the ragged edge are computed (from zero padding or
+/// aliased rows) and dropped at write-back.
 ///
 /// Portable body: the 4×16 [`microkernel`] above, which LLVM vectorizes
 /// as separate `vmulpd`/`vaddpd` at the target's preferred vector width
@@ -299,18 +409,18 @@ fn microkernel(kc: usize, a_panel: &[f64], b_panel: &[f64]) -> [[f64; NR]; MR] {
 /// not contract `acc += a * b`.
 #[cfg(not(target_feature = "avx512f"))]
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn update_tile(
     kc: usize,
-    a_panel: &[f64],
-    b_panel: &[f64],
+    ops: &TileOperands<'_>,
     alpha: f64,
     c_tile: &mut [f64],
     ldc: usize,
     mr_eff: usize,
     nr_eff: usize,
 ) {
-    let acc = microkernel(kc, a_panel, b_panel);
+    // Safe code, so the slices bound every read; this names the contract.
+    debug_assert!(ops.reads_within(kc));
+    let acc = microkernel(kc, ops);
     for (i, acc_row) in acc.iter().enumerate().take(mr_eff) {
         let c_row = &mut c_tile[i * ldc..][..nr_eff];
         for (cv, &av) in c_row.iter_mut().zip(acc_row) {
@@ -321,19 +431,18 @@ fn update_tile(
 
 /// The AVX-512 body of `update_tile`, same contract as the portable one.
 /// In the release build the 8×16 tile is sixteen `zmm` accumulators and a
-/// `k` step is two 512-bit `vmovupd` loads of `B`, eight `vbroadcastsd` of
-/// `A` from memory and sixteen `vfmadd231pd` (unrolled twice, no spills).
-/// `C` is read, updated with one more FMA per vector and written back
-/// under a lane mask (a vector with no column inside the tile is skipped),
-/// so every entry sees the same operations in the same order wherever it
-/// sits, and nothing depends on the operands' addresses.
+/// `k` step is two 512-bit loads of `B` (under a lane mask, so an edge
+/// tile read in place stops at its last column), eight `vbroadcastsd` of
+/// `A` from memory and sixteen `vfmadd231pd`. `C` is read, updated with
+/// one more FMA per vector and written back under a lane mask (a vector
+/// with no column inside the tile is skipped), so every entry sees the
+/// same operations in the same order wherever it sits and wherever its
+/// operands lie, and nothing depends on the operands' addresses.
 #[cfg(target_feature = "avx512f")]
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn update_tile(
     kc: usize,
-    a_panel: &[f64],
-    b_panel: &[f64],
+    ops: &TileOperands<'_>,
     alpha: f64,
     c_tile: &mut [f64],
     ldc: usize,
@@ -341,42 +450,49 @@ fn update_tile(
     nr_eff: usize,
 ) {
     use std::arch::x86_64::{
-        _mm512_fmadd_pd, _mm512_loadu_pd, _mm512_mask_loadu_pd, _mm512_mask_storeu_pd,
+        _mm512_fmadd_pd, _mm512_mask_loadu_pd, _mm512_mask_storeu_pd, _mm512_maskz_loadu_pd,
         _mm512_set1_pd, _mm512_setzero_pd,
     };
     // These stay on in release: they are what bounds every pointer below.
-    assert!(a_panel.len() >= kc * MR && b_panel.len() >= kc * NR);
+    assert!(ops.reads_within(kc));
     assert!((1..=MR).contains(&mr_eff) && (1..=NR).contains(&nr_eff));
     assert!((mr_eff - 1) * ldc + nr_eff <= c_tile.len());
-    // Lane masks of the two vectors of a `C` row (columns `< nr_eff`), and
-    // how many of the two hold a column at all.
-    let lanes = (1u32 << nr_eff) - 1;
-    let mask = [lanes as u8, (lanes >> 8) as u8];
+    // Lane masks of the two vectors of a row of `cols` columns.
+    let lanes = |cols: usize| {
+        let bits = (1u32 << cols) - 1;
+        [bits as u8, (bits >> 8) as u8]
+    };
+    let (mask, b_mask) = (lanes(nr_eff), lanes(ops.b_cols));
+    // How many of `C`'s two vectors hold a column at all; and where the
+    // second `B` vector loads from (a row of eight columns or fewer loads
+    // nothing there, so its address stays on the first).
     let vectors = nr_eff.div_ceil(8);
-    // SAFETY: `ap` and `bp` advance `MR` and `NR` elements per step for
-    // `kc` steps and each step reads `ap[..MR]`, `bp[..NR]`, all below
-    // `kc·MR` and `kc·NR`, which the first assert bounds by the slice
-    // lengths (after the last step they point at most one past the end).
-    // In `C`, `at` is formed only for `i < mr_eff` and `8·h < nr_eff`, so
-    // it points at offset `i·ldc + 8·h ≤ (mr_eff−1)·ldc + nr_eff − 1`, and
+    let b_hi = if ops.b_cols > 8 { 8 } else { 0 };
+    // SAFETY: for `l < kc`, `B` row `l` starts at `l·ldb ≤ (kc−1)·ldb`
+    // and its masked loads touch columns `< b_cols` only (`b_hi < b_cols`
+    // when it is 8), so every element read is below
+    // `(kc−1)·ldb + b_cols`; `A` element `(i, l)` sits at
+    // `a_row[i] + l·a_step ≤ max(a_row) + (kc−1)·a_step`. The first
+    // assert (`reads_within`) puts both bounds inside the slices. In `C`,
+    // `at` is formed only for `i < mr_eff` and `8·h < nr_eff`, so it
+    // points at offset `i·ldc + 8·h ≤ (mr_eff−1)·ldc + nr_eff − 1`, and
     // the masked load and store touch only the lanes their mask enables,
     // columns `j < nr_eff` of that row, offsets with the same bound, which
     // the third assert puts below `c_tile.len()`. `avx512f` is enabled for
     // the whole compilation (this function only exists under that `cfg`).
     unsafe {
         let mut acc = [[_mm512_setzero_pd(); 2]; MR];
-        let mut ap = a_panel.as_ptr();
-        let mut bp = b_panel.as_ptr();
-        for _ in 0..kc {
-            let b0 = _mm512_loadu_pd(bp);
-            let b1 = _mm512_loadu_pd(bp.add(8));
+        let (a, b) = (ops.a.as_ptr(), ops.b.as_ptr());
+        for l in 0..kc {
+            let bp = b.add(l * ops.ldb);
+            let b0 = _mm512_maskz_loadu_pd(b_mask[0], bp);
+            let b1 = _mm512_maskz_loadu_pd(b_mask[1], bp.add(b_hi));
+            let ap = a.add(l * ops.a_step);
             for (i, row) in acc.iter_mut().enumerate() {
-                let ai = _mm512_set1_pd(*ap.add(i));
+                let ai = _mm512_set1_pd(*ap.add(ops.a_row[i]));
                 row[0] = _mm512_fmadd_pd(ai, b0, row[0]);
                 row[1] = _mm512_fmadd_pd(ai, b1, row[1]);
             }
-            ap = ap.add(MR);
-            bp = bp.add(NR);
         }
         let alpha = _mm512_set1_pd(alpha);
         let cp = c_tile.as_mut_ptr();
@@ -411,12 +527,59 @@ fn packed_block_update(
         for (a_panel, ir) in a_pack.chunks_exact(MR * kc).zip((0..mc).step_by(MR)) {
             let mr_eff = MR.min(mc - ir);
             let c_tile = &mut c_rows[ir * ldc + jc + jr..];
-            update_tile(kc, a_panel, b_panel, alpha, c_tile, ldc, mr_eff, nr_eff);
+            let ops = TileOperands::packed(a_panel, b_panel);
+            update_tile(kc, &ops, alpha, c_tile, ldc, mr_eff, nr_eff);
         }
     }
 }
 
-fn gemm_packed(alpha: f64, a: &Matrix, b: &Matrix, c: &mut Matrix) {
+/// `c += alpha · a · b` straight off the operands' rows, packing nothing:
+/// the packed path's microkernel, tile by tile, with each tile's `A` rows
+/// and `B` columns read where they lie (their leading dimensions are the
+/// views' strides). `KC` slices run outermost, in ascending order, as in
+/// the packed drivers, so every entry of `C` sees the same operations in
+/// the same order as there and the two paths agree bit for bit on every
+/// shape. What `GemmKernel::Packed` runs on the shapes [`in_place_pays`]
+/// admits, and what [`crate::gemm_view`] runs on any shape.
+pub(crate) fn gemm_in_place(alpha: f64, a: &MatrixView<'_>, b: &MatrixView<'_>, c: &mut Matrix) {
+    let (m, k) = (a.rows(), a.cols());
+    let n = b.cols();
+    if m == 0 || k == 0 || n == 0 {
+        return;
+    }
+    let (lda, ldb) = (a.stride(), b.stride());
+    let (a_all, b_all) = (a.as_slice(), b.as_slice());
+    let c_all = c.as_mut_slice();
+    for pc in (0..k).step_by(KC) {
+        let kc = KC.min(k - pc);
+        for jr in (0..n).step_by(NR) {
+            let nr_eff = NR.min(n - jr);
+            let b_tile = &b_all[pc * ldb + jr..];
+            for ir in (0..m).step_by(MR) {
+                let mr_eff = MR.min(m - ir);
+                let ops = TileOperands::in_place(
+                    &a_all[ir * lda + pc..],
+                    lda,
+                    mr_eff,
+                    b_tile,
+                    ldb,
+                    nr_eff,
+                );
+                update_tile(
+                    kc,
+                    &ops,
+                    alpha,
+                    &mut c_all[ir * n + jr..],
+                    n,
+                    mr_eff,
+                    nr_eff,
+                );
+            }
+        }
+    }
+}
+
+fn packed(alpha: f64, a: &Matrix, b: &Matrix, c: &mut Matrix) {
     let (m, k) = a.shape();
     let n = b.cols();
     if m == 0 || k == 0 || n == 0 {
@@ -425,7 +588,7 @@ fn gemm_packed(alpha: f64, a: &Matrix, b: &Matrix, c: &mut Matrix) {
     let threads = rayon::current_num_threads();
     // Fan out over MC row blocks only when more than one exists and the
     // arithmetic amortizes the scoped-thread dispatch.
-    if threads > 1 && m > MC && flop_pairs(m, k, n) >= 4 * (TILE * TILE * TILE) as u64 {
+    if threads > 1 && m > MC && flop_pairs(m, k, n) >= FAN_OUT_PAIRS {
         gemm_packed_parallel(alpha, a, b, c, threads);
     } else {
         gemm_packed_st(alpha, a, b, c);
@@ -648,7 +811,42 @@ mod tests {
                 let mut c =
                     Matrix::from_fn(MR, ldc, |i, j| if inside(i, j) { 0.0 } else { SENTINEL });
                 let c_tile = &mut c.as_mut_slice()[..(mr_eff - 1) * ldc + nr_eff];
-                update_tile(kc, ap, bp, 1.0, c_tile, ldc, mr_eff, nr_eff);
+                let ops = TileOperands::packed(ap, bp);
+                update_tile(kc, &ops, 1.0, c_tile, ldc, mr_eff, nr_eff);
+                // The same tile read in place: `A` rows `lda` apart and `B`
+                // rows `ldb` apart, each slice ending at the last element
+                // the tile reads. Same bits as from the packed panels.
+                if kc > 0 {
+                    let (lda, ldb) = (kc + 2, nr_eff + 3);
+                    let a_rows = Matrix::from_fn(mr_eff, lda, |i, l| {
+                        if l < kc {
+                            ap[l * MR + i]
+                        } else {
+                            SENTINEL
+                        }
+                    });
+                    let b_rows = Matrix::from_fn(kc, ldb, |l, j| {
+                        if j < nr_eff {
+                            bp[l * NR + j]
+                        } else {
+                            SENTINEL
+                        }
+                    });
+                    let a_in = &a_rows.as_slice()[..(mr_eff - 1) * lda + kc];
+                    let b_in = &b_rows.as_slice()[..(kc - 1) * ldb + nr_eff];
+                    let ops = TileOperands::in_place(a_in, lda, mr_eff, b_in, ldb, nr_eff);
+                    let mut again =
+                        Matrix::from_fn(MR, ldc, |i, j| if inside(i, j) { 0.0 } else { SENTINEL });
+                    let tile = &mut again.as_mut_slice()[..(mr_eff - 1) * ldc + nr_eff];
+                    update_tile(kc, &ops, 1.0, tile, ldc, mr_eff, nr_eff);
+                    let bits =
+                        |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&again),
+                        bits(&c),
+                        "kc {kc} ({mr_eff}, {nr_eff}): in place"
+                    );
+                }
                 for i in 0..MR {
                     for j in 0..ldc {
                         if !inside(i, j) {
@@ -696,7 +894,54 @@ mod tests {
         }
     }
 
+    #[test]
+    fn the_rank_local_updates_take_the_path_their_sweep_chose() {
+        // gemm-comm's 64×8×64 and the small squares run in place; the
+        // wide thin products, gemm-compute's 512×128×512 update and its
+        // 1024³ reference, and anything the packed driver fans out, pack.
+        for (m, k, n) in [
+            (64, 8, 64),
+            (32, 32, 32),
+            (64, 64, 64),
+            (96, 96, 96),
+            (1, 1, 1),
+        ] {
+            assert!(in_place_pays(m, k, n), "{m}x{k}x{n}");
+        }
+        for (m, k, n) in [
+            (256, 32, 256),
+            (512, 8, 512),
+            (512, 32, 512),
+            (512, 128, 512),
+            (1024, 1024, 1024),
+            (128, 128, 128),
+        ] {
+            assert!(!in_place_pays(m, k, n), "{m}x{k}x{n}");
+        }
+    }
+
     proptest! {
+        #[test]
+        fn in_place_matches_packed_bit_for_bit(
+            m in 1usize..=96, k in 1usize..=KC + 1, n in 1usize..=96,
+            negate in 0usize..2, seed in 0u64..500
+        ) {
+            // Whichever microkernel body this build compiled, on ragged
+            // tiles at every edge, on both sides of the in-place cut and
+            // past one `KC` slice, into a `C` that does not start at zero.
+            let alpha = if negate == 1 { -1.0 } else { 1.0 };
+            let a = seeded_uniform(m, k, seed);
+            let b = seeded_uniform(k, n, seed.wrapping_add(1));
+            let start = seeded_uniform(m, n, seed.wrapping_add(2));
+            let (mut packed_c, mut in_place_c, mut auto_c) = (start.clone(), start.clone(), start);
+            gemm_packed(alpha, &a, &b, &mut packed_c);
+            gemm_in_place(alpha, &a.view(), &b.view(), &mut in_place_c);
+            gemm_scaled(GemmKernel::Packed, alpha, &a, &b, &mut auto_c);
+            let bits = |c: &Matrix| c.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert!(bits(&in_place_c) == bits(&packed_c), "{}x{}x{} in place", m, k, n);
+            prop_assert!(bits(&auto_c) == bits(&packed_c), "{}x{}x{} auto", m, k, n);
+        }
+
         #[test]
         fn blocked_matches_naive(
             m in 1usize..24, k in 1usize..24, n in 1usize..24, seed in 0u64..1000

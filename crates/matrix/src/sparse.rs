@@ -421,24 +421,67 @@ pub fn spgemm_pairs(a: &CsrMatrix, b: &CsrMatrix) -> u64 {
     pairs
 }
 
-/// Serial SDDMM reference: `C_ij = S_ij · (A·B)_ij` over `pattern(S)`.
+/// Calls `emit(t, dot)` for every stored entry `t` of `s`, in storage
+/// order, with `dot = Σ_k A(i, k)·B(k, j)` over the entry's `(i, j)`. Each
+/// sum starts at zero and adds its products in ascending `k`, one multiply
+/// and one add apiece, never fused: the bits of the textbook loop. The
+/// dots of up to eight samples of a row run side by side, so their add
+/// chains overlap instead of each waiting on its own; a row's last few
+/// samples run in the narrowest group of 1, 2, 4 or 8 that holds them.
 /// `A` is `rows(S) × d`, `B` is `d × cols(S)`.
-pub fn sddmm(s: &CsrMatrix, a: &Matrix, b: &Matrix) -> CsrMatrix {
+///
+/// # Panics
+/// Panics on non-conformant shapes.
+pub fn sampled_dots(s: &CsrMatrix, a: &Matrix, b: &Matrix, mut emit: impl FnMut(usize, f64)) {
     assert_eq!(a.rows(), s.rows, "A row count must match S");
     assert_eq!(b.cols(), s.cols, "B column count must match S");
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    let d = a.cols();
-    let mut values = Vec::with_capacity(s.nnz());
     for i in 0..s.rows {
-        let (cols_i, vals_i) = s.row(i);
-        for (t, &j) in cols_i.iter().enumerate() {
-            let mut dot = 0.0;
-            for k in 0..d {
-                dot += a.get(i, k) * b.get(k, j as usize);
+        let a_row = a.row(i);
+        let mut t = s.row_ptr[i];
+        while t < s.row_ptr[i + 1] {
+            let left = s.row_ptr[i + 1] - t;
+            let group = &s.col_idx[t..t + left.min(8)];
+            match left {
+                1 => dots::<1>(a_row, b, group, t, &mut emit),
+                2 => dots::<2>(a_row, b, group, t, &mut emit),
+                3 | 4 => dots::<4>(a_row, b, group, t, &mut emit),
+                _ => dots::<8>(a_row, b, group, t, &mut emit),
             }
-            values.push(vals_i[t] * dot);
+            t += group.len();
         }
     }
+}
+
+/// The dots of one row `a_row` of `A` against the columns `cols` of `B`
+/// (at most `W`; the group is padded with its first column, whose copies
+/// are not emitted), emitted as entries `first ..`.
+#[inline(always)]
+fn dots<const W: usize>(
+    a_row: &[f64],
+    b: &Matrix,
+    cols: &[u32],
+    first: usize,
+    emit: &mut impl FnMut(usize, f64),
+) {
+    let j: [usize; W] = std::array::from_fn(|w| cols.get(w).copied().unwrap_or(cols[0]) as usize);
+    let mut dot = [0.0f64; W];
+    for (k, &aik) in a_row.iter().enumerate() {
+        let b_row = b.row(k);
+        for (sum, &jw) in dot.iter_mut().zip(&j) {
+            *sum += aik * b_row[jw];
+        }
+    }
+    for (w, &sum) in dot.iter().enumerate().take(cols.len()) {
+        emit(first + w, sum);
+    }
+}
+
+/// Serial SDDMM reference: `C_ij = S_ij · (A·B)_ij` over `pattern(S)`.
+/// `A` is `rows(S) × d`, `B` is `d × cols(S)`.
+pub fn sddmm(s: &CsrMatrix, a: &Matrix, b: &Matrix) -> CsrMatrix {
+    let mut values = vec![0.0; s.nnz()];
+    sampled_dots(s, a, b, |t, dot| values[t] = s.values[t] * dot);
     // The result keeps S's pattern verbatim (an SDDMM contract: samples
     // stay sampled even when a dot product is zero).
     CsrMatrix::from_parts(s.rows, s.cols, s.row_ptr.clone(), s.col_idx.clone(), values)
@@ -560,6 +603,44 @@ mod tests {
         // Row 0 of A hits B rows 0 (2 entries) and 2 (1 entry); row 1
         // hits B row 1 (0 entries).
         assert_eq!(spgemm_pairs(&a, &b), 3);
+    }
+
+    #[test]
+    fn sampled_dots_keep_the_bits_of_one_add_chain_per_sample() {
+        // Rows with no sample, fewer than a group, several groups and a
+        // ragged last one, against the loop that sums one dot at a time.
+        for (rows, cols, d, density, seed) in [
+            (9, 40, 13, 0.3, 1),
+            (5, 19, 1, 1.0, 2),
+            (4, 4, 6, 0.0, 3),
+            (24, 64, 33, 0.15, 4),
+        ] {
+            let s = seeded_sparse(rows, cols, density, seed);
+            let a = seeded_uniform(rows, d, seed + 10);
+            let b = seeded_uniform(d, cols, seed + 20);
+            let mut want = Vec::new();
+            for i in 0..rows {
+                for &j in s.row(i).0 {
+                    let mut dot = 0.0;
+                    for k in 0..d {
+                        dot += a.get(i, k) * b.get(k, j as usize);
+                    }
+                    want.push(dot.to_bits());
+                }
+            }
+            let mut got = vec![None; s.nnz()];
+            sampled_dots(&s, &a, &b, |t, dot| {
+                assert!(
+                    got[t].replace(dot.to_bits()).is_none(),
+                    "entry {t} emitted twice"
+                );
+            });
+            let got: Vec<u64> = got
+                .into_iter()
+                .map(|x| x.expect("every entry emitted"))
+                .collect();
+            assert_eq!(got, want, "{rows}x{cols}, d {d}, density {density}");
+        }
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! A [`MatrixView`] lets callers multiply *sub*matrices without copying
 //! them out first: the view borrows the parent's buffer with a row
-//! stride. Rows remain contiguous, so the cache-blocked GEMM kernel
-//! applies unchanged.
+//! stride. Rows remain contiguous, so the packed kernel's microkernel
+//! reads them in place ([`gemm_view`]).
 
 use crate::dense::Matrix;
+use crate::gemm::gemm_in_place;
 
 /// An immutable view of an `rows × cols` region whose consecutive rows
 /// are `stride` elements apart in the underlying buffer.
@@ -58,6 +59,19 @@ impl<'a> MatrixView<'a> {
         self.data[i * self.stride + j]
     }
 
+    /// Distance between the starts of consecutive rows (the leading
+    /// dimension).
+    #[inline]
+    pub fn stride(&self) -> usize {
+        self.stride
+    }
+
+    /// The buffer from the view's first element on.
+    #[inline]
+    pub fn as_slice(&self) -> &'a [f64] {
+        self.data
+    }
+
     /// Row `i` as a contiguous slice.
     #[inline]
     pub fn row(&self, i: usize) -> &'a [f64] {
@@ -103,8 +117,12 @@ impl Matrix {
     }
 }
 
-/// `c += a · b` over views: the blocked `i k j` kernel on possibly
-/// strided operands. `c` must be an owned matrix (it is written densely).
+/// `c += a · b` over views: the packed kernel's microkernel run on the
+/// operands where they lie, reading each tile's rows through the views'
+/// strides and packing nothing. Bit for bit what
+/// [`gemm_packed`](crate::gemm::gemm_packed) gives on copies of the same
+/// blocks, whatever the shape. `c` must be an owned matrix (it is written
+/// densely).
 ///
 /// # Panics
 /// Panics on non-conformant shapes.
@@ -112,30 +130,13 @@ pub fn gemm_view(a: &MatrixView<'_>, b: &MatrixView<'_>, c: &mut Matrix) {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
     assert_eq!(a.rows(), c.rows(), "C row count must match A");
     assert_eq!(b.cols(), c.cols(), "C column count must match B");
-    let (m, k) = (a.rows(), a.cols());
-    let n = b.cols();
-    const TILE: usize = 64;
-    for i in 0..m {
-        let c_row = c.row_mut(i);
-        for l0 in (0..k).step_by(TILE) {
-            let l1 = (l0 + TILE).min(k);
-            let a_row = a.row(i);
-            for (l, &aval) in a_row.iter().enumerate().take(l1).skip(l0) {
-                if aval == 0.0 {
-                    continue;
-                }
-                for (cj, bv) in c_row[..n].iter_mut().zip(b.row(l)) {
-                    *cj += aval * bv;
-                }
-            }
-        }
-    }
+    gemm_in_place(1.0, a, b, c);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::{gemm, GemmKernel};
+    use crate::gemm::{gemm, gemm_packed, GemmKernel};
     use crate::generate::seeded_uniform;
     use proptest::prelude::*;
 
@@ -208,14 +209,12 @@ mod tests {
             let mut via_views = Matrix::zeros(m, n);
             gemm_view(&av, &bv, &mut via_views);
 
+            // The strided path reads the same elements the packed one
+            // copies, in the same order: the same bits.
             let mut via_copies = Matrix::zeros(m, n);
-            gemm(
-                GemmKernel::Blocked,
-                &pa.block(ro, co, m, k),
-                &pb.block(ro, co, k, n),
-                &mut via_copies,
-            );
-            prop_assert!(via_views.approx_eq(&via_copies, 1e-10));
+            gemm_packed(1.0, &pa.block(ro, co, m, k), &pb.block(ro, co, k, n), &mut via_copies);
+            let bits = |c: &Matrix| c.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert!(bits(&via_views) == bits(&via_copies));
         }
     }
 }

@@ -413,8 +413,14 @@ pub struct JobOutput {
 
 /// The shared completion cell behind a [`JobHandle`].
 pub(crate) struct JobCell {
-    state: Mutex<CellState>,
+    slot: Mutex<Slot>,
     cv: Condvar,
+}
+
+/// The job's state and how many [`JobHandle`]s share the cell.
+struct Slot {
+    state: CellState,
+    handles: usize,
 }
 
 enum CellState {
@@ -424,24 +430,33 @@ enum CellState {
     // dwarfing the other variants.
     Done(Box<JobOutput>),
     Failed(JobError),
+    /// The output moved to the last handle's wait, which consumed that
+    /// handle, so no handle is left to see this state.
+    Collected,
 }
 
 impl JobCell {
     pub(crate) fn new() -> Arc<Self> {
         Arc::new(JobCell {
-            state: Mutex::new(CellState::Queued),
+            slot: Mutex::new(Slot {
+                state: CellState::Queued,
+                handles: 0,
+            }),
             cv: Condvar::new(),
         })
     }
 
+    fn lock(&self) -> std::sync::MutexGuard<'_, Slot> {
+        self.slot.lock().expect("job cell lock")
+    }
+
     pub(crate) fn set_running(&self) {
-        *self.state.lock().expect("job cell lock") = CellState::Running;
+        self.lock().state = CellState::Running;
         self.cv.notify_all();
     }
 
     pub(crate) fn finish(&self, outcome: Result<JobOutput, JobError>) {
-        let mut st = self.state.lock().expect("job cell lock");
-        *st = match outcome {
+        self.lock().state = match outcome {
             Ok(out) => CellState::Done(Box::new(out)),
             Err(e) => CellState::Failed(e),
         };
@@ -450,14 +465,19 @@ impl JobCell {
 }
 
 /// The client's ticket for one submitted job. Clonable; any clone may
-/// poll, every waiter sees the same outcome.
-#[derive(Clone)]
+/// poll, and each may wait once, every waiter seeing the same outcome.
 pub struct JobHandle {
-    pub(crate) id: u64,
-    pub(crate) cell: Arc<JobCell>,
+    id: u64,
+    cell: Arc<JobCell>,
 }
 
 impl JobHandle {
+    /// A new handle on `cell`.
+    pub(crate) fn new(id: u64, cell: Arc<JobCell>) -> Self {
+        cell.lock().handles += 1;
+        JobHandle { id, cell }
+    }
+
     /// Service-assigned job id (submission order).
     pub fn id(&self) -> u64 {
         self.id
@@ -465,25 +485,50 @@ impl JobHandle {
 
     /// Current lifecycle state, without blocking.
     pub fn state(&self) -> JobState {
-        match *self.cell.state.lock().expect("job cell lock") {
+        match self.cell.lock().state {
             CellState::Queued => JobState::Queued,
             CellState::Running => JobState::Running,
-            CellState::Done(_) => JobState::Done,
+            CellState::Done(_) | CellState::Collected => JobState::Done,
             CellState::Failed(_) => JobState::Failed,
         }
     }
 
-    /// Blocks until the job completes and returns its outcome. The output
-    /// is cloned out of the cell, so every clone of the handle can wait.
-    pub fn wait(&self) -> Result<JobOutput, JobError> {
-        let mut st = self.cell.state.lock().expect("job cell lock");
+    /// Blocks until the job completes and returns its outcome, consuming
+    /// the handle. The last handle of a job to wait receives the output
+    /// itself, the gathered product buffer included; a handle that still
+    /// has live clones receives a copy, so every clone can wait.
+    pub fn wait(self) -> Result<JobOutput, JobError> {
+        let mut slot = self.cell.lock();
         loop {
-            match &*st {
+            match &slot.state {
+                CellState::Done(_) if slot.handles == 1 => break,
                 CellState::Done(out) => return Ok((**out).clone()),
                 CellState::Failed(e) => return Err(e.clone()),
-                _ => st = self.cell.cv.wait(st).expect("job cell lock"),
+                CellState::Collected => unreachable!("a collected job has no handle left"),
+                CellState::Queued | CellState::Running => {
+                    slot = self.cell.cv.wait(slot).expect("job cell lock")
+                }
             }
         }
+        match std::mem::replace(&mut slot.state, CellState::Collected) {
+            CellState::Done(out) => Ok(*out),
+            _ => unreachable!("the loop breaks on a finished job only"),
+        }
+    }
+}
+
+impl Clone for JobHandle {
+    fn clone(&self) -> Self {
+        JobHandle::new(self.id, Arc::clone(&self.cell))
+    }
+}
+
+impl Drop for JobHandle {
+    fn drop(&mut self) {
+        // Never panic in drop: every update of the slot is one assignment,
+        // so a poisoned lock still guards a consistent count.
+        let mut slot = self.cell.slot.lock().unwrap_or_else(|e| e.into_inner());
+        slot.handles -= 1;
     }
 }
 
@@ -503,10 +548,7 @@ mod tests {
     #[test]
     fn handle_observes_lifecycle() {
         let cell = JobCell::new();
-        let h = JobHandle {
-            id: 7,
-            cell: Arc::clone(&cell),
-        };
+        let h = JobHandle::new(7, Arc::clone(&cell));
         assert_eq!(h.state(), JobState::Queued);
         cell.set_running();
         assert_eq!(h.state(), JobState::Running);
@@ -518,16 +560,76 @@ mod tests {
     #[test]
     fn wait_blocks_until_finish_and_all_clones_see_it() {
         let cell = JobCell::new();
-        let h = JobHandle {
-            id: 1,
-            cell: Arc::clone(&cell),
-        };
+        let h = JobHandle::new(1, Arc::clone(&cell));
         let h2 = h.clone();
         let waiter = std::thread::spawn(move || h2.wait());
         cell.finish(Err(JobError::Execution("boom".into())));
         let got = waiter.join().expect("waiter thread");
         assert!(matches!(got.unwrap_err(), JobError::Execution(msg) if msg == "boom"));
         assert!(matches!(h.wait().unwrap_err(), JobError::Execution(msg) if msg == "boom"));
+    }
+
+    /// A finished dense job's output, and where its product's buffer
+    /// lives.
+    fn dense_output() -> (JobOutput, *const f64) {
+        let c = Matrix::zeros(16, 16);
+        let at = c.as_slice().as_ptr();
+        let report = JobReport {
+            job_id: 3,
+            plan: ServePlan::SpGemm { block: 4 },
+            plan_desc: String::new(),
+            plan_cached: false,
+            wall: std::time::Duration::ZERO,
+            stats: Vec::new(),
+            trace: None,
+            outcome: JobOutcome::Completed,
+            timeouts: 0,
+            cancelled: 0,
+            faults_injected: 0,
+        };
+        let out = JobOutput {
+            c: Product::Dense(c),
+            report,
+        };
+        (out, at)
+    }
+
+    #[test]
+    fn a_lone_handle_receives_the_gathered_buffer_itself() {
+        let cell = JobCell::new();
+        let h = JobHandle::new(3, Arc::clone(&cell));
+        let (out, at) = dense_output();
+        cell.finish(Ok(out));
+        let got = h.wait().expect("finished");
+        assert_eq!(
+            got.c.dense().as_slice().as_ptr(),
+            at,
+            "the product was copied"
+        );
+    }
+
+    #[test]
+    fn the_last_of_several_handles_receives_the_buffer_the_others_copies() {
+        let cell = JobCell::new();
+        let h = JobHandle::new(3, Arc::clone(&cell));
+        let (h2, h3) = (h.clone(), h.clone());
+        let (out, at) = dense_output();
+        cell.finish(Ok(out));
+        for early in [h2, h3] {
+            let copy = early.wait().expect("finished");
+            assert_ne!(
+                copy.c.dense().as_slice().as_ptr(),
+                at,
+                "a live clone lost the output"
+            );
+        }
+        assert_eq!(h.state(), JobState::Done);
+        let last = h.wait().expect("finished");
+        assert_eq!(
+            last.c.dense().as_slice().as_ptr(),
+            at,
+            "the product was copied"
+        );
     }
 
     #[test]

@@ -426,7 +426,7 @@ impl GemmServer {
         }
         drop(st);
         self.shared.cv.notify_all();
-        Ok(JobHandle { id, cell })
+        Ok(JobHandle::new(id, cell))
     }
 
     /// Spec-level admission validation — every rejection names its

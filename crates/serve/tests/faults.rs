@@ -95,6 +95,7 @@ fn dropped_broadcast_times_out_its_job_and_the_pool_keeps_serving() {
             .unwrap();
 
         let err = faulty
+            .clone()
             .wait()
             .expect_err("the dropped broadcast must fail the job");
         assert_eq!(faulty.state(), JobState::Failed);

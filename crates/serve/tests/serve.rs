@@ -274,7 +274,10 @@ fn a_failing_job_reports_failure_and_the_server_keeps_serving() {
     let handle = server
         .submit(JobSpec::square(n).with_hint(bad_plan), a, b)
         .unwrap();
-    let err = handle.wait().expect_err("bad plan must fail the job");
+    let err = handle
+        .clone()
+        .wait()
+        .expect_err("bad plan must fail the job");
     assert!(matches!(
         err,
         hsumma_serve::JobError::Execution(ref msg) if msg.contains("rank")

@@ -178,6 +178,7 @@ fn dropped_sparse_panel_times_out_the_job_and_the_pool_keeps_serving() {
         let clean = server.submit_spgemm(JobSpec::spgemm(n), a, b).unwrap();
 
         let err = faulty
+            .clone()
             .wait()
             .expect_err("the dropped panel must fail the job");
         assert_eq!(faulty.state(), JobState::Failed);

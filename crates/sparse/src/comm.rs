@@ -23,7 +23,7 @@
 
 use crate::phantom::PhantomSparse;
 use hsumma_core::Communicator;
-use hsumma_matrix::sparse::{CsrMatrix, SpGemmAcc};
+use hsumma_matrix::sparse::{sampled_dots, CsrMatrix, SpGemmAcc};
 use hsumma_matrix::Matrix;
 use hsumma_netsim::spmd::SimComm;
 use hsumma_runtime::{Comm, CommError};
@@ -174,19 +174,7 @@ impl SparseComm for Comm {
         vec![0.0; s.nnz()]
     }
     fn sddmm_step(acc: &mut Vec<f64>, s: &Arc<CsrMatrix>, a_panel: &Matrix, b_panel: &Matrix) {
-        let d = a_panel.cols();
-        assert_eq!(d, b_panel.rows(), "inner dimensions must agree");
-        let row_ptr = s.row_ptr();
-        for i in 0..s.rows() {
-            let (cols_i, _) = s.row(i);
-            for (t, &j) in cols_i.iter().enumerate() {
-                let mut dot = 0.0;
-                for k in 0..d {
-                    dot += a_panel.get(i, k) * b_panel.get(k, j as usize);
-                }
-                acc[row_ptr[i] + t] += dot;
-            }
-        }
+        sampled_dots(s, a_panel, b_panel, |t, dot| acc[t] += dot);
     }
     fn sddmm_finalize(s: &Arc<CsrMatrix>, acc: Vec<f64>) -> Arc<CsrMatrix> {
         let values = s

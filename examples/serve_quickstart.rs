@@ -37,7 +37,7 @@ fn main() {
         .collect();
 
     println!("job    n  plan                        cached   wall (ms)   sent (MiB)");
-    for (h, &n) in handles.iter().zip(&sizes) {
+    for (h, &n) in handles.into_iter().zip(&sizes) {
         let out = h.wait().expect("job succeeds");
         let r = &out.report;
         let sent: u64 = r.stats.iter().map(|s| s.bytes_sent).sum();
